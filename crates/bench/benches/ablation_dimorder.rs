@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olap_workload::{Workforce, WorkforceConfig};
-use whatif_core::{execute_chunked, phi, DestMap, OrderPolicy, Semantics};
+use whatif_core::{execute_passes_opts, phi, DestMap, ExecOpts, OrderPolicy, Semantics};
 
 fn dimorder(c: &mut Criterion) {
     let wf = Workforce::build(WorkforceConfig {
@@ -22,8 +22,13 @@ fn dimorder(c: &mut Criterion) {
     // schema. Department (index 1) is the varying dimension.
     let vd_first = OrderPolicy::Naive; // varying-dim-first slices
     let param_first = OrderPolicy::DimOrder(vec![0, 2, 3, 4, 5, 6, 1]);
+    let single = std::slice::from_ref(&map);
+    let run = |policy: &OrderPolicy| {
+        let opts = ExecOpts::default();
+        execute_passes_opts(&wf.cube, wf.department, &map, single, policy, None, opts).unwrap()
+    };
     for (name, policy) in [("vd_first", &vd_first), ("param_first", &param_first)] {
-        let (_, report) = execute_chunked(&wf.cube, wf.department, &map, policy).unwrap();
+        let (_, report) = run(policy);
         eprintln!(
             "ablation_dimorder[{name}]: peak buffers {} (graph {} nodes)",
             report.peak_out_buffers, report.graph_nodes
@@ -33,7 +38,7 @@ fn dimorder(c: &mut Criterion) {
     group.sample_size(10);
     for (name, policy) in [("vd_first", vd_first), ("param_first", param_first)] {
         group.bench_with_input(BenchmarkId::new("order", name), &policy, |b, p| {
-            b.iter(|| execute_chunked(&wf.cube, wf.department, &map, p).unwrap())
+            b.iter(|| run(p))
         });
     }
     group.finish();

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olap_workload::{Workforce, WorkforceConfig};
-use whatif_core::{execute_chunked, merge, phi, DestMap, OrderPolicy, Semantics};
+use whatif_core::{execute_passes_opts, merge, phi, DestMap, ExecOpts, OrderPolicy, Semantics};
 
 fn setup() -> (Workforce, DestMap) {
     // Dense merge graphs: every changer moves a lot, one instance per
@@ -25,12 +25,17 @@ fn setup() -> (Workforce, DestMap) {
 
 fn pebbling(c: &mut Criterion) {
     let (wf, map) = setup();
+    let single = std::slice::from_ref(&map);
+    let run = |policy: &OrderPolicy| {
+        let opts = ExecOpts::default();
+        execute_passes_opts(&wf.cube, wf.department, &map, single, policy, None, opts).unwrap()
+    };
     // Report the memory ablation once (Criterion measures only time).
     for (name, policy) in [
         ("pebbling", OrderPolicy::Pebbling),
         ("naive", OrderPolicy::Naive),
     ] {
-        let (_, report) = execute_chunked(&wf.cube, wf.department, &map, &policy).unwrap();
+        let (_, report) = run(&policy);
         eprintln!(
             "ablation_pebbling[{name}]: graph {} nodes / {} edges, \
              predicted pebbles {}, peak buffers {}",
@@ -56,7 +61,7 @@ fn pebbling(c: &mut Criterion) {
         ("naive", OrderPolicy::Naive),
     ] {
         group.bench_with_input(BenchmarkId::new("policy", name), &policy, |b, p| {
-            b.iter(|| execute_chunked(&wf.cube, wf.department, &map, p).unwrap())
+            b.iter(|| run(p))
         });
     }
     group.finish();

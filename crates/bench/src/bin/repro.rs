@@ -10,9 +10,10 @@
 //! ```
 //!
 //! With no arguments, `--all` is assumed. Timings are minima over a few
-//! runs; see EXPERIMENTS.md for recorded results and commentary.
-//! Experiments that report counters also append machine-readable rows to
-//! `BENCH_pr3.json` so the perf trajectory is tracked across PRs.
+//! runs; see EXPERIMENTS.md for recorded results and commentary. No
+//! mode writes a tracked file — the perf record is `BENCHMARK.json` /
+//! `perfbench`; the `--*-bench` modes here are correctness gates that
+//! print their counters and exit non-zero on a violation.
 
 use bench::baselines::multiple_mdx;
 use bench::figures::{Figure, Series};
@@ -24,50 +25,17 @@ use olap_store::{FaultStore, SeekModel};
 use olap_workload::{Workforce, WorkforceConfig};
 use std::sync::Arc;
 use whatif_core::{
-    apply_opts, execute_chunked_scoped_opts, merge, phi, CacheStats, DestMap, ExecOpts, Fnv64,
-    KernelKind, Mode, OrderPolicy, Scenario, ScenarioCache, Semantics, Strategy,
+    apply_opts, execute_passes_opts, merge, phi, DestMap, ExecOpts, Fnv64, KernelKind, Mode,
+    OrderPolicy, Scenario, ScenarioCache, Semantics, Strategy,
 };
 
 const ITERS: u32 = 3;
 
-/// One machine-readable result row for `BENCH_pr3.json`.
-struct BenchRow {
-    name: String,
-    wall_ms: f64,
-    chunk_reads: u64,
-    merges: u64,
-    cache: CacheStats,
-    /// (issued, hits, wasted) from the buffer pool.
-    prefetch: (u64, u64, u64),
-}
-
-fn write_bench_json(path: &str, pr: u32, rows: &[BenchRow]) {
-    let mut s = format!("{{\n  \"pr\": {pr},\n  \"experiments\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"chunk_reads\": {}, \"merges\": {}, \
-             \"cache\": {{\"lookups\": {}, \"hits\": {}, \"invalidations\": {}, \
-             \"evictions\": {}, \"bytes\": {}}}, \
-             \"prefetch\": {{\"issued\": {}, \"hits\": {}, \"wasted\": {}}}}}{}\n",
-            r.name,
-            r.wall_ms,
-            r.chunk_reads,
-            r.merges,
-            r.cache.lookups,
-            r.cache.hits,
-            r.cache.invalidations,
-            r.cache.evictions,
-            r.cache.bytes,
-            r.prefetch.0,
-            r.prefetch.1,
-            r.prefetch.2,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    match std::fs::write(path, s) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+/// Starts the cube's buffer-pool I/O workers when `--prefetch K` asks for
+/// hinting (hints have no effect without them).
+fn start_io_workers(cube: &olap_cube::Cube, opts: &ExecOpts) {
+    if opts.prefetch > 0 {
+        cube.start_io_threads(opts.prefetch.min(4));
     }
 }
 
@@ -78,8 +46,9 @@ fn main() {
     let mut ablations = false;
     let mut replay = false;
     let mut csv_dir: Option<String> = None;
-    let mut threads = 1usize;
-    let mut prefetch = 0usize;
+    // `--threads`, `--prefetch`, `--kernel` land in the one options
+    // value every experiment below borrows.
+    let mut opts = ExecOpts::default();
     let mut cache_mb = 0usize;
     let mut fault_schedules = 0u64;
     let mut crash_points = false;
@@ -88,7 +57,6 @@ fn main() {
     let mut replica_followers = 0usize;
     let mut toggle_scenarios = 0usize;
     let mut kernel_bench = false;
-    let mut kernel = KernelKind::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -96,7 +64,7 @@ fn main() {
             "--kernel-bench" => kernel_bench = true,
             "--kernel" => {
                 i += 1;
-                kernel = args
+                opts.kernel = args
                     .get(i)
                     .and_then(|s| KernelKind::parse(s))
                     .unwrap_or_else(|| {
@@ -184,7 +152,7 @@ fn main() {
             "--replay" => replay = true,
             "--threads" => {
                 i += 1;
-                threads = args
+                opts.threads = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
@@ -195,7 +163,7 @@ fn main() {
             }
             "--prefetch" => {
                 i += 1;
-                prefetch = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                opts.prefetch = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--prefetch needs a non-negative integer");
                     std::process::exit(2);
                 });
@@ -271,8 +239,8 @@ fn main() {
     if table_s {
         print_table_s();
     }
-    if threads > 1 {
-        println!("(executor parallelism: {threads} threads)");
+    if opts.threads > 1 {
+        println!("(executor parallelism: {} threads)", opts.threads);
         println!(
             "(note: with --threads >= 2, peak-buffer and chunks-scanned figures sum over \
              workers — each worker streams the base once — so they are not comparable to \
@@ -281,31 +249,30 @@ fn main() {
              --kernel-bench, IS the true simultaneous residency)\n"
         );
     }
-    if prefetch > 0 {
-        println!("(chunk prefetch lookahead: {prefetch})");
+    if opts.prefetch > 0 {
+        println!("(chunk prefetch lookahead: {})", opts.prefetch);
     }
-    if kernel == KernelKind::Scalar {
+    if opts.kernel == KernelKind::Scalar {
         println!("(executor kernel: scalar oracle — use --kernel runs for the fast path)");
     }
     for f in figs {
         let fig = match f {
-            "11" => fig11(threads, prefetch, kernel),
-            "12" => fig12(prefetch),
-            "13" => fig13(threads, prefetch, kernel),
+            "11" => fig11(&opts),
+            "12" => fig12(&opts),
+            "13" => fig13(&opts),
             _ => unreachable!(),
         };
         println!("{fig}");
         outputs.push(fig);
     }
-    let mut bench_rows: Vec<BenchRow> = Vec::new();
     if ablations {
-        run_ablations(threads, prefetch, kernel, &mut bench_rows);
+        run_ablations(&opts);
     }
     if replay {
-        run_replay(threads, prefetch, cache_mb, kernel, &mut bench_rows);
+        run_replay(&opts, cache_mb);
     }
     if fault_schedules > 0 {
-        run_faults(threads, prefetch, kernel, fault_schedules);
+        run_faults(&opts, fault_schedules);
     }
     if crash_points {
         run_crash_points();
@@ -320,13 +287,10 @@ fn main() {
         run_replica_bench(replica_followers);
     }
     if toggle_scenarios > 0 {
-        run_toggle_bench(toggle_scenarios, cache_mb, threads, prefetch, kernel);
+        run_toggle_bench(toggle_scenarios, cache_mb, &opts);
     }
     if kernel_bench {
-        run_kernel_bench(threads, prefetch);
-    }
-    if !bench_rows.is_empty() {
-        write_bench_json("BENCH_pr3.json", 3, &bench_rows);
+        run_kernel_bench(&opts);
     }
     if let Some(dir) = csv_dir {
         std::fs::create_dir_all(&dir).expect("create csv dir");
@@ -401,16 +365,12 @@ fn print_table_s() {
     println!("(scale: 1/10th linear — see DESIGN.md §2)\n");
 }
 
-fn fig11(threads: usize, prefetch: usize, kernel: KernelKind) -> Figure {
+fn fig11(opts: &ExecOpts) -> Figure {
     eprintln!("[fig11] building workload…");
     let wf = default_workforce();
-    if prefetch > 0 {
-        wf.cube.start_io_threads(prefetch.min(4));
-    }
+    start_io_workers(&wf.cube, opts);
     let mut ctx = context(&wf);
-    ctx.threads = threads;
-    ctx.prefetch = prefetch;
-    ctx.kernel = kernel;
+    ctx.opts = opts.clone();
     let ks = [1usize, 2, 3, 4, 6, 8, 10, 12];
     let mut static_s = Vec::new();
     let mut fwd_s = Vec::new();
@@ -452,7 +412,8 @@ fn fig11(threads: usize, prefetch: usize, kernel: KernelKind) -> Figure {
     }
 }
 
-fn fig12(prefetch: usize) -> Figure {
+fn fig12(opts: &ExecOpts) -> Figure {
+    let prefetch = opts.prefetch;
     eprintln!("[fig12] building file-backed rig…");
     let rig = Fig12Rig::build();
     let base = (rig.other_chunks.len() / 6).max(10);
@@ -496,16 +457,12 @@ fn fig12(prefetch: usize) -> Figure {
     }
 }
 
-fn fig13(threads: usize, prefetch: usize, kernel: KernelKind) -> Figure {
+fn fig13(opts: &ExecOpts) -> Figure {
     eprintln!("[fig13] building 4-move workload…");
     let wf = fig13_workforce(25);
-    if prefetch > 0 {
-        wf.cube.start_io_threads(prefetch.min(4));
-    }
+    start_io_workers(&wf.cube, opts);
     let mut ctx = context(&wf);
-    ctx.threads = threads;
-    ctx.prefetch = prefetch;
-    ctx.kernel = kernel;
+    ctx.opts = opts.clone();
     let p = quarterly();
     let mut pts = Vec::new();
     for &n in &[5u32, 10, 15, 20, 25] {
@@ -527,12 +484,7 @@ fn fig13(threads: usize, prefetch: usize, kernel: KernelKind) -> Figure {
     }
 }
 
-fn run_ablations(
-    threads: usize,
-    prefetch: usize,
-    kernel: KernelKind,
-    bench_rows: &mut Vec<BenchRow>,
-) {
+fn run_ablations(opts: &ExecOpts) {
     println!("=== Ablations ===");
     // Pebbling vs naive on the paper's Fig. 9 graph.
     let g = merge::MergeGraph::fig9();
@@ -552,19 +504,11 @@ fn run_ablations(
         scenarios: 2,
         ..WorkforceConfig::default()
     });
-    if prefetch > 0 {
-        wf.cube.start_io_threads(prefetch.min(4));
-    }
-    let opts = ExecOpts {
-        threads,
-        prefetch,
-        cache: None,
-        kernel,
-        ..Default::default()
-    };
+    start_io_workers(&wf.cube, opts);
     let varying = wf.schema.varying(wf.department).unwrap();
     let vs_out = phi(Semantics::Forward, varying.instances(), &[0, 6], 12);
     let map = DestMap::build(&wf.cube, wf.department, &vs_out).unwrap();
+    let single = std::slice::from_ref(&map);
     for (name, policy) in [
         ("pebbling        ", OrderPolicy::Pebbling),
         ("naive           ", OrderPolicy::Naive),
@@ -573,13 +517,12 @@ fn run_ablations(
             OrderPolicy::DimOrder(vec![0, 2, 3, 4, 5, 6, 1]),
         ),
     ] {
-        let t = min_time(ITERS, || {
-            execute_chunked_scoped_opts(&wf.cube, wf.department, &map, &policy, None, opts.clone())
-                .unwrap()
-        });
-        let (_, report) =
-            execute_chunked_scoped_opts(&wf.cube, wf.department, &map, &policy, None, opts.clone())
-                .unwrap();
+        let run = || {
+            let opts = opts.clone();
+            execute_passes_opts(&wf.cube, wf.department, &map, single, &policy, None, opts).unwrap()
+        };
+        let t = min_time(ITERS, run);
+        let (_, report) = run();
         println!(
             "{name}: peak buffers {:>5}, predicted pebbles {:>4}, time {:>8.2} ms \
              (graph {} nodes / {} edges)",
@@ -589,15 +532,6 @@ fn run_ablations(
             report.graph_nodes,
             report.graph_edges,
         );
-        let st = wf.cube.with_pool(|pool| pool.stats());
-        bench_rows.push(BenchRow {
-            name: format!("ablation_{}", name.trim().replace([' ', '-'], "_")),
-            wall_ms: t.as_secs_f64() * 1e3,
-            chunk_reads: report.chunks_read,
-            merges: report.merges,
-            cache: CacheStats::default(),
-            prefetch: (st.prefetch_issued, st.prefetch_hits, st.prefetch_wasted),
-        });
     }
     println!();
 }
@@ -608,7 +542,7 @@ fn run_ablations(
 /// returns `Err` or a perspective cube bit-identical to the fault-free
 /// baseline — never a silently wrong answer. Exits non-zero if any
 /// schedule violates the invariant, so the sweep is CI-usable.
-fn run_faults(threads: usize, prefetch: usize, kernel: KernelKind, schedules: u64) {
+fn run_faults(opts: &ExecOpts, schedules: u64) {
     println!("=== Fault injection ({schedules} seeded schedules) ===");
     let build = || {
         Workforce::build(WorkforceConfig {
@@ -622,13 +556,6 @@ fn run_faults(threads: usize, prefetch: usize, kernel: KernelKind, schedules: u6
         })
     };
     let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
-    let opts = ExecOpts {
-        threads,
-        prefetch,
-        cache: None,
-        kernel,
-        ..Default::default()
-    };
     let baseline = {
         let wf = build();
         let s = Scenario::negative(wf.department, [0, 6], Semantics::Forward, Mode::Visual);
@@ -639,9 +566,7 @@ fn run_faults(threads: usize, prefetch: usize, kernel: KernelKind, schedules: u6
     let mut errored = 0u64;
     for seed in 0..schedules {
         let wf = build();
-        if prefetch > 0 {
-            wf.cube.start_io_threads(prefetch.min(4));
-        }
+        start_io_workers(&wf.cube, opts);
         wf.cube.flush().unwrap();
         let mut plan = String::new();
         wf.cube.with_pool(|pool| {
@@ -911,13 +836,7 @@ pub fn replay_scenarios(
 /// structural on any hardware: every merge component whose fate table
 /// an edit leaves unchanged is served from cache instead of being
 /// re-read and re-merged.
-fn run_replay(
-    threads: usize,
-    prefetch: usize,
-    cache_mb: usize,
-    kernel: KernelKind,
-    bench_rows: &mut Vec<BenchRow>,
-) {
+fn run_replay(opts: &ExecOpts, cache_mb: usize) {
     println!("=== Scenario-delta replay (K=8 one-perspective edits) ===");
     let wf = Workforce::build(WorkforceConfig {
         employees: 400,
@@ -928,9 +847,7 @@ fn run_replay(
         scenarios: 2,
         ..WorkforceConfig::default()
     });
-    if prefetch > 0 {
-        wf.cube.start_io_threads(prefetch.min(4));
-    }
+    start_io_workers(&wf.cube, opts);
     let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     let mb = if cache_mb > 0 { cache_mb } else { 64 };
 
@@ -945,16 +862,9 @@ fn run_replay(
         ] {
             let label = format!("replay_{sem_name}_{phase}");
             let opts = ExecOpts {
-                threads,
-                prefetch,
                 cache: cache.clone(),
-                kernel,
-                ..Default::default()
+                ..opts.clone()
             };
-            let pool_baseline = wf.cube.with_pool(|pool| {
-                pool.wait_prefetch_idle();
-                pool.stats()
-            });
             let start = std::time::Instant::now();
             let mut chunk_reads = 0u64;
             let mut merges = 0u64;
@@ -967,13 +877,6 @@ fn run_replay(
             }
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             let cstats = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-            let st = wf
-                .cube
-                .with_pool(|pool| {
-                    pool.wait_prefetch_idle();
-                    pool.stats()
-                })
-                .delta(&pool_baseline);
             let hit_rate = if cstats.lookups > 0 {
                 100.0 * cstats.hits as f64 / cstats.lookups as f64
             } else {
@@ -982,18 +885,9 @@ fn run_replay(
             println!(
                 "{label:<24}: {wall_ms:>8.2} ms, {chunk_reads:>6} chunk reads, \
                  {merges:>6} merges, {served:>6} chunks served from cache \
-                 (hit rate {hit_rate:.1}%, {} invalidations, {} KiB resident)",
-                cstats.invalidations,
+                 (hit rate {hit_rate:.1}%, {} KiB resident)",
                 cstats.bytes / 1024,
             );
-            bench_rows.push(BenchRow {
-                name: label,
-                wall_ms,
-                chunk_reads,
-                merges,
-                cache: cstats,
-                prefetch: (st.prefetch_issued, st.prefetch_hits, st.prefetch_wasted),
-            });
         }
     }
     println!();
@@ -1393,7 +1287,7 @@ fn run_replica_bench(followers: usize) {
             ..ServerConfig::default()
         };
         let leader_srv =
-            Server::start(leader_shared.clone(), "127.0.0.1:0", cfg).expect("bind leader");
+            Server::start(leader_shared.clone(), "127.0.0.1:0", cfg.clone()).expect("bind leader");
         let leader_addr = leader_srv.addr();
 
         // Shared truth the follower threads check against: committed
@@ -1417,6 +1311,7 @@ fn run_replica_bench(followers: usize) {
             .enumerate()
             .map(|(i, fpath)| {
                 let fpath = fpath.clone();
+                let cfg = cfg.clone();
                 let committed = committed.clone();
                 let done = done.clone();
                 let final_pos = final_pos.clone();
@@ -1437,15 +1332,18 @@ fn run_replica_bench(followers: usize) {
                             )
                             .expect("attach follower image"),
                         );
-                        let follower =
-                            match Follower::start(fshared.clone(), "127.0.0.1:0", cfg, leader_addr)
-                            {
-                                Ok(f) => f,
-                                Err(e) => {
-                                    violations.push(format!("follower {i} failed to start: {e}"));
-                                    break;
-                                }
-                            };
+                        let follower = match Follower::start(
+                            fshared.clone(),
+                            "127.0.0.1:0",
+                            cfg.clone(),
+                            leader_addr,
+                        ) {
+                            Ok(f) => f,
+                            Err(e) => {
+                                violations.push(format!("follower {i} failed to start: {e}"));
+                                break;
+                            }
+                        };
                         restarts += 1;
                         // Gate: a restarted follower stands at a
                         // committed leader position — the recovered
@@ -1615,19 +1513,11 @@ fn run_replica_bench(followers: usize) {
 /// `--toggle-bench K`: the A/B-toggle gate for the versioned scenario
 /// cache (DESIGN.md §14). An analyst alternating K scenarios must —
 /// after one warm pass over each — replay every switch entirely from
-/// cache: zero invalidations, ≥ 90% hit rate, zero merges, and cells
-/// bit-identical to a cache-off baseline. Under the old
-/// one-digest-per-chunk keying every switch destroyed the other
-/// scenarios' entries, so this run re-merged K×rounds times. Exits
-/// non-zero if any gate fails (CI-usable) and appends the counters to
-/// `BENCH_pr7.json`.
-fn run_toggle_bench(
-    k: usize,
-    cache_mb: usize,
-    threads: usize,
-    prefetch: usize,
-    kernel: KernelKind,
-) {
+/// cache: ≥ 90% hit rate, zero merges, and cells bit-identical to a
+/// cache-off baseline. Under the old one-digest-per-chunk keying every
+/// switch destroyed the other scenarios' entries, so this run re-merged
+/// K×rounds times. Exits non-zero if any gate fails (CI-usable).
+fn run_toggle_bench(k: usize, cache_mb: usize, opts: &ExecOpts) {
     const ROUNDS: usize = 4;
     let mb = if cache_mb > 0 { cache_mb } else { 64 };
     println!("=== toggle-bench — {k} alternating scenarios, {ROUNDS} rounds ===");
@@ -1640,9 +1530,7 @@ fn run_toggle_bench(
         scenarios: 2,
         ..WorkforceConfig::default()
     });
-    if prefetch > 0 {
-        wf.cube.start_io_threads(prefetch.min(4));
-    }
+    start_io_workers(&wf.cube, opts);
     let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     // K distinct perspective sets from the replay catalogue (first 8 are
     // pairwise distinct; the arg parser caps K at 8).
@@ -1662,18 +1550,11 @@ fn run_toggle_bench(
 
     // Cache-off baseline: what "bit-identical" means, and the work a
     // thrashing cache would redo every switch.
-    let off_opts = ExecOpts {
-        threads,
-        prefetch,
-        cache: None,
-        kernel,
-        ..Default::default()
-    };
     let off_t0 = std::time::Instant::now();
     let mut baselines = Vec::new();
     let (mut off_reads, mut off_merges) = (0u64, 0u64);
     for s in &scenarios {
-        let r = apply_opts(&wf.cube, s, &strategy, None, off_opts.clone()).unwrap();
+        let r = apply_opts(&wf.cube, s, &strategy, None, opts.clone()).unwrap();
         off_reads += r.report.chunks_read;
         off_merges += r.report.merges;
         baselines.push(r.cube);
@@ -1682,11 +1563,8 @@ fn run_toggle_bench(
 
     let cache = Arc::new(ScenarioCache::with_capacity_mb(mb));
     let opts = ExecOpts {
-        threads,
-        prefetch,
         cache: Some(cache.clone()),
-        kernel,
-        ..Default::default()
+        ..opts.clone()
     };
     // Warmup: one pass over each scenario populates its versions.
     for s in &scenarios {
@@ -1724,45 +1602,14 @@ fn run_toggle_bench(
     println!(
         "toggled   : {toggle_ms:>8.2} ms for {ROUNDS}×{k} switches, {reads:>6} chunk reads, \
          {merges:>6} merges, {served:>6} chunks served \
-         (hit rate {hit_rate:.1}%, {} invalidations, {} evictions, {} KiB resident)",
-        stats.invalidations,
+         (hit rate {hit_rate:.1}%, {} evictions, {} KiB resident)",
         stats.evictions,
         stats.bytes / 1024,
     );
-    write_bench_json(
-        "BENCH_pr7.json",
-        7,
-        &[
-            BenchRow {
-                name: format!("toggle_k{k}_cache_off"),
-                wall_ms: off_ms,
-                chunk_reads: off_reads,
-                merges: off_merges,
-                cache: CacheStats::default(),
-                prefetch: (0, 0, 0),
-            },
-            BenchRow {
-                name: format!("toggle_k{k}_cache_on"),
-                wall_ms: toggle_ms,
-                chunk_reads: reads,
-                merges,
-                cache: stats,
-                prefetch: (0, 0, 0),
-            },
-        ],
-    );
-
     // The acceptance gates.
     let mut failed = false;
     if mismatches > 0 {
         eprintln!("FAIL: {mismatches} toggled run(s) were not bit-identical to cache-off");
-        failed = true;
-    }
-    if stats.invalidations != 0 {
-        eprintln!(
-            "FAIL: {} invalidations after warmup (a scenario switch destroyed entries)",
-            stats.invalidations
-        );
         failed = true;
     }
     if hit_rate < 90.0 {
@@ -1773,7 +1620,7 @@ fn run_toggle_bench(
         std::process::exit(1);
     }
     println!(
-        "all gates passed: bit-identical, 0 invalidations, {hit_rate:.1}% hits, \
+        "all gates passed: bit-identical, {hit_rate:.1}% hits, \
          {merges} merges across {ROUNDS}×{k} switches\n"
     );
 }
@@ -1800,13 +1647,12 @@ fn cube_digest(cube: &olap_cube::Cube) -> (u64, u64) {
 /// `--kernel-bench`: the run-kernel acceptance gate (DESIGN.md §15).
 /// Times the merge-heavy ablation what-if under the scalar per-cell
 /// oracle and the run kernels, checks the outputs are cell-identical
-/// (order-independent digest), and appends both rows to
-/// `BENCH_pr8.json`. Also runs the per-dimension rollup through the
+/// (order-independent digest). Also runs the per-dimension rollup through the
 /// aggregator to report the shared-gauge `concurrent peak` — the true
 /// simultaneous buffer residency (with --threads >= 2 it is the figure
 /// comparable to a serial run, unlike the summed per-worker peaks).
 /// Exits non-zero on any divergence, so the gate is CI-usable.
-fn run_kernel_bench(threads: usize, prefetch: usize) {
+fn run_kernel_bench(opts: &ExecOpts) {
     use olap_cube::CubeAggregator;
 
     println!("=== kernel-bench — scalar oracle vs. run kernels ===");
@@ -1822,32 +1668,26 @@ fn run_kernel_bench(threads: usize, prefetch: usize) {
         scenarios: 4,
         ..WorkforceConfig::default()
     });
-    if prefetch > 0 {
-        wf.cube.start_io_threads(prefetch.min(4));
-    }
+    start_io_workers(&wf.cube, opts);
     let varying = wf.schema.varying(wf.department).unwrap();
     let vs_out = phi(Semantics::Forward, varying.instances(), &[0, 6], 12);
     let map = DestMap::build(&wf.cube, wf.department, &vs_out).unwrap();
+    let single = std::slice::from_ref(&map);
     let policy = OrderPolicy::Pebbling;
+    let threads = opts.threads;
 
-    let mut rows: Vec<BenchRow> = Vec::new();
     let mut digests: Vec<(u64, u64)> = Vec::new();
     let mut walls = [0.0f64; 2];
     for (slot, kernel) in [(0usize, KernelKind::Scalar), (1, KernelKind::Runs)] {
-        let opts = ExecOpts {
-            threads,
-            prefetch,
-            cache: None,
-            kernel,
-            ..Default::default()
+        let run = || {
+            let opts = ExecOpts {
+                kernel,
+                ..opts.clone()
+            };
+            execute_passes_opts(&wf.cube, wf.department, &map, single, &policy, None, opts).unwrap()
         };
-        let t = min_time(ITERS, || {
-            execute_chunked_scoped_opts(&wf.cube, wf.department, &map, &policy, None, opts.clone())
-                .unwrap()
-        });
-        let (out, report) =
-            execute_chunked_scoped_opts(&wf.cube, wf.department, &map, &policy, None, opts.clone())
-                .unwrap();
+        let t = min_time(ITERS, run);
+        let (out, report) = run();
         let (cells, digest) = cube_digest(&out);
         walls[slot] = t.as_secs_f64() * 1e3;
         println!(
@@ -1856,14 +1696,6 @@ fn run_kernel_bench(threads: usize, prefetch: usize) {
             walls[slot], report.chunks_read, report.merges,
         );
         digests.push((cells, digest));
-        rows.push(BenchRow {
-            name: format!("kernel_{kernel}"),
-            wall_ms: walls[slot],
-            chunk_reads: report.chunks_read,
-            merges: report.merges,
-            cache: CacheStats::default(),
-            prefetch: (0, 0, 0),
-        });
     }
     println!(
         "speedup: {:.2}× (scalar {:.2} ms → runs {:.2} ms)",
@@ -1898,7 +1730,6 @@ fn run_kernel_bench(threads: usize, prefetch: usize) {
         agg_report.concurrent_peak_cells,
     );
 
-    write_bench_json("BENCH_pr8.json", 8, &rows);
     if digests[0] != digests[1] {
         eprintln!(
             "FAIL: run kernels diverged from the scalar oracle \

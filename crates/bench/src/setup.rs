@@ -190,16 +190,15 @@ impl Fig12Rig {
             .iter()
             .map(|i| i.0)
             .collect();
-        let (_, report) = whatif_core::execute_chunked_scoped_opts(
+        let (_, report) = whatif_core::execute_passes_opts(
             &self.wf.cube,
             self.wf.department,
             &map,
+            std::slice::from_ref(&map),
             &whatif_core::OrderPolicy::Pebbling,
             Some(&slots),
             whatif_core::ExecOpts {
-                threads: 1,
                 prefetch,
-                cache: None,
                 ..Default::default()
             },
         )

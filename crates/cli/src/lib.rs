@@ -10,7 +10,7 @@ use olap_model::{DimensionId, MemberId};
 use olap_workload::{retail_example, running_example, Workforce, WorkforceConfig};
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
-use whatif_core::ScenarioForest;
+use whatif_core::{ExecOpts, ScenarioForest};
 
 /// Which bundled dataset a session runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,16 +166,12 @@ impl SharedData {
 /// [`Arc<SharedData>`] that may be shared with other sessions.
 pub struct Session {
     shared: Arc<SharedData>,
-    threads: usize,
-    prefetch: usize,
-    /// Inner-loop implementation for the chunked executor (`--kernel`):
-    /// run kernels (default) or the bit-identical scalar oracle.
-    kernel: whatif_core::KernelKind,
-    /// Peak-memory ceiling in cells for this session's what-if queries
-    /// and `.rollup`s; 0 = unlimited. Enforced through the multi-pass
-    /// budget machinery (reject-with-error for merges, more passes for
-    /// aggregations).
-    budget_cells: u64,
+    /// This session's executor knobs (`--threads`, `--prefetch`,
+    /// `--budget` / `.budget`). `budget_cells` also bounds `.rollup`
+    /// (more passes instead of reject-with-error). The two per-request
+    /// fields, `cache` and `deadline`, stay unset here:
+    /// `Session::request_opts` fills them in for each request.
+    opts: ExecOpts,
     /// Per-request wall-clock deadline in milliseconds; 0 = unlimited.
     /// The clock starts when execution starts, and the chunked executor
     /// checks it cooperatively at pass/slice boundaries — an expired
@@ -231,10 +227,7 @@ impl Session {
     pub fn attach(shared: Arc<SharedData>) -> Session {
         Session {
             shared,
-            threads: 1,
-            prefetch: 0,
-            kernel: whatif_core::KernelKind::default(),
-            budget_cells: 0,
+            opts: ExecOpts::default(),
             deadline_ms: 0,
             forest: ScenarioForest::new(),
         }
@@ -251,20 +244,17 @@ impl Session {
         self.shared.split_memo.stats()
     }
 
-    /// Sets the executor parallelism degree (`--threads N`); 1 = serial.
-    pub fn with_threads(mut self, threads: usize) -> Session {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the prefetch lookahead (`--prefetch K`); 0 = off. A nonzero
-    /// K starts the cube's buffer-pool I/O workers so query execution
-    /// overlaps store reads with compute.
-    pub fn with_prefetch(mut self, prefetch: usize) -> Session {
-        self.prefetch = prefetch;
-        if prefetch > 0 {
-            self.shared.cube().start_io_threads(prefetch.min(4));
+    /// Sets the session's executor knobs (`--threads N`, `--prefetch K`,
+    /// `--budget CELLS`). A nonzero prefetch lookahead starts the cube's
+    /// buffer-pool I/O workers so query execution overlaps store reads
+    /// with compute. `opts.cache` and `opts.deadline` are per-request
+    /// values and are overwritten on every request ([`Session::with_cache`]
+    /// / [`Session::with_deadline_ms`] configure their sources).
+    pub fn with_opts(mut self, opts: ExecOpts) -> Session {
+        if opts.prefetch > 0 {
+            self.shared.cube().start_io_threads(opts.prefetch.min(4));
         }
+        self.opts = opts;
         self
     }
 
@@ -282,13 +272,6 @@ impl Session {
         Ok(self)
     }
 
-    /// Sets the session's peak-memory budget in cells (`--budget N`);
-    /// 0 = unlimited.
-    pub fn with_budget(mut self, cells: u64) -> Session {
-        self.budget_cells = cells;
-        self
-    }
-
     /// Sets the session's per-request deadline in milliseconds
     /// (`--deadline-ms N`); 0 = unlimited.
     pub fn with_deadline_ms(mut self, ms: u64) -> Session {
@@ -296,33 +279,28 @@ impl Session {
         self
     }
 
-    /// Selects the executor inner-loop implementation
-    /// (`--kernel scalar|runs`). `runs` is the default; `scalar` is the
-    /// cell-at-a-time oracle the run kernels are gated against.
-    pub fn with_kernel(mut self, kernel: whatif_core::KernelKind) -> Session {
-        self.kernel = kernel;
-        self
-    }
-
     fn data(&self) -> &Loaded {
         &self.shared.data
     }
 
-    /// The deadline instant for a request starting *now*, per the
-    /// session's `.deadline` setting (`None` = unlimited).
-    fn request_deadline(&self) -> Option<std::time::Instant> {
-        (self.deadline_ms > 0)
-            .then(|| std::time::Instant::now() + std::time::Duration::from_millis(self.deadline_ms))
+    /// The executor options for a request starting *now* — the one
+    /// place a request's [`ExecOpts`] is assembled, used by the MDX path
+    /// and `.apply` alike: the session's knobs, the shared scenario
+    /// cache, and the deadline instant per the `.deadline` setting
+    /// (`None` = unlimited).
+    fn request_opts(&self) -> ExecOpts {
+        ExecOpts {
+            cache: self.shared.cache.clone(),
+            deadline: (self.deadline_ms > 0).then(|| {
+                std::time::Instant::now() + std::time::Duration::from_millis(self.deadline_ms)
+            }),
+            ..self.opts.clone()
+        }
     }
 
     fn context(&self) -> QueryContext<'_> {
         let mut ctx = QueryContext::new(self.data().cube());
-        ctx.threads = self.threads;
-        ctx.prefetch = self.prefetch;
-        ctx.cache = self.shared.cache.clone();
-        ctx.budget_cells = self.budget_cells;
-        ctx.kernel = self.kernel;
-        ctx.deadline = self.request_deadline();
+        ctx.opts = self.request_opts();
         for (name, dim, members) in self.data().named_sets() {
             ctx.define_set(&name, dim, &members);
         }
@@ -364,14 +342,12 @@ impl Session {
                     };
                     format!(
                         "scenario cache: {} entries, {} KiB / {} KiB, \
-                         {} lookups, {} hits ({hit_rate:.1}%), \
-                         {} invalidations, {} evictions",
+                         {} lookups, {} hits ({hit_rate:.1}%), {} evictions",
                         c.len(),
                         s.bytes / 1024,
                         c.capacity() / 1024,
                         s.lookups,
                         s.hits,
-                        s.invalidations,
                         s.evictions,
                     )
                 }
@@ -479,14 +455,14 @@ impl Session {
             }
             "budget" => {
                 if arg.is_empty() {
-                    return Outcome::Continue(match self.budget_cells {
+                    return Outcome::Continue(match self.opts.budget_cells {
                         0 => "session budget: unlimited".to_string(),
                         n => format!("session budget: {n} cells"),
                     });
                 }
                 match arg.parse::<u64>() {
                     Ok(n) => {
-                        self.budget_cells = n;
+                        self.opts.budget_cells = n;
                         Outcome::Continue(match n {
                             0 => "session budget: unlimited".to_string(),
                             n => format!("session budget: {n} cells"),
@@ -745,14 +721,7 @@ impl Session {
             whatif_core::Scenario::Negative(_) => None,
         };
         let strategy = whatif_core::Strategy::Chunked(whatif_core::OrderPolicy::Pebbling);
-        let opts = whatif_core::ExecOpts {
-            threads: self.threads,
-            prefetch: self.prefetch,
-            cache: self.shared.cache.clone(),
-            budget_cells: self.budget_cells,
-            kernel: self.kernel,
-            deadline: self.request_deadline(),
-        };
+        let opts = self.request_opts();
         match whatif_core::apply_opts(self.data().cube(), scenario, &strategy, None, opts) {
             Ok(result) => match cell_digest(&result.cube) {
                 Ok((count, digest)) => {
@@ -897,7 +866,7 @@ impl Session {
         let schema = cube.schema();
         let ndims = cube.geometry().ndims();
         let masks: Vec<olap_cube::GroupByMask> = (0..ndims as u32).map(|d| 1 << d).collect();
-        let budget = match self.budget_cells {
+        let budget = match self.opts.budget_cells {
             0 => u64::MAX,
             n => n,
         };
@@ -1069,7 +1038,10 @@ mod tests {
                  {Organization.[FTE], Organization.[PTE], Organization.[Contractor]} ON ROWS \
                  FROM [W] WHERE (Location.[NY], Measures.[Salary])";
         let mut serial = Session::new(Dataset::Running);
-        let mut parallel = Session::new(Dataset::Running).with_threads(4);
+        let mut parallel = Session::new(Dataset::Running).with_opts(ExecOpts {
+            threads: 4,
+            ..ExecOpts::default()
+        });
         assert_eq!(serial.handle(q), parallel.handle(q));
     }
 
@@ -1080,7 +1052,10 @@ mod tests {
                  {Organization.[FTE], Organization.[PTE], Organization.[Contractor]} ON ROWS \
                  FROM [W] WHERE (Location.[NY], Measures.[Salary])";
         let mut plain = Session::new(Dataset::Running);
-        let mut hinted = Session::new(Dataset::Running).with_prefetch(3);
+        let mut hinted = Session::new(Dataset::Running).with_opts(ExecOpts {
+            prefetch: 3,
+            ..ExecOpts::default()
+        });
         assert_eq!(plain.handle(q), hinted.handle(q));
     }
 
@@ -1199,8 +1174,14 @@ mod tests {
         assert!(baseline.contains("digest"), "{baseline}");
         assert!(baseline.contains("cells"), "{baseline}");
         for mut s in [
-            Session::new(Dataset::Running).with_threads(4),
-            Session::new(Dataset::Running).with_prefetch(2),
+            Session::new(Dataset::Running).with_opts(ExecOpts {
+                threads: 4,
+                ..ExecOpts::default()
+            }),
+            Session::new(Dataset::Running).with_opts(ExecOpts {
+                prefetch: 2,
+                ..ExecOpts::default()
+            }),
             Session::new(Dataset::Running).with_cache(16).unwrap(),
         ] {
             match s.handle(".apply forward 1,3") {
@@ -1259,6 +1240,50 @@ mod tests {
     }
 
     #[test]
+    fn mdx_and_apply_run_under_the_same_request_options() {
+        // One option-assembly site (`Session::request_opts`): whatever
+        // `.budget` / `.deadline` say reaches the executor identically
+        // from an MDX `WITH PERSPECTIVE` line and from `.apply`. The
+        // cache is on so the MDX path materializes in full, like
+        // `.apply` does — the same plan, hence the same verdicts.
+        let mut shared = SharedData::load(Dataset::Bench);
+        shared.set_cache_mb(16);
+        let mut s = Session::attach(Arc::new(shared));
+        let mdx = match s.data() {
+            Loaded::Workforce(w) => {
+                w.fig10a_query_sem(&["Jan", "Apr", "Jul", "Oct"], "DYNAMIC FORWARD")
+            }
+            _ => unreachable!("bench is a workforce dataset"),
+        };
+        let apply = ".apply forward 0,3,6,9";
+
+        s.handle(".budget 64");
+        for line in [mdx.as_str(), apply] {
+            match s.handle(line) {
+                Outcome::Continue(t) => {
+                    assert!(
+                        t.starts_with("error:") && t.contains("budget"),
+                        "{line}: {t}"
+                    )
+                }
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+        s.handle(".budget 0");
+        s.handle(".deadline 1");
+        for line in [mdx.as_str(), apply] {
+            match s.handle(line) {
+                Outcome::Deadline(t) => assert!(t.contains("deadline"), "{line}: {t}"),
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+        // Lifted, both complete — the aborts left the session intact.
+        s.handle(".deadline 0");
+        assert!(matches!(s.handle(&mdx), Outcome::Continue(t) if !t.starts_with("error:")));
+        assert!(matches!(s.handle(apply), Outcome::Continue(t) if t.contains("digest")));
+    }
+
+    #[test]
     fn rollup_respects_the_session_budget() {
         let mut s = Session::new(Dataset::Running);
         let unlimited = match s.handle(".rollup") {
@@ -1275,7 +1300,10 @@ mod tests {
         ));
         // A squeezed-but-feasible budget forces extra passes yet keeps
         // the same totals.
-        let mut squeezed = Session::new(Dataset::Running).with_budget(64);
+        let mut squeezed = Session::new(Dataset::Running).with_opts(ExecOpts {
+            budget_cells: 64,
+            ..ExecOpts::default()
+        });
         match squeezed.handle(".rollup") {
             Outcome::Continue(t) => {
                 let totals = |s: &str| -> Vec<String> {
@@ -1326,10 +1354,9 @@ mod tests {
             s.handle(".switch alt");
             assert!(matches!(s.handle(".apply"), Outcome::Continue(t) if t == b));
         }
-        // …and the warm versioned cache served the toggles without a
-        // single invalidation.
+        // …and the versioned cache kept both forks' entries resident.
         let stats = s.shared().cache().expect("cache on").stats();
-        assert_eq!(stats.invalidations, 0, "{stats:?}");
+        assert_eq!(stats.evictions, 0, "{stats:?}");
         assert!(stats.hits > 0, "{stats:?}");
         match s.handle(".scenarios") {
             Outcome::Continue(t) => {

@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! polap [running|retail|workforce|bench] [--threads N] [--prefetch K]
-//!       [--cache MB] [--budget CELLS] [--kernel scalar|runs]
+//!       [--cache MB] [--budget CELLS]
 //! polap --connect host:port      # client for a running olap-server
 //! ```
 
@@ -12,16 +12,13 @@ use std::io::{BufRead, Write};
 
 const USAGE: &str = "usage: polap [running|retail|workforce|bench] [--threads N] \
                      [--prefetch K] [--cache MB] [--budget CELLS] \
-                     [--kernel scalar|runs] | polap --connect HOST:PORT";
+                     | polap --connect HOST:PORT";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut dataset_arg: Option<String> = None;
-    let mut threads = 1usize;
-    let mut prefetch = 0usize;
+    let mut opts = whatif_core::ExecOpts::default();
     let mut cache_mb = 0usize;
-    let mut budget_cells = 0u64;
-    let mut kernel = whatif_core::KernelKind::default();
     let mut connect: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -35,7 +32,7 @@ fn main() {
             }
             "--threads" => {
                 i += 1;
-                threads = args
+                opts.threads = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
@@ -46,27 +43,17 @@ fn main() {
             }
             "--prefetch" => {
                 i += 1;
-                prefetch = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                opts.prefetch = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--prefetch needs a non-negative integer");
                     std::process::exit(2);
                 });
             }
             "--budget" => {
                 i += 1;
-                budget_cells = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                opts.budget_cells = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--budget needs a cell count (0 = unlimited)");
                     std::process::exit(2);
                 });
-            }
-            "--kernel" => {
-                i += 1;
-                kernel = args
-                    .get(i)
-                    .and_then(|s| whatif_core::KernelKind::parse(s))
-                    .unwrap_or_else(|| {
-                        eprintln!("--kernel needs 'scalar' or 'runs'");
-                        std::process::exit(2);
-                    });
             }
             "--connect" => {
                 i += 1;
@@ -101,17 +88,14 @@ fn main() {
     };
     eprintln!("loading {dataset:?} dataset…");
     let mut session = Session::new(dataset)
-        .with_threads(threads)
-        .with_prefetch(prefetch)
+        .with_opts(opts)
         .with_cache(cache_mb)
         .unwrap_or_else(|e| {
             // Unreachable from this binary (the session is not yet
             // shared), but an embedder's misconfiguration reports.
             eprintln!("{e}");
             std::process::exit(2);
-        })
-        .with_budget(budget_cells)
-        .with_kernel(kernel);
+        });
     println!("{HELP}\n");
     repl(|line| match session.handle(line) {
         Outcome::Continue(text) | Outcome::Deadline(text) => (text, false),

@@ -83,40 +83,42 @@ pub fn parse_greeting(banner: &str) -> io::Result<&str> {
     }
 }
 
+/// Writes one frame: length prefix, optional status byte, payload. A
+/// frame the reader would refuse is refused here, before any byte is
+/// written. The parts still go out as separate writes, as they always
+/// have: coalescing them (and `TCP_NODELAY`) removes a 40 ms
+/// Nagle × delayed-ACK stall per small frame and moves every benchmark
+/// workload, so it is its own measured change (ROADMAP, fix 1).
+fn write_parts(w: &mut impl Write, status: Option<u8>, payload: &[u8]) -> io::Result<()> {
+    let len = usize::from(status.is_some()) + payload.len();
+    if len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
+        ));
+    }
+    w.write_all(&(len as u32).to_be_bytes())?;
+    if let Some(status) = status {
+        w.write_all(&[status])?;
+    }
+    w.write_all(payload)?;
+    w.flush()
+}
+
 /// Writes one response frame: `status` byte, then `text`.
 pub fn write_frame(w: &mut impl Write, status: u8, text: &str) -> io::Result<()> {
-    let len = u32::try_from(1 + text.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&[status])?;
-    w.write_all(text.as_bytes())?;
-    w.flush()
+    write_parts(w, Some(status), text.as_bytes())
 }
 
 /// Writes one response frame whose payload is raw bytes (replication
 /// frames ship WAL-encoded transactions, not text).
 pub fn write_frame_bytes(w: &mut impl Write, status: u8, bytes: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(1 + bytes.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    if len as usize > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame too large",
-        ));
-    }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&[status])?;
-    w.write_all(bytes)?;
-    w.flush()
+    write_parts(w, Some(status), bytes)
 }
 
 /// Writes one request frame (no status byte — requests are bare text).
 pub fn write_request(w: &mut impl Write, line: &str) -> io::Result<()> {
-    let len = u32::try_from(line.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(line.as_bytes())?;
-    w.flush()
+    write_parts(w, None, line.as_bytes())
 }
 
 fn read_payload(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
@@ -536,6 +538,22 @@ mod tests {
             Some((STATUS_OK, "fine".to_string()))
         );
         assert_eq!(read_response(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_before_any_byte_is_written() {
+        // A text reply the reader would refuse (status byte + payload
+        // over the cap) must not reach the wire at all.
+        let text = "x".repeat(MAX_FRAME);
+        let mut w = Vec::new();
+        let err = write_frame(&mut w, STATUS_OK, &text).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(write_frame_bytes(&mut w, STATUS_REPL, text.as_bytes()).is_err());
+        assert!(write_request(&mut w, &format!("{text}x")).is_err());
+        assert!(w.is_empty());
+        // Exactly at the cap still goes through.
+        write_request(&mut w, &text).unwrap();
+        assert_eq!(w.len(), 4 + MAX_FRAME);
     }
 
     #[test]

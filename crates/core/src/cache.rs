@@ -33,9 +33,6 @@
 //! finds both versions warm after one pass over each. The only way an
 //! entry leaves the cache is the global LRU byte bound (counted in
 //! [`CacheStats::evictions`]) or an explicit [`ScenarioCache::clear`].
-//! [`CacheStats::invalidations`] — stale-digest drops under the old
-//! one-digest-per-chunk model — is retained so replay harnesses can
-//! assert it stays zero.
 //!
 //! The LRU order is an ordered index on last-use ticks (a `BTreeMap`
 //! from unique tick to key), so eviction pops the oldest entry in
@@ -82,10 +79,6 @@ pub struct CacheStats {
     /// only served when *all* of its chunks hit, so partial matches are
     /// not counted as hits).
     pub hits: u64,
-    /// Entries destroyed because a lookup saw a different digest. Always
-    /// zero under the versioned keying (a mismatch is a miss); kept so
-    /// toggle/replay gates can assert exactly that.
-    pub invalidations: u64,
     /// Entries dropped by the LRU byte bound.
     pub evictions: u64,
     /// Resident payload bytes right now.
@@ -148,7 +141,6 @@ pub struct ScenarioCache {
     capacity: usize,
     lookups: AtomicU64,
     hits: AtomicU64,
-    invalidations: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -161,7 +153,6 @@ impl ScenarioCache {
             capacity: capacity.max(4096),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -261,7 +252,6 @@ impl ScenarioCache {
         CacheStats {
             lookups: self.lookups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes: self.inner.lock().bytes as u64,
         }
@@ -271,7 +261,6 @@ impl ScenarioCache {
     pub fn reset_stats(&self) {
         self.lookups.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
-        self.invalidations.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
     }
 
@@ -384,7 +373,6 @@ mod tests {
         cache.insert(ChunkId(9), 1, Cached::Chunk(chunk()));
         // Probing under another digest misses — and destroys nothing.
         assert!(cache.lookup_component(&[(ChunkId(9), 2)]).is_none());
-        assert_eq!(cache.stats().invalidations, 0);
         assert_eq!(cache.len(), 1, "the other version must stay resident");
         // The original version still hits.
         assert!(cache.lookup_component(&[(ChunkId(9), 1)]).is_some());
@@ -394,7 +382,7 @@ mod tests {
     fn two_digests_of_one_chunk_coexist_and_both_hit() {
         // The A/B toggle in miniature: scenario A's and scenario B's
         // versions of one output chunk are both resident, and switching
-        // between them is hit after hit — zero invalidations.
+        // between them is hit after hit.
         let cache = ScenarioCache::new(1 << 20);
         cache.insert(ChunkId(5), 0xA, Cached::Chunk(chunk()));
         cache.insert(ChunkId(5), 0xB, Cached::Empty);
@@ -404,7 +392,6 @@ mod tests {
             assert!(cache.lookup_component(&[(ChunkId(5), 0xB)]).is_some());
         }
         let st = cache.stats();
-        assert_eq!(st.invalidations, 0);
         assert_eq!(st.evictions, 0);
         assert_eq!(st.hits, 8);
     }
@@ -456,7 +443,6 @@ mod tests {
         let st = cache.stats();
         assert!(st.bytes as usize <= cache.capacity());
         assert!(st.evictions >= 3, "LRU must have evicted: {st:?}");
-        assert_eq!(st.invalidations, 0, "eviction is not invalidation");
         // Oldest entries went first; the most recent insert survives.
         assert!(cache
             .lookup_component(&[(ChunkId(n_fit as u64 + 2), 0)])

@@ -45,11 +45,7 @@ pub mod split_memo;
 pub use algebra::{compile, run, AlgebraExpr, AlgebraOutput};
 pub use cache::{CacheStats, Cached, ScenarioCache};
 pub use error::WhatIfError;
-pub use exec::{
-    execute_chunked, execute_chunked_scoped, execute_chunked_scoped_opts,
-    execute_chunked_scoped_threaded, execute_chunked_threaded, execute_passes, execute_passes_opts,
-    execute_passes_threaded, ExecOpts, ExecReport, KernelKind, OrderPolicy, Strategy,
-};
+pub use exec::{execute_passes_opts, ExecOpts, ExecReport, KernelKind, OrderPolicy, Strategy};
 pub use fingerprint::{positive_fingerprint, Fnv64};
 pub use forest::{CowChanges, ForestError, ForkRow, ScenarioForest};
 pub use merge::MergeGraph;
@@ -58,10 +54,7 @@ pub use operators::{
 };
 pub use optimize::{optimize, OptimizeReport};
 pub use perspective::{Mode, PerspectiveSpec, Semantics};
-pub use perspective_cube::{
-    apply, apply_default, apply_opts, apply_scoped, apply_scoped_threaded, apply_threaded,
-    WhatIfResult,
-};
+pub use perspective_cube::{apply, apply_default, apply_opts, WhatIfResult};
 pub use phi::{phi, prune_vacancies, VsMap};
 pub use plan::decompose_passes;
 pub use scenario::{Change, Scenario};

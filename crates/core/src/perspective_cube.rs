@@ -104,56 +104,17 @@ impl WhatIfResult {
 }
 
 /// Applies a what-if scenario to a cube (Theorem 4.1's right-hand side:
-/// the algebra applied to the core query's result).
+/// the algebra applied to the core query's result), unscoped, with the
+/// default executor knobs.
 pub fn apply(cube: &Cube, scenario: &Scenario, strategy: &Strategy) -> Result<WhatIfResult> {
-    apply_scoped_threaded(cube, scenario, strategy, None, 1)
+    apply_opts(cube, scenario, strategy, None, ExecOpts::default())
 }
 
-/// Like [`apply`] with an explicit parallelism degree for the chunked
-/// executor (see [`crate::exec::execute_chunked_threaded`]); `1` is the
-/// serial default.
-pub fn apply_threaded(
-    cube: &Cube,
-    scenario: &Scenario,
-    strategy: &Strategy,
-    threads: usize,
-) -> Result<WhatIfResult> {
-    apply_scoped_threaded(cube, scenario, strategy, None, threads)
-}
-
-/// Like [`apply`], optionally scoped to the varying-dimension slots the
-/// query touches (Essbase-style retrieval; negative scenarios only —
-/// positive scenarios rebuild the axis and ignore the scope).
-pub fn apply_scoped(
-    cube: &Cube,
-    scenario: &Scenario,
-    strategy: &Strategy,
-    scope: Option<&[u32]>,
-) -> Result<WhatIfResult> {
-    apply_scoped_threaded(cube, scenario, strategy, scope, 1)
-}
-
-/// [`apply_scoped`] with an explicit parallelism degree.
-pub fn apply_scoped_threaded(
-    cube: &Cube,
-    scenario: &Scenario,
-    strategy: &Strategy,
-    scope: Option<&[u32]>,
-    threads: usize,
-) -> Result<WhatIfResult> {
-    apply_opts(
-        cube,
-        scenario,
-        strategy,
-        scope,
-        ExecOpts {
-            threads,
-            ..ExecOpts::default()
-        },
-    )
-}
-
-/// [`apply_scoped`] with the full set of executor tuning knobs.
+/// [`apply`] with every argument explicit: `scope` optionally restricts
+/// chunked execution to the varying-dimension slots the query touches
+/// (Essbase-style retrieval; negative scenarios only — positive
+/// scenarios rebuild the axis and ignore both the scope and `opts`), and
+/// `opts` carries the executor's knobs.
 pub fn apply_opts(
     cube: &Cube,
     scenario: &Scenario,

@@ -23,36 +23,12 @@ pub struct QueryContext<'a> {
     /// query touches (Essbase-style retrieval). On by default; turn off
     /// to force full perspective-cube materialization.
     pub scoped_retrieval: bool,
-    /// Parallelism degree for the chunked executor: `1` (the default)
-    /// runs serially; `n ≥ 2` fans independent slices out across worker
-    /// threads (see [`whatif_core::execute_chunked_threaded`]).
-    pub threads: usize,
-    /// Prefetch lookahead K for the chunked executor: the next K chunk
-    /// ids of each processing sequence are hinted to the buffer pool's
-    /// I/O workers (`0`, the default, disables hinting). Only has an
-    /// effect when the cube's pool runs I/O workers.
-    pub prefetch: usize,
-    /// Scenario-delta cache shared across this context's queries: a
-    /// negative-scenario query re-merges only the chunks whose merge
-    /// components changed since the cache last saw them (DESIGN.md §10).
-    /// Setting it forces full materialization (cached chunks are whole
-    /// output chunks, so `scoped_retrieval` is bypassed for cached
-    /// queries). `None` (the default) is bit-identical to today.
-    pub cache: Option<std::sync::Arc<whatif_core::ScenarioCache>>,
-    /// Peak-memory ceiling in cells for what-if execution (`0` =
-    /// unlimited): a scenario whose predicted pebble footprint exceeds
-    /// it is rejected with `BudgetExceeded` before reading any chunk.
-    /// This is the per-session budget the multi-tenant server enforces.
-    pub budget_cells: u64,
-    /// Inner-loop implementation for the chunked executor: run kernels
-    /// (the default) or the bit-identical scalar oracle (`--kernel`).
-    pub kernel: whatif_core::KernelKind,
-    /// Cooperative wall-clock deadline for what-if execution (`None` =
-    /// unlimited): the chunked executor checks it at pass and slice
-    /// boundaries and aborts with `DeadlineExceeded`, leaving the
-    /// session and cache intact. This is the per-request deadline the
-    /// multi-tenant server enforces (`--deadline-ms`, `.deadline`).
-    pub deadline: Option<std::time::Instant>,
+    /// The chunked executor's knobs for this context's what-if clauses,
+    /// handed through to [`whatif_core::apply_opts`] as one value (see
+    /// [`whatif_core::ExecOpts`] for each field). Setting `opts.cache`
+    /// forces full materialization: cached chunks are whole output
+    /// chunks, so `scoped_retrieval` is bypassed for cached queries.
+    pub opts: whatif_core::ExecOpts,
 }
 
 impl<'a> QueryContext<'a> {
@@ -64,12 +40,7 @@ impl<'a> QueryContext<'a> {
             named_sets: NamedSets::new(),
             strategy: Strategy::Chunked(whatif_core::OrderPolicy::Pebbling),
             scoped_retrieval: true,
-            threads: 1,
-            prefetch: 0,
-            cache: None,
-            budget_cells: 0,
-            kernel: whatif_core::KernelKind::default(),
-            deadline: None,
+            opts: whatif_core::ExecOpts::default(),
         }
     }
 
@@ -125,16 +96,7 @@ pub fn evaluate_full(
             s,
             &ctx.strategy,
             None,
-            whatif_core::ExecOpts {
-                threads: ctx.threads,
-                prefetch: ctx.prefetch,
-                // Positive scenarios rebuild the axis via split(), which
-                // the chunk cache does not cover.
-                cache: None,
-                budget_cells: ctx.budget_cells,
-                kernel: ctx.kernel,
-                deadline: ctx.deadline,
-            },
+            ctx.opts.clone(),
         )?);
     }
     let schema_arc = match &whatif {
@@ -197,7 +159,7 @@ pub fn evaluate_full(
     // partial ones. Full materialization makes consecutive edited
     // queries share work — the very case the cache exists for.
     if let Some(s @ Scenario::Negative(_)) = &scenario {
-        let scope = if ctx.scoped_retrieval && ctx.cache.is_none() {
+        let scope = if ctx.scoped_retrieval && ctx.opts.cache.is_none() {
             compute_scope(schema, s.dim(), &columns, &rows, &base)
         } else {
             None
@@ -207,14 +169,7 @@ pub fn evaluate_full(
             s,
             &ctx.strategy,
             scope.as_deref(),
-            whatif_core::ExecOpts {
-                threads: ctx.threads,
-                prefetch: ctx.prefetch,
-                cache: ctx.cache.clone(),
-                budget_cells: ctx.budget_cells,
-                kernel: ctx.kernel,
-                deadline: ctx.deadline,
-            },
+            ctx.opts.clone(),
         )?);
     }
 

@@ -44,6 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
+use whatif_core::ExecOpts;
 
 pub use polap_cli::proto::{
     greeting_banner, read_request, read_response, read_response_bytes, write_frame,
@@ -54,18 +55,17 @@ pub use replica::{Follower, FollowerState};
 
 /// Server tuning: the session cap and the per-session defaults every
 /// connection starts from.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Hard cap on concurrent sessions; further connections are refused
     /// with a `-` frame.
     pub max_sessions: usize,
-    /// Executor threads per session.
-    pub threads: usize,
-    /// Prefetch lookahead per session (0 = off).
-    pub prefetch: usize,
-    /// Per-session peak-memory budget in cells (0 = unlimited). Sessions
-    /// can lower/raise their own with `.budget`.
-    pub budget_cells: u64,
+    /// Executor knobs every session starts from (`--threads`,
+    /// `--prefetch`, `--budget`); a session can change its own budget
+    /// with `.budget`. The per-request fields `cache` and `deadline` are
+    /// ignored here — sessions fill them from the shared data's cache
+    /// and from `deadline_ms`.
+    pub session: ExecOpts,
     /// Per-connection idle timeout in milliseconds (0 = none): applied
     /// as the socket's read/write timeout, so a dead or slowloris peer
     /// frees its admission slot instead of holding it forever.
@@ -83,9 +83,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_sessions: 64,
-            threads: 1,
-            prefetch: 0,
-            budget_cells: 0,
+            session: ExecOpts::default(),
             idle_timeout_ms: 0,
             deadline_ms: 0,
             drain_grace_ms: 2_000,
@@ -172,6 +170,7 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
         let registry = Arc::new(Registry::default());
+        let drain_grace = Duration::from_millis(cfg.drain_grace_ms);
         let accept = {
             let stop = stop.clone();
             let active = active.clone();
@@ -185,7 +184,7 @@ impl Server {
             stop,
             active,
             registry,
-            drain_grace: Duration::from_millis(cfg.drain_grace_ms),
+            drain_grace,
             accept: Some(accept),
         })
     }
@@ -294,6 +293,7 @@ fn accept_loop(
             continue; // dropping the stream closes the refused connection
         }
         let shared = shared.clone();
+        let cfg = cfg.clone();
         // The claimed slot rides a drop guard into the session thread:
         // it frees on *any* exit — clean return, a panic the per-request
         // catch_unwind caught, or one it did not (greeting I/O, session
@@ -309,7 +309,7 @@ fn accept_loop(
             // leave the registry's stream clone holding the fd open,
             // and the peer would block forever instead of seeing EOF.
             let _reg = RegGuard { reg: &reg, id };
-            serve_connection(&mut stream, shared, cfg, &reg, fol.as_deref());
+            serve_connection(&mut stream, shared, &cfg, &reg, fol.as_deref());
         });
         if handle.is_finished() {
             // The connection already ended (and missed its own map
@@ -355,7 +355,7 @@ impl Drop for RegGuard<'_> {
 fn serve_connection(
     stream: &mut TcpStream,
     shared: Arc<SharedData>,
-    cfg: ServerConfig,
+    cfg: &ServerConfig,
     registry: &Registry,
     follower: Option<&FollowerState>,
 ) {
@@ -386,9 +386,7 @@ fn serve_connection(
         return;
     }
     let mut session = Session::attach(shared.clone())
-        .with_threads(cfg.threads)
-        .with_prefetch(cfg.prefetch)
-        .with_budget(cfg.budget_cells)
+        .with_opts(cfg.session.clone())
         .with_deadline_ms(cfg.deadline_ms);
     loop {
         if registry.draining.load(Ordering::Relaxed) {
@@ -456,7 +454,14 @@ fn serve_connection(
             session.handle(&req)
         }));
         let ok = match outcome {
-            Ok(Outcome::Continue(text)) => write_frame(stream, STATUS_OK, &text).is_ok(),
+            Ok(Outcome::Continue(text)) => match write_frame(stream, STATUS_OK, &text) {
+                // A reply over the frame cap was refused before a byte
+                // went out: say so, and keep the (healthy) session.
+                Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+                    write_frame(stream, STATUS_ERR, &format!("reply too large: {e}")).is_ok()
+                }
+                sent => sent.is_ok(),
+            },
             // A deadline abort is an error *frame*, not an error
             // *connection*: the executor unwound at a pass boundary and
             // the session (forest, budget, cache) is intact.

@@ -67,15 +67,15 @@ fn main() {
                 Err(_) => die("--cache needs a size in MiB"),
             },
             "--threads" => match value("--threads").parse() {
-                Ok(n) if n > 0 => cfg.threads = n,
+                Ok(n) if n > 0 => cfg.session.threads = n,
                 _ => die("--threads needs a positive integer"),
             },
             "--prefetch" => match value("--prefetch").parse() {
-                Ok(k) => cfg.prefetch = k,
+                Ok(k) => cfg.session.prefetch = k,
                 Err(_) => die("--prefetch needs a lookahead depth"),
             },
             "--budget" => match value("--budget").parse() {
-                Ok(n) => cfg.budget_cells = n,
+                Ok(n) => cfg.session.budget_cells = n,
                 Err(_) => die("--budget needs a cell count"),
             },
             "--idle-timeout" => match value("--idle-timeout").parse() {
@@ -118,8 +118,8 @@ fn main() {
         shared.set_cache_mb(cache_mb);
     }
     let shared = Arc::new(shared);
-    if cfg.prefetch > 0 {
-        shared.start_io_threads(cfg.prefetch.min(4));
+    if cfg.session.prefetch > 0 {
+        shared.start_io_threads(cfg.session.prefetch.min(4));
     }
 
     if let Some(leader) = follow {
@@ -152,6 +152,7 @@ fn main() {
         // can stream everything it is missing.
         enable_replication(&shared);
     }
+    let max_sessions = cfg.max_sessions;
     let server = match Server::start(shared, &bind, cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -163,7 +164,7 @@ fn main() {
         "olap-server listening on {} ({:?} dataset, {} session cap, cache {} MiB)",
         server.addr(),
         dataset,
-        cfg.max_sessions,
+        max_sessions,
         cache_mb,
     );
     // Serve until killed: the accept loop owns the process from here.

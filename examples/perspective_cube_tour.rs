@@ -8,9 +8,9 @@
 
 use olap_workload::running_example;
 use whatif_core::{
-    apply, execute_chunked,
+    apply, execute_passes_opts,
     merge::{heuristic_order, naive_order, optimal_pebbles, pebbles_for_order, MergeGraph},
-    phi, prune_vacancies, DestMap, Mode, OrderPolicy, Scenario, Semantics, Strategy,
+    phi, prune_vacancies, DestMap, ExecOpts, Mode, OrderPolicy, Scenario, Semantics, Strategy,
 };
 
 fn main() {
@@ -62,7 +62,17 @@ fn main() {
     let vs = phi(Semantics::Forward, varying.instances(), &[1, 3], 6);
     let map = DestMap::build(&ex.cube, ex.org, &vs).expect("plan");
     for policy in [OrderPolicy::Pebbling, OrderPolicy::Naive] {
-        let (_, report) = execute_chunked(&ex.cube, ex.org, &map, &policy).expect("exec");
+        let single = std::slice::from_ref(&map);
+        let (_, report) = execute_passes_opts(
+            &ex.cube,
+            ex.org,
+            &map,
+            single,
+            &policy,
+            None,
+            ExecOpts::default(),
+        )
+        .expect("exec");
         println!(
             "\nchunked executor [{policy:?}]: graph {}/{} (nodes/edges), \
              predicted pebbles {}, peak buffers {}, {} cells relocated, {} dropped",

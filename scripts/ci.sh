@@ -3,16 +3,27 @@
 # Run from the repository root. Fails on the first broken step.
 set -eu
 
-echo "== build (release) =="
+# Step banner with the seconds the previous step took (the flake gate
+# and the smoke benches are the steps worth watching).
+step_t0=$(date +%s)
+step() {
+    now=$(date +%s)
+    [ -n "${step_name:-}" ] && echo "   [$step_name: $((now - step_t0)) s]"
+    step_name=$1
+    step_t0=$now
+    echo "== $1 =="
+}
+
+step "build (release)"
 cargo build --release
 
-echo "== tests =="
+step "tests"
 cargo test -q
 
-echo "== clippy (-D warnings) =="
+step "clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== concurrency flake gate (10x) =="
+step "concurrency flake gate (10x)"
 # The pool prefetcher, the parallel executors, the shared scenario
 # cache, the fault-injection suite and the WAL crash tests are
 # timing-sensitive; a single green run proves little. Hammer the
@@ -30,21 +41,21 @@ while [ "$i" -le 10 ]; do
 done
 echo "(10/10 green)"
 
-echo "== crash-recovery smoke test =="
+step "crash-recovery smoke test"
 # A crash injected after every physical store op during a pool flush
 # must recover to exactly the pre- or post-flush image (repro exits
 # non-zero on any torn state), across checksum/compression configs.
 ./target/release/repro --crash-points >/dev/null 2>&1
 echo "(all crash points recover to a flush boundary)"
 
-echo "== multi-tenant server smoke test =="
+step "multi-tenant server smoke test"
 # Eight concurrent analyst sessions over one pool and one shared
 # scenario-delta cache must answer byte-identically to a serial replay
 # of the same edit scripts (repro exits non-zero on any divergence).
 ./target/release/repro --serve-bench 8 >/dev/null
 echo "(8 concurrent sessions byte-identical to serial replay)"
 
-echo "== chaos smoke test =="
+step "chaos smoke test"
 # Eight sessions driven through a seed-reproducible fault proxy
 # (delays, mid-frame cuts, stall-then-cut, refused connections) must
 # each either error cleanly or answer byte-identically to a faultless
@@ -54,7 +65,7 @@ echo "== chaos smoke test =="
 ./target/release/repro --chaos-bench 8 >/dev/null
 echo "(faults healed by retry+replay, 0 leaked slots, 0 force-closes)"
 
-echo "== replication smoke test =="
+step "replication smoke test"
 # Four WAL-shipping followers per seed under random kill/restart
 # schedules must only ever restart on committed leader positions,
 # serve catch-up reads that error cleanly or match a serial oracle,
@@ -63,15 +74,15 @@ echo "== replication smoke test =="
 ./target/release/repro --replica-bench 4 >/dev/null
 echo "(followers converge byte-identical through kill/restart)"
 
-echo "== scenario-toggle smoke test =="
+step "scenario-toggle smoke test"
 # An analyst toggling two scenarios over the versioned cache must —
 # after one warm pass over each — replay every switch from cache:
-# zero invalidations, >= 90% hit rate, cells bit-identical to the
-# cache-off baseline (repro exits non-zero if any gate fails).
+# >= 90% hit rate, zero merges, cells bit-identical to the cache-off
+# baseline (repro exits non-zero if any gate fails).
 ./target/release/repro --toggle-bench 2 >/dev/null
-echo "(A/B toggle warm, 0 invalidations, bit-identical to cache-off)"
+echo "(A/B toggle warm, bit-identical to cache-off)"
 
-echo "== corruption smoke test =="
+step "corruption smoke test"
 # One flipped payload byte must surface as StoreError::Corrupt on read,
 # never as garbage cells (the OLC3 checksum gate), and a seeded fault
 # sweep through repro must hold the Err-or-identical invariant (repro
@@ -83,14 +94,24 @@ cargo test -q -p whatif-integration-tests \
 ./target/release/repro --faults 4 >/dev/null
 echo "(corrupt reads surface as Err, fault sweep invariant holds)"
 
-echo "== kernel-equivalence smoke test =="
+step "kernel-equivalence smoke test"
 # The run kernels must be cell-identical to the scalar per-cell oracle
 # on the merge-heavy ablation workload (repro exits non-zero on any
-# digest divergence) and record before/after timings in BENCH_pr8.json.
+# digest divergence).
 ./target/release/repro --kernel-bench >/dev/null
 echo "(run kernels bit-identical to the scalar oracle)"
 
-echo "== fmt check =="
+step "perfbench builds and its oracles hold"
+# perfbench is a workspace of its own, so neither tier-1 nor the steps
+# above notice when a product refactor breaks the yardstick. Build it
+# against the crates as they are now and run every workload's oracle
+# checks once (perf exits non-zero on a failed reply).
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+./perfbench/target/release/perf --quick >/dev/null
+echo "(perf --quick: every workload's replies match its serial oracle)"
+
+step "fmt check"
 cargo fmt --all --check
 
+step "done"
 echo "CI OK"

@@ -14,7 +14,8 @@ use proptest::prelude::*;
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 use whatif_core::{
-    apply, apply_threaded, Mode, OrderPolicy, Scenario, Semantics, Strategy, WhatIfError,
+    apply, apply_opts, ExecOpts, Mode, OrderPolicy, Scenario, Semantics, Strategy, WhatIfError,
+    WhatIfResult,
 };
 
 /// Hard per-query wall-clock budget: generous for slow CI machines but
@@ -61,6 +62,20 @@ fn whatif_scenario(ex: &olap_workload::RunningExample) -> Scenario {
     Scenario::negative(ex.org, [1, 3], Semantics::Forward, Mode::Visual)
 }
 
+/// The pebbling what-if at an explicit parallelism degree.
+fn apply_with_threads(
+    cube: &olap_cube::Cube,
+    scenario: &Scenario,
+    threads: usize,
+) -> whatif_core::Result<WhatIfResult> {
+    let opts = ExecOpts {
+        threads,
+        ..ExecOpts::default()
+    };
+    let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
+    apply_opts(cube, scenario, &strategy, None, opts)
+}
+
 /// Satellite regression: exactly one transient read failure under
 /// contention. The bounded retry absorbs it — the threaded what-if must
 /// *succeed* and match the fault-free run bit for bit, with no stranded
@@ -80,13 +95,8 @@ fn single_transient_read_fault_under_contention_is_absorbed() {
     let ex = faulted_example(|s| FaultStore::fail_nth_read(s, 1));
     let scenario = whatif_scenario(&ex);
     let start = Instant::now();
-    let got = apply_threaded(
-        &ex.cube,
-        &scenario,
-        &Strategy::Chunked(OrderPolicy::Pebbling),
-        4,
-    )
-    .expect("one transient fault must be retried, not surfaced");
+    let got = apply_with_threads(&ex.cube, &scenario, 4)
+        .expect("one transient fault must be retried, not surfaced");
     assert!(start.elapsed() < QUERY_TIME_BUDGET, "query stalled");
     assert!(got.cube.same_cells(&baseline.cube).unwrap());
     let stats = ex.cube.pool_stats();
@@ -118,12 +128,7 @@ fn persistent_read_fault_surfaces_as_err_everywhere() {
         Err(ref e) if cube_err_is_io(e)
     ));
     for threads in [1, 4] {
-        let r = apply_threaded(
-            &ex.cube,
-            &scenario,
-            &Strategy::Chunked(OrderPolicy::Pebbling),
-            threads,
-        );
+        let r = apply_with_threads(&ex.cube, &scenario, threads);
         assert!(
             matches!(r, Err(ref e) if whatif_err_is_io(e)),
             "threads={threads}: dead device must surface as Err"
@@ -232,7 +237,7 @@ proptest! {
         let scenario = whatif_scenario(&ex);
         let start = Instant::now();
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            apply_threaded(&ex.cube, &scenario, &Strategy::Chunked(OrderPolicy::Pebbling), threads)
+            apply_with_threads(&ex.cube, &scenario, threads)
         }));
         prop_assert!(start.elapsed() < QUERY_TIME_BUDGET, "query stalled");
         let result = match outcome {

@@ -5,7 +5,7 @@ use olap_cube::{CubeAggregator, Lattice};
 use olap_store::{BufferPool, CellValue, Chunk, ChunkId, ChunkStore, MemStore};
 use olap_workload::{retail_example, running_example};
 use std::sync::Barrier;
-use whatif_core::{apply, apply_threaded, Mode, OrderPolicy, Scenario, Semantics, Strategy};
+use whatif_core::{apply, apply_opts, ExecOpts, Mode, OrderPolicy, Scenario, Semantics, Strategy};
 
 /// A MemStore holding `n` small materialized chunks.
 fn store_with_chunks(n: u64) -> Box<dyn ChunkStore> {
@@ -117,7 +117,11 @@ fn running_example_whatif_parallel_matches_serial() {
     let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     let serial = apply(&ex.cube, &scenario, &strategy).unwrap();
     for threads in [2, 4] {
-        let parallel = apply_threaded(&ex.cube, &scenario, &strategy, threads).unwrap();
+        let opts = ExecOpts {
+            threads,
+            ..ExecOpts::default()
+        };
+        let parallel = apply_opts(&ex.cube, &scenario, &strategy, None, opts).unwrap();
         assert!(
             parallel.cube.same_cells(&serial.cube).unwrap(),
             "threads={threads} perspective cube diverged"

@@ -6,8 +6,7 @@
 use olap_model::{InstanceId, ValiditySet};
 use proptest::prelude::*;
 use whatif_core::{
-    decompose_passes, execute_chunked, execute_passes, phi, relocate, DestMap, OrderPolicy,
-    Semantics,
+    decompose_passes, execute_passes_opts, phi, relocate, DestMap, ExecOpts, OrderPolicy, Semantics,
 };
 use whatif_integration_tests::{all_semantics, random_warehouse};
 
@@ -160,14 +159,18 @@ proptest! {
             let oracle = relocate(&w.cube, w.dim, &vs).unwrap();
             let map = DestMap::build(&w.cube, w.dim, &vs).unwrap();
             for policy in [OrderPolicy::Pebbling, OrderPolicy::Naive] {
-                let (got, _) = execute_chunked(&w.cube, w.dim, &map, &policy).unwrap();
+                let single = std::slice::from_ref(&map);
+                let (got, _) = execute_passes_opts(
+                    &w.cube, w.dim, &map, single, &policy, None, ExecOpts::default(),
+                ).unwrap();
                 prop_assert!(
                     got.same_cells(&oracle).unwrap(),
                     "{sem:?} P={p:?} {policy:?} single-pass diverged"
                 );
                 let passes = decompose_passes(&map, sem, &p, v);
-                let (got2, rep) =
-                    execute_passes(&w.cube, w.dim, &map, &passes, &policy, None).unwrap();
+                let (got2, rep) = execute_passes_opts(
+                    &w.cube, w.dim, &map, &passes, &policy, None, ExecOpts::default(),
+                ).unwrap();
                 prop_assert!(
                     got2.same_cells(&oracle).unwrap(),
                     "{sem:?} P={p:?} {policy:?} multi-pass diverged ({rep:?})"

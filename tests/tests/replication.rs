@@ -293,7 +293,7 @@ fn leader_and_follower_servers_converge_and_serve_reads() {
         drain_grace_ms: 200,
         ..ServerConfig::default()
     };
-    let leader_srv = Server::start(leader_shared.clone(), "127.0.0.1:0", cfg).unwrap();
+    let leader_srv = Server::start(leader_shared.clone(), "127.0.0.1:0", cfg.clone()).unwrap();
     let follower_shared = Arc::new(
         SharedData::load_with_backend(Dataset::Bench, StoreBackend::Attach(fpath.clone())).unwrap(),
     );

@@ -125,12 +125,12 @@ fn warm_cache_serves_a_repeated_scenario_without_merging() {
 }
 
 /// The versioned-cache regression: an analyst toggling A↔B must find
-/// both scenarios warm after one pass over each — zero invalidations,
+/// both scenarios warm after one pass over each — every probe a hit,
 /// zero merges, bit-identical cells on every switch. Under the old
 /// one-digest-per-chunk keying every switch destroyed the other
 /// scenario's entries and re-merged from scratch.
 #[test]
-fn ab_toggle_replays_warm_with_zero_invalidations_and_merges() {
+fn ab_toggle_replays_warm_with_zero_misses_and_merges() {
     let wf = small_workforce();
     let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     let a = Scenario::negative(
@@ -174,8 +174,8 @@ fn ab_toggle_replays_warm_with_zero_invalidations_and_merges() {
     }
     let stats = cache.stats();
     assert_eq!(
-        stats.invalidations, 0,
-        "a mismatch must be a miss: {stats:?}"
+        stats.hits, stats.lookups,
+        "a switch must not destroy the other version: {stats:?}"
     );
     assert_eq!(
         stats.evictions, 0,

@@ -141,8 +141,8 @@ fn negative_forks_inherit_then_diverge() {
 }
 
 /// End-to-end through a session: fork/switch toggling over a warm
-/// versioned cache replays byte-identical replies with zero
-/// invalidations — the session-level statement of the tentpole fix.
+/// versioned cache replays byte-identical replies, every probe a hit —
+/// the session-level statement of the versioned-cache fix.
 #[test]
 fn session_fork_toggle_replays_warm_and_identical() {
     let mut s = Session::new(Dataset::Running).with_cache(16).unwrap();
@@ -162,6 +162,6 @@ fn session_fork_toggle_replays_warm_and_identical() {
         assert_eq!(text(s.handle(".apply")), b);
     }
     let stats = cache.stats();
-    assert_eq!(stats.invalidations, 0, "{stats:?}");
-    assert!(stats.hits > 0, "{stats:?}");
+    assert_eq!(stats.evictions, 0, "{stats:?}");
+    assert!(stats.hits > 0 && stats.hits == stats.lookups, "{stats:?}");
 }

@@ -1704,9 +1704,9 @@ fn run_kernel_bench(opts: &ExecOpts) {
         walls[1],
     );
 
-    // The aggregation scan is always run-based (no oracle switch); time
-    // it and report the true concurrent buffer peak from the shared
-    // gauge alongside the summed per-worker bound.
+    // The aggregation scan has one implementation (dense blocks, no
+    // oracle switch); time it and report the true concurrent buffer
+    // peak from the shared gauge alongside the summed per-worker bound.
     let masks: Vec<olap_cube::GroupByMask> = (0..wf.cube.geometry().ndims() as u32)
         .map(|d| 1 << d)
         .collect();

@@ -8,14 +8,28 @@
 //! occupancy so tests (and the dimension-order ablation) can check the
 //! prediction.
 //!
+//! What travels along a tree edge is a *dense block*: a completed chunk's
+//! accumulators as one row-major array plus its chunk-grid coordinate,
+//! never a list of cells with coordinates. Every edge aggregates exactly
+//! one dimension away, so folding a block into its child's buffer is a
+//! strided loop (`outer × n × inner → outer × inner`) whose strides come
+//! from the block's shape; the base level folds the same way straight
+//! from the pooled chunk's values and presence words. Buffers are keyed
+//! by linear chunk index and recycled, so a scan allocates per grid
+//! position and per live buffer, not per cell, and an all-⊥ grid position
+//! only advances completion counters. Within a block sources are folded
+//! in ascending offset and blocks arrive in scan order, which fixes the
+//! floating-point result of every target whatever the thread count or
+//! pass split.
+//!
 //! Accumulators carry (sum, count, min, max) end-to-end, so the algebraic
 //! AVG stays correct through arbitrary cascade depth.
 
 use crate::cube::Cube;
-use crate::lattice::{GroupByMask, Lattice, Mmst};
+use crate::lattice::{GroupByMask, Mmst};
 use crate::rules::{Acc, AggFn};
 use crate::Result;
-use olap_store::{CellValue, ChunkGeometry, ChunkId};
+use olap_store::{CellValue, Chunk, ChunkData, ChunkGeometry, ChunkId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -66,6 +80,15 @@ impl GroupByResult {
         idx
     }
 
+    /// Index of the first cell of the chunk at chunk-grid coordinate
+    /// `coord` (over this result's dims).
+    fn chunk_start(&self, geom: &ChunkGeometry, coord: &[u32]) -> usize {
+        let axes = self.dims.iter().zip(coord).zip(&self.shape);
+        axes.fold(0, |at, ((&d, &c), &len)| {
+            at * len as usize + (c * geom.extents()[d]) as usize
+        })
+    }
+
     /// The raw accumulator at retained-dimension coordinates.
     pub fn acc(&self, coords: &[u32]) -> &Acc {
         &self.accs[self.index(coords)]
@@ -86,7 +109,9 @@ impl GroupByResult {
 /// Observed execution metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AggregationReport {
-    /// Peak simultaneously-live buffer cells across all group-bys. In
+    /// Peak simultaneously-live buffer cells across all group-bys, by
+    /// Zhao's accounting: a chunk buffer counts in full from the first
+    /// parent chunk delivered to it (all-⊥ or not) until its last. In
     /// parallel mode this is the sum of the per-worker peaks — an upper
     /// bound on simultaneous residency (workers need not peak together);
     /// `concurrent_peak_cells` is the exact mark.
@@ -94,9 +119,11 @@ pub struct AggregationReport {
     /// Peak simultaneously-live chunk buffers across all group-bys
     /// (summed over workers in parallel mode, like `peak_buffer_cells`).
     pub peak_buffer_chunks: u64,
-    /// Base chunks scanned (materialized or implicit ⊥; summed over
-    /// passes for the multi-pass fallback, and over workers in parallel
-    /// mode — each worker streams the base once).
+    /// Base chunk-grid positions visited, materialized or implicit ⊥
+    /// (only the former are read; the latter are announced to the
+    /// cascade as empty blocks). One scan visits every position once;
+    /// summed over passes for the multi-pass fallback, and over workers
+    /// in parallel mode — each worker streams the base once.
     pub base_chunks_scanned: u64,
     /// Number of passes over the input (1 unless a memory budget forced
     /// Zhao's multi-pass fallback).
@@ -129,15 +156,19 @@ impl AggregationReport {
     }
 }
 
-/// In-flight chunk buffer of one group-by node.
+/// The accumulator array of one in-flight group-by chunk.
 struct Buffer {
+    /// Row-major over the chunk's clipped shape; left empty until the
+    /// first non-⊥ block arrives, so a chunk built from all-⊥ parents
+    /// never touches memory.
     accs: Vec<Acc>,
-    shape: Vec<u32>,
+    /// Parent chunks delivered so far.
     seen: u32,
 }
 
-/// One group-by node of the cascade.
-struct Node {
+/// A node's place in the cascade plan, shared (read-only) by every
+/// worker; each worker runs its own [`Node`]s against these.
+struct NodeSpec {
     mask: GroupByMask,
     /// Retained dims, ascending.
     dims: Vec<usize>,
@@ -145,29 +176,47 @@ struct Node {
     children: Vec<usize>,
     /// Parent chunks contributing to each of this node's chunks.
     expected: u32,
-    /// Live partial chunks, keyed by this node's chunk-grid coordinate.
-    buffers: HashMap<Vec<u32>, Buffer>,
-    /// Completed output (only for requested masks).
+    /// Position, among the parent's dims, of the one dimension this
+    /// node aggregates away (every MMST edge drops exactly one).
+    drop_pos: usize,
+    /// Whether the caller asked for this mask.
+    requested: bool,
+}
+
+/// One worker's mutable state for a group-by node.
+#[derive(Default)]
+struct Node {
+    /// Live partial chunks, keyed by the row-major index of the chunk in
+    /// this node's chunk grid.
+    live: HashMap<u64, Buffer>,
+    /// Accumulator arrays of completed chunks, kept for reuse.
+    free: Vec<Vec<Acc>>,
+    /// Chunk-grid coordinate and clipped shape (over the node's dims) of
+    /// the chunk currently being delivered to.
+    coord: Vec<u32>,
+    shape: Vec<u32>,
+    /// Completed output (only for requested masks this worker owns).
     result: Option<GroupByResult>,
 }
 
-/// A completed chunk travelling down the cascade.
-struct Block {
-    /// Dimensions the coordinates below range over (the emitting node's).
-    dims: Vec<usize>,
-    /// Chunk-grid coordinate over `dims`.
-    chunk_coord: Vec<u32>,
-    /// Non-⊥ cells: global coordinates over `dims`, with accumulators.
-    cells: Vec<(Vec<u32>, Acc)>,
+/// A completed chunk travelling down the cascade: its chunk-grid
+/// coordinate and clipped shape over the emitting node's dims, and its
+/// cells as one dense row-major array — no per-cell coordinates.
+struct Block<'a> {
+    coord: &'a [u32],
+    shape: &'a [u32],
+    cells: Cells<'a>,
 }
 
-/// A node's shape in the cascade plan, shared (read-only) by every
-/// worker; each worker instantiates its own [`Node`]s from these.
-struct NodeSpec {
-    mask: GroupByMask,
-    dims: Vec<usize>,
-    children: Vec<usize>,
-    expected: u32,
+#[derive(Clone, Copy)]
+enum Cells<'a> {
+    /// All ⊥: only advances the receivers' completion counters.
+    Empty,
+    /// A base chunk, folded straight from the pooled values and presence
+    /// words.
+    Base(&'a Chunk),
+    /// A completed group-by chunk.
+    Accs(&'a [Acc]),
 }
 
 /// Computes group-bys of a cube's leaf cells in one chunked pass.
@@ -212,12 +261,13 @@ impl<'a> CubeAggregator<'a> {
         self
     }
 
-    /// Sets the prefetch lookahead: during the scan, the next `k` chunk
-    /// ids of the current slice are hinted to the cube's buffer pool so
-    /// its I/O workers overlap reads with aggregation. `0` (the default)
-    /// issues no hints and is bit-identical to no prefetching; `k ≥ 1`
-    /// only changes I/O timing, never results. Requires
-    /// [`Cube::start_io_threads`] to have any effect.
+    /// Sets the prefetch lookahead: before each stored chunk is read, the
+    /// next `k` *stored* chunks of the scan order are hinted to the
+    /// cube's buffer pool so its I/O workers overlap reads with
+    /// aggregation (implicit all-⊥ grid positions do not use up the
+    /// window). `0` (the default) issues no hints and is bit-identical to
+    /// no prefetching; `k ≥ 1` only changes I/O timing, never results.
+    /// Requires [`Cube::start_io_threads`] to have any effect.
     pub fn with_prefetch(mut self, k: usize) -> Self {
         self.prefetch = k;
         self
@@ -248,13 +298,12 @@ impl<'a> CubeAggregator<'a> {
         masks: &[GroupByMask],
         budget_cells: u64,
     ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
-        let geom = self.cube.geometry();
-        let mmst = Mmst::build(geom, &self.order);
+        let mmst = Mmst::build(self.cube.geometry(), &self.order);
         let passes = mmst.plan_passes(masks, budget_cells)?;
         let mut out = HashMap::new();
         let mut report = AggregationReport::default();
         for pass in &passes {
-            let (results, r) = self.compute(pass)?;
+            let (results, r) = self.run_pass(&mmst, pass)?;
             out.extend(results);
             report.peak_buffer_cells = report.peak_buffer_cells.max(r.peak_buffer_cells);
             report.peak_buffer_chunks = report.peak_buffer_chunks.max(r.peak_buffer_chunks);
@@ -280,132 +329,144 @@ impl<'a> CubeAggregator<'a> {
         &self,
         masks: &[GroupByMask],
     ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
-        let geom = self.cube.geometry();
-        let lattice = Lattice::new(geom.ndims());
-        let full = lattice.full();
-        let specs = self.build_specs(masks, &lattice, full);
-        let root_children = specs[0].children.clone();
+        let mmst = Mmst::build(self.cube.geometry(), &self.order);
+        self.run_pass(&mmst, masks)
+    }
 
+    /// One scan of the base cube computing `masks` together.
+    fn run_pass(
+        &self,
+        mmst: &Mmst,
+        masks: &[GroupByMask],
+    ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
+        let specs = self.plan(mmst, masks);
+        let root_children = &specs[0].children;
         let workers = self.threads.min(root_children.len().max(1));
-        let (mut out, mut report) = if workers <= 1 {
-            // Serial path: one pass, every subtree delivered in turn.
-            let mut nodes = self.instantiate(&specs, masks, full);
-            let gauge = Gauge::default();
-            let mut report = self.scan(&mut nodes, &root_children, &gauge)?;
-            report.concurrent_peak_cells = gauge.peak();
+        let gauge = Gauge::default();
+        let (out, mut report) = if workers <= 1 {
+            self.run_worker(&specs, root_children, true, &gauge)?
+        } else {
+            // Root subtrees are disjoint (every non-full mask hangs under
+            // exactly one child of the root), so they partition
+            // round-robin across scoped threads. Each worker streams the
+            // base chunks itself (the buffer pool is safe for concurrent
+            // readers) into private nodes and hands back the results of
+            // its own subtrees; the first also answers the full mask. The
+            // merge is a disjoint union.
+            let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); workers];
+            for (i, &c) in root_children.iter().enumerate() {
+                assigned[i % workers].push(c);
+            }
+            let (specs, gauge) = (&specs, &gauge);
+            let parts: Vec<Result<_>> = std::thread::scope(|s| {
+                let handles: Vec<_> = assigned
+                    .iter()
+                    .enumerate()
+                    .map(|(w, mine)| s.spawn(move || self.run_worker(specs, mine, w == 0, gauge)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("aggregation worker panicked"))
+                    .collect()
+            });
             let mut out = HashMap::new();
-            for node in nodes.iter_mut() {
-                if let Some(r) = node.result.take() {
-                    out.insert(node.mask, r);
-                }
+            let mut report = AggregationReport::default();
+            for part in parts {
+                let (results, r) = part?;
+                out.extend(results);
+                report.peak_buffer_cells += r.peak_buffer_cells;
+                report.peak_buffer_chunks += r.peak_buffer_chunks;
+                report.base_chunks_scanned += r.base_chunks_scanned;
+                report.per_thread_peak_cells.push(r.peak_buffer_cells);
             }
             (out, report)
-        } else {
-            self.compute_parallel(&specs, &root_children, masks, full, workers)?
         };
+        report.concurrent_peak_cells = gauge.peak();
         report.passes = 1;
-        // The full mask, if requested, is the base cube itself.
-        if masks.contains(&full) {
-            let dims: Vec<usize> = (0..geom.ndims()).collect();
-            let mut r = GroupByResult::new(full, dims, geom.lens().to_vec());
-            self.cube.for_each_present(|cell, v| {
-                let idx = r.index(cell);
-                r.accs[idx].add(v);
-            })?;
-            out.insert(full, r);
-        }
         Ok((out, report))
     }
 
     /// Builds the cascade plan: the closure of the requested masks under
-    /// MMST parents, root first, with tree children and per-chunk
-    /// completion counts. `specs[0]` is always the full mask.
-    fn build_specs(
-        &self,
-        masks: &[GroupByMask],
-        lattice: &Lattice,
-        full: GroupByMask,
-    ) -> Vec<NodeSpec> {
+    /// MMST parents, root first, with tree children, per-chunk completion
+    /// counts and the axis each edge aggregates away. `specs[0]` is
+    /// always the full mask.
+    fn plan(&self, mmst: &Mmst, masks: &[GroupByMask]) -> Vec<NodeSpec> {
         let geom = self.cube.geometry();
-        let mmst = Mmst::build(geom, &self.order);
-
-        let mut needed: Vec<GroupByMask> = vec![full];
-        let mut mark = vec![false; 1usize << lattice.ndims()];
-        mark[full as usize] = true;
-        for &m in masks {
-            let mut chain = Vec::new();
-            let mut cur = m;
-            while !mark[cur as usize] {
-                mark[cur as usize] = true;
-                chain.push(cur);
-                match mmst.parent(cur) {
-                    Some(p) => cur = p,
-                    None => break,
-                }
-            }
-            needed.extend(chain.into_iter().rev());
-        }
-        needed.sort_unstable_by_key(|m| std::cmp::Reverse(m.count_ones()));
-
-        let mut index_of: HashMap<GroupByMask, usize> = HashMap::new();
-        let mut specs: Vec<NodeSpec> = Vec::with_capacity(needed.len());
-        for &m in &needed {
-            index_of.insert(m, specs.len());
-            specs.push(NodeSpec {
+        let lattice = mmst.lattice();
+        let needed = mmst.closure(masks);
+        let mut specs: Vec<NodeSpec> = needed
+            .iter()
+            .map(|&m| NodeSpec {
                 mask: m,
                 dims: lattice.dims_of(m),
                 children: Vec::new(),
                 expected: 0,
-            });
-        }
+                drop_pos: 0,
+                requested: masks.contains(&m),
+            })
+            .collect();
         for i in 1..specs.len() {
             let m = specs[i].mask;
             let p = mmst.parent(m).expect("non-root has a parent");
-            let pi = index_of[&p];
+            let pi = needed
+                .iter()
+                .position(|&x| x == p)
+                .expect("closure holds every parent");
+            let dropped = (p & !m).trailing_zeros() as usize;
+            specs[i].drop_pos = specs[pi]
+                .dims
+                .iter()
+                .position(|&d| d == dropped)
+                .expect("the dropped dim is one of the parent's");
+            specs[i].expected = geom.grid()[dropped].max(1);
             specs[pi].children.push(i);
-            let diff = p & !m;
-            specs[i].expected = lattice
-                .dims_of(diff)
-                .into_iter()
-                .map(|d| geom.grid()[d])
-                .product::<u32>()
-                .max(1);
         }
         specs
     }
 
-    /// Materializes fresh (empty) nodes from the plan — one set per
-    /// worker, so buffer maps are thread-private.
-    fn instantiate(
+    /// Runs one worker: a scan of every base chunk feeding the subtrees
+    /// rooted at `subtrees` (and, with `root`, the full mask's own result)
+    /// from private nodes. Returns the requested results of those nodes.
+    fn run_worker(
         &self,
         specs: &[NodeSpec],
-        masks: &[GroupByMask],
-        full: GroupByMask,
-    ) -> Vec<Node> {
+        subtrees: &[usize],
+        root: bool,
+        gauge: &Gauge,
+    ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
         let geom = self.cube.geometry();
-        specs
-            .iter()
-            .map(|s| {
-                let shape: Vec<u32> = s.dims.iter().map(|&d| geom.lens()[d]).collect();
-                let requested = masks.contains(&s.mask) && s.mask != full;
-                Node {
-                    mask: s.mask,
-                    dims: s.dims.clone(),
-                    children: s.children.clone(),
-                    expected: s.expected,
-                    buffers: HashMap::new(),
-                    result: requested.then(|| GroupByResult::new(s.mask, s.dims.clone(), shape)),
-                }
-            })
-            .collect()
+        let mut nodes: Vec<Node> = specs.iter().map(|_| Node::default()).collect();
+        let mut stack = subtrees.to_vec();
+        if root {
+            stack.push(0);
+        }
+        while let Some(ni) = stack.pop() {
+            let spec = &specs[ni];
+            if ni != 0 {
+                stack.extend_from_slice(&spec.children);
+            }
+            if spec.requested {
+                let shape = spec.dims.iter().map(|&d| geom.lens()[d]).collect();
+                nodes[ni].result = Some(GroupByResult::new(spec.mask, spec.dims.clone(), shape));
+            }
+        }
+        let report = self.scan(specs, &mut nodes, subtrees, gauge)?;
+        let out = nodes
+            .iter_mut()
+            .zip(specs)
+            .filter_map(|(node, spec)| Some((spec.mask, node.result.take()?)))
+            .collect();
+        Ok((out, report))
     }
 
-    /// Streams every base chunk in the chosen order, delivering each
+    /// Streams every base chunk in the chosen order, delivering each as a
     /// block to the root children in `deliver_to` only. Implicit (all-⊥)
     /// chunks are announced too: children count completions per parent
-    /// chunk.
+    /// chunk. A requested full mask is filled here, from the same blocks,
+    /// so the base is never walked a second time.
     fn scan(
         &self,
+        specs: &[NodeSpec],
         nodes: &mut [Node],
         deliver_to: &[usize],
         gauge: &Gauge,
@@ -413,141 +474,73 @@ impl<'a> CubeAggregator<'a> {
         let geom = self.cube.geometry();
         let mut exec = Exec {
             geom,
+            specs,
+            gauge,
             live_cells: 0,
             live_chunks: 0,
-            gauge,
             report: AggregationReport::default(),
         };
-        let all_dims: Vec<usize> = (0..geom.ndims()).collect();
-        // With prefetching on, materialize the scan order once up front
-        // so the next-K chunk ids can be hinted ahead of each read (the
-        // odometer iterator cannot be cloned to peek ahead).
-        let lookahead: Vec<ChunkId> = if self.prefetch > 0 {
+        // With prefetching on, list the stored chunks in scan order once
+        // up front so the window counts chunks that will actually be read
+        // (the odometer iterator cannot be cloned to peek ahead).
+        let stored: Vec<ChunkId> = if self.prefetch > 0 {
             geom.chunks_in_order(&self.order)
                 .map(|c| geom.chunk_id(&c))
+                .filter(|&id| self.cube.chunk_exists(id))
                 .collect()
         } else {
             Vec::new()
         };
-        let mut hinted = 0usize; // lookahead[..hinted] already issued
-        for (pos, coord) in geom.chunks_in_order(&self.order).enumerate() {
-            if self.prefetch > 0 {
-                let end = (pos + 1 + self.prefetch).min(lookahead.len());
-                let fresh_from = hinted.max(pos + 1);
-                if end > fresh_from {
-                    let fresh: Vec<ChunkId> = lookahead[fresh_from..end]
-                        .iter()
-                        .copied()
-                        .filter(|&id| self.cube.chunk_exists(id))
-                        .collect();
-                    hinted = end;
-                    self.cube.prefetch(&fresh);
-                }
-            }
+        let mut read = 0usize; // stored chunks reached so far
+        let mut hinted = 0usize; // stored[..hinted] already hinted or read
+        for coord in geom.chunks_in_order(&self.order) {
             exec.report.base_chunks_scanned += 1;
             let id = geom.chunk_id(&coord);
-            let mut cells = Vec::new();
-            if self.cube.chunk_exists(id) {
-                let chunk = self.cube.chunk(id)?;
-                cells.reserve(chunk.present_count() as usize);
-                // Run-based scan: the offset→coordinate decode (a chain
-                // of divisions per cell) happens once per run. Splitting
-                // at the last axis with len > 1 keeps runs long even when
-                // trailing axes are singletons; within a run only that
-                // fast axis varies (everything after it has length 1).
-                let fast = geom.fast_axis();
-                let mut runs = geom.runs_from(&coord, fast);
-                while let Some((base, start, len)) = runs.next_run() {
-                    if chunk.present_in_range(start, len) == 0 {
-                        continue;
+            let shape = geom.chunk_shape(&coord);
+            let chunk = if self.cube.chunk_exists(id) {
+                if self.prefetch > 0 {
+                    read += 1;
+                    let end = (read + self.prefetch).min(stored.len());
+                    let from = hinted.max(read);
+                    if end > from {
+                        self.cube.prefetch(&stored[from..end]);
+                        hinted = end;
                     }
-                    let base = base.to_vec();
-                    chunk.for_each_present_in_range(start, len, |off, v| {
-                        let mut cell = base.clone();
-                        cell[fast] += off - start;
-                        let mut acc = Acc::new();
-                        acc.add(v);
-                        cells.push((cell, acc));
-                    });
                 }
+                Some(self.cube.chunk(id)?)
+            } else {
+                None
+            };
+            let cells = match &chunk {
+                Some(c) if c.present_count() > 0 => Cells::Base(c),
+                _ => Cells::Empty,
+            };
+            if let (Some(result), Cells::Base(chunk)) = (&mut nodes[0].result, cells) {
+                let at = result.chunk_start(geom, &coord);
+                for_each_row(&shape, &result.shape, at, |src, dst, len| {
+                    chunk.for_each_present_in_range(src as u32, len as u32, |off, v| {
+                        result.accs[dst + (off as usize - src)].add(v);
+                    });
+                });
             }
             let block = Block {
-                dims: all_dims.clone(),
-                chunk_coord: coord,
+                coord: &coord,
+                shape: &shape,
                 cells,
             };
             for &c in deliver_to {
                 exec.deliver(nodes, c, &block);
             }
         }
-        for node in &nodes[1..] {
+        for (node, spec) in nodes.iter().zip(specs) {
             debug_assert!(
-                node.buffers.is_empty(),
+                node.live.is_empty(),
                 "group-by {:b} left {} incomplete buffers",
-                node.mask,
-                node.buffers.len()
+                spec.mask,
+                node.live.len()
             );
         }
         Ok(exec.report)
-    }
-
-    /// Parallel cascade: root subtrees are disjoint (every non-full mask
-    /// hangs under exactly one child of the root), so they partition
-    /// round-robin across `workers` scoped threads. Each worker streams
-    /// the base chunks itself (the buffer pool is safe for concurrent
-    /// readers) into a private node set, and hands back results for its
-    /// subtrees only; the root merge is a disjoint union.
-    fn compute_parallel(
-        &self,
-        specs: &[NodeSpec],
-        root_children: &[usize],
-        masks: &[GroupByMask],
-        full: GroupByMask,
-        workers: usize,
-    ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
-        let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); workers];
-        for (i, &c) in root_children.iter().enumerate() {
-            assigned[i % workers].push(c);
-        }
-        let gauge = Gauge::default();
-        let parts: Vec<Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)>> =
-            std::thread::scope(|s| {
-                let handles: Vec<_> = assigned
-                    .iter()
-                    .map(|mine| {
-                        let gauge = &gauge;
-                        s.spawn(move || {
-                            let mut nodes = self.instantiate(specs, masks, full);
-                            let report = self.scan(&mut nodes, mine, gauge)?;
-                            let mut out = HashMap::new();
-                            let mut stack = mine.clone();
-                            while let Some(ni) = stack.pop() {
-                                stack.extend_from_slice(&nodes[ni].children);
-                                if let Some(r) = nodes[ni].result.take() {
-                                    out.insert(nodes[ni].mask, r);
-                                }
-                            }
-                            Ok((out, report))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("aggregation worker panicked"))
-                    .collect()
-            });
-        let mut out = HashMap::new();
-        let mut report = AggregationReport::default();
-        for part in parts {
-            let (results, r) = part?;
-            out.extend(results);
-            report.peak_buffer_cells += r.peak_buffer_cells;
-            report.peak_buffer_chunks += r.peak_buffer_chunks;
-            report.base_chunks_scanned += r.base_chunks_scanned;
-            report.per_thread_peak_cells.push(r.peak_buffer_cells);
-        }
-        report.concurrent_peak_cells = gauge.peak();
-        Ok((out, report))
     }
 }
 
@@ -577,116 +570,196 @@ impl Gauge {
 }
 
 /// Mutable execution state threaded through the cascade.
-struct Exec<'g> {
-    geom: &'g ChunkGeometry,
+struct Exec<'p> {
+    geom: &'p ChunkGeometry,
+    specs: &'p [NodeSpec],
+    gauge: &'p Gauge,
     live_cells: u64,
     live_chunks: u64,
-    gauge: &'g Gauge,
     report: AggregationReport,
 }
 
-impl Exec<'_> {
+impl<'p> Exec<'p> {
     /// Delivers a completed parent block to node `ni`; recursively emits
-    /// any of `ni`'s chunks the delivery completes.
-    fn deliver(&mut self, nodes: &mut [Node], ni: usize, block: &Block) {
-        let node_dims = nodes[ni].dims.clone();
-        let expected = nodes[ni].expected;
-        // Positions of this node's dims inside the block's dims.
-        let pos: Vec<usize> = node_dims
-            .iter()
-            .map(|d| {
-                block
-                    .dims
-                    .iter()
-                    .position(|bd| bd == d)
-                    .expect("child dims ⊆ parent dims")
-            })
-            .collect();
-        let child_coord: Vec<u32> = pos.iter().map(|&p| block.chunk_coord[p]).collect();
-
-        // Buffer shape: per-dim chunk extents, clipped at the axis end.
-        let shape: Vec<u32> = node_dims
-            .iter()
-            .zip(&child_coord)
-            .map(|(&d, &cc)| {
-                let ext = self.geom.extents()[d];
-                ext.min(self.geom.lens()[d].saturating_sub(cc * ext))
-            })
-            .collect();
-        let buf_len: usize = shape.iter().map(|&s| s as usize).product::<usize>().max(1);
-
+    /// any of `ni`'s chunks the delivery completes. Allocates nothing
+    /// once the node's scratch and a recycled buffer exist.
+    fn deliver(&mut self, nodes: &mut [Node], ni: usize, block: &Block<'_>) {
+        let specs: &'p [NodeSpec] = self.specs;
+        let spec = &specs[ni];
+        let k = spec.drop_pos;
         let node = &mut nodes[ni];
-        let buffer = node.buffers.entry(child_coord.clone()).or_insert_with(|| {
+        // This node's chunk is the parent's with axis `k` dropped.
+        for (mine, theirs) in [
+            (&mut node.coord, block.coord),
+            (&mut node.shape, block.shape),
+        ] {
+            mine.clear();
+            mine.extend_from_slice(&theirs[..k]);
+            mine.extend_from_slice(&theirs[k + 1..]);
+        }
+        let key = spec
+            .dims
+            .iter()
+            .zip(&node.coord)
+            .fold(0u64, |key, (&d, &c)| {
+                key * self.geom.grid()[d] as u64 + c as u64
+            });
+        let buf_len = node
+            .shape
+            .iter()
+            .map(|&s| s as usize)
+            .product::<usize>()
+            .max(1);
+
+        let free = &mut node.free;
+        let buffer = node.live.entry(key).or_insert_with(|| {
             self.live_chunks += 1;
             self.live_cells += buf_len as u64;
             self.gauge.add(buf_len as u64);
             self.report.peak_buffer_chunks = self.report.peak_buffer_chunks.max(self.live_chunks);
             self.report.peak_buffer_cells = self.report.peak_buffer_cells.max(self.live_cells);
             Buffer {
-                accs: vec![Acc::new(); buf_len],
-                shape,
+                accs: free.pop().unwrap_or_default(),
                 seen: 0,
             }
         });
 
-        // Fold the block's cells in.
-        for (cell, acc) in &block.cells {
-            let mut off = 0usize;
-            for (i, (&p, &d)) in pos.iter().zip(&node_dims).enumerate() {
-                let ext = self.geom.extents()[d];
-                let local = cell[p] - child_coord[i] * ext;
-                off = off * buffer.shape[i] as usize + local as usize;
-            }
-            buffer.accs[off].merge(acc);
+        if !matches!(block.cells, Cells::Empty) && buffer.accs.is_empty() {
+            buffer.accs.resize(buf_len, Acc::new());
+        }
+        let n = block.shape[k] as usize;
+        let inner = block.shape[k + 1..].iter().map(|&s| s as usize).product();
+        match block.cells {
+            Cells::Empty => {}
+            Cells::Base(chunk) => fold_base(chunk, &mut buffer.accs, n, inner),
+            Cells::Accs(src) => fold_accs(src, &mut buffer.accs, n, inner),
         }
         buffer.seen += 1;
-
-        if buffer.seen < expected {
+        if buffer.seen < spec.expected {
             return;
         }
+
         // Chunk complete: detach, record, cascade.
-        let buffer = node.buffers.remove(&child_coord).expect("just inserted");
+        let mut accs = node.live.remove(&key).expect("just inserted").accs;
         self.live_chunks -= 1;
         self.live_cells -= buf_len as u64;
         self.gauge.sub(buf_len as u64);
+        if let (Some(result), false) = (&mut node.result, accs.is_empty()) {
+            // Every result cell lies in exactly one chunk, and folding a
+            // completed accumulator into a fresh one reproduces it bit
+            // for bit, so the chunk is copied into place row by row.
+            let at = result.chunk_start(self.geom, &node.coord);
+            for_each_row(&node.shape, &result.shape, at, |src, dst, len| {
+                result.accs[dst..dst + len].copy_from_slice(&accs[src..src + len]);
+            });
+        }
+        if !spec.children.is_empty() {
+            // The scratch vectors travel with the block (children index
+            // into `nodes` too) and come back afterwards.
+            let (coord, shape) = (
+                std::mem::take(&mut node.coord),
+                std::mem::take(&mut node.shape),
+            );
+            let block = Block {
+                coord: &coord,
+                shape: &shape,
+                cells: if accs.is_empty() {
+                    Cells::Empty
+                } else {
+                    Cells::Accs(&accs)
+                },
+            };
+            for &c in &spec.children {
+                self.deliver(nodes, c, &block);
+            }
+            nodes[ni].coord = coord;
+            nodes[ni].shape = shape;
+        }
+        if accs.capacity() > 0 {
+            accs.clear();
+            nodes[ni].free.push(accs);
+        }
+    }
+}
 
-        let mut cells: Vec<(Vec<u32>, Acc)> = Vec::new();
-        for (off, acc) in buffer.accs.iter().enumerate() {
-            if acc.is_empty() {
-                continue;
-            }
-            // Decode the local offset into global coords over node dims.
-            let mut rest = off;
-            let mut local = vec![0u32; buffer.shape.len()];
-            for i in (0..buffer.shape.len()).rev() {
-                local[i] = (rest % buffer.shape[i] as usize) as u32;
-                rest /= buffer.shape[i] as usize;
-            }
-            let global: Vec<u32> = node_dims
-                .iter()
-                .zip(&child_coord)
-                .zip(&local)
-                .map(|((&d, &cc), &l)| cc * self.geom.extents()[d] + l)
-                .collect();
-            cells.push((global, *acc));
-        }
-        if let Some(result) = &mut nodes[ni].result {
-            for (coords, acc) in &cells {
-                let idx = result.index(coords);
-                result.accs[idx].merge(acc);
+/// Folds a base chunk, read as a row-major `outer × n × inner` array,
+/// into `dst` (`outer × inner`), aggregating the middle axis away.
+/// Present cells are taken in ascending offset, so every target receives
+/// its sources in offset order.
+fn fold_base(chunk: &Chunk, dst: &mut [Acc], n: usize, inner: usize) {
+    match chunk.data() {
+        ChunkData::Sparse { entries } => {
+            let slab = n * inner;
+            for &(off, v) in entries {
+                let off = off as usize;
+                dst[off / slab * inner + off % inner].add(v);
             }
         }
-        let children = nodes[ni].children.clone();
-        if children.is_empty() {
-            return;
+        ChunkData::Dense { .. } if inner == 1 => {
+            // The fastest axis is the one aggregated away: each target
+            // reduces one contiguous run.
+            for (o, d) in dst.iter_mut().enumerate() {
+                chunk.for_each_present_in_range((o * n) as u32, n as u32, |_, v| d.add(v));
+            }
         }
-        let block = Block {
-            dims: node_dims,
-            chunk_coord: child_coord,
-            cells,
-        };
-        for c in children {
-            self.deliver(nodes, c, &block);
+        ChunkData::Dense { .. } => {
+            for (o, drow) in dst.chunks_exact_mut(inner).enumerate() {
+                for j in 0..n {
+                    let start = ((o * n + j) * inner) as u32;
+                    chunk.for_each_present_in_range(start, inner as u32, |off, v| {
+                        drow[(off - start) as usize].add(v);
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// [`fold_base`] for a completed group-by chunk. ⊥ cells are empty
+/// accumulators, and merging one is a bitwise no-op, so the loop needs no
+/// presence test.
+fn fold_accs(src: &[Acc], dst: &mut [Acc], n: usize, inner: usize) {
+    for (slab, drow) in src.chunks_exact(n * inner).zip(dst.chunks_exact_mut(inner)) {
+        for srow in slab.chunks_exact(inner) {
+            for (d, s) in drow.iter_mut().zip(srow) {
+                d.merge(s);
+            }
+        }
+    }
+}
+
+/// Walks the rows (runs along the last axis) of a block of `shape`
+/// embedded in a row-major array of shape `array`, the block's first cell
+/// sitting at array index `at`: calls `f(src, dst, len)` with each row's
+/// first offset in the block, its first index in the array, and its
+/// length. The odometer lives on the stack ([`crate::Lattice`] caps the
+/// rank at 31).
+fn for_each_row(shape: &[u32], array: &[u32], at: usize, mut f: impl FnMut(usize, usize, usize)) {
+    if shape.contains(&0) {
+        return;
+    }
+    let lead = shape.len().saturating_sub(1);
+    let row = shape.last().map_or(1, |&r| r as usize);
+    let mut idx = [0u32; 32];
+    let (mut src, mut dst) = (0usize, at);
+    loop {
+        f(src, dst, row);
+        src += row;
+        let mut stride = array.last().map_or(1, |&l| l as usize);
+        let mut i = lead;
+        loop {
+            if i == 0 {
+                return;
+            }
+            i -= 1;
+            idx[i] += 1;
+            if idx[i] < shape[i] {
+                dst += stride;
+                break;
+            }
+            dst -= (shape[i] - 1) as usize * stride;
+            idx[i] = 0;
+            stride *= array[i] as usize;
         }
     }
 }
@@ -694,6 +767,7 @@ impl Exec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lattice::Lattice;
     use olap_model::{DimensionSpec, SchemaBuilder};
     use std::sync::Arc;
 
@@ -966,9 +1040,77 @@ mod tests {
     fn full_mask_returns_base() {
         let cube = cube3d();
         let agg = CubeAggregator::new(&cube);
-        let full = Lattice::new(3).full();
+        let lattice = Lattice::new(3);
+        let full = lattice.full();
         let (results, _) = agg.compute(&[full]).unwrap();
         let r = &results[&full];
         assert_eq!(r.value(&[1, 2, 1], AggFn::Sum), CellValue::Num(121.0));
+        let mut cells = 0;
+        cube.for_each_present(|cell, v| {
+            assert_eq!(r.acc(cell).sum, v);
+            assert_eq!(r.acc(cell).count, 1);
+            cells += 1;
+        })
+        .unwrap();
+        assert_eq!(r.accs.iter().filter(|a| !a.is_empty()).count(), cells);
+
+        // The full mask is filled from the scan's own blocks: asking for
+        // it costs no chunk read beyond the scan's, serial or threaded.
+        let gets = |masks: &[GroupByMask], threads: usize| {
+            cube.reset_stats();
+            let (_, report) = CubeAggregator::new(&cube)
+                .with_threads(threads)
+                .compute(masks)
+                .unwrap();
+            let st = cube.pool_stats();
+            (st.hits + st.misses, report.base_chunks_scanned)
+        };
+        let mut masks = lattice.proper_masks();
+        let without = (gets(&masks, 1), gets(&masks, 3));
+        masks.push(full);
+        assert_eq!((gets(&masks, 1), gets(&masks, 3)), without);
+        assert_eq!(without.0, (12, 12));
+    }
+
+    /// Workforce's shape: trailing axes of length 2 cut into extent-1
+    /// chunks with one slot populated, so no chunk row along them is
+    /// longer than one cell. Blocks are dense arrays, so row length is
+    /// irrelevant: every group-by matches the per-cell fold exactly, and
+    /// the unpopulated half of the grid only counts completions.
+    #[test]
+    fn trailing_axes_of_length_two_and_extent_one() {
+        let schema = Arc::new(
+            SchemaBuilder::new()
+                .dimension(DimensionSpec::new("A").leaves(&["a0", "a1", "a2", "a3", "a4"]))
+                .dimension(DimensionSpec::new("B").leaves(&["b0", "b1", "b2"]))
+                .dimension(DimensionSpec::new("C").leaves(&["c0", "c1"]))
+                .dimension(DimensionSpec::new("D").leaves(&["d0", "d1"]))
+                .build()
+                .unwrap(),
+        );
+        let mut b = Cube::builder(schema, vec![2, 3, 1, 1]).unwrap();
+        for a in 0..5u32 {
+            for bb in 0..3u32 {
+                if (a + bb) % 4 != 0 {
+                    b.set_num(&[a, bb, 0, 0], (10 * a + bb) as f64 + 0.5)
+                        .unwrap();
+                }
+            }
+        }
+        let cube = b.finish().unwrap();
+        assert_eq!(cube.geometry().grid(), &[3, 1, 2, 2]);
+        assert_eq!(cube.chunk_count(), 3);
+        let masks = Lattice::new(4).proper_masks();
+        let (results, report) = CubeAggregator::new(&cube).compute(&masks).unwrap();
+        assert_eq!(report.base_chunks_scanned, 12);
+        for &m in &masks {
+            let expect = naive(&cube, m);
+            let r = &results[&m];
+            for (key, &total) in &expect {
+                assert_eq!(r.value(key, AggFn::Sum), CellValue::Num(total), "{m:b}");
+            }
+            let nonempty = r.accs.iter().filter(|a| !a.is_empty()).count();
+            assert_eq!(nonempty, expect.len(), "mask {m:b}");
+        }
     }
 }

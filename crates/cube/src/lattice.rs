@@ -224,6 +224,29 @@ impl Mmst {
         c
     }
 
+    /// The group-bys a cascade must compute to answer `masks`: the
+    /// requested masks closed under tree parents. The full mask comes
+    /// first and every node after its parent (descending
+    /// retained-dimension count).
+    pub fn closure(&self, masks: &[GroupByMask]) -> Vec<GroupByMask> {
+        let full = self.lattice.full();
+        let mut needed = vec![full];
+        let mut mark = vec![false; 1usize << self.lattice.n];
+        mark[full as usize] = true;
+        for &m in masks {
+            let at = needed.len();
+            let mut cur = m;
+            while !mark[cur as usize] {
+                mark[cur as usize] = true;
+                needed.push(cur);
+                cur = self.parent[&cur];
+            }
+            needed[at..].reverse();
+        }
+        needed.sort_unstable_by_key(|m| std::cmp::Reverse(m.count_ones()));
+        needed
+    }
+
     /// Buffer memory in cells for one mask.
     pub fn memory_cells(&self, g: GroupByMask) -> u64 {
         self.mem_cells[&g]

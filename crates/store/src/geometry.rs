@@ -256,18 +256,6 @@ impl ChunkGeometry {
         ChunkRuns::new(self, coord, split)
     }
 
-    /// The last axis with more than one coordinate — the fastest-varying
-    /// axis that actually moves. Trailing length-1 axes contribute
-    /// nothing to row-major offsets, so a run over the suffix starting
-    /// here still varies only this one global coordinate. `ndims - 1`
-    /// when every axis has length 1.
-    pub fn fast_axis(&self) -> usize {
-        self.lens
-            .iter()
-            .rposition(|&l| l > 1)
-            .unwrap_or_else(|| self.ndims().saturating_sub(1))
-    }
-
     /// Validates a global cell coordinate.
     pub fn check_cell(&self, cell: &[u32]) -> Result<()> {
         if cell.len() != self.ndims() {

@@ -24,9 +24,9 @@ step "clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 step "concurrency flake gate (10x)"
-# The pool prefetcher, the parallel executors, the shared scenario
-# cache, the fault-injection suite and the WAL crash tests are
-# timing-sensitive; a single green run proves little. Hammer the
+# The pool prefetcher, the parallel executors and aggregation workers,
+# the shared scenario cache, the fault-injection suite and the WAL crash
+# tests are timing-sensitive; a single green run proves little. Hammer the
 # concurrency-heavy suites (olap-store --lib includes the wal,
 # filestore crash-sweep and pool retry tests).
 i=1
@@ -36,7 +36,7 @@ while [ "$i" -le 10 ]; do
         --test parallel_exec --test prefetch --test scenario_cache \
         --test scenario_forest --test fault_injection --test persistence \
         --test server --test run_kernels --test chaos \
-        --test replication >/dev/null
+        --test replication --test aggregation >/dev/null
     i=$((i + 1))
 done
 echo "(10/10 green)"

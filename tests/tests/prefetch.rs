@@ -2,7 +2,7 @@
 //! paging, and on a seek-model FileStore the hints must actually land.
 
 use olap_cube::{CubeAggregator, Lattice};
-use olap_store::{FileStore, SeekModel};
+use olap_store::{Chunk, ChunkId, ChunkStore, FileStore, IoStats, SeekModel, StoreError};
 use olap_workload::{retail_example, running_example, Workforce, WorkforceConfig};
 use whatif_core::{apply, apply_opts, ExecOpts, Mode, OrderPolicy, Scenario, Semantics, Strategy};
 
@@ -196,4 +196,105 @@ fn prefetch_hints_span_slice_boundaries() {
         resident, st.misses,
         "a chunk was fetched from the store more than once: {st:?}"
     );
+}
+
+/// A store whose reads of one chunk always fail: cuts a scan short at a
+/// known chunk, whichever thread gets to it first.
+struct PoisonedChunk {
+    inner: Box<dyn ChunkStore>,
+    bad: ChunkId,
+}
+
+impl ChunkStore for PoisonedChunk {
+    fn read(&self, id: ChunkId) -> olap_store::Result<Chunk> {
+        if id == self.bad {
+            return Err(StoreError::Corrupt("poisoned for the test".into()));
+        }
+        self.inner.read(id)
+    }
+    fn write(&mut self, id: ChunkId, chunk: &Chunk) -> olap_store::Result<()> {
+        self.inner.write(id, chunk)
+    }
+    fn contains(&self, id: ChunkId) -> bool {
+        self.inner.contains(id)
+    }
+    fn ids(&self) -> Vec<ChunkId> {
+        self.inner.ids()
+    }
+    fn stats(&self) -> &IoStats {
+        self.inner.stats()
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// The aggregation scan's lookahead counts *stored* chunks. Workforce's
+/// grid is eight times sparser than its store (Currency, Version and
+/// HSP_Rates have two leaves, extent 1, one populated — and they vary
+/// fastest), so a window counted in grid positions would reach one
+/// stored chunk ahead; `with_prefetch(8)` must reach eight.
+#[test]
+fn aggregation_hints_run_eight_stored_chunks_ahead_on_a_sparse_grid() {
+    const K: usize = 8;
+    let wf = Workforce::build(WorkforceConfig {
+        employees: 200,
+        departments: 8,
+        changing: 40,
+        accounts: 4,
+        scenarios: 2,
+        ..WorkforceConfig::default()
+    });
+    let geom = wf.cube.geometry();
+    let masks: Vec<u32> = (0..geom.ndims() as u32).map(|d| 1 << d).collect();
+    let agg = CubeAggregator::new(&wf.cube).with_prefetch(K);
+    let stored: Vec<ChunkId> = geom
+        .chunks_in_order(agg.order())
+        .map(|c| geom.chunk_id(&c))
+        .filter(|&id| wf.cube.chunk_exists(id))
+        .collect();
+    assert_eq!(
+        geom.total_chunks(),
+        8 * stored.len() as u64,
+        "8x-sparse grid"
+    );
+    let cut = 5;
+    assert!(
+        stored.len() > cut + K + 1,
+        "the cut must leave a full window"
+    );
+
+    wf.cube.start_io_threads(2);
+    let issued = || {
+        wf.cube.with_pool(|pool| {
+            pool.wait_prefetch_idle();
+            pool.stats().prefetch_issued
+        })
+    };
+    // A whole scan hints every stored chunk but the first, once.
+    wf.cube.reset_stats();
+    agg.compute(&masks).unwrap();
+    assert_eq!(issued(), stored.len() as u64 - 1);
+
+    // Cut the scan at stored chunk `cut`: by the time it is read, the
+    // window has been slid over chunks 1 ..= cut + K.
+    wf.cube.flush().unwrap();
+    wf.cube.with_pool(|pool| {
+        pool.clear().unwrap();
+        pool.wrap_store(|inner| {
+            Box::new(PoisonedChunk {
+                inner,
+                bad: stored[cut],
+            })
+        });
+    });
+    wf.cube.reset_stats();
+    assert!(
+        agg.compute(&masks).is_err(),
+        "the poisoned chunk ends the scan"
+    );
+    assert_eq!(issued(), (cut + K) as u64);
 }

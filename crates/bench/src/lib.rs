@@ -1,10 +1,9 @@
-//! Benchmark & reproduction harness.
+//! Reproduction harness.
 //!
 //! One module per concern: [`figures`] renders series the way the paper's
 //! plots report them, [`baselines`] implements the paper's "Multiple MDX"
 //! simulation baseline, and [`setup`] builds the workloads each
-//! experiment needs. The `repro` binary and the Criterion benches are
-//! thin wrappers over these.
+//! experiment needs. The `repro` binary is a thin wrapper over these.
 
 pub mod baselines;
 pub mod figures;

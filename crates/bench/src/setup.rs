@@ -1,4 +1,4 @@
-//! Workload setup shared by the Criterion benches and the `repro` binary.
+//! Workload setup for the `repro` binary's experiments.
 
 use olap_mdx::{execute, Grid, QueryContext};
 use olap_model::MemberId;
@@ -155,12 +155,8 @@ impl Fig12Rig {
     /// instances (Essbase-style retrieval — only the employee's chunks
     /// and their merge partners are read from disk). The buffer pool is
     /// cleared first so every run pays real (simulated-seek) I/O.
-    pub fn run_query(&self) -> whatif_core::ExecReport {
-        self.run_query_with(0)
-    }
-
-    /// [`Self::run_query`] with a prefetch lookahead of `prefetch` chunks
-    /// (0 = no hints). Starts the pool's I/O workers on first use.
+    /// `prefetch` is the lookahead in chunks (0 = no hints); the pool's
+    /// I/O workers start on first use.
     pub fn run_query_with(&self, prefetch: usize) -> whatif_core::ExecReport {
         if prefetch > 0 {
             self.wf.cube.start_io_threads(prefetch.min(4));

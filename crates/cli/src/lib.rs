@@ -21,8 +21,9 @@ pub enum Dataset {
     Retail,
     /// The Section 6 workforce-planning workload (1/10th scale).
     Workforce,
-    /// A small workforce (the `--replay` configuration) sized so dozens
-    /// of concurrent server sessions stay fast; used by `--serve-bench`.
+    /// A small workforce (`WorkforceConfig::bench`, the `repro --replay`
+    /// cube) sized so dozens of concurrent server sessions stay fast;
+    /// the multi-session tests and `perfbench` serve it.
     Bench,
 }
 
@@ -113,14 +114,8 @@ impl SharedData {
                 ..WorkforceConfig::default()
             }))),
             Dataset::Bench => Loaded::Workforce(Box::new(Workforce::build(WorkforceConfig {
-                employees: 400,
-                departments: 12,
-                changing: 80,
-                employee_extent: 1,
-                accounts: 4,
-                scenarios: 2,
                 backend,
-                ..WorkforceConfig::default()
+                ..WorkforceConfig::bench()
             }))),
         };
         Ok(SharedData {
@@ -632,7 +627,7 @@ impl Session {
     /// only *deterministic* facts about the result — cell count, an
     /// order-independent digest, and the pass count. Cache/pool counters
     /// are deliberately omitted: under a shared pool and cache they
-    /// depend on sibling sessions, and the server's bench asserts
+    /// depend on sibling sessions, and the server tests assert
     /// byte-identical responses across concurrent and serial runs.
     fn apply(&mut self, arg: &str) -> Outcome {
         const USAGE: &str =
@@ -916,7 +911,7 @@ fn semantics_name(s: whatif_core::Semantics) -> &'static str {
 /// An order-independent digest of a cube's present cells: the wrapping
 /// sum of one FNV-1a hash per cell (coordinates, then the value's bit
 /// pattern). Identical cell sets digest identically regardless of scan
-/// or merge interleaving, which is what lets the server bench check
+/// or merge interleaving, which is what lets the server tests check
 /// concurrent sessions bit-for-bit against a serial replay.
 pub fn cell_digest(cube: &olap_cube::Cube) -> olap_cube::Result<(u64, u64)> {
     let mut count = 0u64;

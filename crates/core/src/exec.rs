@@ -96,8 +96,7 @@ pub struct ExecReport {
 /// chunk id and base offset — out of the inner loop, which becomes a slice
 /// copy plus a word-wise presence OR. `Scalar` keeps the original
 /// cell-at-a-time loops as the semantics oracle; the two are bit-identical
-/// (gated by the `run_kernels` equivalence suite and the
-/// `repro --kernel-bench` CI smoke step).
+/// (gated by the `run_kernels` equivalence suite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
     /// Cell-at-a-time loops (the oracle).

@@ -51,16 +51,20 @@ pub enum NetFaultKind {
 }
 
 /// One scripted fault: on connection `conn` (0-based accept order), in
-/// direction `dir`, when that pump forwards its `at`-th burst (1-based),
-/// inject `kind`. Mirrors `fault::FaultSpec`'s `(op, at, kind)` shape.
+/// direction `dir`, when that pump forwards the burst in which its
+/// `at`-th length-prefixed frame (1-based) begins, inject `kind`.
+/// Counting frames, not TCP bursts, keeps a plan's meaning independent
+/// of how the kernel slices the stream: frame 1 server→client is the
+/// greeting whether it arrives in one read or three. Mirrors
+/// `fault::FaultSpec`'s `(op, at, kind)` shape.
 #[derive(Debug, Clone, Copy)]
 pub struct NetFaultSpec {
     /// 0-based index of the proxied connection, in accept order.
     pub conn: u64,
     /// Which direction's pump arms the fault.
     pub dir: Dir,
-    /// 1-based burst count at which the fault fires (`Refuse` ignores
-    /// it — the connection dies before any burst).
+    /// 1-based frame count at which the fault fires (`Refuse` ignores
+    /// it — the connection dies before any frame).
     pub at: u64,
     /// The injected failure.
     pub kind: NetFaultKind,
@@ -252,13 +256,54 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     }
 }
 
+/// Follows the wire's `u32`-BE length prefixes across bursts, so the
+/// pump knows which frames a burst begins.
+#[derive(Default)]
+struct FrameCounter {
+    /// Frames begun so far.
+    begun: u64,
+    /// Length-prefix bytes of the current frame collected so far.
+    prefix: [u8; 4],
+    prefix_len: usize,
+    /// Payload bytes of the current frame still to come.
+    payload_left: usize,
+}
+
+impl FrameCounter {
+    /// Consumes one burst; returns the (1-based) numbers of the frames
+    /// whose first byte it carried — empty for a pure continuation.
+    fn feed(&mut self, mut burst: &[u8]) -> std::ops::RangeInclusive<u64> {
+        let first = self.begun + 1;
+        while !burst.is_empty() {
+            if self.payload_left > 0 {
+                let n = burst.len().min(self.payload_left);
+                self.payload_left -= n;
+                burst = &burst[n..];
+                continue;
+            }
+            if self.prefix_len == 0 {
+                self.begun += 1;
+            }
+            let n = burst.len().min(4 - self.prefix_len);
+            self.prefix[self.prefix_len..self.prefix_len + n].copy_from_slice(&burst[..n]);
+            self.prefix_len += n;
+            burst = &burst[n..];
+            if self.prefix_len == 4 {
+                self.payload_left = u32::from_be_bytes(self.prefix) as usize;
+                self.prefix_len = 0;
+            }
+        }
+        first..=self.begun
+    }
+}
+
 /// Copies bursts from `from` to `to`, consulting the scripted faults.
 /// Any read/write failure (including a fired cut) tears down both
 /// directions: half-open proxied connections would mask bugs the real
 /// network produces with RST storms.
 fn pump(from: &mut TcpStream, to: &mut TcpStream, faults: Vec<(u64, NetFaultKind)>) {
     let mut buf = [0u8; 8 * 1024];
-    let mut burst = 0u64;
+    let mut frames = FrameCounter::default();
     let cut = |a: &TcpStream, b: &TcpStream| {
         let _ = a.shutdown(Shutdown::Both);
         let _ = b.shutdown(Shutdown::Both);
@@ -271,8 +316,12 @@ fn pump(from: &mut TcpStream, to: &mut TcpStream, faults: Vec<(u64, NetFaultKind
             }
             Ok(n) => n,
         };
-        burst += 1;
-        match faults.iter().find(|&&(at, _)| at == burst).map(|&(_, k)| k) {
+        let begun = frames.feed(&buf[..n]);
+        match faults
+            .iter()
+            .find(|&&(at, _)| begun.contains(&at))
+            .map(|&(_, k)| k)
+        {
             None | Some(NetFaultKind::Refuse) => {
                 if to.write_all(&buf[..n]).is_err() {
                     cut(from, to);
@@ -367,6 +416,52 @@ mod tests {
         let mut buf = [0u8; 1];
         // The proxy accepted then closed: read sees EOF, never data.
         assert_eq!(c.read(&mut buf).unwrap_or(0), 0);
+        proxy.shutdown();
+    }
+
+    /// Frames, not TCP bursts, are what `at` counts. A greeting that
+    /// reaches the pump as three bursts (length prefix, status byte,
+    /// text — the wire's separate writes) is still frame 1, so a cut
+    /// scripted for frame 2 leaves it whole. The client acks each part
+    /// before the upstream writes the next, which forces one burst per
+    /// part.
+    #[test]
+    fn greeting_delivered_in_three_writes_is_one_frame() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream = listener.local_addr().unwrap();
+        let (acked_tx, acked_rx) = std::sync::mpsc::channel::<()>();
+        let server = thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            for part in [&7u32.to_be_bytes()[..], b"+", b"hello!"] {
+                s.write_all(part).unwrap();
+                acked_rx.recv().unwrap();
+            }
+            let _ = s.write_all(&[&4u32.to_be_bytes()[..], b"+two"].concat());
+            // Hold the socket open until the client has seen the cut.
+            let _ = acked_rx.recv();
+        });
+        let plan = vec![NetFaultSpec {
+            conn: 0,
+            dir: Dir::ServerToClient,
+            at: 2,
+            kind: NetFaultKind::CutMidFrame,
+        }];
+        let proxy = ChaosProxy::start(upstream, plan).unwrap();
+        let mut c = TcpStream::connect(proxy.addr()).unwrap();
+        let mut frame1 = Vec::new();
+        for len in [4usize, 1, 6] {
+            let mut part = vec![0u8; len];
+            c.read_exact(&mut part)
+                .expect("frame 1 must arrive whole, however it is sliced");
+            frame1.extend(part);
+            acked_tx.send(()).unwrap();
+        }
+        assert_eq!(frame1, [&7u32.to_be_bytes()[..], b"+hello!"].concat());
+        let mut frame2 = Vec::new();
+        let _ = c.read_to_end(&mut frame2);
+        assert!(frame2.len() < 8, "frame 2 survived its cut: {frame2:?}");
+        drop(acked_tx);
+        server.join().unwrap();
         proxy.shutdown();
     }
 

@@ -5,8 +5,8 @@
 //! from then on), corrupt a read with a single bit flip, or delay an
 //! operation. Plans are plain data ([`FaultSpec`]) so tests can script
 //! exact scenarios, and [`FaultStore::with_random_plan`] derives a plan
-//! from a seed for randomized suites and `repro --faults` — the same
-//! seed always yields the same schedule.
+//! from a seed for the randomized suites — the same seed always yields
+//! the same schedule.
 //!
 //! Fault semantics:
 //!

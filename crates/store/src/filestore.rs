@@ -148,8 +148,6 @@ struct FlushTxn {
     main_start: u64,
     /// WAL length when the flush began (runtime aborts truncate back).
     wal_start: u64,
-    /// Whether a `BEGIN` record was WAL-logged (WAL may be disabled).
-    logged: bool,
     /// Chunk records appended so far.
     records: u32,
     /// Per-write undo log: the index entry each write displaced (`None`
@@ -177,20 +175,16 @@ pub struct FileStore {
     last_read_end: AtomicU64,
     seek_model: Option<SeekModel>,
     /// Write new records with the OLC2 compressed codec (reads always
-    /// auto-detect, so mixed files are fine).
+    /// auto-detect, so mixed files are fine). Either way every new
+    /// record carries the OLC3 checksum envelope; plain OLC1/OLC2
+    /// records from older files are still read.
     compress: bool,
-    /// Wrap new record payloads in the OLC3 checksum envelope (reads
-    /// always auto-detect, so mixed files are fine).
-    checksums: bool,
     /// Set when [`FileStore::open`] truncated a torn tail.
     tail_recovery: Option<TailRecovery>,
     /// The sidecar commit-record WAL, opened lazily on first
     /// `begin_flush` (so stores that never flush transactionally never
     /// create one).
     wal: Option<Wal>,
-    /// Whether flushes are WAL-protected (on by default; off restores
-    /// pre-WAL behaviour for A/B measurement).
-    wal_enabled: bool,
     /// Last committed flush epoch (the commit LSN).
     epoch: u64,
     /// The open flush transaction, if any.
@@ -242,10 +236,8 @@ impl FileStore {
             last_read_end: AtomicU64::new(0),
             seek_model: None,
             compress: false,
-            checksums: true,
             tail_recovery: None,
             wal: None,
-            wal_enabled: true,
             epoch: 0,
             txn: None,
             wal_stats: WalStats::default(),
@@ -436,16 +428,13 @@ impl FileStore {
 
         let mut index = BTreeMap::new();
         let mut dead = 0u64;
-        // Carry the compression and checksum modes across reopen: the
-        // codecs of the last (most recently appended) record decide.
-        // Reads always auto-detect per record, so mixed files stay
-        // valid either way.
+        // Carry the compression mode across reopen: the codec of the
+        // last (most recently appended) record decides. Reads always
+        // auto-detect per record, so mixed files stay valid either way.
         let mut last_compressed = false;
-        let mut last_checksummed = false;
         for rec in &recs {
             let payload = &bytes[rec.payload_start..rec.payload_end];
             last_compressed = compress::is_compressed(payload);
-            last_checksummed = integrity::is_checksummed(payload);
             let len = (rec.payload_end - rec.payload_start) as u32;
             if let Some((_, old_len)) =
                 index.insert(ChunkId(rec.id), (rec.payload_start as u64, len))
@@ -463,10 +452,8 @@ impl FileStore {
             last_read_end: AtomicU64::new(0),
             seek_model: None,
             compress: last_compressed,
-            checksums: last_checksummed,
             tail_recovery,
             wal: None,
-            wal_enabled: true,
             epoch,
             txn: None,
             wal_stats: WalStats::default(),
@@ -488,35 +475,10 @@ impl FileStore {
         self.compress
     }
 
-    /// Enables/disables the OLC3 checksum envelope for subsequent writes
-    /// (on by default for new stores; reads always auto-detect).
-    pub fn set_checksums(&mut self, on: bool) {
-        self.checksums = on;
-    }
-
-    /// Whether subsequent writes carry the OLC3 checksum envelope.
-    pub fn checksums(&self) -> bool {
-        self.checksums
-    }
-
     /// What [`FileStore::open`] salvaged if the file had a torn tail;
     /// `None` when the file was clean.
     pub fn tail_recovery(&self) -> Option<TailRecovery> {
         self.tail_recovery
-    }
-
-    /// Enables/disables WAL protection for subsequent flush
-    /// transactions (on by default). With it off,
-    /// `begin_flush`/`commit_flush` still bracket runtime rollback, but
-    /// a crash mid-flush can tear the update — the pre-WAL behaviour,
-    /// kept selectable for the overhead A/B in EXPERIMENTS.md.
-    pub fn set_wal(&mut self, on: bool) {
-        self.wal_enabled = on;
-    }
-
-    /// Whether flush transactions are WAL-protected.
-    pub fn wal_enabled(&self) -> bool {
-        self.wal_enabled
     }
 
     /// Cumulative WAL activity counters.
@@ -935,25 +897,23 @@ impl ChunkStore for FileStore {
     }
 
     fn write(&mut self, id: ChunkId, chunk: &Chunk) -> Result<()> {
-        let mut payload = if self.compress {
+        let inner = if self.compress {
             compress::encode_compressed(chunk)?
         } else {
             codec::encode(chunk)?
         };
-        if self.checksums {
-            payload = integrity::wrap_checksummed(&payload).into();
-        }
+        let payload = integrity::wrap_checksummed(&inner);
         let len = codec::count_u32(payload.len(), "record payload")?;
         let payload_off = self.end + REC_HEADER as u64;
-        // Inside a WAL-logged flush transaction the payload goes to the
-        // sidecar first: it must be re-creatable from the WAL before the
-        // main log sees it, or a committed flush couldn't be redone.
-        if let Some((epoch, true)) = self.txn.as_ref().map(|t| (t.epoch, t.logged)) {
+        // Inside a flush transaction the payload goes to the sidecar
+        // first: it must be re-creatable from the WAL before the main
+        // log sees it, or a committed flush couldn't be redone.
+        if let Some(epoch) = self.txn.as_ref().map(|t| t.epoch) {
             self.crash_gate()?;
             let n = self
                 .wal
                 .as_mut()
-                .expect("begin_flush opened the WAL for a logged txn")
+                .expect("begin_flush opened the WAL")
                 .append_chunk(epoch, id, payload_off, &payload)?;
             self.wal_stats.records_logged += 1;
             self.wal_stats.bytes_logged += n;
@@ -979,7 +939,7 @@ impl ChunkStore for FileStore {
                 t.staged.push(WalChunk {
                     id,
                     main_off: payload_off,
-                    payload: payload.to_vec(),
+                    payload: payload.clone(),
                 });
             }
         }
@@ -1018,20 +978,15 @@ impl ChunkStore for FileStore {
         }
         let epoch = self.epoch + 1;
         let main_start = self.end;
-        let mut wal_start = 0;
-        let logged = self.wal_enabled;
-        if logged {
-            self.crash_gate()?;
-            let wal = self.ensure_wal()?;
-            wal_start = wal.len();
-            let n = wal.append_begin(epoch, main_start)?;
-            self.wal_stats.bytes_logged += n;
-        }
+        self.crash_gate()?;
+        let wal = self.ensure_wal()?;
+        let wal_start = wal.len();
+        let n = wal.append_begin(epoch, main_start)?;
+        self.wal_stats.bytes_logged += n;
         self.txn = Some(FlushTxn {
             epoch,
             main_start,
             wal_start,
-            logged,
             records: 0,
             displaced: Vec::new(),
             dead_added: 0,
@@ -1044,24 +999,22 @@ impl ChunkStore for FileStore {
         let Some(t) = self.txn.as_ref() else {
             return Ok(self.epoch);
         };
-        let (epoch, records, logged) = (t.epoch, t.records, t.logged);
-        if logged {
-            // Payload durability first: the commit record must never
-            // become durable before the chunk payloads it promises.
-            self.crash_gate()?;
-            self.wal.as_mut().expect("logged txn has a WAL").sync()?;
-            self.wal_stats.syncs += 1;
-            self.crash_gate()?;
-            let n = self
-                .wal
-                .as_mut()
-                .expect("logged txn has a WAL")
-                .append_commit(epoch, records)?;
-            self.wal_stats.bytes_logged += n;
-            self.crash_gate()?;
-            self.wal.as_mut().expect("logged txn has a WAL").sync()?;
-            self.wal_stats.syncs += 1;
-        }
+        let (epoch, records) = (t.epoch, t.records);
+        // Payload durability first: the commit record must never become
+        // durable before the chunk payloads it promises.
+        self.crash_gate()?;
+        self.wal.as_mut().expect("open txn has a WAL").sync()?;
+        self.wal_stats.syncs += 1;
+        self.crash_gate()?;
+        let n = self
+            .wal
+            .as_mut()
+            .expect("open txn has a WAL")
+            .append_commit(epoch, records)?;
+        self.wal_stats.bytes_logged += n;
+        self.crash_gate()?;
+        self.wal.as_mut().expect("open txn has a WAL").sync()?;
+        self.wal_stats.syncs += 1;
         // On any failure above the transaction stays open, so the
         // caller's abort_flush can still undo it cleanly.
         let t = self.txn.take().expect("checked above");
@@ -1100,13 +1053,11 @@ impl ChunkStore for FileStore {
         self.wal_stats.txns_aborted += 1;
         self.crash_gate()?;
         self.file.set_len(t.main_start)?;
-        if t.logged {
-            self.crash_gate()?;
-            self.wal
-                .as_mut()
-                .expect("logged txn has a WAL")
-                .truncate_to(t.wal_start)?;
-        }
+        self.crash_gate()?;
+        self.wal
+            .as_mut()
+            .expect("open txn has a WAL")
+            .truncate_to(t.wal_start)?;
         Ok(())
     }
 
@@ -1301,33 +1252,39 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// New stores checksum by default, the mode survives reopen (like
-    /// compression, the last record decides), and pre-OLC3 files keep
-    /// working with the flag off.
+    /// Files written before the OLC3 envelope hold plain OLC1/OLC2
+    /// payloads. They stay readable record by record, and whatever a
+    /// reopened store appends next is enveloped — there is no mode to
+    /// carry over.
     #[test]
-    fn checksum_mode_defaults_on_and_survives_reopen() {
-        let path = tmp("cksum-mode");
-        {
-            let mut s = FileStore::create(&path).unwrap();
-            assert!(s.checksums());
-            s.write(ChunkId(1), &chunk(1.0)).unwrap();
+    fn plain_legacy_records_stay_readable_and_new_writes_are_enveloped() {
+        let path = tmp("legacy-plain");
+        let mut bytes = Vec::new();
+        for (id, payload) in [
+            (1u64, codec::encode(&chunk(1.0)).unwrap()),
+            (2, compress::encode_compressed(&chunk(2.0)).unwrap()),
+        ] {
+            assert!(!integrity::is_checksummed(&payload));
+            bytes.extend_from_slice(&id.to_le_bytes());
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&payload);
         }
-        {
-            let s = FileStore::open(&path).unwrap();
-            assert!(s.checksums(), "checksum flag lost across reopen");
-            assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(1.0));
-        }
-        // A legacy (unchecksummed) last record carries `false` over.
-        {
-            let mut s = FileStore::open(&path).unwrap();
-            s.set_checksums(false);
-            s.write(ChunkId(2), &chunk(2.0)).unwrap();
-        }
-        let s = FileStore::open(&path).unwrap();
-        assert!(!s.checksums());
-        // Mixed files stay readable record by record.
+        std::fs::write(&path, &bytes).unwrap();
+        let mut s = FileStore::open(&path).unwrap();
+        assert!(s.tail_recovery().is_none(), "plain records are not a tear");
         assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(1.0));
         assert_eq!(s.read(ChunkId(2)).unwrap().get(0), CellValue::Num(2.0));
+        s.write(ChunkId(3), &chunk(3.0)).unwrap();
+        let (off, len) = s.index[&ChunkId(3)];
+        drop(s);
+        let on_disk = std::fs::read(&path).unwrap();
+        assert!(integrity::is_checksummed(
+            &on_disk[off as usize..off as usize + len as usize]
+        ));
+        let s = FileStore::open(&path).unwrap();
+        for i in 1..=3u64 {
+            assert_eq!(s.read(ChunkId(i)).unwrap().get(0), CellValue::Num(i as f64));
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1510,18 +1467,19 @@ mod tests {
         cleanup(&path);
     }
 
-    /// With no crash, the WAL adds no bytes to the main log: a WAL-on
-    /// store's log is bit-identical to a WAL-off store's after the same
-    /// flush sequence (the acceptance criterion's A/B half).
+    /// With no crash, the WAL adds no bytes to the main log: writes
+    /// bracketed by a flush transaction leave the same bytes as the
+    /// same writes issued bare.
     #[test]
-    fn wal_on_main_log_is_bit_identical_to_wal_off() {
-        let pa = tmp("wal-ab-on");
-        let pb = tmp("wal-ab-off");
-        for (path, wal_on) in [(&pa, true), (&pb, false)] {
+    fn flush_transaction_leaves_the_main_log_bytes_unchanged() {
+        let pa = tmp("wal-ab-txn");
+        let pb = tmp("wal-ab-bare");
+        for (path, in_txn) in [(&pa, true), (&pb, false)] {
             let mut s = FileStore::create(path).unwrap();
-            s.set_wal(wal_on);
             s.write(ChunkId(0), &chunk(0.5)).unwrap();
-            s.begin_flush().unwrap();
+            if in_txn {
+                s.begin_flush().unwrap();
+            }
             for i in 1..5u64 {
                 s.write(ChunkId(i), &chunk(i as f64)).unwrap();
             }

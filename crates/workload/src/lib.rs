@@ -20,4 +20,4 @@ pub mod workforce;
 pub use retail::{retail_example, Retail};
 pub use running_example::{running_example, RunningExample};
 pub use type2::{simulate_forward, type2_of, Type2};
-pub use workforce::{Workforce, WorkforceConfig, MONTHS};
+pub use workforce::{replay_scenarios, Workforce, WorkforceConfig, MONTHS};

@@ -23,6 +23,7 @@ use olap_model::{DimensionId, MemberId, Moment, Schema};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
+use whatif_core::{Mode, Scenario, Semantics};
 
 /// Month names used for Period leaves.
 pub const MONTHS: [&str; 12] = [
@@ -94,6 +95,22 @@ impl WorkforceConfig {
             employee_extent: 8,
             pool_capacity: 1024,
             backend: StoreBackend::Memory,
+        }
+    }
+
+    /// The `bench` dataset: small enough that dozens of concurrent
+    /// server sessions stay fast, one instance per chunk column so every
+    /// move crosses chunks. The replay experiment, the server's `bench`
+    /// dataset and the multi-session tests all build this one cube.
+    pub fn bench() -> Self {
+        WorkforceConfig {
+            employees: 400,
+            departments: 12,
+            changing: 80,
+            employee_extent: 1,
+            accounts: 4,
+            scenarios: 2,
+            ..WorkforceConfig::default()
         }
     }
 
@@ -414,6 +431,37 @@ impl Workforce {
     pub fn input_cells(&self) -> u64 {
         self.cube.present_cell_count().unwrap_or(0)
     }
+}
+
+/// The one-perspective edit session of the scenario-delta replay
+/// experiment (`repro --replay`, the `scenario_cache` tests): a base
+/// perspective set followed by K=8 single-perspective edits, so a cache
+/// sees 9 scenarios in a row. Needs a 12-month workload.
+pub fn replay_scenarios(department: DimensionId, semantics: Semantics) -> Vec<Scenario> {
+    let perspective_sets: Vec<Vec<u32>> = match semantics {
+        // The analyst keeps early history pinned and nudges the *last*
+        // perspective: under DYNAMIC FORWARD only movers with a move
+        // after the second-to-last perspective are invalidated.
+        Semantics::Forward => (0..9).map(|step| vec![0, 3, 6, 9, 10 + step % 2]).collect(),
+        // Rotating one-month nudges: under STATIC an edit only touches
+        // instances whose validity straddles the moved moment, so almost
+        // every component survives each edit.
+        _ => vec![
+            vec![0, 3, 6, 9],
+            vec![0, 3, 6, 10],
+            vec![0, 3, 7, 10],
+            vec![0, 4, 7, 10],
+            vec![1, 4, 7, 10],
+            vec![1, 4, 7, 9],
+            vec![1, 4, 6, 9],
+            vec![1, 3, 6, 9],
+            vec![0, 3, 6, 9],
+        ],
+    };
+    perspective_sets
+        .into_iter()
+        .map(|p| Scenario::negative(department, p, semantics, Mode::Visual))
+        .collect()
 }
 
 fn fmt_perspectives(p: &[&str]) -> String {

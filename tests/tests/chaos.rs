@@ -6,13 +6,14 @@
 use olap_server::chaos::{ChaosProxy, Dir, NetFaultKind, NetFaultSpec};
 use olap_server::{Server, ServerConfig, STATUS_ERR, STATUS_OK, STATUS_QUIT};
 use polap_cli::proto::{self, Client, RetryPolicy};
-use polap_cli::{Dataset, Outcome, Session, SharedData};
+use polap_cli::{Dataset, SharedData};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 use whatif_core::{
     apply_opts, ExecOpts, Mode, OrderPolicy, Scenario, Semantics, Strategy, WhatIfError,
 };
+use whatif_integration_tests::serial_replies;
 
 fn start(dataset: Dataset, cfg: ServerConfig) -> Server {
     let shared = Arc::new(SharedData::load(dataset));
@@ -119,7 +120,7 @@ fn client_retry_heals_a_mid_frame_cut_with_journal_replay() {
             ..ServerConfig::default()
         },
     );
-    // Burst 1 of ServerToClient is the greeting, burst 2 the first
+    // Frame 1 of ServerToClient is the greeting, frame 2 the first
     // reply; cut the third mid-frame — right after the session gained
     // journaled state worth replaying.
     let plan = vec![NetFaultSpec {
@@ -129,23 +130,17 @@ fn client_retry_heals_a_mid_frame_cut_with_journal_replay() {
         kind: NetFaultKind::CutMidFrame,
     }];
     let proxy = ChaosProxy::start(server.addr(), plan).expect("proxy");
-    let script = [
+    let script: Vec<String> = [
         ".fork alt",
         ".apply forward 1,3",
         ".switch main",
         ".apply static 2",
         ".scenarios",
-    ];
+    ]
+    .map(String::from)
+    .into();
     // Faultless oracle: the same script on a direct session.
-    let expected: Vec<String> = {
-        let mut s = Session::attach(Arc::new(SharedData::load(Dataset::Running)));
-        script
-            .iter()
-            .map(|cmd| match s.handle(cmd) {
-                Outcome::Continue(t) | Outcome::Quit(t) | Outcome::Deadline(t) => t,
-            })
-            .collect()
-    };
+    let expected = serial_replies(Dataset::Running, std::slice::from_ref(&script)).remove(0);
     let mut c = Client::connect_with(proxy.addr(), RetryPolicy::retries(6, 9)).unwrap();
     for (cmd, want) in script.iter().zip(&expected) {
         let (status, got) = c.request(cmd).expect("request should heal through retry");
@@ -215,8 +210,8 @@ fn greeting_version_mismatch_is_a_readable_error() {
 }
 
 /// Stall-then-cut mid-frame server-side: the handler is left holding a
-/// length prefix whose payload never arrives, and must free its
-/// admission slot when the cut lands (no slowloris wedge).
+/// frame that never finishes, and must free its admission slot when
+/// the cut lands (no slowloris wedge).
 #[test]
 fn stall_then_cut_frees_the_server_slot() {
     let server = start(
@@ -230,13 +225,13 @@ fn stall_then_cut_frees_the_server_slot() {
     let plan = vec![NetFaultSpec {
         conn: 0,
         dir: Dir::ClientToServer,
-        at: 2,
+        at: 1,
         kind: NetFaultKind::StallThenCut(Duration::from_millis(30)),
     }];
     let proxy = ChaosProxy::start(server.addr(), plan).expect("proxy");
     let mut c = Client::connect(proxy.addr()).unwrap();
-    // Burst 2 client→server carries this request; the proxy forwards
-    // half the frame, stalls, then cuts. The reply never comes.
+    // Frame 1 client→server is this request; the proxy forwards half of
+    // the burst that begins it, stalls, then cuts. The reply never comes.
     let _ = c.request(".apply forward 1,3");
     drop(c);
     wait_for_sessions(&server, 0);

@@ -310,100 +310,95 @@ fn dirty_cube_flushes_through_pool_pressure() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The crash-point matrix of ISSUE 5: for every (checksums ×
-/// compression) configuration, inject a crash after every possible
-/// physical store op during a pool flush. The reopened store must be
-/// cell-identical to exactly the pre-flush or the post-flush image —
-/// never a mix of the two.
+/// The crash-point matrix of ISSUE 5: for both record codecs, inject a
+/// crash after every possible physical store op during a pool flush.
+/// The reopened store must be cell-identical to exactly the pre-flush
+/// or the post-flush image — never a mix of the two.
 #[test]
 fn pool_flush_crash_points_recover_exact_image() {
-    for checksums in [false, true] {
-        for compressed in [false, true] {
-            let tag = format!("crashmat-c{}-z{}", checksums as u8, compressed as u8);
+    for compressed in [false, true] {
+        let tag = format!("crashmat-z{}", compressed as u8);
 
-            // Reference images: four chunks committed up front, then a
-            // second flush that overwrites three and adds a fifth.
-            let pre: BTreeMap<u64, Chunk> =
-                (0..4u64).map(|i| (i, marked_chunk(i as f64))).collect();
-            let mut post = pre.clone();
-            for i in 0..3u64 {
-                post.insert(i, marked_chunk(100.0 + i as f64));
-            }
-            post.insert(9, marked_chunk(999.0));
-            let dirty: Vec<u64> = vec![0, 1, 2, 9];
-
-            // One run of the scenario; `crash_op` of `None` is the dry
-            // run that learns the deterministic op-schedule length.
-            let run = |crash_op: Option<u64>, path: &std::path::Path| -> (bool, u64) {
-                cleanup(path);
-                let mut s = FileStore::create(path).unwrap();
-                s.set_checksums(checksums);
-                s.set_compression(compressed);
-                let pool = BufferPool::new(Box::new(s), 16);
-                for (id, c) in &pre {
-                    pool.put(ChunkId(*id), c.clone()).unwrap();
-                }
-                pool.flush_all().unwrap();
-                let before = {
-                    let guard = pool.store();
-                    guard
-                        .as_any()
-                        .downcast_ref::<FileStore>()
-                        .unwrap()
-                        .phys_ops()
-                };
-                {
-                    let mut guard = pool.store_mut();
-                    let fs = guard.as_any_mut().downcast_mut::<FileStore>().unwrap();
-                    fs.set_crash_after_ops(crash_op);
-                }
-                for id in &dirty {
-                    pool.put(ChunkId(*id), post[id].clone()).unwrap();
-                }
-                let ok = pool.flush_all().is_ok();
-                let ops = {
-                    let guard = pool.store();
-                    guard
-                        .as_any()
-                        .downcast_ref::<FileStore>()
-                        .unwrap()
-                        .phys_ops()
-                        - before
-                };
-                (ok, ops)
-            };
-
-            let dry = tmp(&format!("{tag}-dry"));
-            let (ok, total_ops) = run(None, &dry);
-            assert!(ok, "{tag}: dry run must flush cleanly");
-            cleanup(&dry);
-            assert!(total_ops >= 9, "{tag}: schedule too short: {total_ops}");
-
-            let (mut saw_pre, mut saw_post) = (0u64, 0u64);
-            for k in 0..=total_ops {
-                let path = tmp(&format!("{tag}-k{k}"));
-                let (ok, _) = run(Some(k), &path);
-                assert_eq!(
-                    ok,
-                    k >= total_ops,
-                    "{tag}: k={k} flush outcome out of schedule"
-                );
-                let got = disk_image(&FileStore::open(&path).unwrap());
-                if images_match(&got, &pre) {
-                    saw_pre += 1;
-                } else if images_match(&got, &post) {
-                    saw_post += 1;
-                } else {
-                    panic!("{tag}: k={k} recovered a mixed image: {:?}", got.keys());
-                }
-                if k == total_ops {
-                    assert!(images_match(&got, &post), "{tag}: clean flush lost data");
-                }
-                cleanup(&path);
-            }
-            assert!(saw_pre > 0, "{tag}: no crash point rolled back");
-            assert!(saw_post > 0, "{tag}: no crash point redid the flush");
+        // Reference images: four chunks committed up front, then a
+        // second flush that overwrites three and adds a fifth.
+        let pre: BTreeMap<u64, Chunk> = (0..4u64).map(|i| (i, marked_chunk(i as f64))).collect();
+        let mut post = pre.clone();
+        for i in 0..3u64 {
+            post.insert(i, marked_chunk(100.0 + i as f64));
         }
+        post.insert(9, marked_chunk(999.0));
+        let dirty: Vec<u64> = vec![0, 1, 2, 9];
+
+        // One run of the scenario; `crash_op` of `None` is the dry
+        // run that learns the deterministic op-schedule length.
+        let run = |crash_op: Option<u64>, path: &std::path::Path| -> (bool, u64) {
+            cleanup(path);
+            let mut s = FileStore::create(path).unwrap();
+            s.set_compression(compressed);
+            let pool = BufferPool::new(Box::new(s), 16);
+            for (id, c) in &pre {
+                pool.put(ChunkId(*id), c.clone()).unwrap();
+            }
+            pool.flush_all().unwrap();
+            let before = {
+                let guard = pool.store();
+                guard
+                    .as_any()
+                    .downcast_ref::<FileStore>()
+                    .unwrap()
+                    .phys_ops()
+            };
+            {
+                let mut guard = pool.store_mut();
+                let fs = guard.as_any_mut().downcast_mut::<FileStore>().unwrap();
+                fs.set_crash_after_ops(crash_op);
+            }
+            for id in &dirty {
+                pool.put(ChunkId(*id), post[id].clone()).unwrap();
+            }
+            let ok = pool.flush_all().is_ok();
+            let ops = {
+                let guard = pool.store();
+                guard
+                    .as_any()
+                    .downcast_ref::<FileStore>()
+                    .unwrap()
+                    .phys_ops()
+                    - before
+            };
+            (ok, ops)
+        };
+
+        let dry = tmp(&format!("{tag}-dry"));
+        let (ok, total_ops) = run(None, &dry);
+        assert!(ok, "{tag}: dry run must flush cleanly");
+        cleanup(&dry);
+        assert!(total_ops >= 9, "{tag}: schedule too short: {total_ops}");
+
+        let (mut saw_pre, mut saw_post) = (0u64, 0u64);
+        for k in 0..=total_ops {
+            let path = tmp(&format!("{tag}-k{k}"));
+            let (ok, _) = run(Some(k), &path);
+            assert_eq!(
+                ok,
+                k >= total_ops,
+                "{tag}: k={k} flush outcome out of schedule"
+            );
+            let got = disk_image(&FileStore::open(&path).unwrap());
+            if images_match(&got, &pre) {
+                saw_pre += 1;
+            } else if images_match(&got, &post) {
+                saw_post += 1;
+            } else {
+                panic!("{tag}: k={k} recovered a mixed image: {:?}", got.keys());
+            }
+            if k == total_ops {
+                assert!(images_match(&got, &post), "{tag}: clean flush lost data");
+            }
+            cleanup(&path);
+        }
+        assert!(saw_pre > 0, "{tag}: no crash point rolled back");
+        assert!(saw_post > 0, "{tag}: no crash point redid the flush");
     }
 }
 
@@ -415,77 +410,73 @@ fn pool_flush_crash_points_recover_exact_image() {
 /// op recovers exactly the pre- or post-eviction image, never a mix.
 #[test]
 fn dirty_eviction_crash_points_recover_exact_image() {
-    for checksums in [false, true] {
-        for compressed in [false, true] {
-            let tag = format!("evictmat-c{}-z{}", checksums as u8, compressed as u8);
+    for compressed in [false, true] {
+        let tag = format!("evictmat-z{}", compressed as u8);
 
-            // Reference images: chunks 0 and 1 committed up front; the
-            // eviction writes an updated chunk 0 through.
-            let pre: BTreeMap<u64, Chunk> =
-                (0..2u64).map(|i| (i, marked_chunk(i as f64))).collect();
-            let mut post = pre.clone();
-            post.insert(0, marked_chunk(100.0));
+        // Reference images: chunks 0 and 1 committed up front; the
+        // eviction writes an updated chunk 0 through.
+        let pre: BTreeMap<u64, Chunk> = (0..2u64).map(|i| (i, marked_chunk(i as f64))).collect();
+        let mut post = pre.clone();
+        post.insert(0, marked_chunk(100.0));
 
-            // One run: dirty chunk 0 in a capacity-1 pool, then demand
-            // chunk 1 so the eviction write-through is the only store
-            // write in the armed window. `None` is the dry run that
-            // learns the deterministic op-schedule length.
-            let run = |crash_op: Option<u64>, path: &std::path::Path| -> (bool, u64) {
-                cleanup(path);
-                let mut s = FileStore::create(path).unwrap();
-                s.set_checksums(checksums);
-                s.set_compression(compressed);
-                for (id, c) in &pre {
-                    s.write(ChunkId(*id), c).unwrap();
-                }
-                let before = s.phys_ops();
-                s.set_crash_after_ops(crash_op);
-                let pool = BufferPool::new(Box::new(s), 1);
-                pool.put(ChunkId(0), post[&0].clone()).unwrap();
-                let ok = pool.get(ChunkId(1)).is_ok();
-                let ops = {
-                    let guard = pool.store();
-                    guard
-                        .as_any()
-                        .downcast_ref::<FileStore>()
-                        .unwrap()
-                        .phys_ops()
-                        - before
-                };
-                (ok, ops)
-            };
-
-            let dry = tmp(&format!("{tag}-dry"));
-            let (ok, total_ops) = run(None, &dry);
-            assert!(ok, "{tag}: dry run must evict cleanly");
-            cleanup(&dry);
-            assert!(total_ops >= 2, "{tag}: schedule too short: {total_ops}");
-
-            let (mut saw_pre, mut saw_post) = (0u64, 0u64);
-            for k in 0..=total_ops {
-                let path = tmp(&format!("{tag}-k{k}"));
-                let (ok, _) = run(Some(k), &path);
-                assert_eq!(
-                    ok,
-                    k >= total_ops,
-                    "{tag}: k={k} eviction outcome out of schedule"
-                );
-                let got = disk_image(&FileStore::open(&path).unwrap());
-                if images_match(&got, &pre) {
-                    saw_pre += 1;
-                } else if images_match(&got, &post) {
-                    saw_post += 1;
-                } else {
-                    panic!("{tag}: k={k} recovered a mixed image: {:?}", got.keys());
-                }
-                if k == total_ops {
-                    assert!(images_match(&got, &post), "{tag}: clean eviction lost data");
-                }
-                cleanup(&path);
+        // One run: dirty chunk 0 in a capacity-1 pool, then demand
+        // chunk 1 so the eviction write-through is the only store
+        // write in the armed window. `None` is the dry run that
+        // learns the deterministic op-schedule length.
+        let run = |crash_op: Option<u64>, path: &std::path::Path| -> (bool, u64) {
+            cleanup(path);
+            let mut s = FileStore::create(path).unwrap();
+            s.set_compression(compressed);
+            for (id, c) in &pre {
+                s.write(ChunkId(*id), c).unwrap();
             }
-            assert!(saw_pre > 0, "{tag}: no crash point rolled back");
-            assert!(saw_post > 0, "{tag}: no crash point redid the eviction");
+            let before = s.phys_ops();
+            s.set_crash_after_ops(crash_op);
+            let pool = BufferPool::new(Box::new(s), 1);
+            pool.put(ChunkId(0), post[&0].clone()).unwrap();
+            let ok = pool.get(ChunkId(1)).is_ok();
+            let ops = {
+                let guard = pool.store();
+                guard
+                    .as_any()
+                    .downcast_ref::<FileStore>()
+                    .unwrap()
+                    .phys_ops()
+                    - before
+            };
+            (ok, ops)
+        };
+
+        let dry = tmp(&format!("{tag}-dry"));
+        let (ok, total_ops) = run(None, &dry);
+        assert!(ok, "{tag}: dry run must evict cleanly");
+        cleanup(&dry);
+        assert!(total_ops >= 2, "{tag}: schedule too short: {total_ops}");
+
+        let (mut saw_pre, mut saw_post) = (0u64, 0u64);
+        for k in 0..=total_ops {
+            let path = tmp(&format!("{tag}-k{k}"));
+            let (ok, _) = run(Some(k), &path);
+            assert_eq!(
+                ok,
+                k >= total_ops,
+                "{tag}: k={k} eviction outcome out of schedule"
+            );
+            let got = disk_image(&FileStore::open(&path).unwrap());
+            if images_match(&got, &pre) {
+                saw_pre += 1;
+            } else if images_match(&got, &post) {
+                saw_post += 1;
+            } else {
+                panic!("{tag}: k={k} recovered a mixed image: {:?}", got.keys());
+            }
+            if k == total_ops {
+                assert!(images_match(&got, &post), "{tag}: clean eviction lost data");
+            }
+            cleanup(&path);
         }
+        assert!(saw_pre > 0, "{tag}: no crash point rolled back");
+        assert!(saw_post > 0, "{tag}: no crash point redid the eviction");
     }
 }
 
@@ -508,7 +499,6 @@ mod crash_interleavings {
         /// two adjacent flush boundaries.
         #[test]
         fn random_flush_crash_recovers_a_flush_boundary(
-            checksums in any::<bool>(),
             compressed in any::<bool>(),
             flushes in proptest::collection::vec(
                 proptest::collection::vec((0u64..6, 0u32..1000), 1..5), 1..4),
@@ -518,7 +508,6 @@ mod crash_interleavings {
             let path = tmp(&format!("crashprop-{case}"));
             cleanup(&path);
             let mut s = FileStore::create(&path).unwrap();
-            s.set_checksums(checksums);
             s.set_compression(compressed);
             let pool = BufferPool::new(Box::new(s), 16);
 

@@ -193,10 +193,12 @@ fn kernels_agree_on_all_sparse_chunks() {
 
 #[test]
 fn kernels_agree_on_dense_workforce_relocations() {
-    // Dense chunks (employee_extent 1 packs the varying axis): the
-    // masked-run copy path dominates, and odd axis lengths leave
-    // clipped edge chunks in every dimension.
-    let wf = Workforce::build(WorkforceConfig {
+    // Dense chunks: the masked-run copy path dominates. The small cube
+    // (employee_extent 1 packs the varying axis) has odd axis lengths
+    // that leave clipped edge chunks in every dimension; the wide one
+    // is merge-heavy — a 64 × 4 Account × Scenario cross-section makes
+    // 256-cell runs inside 12288-cell chunks at the default extent.
+    let small = WorkforceConfig {
         employees: 60,
         departments: 5,
         changing: 20,
@@ -204,11 +206,34 @@ fn kernels_agree_on_dense_workforce_relocations() {
         accounts: 3,
         scenarios: 2,
         ..WorkforceConfig::default()
-    });
-    for (tag, moments) in [("two", vec![0u32, 6]), ("three", vec![0, 4, 8])] {
-        let scenario = Scenario::negative(wf.department, moments, Semantics::Forward, Mode::Visual);
-        for threads in [1, 2] {
-            assert_kernels_agree(&wf.cube, &scenario, threads, &format!("workforce {tag}"));
+    };
+    let wide = WorkforceConfig {
+        employees: 400,
+        departments: 12,
+        changing: 120,
+        accounts: 64,
+        scenarios: 4,
+        ..WorkforceConfig::default()
+    };
+    // (The wide cube runs the one scenario at the one thread count its
+    // old `repro` gate ran; thread fan-out is the small cube's job.)
+    for (name, config, moment_sets, thread_counts) in [
+        (
+            "small",
+            small,
+            vec![vec![0u32, 6], vec![0, 4, 8]],
+            vec![1, 2],
+        ),
+        ("wide", wide, vec![vec![0, 6]], vec![1]),
+    ] {
+        let wf = Workforce::build(config);
+        for moments in moment_sets {
+            let tag = format!("{name} workforce {moments:?}");
+            let scenario =
+                Scenario::negative(wf.department, moments, Semantics::Forward, Mode::Visual);
+            for &threads in &thread_counts {
+                assert_kernels_agree(&wf.cube, &scenario, threads, &tag);
+            }
         }
     }
 }

@@ -3,13 +3,14 @@
 //! byte — from analysts taking turns, and one analyst's crash or budget
 //! must never leak into a neighbor's session (DESIGN.md §13).
 
-use olap_server::{Server, ServerConfig, STATUS_ERR, STATUS_OK, STATUS_QUIT};
+use olap_server::{RetryPolicy, Server, ServerConfig, STATUS_ERR, STATUS_OK, STATUS_QUIT};
 use polap_cli::proto::Client;
-use polap_cli::{Dataset, Outcome, Session, SharedData};
+use polap_cli::{Dataset, SharedData};
 use std::io;
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
+use whatif_integration_tests::{
+    connect, drive_sessions, edit_script, first_divergence, serial_replies,
+};
 
 fn start(dataset: Dataset, cache_mb: usize, cfg: ServerConfig) -> Server {
     let mut shared = SharedData::load(dataset);
@@ -19,78 +20,34 @@ fn start(dataset: Dataset, cache_mb: usize, cfg: ServerConfig) -> Server {
     Server::start(Arc::new(shared), "127.0.0.1:0", cfg).expect("bind")
 }
 
-/// The edit script session `i` replays: alternating semantics and
-/// rotating perspective sets, ending in a rollup — every reply is
-/// deterministic by construction.
-fn script(i: usize) -> Vec<String> {
-    const MOMENT_SETS: [&str; 4] = ["1,3", "2,4", "1,4", "3"];
-    let mut cmds = Vec::new();
-    for step in 0..4 {
-        let sem = if (i + step).is_multiple_of(2) {
-            "forward"
-        } else {
-            "static"
-        };
-        cmds.push(format!(
-            ".apply {sem} {}",
-            MOMENT_SETS[(i + step) % MOMENT_SETS.len()]
-        ));
-    }
-    cmds.push(".rollup".to_string());
-    cmds
-}
-
-/// The tentpole guarantee: 32 concurrent sessions hammering one pool and
+/// The tentpole guarantee: concurrent sessions hammering one pool and
 /// one cache get byte-identical answers to a serial replay of the same
-/// scripts on a cache-less private copy.
+/// scripts on a cache-less private copy — 32 analysts on the running
+/// example, 8 on the `bench` workforce (where an `.apply` is real merge
+/// work and the rollup scans a real cube). Replies carry only
+/// deterministic fields, so any cross-session interference — a
+/// poisoned cache entry, a torn eviction, a budget leaking between
+/// sessions — shows up as a diff, not a flake.
 #[test]
 fn thirty_two_concurrent_sessions_match_serial_replay() {
-    const N: usize = 32;
-    // Serial baseline, no cache, sessions take turns.
-    let serial = Arc::new(SharedData::load(Dataset::Running));
-    let expected: Vec<Vec<String>> = (0..N)
-        .map(|i| {
-            let mut s = Session::attach(serial.clone());
-            script(i)
-                .iter()
-                .map(|cmd| match s.handle(cmd) {
-                    Outcome::Continue(t) | Outcome::Quit(t) | Outcome::Deadline(t) => t,
-                })
-                .collect()
-        })
-        .collect();
-
-    let server = start(
-        Dataset::Running,
-        16,
-        ServerConfig {
-            max_sessions: N,
-            ..ServerConfig::default()
-        },
-    );
-    let addr = server.addr();
-    let workers: Vec<_> = (0..N)
-        .map(|i| {
-            thread::spawn(move || -> Vec<String> {
-                let mut c = Client::connect(addr).expect("admitted");
-                let replies = script(i)
-                    .iter()
-                    .map(|cmd| {
-                        let (status, text) = c.request(cmd).expect("request");
-                        assert_eq!(status, STATUS_OK, "{cmd}: {text}");
-                        text
-                    })
-                    .collect();
-                assert_eq!(c.request(".quit").unwrap().0, STATUS_QUIT);
-                replies
-            })
-        })
-        .collect();
-    for (i, w) in workers.into_iter().enumerate() {
-        let replies = w.join().expect("session thread panicked");
-        assert_eq!(replies, expected[i], "session {i} diverged from serial");
+    for (dataset, sessions) in [(Dataset::Running, 32), (Dataset::Bench, 8)] {
+        let scripts: Vec<_> = (0..sessions).map(|i| edit_script(dataset, i)).collect();
+        let expected = serial_replies(dataset, &scripts);
+        let server = start(
+            dataset,
+            64,
+            ServerConfig {
+                max_sessions: sessions,
+                ..ServerConfig::default()
+            },
+        );
+        let runs = drive_sessions(server.addr(), &scripts, &RetryPolicy::default());
+        for (i, run) in runs.iter().enumerate() {
+            assert_eq!(run.stopped, None, "{dataset:?} session {i} stopped early");
+        }
+        assert_eq!(first_divergence(&runs, &expected), None, "{dataset:?}");
+        server.shutdown();
     }
-    server.shutdown();
 }
 
 /// One analyst's panic must not take the cache — or anyone else's
@@ -148,15 +105,7 @@ fn admission_cap_refuses_then_readmits() {
     );
     assert_eq!(only.request(".quit").unwrap().0, STATUS_QUIT);
     // Teardown is asynchronous; the slot frees shortly after the quit.
-    let mut readmitted = loop {
-        match Client::connect(server.addr()) {
-            Ok(c) => break c,
-            Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => panic!("{e}"),
-        }
-    };
+    let mut readmitted = connect(server.addr(), &RetryPolicy::default()).expect("readmitted");
     assert_eq!(readmitted.request(".budget").unwrap().0, STATUS_OK);
     server.shutdown();
 }
@@ -179,15 +128,7 @@ fn escaped_panic_frees_the_admission_slot() {
     let mut victim = Client::connect(server.addr()).unwrap();
     // The connection thread dies unwinding; no reply frame is written.
     assert!(victim.request(".panic-outside").is_err());
-    let mut readmitted = loop {
-        match Client::connect(server.addr()) {
-            Ok(c) => break c,
-            Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => panic!("{e}"),
-        }
-    };
+    let mut readmitted = connect(server.addr(), &RetryPolicy::default()).expect("readmitted");
     assert_eq!(readmitted.request(".budget").unwrap().0, STATUS_OK);
     assert_eq!(readmitted.request(".quit").unwrap().0, STATUS_QUIT);
     server.shutdown();

@@ -5,7 +5,6 @@
 //! (line 'Multiple MDX')."
 
 use olap_mdx::{Grid, QueryContext};
-use olap_store::CellValue;
 use olap_workload::Workforce;
 
 /// Simulates a k-perspective **static** query as k single-perspective
@@ -47,22 +46,4 @@ pub fn merge(mut acc: Grid, other: Grid) -> Grid {
         }
     }
     acc
-}
-
-/// Checks a merged grid covers everything a direct multi-perspective
-/// grid covers (used by the correctness test backing the baseline).
-pub fn covers(direct: &Grid, merged: &Grid) -> bool {
-    for (i, row) in direct.rows.iter().enumerate() {
-        for (c, col) in direct.columns.iter().enumerate() {
-            let d = direct.cells[i][c];
-            if d.is_null() {
-                continue;
-            }
-            match merged.cell(row, col) {
-                Some(CellValue::Num(x)) if CellValue::Num(x) == d => {}
-                _ => return false,
-            }
-        }
-    }
-    true
 }

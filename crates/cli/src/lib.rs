@@ -588,7 +588,7 @@ impl Session {
                     }
                 }
                 // Run it and surface the executor's report.
-                match olap_mdx::execute_with_report(&self.context(), query) {
+                match olap_mdx::evaluate_full(&self.context(), &parsed) {
                     Ok((grid, report)) => {
                         let _ = writeln!(
                             out,
@@ -600,7 +600,9 @@ impl Session {
                         if let Some(r) = report {
                             let _ = writeln!(
                                 out,
-                                "executor: {} pass(es), {} chunk reads, merge graph                                  {}/{} (nodes/edges), predicted pebbles {}, peak                                  buffers {}, {} cells relocated, {} dropped",
+                                "executor: {} pass(es), {} chunk reads, merge graph \
+                                 {}/{} (nodes/edges), predicted pebbles {}, peak \
+                                 buffers {}, {} cells relocated, {} dropped",
                                 r.passes,
                                 r.chunks_read,
                                 r.graph_nodes,
@@ -1154,7 +1156,12 @@ mod tests {
             Outcome::Continue(t) => {
                 assert!(t.contains("algebra:"), "{t}");
                 assert!(t.contains("2 pass(es)"), "{t}");
-                assert!(t.contains("predicted pebbles"), "{t}");
+                assert!(t.contains("merge graph 2/1 (nodes/edges)"), "{t}");
+                assert!(t.contains("predicted pebbles 2, peak buffers 2"), "{t}");
+                // `algebra:` pads on purpose, to line up with `optimized:`.
+                for line in t.lines().filter(|l| !l.starts_with("algebra:")) {
+                    assert!(!line.contains("  "), "{line}");
+                }
             }
             other => panic!("{other:?}"),
         }

@@ -394,12 +394,6 @@ impl Client {
         Ok(c)
     }
 
-    /// Sets the retry policy on an existing client.
-    pub fn set_retry(&mut self, retry: RetryPolicy) {
-        self.jitter = retry.seed | 1;
-        self.retry = retry;
-    }
-
     /// One TCP connect + greeting handshake. Returns the stream and the
     /// greeting text after the version prefix.
     fn open(addrs: &[SocketAddr]) -> io::Result<(TcpStream, String)> {

@@ -99,22 +99,12 @@ pub struct ExecReport {
 /// (gated by the `run_kernels` equivalence suite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
-    /// Cell-at-a-time loops (the oracle).
+    /// Cell-at-a-time loops (the oracle): `tests/tests/run_kernels.rs`
+    /// holds `Runs` to it bit for bit.
     Scalar,
     /// Run-decomposed branch-free loops (DESIGN.md §15).
     #[default]
     Runs,
-}
-
-impl KernelKind {
-    /// Parses the `--kernel` flag value.
-    pub fn parse(s: &str) -> Option<KernelKind> {
-        match s {
-            "scalar" => Some(KernelKind::Scalar),
-            "runs" => Some(KernelKind::Runs),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for KernelKind {

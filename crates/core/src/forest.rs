@@ -207,16 +207,6 @@ impl ScenarioForest {
         &self.forks[self.current].name
     }
 
-    /// Number of forks (including the root).
-    pub fn len(&self) -> usize {
-        self.forks.len()
-    }
-
-    /// Always false — the root fork is permanent.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     fn index_of(&self, name: &str) -> Option<usize> {
         self.forks.iter().position(|f| f.name == name)
     }

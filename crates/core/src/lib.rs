@@ -49,9 +49,7 @@ pub use exec::{execute_passes_opts, ExecOpts, ExecReport, KernelKind, OrderPolic
 pub use fingerprint::{positive_fingerprint, Fnv64};
 pub use forest::{CowChanges, ForestError, ForkRow, ScenarioForest};
 pub use merge::MergeGraph;
-pub use operators::{
-    reallocate, relocate, select, split, CmpOp, DestMap, EvalOp, Predicate, Reallocation,
-};
+pub use operators::{relocate, select, split, CmpOp, DestMap, EvalOp, Predicate};
 pub use optimize::{optimize, OptimizeReport};
 pub use perspective::{Mode, PerspectiveSpec, Semantics};
 pub use perspective_cube::{apply, apply_default, apply_opts, WhatIfResult};

@@ -2,14 +2,12 @@
 //! S (split), and E (eval). Φ lives in [`crate::phi()`].
 
 pub mod eval_op;
-pub mod reallocate;
 pub mod relocate;
 pub mod select;
 pub mod split;
 mod stage;
 
 pub use eval_op::EvalOp;
-pub use reallocate::{reallocate, Reallocation};
 pub use relocate::{relocate, DestMap};
 pub use select::{select, CmpOp, Predicate};
 pub use split::split;

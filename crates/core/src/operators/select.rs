@@ -87,11 +87,6 @@ impl Predicate {
         Predicate::And(Box::new(self), Box::new(rhs))
     }
 
-    /// `self ∨ rhs`.
-    pub fn or(self, rhs: Predicate) -> Predicate {
-        Predicate::Or(Box::new(self), Box::new(rhs))
-    }
-
     /// `¬self`.
     pub fn negate(self) -> Predicate {
         Predicate::Not(Box::new(self))

@@ -2,7 +2,7 @@
 //!
 //! Negative scenarios have been cached since PR 6 ([`crate::cache`]
 //! keys perspective components by fingerprint), but positive scenarios
-//! — which *rebuild the varying axis* via [`crate::operators::split`] —
+//! — which *rebuild the varying axis* via [`crate::operators::split()`] —
 //! were recomputed on every `.apply`, even though a fork replaying the
 //! same change relation produces a bit-identical result every time
 //! (split is a pure function of the base cube and the change set).
@@ -61,6 +61,10 @@ pub struct SplitMemoStats {
 
 /// A keyed store of memoized split results. Thread-safe; shared per
 /// session (or wider) behind an `Arc`.
+/// Not folded into [`crate::ScenarioCache`]: that one keys
+/// `(chunk, component digest)` entries under a byte-bounded LRU, while
+/// this one keys whole split cubes by fingerprint and flush epoch and
+/// clears at `MEMO_CAP` entries.
 #[derive(Debug, Default)]
 pub struct SplitMemo {
     inner: Mutex<HashMap<u64, Arc<SplitResult>>>,

@@ -37,31 +37,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// retained dimensions' full axes.
 #[derive(Debug, Clone)]
 pub struct GroupByResult {
-    mask: GroupByMask,
     dims: Vec<usize>,
     shape: Vec<u32>,
     accs: Vec<Acc>,
 }
 
 impl GroupByResult {
-    fn new(mask: GroupByMask, dims: Vec<usize>, shape: Vec<u32>) -> Self {
+    fn new(dims: Vec<usize>, shape: Vec<u32>) -> Self {
         let n: usize = shape.iter().map(|&s| s as usize).product::<usize>().max(1);
         GroupByResult {
-            mask,
             dims,
             shape,
             accs: vec![Acc::new(); n],
         }
-    }
-
-    /// The mask this result answers.
-    pub fn mask(&self) -> GroupByMask {
-        self.mask
-    }
-
-    /// Retained dimensions, ascending.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
     }
 
     /// Axis lengths of the retained dimensions.
@@ -278,16 +266,6 @@ impl<'a> CubeAggregator<'a> {
         &self.order
     }
 
-    /// The configured prefetch lookahead.
-    pub fn prefetch(&self) -> usize {
-        self.prefetch
-    }
-
-    /// The configured parallelism degree.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Zhao et al.'s multi-pass fallback: "If the available memory falls
     /// short of the requirement determined from the MMST, then instead of
     /// one pass, we must make multiple passes over the input cube."
@@ -447,7 +425,7 @@ impl<'a> CubeAggregator<'a> {
             }
             if spec.requested {
                 let shape = spec.dims.iter().map(|&d| geom.lens()[d]).collect();
-                nodes[ni].result = Some(GroupByResult::new(spec.mask, spec.dims.clone(), shape));
+                nodes[ni].result = Some(GroupByResult::new(spec.dims.clone(), shape));
             }
         }
         let report = self.scan(specs, &mut nodes, subtrees, gauge)?;

@@ -73,6 +73,8 @@ impl IcebergCube {
 /// 1 computes the full sparse cube. The apex (∅ mask) is always
 /// evaluated; descendants of a pruned partition are never visited — the
 /// anti-monotonicity of COUNT that makes BUC fast on sparse data.
+/// Kept as an oracle: `tests/tests/aggregation.rs` checks the dense
+/// cascade against it.
 pub fn buc(cube: &Cube, min_support: u64) -> Result<IcebergCube> {
     let ndims = cube.geometry().ndims();
     assert!(ndims <= 31, "mask width");

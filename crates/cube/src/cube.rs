@@ -60,12 +60,6 @@ impl CubeBuilder {
         })
     }
 
-    /// Uniform chunk extent along every axis.
-    pub fn with_uniform_extent(schema: Arc<Schema>, extent: u32) -> Result<Self> {
-        let n = schema.dim_count();
-        CubeBuilder::new(schema, vec![extent; n])
-    }
-
     /// Chooses the storage backend (default: memory).
     pub fn backend(mut self, b: StoreBackend) -> Self {
         self.backend = b;
@@ -104,11 +98,6 @@ impl CubeBuilder {
     /// Stages a numeric value (convenience).
     pub fn set_num(&mut self, cell: &[u32], v: f64) -> Result<()> {
         self.set(cell, CellValue::num(v))
-    }
-
-    /// Number of staged chunks so far.
-    pub fn staged_chunks(&self) -> usize {
-        self.staged.len()
     }
 
     /// Compacts staged chunks and writes them to the backend.
@@ -184,11 +173,6 @@ impl Cube {
     /// Replaces the rule set (rules are metadata, not cell data).
     pub fn set_rules(&mut self, rules: RuleSet) {
         self.rules = rules;
-    }
-
-    /// Density threshold used when writing chunks.
-    pub fn dense_threshold(&self) -> f64 {
-        self.dense_threshold
     }
 
     /// Reads a leaf cell by global slot coordinates.

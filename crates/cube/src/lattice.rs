@@ -79,17 +79,6 @@ impl Lattice {
     pub fn dims_of(&self, g: GroupByMask) -> Vec<usize> {
         (0..self.n).filter(|&d| g & (1 << d) != 0).collect()
     }
-
-    /// Renders a mask as dimension letters (`"AC"` for dims {0, 2}).
-    pub fn mask_name(&self, g: GroupByMask) -> String {
-        if g == 0 {
-            return "∅".to_string();
-        }
-        self.dims_of(g)
-            .into_iter()
-            .map(|d| (b'A' + d as u8) as char)
-            .collect()
-    }
 }
 
 /// Zhao et al.'s memory rule, in chunks: reading base chunks with
@@ -151,7 +140,6 @@ pub fn min_memory_order(geom: &ChunkGeometry) -> Vec<usize> {
 #[derive(Debug, Clone)]
 pub struct Mmst {
     lattice: Lattice,
-    order: Vec<usize>,
     /// `parent[g]` for every proper mask; the full mask is the root.
     parent: HashMap<GroupByMask, GroupByMask>,
     /// Buffer memory (cells) per mask under the chosen order.
@@ -191,7 +179,6 @@ impl Mmst {
         }
         Mmst {
             lattice,
-            order: order.to_vec(),
             parent,
             mem_cells,
         }
@@ -202,26 +189,9 @@ impl Mmst {
         self.lattice
     }
 
-    /// The read order the tree was built for.
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
     /// The tree parent of a proper mask.
     pub fn parent(&self, g: GroupByMask) -> Option<GroupByMask> {
         self.parent.get(&g).copied()
-    }
-
-    /// Tree children of a mask.
-    pub fn tree_children(&self, g: GroupByMask) -> Vec<GroupByMask> {
-        let mut c: Vec<GroupByMask> = self
-            .parent
-            .iter()
-            .filter(|(_, &p)| p == g)
-            .map(|(&m, _)| m)
-            .collect();
-        c.sort_unstable();
-        c
     }
 
     /// The group-bys a cascade must compute to answer `masks`: the
@@ -317,8 +287,6 @@ mod tests {
         assert_eq!(l.parents(0b001), vec![0b011, 0b101]);
         assert_eq!(l.children(0b011), vec![0b010, 0b001]);
         assert_eq!(l.dims_of(0b101), vec![0, 2]);
-        assert_eq!(l.mask_name(0b101), "AC");
-        assert_eq!(l.mask_name(0), "∅");
         assert_eq!(l.proper_masks().len(), 7);
     }
 
@@ -375,16 +343,6 @@ mod tests {
         let g = ChunkGeometry::uniform(vec![2, 100, 100], 2).unwrap();
         let t = Mmst::build(&g, &[0, 1, 2]);
         assert_eq!(t.parent(0), Some(0b001));
-    }
-
-    #[test]
-    fn tree_children_inverse_of_parent() {
-        let g = fig6();
-        let t = Mmst::build(&g, &[0, 1, 2]);
-        for m in t.lattice().proper_masks() {
-            let p = t.parent(m).unwrap();
-            assert!(t.tree_children(p).contains(&m));
-        }
     }
 
     #[test]

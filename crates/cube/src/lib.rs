@@ -27,7 +27,6 @@ pub mod error;
 pub mod eval;
 pub mod lattice;
 pub mod rules;
-pub mod views;
 
 pub use aggregate::{CubeAggregator, GroupByResult};
 pub use buc::{buc, IcebergCube};
@@ -36,7 +35,6 @@ pub use error::CubeError;
 pub use eval::{CellEvaluator, Sel};
 pub use lattice::{GroupByMask, Lattice, Mmst};
 pub use rules::{AggFn, Expr, FormulaRule, RuleSet};
-pub use views::{estimate_sizes, greedy_select_views, materialize, ViewSelection};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CubeError>;

@@ -248,11 +248,6 @@ impl RuleSet {
         self.formulas.push(rule);
     }
 
-    /// All formulas (insertion order).
-    pub fn formulas(&self) -> &[FormulaRule] {
-        &self.formulas
-    }
-
     /// Candidate formulas for a target measure, most specific scope first
     /// (later insertion breaks ties).
     pub fn candidates(&self, target: MemberId) -> Vec<&FormulaRule> {

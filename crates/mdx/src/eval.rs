@@ -56,23 +56,7 @@ impl<'a> QueryContext<'a> {
 
 /// Parses and evaluates a query.
 pub fn execute(ctx: &QueryContext<'_>, src: &str) -> Result<Grid> {
-    let query = parse(src)?;
-    evaluate(ctx, &query)
-}
-
-/// Like [`execute`], also returning the what-if executor's report (pass
-/// count, chunks read, predicted pebbles, …) when a `WITH` clause ran.
-pub fn execute_with_report(
-    ctx: &QueryContext<'_>,
-    src: &str,
-) -> Result<(Grid, Option<whatif_core::ExecReport>)> {
-    let query = parse(src)?;
-    evaluate_full(ctx, &query)
-}
-
-/// Evaluates a parsed query.
-pub fn evaluate(ctx: &QueryContext<'_>, query: &Query) -> Result<Grid> {
-    evaluate_full(ctx, query).map(|(g, _)| g)
+    evaluate_full(ctx, &parse(src)?).map(|(g, _)| g)
 }
 
 /// Evaluates a parsed query, returning the grid plus the scenario

@@ -90,13 +90,6 @@ impl BitSet {
         self.trim();
     }
 
-    /// Removes every ordinal.
-    pub fn clear(&mut self) {
-        for w in &mut self.words {
-            *w = 0;
-        }
-    }
-
     /// Number of ordinals in the set.
     pub fn count(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()

@@ -76,11 +76,6 @@ impl Dimension {
         self.is_measure
     }
 
-    /// The root member id (always `MemberId::ROOT`).
-    pub fn root(&self) -> MemberId {
-        MemberId::ROOT
-    }
-
     /// Adds a member under `parent`. Sibling names must be unique.
     pub fn add_member(&mut self, name: &str, parent: MemberId) -> Result<MemberId> {
         if parent.index() >= self.members.len() {

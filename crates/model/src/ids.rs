@@ -66,14 +66,6 @@ impl InstanceId {
     }
 }
 
-impl AxisSlot {
-    /// Axis position as `usize`.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 impl fmt::Debug for DimensionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Dim({})", self.0)

@@ -114,23 +114,10 @@ impl Schema {
         self.varying_of.get(&dim).map(|&i| &self.varying[i])
     }
 
-    /// Mutable access to varying metadata.
-    pub fn varying_mut(&mut self, dim: DimensionId) -> Option<&mut VaryingDimension> {
-        match self.varying_of.get(&dim) {
-            Some(&i) => Some(&mut self.varying[i]),
-            None => None,
-        }
-    }
-
     /// Checked varying lookup.
     pub fn try_varying(&self, dim: DimensionId) -> Result<&VaryingDimension> {
         self.varying(dim)
             .ok_or_else(|| ModelError::NotVarying(self.dim(dim).name().to_string()))
-    }
-
-    /// All registered varying dimensions.
-    pub fn varying_dims(&self) -> &[VaryingDimension] {
-        &self.varying
     }
 
     /// Is `dim` varying?
@@ -288,11 +275,6 @@ impl Schema {
                     .collect()
             }
         }
-    }
-
-    /// Axis slots of a varying dimension, as instance ids.
-    pub fn instance_of_slot(&self, dim: DimensionId, slot: AxisSlot) -> Option<InstanceId> {
-        self.varying(dim).map(|_| InstanceId(slot.0))
     }
 
     /// Human-readable axis slot label (`"FTE/Joe"` or `"Jan"`).

@@ -54,12 +54,6 @@ impl ValiditySet {
         Self::interval(moments, from, moments)
     }
 
-    /// Number of leaf members of the parameter dimension.
-    #[inline]
-    pub fn moments(&self) -> u32 {
-        self.bits.capacity()
-    }
-
     /// Is the instance valid at `t`?
     #[inline]
     pub fn is_valid_at(&self, t: Moment) -> bool {
@@ -70,12 +64,6 @@ impl ValiditySet {
     #[inline]
     pub fn add(&mut self, t: Moment) {
         self.bits.insert(t);
-    }
-
-    /// Marks the instance invalid at `t`.
-    #[inline]
-    pub fn drop(&mut self, t: Moment) {
-        self.bits.remove(t);
     }
 
     /// Number of valid moments.
@@ -123,21 +111,6 @@ impl ValiditySet {
     /// In-place difference.
     pub fn difference_with(&mut self, other: &ValiditySet) {
         self.bits.difference_with(&other.bits);
-    }
-
-    /// `true` if every moment of `self` is in `other`.
-    pub fn is_subset(&self, other: &ValiditySet) -> bool {
-        self.bits.is_subset(&other.bits)
-    }
-
-    /// Direct access to the underlying bit set (for bulk operators like Φ).
-    pub fn bits(&self) -> &BitSet {
-        &self.bits
-    }
-
-    /// Wraps a raw bit set as a validity set.
-    pub fn from_bits(bits: BitSet) -> Self {
-        ValiditySet { bits }
     }
 
     /// Renders as `{Jan, Feb, ...}` given moment names, for diagnostics.

@@ -232,11 +232,6 @@ impl VaryingDimension {
         }
     }
 
-    /// Whether any explicit timeline exists for `member`.
-    pub fn has_timeline(&self, member: MemberId) -> bool {
-        self.timelines.contains_key(&member)
-    }
-
     /// Recomputes the instance table from the timelines.
     ///
     /// Instances are numbered per leaf in order of first valid moment, and

@@ -21,7 +21,9 @@
 //! Offsets compress with LEB128 deltas (dense runs cost one byte per
 //! cell); the constant-value case collapses the value payload entirely.
 //! [`decode_any`] dispatches on magic so OLC1 and OLC2 records coexist in
-//! one store file.
+//! one store file. `FileStore` writes only OLC1; it reads the OLC2
+//! records of older files, and tests use [`encode_compressed`] to
+//! hand-write such records.
 
 use crate::chunk::{Chunk, ChunkData};
 use crate::codec;

@@ -167,11 +167,6 @@ impl FaultStore {
         self.reads_seen.load(Ordering::Relaxed)
     }
 
-    /// Writes attempted so far (including faulted ones).
-    pub fn writes_seen(&self) -> u64 {
-        self.writes_seen.load(Ordering::Relaxed)
-    }
-
     /// Faults that actually fired.
     pub fn faults_injected(&self) -> u64 {
         self.faults_injected.load(Ordering::Relaxed)
@@ -180,16 +175,6 @@ impl FaultStore {
     /// The wrapped store.
     pub fn inner(&self) -> &dyn ChunkStore {
         self.inner.as_ref()
-    }
-
-    /// The wrapped store, mutably.
-    pub fn inner_mut(&mut self) -> &mut dyn ChunkStore {
-        self.inner.as_mut()
-    }
-
-    /// Unwraps, returning the inner store.
-    pub fn into_inner(self) -> Box<dyn ChunkStore> {
-        self.inner
     }
 
     /// The first scheduled fault firing on the `n`-th op of class `op`.

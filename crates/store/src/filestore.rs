@@ -174,11 +174,6 @@ pub struct FileStore {
     stats: IoStats,
     last_read_end: AtomicU64,
     seek_model: Option<SeekModel>,
-    /// Write new records with the OLC2 compressed codec (reads always
-    /// auto-detect, so mixed files are fine). Either way every new
-    /// record carries the OLC3 checksum envelope; plain OLC1/OLC2
-    /// records from older files are still read.
-    compress: bool,
     /// Set when [`FileStore::open`] truncated a torn tail.
     tail_recovery: Option<TailRecovery>,
     /// The sidecar commit-record WAL, opened lazily on first
@@ -235,7 +230,6 @@ impl FileStore {
             stats: IoStats::default(),
             last_read_end: AtomicU64::new(0),
             seek_model: None,
-            compress: false,
             tail_recovery: None,
             wal: None,
             epoch: 0,
@@ -428,13 +422,7 @@ impl FileStore {
 
         let mut index = BTreeMap::new();
         let mut dead = 0u64;
-        // Carry the compression mode across reopen: the codec of the
-        // last (most recently appended) record decides. Reads always
-        // auto-detect per record, so mixed files stay valid either way.
-        let mut last_compressed = false;
         for rec in &recs {
-            let payload = &bytes[rec.payload_start..rec.payload_end];
-            last_compressed = compress::is_compressed(payload);
             let len = (rec.payload_end - rec.payload_start) as u32;
             if let Some((_, old_len)) =
                 index.insert(ChunkId(rec.id), (rec.payload_start as u64, len))
@@ -451,7 +439,6 @@ impl FileStore {
             stats: IoStats::default(),
             last_read_end: AtomicU64::new(0),
             seek_model: None,
-            compress: last_compressed,
             tail_recovery,
             wal: None,
             epoch,
@@ -462,17 +449,6 @@ impl FileStore {
             phys_ops: 0,
             repl: None,
         })
-    }
-
-    /// Enables/disables OLC2 compression for subsequent writes (Section 8
-    /// future work: "compression of perspective cubes").
-    pub fn set_compression(&mut self, on: bool) {
-        self.compress = on;
-    }
-
-    /// Whether subsequent writes use the OLC2 compressed codec.
-    pub fn compression(&self) -> bool {
-        self.compress
     }
 
     /// What [`FileStore::open`] salvaged if the file had a torn tail;
@@ -897,12 +873,7 @@ impl ChunkStore for FileStore {
     }
 
     fn write(&mut self, id: ChunkId, chunk: &Chunk) -> Result<()> {
-        let inner = if self.compress {
-            compress::encode_compressed(chunk)?
-        } else {
-            codec::encode(chunk)?
-        };
-        let payload = integrity::wrap_checksummed(&inner);
+        let payload = integrity::wrap_checksummed(&codec::encode(chunk)?);
         let len = codec::count_u32(payload.len(), "record payload")?;
         let payload_off = self.end + REC_HEADER as u64;
         // Inside a flush transaction the payload goes to the sidecar
@@ -1219,35 +1190,6 @@ mod tests {
             tmp_path.display()
         );
         // The original file is untouched and still readable.
-        assert_eq!(s.read(ChunkId(2)).unwrap().get(0), CellValue::Num(2.0));
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Regression: reopening a store written with compression used to
-    /// silently reset the flag, so later writes reverted to OLC1.
-    #[test]
-    fn compression_mode_survives_reopen() {
-        let path = tmp("reopen-compress");
-        {
-            let mut s = FileStore::create(&path).unwrap();
-            assert!(!s.compression());
-            s.set_compression(true);
-            s.write(ChunkId(1), &chunk(1.0)).unwrap();
-        }
-        {
-            let s = FileStore::open(&path).unwrap();
-            assert!(s.compression(), "compress flag lost across reopen");
-        }
-        // An uncompressed last record carries `false` over instead.
-        {
-            let mut s = FileStore::open(&path).unwrap();
-            s.set_compression(false);
-            s.write(ChunkId(2), &chunk(2.0)).unwrap();
-        }
-        let s = FileStore::open(&path).unwrap();
-        assert!(!s.compression());
-        // Mixed-codec files stay readable either way.
-        assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(1.0));
         assert_eq!(s.read(ChunkId(2)).unwrap().get(0), CellValue::Num(2.0));
         std::fs::remove_file(&path).ok();
     }

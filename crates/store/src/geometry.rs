@@ -118,15 +118,6 @@ impl ChunkGeometry {
         self.extents.iter().map(|&e| e as u64).product()
     }
 
-    /// The chunk-grid coordinate containing a global cell.
-    pub fn chunk_coord_of_cell(&self, cell: &[u32]) -> ChunkCoord {
-        debug_assert_eq!(cell.len(), self.ndims());
-        cell.iter()
-            .zip(&self.extents)
-            .map(|(&c, &e)| c / e)
-            .collect()
-    }
-
     /// Canonical id of a chunk coordinate (row-major, last axis fastest).
     pub fn chunk_id(&self, coord: &[u32]) -> ChunkId {
         debug_assert_eq!(coord.len(), self.ndims());

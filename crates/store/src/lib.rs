@@ -35,7 +35,7 @@ pub mod value;
 pub mod wal;
 
 pub use chunk::{Chunk, ChunkData, PresentCells};
-pub use compress::{compression_ratio, decode_any, encode_compressed, is_compressed};
+pub use compress::{decode_any, encode_compressed};
 pub use error::StoreError;
 pub use fault::{FaultKind, FaultOp, FaultSpec, FaultStore};
 pub use filestore::{FileStore, ReplApply, SeekModel, TailRecovery};

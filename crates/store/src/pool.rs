@@ -876,7 +876,8 @@ impl BufferPool {
 
     /// Enables/disables fsync-on-flush (off by default: in-memory
     /// stores have nothing to sync and benchmarks shouldn't pay for
-    /// durability they don't measure).
+    /// durability they don't measure). No caller today; kept because it
+    /// guards the fsync that makes a flush survive a crash.
     pub fn set_durable_flush(&self, on: bool) {
         self.inner.durable_flush.store(on, Ordering::Relaxed);
     }

@@ -8,15 +8,15 @@
 //! closes that torn-update hazard with an ARIES-style redo log (Mohan
 //! et al., TODS '92), radically simplified by the append-only main log:
 //!
-//! * [`FileStore::begin_flush`](crate::FileStore::begin_flush) appends a
-//!   `BEGIN` record carrying the flush epoch and the main log's
+//! * `FileStore`'s [`ChunkStore::begin_flush`](crate::ChunkStore::begin_flush)
+//!   appends a `BEGIN` record carrying the flush epoch and the main log's
 //!   pre-flush end offset;
 //! * every chunk record written inside the flush window is first
 //!   appended to the WAL (`CHUNK`: epoch, chunk id, destination offset,
 //!   and the *exact payload bytes* destined for the main log), and only
 //!   then to the main log itself;
-//! * [`FileStore::commit_flush`](crate::FileStore::commit_flush) fsyncs
-//!   the WAL (making every staged payload durable), appends a `COMMIT`
+//! * `FileStore`'s [`ChunkStore::commit_flush`](crate::ChunkStore::commit_flush)
+//!   fsyncs the WAL (making every staged payload durable), appends a `COMMIT`
 //!   record, and fsyncs again. The commit record is the atomicity
 //!   point: it cannot become durable before the payloads it promises.
 //!
@@ -167,7 +167,6 @@ pub(crate) fn fsync_dir(path: &Path) -> Result<()> {
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
     len: u64,
     /// Whether [`Wal::open_or_create`] created the file (as opposed to
     /// opening an existing sidecar).
@@ -194,12 +193,7 @@ impl Wal {
             fsync_dir(&path)?;
         }
         let len = file.metadata()?.len();
-        Ok(Wal {
-            file,
-            path,
-            len,
-            created,
-        })
+        Ok(Wal { file, len, created })
     }
 
     /// Whether [`Wal::open_or_create`] created the file.
@@ -215,11 +209,6 @@ impl Wal {
     /// Whether the WAL holds no records.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The WAL file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Frames `inner` in the OLC3 envelope and appends it. Returns the
@@ -272,7 +261,7 @@ impl Wal {
 }
 
 /// Frames one record's inner payload in the OLC3 envelope plus the
-/// `u32` length prefix — the exact bytes [`Wal::append_inner`] writes.
+/// `u32` length prefix — the exact bytes a WAL append writes.
 /// Pure so replication can build shipped transaction frames without a
 /// WAL file.
 pub fn encode_record(inner: &[u8]) -> Result<Vec<u8>> {

@@ -15,6 +15,9 @@
 //! then what a Type-2 user must do for a what-if: re-implement the
 //! forward semantics *client-side* over the side table, touching the cube
 //! cell by cell — the baseline the paper's native perspectives replace.
+//! Kept: `examples/type2_comparison.rs` runs it, and
+//! `client_side_simulation_matches_native_perspectives` holds it to
+//! `apply_default`.
 
 use olap_cube::Cube;
 use olap_model::{DimensionId, MemberId, Moment, Schema, ValiditySet};

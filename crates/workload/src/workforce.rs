@@ -336,12 +336,6 @@ impl Workforce {
         }
     }
 
-    /// The employees with more than one instance, exactly as the
-    /// experiments select them.
-    pub fn changing_employees(&self) -> Vec<MemberId> {
-        self.movers.iter().map(|&(m, _)| m).collect()
-    }
-
     /// Changers with exactly `n` reporting-structure changes.
     pub fn movers_with_moves(&self, n: u32) -> Vec<MemberId> {
         self.movers

@@ -25,6 +25,10 @@ cargo test -q
 step "clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+step "rustdoc (-D warnings)"
+# A deletion must never leave a dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 step "concurrency flake gate (10x)"
 # The pool prefetcher, the parallel executors and aggregation workers,
 # the shared scenario cache, the fault-injection suite and the WAL crash

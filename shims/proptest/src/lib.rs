@@ -496,7 +496,7 @@ pub mod collection {
         VecStrategy { element, lo, hi }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         lo: usize,

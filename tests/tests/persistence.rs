@@ -122,120 +122,77 @@ fn reorganize_preserves_query_results() {
     std::fs::remove_file(&path).ok();
 }
 
-#[test]
-fn compressed_store_roundtrips_and_shrinks() {
-    // Rewrite a workforce store with OLC2 compression on; contents are
-    // identical and the file is smaller (workload values repeat a lot).
-    let path = tmp("compress");
-    let wf = file_workforce(&path);
-    wf.cube.flush().unwrap();
-    let (plain_size, total) = wf.cube.with_pool(|pool| {
-        let guard = pool.store();
-        let store = guard.as_any().downcast_ref::<FileStore>().unwrap();
-        (store.file_size(), 0.0)
-    });
-    let _ = total;
-    let expected = wf.cube.total_sum().unwrap();
-    wf.cube.with_pool(|pool| {
-        pool.clear().unwrap();
-        let ids = pool.store().ids();
-        let mut guard = pool.store_mut();
-        let store = guard.as_any_mut().downcast_mut::<FileStore>().unwrap();
-        store.set_compression(true);
-        // Rewrite every chunk compressed, then defragment.
-        for id in &ids {
-            let c = store.read(*id).unwrap();
-            store.write(*id, &c).unwrap();
-        }
-        store.reorganize(&ids).unwrap();
-        assert!(
-            store.file_size() < plain_size,
-            "compressed {} !< plain {}",
-            store.file_size(),
-            plain_size
-        );
-    });
-    assert!((wf.cube.total_sum().unwrap() - expected).abs() < 1e-9);
-    std::fs::remove_file(&path).ok();
-}
-
-/// The torn-tail matrix of ISSUE 4: for OLC1 and OLC2/compressed files
-/// (both carrying the OLC3 checksum envelope), tear the log mid-header,
-/// mid-payload, and exactly at a record boundary. Every record written
-/// before the tear must survive the reopen, bit for bit.
+/// The torn-tail matrix of ISSUE 4: tear an OLC3-enveloped log
+/// mid-header, mid-payload, and exactly at a record boundary. Every
+/// record written before the tear must survive the reopen, bit for bit.
 #[test]
 fn torn_tail_matrix_recovers_pre_tear_records() {
     const REC_HEADER: u64 = 12; // chunk id u64 + payload len u32
 
-    for compressed in [false, true] {
-        let codec = if compressed { "olc2" } else { "olc1" };
-        let base = tmp(&format!("torn-{codec}"));
-        let mut payload_offsets = Vec::new();
-        {
-            let mut s = FileStore::create(&base).unwrap();
-            s.set_compression(compressed);
-            for i in 0..5u64 {
-                let mut c = Chunk::new_dense(vec![8]);
-                for j in 0..8u32 {
-                    c.set(j, CellValue::num((i * 8) as f64 + j as f64));
-                }
-                s.write(ChunkId(i), &c).unwrap();
-            }
-            for i in 0..5u64 {
-                payload_offsets.push(s.offset_of(ChunkId(i)).unwrap());
-            }
-        }
-        let bytes = std::fs::read(&base).unwrap();
-        let last_start = payload_offsets[4] - REC_HEADER;
-
-        // (tear description, bytes kept, records expected after reopen)
-        let cases = [
-            ("mid-header", last_start + 5, 4u64),
-            ("mid-payload", payload_offsets[4] + 3, 4),
-            ("boundary", last_start, 4),
-        ];
-        for (what, cut, keep) in cases {
-            let torn = tmp(&format!("torn-{codec}-{what}"));
-            std::fs::write(&torn, &bytes[..cut as usize]).unwrap();
-            let s = FileStore::open(&torn)
-                .unwrap_or_else(|e| panic!("{codec}/{what}: open failed: {e}"));
-            assert_eq!(s.chunk_count() as u64, keep, "{codec}/{what}");
-            for i in 0..keep {
-                let c = s.read(ChunkId(i)).unwrap();
-                for j in 0..8u32 {
-                    assert_eq!(
-                        c.get(j),
-                        CellValue::Num((i * 8) as f64 + j as f64),
-                        "{codec}/{what}: chunk {i} cell {j} damaged"
-                    );
-                }
-            }
-            if cut == last_start {
-                // A boundary cut leaves a perfectly clean (shorter)
-                // file — nothing to recover, nothing to report.
-                assert!(s.tail_recovery().is_none(), "{codec}/{what}");
-            } else {
-                let tr = s
-                    .tail_recovery()
-                    .unwrap_or_else(|| panic!("{codec}/{what}: tear not reported"));
-                assert_eq!(tr.records_recovered, keep, "{codec}/{what}");
-                assert_eq!(tr.records_dropped, 0, "{codec}/{what}");
-                assert_eq!(tr.bytes_truncated, cut - last_start, "{codec}/{what}");
-                assert_eq!(s.file_size(), last_start, "{codec}/{what}");
-            }
-            // Recovery is physical: the store accepts appends and a
-            // second open is clean.
-            drop(s);
-            let mut s = FileStore::open(&torn).unwrap();
-            assert!(s.tail_recovery().is_none(), "{codec}/{what}: reopen dirty");
+    let base = tmp("torn");
+    let mut payload_offsets = Vec::new();
+    {
+        let mut s = FileStore::create(&base).unwrap();
+        for i in 0..5u64 {
             let mut c = Chunk::new_dense(vec![8]);
-            c.set(0, CellValue::num(777.0));
-            s.write(ChunkId(50), &c).unwrap();
-            assert_eq!(s.read(ChunkId(50)).unwrap().get(0), CellValue::Num(777.0));
-            std::fs::remove_file(&torn).ok();
+            for j in 0..8u32 {
+                c.set(j, CellValue::num((i * 8) as f64 + j as f64));
+            }
+            s.write(ChunkId(i), &c).unwrap();
         }
-        std::fs::remove_file(&base).ok();
+        for i in 0..5u64 {
+            payload_offsets.push(s.offset_of(ChunkId(i)).unwrap());
+        }
     }
+    let bytes = std::fs::read(&base).unwrap();
+    let last_start = payload_offsets[4] - REC_HEADER;
+
+    // (tear description, bytes kept, records expected after reopen)
+    let cases = [
+        ("mid-header", last_start + 5, 4u64),
+        ("mid-payload", payload_offsets[4] + 3, 4),
+        ("boundary", last_start, 4),
+    ];
+    for (what, cut, keep) in cases {
+        let torn = tmp(&format!("torn-{what}"));
+        std::fs::write(&torn, &bytes[..cut as usize]).unwrap();
+        let s = FileStore::open(&torn).unwrap_or_else(|e| panic!("{what}: open failed: {e}"));
+        assert_eq!(s.chunk_count() as u64, keep, "{what}");
+        for i in 0..keep {
+            let c = s.read(ChunkId(i)).unwrap();
+            for j in 0..8u32 {
+                assert_eq!(
+                    c.get(j),
+                    CellValue::Num((i * 8) as f64 + j as f64),
+                    "{what}: chunk {i} cell {j} damaged"
+                );
+            }
+        }
+        if cut == last_start {
+            // A boundary cut leaves a perfectly clean (shorter)
+            // file — nothing to recover, nothing to report.
+            assert!(s.tail_recovery().is_none(), "{what}");
+        } else {
+            let tr = s
+                .tail_recovery()
+                .unwrap_or_else(|| panic!("{what}: tear not reported"));
+            assert_eq!(tr.records_recovered, keep, "{what}");
+            assert_eq!(tr.records_dropped, 0, "{what}");
+            assert_eq!(tr.bytes_truncated, cut - last_start, "{what}");
+            assert_eq!(s.file_size(), last_start, "{what}");
+        }
+        // Recovery is physical: the store accepts appends and a
+        // second open is clean.
+        drop(s);
+        let mut s = FileStore::open(&torn).unwrap();
+        assert!(s.tail_recovery().is_none(), "{what}: reopen dirty");
+        let mut c = Chunk::new_dense(vec![8]);
+        c.set(0, CellValue::num(777.0));
+        s.write(ChunkId(50), &c).unwrap();
+        assert_eq!(s.read(ChunkId(50)).unwrap().get(0), CellValue::Num(777.0));
+        std::fs::remove_file(&torn).ok();
+    }
+    std::fs::remove_file(&base).ok();
 }
 
 /// A torn write can leave a structurally complete final record whose
@@ -310,96 +267,92 @@ fn dirty_cube_flushes_through_pool_pressure() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The crash-point matrix of ISSUE 5: for both record codecs, inject a
-/// crash after every possible physical store op during a pool flush.
+/// The crash-point matrix of ISSUE 5: inject a crash after every
+/// possible physical store op during a pool flush.
 /// The reopened store must be cell-identical to exactly the pre-flush
 /// or the post-flush image — never a mix of the two.
 #[test]
 fn pool_flush_crash_points_recover_exact_image() {
-    for compressed in [false, true] {
-        let tag = format!("crashmat-z{}", compressed as u8);
+    let tag = "crashmat";
 
-        // Reference images: four chunks committed up front, then a
-        // second flush that overwrites three and adds a fifth.
-        let pre: BTreeMap<u64, Chunk> = (0..4u64).map(|i| (i, marked_chunk(i as f64))).collect();
-        let mut post = pre.clone();
-        for i in 0..3u64 {
-            post.insert(i, marked_chunk(100.0 + i as f64));
-        }
-        post.insert(9, marked_chunk(999.0));
-        let dirty: Vec<u64> = vec![0, 1, 2, 9];
-
-        // One run of the scenario; `crash_op` of `None` is the dry
-        // run that learns the deterministic op-schedule length.
-        let run = |crash_op: Option<u64>, path: &std::path::Path| -> (bool, u64) {
-            cleanup(path);
-            let mut s = FileStore::create(path).unwrap();
-            s.set_compression(compressed);
-            let pool = BufferPool::new(Box::new(s), 16);
-            for (id, c) in &pre {
-                pool.put(ChunkId(*id), c.clone()).unwrap();
-            }
-            pool.flush_all().unwrap();
-            let before = {
-                let guard = pool.store();
-                guard
-                    .as_any()
-                    .downcast_ref::<FileStore>()
-                    .unwrap()
-                    .phys_ops()
-            };
-            {
-                let mut guard = pool.store_mut();
-                let fs = guard.as_any_mut().downcast_mut::<FileStore>().unwrap();
-                fs.set_crash_after_ops(crash_op);
-            }
-            for id in &dirty {
-                pool.put(ChunkId(*id), post[id].clone()).unwrap();
-            }
-            let ok = pool.flush_all().is_ok();
-            let ops = {
-                let guard = pool.store();
-                guard
-                    .as_any()
-                    .downcast_ref::<FileStore>()
-                    .unwrap()
-                    .phys_ops()
-                    - before
-            };
-            (ok, ops)
-        };
-
-        let dry = tmp(&format!("{tag}-dry"));
-        let (ok, total_ops) = run(None, &dry);
-        assert!(ok, "{tag}: dry run must flush cleanly");
-        cleanup(&dry);
-        assert!(total_ops >= 9, "{tag}: schedule too short: {total_ops}");
-
-        let (mut saw_pre, mut saw_post) = (0u64, 0u64);
-        for k in 0..=total_ops {
-            let path = tmp(&format!("{tag}-k{k}"));
-            let (ok, _) = run(Some(k), &path);
-            assert_eq!(
-                ok,
-                k >= total_ops,
-                "{tag}: k={k} flush outcome out of schedule"
-            );
-            let got = disk_image(&FileStore::open(&path).unwrap());
-            if images_match(&got, &pre) {
-                saw_pre += 1;
-            } else if images_match(&got, &post) {
-                saw_post += 1;
-            } else {
-                panic!("{tag}: k={k} recovered a mixed image: {:?}", got.keys());
-            }
-            if k == total_ops {
-                assert!(images_match(&got, &post), "{tag}: clean flush lost data");
-            }
-            cleanup(&path);
-        }
-        assert!(saw_pre > 0, "{tag}: no crash point rolled back");
-        assert!(saw_post > 0, "{tag}: no crash point redid the flush");
+    // Reference images: four chunks committed up front, then a
+    // second flush that overwrites three and adds a fifth.
+    let pre: BTreeMap<u64, Chunk> = (0..4u64).map(|i| (i, marked_chunk(i as f64))).collect();
+    let mut post = pre.clone();
+    for i in 0..3u64 {
+        post.insert(i, marked_chunk(100.0 + i as f64));
     }
+    post.insert(9, marked_chunk(999.0));
+    let dirty: Vec<u64> = vec![0, 1, 2, 9];
+
+    // One run of the scenario; `crash_op` of `None` is the dry
+    // run that learns the deterministic op-schedule length.
+    let run = |crash_op: Option<u64>, path: &std::path::Path| -> (bool, u64) {
+        cleanup(path);
+        let pool = BufferPool::new(Box::new(FileStore::create(path).unwrap()), 16);
+        for (id, c) in &pre {
+            pool.put(ChunkId(*id), c.clone()).unwrap();
+        }
+        pool.flush_all().unwrap();
+        let before = {
+            let guard = pool.store();
+            guard
+                .as_any()
+                .downcast_ref::<FileStore>()
+                .unwrap()
+                .phys_ops()
+        };
+        {
+            let mut guard = pool.store_mut();
+            let fs = guard.as_any_mut().downcast_mut::<FileStore>().unwrap();
+            fs.set_crash_after_ops(crash_op);
+        }
+        for id in &dirty {
+            pool.put(ChunkId(*id), post[id].clone()).unwrap();
+        }
+        let ok = pool.flush_all().is_ok();
+        let ops = {
+            let guard = pool.store();
+            guard
+                .as_any()
+                .downcast_ref::<FileStore>()
+                .unwrap()
+                .phys_ops()
+                - before
+        };
+        (ok, ops)
+    };
+
+    let dry = tmp(&format!("{tag}-dry"));
+    let (ok, total_ops) = run(None, &dry);
+    assert!(ok, "{tag}: dry run must flush cleanly");
+    cleanup(&dry);
+    assert!(total_ops >= 9, "{tag}: schedule too short: {total_ops}");
+
+    let (mut saw_pre, mut saw_post) = (0u64, 0u64);
+    for k in 0..=total_ops {
+        let path = tmp(&format!("{tag}-k{k}"));
+        let (ok, _) = run(Some(k), &path);
+        assert_eq!(
+            ok,
+            k >= total_ops,
+            "{tag}: k={k} flush outcome out of schedule"
+        );
+        let got = disk_image(&FileStore::open(&path).unwrap());
+        if images_match(&got, &pre) {
+            saw_pre += 1;
+        } else if images_match(&got, &post) {
+            saw_post += 1;
+        } else {
+            panic!("{tag}: k={k} recovered a mixed image: {:?}", got.keys());
+        }
+        if k == total_ops {
+            assert!(images_match(&got, &post), "{tag}: clean flush lost data");
+        }
+        cleanup(&path);
+    }
+    assert!(saw_pre > 0, "{tag}: no crash point rolled back");
+    assert!(saw_post > 0, "{tag}: no crash point redid the flush");
 }
 
 /// The ISSUE 6 satellite sweep: the write at the crash point is a dirty
@@ -410,74 +363,71 @@ fn pool_flush_crash_points_recover_exact_image() {
 /// op recovers exactly the pre- or post-eviction image, never a mix.
 #[test]
 fn dirty_eviction_crash_points_recover_exact_image() {
-    for compressed in [false, true] {
-        let tag = format!("evictmat-z{}", compressed as u8);
+    let tag = "evictmat";
 
-        // Reference images: chunks 0 and 1 committed up front; the
-        // eviction writes an updated chunk 0 through.
-        let pre: BTreeMap<u64, Chunk> = (0..2u64).map(|i| (i, marked_chunk(i as f64))).collect();
-        let mut post = pre.clone();
-        post.insert(0, marked_chunk(100.0));
+    // Reference images: chunks 0 and 1 committed up front; the
+    // eviction writes an updated chunk 0 through.
+    let pre: BTreeMap<u64, Chunk> = (0..2u64).map(|i| (i, marked_chunk(i as f64))).collect();
+    let mut post = pre.clone();
+    post.insert(0, marked_chunk(100.0));
 
-        // One run: dirty chunk 0 in a capacity-1 pool, then demand
-        // chunk 1 so the eviction write-through is the only store
-        // write in the armed window. `None` is the dry run that
-        // learns the deterministic op-schedule length.
-        let run = |crash_op: Option<u64>, path: &std::path::Path| -> (bool, u64) {
-            cleanup(path);
-            let mut s = FileStore::create(path).unwrap();
-            s.set_compression(compressed);
-            for (id, c) in &pre {
-                s.write(ChunkId(*id), c).unwrap();
-            }
-            let before = s.phys_ops();
-            s.set_crash_after_ops(crash_op);
-            let pool = BufferPool::new(Box::new(s), 1);
-            pool.put(ChunkId(0), post[&0].clone()).unwrap();
-            let ok = pool.get(ChunkId(1)).is_ok();
-            let ops = {
-                let guard = pool.store();
-                guard
-                    .as_any()
-                    .downcast_ref::<FileStore>()
-                    .unwrap()
-                    .phys_ops()
-                    - before
-            };
-            (ok, ops)
-        };
-
-        let dry = tmp(&format!("{tag}-dry"));
-        let (ok, total_ops) = run(None, &dry);
-        assert!(ok, "{tag}: dry run must evict cleanly");
-        cleanup(&dry);
-        assert!(total_ops >= 2, "{tag}: schedule too short: {total_ops}");
-
-        let (mut saw_pre, mut saw_post) = (0u64, 0u64);
-        for k in 0..=total_ops {
-            let path = tmp(&format!("{tag}-k{k}"));
-            let (ok, _) = run(Some(k), &path);
-            assert_eq!(
-                ok,
-                k >= total_ops,
-                "{tag}: k={k} eviction outcome out of schedule"
-            );
-            let got = disk_image(&FileStore::open(&path).unwrap());
-            if images_match(&got, &pre) {
-                saw_pre += 1;
-            } else if images_match(&got, &post) {
-                saw_post += 1;
-            } else {
-                panic!("{tag}: k={k} recovered a mixed image: {:?}", got.keys());
-            }
-            if k == total_ops {
-                assert!(images_match(&got, &post), "{tag}: clean eviction lost data");
-            }
-            cleanup(&path);
+    // One run: dirty chunk 0 in a capacity-1 pool, then demand
+    // chunk 1 so the eviction write-through is the only store
+    // write in the armed window. `None` is the dry run that
+    // learns the deterministic op-schedule length.
+    let run = |crash_op: Option<u64>, path: &std::path::Path| -> (bool, u64) {
+        cleanup(path);
+        let mut s = FileStore::create(path).unwrap();
+        for (id, c) in &pre {
+            s.write(ChunkId(*id), c).unwrap();
         }
-        assert!(saw_pre > 0, "{tag}: no crash point rolled back");
-        assert!(saw_post > 0, "{tag}: no crash point redid the eviction");
+        let before = s.phys_ops();
+        s.set_crash_after_ops(crash_op);
+        let pool = BufferPool::new(Box::new(s), 1);
+        pool.put(ChunkId(0), post[&0].clone()).unwrap();
+        let ok = pool.get(ChunkId(1)).is_ok();
+        let ops = {
+            let guard = pool.store();
+            guard
+                .as_any()
+                .downcast_ref::<FileStore>()
+                .unwrap()
+                .phys_ops()
+                - before
+        };
+        (ok, ops)
+    };
+
+    let dry = tmp(&format!("{tag}-dry"));
+    let (ok, total_ops) = run(None, &dry);
+    assert!(ok, "{tag}: dry run must evict cleanly");
+    cleanup(&dry);
+    assert!(total_ops >= 2, "{tag}: schedule too short: {total_ops}");
+
+    let (mut saw_pre, mut saw_post) = (0u64, 0u64);
+    for k in 0..=total_ops {
+        let path = tmp(&format!("{tag}-k{k}"));
+        let (ok, _) = run(Some(k), &path);
+        assert_eq!(
+            ok,
+            k >= total_ops,
+            "{tag}: k={k} eviction outcome out of schedule"
+        );
+        let got = disk_image(&FileStore::open(&path).unwrap());
+        if images_match(&got, &pre) {
+            saw_pre += 1;
+        } else if images_match(&got, &post) {
+            saw_post += 1;
+        } else {
+            panic!("{tag}: k={k} recovered a mixed image: {:?}", got.keys());
+        }
+        if k == total_ops {
+            assert!(images_match(&got, &post), "{tag}: clean eviction lost data");
+        }
+        cleanup(&path);
     }
+    assert!(saw_pre > 0, "{tag}: no crash point rolled back");
+    assert!(saw_post > 0, "{tag}: no crash point redid the eviction");
 }
 
 mod crash_interleavings {
@@ -499,7 +449,6 @@ mod crash_interleavings {
         /// two adjacent flush boundaries.
         #[test]
         fn random_flush_crash_recovers_a_flush_boundary(
-            compressed in any::<bool>(),
             flushes in proptest::collection::vec(
                 proptest::collection::vec((0u64..6, 0u32..1000), 1..5), 1..4),
             crash_op in 0u64..40,
@@ -507,8 +456,7 @@ mod crash_interleavings {
             let case = CASE.fetch_add(1, Ordering::Relaxed);
             let path = tmp(&format!("crashprop-{case}"));
             cleanup(&path);
-            let mut s = FileStore::create(&path).unwrap();
-            s.set_compression(compressed);
+            let s = FileStore::create(&path).unwrap();
             let pool = BufferPool::new(Box::new(s), 16);
 
             // `mirror` tracks the logical contents; `prev_image` is a

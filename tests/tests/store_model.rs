@@ -30,7 +30,6 @@ fn chunk_of(vals: &[(u32, f64)]) -> Chunk {
 enum Op {
     Write(u64, Vec<(u32, f64)>),
     Reorganize(Vec<u64>),
-    Compress(bool),
     Reopen,
 }
 
@@ -39,7 +38,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         4 => (0u64..12, proptest::collection::vec((0u32..16, -1e3f64..1e3), 0..6))
             .prop_map(|(id, vals)| Op::Write(id, vals)),
         1 => proptest::collection::vec(0u64..12, 0..6).prop_map(Op::Reorganize),
-        1 => any::<bool>().prop_map(Op::Compress),
         1 => Just(Op::Reopen),
     ]
 }
@@ -48,7 +46,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The file store behaves like a map under writes, overwrites,
-    /// compression toggles, physical reorganization, and reopen.
+    /// physical reorganization, and reopen.
     #[test]
     fn filestore_matches_map_model(tag in 0u64..10_000, ops in proptest::collection::vec(arb_op(), 1..25)) {
         let path = tmp(tag);
@@ -66,7 +64,6 @@ proptest! {
                     store.reorganize(&ids).unwrap();
                     prop_assert_eq!(store.dead_bytes(), 0);
                 }
-                Op::Compress(on) => store.set_compression(on),
                 Op::Reopen => {
                     drop(store);
                     store = FileStore::open(&path).unwrap();

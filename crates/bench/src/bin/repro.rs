@@ -22,7 +22,7 @@ use olap_store::SeekModel;
 use olap_workload::{replay_scenarios, Workforce, WorkforceConfig};
 use std::sync::Arc;
 use whatif_core::{
-    apply_opts, execute_passes_opts, merge, phi, DestMap, ExecOpts, OrderPolicy, ScenarioCache,
+    apply_opts, execute, merge, ExecOpts, Mode, OrderPolicy, PerspectiveSpec, Plan, ScenarioCache,
     Semantics, Strategy,
 };
 
@@ -30,14 +30,6 @@ const ITERS: u32 = 3;
 
 const USAGE: &str = "usage: repro [--fig N]… [--table S] [--ablations] [--replay] [--all] \
                      [--csv DIR] [--threads N] [--prefetch K] [--cache MB]";
-
-/// Starts the cube's buffer-pool I/O workers when `--prefetch K` asks for
-/// hinting (hints have no effect without them).
-fn start_io_workers(cube: &olap_cube::Cube, opts: &ExecOpts) {
-    if opts.prefetch > 0 {
-        cube.start_io_threads(opts.prefetch.min(4));
-    }
-}
 
 /// Every flag error ends here: the message on stderr, exit status 2.
 fn usage_error(msg: &str) -> ! {
@@ -66,14 +58,14 @@ fn main() {
             }
             "--replay" => replay = true,
             "--threads" => {
-                opts.threads = args
+                opts.scan.threads = args
                     .next()
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage_error("--threads needs a positive integer"));
             }
             "--prefetch" => {
-                opts.prefetch = args
+                opts.scan.prefetch = args
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage_error("--prefetch needs a non-negative integer"));
@@ -115,16 +107,16 @@ fn main() {
     if table_s {
         print_table_s();
     }
-    if opts.threads > 1 {
-        println!("(executor parallelism: {} threads)", opts.threads);
+    if opts.scan.threads > 1 {
+        println!("(executor parallelism: {} threads)", opts.scan.threads);
         println!(
             "(note: with --threads >= 2, peak-buffer and chunks-scanned figures sum over \
              workers — each worker streams the base once — so they are not comparable to \
              the paper's serial Sec. 5 measurements; use --threads 1 to reproduce those)\n"
         );
     }
-    if opts.prefetch > 0 {
-        println!("(chunk prefetch lookahead: {})", opts.prefetch);
+    if opts.scan.prefetch > 0 {
+        println!("(chunk prefetch lookahead: {})", opts.scan.prefetch);
     }
     for f in figs {
         let fig = match f {
@@ -218,7 +210,7 @@ fn print_table_s() {
 fn fig11(opts: &ExecOpts) -> Figure {
     eprintln!("[fig11] building workload…");
     let wf = default_workforce();
-    start_io_workers(&wf.cube, opts);
+    opts.scan.start_io(&wf.cube);
     let mut ctx = context(&wf);
     ctx.opts = opts.clone();
     let ks = [1usize, 2, 3, 4, 6, 8, 10, 12];
@@ -263,7 +255,7 @@ fn fig11(opts: &ExecOpts) -> Figure {
 }
 
 fn fig12(opts: &ExecOpts) -> Figure {
-    let prefetch = opts.prefetch;
+    let prefetch = opts.scan.prefetch;
     eprintln!("[fig12] building file-backed rig…");
     let rig = Fig12Rig::build();
     let base = (rig.other_chunks.len() / 6).max(10);
@@ -310,7 +302,7 @@ fn fig12(opts: &ExecOpts) -> Figure {
 fn fig13(opts: &ExecOpts) -> Figure {
     eprintln!("[fig13] building 4-move workload…");
     let wf = fig13_workforce(25);
-    start_io_workers(&wf.cube, opts);
+    opts.scan.start_io(&wf.cube);
     let mut ctx = context(&wf);
     ctx.opts = opts.clone();
     let p = quarterly();
@@ -340,8 +332,8 @@ fn run_ablations(opts: &ExecOpts) {
     let g = merge::MergeGraph::fig9();
     println!(
         "fig9 pebbles: heuristic {}, naive order {}, optimal {}",
-        merge::pebbles_for_order(&g, &merge::heuristic_order(&g)),
-        merge::pebbles_for_order(&g, &merge::naive_order(&g)),
+        merge::pebbles_for_order(&g, &OrderPolicy::Pebbling.read_order(&g)),
+        merge::pebbles_for_order(&g, &OrderPolicy::Naive.read_order(&g)),
         merge::optimal_pebbles(&g),
     );
     // Pebbling + Lemma 5.1 on a dense-move workload.
@@ -349,11 +341,14 @@ fn run_ablations(opts: &ExecOpts) {
         changing: 120,
         ..WorkforceConfig::bench()
     });
-    start_io_workers(&wf.cube, opts);
-    let varying = wf.schema.varying(wf.department).unwrap();
-    let vs_out = phi(Semantics::Forward, varying.instances(), &[0, 6], 12);
-    let map = DestMap::build(&wf.cube, wf.department, &vs_out).unwrap();
-    let single = std::slice::from_ref(&map);
+    opts.scan.start_io(&wf.cube);
+    // One pass over the whole forward map, so the policies differ in read
+    // order alone.
+    let spec = PerspectiveSpec::new(wf.department, [0, 6], Semantics::Forward, Mode::Visual);
+    let map = Plan::build(&wf.cube, &spec, &OrderPolicy::Naive, None)
+        .unwrap()
+        .map()
+        .clone();
     for (name, policy) in [
         ("pebbling        ", OrderPolicy::Pebbling),
         ("naive           ", OrderPolicy::Naive),
@@ -362,10 +357,16 @@ fn run_ablations(opts: &ExecOpts) {
             OrderPolicy::DimOrder(vec![0, 2, 3, 4, 5, 6, 1]),
         ),
     ] {
-        let run = || {
-            let opts = opts.clone();
-            execute_passes_opts(&wf.cube, wf.department, &map, single, &policy, None, opts).unwrap()
-        };
+        let plan = Plan::from_maps(
+            &wf.cube,
+            wf.department,
+            map.clone(),
+            vec![map.clone()],
+            policy,
+            None,
+        )
+        .unwrap();
+        let run = || execute(&wf.cube, &plan, opts).unwrap();
         let t = min_time(ITERS, run);
         let (_, report) = run();
         println!(
@@ -381,7 +382,7 @@ fn run_ablations(opts: &ExecOpts) {
     // Visual re-derives non-leaf cells over the output cube, non-visual
     // retains the input's: the Fig. 10(a) query at 4 perspectives.
     let wf = default_workforce();
-    start_io_workers(&wf.cube, opts);
+    opts.scan.start_io(&wf.cube);
     let mut ctx = context(&wf);
     ctx.opts = opts.clone();
     let [nonvisual, visual] = ["NONVISUAL", "VISUAL"].map(|mode| {
@@ -401,7 +402,7 @@ fn run_ablations(opts: &ExecOpts) {
 fn run_replay(opts: &ExecOpts, cache_mb: usize) {
     println!("=== Scenario-delta replay (K=8 one-perspective edits) ===");
     let wf = Workforce::build(WorkforceConfig::bench());
-    start_io_workers(&wf.cube, opts);
+    opts.scan.start_io(&wf.cube);
     let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     let mb = if cache_mb > 0 { cache_mb } else { 64 };
 

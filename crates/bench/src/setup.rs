@@ -158,9 +158,14 @@ impl Fig12Rig {
     /// `prefetch` is the lookahead in chunks (0 = no hints); the pool's
     /// I/O workers start on first use.
     pub fn run_query_with(&self, prefetch: usize) -> whatif_core::ExecReport {
-        if prefetch > 0 {
-            self.wf.cube.start_io_threads(prefetch.min(4));
-        }
+        let opts = whatif_core::ExecOpts {
+            scan: olap_cube::ScanOpts {
+                prefetch,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        opts.scan.start_io(&self.wf.cube);
         self.wf.cube.with_pool(|pool| {
             // Let stragglers from the previous run land before clearing,
             // so each run starts from a cold, stable pool.
@@ -168,37 +173,23 @@ impl Fig12Rig {
             pool.clear().expect("no pins")
         });
         let varying = self.wf.schema.varying(self.wf.department).expect("varying");
-        let p: Vec<u32> = [0u32, 3, 6, 9]
-            .iter()
-            .copied()
-            .filter(|&t| t < self.wf.config.months)
-            .collect();
-        let vs_out = whatif_core::phi(
+        let months = [0u32, 3, 6, 9].into_iter();
+        let spec = whatif_core::PerspectiveSpec::new(
+            self.wf.department,
+            months.filter(|&t| t < self.wf.config.months),
             whatif_core::Semantics::Forward,
-            varying.instances(),
-            &p,
-            varying.moments(),
+            whatif_core::Mode::Visual,
         );
-        let map =
-            whatif_core::DestMap::build(&self.wf.cube, self.wf.department, &vs_out).expect("plan");
         let slots: Vec<u32> = varying
             .instances_of(self.employee)
             .iter()
             .map(|i| i.0)
             .collect();
-        let (_, report) = whatif_core::execute_passes_opts(
-            &self.wf.cube,
-            self.wf.department,
-            &map,
-            std::slice::from_ref(&map),
-            &whatif_core::OrderPolicy::Pebbling,
-            Some(&slots),
-            whatif_core::ExecOpts {
-                prefetch,
-                ..Default::default()
-            },
-        )
-        .expect("scoped execution");
+        let policy = whatif_core::OrderPolicy::Pebbling;
+        let plan =
+            whatif_core::Plan::build(&self.wf.cube, &spec, &policy, Some(&slots)).expect("plan");
+        let (_, report) =
+            whatif_core::execute(&self.wf.cube, &plan, &opts).expect("scoped execution");
         report
     }
 }

@@ -149,12 +149,6 @@ impl SharedData {
     pub fn split_memo(&self) -> &Arc<whatif_core::SplitMemo> {
         &self.split_memo
     }
-
-    /// Starts the cube's buffer-pool I/O workers (idempotent intent:
-    /// call once per process, before sessions attach).
-    pub fn start_io_threads(&self, k: usize) {
-        self.data.cube().start_io_threads(k);
-    }
 }
 
 /// One interactive session: private tuning and budget over an
@@ -246,9 +240,7 @@ impl Session {
     /// values and are overwritten on every request ([`Session::with_cache`]
     /// / [`Session::with_deadline_ms`] configure their sources).
     pub fn with_opts(mut self, opts: ExecOpts) -> Session {
-        if opts.prefetch > 0 {
-            self.shared.cube().start_io_threads(opts.prefetch.min(4));
-        }
+        opts.scan.start_io(self.shared.cube());
         self.opts = opts;
         self
     }
@@ -856,8 +848,9 @@ impl Session {
     }
 
     /// `.rollup`: one single-dimension group-by per cube dimension, run
-    /// through the budget-respecting multi-pass aggregator. A small
-    /// session budget means more passes; an impossible one is an error.
+    /// through the budget-respecting multi-pass aggregator with the
+    /// session's threads and prefetch. A small session budget means more
+    /// passes; an impossible one is an error.
     fn rollup(&self) -> String {
         let cube = self.data().cube();
         let schema = cube.schema();
@@ -867,7 +860,8 @@ impl Session {
             0 => u64::MAX,
             n => n,
         };
-        match olap_cube::CubeAggregator::new(cube).compute_with_budget(&masks, budget) {
+        let aggregator = olap_cube::CubeAggregator::new(cube).with_scan(self.opts.scan);
+        match aggregator.compute_with_budget(&masks, budget) {
             Ok((results, report)) => {
                 let mut out = String::new();
                 for (d, &mask) in masks.iter().enumerate() {
@@ -966,6 +960,7 @@ Example what-if (running example dataset):
 #[cfg(test)]
 mod tests {
     use super::*;
+    use olap_cube::ScanOpts;
 
     #[test]
     fn dataset_parsing() {
@@ -1036,10 +1031,15 @@ mod tests {
                  FROM [W] WHERE (Location.[NY], Measures.[Salary])";
         let mut serial = Session::new(Dataset::Running);
         let mut parallel = Session::new(Dataset::Running).with_opts(ExecOpts {
-            threads: 4,
+            scan: ScanOpts {
+                threads: 4,
+                ..ScanOpts::default()
+            },
             ..ExecOpts::default()
         });
-        assert_eq!(serial.handle(q), parallel.handle(q));
+        for line in [q, ".rollup"] {
+            assert_eq!(serial.handle(line), parallel.handle(line), "{line}");
+        }
     }
 
     #[test]
@@ -1050,10 +1050,15 @@ mod tests {
                  FROM [W] WHERE (Location.[NY], Measures.[Salary])";
         let mut plain = Session::new(Dataset::Running);
         let mut hinted = Session::new(Dataset::Running).with_opts(ExecOpts {
-            prefetch: 3,
+            scan: ScanOpts {
+                prefetch: 3,
+                ..ScanOpts::default()
+            },
             ..ExecOpts::default()
         });
-        assert_eq!(plain.handle(q), hinted.handle(q));
+        for line in [q, ".rollup"] {
+            assert_eq!(plain.handle(line), hinted.handle(line), "{line}");
+        }
     }
 
     #[test]
@@ -1177,11 +1182,17 @@ mod tests {
         assert!(baseline.contains("cells"), "{baseline}");
         for mut s in [
             Session::new(Dataset::Running).with_opts(ExecOpts {
-                threads: 4,
+                scan: ScanOpts {
+                    threads: 4,
+                    ..ScanOpts::default()
+                },
                 ..ExecOpts::default()
             }),
             Session::new(Dataset::Running).with_opts(ExecOpts {
-                prefetch: 2,
+                scan: ScanOpts {
+                    prefetch: 2,
+                    ..ScanOpts::default()
+                },
                 ..ExecOpts::default()
             }),
             Session::new(Dataset::Running).with_cache(16).unwrap(),

@@ -32,7 +32,7 @@ fn main() {
             }
             "--threads" => {
                 i += 1;
-                opts.threads = args
+                opts.scan.threads = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
@@ -43,10 +43,11 @@ fn main() {
             }
             "--prefetch" => {
                 i += 1;
-                opts.prefetch = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--prefetch needs a non-negative integer");
-                    std::process::exit(2);
-                });
+                opts.scan.prefetch =
+                    args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                        eprintln!("--prefetch needs a non-negative integer");
+                        std::process::exit(2);
+                    });
             }
             "--budget" => {
                 i += 1;

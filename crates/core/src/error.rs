@@ -20,6 +20,8 @@ pub enum WhatIfError {
     NoPerspectives,
     /// A perspective moment is out of the parameter dimension's range.
     BadPerspective { moment: u32, moments: u32 },
+    /// A scope slot is past the end of the varying dimension's axis.
+    BadScopeSlot { slot: u32, axis_len: u32 },
     /// A positive change's claimed current parent does not match the
     /// cube's structure at the change moment.
     WrongOldParent {
@@ -67,6 +69,10 @@ impl fmt::Display for WhatIfError {
             WhatIfError::BadPerspective { moment, moments } => write!(
                 f,
                 "perspective moment {moment} out of range (parameter has {moments} leaves)"
+            ),
+            WhatIfError::BadScopeSlot { slot, axis_len } => write!(
+                f,
+                "scope slot {slot} out of range (varying axis has {axis_len} slots)"
             ),
             WhatIfError::WrongOldParent {
                 member,

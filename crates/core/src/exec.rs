@@ -12,20 +12,19 @@
 //! (Section 5.2). Per Section 6, a multi-perspective query runs as
 //! **passes** — one per perspective (static) or per range (dynamic) —
 //! sharing one output cube; queries can also be **scoped** to the
-//! varying-dimension slots they touch, Essbase-style. Both are arguments
-//! of the one entry point, [`execute_passes_opts`]: a single-pass run is
-//! a one-element pass plan (`std::slice::from_ref(&map)`), and serial,
-//! unhinted, uncached execution is [`ExecOpts::default`]. [`ExecReport`]
-//! exposes predicted pebbles and observed peak buffer residency for the
-//! ablations.
+//! varying-dimension slots they touch, Essbase-style. All of that is
+//! decided up front in a [`Plan`]; the one entry point, [`execute`], only
+//! reads it. Serial, unhinted, uncached execution is
+//! [`ExecOpts::default`]. [`ExecReport`] exposes predicted pebbles and
+//! observed peak buffer residency for the ablations.
 
 use crate::cache::{Cached, ComponentDigest, ScenarioCache};
 use crate::error::WhatIfError;
 use crate::fingerprint::Fnv64;
-use crate::merge::{heuristic_order, naive_order, pebbles_for_order, MergeGraph};
 use crate::operators::relocate::{CellFate, DestMap};
+use crate::plan::{PassPlan, Plan, Role};
 use crate::Result;
-use olap_cube::Cube;
+use olap_cube::{Cube, ScanOpts};
 use olap_model::DimensionId;
 use olap_store::{Chunk, ChunkId};
 use std::collections::HashMap;
@@ -119,26 +118,14 @@ impl std::fmt::Display for KernelKind {
 /// Tuning knobs for the chunked executor — the one declaration of them:
 /// callers build a value here and pass it down; nothing re-declares the
 /// fields.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecOpts {
-    /// Worker threads for the Lemma 5.1 slice fan-out; `1` (the default)
-    /// is serial. Slices (fixed non-varying chunk coordinates) are
-    /// independent — relocation only moves cells along the varying
-    /// dimension — so `Pebbling`/`Naive` passes partition them across up
-    /// to `threads` scoped workers, each with private slice/buffer maps;
-    /// passes still run in order. `DimOrder` stays serial: its
-    /// cross-slice interleaving is the very effect the Lemma 5.1 ablation
-    /// measures.
-    pub threads: usize,
-    /// Prefetch lookahead K: while processing a chunk sequence, the next
-    /// K chunk ids are hinted to the cube's buffer pool so its I/O
-    /// workers overlap store reads with merge compute. Hints follow each
-    /// worker's *whole* read order, crossing slice boundaries, so the
-    /// I/O workers never stall at a slice edge. `0` disables hinting and
-    /// is bit-identical to the unhinted executor; any K only changes I/O
-    /// timing, never results. Has no effect unless I/O workers are
-    /// running (`Cube::start_io_threads`).
-    pub prefetch: usize,
+    /// Worker threads and prefetch lookahead, shared with `.rollup`'s
+    /// aggregator. Lemma 5.1 slices are independent (cells only move along
+    /// the varying dimension), so `Pebbling`/`Naive` passes split them
+    /// across up to `threads` workers; `DimOrder` stays serial, since its
+    /// cross-slice interleaving is what the Lemma 5.1 ablation measures.
+    pub scan: ScanOpts,
     /// Scenario-delta cache (DESIGN.md §10, §14): when set, unscoped
     /// executions probe it for whole merge components whose fate tables
     /// match *any* previously cached run over the same cube — entries
@@ -172,73 +159,66 @@ pub struct ExecOpts {
     pub deadline: Option<std::time::Instant>,
 }
 
-impl Default for ExecOpts {
-    fn default() -> Self {
-        ExecOpts {
-            threads: 1,
-            prefetch: 0,
-            cache: None,
-            budget_cells: 0,
-            kernel: KernelKind::default(),
-            deadline: None,
+impl ExecOpts {
+    /// Errors with [`WhatIfError::DeadlineExceeded`] once the deadline
+    /// has passed. Called only at pass/slice boundaries so an abort
+    /// never observes a half-merged component.
+    fn check_deadline(&self) -> Result<()> {
+        match self.deadline {
+            Some(d) if std::time::Instant::now() >= d => Err(WhatIfError::DeadlineExceeded),
+            _ => Ok(()),
         }
     }
 }
 
-/// Chunked execution (Sections 5 and 6) — the executor's only entry
-/// point. Runs each pass of a plan over one shared output cube. `full`
-/// is the undecomposed plan (it defines the merge graph, the
-/// copy-through set, and the scope closure); `passes` come from
-/// [`crate::plan::decompose_passes`], or are `std::slice::from_ref(full)`
-/// for a single-pass run.
+/// Chunked execution (Sections 5 and 6) of a [`Plan`] built on `cube` —
+/// the executor's only entry point. It only reads the plan: the budget
+/// check against the predicted pebbles, the scenario-cache probe, then
+/// each pass over one shared output cube.
 ///
-/// With `scope` set, execution is restricted to the varying-dimension
-/// slots a query touches (Essbase-style scoped retrieval — the Fig. 12
-/// access pattern): only chunks containing a scoped slot, plus their
-/// merge partners, are read, and the output cube is guaranteed correct
-/// on the scoped slots.
-///
-/// With `ExecOpts::cache` set (and no scope — cached chunks are full
-/// output chunks, so scoped runs bypass the cache), the merge
-/// components of the *full* plan are probed first: a component whose
+/// With `ExecOpts::cache` set (and an unscoped plan — cached chunks are
+/// whole output chunks, so scoped runs bypass the cache), the merge
+/// components of the full plan are probed first: a component whose
 /// fate-table digest matches a cached run has all its output chunks
-/// installed verbatim and is withdrawn from every pass; the remaining
+/// installed verbatim and is withdrawn from every pass (the plan's one
+/// restriction path, which the scope closure also takes); the remaining
 /// components run normally and are inserted afterwards.
-pub fn execute_passes_opts(
-    cube: &Cube,
-    dim: DimensionId,
-    full: &DestMap,
-    passes: &[DestMap],
-    policy: &OrderPolicy,
-    scope: Option<&[u32]>,
-    opts: ExecOpts,
-) -> Result<(Cube, ExecReport)> {
-    let mut env = Env::new(cube, dim, full, policy, scope, &opts)?;
-    env.check_deadline()?;
+pub fn execute(cube: &Cube, plan: &Plan, opts: &ExecOpts) -> Result<(Cube, ExecReport)> {
+    opts.check_deadline()?;
     let out = cube.empty_like();
-    let mut report = env.base_report();
+    let mut report = ExecReport {
+        graph_nodes: plan.graph.len(),
+        graph_edges: plan.graph.edge_count(),
+        predicted_pebbles: plan.predicted_pebbles,
+        ..ExecReport::default()
+    };
     if opts.budget_cells > 0 {
         // Reject-before-read: the pebble prediction is the same number
         // `.explain` reports, priced in cells via the chunk extent.
-        let needed =
-            (report.predicted_pebbles as u64).saturating_mul(cube.geometry().chunk_cells());
+        let needed = (plan.predicted_pebbles as u64).saturating_mul(cube.geometry().chunk_cells());
         if needed > opts.budget_cells {
-            return Err(crate::WhatIfError::BudgetExceeded {
+            return Err(WhatIfError::BudgetExceeded {
                 needed_cells: needed,
                 budget_cells: opts.budget_cells,
             });
         }
     }
-    let to_insert = match &opts.cache {
-        Some(cache) if scope.is_none() => env.serve_from_cache(cache, full, &out, &mut report)?,
-        _ => Vec::new(),
-    };
-    let copy_labels = env.copy_labels();
-    let no_copy = vec![false; copy_labels.len()];
-    for (i, pass) in passes.iter().enumerate() {
-        env.check_deadline()?;
-        let labels = if i == 0 { &copy_labels } else { &no_copy };
-        env.run_pass(&out, pass, labels, &mut report)?;
+    let mut to_insert = Vec::new();
+    let withdrawn;
+    let mut run = Run { cube, plan, opts };
+    if let Some(cache) = opts.cache.as_deref().filter(|_| !plan.is_scoped()) {
+        let served;
+        (served, to_insert) = probe_cache(cube, plan, cache, &out, &mut report)?;
+        if served.contains(&true) {
+            // Served chunks are already in `out`: no pass may read,
+            // merge, or flush them again.
+            withdrawn = plan.clone().restrict(cube, |l| served[l as usize]);
+            run.plan = &withdrawn;
+        }
+    }
+    for (pass, dest) in run.plan.pass_plans.iter().zip(plan.passes()) {
+        opts.check_deadline()?;
+        run.pass(&out, pass, dest, &mut report)?;
         report.passes += 1;
     }
     out.flush()?;
@@ -256,6 +236,93 @@ pub fn execute_passes_opts(
         }
     }
     Ok((out, report))
+}
+
+/// [`execute`] over hand-made maps, planned per call. Kept only because
+/// `perfbench/src/trace.rs` calls it by name; build a [`Plan`] instead.
+pub fn execute_passes_opts(
+    cube: &Cube,
+    dim: DimensionId,
+    full: &DestMap,
+    passes: &[DestMap],
+    policy: &OrderPolicy,
+    scope: Option<&[u32]>,
+    opts: ExecOpts,
+) -> Result<(Cube, ExecReport)> {
+    let (full, passes) = (full.clone(), passes.to_vec());
+    let plan = Plan::from_maps(cube, dim, full, passes, policy.clone(), scope)?;
+    execute(cube, &plan, &opts)
+}
+
+/// `(output chunk, component digest)` scenario-cache keys.
+type CacheKeys = Vec<(ChunkId, u64)>;
+
+/// Probes the scenario-delta cache with every merge component of the
+/// full plan (across all slices — an output chunk is a pure function of
+/// its component's inputs and fates, see `crate::cache`). Hit components
+/// have all their chunks installed into `out`; returns the mask of their
+/// labels, and the `(chunk, digest)` keys of missed components so the
+/// caller can insert the freshly merged chunks after the run.
+fn probe_cache(
+    cube: &Cube,
+    plan: &Plan,
+    cache: &ScenarioCache,
+    out: &Cube,
+    report: &mut ExecReport,
+) -> Result<(Vec<bool>, CacheKeys)> {
+    let mut served = vec![false; plan.kept.len()];
+    let mut to_insert: CacheKeys = Vec::new();
+    let graph = &plan.graph;
+    if graph.is_empty() {
+        return Ok((served, to_insert));
+    }
+    let geom = cube.geometry();
+    let vd = plan.vd;
+    let axis_len = cube.schema().axis_len(plan.dim);
+    // Scope slot numbering to this cube's shape and schema identity: a
+    // cache is per-session (one base cube), but make cross-cube aliasing
+    // within a process loud-proof anyway.
+    let geometry_sig = {
+        let mut h = Fnv64::new();
+        h.write_u64(Arc::as_ptr(cube.schema()) as u64);
+        h.write_u32(geom.ndims() as u32);
+        for d in 0..geom.ndims() {
+            h.write_u32(geom.lens()[d]).write_u32(geom.extents()[d]);
+        }
+        h.finish()
+    };
+    for comp in graph.components() {
+        let mut labels: Vec<u32> = comp.iter().map(|&n| graph.label(n)).collect();
+        labels.sort_unstable();
+        let mut cd = ComponentDigest::new(geometry_sig, vd, plan.vd_extent, axis_len, plan.map());
+        for &l in &labels {
+            cd.fold_label(l);
+        }
+        let digest = cd.finish();
+        let mut keys: Vec<(ChunkId, u64)> = Vec::with_capacity(plan.anchors.len() * labels.len());
+        for anchor in &plan.anchors {
+            let mut coord = anchor.clone();
+            for &l in &labels {
+                coord[vd] = l;
+                keys.push((geom.chunk_id(&coord), digest));
+            }
+        }
+        match cache.lookup_component(&keys) {
+            Some(payloads) => {
+                for (&(id, _), payload) in keys.iter().zip(payloads) {
+                    if let Cached::Chunk(chunk) = payload {
+                        out.put_chunk(id, (*chunk).clone())?;
+                    }
+                    report.cache_chunks_served += 1;
+                }
+                for l in labels {
+                    served[l as usize] = true;
+                }
+            }
+            None => to_insert.extend(keys),
+        }
+    }
+    Ok((served, to_insert))
 }
 
 /// Streams prefetch hints to the buffer pool's I/O workers over one
@@ -319,359 +386,79 @@ impl<'a> Prefetcher<'a> {
     }
 }
 
-/// Execution environment shared by every pass. Fixed for the run except
-/// that [`Env::serve_from_cache`] may withdraw cache-served labels from
-/// `kept`/`full_graph` before the first pass starts.
-struct Env<'a> {
+/// One execution's read-only context: the cube, the plan in force (the
+/// caller's, or its restriction after cache withdrawal) and the knobs.
+struct Run<'a> {
     cube: &'a Cube,
-    dim: DimensionId,
-    policy: &'a OrderPolicy,
-    vd: usize,
-    pd: usize,
-    vd_extent: u32,
-    /// Labels this execution may touch at all.
-    kept: Vec<bool>,
-    /// The full plan's merge graph, induced on `kept`.
-    full_graph: MergeGraph,
-    /// The caller's knobs, borrowed for the run.
+    plan: &'a Plan,
     opts: &'a ExecOpts,
 }
 
-impl<'a> Env<'a> {
-    fn new(
-        cube: &'a Cube,
-        dim: DimensionId,
-        full: &DestMap,
-        policy: &'a OrderPolicy,
-        scope: Option<&[u32]>,
-        opts: &'a ExecOpts,
-    ) -> Result<Self> {
-        let schema = cube.schema();
-        let varying = schema
-            .varying(dim)
-            .ok_or_else(|| WhatIfError::NotVarying(schema.dim(dim).name().to_string()))?;
-        let geom = cube.geometry();
-        let vd = dim.index();
-        let pd = varying.parameter_dim().index();
-        let vd_extent = geom.extents()[vd];
-        let whole_graph = MergeGraph::build(varying, full, vd_extent);
-        let n_labels = geom.grid()[vd] as usize;
-        let kept: Vec<bool> = match scope {
-            None => vec![true; n_labels],
-            Some(slots) => {
-                let mut kept = vec![false; n_labels];
-                for &s in slots {
-                    kept[(s / vd_extent) as usize] = true;
-                }
-                for node in 0..whole_graph.len() {
-                    if kept[whole_graph.label(node) as usize] {
-                        for nb in whole_graph.neighbors(node) {
-                            kept[whole_graph.label(nb) as usize] = true;
-                        }
-                    }
-                }
-                kept
-            }
-        };
-        let full_graph = whole_graph.induced(|l| kept[l as usize]);
-        Ok(Env {
-            cube,
-            dim,
-            policy,
-            vd,
-            pd,
-            vd_extent,
-            kept,
-            full_graph,
-            opts,
-        })
-    }
-
-    /// Errors with [`WhatIfError::DeadlineExceeded`] once the deadline
-    /// has passed. Called only at pass/slice boundaries so an abort
-    /// never observes a half-merged component.
-    fn check_deadline(&self) -> Result<()> {
-        match self.opts.deadline {
-            Some(d) if std::time::Instant::now() >= d => Err(WhatIfError::DeadlineExceeded),
-            _ => Ok(()),
-        }
-    }
-
-    fn base_report(&self) -> ExecReport {
-        let mut r = ExecReport {
-            graph_nodes: self.full_graph.len(),
-            graph_edges: self.full_graph.edge_count(),
-            ..ExecReport::default()
-        };
-        if !self.full_graph.is_empty() && !matches!(self.policy, OrderPolicy::DimOrder(_)) {
-            let order = match self.policy {
-                OrderPolicy::Pebbling => heuristic_order(&self.full_graph),
-                _ => naive_order(&self.full_graph),
-            };
-            r.predicted_pebbles = pebbles_for_order(&self.full_graph, &order);
-        }
-        r
-    }
-
-    /// Probes the scenario-delta cache with every merge component of the
-    /// full plan (across all slices — an output chunk is a pure function
-    /// of its component's inputs and fates, see `crate::cache`). Hit
-    /// components have all their chunks installed into `out` and their
-    /// labels withdrawn from this execution; missed components return
-    /// their `(chunk, digest)` keys so the caller can insert the freshly
-    /// merged chunks after the run.
-    fn serve_from_cache(
-        &mut self,
-        cache: &ScenarioCache,
-        full: &DestMap,
-        out: &Cube,
-        report: &mut ExecReport,
-    ) -> Result<Vec<(ChunkId, u64)>> {
-        if self.full_graph.is_empty() {
-            return Ok(Vec::new());
-        }
-        let geom = self.cube.geometry();
-        let axis_len = self.cube.schema().axis_len(self.dim);
-        // Scope slot numbering to this cube's shape and schema identity:
-        // a cache is per-session (one base cube), but make cross-cube
-        // aliasing within a process loud-proof anyway.
-        let geometry_sig = {
-            let mut h = Fnv64::new();
-            h.write_u64(Arc::as_ptr(self.cube.schema()) as u64);
-            h.write_u32(geom.ndims() as u32);
-            for d in 0..geom.ndims() {
-                h.write_u32(geom.lens()[d]).write_u32(geom.extents()[d]);
-            }
-            h.finish()
-        };
-        let other: Vec<usize> = (0..geom.ndims()).filter(|&d| d != self.vd).collect();
-        let walk: Vec<usize> = std::iter::once(self.vd)
-            .chain(other.iter().copied())
-            .collect();
-        let anchors: Vec<Vec<u32>> = geom
-            .chunks_in_order(&walk)
-            .filter(|c| c[self.vd] == 0)
-            .collect();
-
-        let mut served: Vec<u32> = Vec::new();
-        let mut to_insert: Vec<(ChunkId, u64)> = Vec::new();
-        for comp in self.full_graph.components() {
-            let mut labels: Vec<u32> = comp.iter().map(|&n| self.full_graph.label(n)).collect();
-            labels.sort_unstable();
-            let mut cd =
-                ComponentDigest::new(geometry_sig, self.vd, self.vd_extent, axis_len, full);
-            for &l in &labels {
-                cd.fold_label(l);
-            }
-            let digest = cd.finish();
-            let mut keys: Vec<(ChunkId, u64)> = Vec::with_capacity(anchors.len() * labels.len());
-            for anchor in &anchors {
-                let mut coord = anchor.clone();
-                for &l in &labels {
-                    coord[self.vd] = l;
-                    keys.push((geom.chunk_id(&coord), digest));
-                }
-            }
-            match cache.lookup_component(&keys) {
-                Some(payloads) => {
-                    for (&(id, _), payload) in keys.iter().zip(payloads) {
-                        if let Cached::Chunk(chunk) = payload {
-                            out.put_chunk(id, (*chunk).clone())?;
-                        }
-                        report.cache_chunks_served += 1;
-                    }
-                    served.extend(labels);
-                }
-                None => to_insert.extend(keys),
-            }
-        }
-        if !served.is_empty() {
-            // Withdraw served components: their chunks are already in
-            // `out`, so no pass may read, merge, or flush them again.
-            for l in served {
-                self.kept[l as usize] = false;
-            }
-            let kept = &self.kept;
-            self.full_graph = self.full_graph.induced(|l| kept[l as usize]);
-        }
-        Ok(to_insert)
-    }
-
-    /// Kept labels with no merge/drop activity under the full plan —
-    /// streamed through verbatim by the first pass.
-    fn copy_labels(&self) -> Vec<bool> {
-        let mut copy = self.kept.clone();
-        for node in 0..self.full_graph.len() {
-            copy[self.full_graph.label(node) as usize] = false;
-        }
-        copy
-    }
-
-    /// Runs one pass of `dest` into `out`, copying `copy_labels` chunks
-    /// verbatim. With `opts.threads ≥ 2` under `Pebbling`/`Naive`, slices fan
-    /// out over scoped workers (they are independent: cells only move
-    /// along the varying dimension, so no two slices touch the same
-    /// output chunk); `DimOrder` always runs serially.
-    fn run_pass(
+impl Run<'_> {
+    /// Runs one pass of `dest` into `out`. With `opts.scan.threads ≥ 2`
+    /// under `Pebbling`/`Naive`, slices fan out over scoped workers (they
+    /// are independent: cells only move along the varying dimension, so
+    /// no two slices touch the same output chunk); `DimOrder` always runs
+    /// serially.
+    fn pass(
         &self,
         out: &Cube,
+        pass: &PassPlan,
         dest: &DestMap,
-        copy_labels: &[bool],
         report: &mut ExecReport,
     ) -> Result<()> {
-        let geom = self.cube.geometry();
-        let schema = self.cube.schema();
-        let varying = schema.varying(self.dim).expect("checked by Env::new");
-        // This pass's own merge graph (⊆ the full graph).
-        let graph =
-            MergeGraph::build(varying, dest, self.vd_extent).induced(|l| self.kept[l as usize]);
-        let node_order: Vec<usize> = match self.policy {
-            OrderPolicy::Pebbling => heuristic_order(&graph),
-            OrderPolicy::Naive | OrderPolicy::DimOrder(_) => naive_order(&graph),
-        };
-        let n_labels = geom.grid()[self.vd] as usize;
-        let mut affected = vec![false; n_labels];
-        for &l in graph.labels() {
-            affected[l as usize] = true;
-        }
-        let node_of_label: HashMap<u32, usize> = graph
-            .labels()
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, i))
-            .collect();
-
-        // Residue: chunks this pass owns cells in (non-Skip identity
-        // entries) that are neither merge-affected nor copy-through —
-        // e.g. an instance owned by pass 2 sharing a chunk with a pass-0
-        // mover. Streamed with per-cell fate filtering, no buffers.
-        let mut residue = vec![false; n_labels];
-        for (i, inst) in varying.instances().iter().enumerate() {
-            let l = (i / self.vd_extent as usize).min(n_labels.saturating_sub(1));
-            if !self.kept[l] || affected[l] || copy_labels[l] || residue[l] {
-                continue;
-            }
-            if inst
-                .validity
-                .iter()
-                .any(|t| dest.fate(i as u32, t) != CellFate::Skip)
-            {
-                residue[l] = true;
-            }
-        }
-
-        // This pass reads: copy-through + residue + affected labels.
-        // Each group is a unit of serial work: one slice's chunks in
-        // processing order for Pebbling/Naive, or the whole (interleaved)
-        // walk for DimOrder.
-        let touch = |l: u32| -> bool {
-            copy_labels[l as usize] || residue[l as usize] || affected[l as usize]
-        };
-        let groups: Vec<Vec<Vec<u32>>> = match self.policy {
-            OrderPolicy::DimOrder(order) => vec![geom
-                .chunks_in_order(order)
-                .filter(|c| touch(c[self.vd]))
+        // Units of serial work: one chunk sequence per slice (the varying
+        // dimension first, Lemma 5.1), or `DimOrder`'s one interleaved walk.
+        let (geom, vd) = (self.cube.geometry(), self.plan.vd);
+        let groups: Vec<Vec<Vec<u32>>> = match &self.plan.policy {
+            OrderPolicy::DimOrder(dims) => vec![geom
+                .chunks_in_order(dims)
+                .filter(|c| pass.roles[c[vd] as usize] != Role::Skip)
                 .collect()],
-            OrderPolicy::Pebbling | OrderPolicy::Naive => {
-                // Varying dimension first (Lemma 5.1): slice by slice;
-                // within a slice, copy-through chunks stream first, then
-                // the graph nodes in the chosen order.
-                let mut groups = Vec::new();
-                let other: Vec<usize> = (0..geom.ndims()).filter(|&d| d != self.vd).collect();
-                let walk: Vec<usize> = std::iter::once(self.vd)
-                    .chain(other.iter().copied())
-                    .collect();
-                for coord in geom.chunks_in_order(&walk) {
-                    if coord[self.vd] != 0 {
-                        continue; // one anchor per slice
-                    }
-                    let mut seq = Vec::new();
-                    let mut anchor = coord;
-                    for l in 0..geom.grid()[self.vd] {
-                        if (copy_labels[l as usize] || residue[l as usize]) && !affected[l as usize]
-                        {
-                            anchor[self.vd] = l;
-                            seq.push(anchor.clone());
-                        }
-                    }
-                    for &n in &node_order {
-                        anchor[self.vd] = graph.label(n);
-                        seq.push(anchor.clone());
-                    }
-                    if !seq.is_empty() {
-                        groups.push(seq);
-                    }
-                }
-                groups
-            }
+            _ if pass.reads.is_empty() => Vec::new(),
+            _ => (self.plan.anchors.iter())
+                .map(|anchor| {
+                    let at = |&l: &u32| {
+                        let mut coord = anchor.clone();
+                        coord[vd] = l;
+                        coord
+                    };
+                    pass.reads.iter().map(at).collect()
+                })
+                .collect(),
         };
-
-        let workers = match self.policy {
+        let workers = match self.plan.policy {
             OrderPolicy::DimOrder(_) => 1,
-            _ => self.opts.threads.max(1).min(groups.len().max(1)),
+            _ => self.opts.scan.threads.max(1).min(groups.len().max(1)),
         };
-        if workers <= 1 {
-            // One prefetcher for the whole pass: hints follow the full
-            // read order across slice boundaries (the watermark never
-            // resets between sequences).
-            let mut pf = Prefetcher::new(self.cube, self.opts.prefetch, groups.iter());
-            for seq in &groups {
-                self.check_deadline()?;
-                self.process(
-                    out,
-                    dest,
-                    &graph,
-                    &node_of_label,
-                    &affected,
-                    copy_labels,
-                    seq,
-                    &mut pf,
-                    report,
-                )?;
-            }
-            return Ok(());
-        }
-
         let mut buckets: Vec<Vec<&Vec<Vec<u32>>>> = vec![Vec::new(); workers];
         for (i, g) in groups.iter().enumerate() {
             buckets[i % workers].push(g);
         }
-        let graph = &graph;
-        let node_of_label = &node_of_label;
-        let affected = &affected[..];
-        let parts: Vec<Result<ExecReport>> = std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    s.spawn(move || {
-                        let mut r = ExecReport::default();
-                        // Per-worker prefetcher spanning the worker's
-                        // whole bucket of slices.
-                        let mut pf =
-                            Prefetcher::new(self.cube, self.opts.prefetch, bucket.iter().copied());
-                        for seq in bucket {
-                            self.check_deadline()?;
-                            self.process(
-                                out,
-                                dest,
-                                graph,
-                                node_of_label,
-                                affected,
-                                copy_labels,
-                                seq,
-                                &mut pf,
-                                &mut r,
-                            )?;
-                        }
-                        Ok(r)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("executor worker panicked"))
-                .collect()
-        });
+        let run_bucket = |bucket: &[&Vec<Vec<u32>>]| {
+            let mut r = ExecReport::default();
+            // One prefetcher per worker: its hints follow the worker's
+            // whole read order across slice boundaries.
+            let prefetch = self.opts.scan.prefetch;
+            let mut pf = Prefetcher::new(self.cube, prefetch, bucket.iter().copied());
+            for seq in bucket {
+                self.opts.check_deadline()?;
+                self.process(out, dest, pass, seq, &mut pf, &mut r)?;
+            }
+            Ok(r)
+        };
+        let parts: Vec<Result<ExecReport>> = if workers == 1 {
+            vec![run_bucket(&buckets[0])]
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (buckets.iter())
+                    .map(|bucket| s.spawn(|| run_bucket(bucket)))
+                    .collect();
+                (handles.into_iter())
+                    .map(|h| h.join().expect("executor worker panicked"))
+                    .collect()
+            })
+        };
         let mut peak_sum = 0u64;
         for part in parts {
             let r = part?;
@@ -683,30 +470,27 @@ impl<'a> Env<'a> {
             peak_sum += r.peak_out_buffers;
         }
         // Sum of per-worker peaks: an upper bound on simultaneous
-        // residency (workers need not peak at the same instant).
+        // residency (workers need not peak at the same instant); exact
+        // for one worker.
         report.peak_out_buffers = report.peak_out_buffers.max(peak_sum);
         Ok(())
     }
 
     /// Processes one ordered chunk sequence with private slice/buffer
-    /// state. Serial passes feed every group through one call chain;
-    /// parallel passes give each worker its own report to merge later.
-    /// The prefetcher is shared across a worker's sequences so hints
-    /// span slice boundaries.
-    #[allow(clippy::too_many_arguments)]
+    /// state, into the worker's own report. The prefetcher is shared
+    /// across a worker's sequences so hints span slice boundaries.
     fn process(
         &self,
         out: &Cube,
         dest: &DestMap,
-        graph: &MergeGraph,
-        node_of_label: &HashMap<u32, usize>,
-        affected: &[bool],
-        copy_labels: &[bool],
+        pass: &PassPlan,
         sequence: &[Vec<u32>],
         pf: &mut Prefetcher<'_>,
         report: &mut ExecReport,
     ) -> Result<()> {
         let geom = self.cube.geometry();
+        let vd = self.plan.vd;
+        let graph = &pass.graph;
 
         struct SliceState {
             processed: Vec<bool>,
@@ -717,33 +501,38 @@ impl<'a> Env<'a> {
 
         for coord in sequence.iter() {
             pf.advance();
-            let label = coord[self.vd];
+            let label = coord[vd] as usize;
             let id = geom.chunk_id(coord);
             let materialized = self.cube.chunk_exists(id);
             if materialized {
                 report.chunks_read += 1;
             }
-            if !affected[label as usize] {
-                if materialized {
-                    let chunk = self.cube.chunk(id)?;
-                    if copy_labels[label as usize] {
-                        // Copy-through (first pass only; untouched by any
-                        // pass of the plan).
-                        out.put_chunk(id, (*chunk).clone())?;
-                    } else {
-                        // Residue: keep exactly the cells this pass owns.
-                        let buf = self.residue_filter(&chunk, coord, dest);
+            let node = match pass.roles[label] {
+                Role::Merge(node) => node,
+                // Copy-through (first pass only; untouched by any pass of
+                // the plan).
+                Role::Copy if materialized => {
+                    out.put_chunk(id, (*self.cube.chunk(id)?).clone())?;
+                    continue;
+                }
+                // Residue: keep exactly the cells this pass owns. None of
+                // them moves, so scattering fills this chunk's own buffer.
+                Role::Residue if materialized => {
+                    let mut own = HashMap::new();
+                    self.scatter(&*self.cube.chunk(id)?, coord, dest, &mut own, report);
+                    debug_assert!(own.keys().all(|&k| k == id), "residue cells stay put");
+                    if let Some(buf) = own.remove(&id) {
                         self.flush_overlay(out, id, buf)?;
                     }
+                    continue;
                 }
-                continue;
-            }
-            let node = node_of_label[&label];
+                _ => continue,
+            };
             report.merges += 1;
             let slice_key: Vec<u32> = coord
                 .iter()
                 .enumerate()
-                .filter(|&(d, _)| d != self.vd)
+                .filter(|&(d, _)| d != vd)
                 .map(|(_, &c)| c)
                 .collect();
             {
@@ -782,7 +571,7 @@ impl<'a> Env<'a> {
             let slice_done = state.done == graph.len();
             for y in flush {
                 let mut ycoord = coord.clone();
-                ycoord[self.vd] = graph.label(y);
+                ycoord[vd] = graph.label(y);
                 let yid = geom.chunk_id(&ycoord);
                 if let Some(buf) = buffers.remove(&yid) {
                     self.flush_overlay(out, yid, buf)?;
@@ -794,48 +583,6 @@ impl<'a> Env<'a> {
         }
         debug_assert!(buffers.is_empty(), "all buffers flushed at pass end");
         Ok(())
-    }
-
-    /// Filters a residue chunk down to the cells this pass owns (identity
-    /// fate entries). Under `Runs`, the chunk is split just after
-    /// `max(vd, pd)` so the fate is constant over every run and each kept
-    /// run moves with one masked copy; under `Scalar`, the original
-    /// per-cell walk runs with a reused coordinate buffer.
-    fn residue_filter(&self, chunk: &Chunk, ccoord: &[u32], dest: &DestMap) -> Chunk {
-        let geom = self.cube.geometry();
-        let mut buf = Chunk::new_dense(geom.chunk_shape(ccoord));
-        match self.opts.kernel {
-            KernelKind::Scalar => {
-                let mut cell: Vec<u32> = Vec::new();
-                for (off, v) in chunk.present_cells() {
-                    geom.cell_of_local_into(ccoord, off, &mut cell);
-                    if let CellFate::To(d) = dest.fate(cell[self.vd], cell[self.pd]) {
-                        debug_assert_eq!(
-                            d, cell[self.vd],
-                            "residue chunks only hold identity cells"
-                        );
-                        buf.set(off, olap_store::CellValue::num(v));
-                    }
-                }
-            }
-            KernelKind::Runs => {
-                // Splitting after the later of vd/pd makes the fate
-                // constant over every run — runs span the whole axis
-                // suffix, so trailing length-1 axes cost nothing.
-                let split = self.vd.max(self.pd) + 1;
-                let mut it = geom.runs_from(ccoord, split);
-                while let Some((base, start, len)) = it.next_run() {
-                    if let CellFate::To(d) = dest.fate(base[self.vd], base[self.pd]) {
-                        debug_assert_eq!(
-                            d, base[self.vd],
-                            "residue chunks only hold identity cells"
-                        );
-                        buf.copy_run_from(chunk, start, start, len);
-                    }
-                }
-            }
-        }
-        buf
     }
 
     /// Scatters one affected chunk's present cells into per-destination
@@ -862,24 +609,25 @@ impl<'a> Env<'a> {
         report: &mut ExecReport,
     ) {
         let geom = self.cube.geometry();
+        let (vd, pd, vd_extent) = (self.plan.vd, self.plan.pd, self.plan.vd_extent);
         match self.opts.kernel {
             KernelKind::Scalar => {
                 for (off, v) in chunk.present_cells() {
                     let cell = geom.cell_of_local(coord, off);
-                    let src = cell[self.vd];
-                    let t = cell[self.pd];
+                    let src = cell[vd];
+                    let t = cell[pd];
                     match dest.fate(src, t) {
                         CellFate::Skip => {}
                         CellFate::Drop => report.cells_dropped += 1,
                         CellFate::To(dst) => {
-                            if !self.kept[(dst / self.vd_extent) as usize] {
+                            if !self.plan.kept[(dst / vd_extent) as usize] {
                                 continue; // out-of-scope destination
                             }
                             if dst != src {
                                 report.cells_relocated += 1;
                             }
                             let mut target = cell.clone();
-                            target[self.vd] = dst;
+                            target[vd] = dst;
                             let (tid, toff) = geom.split_cell(&target);
                             let buf = buffers.entry(tid).or_insert_with(|| {
                                 Chunk::new_dense(geom.chunk_shape(&geom.chunk_coord(tid)))
@@ -895,19 +643,19 @@ impl<'a> Env<'a> {
                 // over every run: a run is the chunk's full cross-section
                 // of the axes behind both, so trailing length-1 axes
                 // (currency, version, …) never shrink it to single cells.
-                let split = self.vd.max(self.pd) + 1;
+                let split = vd.max(pd) + 1;
                 let mut target: Vec<u32> = Vec::with_capacity(geom.ndims());
                 let mut it = geom.runs_from(coord, split);
                 while let Some((base, start, len)) = it.next_run() {
-                    let src = base[self.vd];
-                    let t = base[self.pd];
+                    let src = base[vd];
+                    let t = base[pd];
                     match dest.fate(src, t) {
                         CellFate::Skip => {}
                         CellFate::Drop => {
                             report.cells_dropped += chunk.present_in_range(start, len) as u64;
                         }
                         CellFate::To(dst) => {
-                            if !self.kept[(dst / self.vd_extent) as usize] {
+                            if !self.plan.kept[(dst / vd_extent) as usize] {
                                 continue; // out-of-scope destination
                             }
                             // The destination chunk differs only in the
@@ -917,7 +665,7 @@ impl<'a> Env<'a> {
                             // contiguously from one computed base offset.
                             target.clear();
                             target.extend_from_slice(base);
-                            target[self.vd] = dst;
+                            target[vd] = dst;
                             let (tid, toff) = geom.split_cell(&target);
                             let buf = buffers.entry(tid).or_insert_with(|| {
                                 Chunk::new_dense(geom.chunk_shape(&geom.chunk_coord(tid)))
@@ -963,11 +711,9 @@ impl<'a> Env<'a> {
 mod tests {
     use super::*;
     use crate::operators::relocate::relocate;
-    use crate::perspective::Semantics;
+    use crate::perspective::{Mode, PerspectiveSpec, Semantics};
     use crate::phi::phi;
-    use crate::plan::decompose_passes;
     use olap_model::{DimensionSpec, SchemaBuilder};
-    use std::sync::Arc;
 
     /// A 3-dim cube: Product (varying, 8 members, 4 moving) × Time (6) ×
     /// Location (4). Chunk extents 2.
@@ -1010,24 +756,22 @@ mod tests {
         (b.finish().unwrap(), prod)
     }
 
-    /// One serial single-pass run with default knobs (the helper the
-    /// report-shape tests below share).
-    fn single_pass(
+    /// Plans `sem`/`p` on the fixture (scoped when `scope` is set).
+    fn plan(
         cube: &Cube,
         dim: DimensionId,
-        map: &DestMap,
-        policy: &OrderPolicy,
-    ) -> (Cube, ExecReport) {
-        execute_passes_opts(
-            cube,
-            dim,
-            map,
-            std::slice::from_ref(map),
-            policy,
-            None,
-            ExecOpts::default(),
-        )
-        .unwrap()
+        sem: Semantics,
+        p: &[u32],
+        policy: OrderPolicy,
+        scope: Option<&[u32]>,
+    ) -> Plan {
+        let spec = PerspectiveSpec::new(dim, p.iter().copied(), sem, Mode::Visual);
+        Plan::build(cube, &spec, &policy, scope).unwrap()
+    }
+
+    /// One serial run with default knobs.
+    fn run(cube: &Cube, plan: &Plan) -> (Cube, ExecReport) {
+        execute(cube, plan, &ExecOpts::default()).unwrap()
     }
 
     /// Whether `got` agrees with `oracle` on every cell whose varying
@@ -1057,10 +801,7 @@ mod tests {
     fn check_equivalence(sem: Semantics, p: &[u32]) {
         let (cube, prod) = fixture();
         let varying = cube.schema().varying(prod).unwrap();
-        let vs_out = phi(sem, varying.instances(), p, 6);
-        let oracle = relocate(&cube, prod, &vs_out).unwrap();
-        let map = DestMap::build(&cube, prod, &vs_out).unwrap();
-        let decomposed = decompose_passes(&map, sem, p, varying);
+        let oracle = relocate(&cube, prod, &phi(sem, varying.instances(), p, 6)).unwrap();
         let p3 = cube.schema().dim(prod).resolve("p3").unwrap();
         let slots: Vec<u32> = varying.instances_of(p3).iter().map(|i| i.0).collect();
         assert!(slots.len() >= 2);
@@ -1070,34 +811,37 @@ mod tests {
             OrderPolicy::DimOrder(vec![1, 0, 2]),
             OrderPolicy::DimOrder(vec![0, 1, 2]),
         ] {
-            for (plan, passes) in [
-                ("single", std::slice::from_ref(&map)),
-                ("decomposed", &decomposed[..]),
-            ] {
-                for scope in [None, Some(&slots[..])] {
+            for scope in [None, Some(&slots[..])] {
+                let decomposed = plan(&cube, prod, sem, p, policy.clone(), scope);
+                assert_eq!(decomposed.passes().len(), p.len());
+                let map = decomposed.map().clone();
+                let single =
+                    Plan::from_maps(&cube, prod, map.clone(), vec![map], policy.clone(), scope)
+                        .unwrap();
+                for (name, plan) in [("single", &single), ("decomposed", &decomposed)] {
                     // The serial run-kernel report of this row: threads
                     // and the kernel choice must not change the work done.
                     let mut serial: Option<ExecReport> = None;
                     for threads in [1, 3] {
                         for kernel in [KernelKind::Runs, KernelKind::Scalar] {
                             let opts = ExecOpts {
-                                threads,
+                                scan: ScanOpts {
+                                    threads,
+                                    ..ScanOpts::default()
+                                },
                                 kernel,
                                 ..ExecOpts::default()
                             };
-                            let (got, report) = execute_passes_opts(
-                                &cube, prod, &map, passes, &policy, scope, opts,
-                            )
-                            .unwrap();
+                            let (got, report) = execute(&cube, plan, &opts).unwrap();
                             let row = format!(
-                                "{sem:?} P={p:?} {policy:?} {plan} scope={scope:?} \
+                                "{sem:?} P={p:?} {policy:?} {name} scope={scope:?} \
                                  threads={threads} {kernel}"
                             );
                             assert!(
                                 agrees_on_scope(&got, &oracle, prod, scope),
                                 "{row} diverged from relocate (report: {report:?})"
                             );
-                            assert_eq!(report.passes, passes.len() as u64, "{row}");
+                            assert_eq!(report.passes, plan.passes().len() as u64, "{row}");
                             let base = serial.get_or_insert_with(|| report.clone());
                             assert_eq!(report.chunks_read, base.chunks_read, "{row}");
                             assert_eq!(report.cells_relocated, base.cells_relocated, "{row}");
@@ -1108,7 +852,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(decomposed.len(), p.len());
     }
 
     #[test]
@@ -1133,10 +876,15 @@ mod tests {
     #[test]
     fn report_counts_activity() {
         let (cube, prod) = fixture();
-        let varying = cube.schema().varying(prod).unwrap();
-        let vs_out = phi(Semantics::Forward, varying.instances(), &[0], 6);
-        let map = DestMap::build(&cube, prod, &vs_out).unwrap();
-        let (_, report) = single_pass(&cube, prod, &map, &OrderPolicy::Pebbling);
+        let plan = plan(
+            &cube,
+            prod,
+            Semantics::Forward,
+            &[0],
+            OrderPolicy::Pebbling,
+            None,
+        );
+        let (_, report) = run(&cube, &plan);
         assert!(report.graph_nodes > 0);
         assert!(report.cells_relocated > 0);
         assert!(report.chunks_read > 0);
@@ -1149,23 +897,17 @@ mod tests {
         // The Fig. 11 mechanism: per-perspective passes repeat reads of
         // the affected chunks.
         let (cube, prod) = fixture();
-        let varying = cube.schema().varying(prod).unwrap();
-        let policy = OrderPolicy::Pebbling;
         let mut prev = 0u64;
         for p in [vec![0u32], vec![0, 2], vec![0, 2, 4]] {
-            let vs_out = phi(Semantics::Static, varying.instances(), &p, 6);
-            let map = DestMap::build(&cube, prod, &vs_out).unwrap();
-            let passes = decompose_passes(&map, Semantics::Static, &p, varying);
-            let (_, report) = execute_passes_opts(
+            let plan = plan(
                 &cube,
                 prod,
-                &map,
-                &passes,
-                &policy,
+                Semantics::Static,
+                &p,
+                OrderPolicy::Pebbling,
                 None,
-                ExecOpts::default(),
-            )
-            .unwrap();
+            );
+            let (_, report) = run(&cube, &plan);
             assert!(
                 report.chunks_read >= prev,
                 "reads should not shrink with more perspectives"
@@ -1178,12 +920,18 @@ mod tests {
     fn varying_dim_first_needs_less_memory() {
         // Lemma 5.1.
         let (cube, prod) = fixture();
-        let varying = cube.schema().varying(prod).unwrap();
-        let vs_out = phi(Semantics::Forward, varying.instances(), &[0], 6);
-        let map = DestMap::build(&cube, prod, &vs_out).unwrap();
-        let (_, slice_first) = single_pass(&cube, prod, &map, &OrderPolicy::Naive);
-        let (_, param_first) =
-            single_pass(&cube, prod, &map, &OrderPolicy::DimOrder(vec![1, 2, 0]));
+        let naive = plan(
+            &cube,
+            prod,
+            Semantics::Forward,
+            &[0],
+            OrderPolicy::Naive,
+            None,
+        );
+        let param_first = OrderPolicy::DimOrder(vec![1, 2, 0]);
+        let param_first = plan(&cube, prod, Semantics::Forward, &[0], param_first, None);
+        let (_, slice_first) = run(&cube, &naive);
+        let (_, param_first) = run(&cube, &param_first);
         assert!(
             slice_first.peak_out_buffers < param_first.peak_out_buffers,
             "vd-first {} vs param-first {}",
@@ -1195,22 +943,28 @@ mod tests {
     #[test]
     fn scoped_execution_reads_fewer_chunks() {
         let (cube, prod) = fixture();
-        let varying = cube.schema().varying(prod).unwrap();
-        let vs_out = phi(Semantics::Forward, varying.instances(), &[1], 6);
-        let map = DestMap::build(&cube, prod, &vs_out).unwrap();
-        let (_, full_report) = single_pass(&cube, prod, &map, &OrderPolicy::Pebbling);
-        let p3 = cube.schema().dim(prod).resolve("p3").unwrap();
-        let slots: Vec<u32> = varying.instances_of(p3).iter().map(|i| i.0).collect();
-        let (_, scoped_report) = execute_passes_opts(
+        let full = plan(
             &cube,
             prod,
-            &map,
-            std::slice::from_ref(&map),
-            &OrderPolicy::Pebbling,
+            Semantics::Forward,
+            &[1],
+            OrderPolicy::Pebbling,
+            None,
+        );
+        let varying = cube.schema().varying(prod).unwrap();
+        let p3 = cube.schema().dim(prod).resolve("p3").unwrap();
+        let slots: Vec<u32> = varying.instances_of(p3).iter().map(|i| i.0).collect();
+        let scoped = plan(
+            &cube,
+            prod,
+            Semantics::Forward,
+            &[1],
+            OrderPolicy::Pebbling,
             Some(&slots),
-            ExecOpts::default(),
-        )
-        .unwrap();
+        );
+        assert!(scoped.is_scoped() && !full.is_scoped());
+        let (_, full_report) = run(&cube, &full);
+        let (_, scoped_report) = run(&cube, &scoped);
         assert!(
             scoped_report.chunks_read < full_report.chunks_read,
             "scoped {} vs full {}",
@@ -1222,9 +976,17 @@ mod tests {
     #[test]
     fn noop_scenario_copies_through() {
         let (cube, prod) = fixture();
-        let n = cube.schema().axis_len(prod);
-        let map = DestMap::identity(n, 6);
-        let (got, report) = single_pass(&cube, prod, &map, &OrderPolicy::Pebbling);
+        let map = DestMap::identity(cube.schema().axis_len(prod), 6);
+        let plan = Plan::from_maps(
+            &cube,
+            prod,
+            map.clone(),
+            vec![map],
+            OrderPolicy::Pebbling,
+            None,
+        )
+        .unwrap();
+        let (got, report) = run(&cube, &plan);
         assert!(got.same_cells(&cube).unwrap());
         assert_eq!(report.graph_nodes, 0);
         assert_eq!(report.cells_relocated, 0);

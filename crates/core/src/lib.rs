@@ -24,7 +24,8 @@
 //!   evaluates a what-if query either cell-at-a-time (the reference
 //!   oracle) or chunked — ordering chunk reads with the
 //!   **merge-dependency graph** and **pebbling heuristic** of Section 5.2
-//!   ([`merge`]) and measuring memory via the buffer pool.
+//!   ([`merge`]) and measuring memory via the buffer pool. A [`Plan`] holds
+//!   every decision made before a chunk is read; [`execute`] runs it.
 
 pub mod algebra;
 pub mod cache;
@@ -45,7 +46,9 @@ pub mod split_memo;
 pub use algebra::{compile, run, AlgebraExpr, AlgebraOutput};
 pub use cache::{CacheStats, Cached, ScenarioCache};
 pub use error::WhatIfError;
-pub use exec::{execute_passes_opts, ExecOpts, ExecReport, KernelKind, OrderPolicy, Strategy};
+pub use exec::{
+    execute, execute_passes_opts, ExecOpts, ExecReport, KernelKind, OrderPolicy, Strategy,
+};
 pub use fingerprint::{positive_fingerprint, Fnv64};
 pub use forest::{CowChanges, ForestError, ForkRow, ScenarioForest};
 pub use merge::MergeGraph;
@@ -54,7 +57,7 @@ pub use optimize::{optimize, OptimizeReport};
 pub use perspective::{Mode, PerspectiveSpec, Semantics};
 pub use perspective_cube::{apply, apply_default, apply_opts, WhatIfResult};
 pub use phi::{phi, prune_vacancies, VsMap};
-pub use plan::decompose_passes;
+pub use plan::{decompose_passes, Plan};
 pub use scenario::{Change, Scenario};
 pub use split_memo::{memo_key, SplitMemo, SplitMemoStats, SplitResult};
 

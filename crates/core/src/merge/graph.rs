@@ -15,7 +15,7 @@ use olap_model::VaryingDimension;
 use std::collections::BTreeSet;
 
 /// An undirected graph over the affected varying-dimension chunks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MergeGraph {
     /// Node labels: varying-dimension chunk indices, ascending.
     labels: Vec<u32>,

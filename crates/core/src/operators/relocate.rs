@@ -33,7 +33,7 @@ pub enum CellFate {
 
 /// For each input instance and moment, where its data goes in the output:
 /// `dest[src][t]` is the output instance, or a drop/skip sentinel.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DestMap {
     dest: Vec<u32>,
     moments: u32,

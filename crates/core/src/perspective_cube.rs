@@ -6,12 +6,12 @@
 //! queries respecting the query's **mode**: visual re-derives non-leaf
 //! cells on the output cube, non-visual retains the input's.
 
-use crate::error::WhatIfError;
-use crate::exec::{ExecOpts, ExecReport, OrderPolicy, Strategy};
-use crate::operators::relocate::{relocate, DestMap};
+use crate::exec::{execute, ExecOpts, ExecReport, OrderPolicy, Strategy};
+use crate::operators::relocate::relocate;
 use crate::operators::split::split;
 use crate::perspective::Mode;
-use crate::phi::{phi, prune_vacancies, VsMap};
+use crate::phi::{prune_vacancies, VsMap};
+use crate::plan::{checked_phi, Plan};
 use crate::scenario::Scenario;
 use crate::Result;
 use olap_cube::{CellEvaluator, Cube, Sel};
@@ -124,54 +124,27 @@ pub fn apply_opts(
 ) -> Result<WhatIfResult> {
     match scenario {
         Scenario::Negative(spec) => {
-            let schema = cube.schema();
-            let varying = schema
-                .varying(spec.dim)
-                .ok_or_else(|| WhatIfError::NotVarying(schema.dim(spec.dim).name().to_string()))?;
-            if spec.perspectives.is_empty() {
-                return Err(WhatIfError::NoPerspectives);
-            }
-            let moments = varying.moments();
-            for &p in &spec.perspectives {
-                if p >= moments {
-                    return Err(WhatIfError::BadPerspective { moment: p, moments });
+            let (out, vs, report) = match strategy {
+                Strategy::Reference => {
+                    let vs = checked_phi(cube, spec)?;
+                    (relocate(cube, spec.dim, &vs)?, vs, ExecReport::default())
                 }
-            }
-            let pdim = varying.parameter_dim();
-            if spec.semantics.requires_order() && !schema.dim(pdim).is_ordered() {
-                return Err(WhatIfError::UnorderedParameter {
-                    varying: schema.dim(spec.dim).name().to_string(),
-                    parameter: schema.dim(pdim).name().to_string(),
-                });
-            }
-            let vs_raw = phi(
-                spec.semantics,
-                varying.instances(),
-                &spec.perspectives,
-                moments,
-            );
-            let mut vs_pruned = vs_raw.clone();
-            prune_vacancies(&mut vs_pruned, varying.instances(), moments);
-            let (out, report) = match strategy {
-                Strategy::Reference => (relocate(cube, spec.dim, &vs_raw)?, ExecReport::default()),
                 Strategy::Chunked(policy) => {
-                    // Section 6: one pass per perspective (static) or per
-                    // range (dynamic), sharing the output cube.
-                    let map = DestMap::build(cube, spec.dim, &vs_raw)?;
-                    let passes = crate::plan::decompose_passes(
-                        &map,
-                        spec.semantics,
-                        &spec.perspectives,
-                        varying,
-                    );
-                    crate::exec::execute_passes_opts(
-                        cube, spec.dim, &map, &passes, policy, scope, opts,
-                    )?
+                    let plan = Plan::build(cube, spec, policy, scope)?;
+                    let (out, report) = execute(cube, &plan, &opts)?;
+                    let (_, vs) = plan.scenario.expect("Plan::build records its scenario");
+                    (out, vs, report)
                 }
             };
+            let mut vs_pruned = vs;
+            let varying = cube
+                .schema()
+                .varying(spec.dim)
+                .expect("checked by planning");
+            prune_vacancies(&mut vs_pruned, varying.instances(), varying.moments());
             Ok(WhatIfResult {
                 cube: out,
-                schema: Arc::clone(schema),
+                schema: Arc::clone(cube.schema()),
                 scenario: scenario.clone(),
                 vs_out: Some(vs_pruned),
                 report,
@@ -198,6 +171,7 @@ pub fn apply_default(cube: &Cube, scenario: &Scenario) -> Result<WhatIfResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::WhatIfError;
     use crate::perspective::Semantics;
     use crate::scenario::Change;
     use olap_model::{DimensionSpec, MemberId, SchemaBuilder};

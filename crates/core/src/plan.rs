@@ -1,4 +1,15 @@
-//! Pass decomposition — the Section 6 implementation strategy.
+//! Planning: everything a what-if execution decides before it reads a
+//! chunk (Sections 5.2 and 6).
+//!
+//! A [`Plan`] is built once per request and only read by
+//! [`crate::exec::execute`]. It holds the *what* — the validated scenario,
+//! Φ's output, the destination map and the Section 6 pass partition — and
+//! the *how*: the label mask after the scope closure, the full merge
+//! graph and its predicted pebbles, and for each pass its induced graph,
+//! pebbling order, residue and copy-through labels and the label sequence
+//! every Lemma 5.1 slice reads.
+//! Scoping and scenario-cache withdrawal are one operation, a restriction
+//! of the label mask: drop these labels, re-induce, re-order.
 //!
 //! The paper's Essbase implementation does not materialize a perspective
 //! cube in one sweep; it processes perspectives one at a time:
@@ -20,9 +31,300 @@
 //! including the paper's linear-in-k cost (Fig. 11), which a single-pass
 //! execution would hide.
 
-use crate::operators::relocate::DestMap;
-use crate::perspective::Semantics;
-use olap_model::{InstanceId, Moment, VaryingDimension};
+use crate::error::WhatIfError;
+use crate::exec::OrderPolicy;
+use crate::merge::{heuristic_order, naive_order, pebbles_for_order, MergeGraph};
+use crate::operators::relocate::{CellFate, DestMap};
+use crate::perspective::{PerspectiveSpec, Semantics};
+use crate::phi::{phi, VsMap};
+use crate::Result;
+use olap_cube::Cube;
+use olap_model::{DimensionId, InstanceId, Moment, VaryingDimension};
+
+/// A negative what-if execution, decided: built once per request on the
+/// cube it will run over, then only read by [`crate::exec::execute`].
+#[derive(Debug, Clone)]
+pub struct Plan {
+    /// The scenario and Φ's (vacancy-unpruned) output for it; `None` for
+    /// a plan over hand-made maps.
+    pub(crate) scenario: Option<(PerspectiveSpec, VsMap)>,
+    pub(crate) dim: DimensionId,
+    map: DestMap,
+    /// The Section 6 passes, in run order.
+    passes: Vec<DestMap>,
+    pub(crate) policy: OrderPolicy,
+    pub(crate) vd: usize,
+    pub(crate) pd: usize,
+    pub(crate) vd_extent: u32,
+    /// One chunk coordinate per Lemma 5.1 slice (varying-dimension grid
+    /// coordinate 0), in slice-major order.
+    pub(crate) anchors: Vec<Vec<u32>>,
+    /// Labels (varying-dimension chunk indices) the execution may touch.
+    pub(crate) kept: Vec<bool>,
+    /// The full plan's merge graph, induced on `kept`.
+    pub(crate) graph: MergeGraph,
+    /// Peak pebbles the policy's order needs on `graph` (0 for
+    /// `DimOrder`, which doesn't pebble).
+    pub(crate) predicted_pebbles: usize,
+    pub(crate) pass_plans: Vec<PassPlan>,
+}
+
+/// How one pass reads the cube.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PassPlan {
+    /// This pass's merge graph (⊆ the full graph), induced on `kept`.
+    pub graph: MergeGraph,
+    /// Per label, what the pass does with its chunks.
+    pub roles: Vec<Role>,
+    /// The labels every slice reads, in order: copy-through and residue
+    /// first, then the graph nodes in the policy's order.
+    pub reads: Vec<u32>,
+}
+
+/// What a pass does with one label's chunks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// Not read.
+    Skip,
+    /// Kept, with no merge or drop under the full plan: copied verbatim
+    /// (first pass only).
+    Copy,
+    /// Holds cells this pass owns but neither merges nor copies (say an
+    /// instance owned by pass 2 sharing a chunk with a pass-0 mover): only
+    /// those cells are written, and nothing merges into them.
+    Residue,
+    /// Node `n` of the pass's merge graph.
+    Merge(usize),
+}
+
+impl OrderPolicy {
+    /// The within-slice read order of a merge graph's nodes: the pebbling
+    /// heuristic, or layout order (`DimOrder` doesn't pebble).
+    pub fn read_order(&self, g: &MergeGraph) -> Vec<usize> {
+        match self {
+            OrderPolicy::Pebbling => heuristic_order(g),
+            OrderPolicy::Naive | OrderPolicy::DimOrder(_) => naive_order(g),
+        }
+    }
+}
+
+impl Plan {
+    /// Plans a negative scenario: validates it, applies Φ, builds the
+    /// destination map and splits it into the Section 6 passes. `scope`
+    /// optionally restricts execution to the varying-dimension slots a
+    /// query touches (Essbase-style retrieval, the Fig. 12 access
+    /// pattern): only chunks holding a scoped slot, plus their merge
+    /// partners, are read, and the output is correct on those slots.
+    pub fn build(
+        cube: &Cube,
+        spec: &PerspectiveSpec,
+        policy: &OrderPolicy,
+        scope: Option<&[u32]>,
+    ) -> Result<Plan> {
+        let vs = checked_phi(cube, spec)?;
+        let map = DestMap::build(cube, spec.dim, &vs)?;
+        let varying = cube.schema().varying(spec.dim).expect("checked_phi");
+        let passes = decompose_passes(&map, spec.semantics, &spec.perspectives, varying);
+        let mut plan = Plan::from_maps(cube, spec.dim, map, passes, policy.clone(), scope)?;
+        plan.scenario = Some((spec.clone(), vs));
+        Ok(plan)
+    }
+
+    /// Plans hand-made maps: `map` is the full plan (it defines the merge
+    /// graph, the copy-through set and the scope closure), `passes` run in
+    /// order over one output cube (`vec![map.clone()]` for a single pass).
+    pub fn from_maps(
+        cube: &Cube,
+        dim: DimensionId,
+        map: DestMap,
+        passes: Vec<DestMap>,
+        policy: OrderPolicy,
+        scope: Option<&[u32]>,
+    ) -> Result<Plan> {
+        let schema = cube.schema();
+        let varying = schema
+            .varying(dim)
+            .ok_or_else(|| WhatIfError::NotVarying(schema.dim(dim).name().to_string()))?;
+        let geom = cube.geometry();
+        let vd = dim.index();
+        let vd_extent = geom.extents()[vd];
+        let n_labels = geom.grid()[vd] as usize;
+        let graph = MergeGraph::build(varying, &map, vd_extent);
+        let mut in_scope = vec![scope.is_none(); n_labels];
+        for &slot in scope.unwrap_or_default() {
+            let axis_len = schema.axis_len(dim);
+            if slot >= axis_len {
+                return Err(WhatIfError::BadScopeSlot { slot, axis_len });
+            }
+            in_scope[(slot / vd_extent) as usize] = true;
+        }
+        if scope.is_some() {
+            // Close over merge partners: a scoped chunk cannot be merged
+            // without the chunks it exchanges cells with.
+            for node in 0..graph.len() {
+                if in_scope[graph.label(node) as usize] {
+                    for nb in graph.neighbors(node) {
+                        in_scope[graph.label(nb) as usize] = true;
+                    }
+                }
+            }
+        }
+        let single = passes.len() == 1 && passes[0] == map;
+        let pass_plans = (passes.iter())
+            .map(|p| PassPlan {
+                // A single pass over the full map shares the full graph.
+                graph: if single {
+                    MergeGraph::default()
+                } else {
+                    MergeGraph::build(varying, p, vd_extent)
+                },
+                ..PassPlan::default()
+            })
+            .collect();
+        let walk: Vec<usize> = std::iter::once(vd)
+            .chain((0..geom.ndims()).filter(|&d| d != vd))
+            .collect();
+        let plan = Plan {
+            scenario: None,
+            dim,
+            map,
+            passes,
+            policy,
+            vd,
+            pd: varying.parameter_dim().index(),
+            vd_extent,
+            anchors: geom.chunks_in_order(&walk).filter(|c| c[vd] == 0).collect(),
+            kept: vec![true; n_labels],
+            graph,
+            predicted_pebbles: 0,
+            pass_plans,
+        };
+        Ok(plan.restrict(cube, |l| !in_scope[l as usize]))
+    }
+
+    /// The full destination map.
+    pub fn map(&self) -> &DestMap {
+        &self.map
+    }
+
+    /// The passes, in run order.
+    pub fn passes(&self) -> &[DestMap] {
+        &self.passes
+    }
+
+    /// Whether a scope withdrew any label (cached chunks are whole output
+    /// chunks, so a restricted plan bypasses the scenario cache).
+    pub fn is_scoped(&self) -> bool {
+        self.kept.contains(&false)
+    }
+
+    /// The one label-mask path, shared by the scope closure and the
+    /// scenario cache's withdrawal of served components: drops the `drop`
+    /// labels, re-induces every graph on the smaller mask, re-orders it,
+    /// and redoes every pass's roles and reads.
+    pub(crate) fn restrict(mut self, cube: &Cube, drop: impl Fn(u32) -> bool) -> Plan {
+        for (l, k) in self.kept.iter_mut().enumerate() {
+            *k &= !drop(l as u32);
+        }
+        let kept = &self.kept;
+        self.graph = self.graph.induced(|l| kept[l as usize]);
+        let order = self.policy.read_order(&self.graph);
+        self.predicted_pebbles = match self.policy {
+            OrderPolicy::DimOrder(_) => 0,
+            _ => pebbles_for_order(&self.graph, &order),
+        };
+        let pass_plans = if self.passes.len() == 1 && self.passes[0] == self.map {
+            // One pass over the full map: its graph and order are the
+            // full plan's.
+            vec![self.pass_plan(cube, true, self.graph.clone(), &order, &self.map)]
+        } else {
+            (self.pass_plans.iter().zip(&self.passes).enumerate())
+                .map(|(i, (p, dest))| {
+                    let g = p.graph.induced(|l| self.kept[l as usize]);
+                    let o = self.policy.read_order(&g);
+                    self.pass_plan(cube, i == 0, g, &o, dest)
+                })
+                .collect()
+        };
+        self.pass_plans = pass_plans;
+        self
+    }
+
+    /// One pass's plan over `graph` (already induced on `kept`), read in
+    /// `order`; the first pass also copies through every kept label
+    /// outside the full graph.
+    fn pass_plan(
+        &self,
+        cube: &Cube,
+        first: bool,
+        graph: MergeGraph,
+        order: &[usize],
+        dest: &DestMap,
+    ) -> PassPlan {
+        let copy = |k: &bool| if *k && first { Role::Copy } else { Role::Skip };
+        let mut roles: Vec<Role> = self.kept.iter().map(copy).collect();
+        for &l in self.graph.labels() {
+            roles[l as usize] = Role::Skip;
+        }
+        for (n, &l) in graph.labels().iter().enumerate() {
+            roles[l as usize] = Role::Merge(n);
+        }
+        let varying = cube
+            .schema()
+            .varying(self.dim)
+            .expect("checked by from_maps");
+        let last = roles.len().saturating_sub(1);
+        for (i, inst) in varying.instances().iter().enumerate() {
+            let l = (i / self.vd_extent as usize).min(last);
+            if self.kept[l]
+                && roles[l] == Role::Skip
+                && (inst.validity.iter()).any(|t| dest.fate(i as u32, t) != CellFate::Skip)
+            {
+                roles[l] = Role::Residue;
+            }
+        }
+        let streamed = (0..roles.len() as u32)
+            .filter(|&l| matches!(roles[l as usize], Role::Copy | Role::Residue));
+        let reads = streamed
+            .chain(order.iter().map(|&n| graph.label(n)))
+            .collect();
+        PassPlan {
+            graph,
+            roles,
+            reads,
+        }
+    }
+}
+
+/// Validates a negative scenario against the cube and applies Φ: the
+/// dimension must vary, the perspective set must be non-empty and in
+/// range, and dynamic semantics need an ordered parameter dimension.
+pub(crate) fn checked_phi(cube: &Cube, spec: &PerspectiveSpec) -> Result<VsMap> {
+    let schema = cube.schema();
+    let varying = schema
+        .varying(spec.dim)
+        .ok_or_else(|| WhatIfError::NotVarying(schema.dim(spec.dim).name().to_string()))?;
+    if spec.perspectives.is_empty() {
+        return Err(WhatIfError::NoPerspectives);
+    }
+    let moments = varying.moments();
+    if let Some(&moment) = spec.perspectives.iter().find(|&&p| p >= moments) {
+        return Err(WhatIfError::BadPerspective { moment, moments });
+    }
+    let pdim = varying.parameter_dim();
+    if spec.semantics.requires_order() && !schema.dim(pdim).is_ordered() {
+        return Err(WhatIfError::UnorderedParameter {
+            varying: schema.dim(spec.dim).name().to_string(),
+            parameter: schema.dim(pdim).name().to_string(),
+        });
+    }
+    Ok(phi(
+        spec.semantics,
+        varying.instances(),
+        &spec.perspectives,
+        moments,
+    ))
+}
 
 /// Splits a plan into the Section 6 passes. `perspectives` must be
 /// sorted and non-empty; the union of all passes' non-`Skip` entries is

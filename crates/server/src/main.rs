@@ -67,11 +67,11 @@ fn main() {
                 Err(_) => die("--cache needs a size in MiB"),
             },
             "--threads" => match value("--threads").parse() {
-                Ok(n) if n > 0 => cfg.session.threads = n,
+                Ok(n) if n > 0 => cfg.session.scan.threads = n,
                 _ => die("--threads needs a positive integer"),
             },
             "--prefetch" => match value("--prefetch").parse() {
-                Ok(k) => cfg.session.prefetch = k,
+                Ok(k) => cfg.session.scan.prefetch = k,
                 Err(_) => die("--prefetch needs a lookahead depth"),
             },
             "--budget" => match value("--budget").parse() {
@@ -118,9 +118,7 @@ fn main() {
         shared.set_cache_mb(cache_mb);
     }
     let shared = Arc::new(shared);
-    if cfg.session.prefetch > 0 {
-        shared.start_io_threads(cfg.session.prefetch.min(4));
-    }
+    cfg.session.scan.start_io(shared.cube());
 
     if let Some(leader) = follow {
         let addr = match leader.to_socket_addrs().ok().and_then(|mut a| a.next()) {

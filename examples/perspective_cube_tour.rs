@@ -1,6 +1,6 @@
 //! A tour of the Section 5 machinery on the running example: Φ and its
-//! semantics, the merge-dependency graph, pebbling, and the chunked
-//! executor's reports.
+//! semantics, the merge-dependency graph, pebbling, and a planned
+//! execution's report.
 //!
 //! ```sh
 //! cargo run --example perspective_cube_tour
@@ -8,9 +8,10 @@
 
 use olap_workload::running_example;
 use whatif_core::{
-    apply, execute_passes_opts,
+    apply, execute,
     merge::{heuristic_order, naive_order, optimal_pebbles, pebbles_for_order, MergeGraph},
-    phi, prune_vacancies, DestMap, ExecOpts, Mode, OrderPolicy, Scenario, Semantics, Strategy,
+    phi, prune_vacancies, ExecOpts, Mode, OrderPolicy, PerspectiveSpec, Plan, Scenario, Semantics,
+    Strategy,
 };
 
 fn main() {
@@ -58,24 +59,16 @@ fn main() {
         optimal_pebbles(&g),
     );
 
-    // Chunked execution of a forward scenario, with its report.
-    let vs = phi(Semantics::Forward, varying.instances(), &[1, 3], 6);
-    let map = DestMap::build(&ex.cube, ex.org, &vs).expect("plan");
+    // Plan a forward scenario once (Φ, destination map, Section 6
+    // passes, merge graph, pebble order), then run it.
+    let spec = PerspectiveSpec::new(ex.org, [1, 3], Semantics::Forward, Mode::Visual);
     for policy in [OrderPolicy::Pebbling, OrderPolicy::Naive] {
-        let single = std::slice::from_ref(&map);
-        let (_, report) = execute_passes_opts(
-            &ex.cube,
-            ex.org,
-            &map,
-            single,
-            &policy,
-            None,
-            ExecOpts::default(),
-        )
-        .expect("exec");
+        let plan = Plan::build(&ex.cube, &spec, &policy, None).expect("plan");
+        let (_, report) = execute(&ex.cube, &plan, &ExecOpts::default()).expect("exec");
         println!(
-            "\nchunked executor [{policy:?}]: graph {}/{} (nodes/edges), \
+            "\nchunked executor [{policy:?}]: {} pass(es), graph {}/{} (nodes/edges), \
              predicted pebbles {}, peak buffers {}, {} cells relocated, {} dropped",
+            report.passes,
             report.graph_nodes,
             report.graph_edges,
             report.predicted_pebbles,

@@ -58,6 +58,12 @@ cargo test -q -p whatif-integration-tests \
     --test fault_injection bit_flip_fault_yields_corrupt_not_garbage >/dev/null
 echo "(corrupt reads surface as Err)"
 
+step "repro --ablations smoke"
+# The only binary that drives OrderPolicy::Naive / DimOrder through the
+# executor, via a hand-made single-pass Plan; nothing in the tests runs it.
+./target/release/repro --ablations >/dev/null
+echo "(repro --ablations ran)"
+
 step "perfbench builds and its oracles hold"
 # perfbench is a workspace of its own, so neither tier-1 nor the steps
 # above notice when a product refactor breaks the yardstick. Build it

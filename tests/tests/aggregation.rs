@@ -5,7 +5,7 @@
 //! ones (they must not move by a bit).
 
 use olap_cube::rules::Acc;
-use olap_cube::{buc, Cube, CubeAggregator, GroupByMask, GroupByResult, Lattice, Mmst};
+use olap_cube::{buc, Cube, CubeAggregator, GroupByMask, GroupByResult, Lattice, Mmst, ScanOpts};
 use olap_model::{DimensionSpec, SchemaBuilder};
 use olap_store::ChunkGeometry;
 use polap_cli::{Dataset, Outcome, Session};
@@ -112,8 +112,10 @@ proptest! {
             cube.start_io_threads(1);
         }
         let agg = CubeAggregator::with_order(&cube, order.clone())
-            .with_threads(rng.random_range(1usize..=3))
-            .with_prefetch(prefetch);
+            .with_scan(ScanOpts {
+                threads: rng.random_range(1usize..=3),
+                prefetch,
+            });
         let mmst = Mmst::build(geom, &order);
         let biggest = masks.iter().map(|&m| mmst.memory_cells(m)).max().unwrap();
         let (results, report) = match rng.random_range(0u32..3) {
@@ -227,7 +229,10 @@ fn rollup_replies_and_accumulators_match_the_parent_commit() {
         let biggest = masks.iter().map(|&m| mmst.memory_cells(m)).max().unwrap();
         for (threads, budget) in [(1, u64::MAX), (3, u64::MAX), (1, biggest)] {
             let (results, _) = CubeAggregator::new(cube)
-                .with_threads(threads)
+                .with_scan(ScanOpts {
+                    threads,
+                    ..ScanOpts::default()
+                })
                 .compute_with_budget(&masks, budget)
                 .unwrap();
             assert_eq!(

@@ -1,5 +1,6 @@
 //! Network-fault hardening tests (DESIGN.md §16): request deadlines
-//! that abort at pass boundaries with the session intact, clients that
+//! that abort at pass boundaries with the session intact, out-of-range
+//! scopes that fail as errors rather than panics, clients that
 //! retry through scripted socket faults with journal replay, and the
 //! versioned greeting that turns protocol skew into a readable error.
 
@@ -54,6 +55,31 @@ fn executor_deadline_aborts_cleanly() {
     let a = apply_opts(&ex.cube, &scenario, &strategy, None, ExecOpts::default()).unwrap();
     let b = apply_opts(&ex.cube, &scenario, &strategy, None, ExecOpts::default()).unwrap();
     assert!(a.cube.same_cells(&b.cube).unwrap());
+}
+
+/// A scope slot past the end of the varying axis is an error naming the
+/// slot and the axis length, not an index panic inside the executor.
+#[test]
+fn out_of_range_scope_slot_is_an_error() {
+    let ex = olap_workload::running_example();
+    let scenario = Scenario::negative(ex.org, [1, 3], Semantics::Forward, Mode::Visual);
+    let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
+    let scope = Some(&[9999][..]);
+    match apply_opts(&ex.cube, &scenario, &strategy, scope, ExecOpts::default()) {
+        Err(e) => {
+            let axis_len = ex.schema.axis_len(ex.org);
+            assert!(
+                matches!(e, WhatIfError::BadScopeSlot { slot: 9999, axis_len: n } if n == axis_len)
+            );
+            assert!(
+                e.to_string().contains(&format!(
+                    "9999 out of range (varying axis has {axis_len} slots)"
+                )),
+                "{e}"
+            );
+        }
+        Ok(_) => panic!("slot 9999 is past the axis"),
+    }
 }
 
 /// `.deadline 1` on the bench dataset trips mid-execution: the server

@@ -1,7 +1,7 @@
 //! Prefetching tests: hinted execution must be bit-identical to demand
 //! paging, and on a seek-model FileStore the hints must actually land.
 
-use olap_cube::{CubeAggregator, Lattice};
+use olap_cube::{CubeAggregator, Lattice, ScanOpts};
 use olap_store::{Chunk, ChunkId, ChunkStore, FileStore, IoStats, SeekModel, StoreError};
 use olap_workload::{retail_example, running_example, Workforce, WorkforceConfig};
 use whatif_core::{apply, apply_opts, ExecOpts, Mode, OrderPolicy, Scenario, Semantics, Strategy};
@@ -15,7 +15,10 @@ fn prefetched_aggregation_matches_demand_paging() {
 
     retail.cube.start_io_threads(2);
     let (hinted, hinted_report) = CubeAggregator::new(&retail.cube)
-        .with_prefetch(3)
+        .with_scan(ScanOpts {
+            prefetch: 3,
+            ..ScanOpts::default()
+        })
         .compute(&masks)
         .unwrap();
 
@@ -49,8 +52,10 @@ fn prefetched_whatif_matches_demand_paging() {
             &strategy,
             None,
             ExecOpts {
-                threads: 1,
-                prefetch,
+                scan: ScanOpts {
+                    threads: 1,
+                    prefetch,
+                },
                 cache: None,
                 ..Default::default()
             },
@@ -105,8 +110,10 @@ fn prefetch_hits_on_a_seek_model_filestore() {
         &strategy,
         None,
         ExecOpts {
-            threads: 1,
-            prefetch: 4,
+            scan: ScanOpts {
+                threads: 1,
+                prefetch: 4,
+            },
             cache: None,
             ..Default::default()
         },
@@ -154,8 +161,10 @@ fn prefetch_hints_span_slice_boundaries() {
         &strategy,
         None,
         ExecOpts {
-            threads: 1,
-            prefetch: 4,
+            scan: ScanOpts {
+                threads: 1,
+                prefetch: 4,
+            },
             cache: None,
             ..Default::default()
         },
@@ -236,7 +245,7 @@ impl ChunkStore for PoisonedChunk {
 /// grid is eight times sparser than its store (Currency, Version and
 /// HSP_Rates have two leaves, extent 1, one populated — and they vary
 /// fastest), so a window counted in grid positions would reach one
-/// stored chunk ahead; `with_prefetch(8)` must reach eight.
+/// stored chunk ahead; `ScanOpts { prefetch: 8, .. }` must reach eight.
 #[test]
 fn aggregation_hints_run_eight_stored_chunks_ahead_on_a_sparse_grid() {
     const K: usize = 8;
@@ -250,7 +259,10 @@ fn aggregation_hints_run_eight_stored_chunks_ahead_on_a_sparse_grid() {
     });
     let geom = wf.cube.geometry();
     let masks: Vec<u32> = (0..geom.ndims() as u32).map(|d| 1 << d).collect();
-    let agg = CubeAggregator::new(&wf.cube).with_prefetch(K);
+    let agg = CubeAggregator::new(&wf.cube).with_scan(ScanOpts {
+        prefetch: K,
+        ..ScanOpts::default()
+    });
     let stored: Vec<ChunkId> = geom
         .chunks_in_order(agg.order())
         .map(|c| geom.chunk_id(&c))

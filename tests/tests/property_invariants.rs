@@ -3,12 +3,34 @@
 //! executor must agree cell-for-cell with the reference relocate on
 //! arbitrary schemas, scenarios, and chunkings.
 
-use olap_model::{InstanceId, ValiditySet};
+use olap_cube::{Cube, ScanOpts};
+use olap_model::{DimensionId, InstanceId, ValiditySet};
 use proptest::prelude::*;
+use std::sync::Arc;
 use whatif_core::{
-    decompose_passes, execute_passes_opts, phi, relocate, DestMap, ExecOpts, OrderPolicy, Semantics,
+    execute, execute_passes_opts, phi, relocate, ExecOpts, KernelKind, Mode, OrderPolicy,
+    PerspectiveSpec, Plan, ScenarioCache, Semantics,
 };
 use whatif_integration_tests::{all_semantics, random_warehouse};
+
+/// Whether `got` agrees with `oracle` on every cell whose varying slot is
+/// in `scope` (all cells when unscoped), in both directions.
+fn agrees_on_scope(got: &Cube, oracle: &Cube, dim: DimensionId, scope: Option<&[u32]>) -> bool {
+    let Some(slots) = scope else {
+        return got.same_cells(oracle).unwrap();
+    };
+    let covers = |a: &Cube, b: &Cube| {
+        let mut ok = true;
+        a.for_each_present(|cell, v| {
+            if slots.contains(&cell[dim.index()]) {
+                ok &= b.get(cell).unwrap() == olap_store::CellValue::num(v);
+            }
+        })
+        .unwrap();
+        ok
+    };
+    covers(oracle, got) && covers(got, oracle)
+}
 
 fn arb_perspectives(moments: u32) -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::btree_set(0..moments, 1..=4).prop_map(|s| s.into_iter().collect())
@@ -146,35 +168,72 @@ proptest! {
         }
     }
 
-    /// Invariant 12 (the load-bearing one): chunked execution — single
-    /// pass, multi-pass, and scoped-to-everything — agrees with the
-    /// reference relocate for every semantics, perspective set, and
-    /// random chunking.
+    /// Invariant 12 (the load-bearing one): a planned execution — single
+    /// pass and Section 6 passes, under a random read order, scope,
+    /// thread count and kernel, with the scenario cache cold then warm —
+    /// agrees with the reference relocate on the slots it answers for,
+    /// reports exactly what `execute_passes_opts` reports for the same
+    /// inputs, and gives the same cells each time one `Plan` runs.
     #[test]
-    fn chunked_equals_reference(seed in 0u64..60, p in arb_perspectives(8)) {
+    fn chunked_equals_reference(
+        seed in 0u64..60,
+        p in arb_perspectives(8),
+        policy in 0usize..8,
+        scope_bits in proptest::option::of(any::<u32>()),
+        threads in 1usize..=3,
+        scalar in any::<bool>(),
+    ) {
         let w = random_warehouse(seed, 3, 8, 8, 4);
         let v = w.schema.varying(w.dim).unwrap();
+        let policy = match policy {
+            0 => OrderPolicy::Pebbling,
+            1 => OrderPolicy::Naive,
+            // The six permutations of (T, D, X).
+            k => OrderPolicy::DimOrder(
+                [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]][k - 2].to_vec(),
+            ),
+        };
+        let slots: Option<Vec<u32>> = scope_bits
+            .map(|bits| (0..v.instance_count()).filter(|s| bits >> (s % 32) & 1 == 1).collect());
+        let scope = slots.as_deref();
+        let kernel = if scalar { KernelKind::Scalar } else { KernelKind::Runs };
         for sem in all_semantics() {
-            let vs = phi(sem, v.instances(), &p, w.moments);
-            let oracle = relocate(&w.cube, w.dim, &vs).unwrap();
-            let map = DestMap::build(&w.cube, w.dim, &vs).unwrap();
-            for policy in [OrderPolicy::Pebbling, OrderPolicy::Naive] {
-                let single = std::slice::from_ref(&map);
-                let (got, _) = execute_passes_opts(
-                    &w.cube, w.dim, &map, single, &policy, None, ExecOpts::default(),
-                ).unwrap();
-                prop_assert!(
-                    got.same_cells(&oracle).unwrap(),
-                    "{sem:?} P={p:?} {policy:?} single-pass diverged"
-                );
-                let passes = decompose_passes(&map, sem, &p, v);
-                let (got2, rep) = execute_passes_opts(
-                    &w.cube, w.dim, &map, &passes, &policy, None, ExecOpts::default(),
-                ).unwrap();
-                prop_assert!(
-                    got2.same_cells(&oracle).unwrap(),
-                    "{sem:?} P={p:?} {policy:?} multi-pass diverged ({rep:?})"
-                );
+            let oracle = relocate(&w.cube, w.dim, &phi(sem, v.instances(), &p, w.moments)).unwrap();
+            let spec = PerspectiveSpec::new(w.dim, p.iter().copied(), sem, Mode::Visual);
+            let passes = Plan::build(&w.cube, &spec, &policy, scope).unwrap();
+            let map = passes.map().clone();
+            let single = Plan::from_maps(
+                &w.cube, w.dim, map.clone(), vec![map.clone()], policy.clone(), scope,
+            ).unwrap();
+            for (name, plan) in [("single-pass", &single), ("multi-pass", &passes)] {
+                // Same history on both sides: the plan and the wrapper
+                // each get their own cache, run cold, then warm.
+                let opts = |cache| ExecOpts {
+                    scan: ScanOpts { threads, ..ScanOpts::default() },
+                    kernel,
+                    cache: Some(cache),
+                    ..ExecOpts::default()
+                };
+                let planned = opts(Arc::new(ScenarioCache::with_capacity_mb(4)));
+                let wrapped = opts(Arc::new(ScenarioCache::with_capacity_mb(4)));
+                let mut first: Option<Cube> = None;
+                for phase in ["cold", "warm"] {
+                    let row = format!("{sem:?} P={p:?} {policy:?} scope={scope:?} {name} {phase}");
+                    let (got, rep) = execute(&w.cube, plan, &planned).unwrap();
+                    let (_, wrapper_rep) = execute_passes_opts(
+                        &w.cube, w.dim, &map, plan.passes(), &policy, scope, wrapped.clone(),
+                    ).unwrap();
+                    prop_assert_eq!(&rep, &wrapper_rep, "{} report", row);
+                    // A warm unscoped run withdraws every component it
+                    // serves, so the restriction path runs too.
+                    let served = phase == "warm" && !plan.is_scoped() && rep.graph_nodes > 0;
+                    prop_assert_eq!(rep.cache_chunks_served > 0, served, "{} cache", row);
+                    prop_assert!(agrees_on_scope(&got, &oracle, w.dim, scope), "{} diverged ({:?})", row, rep);
+                    match &first {
+                        None => first = Some(got),
+                        Some(cold) => prop_assert!(got.same_cells(cold).unwrap(), "{} rerun", row),
+                    }
+                }
             }
         }
     }

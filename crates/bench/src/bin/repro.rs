@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! repro [--fig 11|12|13] [--table S] [--ablations] [--replay] [--all]
-//!       [--csv DIR] [--threads N] [--prefetch K] [--cache MB]
+//!       [--csv DIR] [--threads N] [--cache MB]
 //! ```
 //!
 //! With no arguments, `--all` is assumed. Timings are minima over a few
@@ -29,7 +29,7 @@ use whatif_core::{
 const ITERS: u32 = 3;
 
 const USAGE: &str = "usage: repro [--fig N]… [--table S] [--ablations] [--replay] [--all] \
-                     [--csv DIR] [--threads N] [--prefetch K] [--cache MB]";
+                     [--csv DIR] [--threads N] [--cache MB]";
 
 /// Every flag error ends here: the message on stderr, exit status 2.
 fn usage_error(msg: &str) -> ! {
@@ -44,8 +44,8 @@ fn main() {
     let mut ablations = false;
     let mut replay = false;
     let mut csv_dir: Option<String> = None;
-    // `--threads` and `--prefetch` land in the one options value every
-    // experiment below borrows.
+    // `--threads` lands in the one options value every experiment below
+    // borrows.
     let mut opts = ExecOpts::default();
     let mut cache_mb = 0usize;
     while let Some(arg) = args.next() {
@@ -58,17 +58,11 @@ fn main() {
             }
             "--replay" => replay = true,
             "--threads" => {
-                opts.scan.threads = args
+                opts.threads = args
                     .next()
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage_error("--threads needs a positive integer"));
-            }
-            "--prefetch" => {
-                opts.scan.prefetch = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage_error("--prefetch needs a non-negative integer"));
             }
             "--fig" => figs.push(match args.next().as_deref() {
                 Some("11") => "11",
@@ -107,21 +101,18 @@ fn main() {
     if table_s {
         print_table_s();
     }
-    if opts.scan.threads > 1 {
-        println!("(executor parallelism: {} threads)", opts.scan.threads);
+    if opts.threads > 1 {
+        println!("(executor parallelism: {} threads)", opts.threads);
         println!(
             "(note: with --threads >= 2, peak-buffer and chunks-scanned figures sum over \
              workers — each worker streams the base once — so they are not comparable to \
              the paper's serial Sec. 5 measurements; use --threads 1 to reproduce those)\n"
         );
     }
-    if opts.scan.prefetch > 0 {
-        println!("(chunk prefetch lookahead: {})", opts.scan.prefetch);
-    }
     for f in figs {
         let fig = match f {
             "11" => fig11(&opts),
-            "12" => fig12(&opts),
+            "12" => fig12(),
             "13" => fig13(&opts),
             _ => unreachable!(),
         };
@@ -210,7 +201,6 @@ fn print_table_s() {
 fn fig11(opts: &ExecOpts) -> Figure {
     eprintln!("[fig11] building workload…");
     let wf = default_workforce();
-    opts.scan.start_io(&wf.cube);
     let mut ctx = context(&wf);
     ctx.opts = opts.clone();
     let ks = [1usize, 2, 3, 4, 6, 8, 10, 12];
@@ -254,8 +244,7 @@ fn fig11(opts: &ExecOpts) -> Figure {
     }
 }
 
-fn fig12(opts: &ExecOpts) -> Figure {
-    let prefetch = opts.scan.prefetch;
+fn fig12() -> Figure {
     eprintln!("[fig12] building file-backed rig…");
     let rig = Fig12Rig::build();
     let base = (rig.other_chunks.len() / 6).max(10);
@@ -272,29 +261,22 @@ fn fig12(opts: &ExecOpts) -> Figure {
     for multiple in 1..=5usize {
         rig.set_separation(base * multiple, seek);
         let sep = rig.separation_bytes();
-        let t = min_time(ITERS, || rig.run_query_with(prefetch));
+        let t = min_time(ITERS, || rig.run_query());
         pts.push((multiple as f64, t.as_secs_f64() * 1e6));
         eprintln!(
             "[fig12] ×{multiple}: separation {sep} bytes ({} chunks)",
             base * multiple
         );
     }
-    let st = rig.wf.cube.with_pool(|pool| pool.stats());
-    println!(
-        "[fig12] pool prefetch counters (whole sweep): issued {}, hits {}, wasted {}",
-        st.prefetch_issued, st.prefetch_hits, st.prefetch_wasted
-    );
-    let name = if prefetch > 0 {
-        format!("Dynamic Forward (1 employee, prefetch {prefetch})")
-    } else {
-        "Dynamic Forward (1 employee)".to_string()
-    };
     Figure {
         id: "Fig. 12".into(),
         title: "related-chunk co-location vs. query time".into(),
         x_label: "separation (multiples of base)".into(),
         y_label: "query time (µs, min of runs; simulated seek)".into(),
-        series: vec![Series { name, points: pts }],
+        series: vec![Series {
+            name: "Dynamic Forward (1 employee)".into(),
+            points: pts,
+        }],
         paper_expectation: "rises with separation, then flattens once seek cost saturates".into(),
     }
 }
@@ -302,7 +284,6 @@ fn fig12(opts: &ExecOpts) -> Figure {
 fn fig13(opts: &ExecOpts) -> Figure {
     eprintln!("[fig13] building 4-move workload…");
     let wf = fig13_workforce(25);
-    opts.scan.start_io(&wf.cube);
     let mut ctx = context(&wf);
     ctx.opts = opts.clone();
     let p = quarterly();
@@ -341,7 +322,6 @@ fn run_ablations(opts: &ExecOpts) {
         changing: 120,
         ..WorkforceConfig::bench()
     });
-    opts.scan.start_io(&wf.cube);
     // One pass over the whole forward map, so the policies differ in read
     // order alone.
     let spec = PerspectiveSpec::new(wf.department, [0, 6], Semantics::Forward, Mode::Visual);
@@ -382,7 +362,6 @@ fn run_ablations(opts: &ExecOpts) {
     // Visual re-derives non-leaf cells over the output cube, non-visual
     // retains the input's: the Fig. 10(a) query at 4 perspectives.
     let wf = default_workforce();
-    opts.scan.start_io(&wf.cube);
     let mut ctx = context(&wf);
     ctx.opts = opts.clone();
     let [nonvisual, visual] = ["NONVISUAL", "VISUAL"].map(|mode| {
@@ -402,7 +381,6 @@ fn run_ablations(opts: &ExecOpts) {
 fn run_replay(opts: &ExecOpts, cache_mb: usize) {
     println!("=== Scenario-delta replay (K=8 one-perspective edits) ===");
     let wf = Workforce::build(WorkforceConfig::bench());
-    opts.scan.start_io(&wf.cube);
     let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     let mb = if cache_mb > 0 { cache_mb } else { 64 };
 

@@ -155,23 +155,10 @@ impl Fig12Rig {
     /// instances (Essbase-style retrieval — only the employee's chunks
     /// and their merge partners are read from disk). The buffer pool is
     /// cleared first so every run pays real (simulated-seek) I/O.
-    /// `prefetch` is the lookahead in chunks (0 = no hints); the pool's
-    /// I/O workers start on first use.
-    pub fn run_query_with(&self, prefetch: usize) -> whatif_core::ExecReport {
-        let opts = whatif_core::ExecOpts {
-            scan: olap_cube::ScanOpts {
-                prefetch,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        opts.scan.start_io(&self.wf.cube);
-        self.wf.cube.with_pool(|pool| {
-            // Let stragglers from the previous run land before clearing,
-            // so each run starts from a cold, stable pool.
-            pool.wait_prefetch_idle();
-            pool.clear().expect("no pins")
-        });
+    pub fn run_query(&self) -> whatif_core::ExecReport {
+        self.wf
+            .cube
+            .with_pool(|pool| pool.clear().expect("no pins"));
         let varying = self.wf.schema.varying(self.wf.department).expect("varying");
         let months = [0u32, 3, 6, 9].into_iter();
         let spec = whatif_core::PerspectiveSpec::new(
@@ -188,6 +175,7 @@ impl Fig12Rig {
         let policy = whatif_core::OrderPolicy::Pebbling;
         let plan =
             whatif_core::Plan::build(&self.wf.cube, &spec, &policy, Some(&slots)).expect("plan");
+        let opts = whatif_core::ExecOpts::default();
         let (_, report) =
             whatif_core::execute(&self.wf.cube, &plan, &opts).expect("scoped execution");
         report

@@ -1,8 +1,8 @@
 //! `polap` — the perspective-olap shell.
 //!
 //! ```sh
-//! polap [running|retail|workforce|bench] [--threads N] [--prefetch K]
-//!       [--cache MB] [--budget CELLS]
+//! polap [running|retail|workforce|bench] [--threads N] [--cache MB]
+//!       [--budget CELLS]
 //! polap --connect host:port      # client for a running olap-server
 //! ```
 
@@ -11,14 +11,15 @@ use polap_cli::{Dataset, Outcome, Session, HELP};
 use std::io::{BufRead, Write};
 
 const USAGE: &str = "usage: polap [running|retail|workforce|bench] [--threads N] \
-                     [--prefetch K] [--cache MB] [--budget CELLS] \
-                     | polap --connect HOST:PORT";
+                     [--cache MB] [--budget CELLS] | polap --connect HOST:PORT";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut dataset_arg: Option<String> = None;
     let mut opts = whatif_core::ExecOpts::default();
     let mut cache_mb = 0usize;
+    // Executor flags given, for rejecting them in client mode.
+    let (mut threads_given, mut budget_given) = (false, false);
     let mut connect: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -32,7 +33,8 @@ fn main() {
             }
             "--threads" => {
                 i += 1;
-                opts.scan.threads = args
+                threads_given = true;
+                opts.threads = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
@@ -41,16 +43,9 @@ fn main() {
                         std::process::exit(2);
                     });
             }
-            "--prefetch" => {
-                i += 1;
-                opts.scan.prefetch =
-                    args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--prefetch needs a non-negative integer");
-                        std::process::exit(2);
-                    });
-            }
             "--budget" => {
                 i += 1;
+                budget_given = true;
                 opts.budget_cells = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--budget needs a cell count (0 = unlimited)");
                     std::process::exit(2);
@@ -76,6 +71,16 @@ fn main() {
     if let Some(addr) = connect {
         if dataset_arg.is_some() || cache_mb > 0 {
             eprintln!("--connect runs against a server; dataset/--cache are chosen server-side");
+            std::process::exit(2);
+        }
+        if threads_given {
+            eprintln!("--connect runs against a server; set threads with olap-server --threads N");
+            std::process::exit(2);
+        }
+        if budget_given {
+            eprintln!(
+                "--connect runs against a server; set the budget in the session with .budget N"
+            );
             std::process::exit(2);
         }
         run_client(&addr);

@@ -14,7 +14,7 @@
 //! sharing one output cube; queries can also be **scoped** to the
 //! varying-dimension slots they touch, Essbase-style. All of that is
 //! decided up front in a [`Plan`]; the one entry point, [`execute`], only
-//! reads it. Serial, unhinted, uncached execution is
+//! reads it. Serial, uncached execution is
 //! [`ExecOpts::default`]. [`ExecReport`] exposes predicted pebbles and
 //! observed peak buffer residency for the ablations.
 
@@ -24,7 +24,7 @@ use crate::fingerprint::Fnv64;
 use crate::operators::relocate::{CellFate, DestMap};
 use crate::plan::{PassPlan, Plan, Role};
 use crate::Result;
-use olap_cube::{Cube, ScanOpts};
+use olap_cube::Cube;
 use olap_model::DimensionId;
 use olap_store::{Chunk, ChunkId};
 use std::collections::HashMap;
@@ -120,12 +120,13 @@ impl std::fmt::Display for KernelKind {
 /// fields.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOpts {
-    /// Worker threads and prefetch lookahead, shared with `.rollup`'s
-    /// aggregator. Lemma 5.1 slices are independent (cells only move along
-    /// the varying dimension), so `Pebbling`/`Naive` passes split them
-    /// across up to `threads` workers; `DimOrder` stays serial, since its
-    /// cross-slice interleaving is what the Lemma 5.1 ablation measures.
-    pub scan: ScanOpts,
+    /// Worker threads, shared with `.rollup`'s aggregator; `0` (the
+    /// default) and `1` are serial. Lemma 5.1 slices are independent
+    /// (cells only move along the varying dimension), so
+    /// `Pebbling`/`Naive` passes split them across up to `threads`
+    /// workers; `DimOrder` stays serial, since its cross-slice
+    /// interleaving is what the Lemma 5.1 ablation measures.
+    pub threads: usize,
     /// Scenario-delta cache (DESIGN.md §10, §14): when set, unscoped
     /// executions probe it for whole merge components whose fate tables
     /// match *any* previously cached run over the same cube — entries
@@ -325,67 +326,6 @@ fn probe_cache(
     Ok((served, to_insert))
 }
 
-/// Streams prefetch hints to the buffer pool's I/O workers over one
-/// worker's *entire* read order — the concatenation of its slice
-/// sequences — so the lookahead window crosses slice boundaries instead
-/// of draining at every slice edge (the PR 2 watermark reset). The
-/// monotone watermark guarantees each chunk id is hinted at most once
-/// per pass, so hints never cause duplicate store reads.
-struct Prefetcher<'a> {
-    cube: &'a Cube,
-    ids: Vec<ChunkId>,
-    k: usize,
-    pos: usize,
-    hinted: usize,
-}
-
-impl<'a> Prefetcher<'a> {
-    fn new<'s>(
-        cube: &'a Cube,
-        k: usize,
-        sequences: impl Iterator<Item = &'s Vec<Vec<u32>>>,
-    ) -> Self {
-        let geom = cube.geometry();
-        let ids: Vec<ChunkId> = if k > 0 {
-            sequences
-                .flat_map(|seq| seq.iter())
-                .map(|c| geom.chunk_id(c))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Prefetcher {
-            cube,
-            ids,
-            k,
-            pos: 0,
-            hinted: 0,
-        }
-    }
-
-    /// Hints the lookahead window for the current position, then moves
-    /// on. Call exactly once per chunk, in read order.
-    fn advance(&mut self) {
-        if self.k == 0 {
-            self.pos += 1;
-            return;
-        }
-        let window = crate::merge::prefetch_window(&self.ids, self.pos, self.k);
-        let end = self.pos + 1 + window.len();
-        let fresh_from = self.hinted.max(self.pos + 1);
-        if end > fresh_from {
-            let fresh: Vec<ChunkId> = self.ids[fresh_from..end]
-                .iter()
-                .copied()
-                .filter(|&cid| self.cube.chunk_exists(cid))
-                .collect();
-            self.hinted = end;
-            self.cube.prefetch(&fresh);
-        }
-        self.pos += 1;
-    }
-}
-
 /// One execution's read-only context: the cube, the plan in force (the
 /// caller's, or its restriction after cache withdrawal) and the knobs.
 struct Run<'a> {
@@ -395,7 +335,7 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    /// Runs one pass of `dest` into `out`. With `opts.scan.threads ≥ 2`
+    /// Runs one pass of `dest` into `out`. With `opts.threads ≥ 2`
     /// under `Pebbling`/`Naive`, slices fan out over scoped workers (they
     /// are independent: cells only move along the varying dimension, so
     /// no two slices touch the same output chunk); `DimOrder` always runs
@@ -429,7 +369,7 @@ impl Run<'_> {
         };
         let workers = match self.plan.policy {
             OrderPolicy::DimOrder(_) => 1,
-            _ => self.opts.scan.threads.max(1).min(groups.len().max(1)),
+            _ => self.opts.threads.max(1).min(groups.len().max(1)),
         };
         let mut buckets: Vec<Vec<&Vec<Vec<u32>>>> = vec![Vec::new(); workers];
         for (i, g) in groups.iter().enumerate() {
@@ -437,13 +377,9 @@ impl Run<'_> {
         }
         let run_bucket = |bucket: &[&Vec<Vec<u32>>]| {
             let mut r = ExecReport::default();
-            // One prefetcher per worker: its hints follow the worker's
-            // whole read order across slice boundaries.
-            let prefetch = self.opts.scan.prefetch;
-            let mut pf = Prefetcher::new(self.cube, prefetch, bucket.iter().copied());
             for seq in bucket {
                 self.opts.check_deadline()?;
-                self.process(out, dest, pass, seq, &mut pf, &mut r)?;
+                self.process(out, dest, pass, seq, &mut r)?;
             }
             Ok(r)
         };
@@ -477,15 +413,13 @@ impl Run<'_> {
     }
 
     /// Processes one ordered chunk sequence with private slice/buffer
-    /// state, into the worker's own report. The prefetcher is shared
-    /// across a worker's sequences so hints span slice boundaries.
+    /// state, into the worker's own report.
     fn process(
         &self,
         out: &Cube,
         dest: &DestMap,
         pass: &PassPlan,
         sequence: &[Vec<u32>],
-        pf: &mut Prefetcher<'_>,
         report: &mut ExecReport,
     ) -> Result<()> {
         let geom = self.cube.geometry();
@@ -500,7 +434,6 @@ impl Run<'_> {
         let mut buffers: HashMap<ChunkId, Chunk> = HashMap::new();
 
         for coord in sequence.iter() {
-            pf.advance();
             let label = coord[vd] as usize;
             let id = geom.chunk_id(coord);
             let materialized = self.cube.chunk_exists(id);
@@ -825,10 +758,7 @@ mod tests {
                     for threads in [1, 3] {
                         for kernel in [KernelKind::Runs, KernelKind::Scalar] {
                             let opts = ExecOpts {
-                                scan: ScanOpts {
-                                    threads,
-                                    ..ScanOpts::default()
-                                },
+                                threads,
                                 kernel,
                                 ..ExecOpts::default()
                             };

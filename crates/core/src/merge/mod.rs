@@ -6,6 +6,4 @@ pub mod graph;
 pub mod pebbling;
 
 pub use graph::MergeGraph;
-pub use pebbling::{
-    heuristic_order, naive_order, optimal_pebbles, pebbles_for_order, prefetch_window,
-};
+pub use pebbling::{heuristic_order, naive_order, optimal_pebbles, pebbles_for_order};

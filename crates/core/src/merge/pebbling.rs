@@ -185,34 +185,9 @@ pub fn optimal_pebbles(g: &MergeGraph) -> usize {
     best[full as usize]
 }
 
-/// The next `k` chunk ids after position `pos` in a placement sequence —
-/// the lookahead window the executor hands to `BufferPool::prefetch` so
-/// store reads overlap merge compute. Empty at the tail (or with `k == 0`).
-pub fn prefetch_window(
-    sequence: &[olap_store::ChunkId],
-    pos: usize,
-    k: usize,
-) -> &[olap_store::ChunkId] {
-    let start = (pos + 1).min(sequence.len());
-    let end = pos.saturating_add(1).saturating_add(k).min(sequence.len());
-    &sequence[start..end]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olap_store::ChunkId;
-
-    #[test]
-    fn prefetch_window_bounds() {
-        let seq: Vec<ChunkId> = (0..5).map(ChunkId).collect();
-        assert_eq!(prefetch_window(&seq, 0, 2), &[ChunkId(1), ChunkId(2)]);
-        assert_eq!(prefetch_window(&seq, 3, 4), &[ChunkId(4)]);
-        assert_eq!(prefetch_window(&seq, 4, 3), &[] as &[ChunkId]);
-        assert_eq!(prefetch_window(&seq, 99, 3), &[] as &[ChunkId]);
-        assert_eq!(prefetch_window(&seq, 1, 0), &[] as &[ChunkId]);
-        assert_eq!(prefetch_window(&[], 0, 3), &[] as &[ChunkId]);
-    }
 
     #[test]
     fn fig9_heuristic_uses_three_pebbles() {

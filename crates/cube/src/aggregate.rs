@@ -29,7 +29,7 @@ use crate::cube::Cube;
 use crate::lattice::{GroupByMask, Mmst};
 use crate::rules::{Acc, AggFn};
 use crate::Result;
-use olap_store::{CellValue, Chunk, ChunkData, ChunkGeometry, ChunkId};
+use olap_store::{CellValue, Chunk, ChunkData, ChunkGeometry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -207,53 +207,11 @@ enum Cells<'a> {
     Accs(&'a [Acc]),
 }
 
-/// How a chunk scan uses the machine: worker threads and prefetch
-/// lookahead. The aggregator takes it directly; the what-if executor's
-/// `ExecOpts` embeds it, so one session setting drives both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanOpts {
-    /// Parallelism degree. `1` (the default) is serial. The aggregator's
-    /// `n ≥ 2` partitions the MMST's root subtrees across up to `n`
-    /// worker threads, each streaming the base chunks with a private
-    /// buffer map (the `(sum, count, min, max)` accumulators make every
-    /// merge associative, and each requested mask belongs to exactly one
-    /// subtree, so no cross-worker merging is needed).
-    pub threads: usize,
-    /// Prefetch lookahead K: the next K *stored* chunks of the scan order
-    /// are hinted to the cube's buffer pool so its I/O workers overlap
-    /// reads with compute (implicit all-⊥ grid positions do not use up
-    /// the window). `0` (the default) issues no hints and is
-    /// bit-identical to no prefetching; any K only changes I/O timing,
-    /// never results. Requires [`Cube::start_io_threads`] to have any
-    /// effect.
-    pub prefetch: usize,
-}
-
-impl ScanOpts {
-    /// Starts the cube's buffer-pool I/O workers when prefetching asks
-    /// for them (hints do nothing without them): one per lookahead slot,
-    /// at most four.
-    pub fn start_io(&self, cube: &Cube) {
-        if self.prefetch > 0 {
-            cube.start_io_threads(self.prefetch.min(4));
-        }
-    }
-}
-
-impl Default for ScanOpts {
-    fn default() -> Self {
-        ScanOpts {
-            threads: 1,
-            prefetch: 0,
-        }
-    }
-}
-
 /// Computes group-bys of a cube's leaf cells in one chunked pass.
 pub struct CubeAggregator<'a> {
     cube: &'a Cube,
     order: Vec<usize>,
-    opts: ScanOpts,
+    threads: usize,
 }
 
 impl<'a> CubeAggregator<'a> {
@@ -269,13 +227,18 @@ impl<'a> CubeAggregator<'a> {
         CubeAggregator {
             cube,
             order,
-            opts: ScanOpts::default(),
+            threads: 1,
         }
     }
 
-    /// Sets the worker threads and prefetch lookahead ([`ScanOpts`]).
-    pub fn with_scan(mut self, scan: ScanOpts) -> Self {
-        self.opts = scan;
+    /// Sets the parallelism degree. `1` (the default) is serial. `n ≥ 2`
+    /// partitions the MMST's root subtrees across up to `n` worker
+    /// threads, each streaming the base chunks with a private buffer map
+    /// (the `(sum, count, min, max)` accumulators make every merge
+    /// associative, and each requested mask belongs to exactly one
+    /// subtree, so no cross-worker merging is needed).
+    pub fn with_threads(mut self, n: usize) -> Self {
+        self.threads = n;
         self
     }
 
@@ -337,7 +300,7 @@ impl<'a> CubeAggregator<'a> {
     ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
         let specs = self.plan(mmst, masks);
         let root_children = &specs[0].children;
-        let workers = self.opts.threads.max(1).min(root_children.len().max(1));
+        let workers = self.threads.max(1).min(root_children.len().max(1));
         let gauge = Gauge::default();
         let (out, mut report) = if workers <= 1 {
             self.run_worker(&specs, root_children, true, &gauge)?
@@ -476,33 +439,11 @@ impl<'a> CubeAggregator<'a> {
             live_chunks: 0,
             report: AggregationReport::default(),
         };
-        // With prefetching on, list the stored chunks in scan order once
-        // up front so the window counts chunks that will actually be read
-        // (the odometer iterator cannot be cloned to peek ahead).
-        let stored: Vec<ChunkId> = if self.opts.prefetch > 0 {
-            geom.chunks_in_order(&self.order)
-                .map(|c| geom.chunk_id(&c))
-                .filter(|&id| self.cube.chunk_exists(id))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut read = 0usize; // stored chunks reached so far
-        let mut hinted = 0usize; // stored[..hinted] already hinted or read
         for coord in geom.chunks_in_order(&self.order) {
             exec.report.base_chunks_scanned += 1;
             let id = geom.chunk_id(&coord);
             let shape = geom.chunk_shape(&coord);
             let chunk = if self.cube.chunk_exists(id) {
-                if self.opts.prefetch > 0 {
-                    read += 1;
-                    let end = (read + self.opts.prefetch).min(stored.len());
-                    let from = hinted.max(read);
-                    if end > from {
-                        self.cube.prefetch(&stored[from..end]);
-                        hinted = end;
-                    }
-                }
                 Some(self.cube.chunk(id)?)
             } else {
                 None
@@ -962,10 +903,7 @@ mod tests {
         let (s_res, s_rep) = serial.compute(&masks).unwrap();
         assert!(s_rep.per_thread_peak_cells.is_empty(), "serial mode");
         for threads in [2, 3, 8] {
-            let par = CubeAggregator::with_order(&cube, vec![0, 1, 2]).with_scan(ScanOpts {
-                threads,
-                ..ScanOpts::default()
-            });
+            let par = CubeAggregator::with_order(&cube, vec![0, 1, 2]).with_threads(threads);
             let (p_res, p_rep) = par.compute(&masks).unwrap();
             assert_eq!(s_res.len(), p_res.len());
             for (&m, r) in &s_res {
@@ -996,10 +934,7 @@ mod tests {
         assert_eq!(serial.concurrent_peak_cells, serial.peak_buffer_cells);
         for threads in [2, 3, 8] {
             let (_, par) = CubeAggregator::with_order(&cube, vec![0, 1, 2])
-                .with_scan(ScanOpts {
-                    threads,
-                    ..ScanOpts::default()
-                })
+                .with_threads(threads)
                 .compute(&masks)
                 .unwrap();
             assert!(par.concurrent_peak_cells > 0);
@@ -1032,10 +967,7 @@ mod tests {
             .compute(&masks)
             .unwrap();
         let (_, one) = CubeAggregator::with_order(&cube, vec![0, 1, 2])
-            .with_scan(ScanOpts {
-                threads: 1,
-                ..ScanOpts::default()
-            })
+            .with_threads(1)
             .compute(&masks)
             .unwrap();
         assert_eq!(base, one);
@@ -1064,10 +996,7 @@ mod tests {
         let gets = |masks: &[GroupByMask], threads: usize| {
             cube.reset_stats();
             let (_, report) = CubeAggregator::new(&cube)
-                .with_scan(ScanOpts {
-                    threads,
-                    ..ScanOpts::default()
-                })
+                .with_threads(threads)
                 .compute(masks)
                 .unwrap();
             let st = cube.pool_stats();

@@ -235,19 +235,6 @@ impl Cube {
         f(&self.pool)
     }
 
-    /// Starts `n` background I/O workers on the pool so executors can
-    /// issue [`Cube::prefetch`] hints. Idempotent; `n == 0` is a no-op.
-    pub fn start_io_threads(&self, n: usize) {
-        self.pool.start_io_threads(n);
-    }
-
-    /// Hints that `ids` will be read soon, letting the pool's I/O
-    /// workers overlap the store reads with compute. A no-op without
-    /// I/O workers ([`Cube::start_io_threads`]).
-    pub fn prefetch(&self, ids: &[ChunkId]) {
-        self.pool.prefetch(ids);
-    }
-
     /// Snapshot of the backing store's I/O counters.
     pub fn io_snapshot(&self) -> IoSnapshot {
         self.pool.store().stats().snapshot()

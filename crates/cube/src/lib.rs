@@ -28,7 +28,7 @@ pub mod eval;
 pub mod lattice;
 pub mod rules;
 
-pub use aggregate::{CubeAggregator, GroupByResult, ScanOpts};
+pub use aggregate::{CubeAggregator, GroupByResult};
 pub use buc::{buc, IcebergCube};
 pub use cube::{Cube, CubeBuilder, StoreBackend};
 pub use error::CubeError;

@@ -61,10 +61,10 @@ pub struct ServerConfig {
     /// with a `-` frame.
     pub max_sessions: usize,
     /// Executor knobs every session starts from (`--threads`,
-    /// `--prefetch`, `--budget`); a session can change its own budget
-    /// with `.budget`. The per-request fields `cache` and `deadline` are
-    /// ignored here — sessions fill them from the shared data's cache
-    /// and from `deadline_ms`.
+    /// `--budget`); a session can change its own budget with `.budget`.
+    /// The per-request fields `cache` and `deadline` are ignored here —
+    /// sessions fill them from the shared data's cache and from
+    /// `deadline_ms`.
     pub session: ExecOpts,
     /// Per-connection idle timeout in milliseconds (0 = none): applied
     /// as the socket's read/write timeout, so a dead or slowloris peer

@@ -24,7 +24,6 @@ usage: olap-server [dataset] [options]
   --max-sessions N      admission cap: refuse connections past N sessions (default 64)
   --cache MB            shared scenario-delta cache size (default 0 = off)
   --threads N           executor threads per session (default 1)
-  --prefetch K          prefetch lookahead per session (default 0)
   --budget CELLS        default per-session peak-memory budget (default 0 = unlimited)
   --idle-timeout MS     per-connection socket read/write timeout; a silent peer is
                         disconnected and frees its session slot (default 0 = none)
@@ -67,12 +66,8 @@ fn main() {
                 Err(_) => die("--cache needs a size in MiB"),
             },
             "--threads" => match value("--threads").parse() {
-                Ok(n) if n > 0 => cfg.session.scan.threads = n,
+                Ok(n) if n > 0 => cfg.session.threads = n,
                 _ => die("--threads needs a positive integer"),
-            },
-            "--prefetch" => match value("--prefetch").parse() {
-                Ok(k) => cfg.session.scan.prefetch = k,
-                Err(_) => die("--prefetch needs a lookahead depth"),
             },
             "--budget" => match value("--budget").parse() {
                 Ok(n) => cfg.session.budget_cells = n,
@@ -118,7 +113,6 @@ fn main() {
         shared.set_cache_mb(cache_mb);
     }
     let shared = Arc::new(shared);
-    cfg.session.scan.start_io(shared.cube());
 
     if let Some(leader) = follow {
         let addr = match leader.to_socket_addrs().ok().and_then(|mut a| a.next()) {

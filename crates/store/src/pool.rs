@@ -23,26 +23,13 @@
 //! eviction and overflow counts) is exactly that of the previous
 //! exclusive pool.
 //!
-//! Prefetching: [`BufferPool::prefetch`] queues chunk ids for a small
-//! pool of background I/O workers ([`BufferPool::with_io_threads`]), so
-//! store reads overlap the caller's compute. Workers admit chunks
-//! through the same per-shard in-flight/condvar machinery as demand
-//! misses: a demand `get()` racing a prefetch of the same chunk either
-//! hits the already-admitted frame or waits on the in-flight slot —
-//! never a duplicate store read, and exactly one counted miss. With no
-//! I/O workers running, `prefetch` is a no-op, so `--prefetch 0`
-//! behavior is bit-identical to a pool without the feature.
-//!
 //! Fault handling (DESIGN.md §11): a demand read that fails with a
 //! *transient* ([`crate::StoreError::Io`]) error is retried a bounded
 //! number of times with backoff before the error propagates;
 //! deterministic failures (`Corrupt`, `MissingChunk`) are never
 //! retried. A failed read always clears the in-flight slot and wakes
 //! condvar waiters — they re-enter the miss path and retry rather than
-//! hanging on a slot whose owner errored out. Prefetch-worker read
-//! errors are still deferred to the demand read (a prefetch is a hint)
-//! but are now *counted* in [`PoolStats::read_errors`] instead of
-//! vanishing.
+//! hanging on a slot whose owner errored out.
 
 use crate::chunk::Chunk;
 use crate::error::StoreError;
@@ -50,11 +37,10 @@ use crate::geometry::ChunkId;
 use crate::store::ChunkStore;
 use crate::Result;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Extra read attempts after a transient (`StoreError::Io`) failure
@@ -73,8 +59,8 @@ pub const SHARD_COUNT: usize = 16;
 pub struct PoolStats {
     /// Requests satisfied from the pool.
     pub hits: u64,
-    /// Store reads that admitted a frame: demand misses plus prefetch
-    /// admissions (so `resident == misses - evictions` stays exact).
+    /// Store reads that admitted a frame (`resident == misses -
+    /// evictions` stays exact).
     pub misses: u64,
     /// Frames evicted to make room.
     pub evictions: u64,
@@ -86,20 +72,9 @@ pub struct PoolStats {
     /// Times a frame had to be admitted with every other frame pinned
     /// (capacity exceeded).
     pub overflows: u64,
-    /// Chunk ids handed to [`BufferPool::prefetch`] while I/O workers
-    /// were running (hints dropped for lack of workers are not counted).
-    pub prefetch_issued: u64,
-    /// Demand requests that found a prefetched frame already resident
-    /// (each prefetched frame is counted at most once, on first touch).
-    pub prefetch_hits: u64,
-    /// Prefetched frames evicted or cleared before any demand touch —
-    /// wasted store reads.
-    pub prefetch_wasted: u64,
     /// Store reads that ultimately failed with an I/O or corruption
     /// error (after retries; missing-chunk lookups are a caller error,
-    /// not a store failure, and are not counted). Includes
-    /// prefetch-worker reads, whose errors are otherwise deferred to
-    /// the demand read.
+    /// not a store failure, and are not counted).
     pub read_errors: u64,
     /// Transient-failure read attempts that were retried (each backoff
     /// retry counts once, whether or not it eventually succeeded).
@@ -128,13 +103,6 @@ impl PoolStats {
             peak_resident: self.peak_resident,
             peak_pinned: self.peak_pinned,
             overflows: self.overflows.saturating_sub(baseline.overflows),
-            prefetch_issued: self
-                .prefetch_issued
-                .saturating_sub(baseline.prefetch_issued),
-            prefetch_hits: self.prefetch_hits.saturating_sub(baseline.prefetch_hits),
-            prefetch_wasted: self
-                .prefetch_wasted
-                .saturating_sub(baseline.prefetch_wasted),
             read_errors: self.read_errors.saturating_sub(baseline.read_errors),
             retries: self.retries.saturating_sub(baseline.retries),
             write_retries: self.write_retries.saturating_sub(baseline.write_retries),
@@ -149,9 +117,6 @@ struct Frame {
     pins: u32,
     last_use: u64,
     dirty: bool,
-    /// Admitted by a prefetch worker and not yet touched by a demand
-    /// request; resolves to `prefetch_hits` or `prefetch_wasted`.
-    prefetched: bool,
 }
 
 #[derive(Debug, Default)]
@@ -170,16 +135,8 @@ struct ShardSlot {
     read_done: Condvar,
 }
 
-/// Prefetch work queue shared with the I/O workers.
-#[derive(Debug, Default)]
-struct IoQueue {
-    queue: VecDeque<ChunkId>,
-    shutdown: bool,
-}
-
-/// Pool state shared between the owning [`BufferPool`] handle and its
-/// background I/O workers.
-struct PoolInner {
+/// Sharded LRU buffer pool with pinning; safe for concurrent readers.
+pub struct BufferPool {
     store: RwLock<Box<dyn ChunkStore>>,
     capacity: usize,
     shards: Vec<ShardSlot>,
@@ -192,9 +149,6 @@ struct PoolInner {
     peak_resident: AtomicU64,
     peak_pinned: AtomicU64,
     overflows: AtomicU64,
-    prefetch_issued: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_wasted: AtomicU64,
     read_errors: AtomicU64,
     retries: AtomicU64,
     write_retries: AtomicU64,
@@ -202,18 +156,6 @@ struct PoolInner {
     /// When set, [`BufferPool::flush_all`] fsyncs the store after
     /// writing dirty frames.
     durable_flush: AtomicBool,
-    io_queue: Mutex<IoQueue>,
-    io_ready: Condvar,
-    /// Prefetch reads popped from the queue but not yet admitted
-    /// (bumped under the queue lock so idle-waiters see no gap).
-    io_busy: AtomicUsize,
-}
-
-/// Sharded LRU buffer pool with pinning and optional background
-/// prefetching; safe for concurrent readers.
-pub struct BufferPool {
-    inner: Arc<PoolInner>,
-    io_workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// Read access to the pool's backing store (guard; holds the store's
@@ -247,9 +189,8 @@ impl DerefMut for StoreMut<'_> {
 impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferPool")
-            .field("capacity", &self.inner.capacity)
+            .field("capacity", &self.capacity)
             .field("resident", &self.resident())
-            .field("io_threads", &self.io_threads())
             .field("stats", &self.stats())
             .finish()
     }
@@ -259,31 +200,31 @@ fn shard_of(id: ChunkId) -> usize {
     ((id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 48) as usize % SHARD_COUNT
 }
 
-/// Body of one background I/O worker: pop ids and admit them until told
-/// to shut down.
-fn io_worker_loop(inner: Arc<PoolInner>) {
-    loop {
-        let id = {
-            let mut q = inner.io_queue.lock();
-            loop {
-                if q.shutdown {
-                    return;
-                }
-                if let Some(id) = q.queue.pop_front() {
-                    // Claimed under the queue lock so `wait_prefetch_idle`
-                    // never observes "queue empty, nothing busy" mid-pop.
-                    inner.io_busy.fetch_add(1, Ordering::Relaxed);
-                    break id;
-                }
-                inner.io_ready.wait(&mut q);
-            }
-        };
-        inner.prefetch_one(id);
-        inner.io_busy.fetch_sub(1, Ordering::Relaxed);
+impl BufferPool {
+    /// Wraps `store` with a pool of at most `capacity` resident chunks
+    /// (minimum 1).
+    pub fn new(store: Box<dyn ChunkStore>, capacity: usize) -> Self {
+        BufferPool {
+            store: RwLock::new(store),
+            capacity: capacity.max(1),
+            shards: (0..SHARD_COUNT).map(|_| ShardSlot::default()).collect(),
+            tick: AtomicU64::new(0),
+            resident: AtomicUsize::new(0),
+            pinned: AtomicUsize::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            peak_resident: AtomicU64::new(0),
+            peak_pinned: AtomicU64::new(0),
+            overflows: AtomicU64::new(0),
+            read_errors: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            write_retries: AtomicU64::new(0),
+            flushes: AtomicU64::new(0),
+            durable_flush: AtomicBool::new(false),
+        }
     }
-}
 
-impl PoolInner {
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -316,7 +257,7 @@ impl PoolInner {
     }
 
     /// Store write with the same bounded retry/backoff policy as
-    /// [`PoolInner::read_with_retry`]: transient (`StoreError::Io`)
+    /// [`BufferPool::read_with_retry`]: transient (`StoreError::Io`)
     /// failures get `READ_RETRIES` extra attempts, deterministic ones
     /// propagate immediately. The caller holds the store's write lock,
     /// so the backoff sleeps under it — writes are exclusive anyway,
@@ -346,16 +287,6 @@ impl PoolInner {
     fn note_first_pin(&self) {
         let now = self.pinned.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_pinned.fetch_max(now as u64, Ordering::Relaxed);
-    }
-
-    /// Scores a hit, resolving a prefetched frame to a prefetch hit on
-    /// its first demand touch.
-    fn note_hit(&self, f: &mut Frame) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if f.prefetched {
-            f.prefetched = false;
-            self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Evicts least-recently-used unpinned frames until residency drops
@@ -405,9 +336,6 @@ impl PoolInner {
             // still counted (which would read as an overflow).
             self.resident.fetch_sub(1, Ordering::Relaxed);
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            if frame.prefetched {
-                self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-            }
             if frame.dirty {
                 self.evict_dirty(si, id, frame, sh)?;
             }
@@ -498,15 +426,14 @@ impl PoolInner {
                             self.note_first_pin();
                         }
                     }
-                    self.note_hit(f);
+                    self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(Arc::clone(&f.chunk));
                 }
                 if sh.in_flight.insert(id) {
                     break; // this thread performs the read
                 }
-                // Another thread (demand or prefetch worker) is reading
-                // `id`; wait for it rather than duplicating the store
-                // I/O, then re-check.
+                // Another thread is reading `id`; wait for it rather
+                // than duplicating the store I/O, then re-check.
                 slot.read_done.wait(&mut sh);
             }
         }
@@ -544,13 +471,12 @@ impl PoolInner {
                 pins: 0,
                 last_use: 0,
                 dirty: false,
-                prefetched: false,
             }
         });
         if admitted {
             self.misses.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.note_hit(f);
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
         f.last_use = self.next_tick();
         if pin {
@@ -562,61 +488,19 @@ impl PoolInner {
         Ok(Arc::clone(&f.chunk))
     }
 
-    /// Reads one prefetch hint into the pool. Runs on an I/O worker;
-    /// errors don't propagate (a prefetch is only a hint — a missing or
-    /// corrupt chunk surfaces on the demand read that follows, which
-    /// also owns the retry budget) but failed reads are counted in
-    /// `read_errors` so they can't vanish silently.
-    fn prefetch_one(&self, id: ChunkId) {
-        let slot = &self.shards[shard_of(id)];
-        {
-            let mut sh = slot.shard.lock();
-            if sh.frames.contains_key(&id) || !sh.in_flight.insert(id) {
-                // Already resident, or a demand read (or another worker)
-                // owns the in-flight slot — nothing to do either way.
-                return;
-            }
-        }
-        let read = self.store.read().read(id);
-        if matches!(read, Err(ref e) if !matches!(e, StoreError::MissingChunk(_))) {
-            self.read_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        let room = if read.is_ok() {
-            self.make_room()
-        } else {
-            Ok(())
-        };
-        let mut sh = slot.shard.lock();
-        sh.in_flight.remove(&id);
-        slot.read_done.notify_all();
-        let (Ok(chunk), Ok(())) = (read, room) else {
-            return;
-        };
-        let chunk = Arc::new(chunk);
-        let mut admitted = false;
-        let f = sh.frames.entry(id).or_insert_with(|| {
-            admitted = true;
-            let now = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
-            self.peak_resident.fetch_max(now as u64, Ordering::Relaxed);
-            Frame {
-                chunk,
-                pins: 0,
-                last_use: 0,
-                dirty: false,
-                prefetched: true,
-            }
-        });
-        if admitted {
-            // A prefetch admission is a store read, so it counts as a
-            // miss — keeping `resident == misses - evictions` exact.
-            // The demand touch that consumes the frame scores a hit
-            // (and a prefetch_hit).
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            f.last_use = self.next_tick();
-        }
+    /// Fetches a chunk (cached or from the store), unpinned.
+    pub fn get(&self, id: ChunkId) -> Result<Arc<Chunk>> {
+        self.fetch(id, false)
     }
 
-    fn unpin(&self, id: ChunkId) {
+    /// Fetches and pins a chunk; it stays resident until unpinned.
+    pub fn pin(&self, id: ChunkId) -> Result<Arc<Chunk>> {
+        self.fetch(id, true)
+    }
+
+    /// Releases one pin. Panics if the chunk is not pinned (a pin/unpin
+    /// imbalance is always an executor bug worth failing loudly on).
+    pub fn unpin(&self, id: ChunkId) {
         let mut sh = self.shards[shard_of(id)].shard.lock();
         let f = sh
             .frames
@@ -629,7 +513,9 @@ impl PoolInner {
         }
     }
 
-    fn put(&self, id: ChunkId, chunk: Chunk) -> Result<()> {
+    /// Replaces a chunk's contents (write-through is deferred until
+    /// eviction or [`BufferPool::flush_all`]).
+    pub fn put(&self, id: ChunkId, chunk: Chunk) -> Result<()> {
         let arc = Arc::new(chunk);
         let si = shard_of(id);
         {
@@ -638,13 +524,6 @@ impl PoolInner {
                 f.chunk = arc;
                 f.dirty = true;
                 f.last_use = self.next_tick();
-                // Overwritten before any demand read: the prefetched
-                // contents are gone, but the frame lives on — treat the
-                // read as wasted.
-                if f.prefetched {
-                    f.prefetched = false;
-                    self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-                }
                 return Ok(());
             }
         }
@@ -658,17 +537,18 @@ impl PoolInner {
                 pins: 0,
                 last_use: 0,
                 dirty: true,
-                prefetched: false,
             }
         });
         f.chunk = arc;
         f.dirty = true;
-        f.prefetched = false;
         f.last_use = self.next_tick();
         Ok(())
     }
 
-    fn flush_all(&self) -> Result<()> {
+    /// Writes every dirty frame back to the store. When
+    /// [`BufferPool::set_durable_flush`] is on, also fsyncs the store so
+    /// the flush survives a crash.
+    pub fn flush_all(&self) -> Result<()> {
         // Stage dirty frames under brief shard locks — previously each
         // shard lock was held across the store writes (and the final
         // fsync held the last one), stalling readers for the whole
@@ -729,162 +609,18 @@ impl PoolInner {
         }
         Ok(())
     }
-}
-
-impl BufferPool {
-    /// Wraps `store` with a pool of at most `capacity` resident chunks
-    /// (minimum 1).
-    pub fn new(store: Box<dyn ChunkStore>, capacity: usize) -> Self {
-        BufferPool {
-            inner: Arc::new(PoolInner {
-                store: RwLock::new(store),
-                capacity: capacity.max(1),
-                shards: (0..SHARD_COUNT).map(|_| ShardSlot::default()).collect(),
-                tick: AtomicU64::new(0),
-                resident: AtomicUsize::new(0),
-                pinned: AtomicUsize::new(0),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-                peak_resident: AtomicU64::new(0),
-                peak_pinned: AtomicU64::new(0),
-                overflows: AtomicU64::new(0),
-                prefetch_issued: AtomicU64::new(0),
-                prefetch_hits: AtomicU64::new(0),
-                prefetch_wasted: AtomicU64::new(0),
-                read_errors: AtomicU64::new(0),
-                retries: AtomicU64::new(0),
-                write_retries: AtomicU64::new(0),
-                flushes: AtomicU64::new(0),
-                durable_flush: AtomicBool::new(false),
-                io_queue: Mutex::new(IoQueue::default()),
-                io_ready: Condvar::new(),
-                io_busy: AtomicUsize::new(0),
-            }),
-            io_workers: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Builder form of [`BufferPool::start_io_threads`].
-    pub fn with_io_threads(self, n: usize) -> Self {
-        self.start_io_threads(n);
-        self
-    }
-
-    /// Starts `n` background I/O workers servicing [`BufferPool::prefetch`]
-    /// hints. Idempotent: does nothing if workers are already running or
-    /// `n` is zero.
-    pub fn start_io_threads(&self, n: usize) {
-        let mut workers = self.io_workers.lock();
-        if n == 0 || !workers.is_empty() {
-            return;
-        }
-        for _ in 0..n {
-            let inner = Arc::clone(&self.inner);
-            workers.push(std::thread::spawn(move || io_worker_loop(inner)));
-        }
-    }
-
-    /// Number of running background I/O workers.
-    pub fn io_threads(&self) -> usize {
-        self.io_workers.lock().len()
-    }
-
-    /// Signals the I/O workers to exit and joins them. The prefetch
-    /// queue is dropped; already-claimed reads complete first.
-    fn stop_io_threads(&self) {
-        let handles: Vec<_> = std::mem::take(&mut *self.io_workers.lock());
-        if handles.is_empty() {
-            return;
-        }
-        {
-            let mut q = self.inner.io_queue.lock();
-            q.shutdown = true;
-            q.queue.clear();
-        }
-        self.inner.io_ready.notify_all();
-        for h in handles {
-            let _ = h.join();
-        }
-        // Re-arm so `start_io_threads` can be called again.
-        self.inner.io_queue.lock().shutdown = false;
-    }
-
-    /// Queues chunk ids for background admission so the store reads
-    /// overlap the caller's compute. A hint is exactly that: ids already
-    /// resident or in flight are skipped, and read errors are deferred
-    /// to the demand `get()`. With no I/O workers running this is a
-    /// no-op (nothing is counted), so behavior is bit-identical to a
-    /// pool without prefetching.
-    pub fn prefetch(&self, ids: &[ChunkId]) {
-        if ids.is_empty() || self.io_workers.lock().is_empty() {
-            return;
-        }
-        self.inner
-            .prefetch_issued
-            .fetch_add(ids.len() as u64, Ordering::Relaxed);
-        {
-            let mut q = self.inner.io_queue.lock();
-            q.queue.extend(ids.iter().copied());
-        }
-        self.inner.io_ready.notify_all();
-    }
-
-    /// Blocks until every queued prefetch has been serviced (admitted or
-    /// skipped). Intended for tests and benchmarks that need the
-    /// prefetcher quiesced before asserting on counters.
-    pub fn wait_prefetch_idle(&self) {
-        loop {
-            {
-                let q = self.inner.io_queue.lock();
-                if q.queue.is_empty() && self.inner.io_busy.load(Ordering::Relaxed) == 0 {
-                    return;
-                }
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Fetches a chunk (cached or from the store), unpinned.
-    pub fn get(&self, id: ChunkId) -> Result<Arc<Chunk>> {
-        self.inner.fetch(id, false)
-    }
-
-    /// Fetches and pins a chunk; it stays resident until unpinned.
-    pub fn pin(&self, id: ChunkId) -> Result<Arc<Chunk>> {
-        self.inner.fetch(id, true)
-    }
-
-    /// Releases one pin. Panics if the chunk is not pinned (a pin/unpin
-    /// imbalance is always an executor bug worth failing loudly on).
-    pub fn unpin(&self, id: ChunkId) {
-        self.inner.unpin(id);
-    }
-
-    /// Replaces a chunk's contents (write-through is deferred until
-    /// eviction or [`BufferPool::flush_all`]).
-    pub fn put(&self, id: ChunkId, chunk: Chunk) -> Result<()> {
-        self.inner.put(id, chunk)
-    }
-
-    /// Writes every dirty frame back to the store. When
-    /// [`BufferPool::set_durable_flush`] is on, also fsyncs the store so
-    /// the flush survives a crash.
-    pub fn flush_all(&self) -> Result<()> {
-        self.inner.flush_all()
-    }
 
     /// Enables/disables fsync-on-flush (off by default: in-memory
     /// stores have nothing to sync and benchmarks shouldn't pay for
     /// durability they don't measure). No caller today; kept because it
     /// guards the fsync that makes a flush survive a crash.
     pub fn set_durable_flush(&self, on: bool) {
-        self.inner.durable_flush.store(on, Ordering::Relaxed);
+        self.durable_flush.store(on, Ordering::Relaxed);
     }
 
     /// Whether [`BufferPool::flush_all`] fsyncs the store.
     pub fn durable_flush(&self) -> bool {
-        self.inner.durable_flush.load(Ordering::Relaxed)
+        self.durable_flush.load(Ordering::Relaxed)
     }
 
     /// Replaces the backing store with `f(old store)` — the injection
@@ -900,7 +636,7 @@ impl BufferPool {
     /// the real store, so downcasts through it keep working.
     pub fn wrap_store(&self, f: impl FnOnce(Box<dyn ChunkStore>) -> Box<dyn ChunkStore>) {
         use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-        let mut guard = self.inner.store.write();
+        let mut guard = self.store.write();
         let placeholder: Box<dyn ChunkStore> = Box::new(crate::memstore::MemStore::new());
         let old = std::mem::replace(&mut *guard, placeholder);
         let slot: Arc<Mutex<Option<Box<dyn ChunkStore>>>> = Arc::new(Mutex::new(None));
@@ -925,7 +661,7 @@ impl BufferPool {
 
     /// Whether the chunk exists (resident or in the backing store).
     pub fn contains(&self, id: ChunkId) -> bool {
-        if self.inner.shards[shard_of(id)]
+        if self.shards[shard_of(id)]
             .shard
             .lock()
             .frames
@@ -933,105 +669,79 @@ impl BufferPool {
         {
             return true;
         }
-        self.inner.store.read().contains(id)
+        self.store.read().contains(id)
     }
 
     /// Currently resident frames.
     pub fn resident(&self) -> usize {
-        self.inner.resident.load(Ordering::Relaxed)
+        self.resident.load(Ordering::Relaxed)
     }
 
     /// Currently pinned frames.
     pub fn pinned_count(&self) -> usize {
-        self.inner.pinned.load(Ordering::Relaxed)
+        self.pinned.load(Ordering::Relaxed)
     }
 
     /// Pool counters (a consistent-enough snapshot; each field is
     /// individually atomic).
     pub fn stats(&self) -> PoolStats {
-        let i = &self.inner;
         PoolStats {
-            hits: i.hits.load(Ordering::Relaxed),
-            misses: i.misses.load(Ordering::Relaxed),
-            evictions: i.evictions.load(Ordering::Relaxed),
-            peak_resident: i.peak_resident.load(Ordering::Relaxed),
-            peak_pinned: i.peak_pinned.load(Ordering::Relaxed),
-            overflows: i.overflows.load(Ordering::Relaxed),
-            prefetch_issued: i.prefetch_issued.load(Ordering::Relaxed),
-            prefetch_hits: i.prefetch_hits.load(Ordering::Relaxed),
-            prefetch_wasted: i.prefetch_wasted.load(Ordering::Relaxed),
-            read_errors: i.read_errors.load(Ordering::Relaxed),
-            retries: i.retries.load(Ordering::Relaxed),
-            write_retries: i.write_retries.load(Ordering::Relaxed),
-            flushes: i.flushes.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            peak_resident: self.peak_resident.load(Ordering::Relaxed),
+            peak_pinned: self.peak_pinned.load(Ordering::Relaxed),
+            overflows: self.overflows.load(Ordering::Relaxed),
+            read_errors: self.read_errors.load(Ordering::Relaxed),
+            retries: self.retries.load(Ordering::Relaxed),
+            write_retries: self.write_retries.load(Ordering::Relaxed),
+            flushes: self.flushes.load(Ordering::Relaxed),
         }
     }
 
     /// Zeroes the counters (keeps resident frames).
     pub fn reset_stats(&self) {
-        let i = &self.inner;
-        i.hits.store(0, Ordering::Relaxed);
-        i.misses.store(0, Ordering::Relaxed);
-        i.evictions.store(0, Ordering::Relaxed);
-        i.peak_resident.store(0, Ordering::Relaxed);
-        i.peak_pinned.store(0, Ordering::Relaxed);
-        i.overflows.store(0, Ordering::Relaxed);
-        i.prefetch_issued.store(0, Ordering::Relaxed);
-        i.prefetch_hits.store(0, Ordering::Relaxed);
-        i.prefetch_wasted.store(0, Ordering::Relaxed);
-        i.read_errors.store(0, Ordering::Relaxed);
-        i.retries.store(0, Ordering::Relaxed);
-        i.write_retries.store(0, Ordering::Relaxed);
-        i.flushes.store(0, Ordering::Relaxed);
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+        self.evictions.store(0, Ordering::Relaxed);
+        self.peak_resident.store(0, Ordering::Relaxed);
+        self.peak_pinned.store(0, Ordering::Relaxed);
+        self.overflows.store(0, Ordering::Relaxed);
+        self.read_errors.store(0, Ordering::Relaxed);
+        self.retries.store(0, Ordering::Relaxed);
+        self.write_retries.store(0, Ordering::Relaxed);
+        self.flushes.store(0, Ordering::Relaxed);
     }
 
     /// Read access to the backing store.
     pub fn store(&self) -> StoreRef<'_> {
-        StoreRef(self.inner.store.read())
+        StoreRef(self.store.read())
     }
 
     /// Exclusive access to the backing store (reorganization, seek
     /// models).
     pub fn store_mut(&self) -> StoreMut<'_> {
-        StoreMut(self.inner.store.write())
+        StoreMut(self.store.write())
     }
 
     /// Flushes and drops every frame, forcing subsequent reads back to
-    /// the store. Pending prefetch hints are discarded. Panics if any
-    /// frame is pinned.
+    /// the store. Panics if any frame is pinned.
     pub fn clear(&self) -> Result<()> {
         assert_eq!(self.pinned_count(), 0, "clear() with pinned frames");
-        self.inner.io_queue.lock().queue.clear();
         self.flush_all()?;
-        for slot in &self.inner.shards {
+        for slot in &self.shards {
             let mut sh = slot.shard.lock();
             let n = sh.frames.len();
-            let wasted = sh.frames.values().filter(|f| f.prefetched).count();
             sh.frames.clear();
-            self.inner.resident.fetch_sub(n, Ordering::Relaxed);
-            self.inner
-                .prefetch_wasted
-                .fetch_add(wasted as u64, Ordering::Relaxed);
+            self.resident.fetch_sub(n, Ordering::Relaxed);
         }
         Ok(())
     }
 
-    /// Flushes, stops the I/O workers, and returns the backing store.
+    /// Flushes and returns the backing store.
     pub fn into_store(self) -> Result<Box<dyn ChunkStore>> {
         self.flush_all()?;
-        self.stop_io_threads();
-        let inner = Arc::clone(&self.inner);
-        drop(self); // workers already joined; releases the handle's Arc
-        let inner = Arc::try_unwrap(inner)
-            .ok()
-            .expect("no references remain after I/O workers are joined");
-        Ok(inner.store.into_inner())
-    }
-}
-
-impl Drop for BufferPool {
-    fn drop(&mut self) {
-        self.stop_io_threads();
+        Ok(self.store.into_inner())
     }
 }
 
@@ -1343,7 +1053,7 @@ mod tests {
         assert!(p.pin(ChunkId(99)).is_err());
         assert_eq!(p.stats(), before);
         assert_eq!(p.resident(), resident_before);
-        let sh = p.inner.shards[shard_of(ChunkId(99))].shard.lock();
+        let sh = p.shards[shard_of(ChunkId(99))].shard.lock();
         assert!(!sh.frames.contains_key(&ChunkId(99)));
         assert!(
             sh.in_flight.is_empty(),
@@ -1395,92 +1105,6 @@ mod tests {
         });
         let s = p.stats();
         assert_eq!(s.hits + s.misses, 800);
-    }
-
-    /// Without I/O workers, `prefetch` is a pure no-op: no counters
-    /// move, nothing is admitted — the `--prefetch 0` guarantee.
-    #[test]
-    fn prefetch_without_workers_is_a_noop() {
-        let p = BufferPool::new(store_with(4), 4);
-        p.prefetch(&[ChunkId(0), ChunkId(1)]);
-        assert_eq!(p.stats(), PoolStats::default());
-        assert_eq!(p.resident(), 0);
-    }
-
-    /// A prefetched chunk is admitted once (counted as a miss) and the
-    /// demand read that consumes it scores a hit and a prefetch hit.
-    #[test]
-    fn prefetch_admits_and_demand_hits() {
-        let p = BufferPool::new(store_with(4), 4).with_io_threads(2);
-        p.prefetch(&[ChunkId(0), ChunkId(1)]);
-        p.wait_prefetch_idle();
-        let st = p.stats();
-        assert_eq!(st.prefetch_issued, 2);
-        assert_eq!(st.misses, 2);
-        assert_eq!(p.resident(), 2);
-        let c = p.get(ChunkId(0)).unwrap();
-        assert_eq!(c.get(0), CellValue::Num(0.0));
-        p.get(ChunkId(0)).unwrap();
-        let st = p.stats();
-        assert_eq!(st.hits, 2);
-        assert_eq!(st.prefetch_hits, 1, "first touch only");
-        assert_eq!(st.misses, 2);
-        assert_eq!(st.evictions, 0);
-        assert_eq!(p.resident() as u64, st.misses - st.evictions);
-    }
-
-    /// A prefetched frame evicted before any demand touch counts as
-    /// wasted exactly once.
-    #[test]
-    fn prefetch_evicted_before_use_counts_wasted() {
-        let p = BufferPool::new(store_with(4), 1).with_io_threads(1);
-        p.prefetch(&[ChunkId(0)]);
-        p.wait_prefetch_idle();
-        p.get(ChunkId(1)).unwrap(); // capacity 1: evicts prefetched 0
-        let st = p.stats();
-        assert_eq!(st.prefetch_wasted, 1);
-        assert_eq!(st.prefetch_hits, 0);
-        assert_eq!(p.resident() as u64, st.misses - st.evictions);
-    }
-
-    /// The contention guarantee of the issue: a demand `get()` racing a
-    /// prefetch of the same chunk counts exactly one miss per chunk and
-    /// performs exactly one store read — never a duplicate — and the
-    /// residency invariant `resident == misses - evictions` holds.
-    #[test]
-    fn demand_get_racing_prefetch_counts_one_miss() {
-        const N: u64 = 200;
-        let p = BufferPool::new(store_with(N), N as usize + 8).with_io_threads(4);
-        let reads_before = p.store().stats().snapshot().reads;
-        let ids: Vec<ChunkId> = (0..N).map(ChunkId).collect();
-        p.prefetch(&ids);
-        // Demand-read everything from several threads while the workers
-        // are still admitting the same ids.
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let p = &p;
-                let ids = &ids;
-                s.spawn(move || {
-                    for &id in ids {
-                        let c = p.get(id).unwrap();
-                        assert_eq!(c.get(0), CellValue::num(id.0 as f64));
-                    }
-                });
-            }
-        });
-        p.wait_prefetch_idle();
-        let st = p.stats();
-        let reads = p.store().stats().snapshot().reads - reads_before;
-        assert_eq!(st.misses, N, "each chunk admitted exactly once");
-        assert_eq!(reads, N, "no duplicate store reads under contention");
-        assert_eq!(st.evictions, 0);
-        assert_eq!(p.resident() as u64, st.misses - st.evictions);
-        assert_eq!(st.prefetch_issued, N);
-        // Nothing was evicted, so every prefetch admission was consumed
-        // by a later demand get: of the 4N demand gets, the N−prefetch_hits
-        // demand admissions counted misses and the rest hit.
-        assert_eq!(st.prefetch_wasted, 0);
-        assert_eq!(st.hits, 3 * N + st.prefetch_hits);
     }
 
     /// `PoolStats::delta` isolates one measured phase without resetting
@@ -1543,7 +1167,7 @@ mod tests {
         assert_eq!(st.read_errors, 1);
         assert_eq!(st.misses, 0);
         assert_eq!(p.resident(), 0);
-        let sh = p.inner.shards[shard_of(ChunkId(0))].shard.lock();
+        let sh = p.shards[shard_of(ChunkId(0))].shard.lock();
         assert!(sh.in_flight.is_empty(), "failed read left in-flight slot");
     }
 
@@ -1569,24 +1193,6 @@ mod tests {
         assert_eq!(st.retries, 0, "corruption must not be retried");
         assert_eq!(st.read_errors, 1);
         // The fault was one-shot; the pool recovers on the next demand.
-        assert_eq!(p.get(ChunkId(0)).unwrap().get(0), CellValue::Num(0.0));
-    }
-
-    /// Satellite regression: PR 2's prefetch workers swallowed read
-    /// errors entirely; they must now surface in `read_errors` while
-    /// the demand path still owns the authoritative error.
-    #[test]
-    fn prefetch_error_is_counted_not_swallowed() {
-        use crate::fault::FaultStore;
-        let p = BufferPool::new(store_with(2), 4).with_io_threads(1);
-        p.wrap_store(|s| Box::new(FaultStore::fail_nth_read(s, 1)));
-        p.prefetch(&[ChunkId(0)]);
-        p.wait_prefetch_idle();
-        let st = p.stats();
-        assert_eq!(st.read_errors, 1, "prefetch error vanished");
-        assert_eq!(st.misses, 0);
-        assert_eq!(p.resident(), 0);
-        // The transient fault cleared; the demand read succeeds.
         assert_eq!(p.get(ChunkId(0)).unwrap().get(0), CellValue::Num(0.0));
     }
 
@@ -1799,17 +1405,5 @@ mod tests {
             .as_any()
             .downcast_ref::<MemStore>()
             .is_some_and(|m| m.contains(ChunkId(0))));
-    }
-
-    /// I/O workers shut down cleanly on drop and `into_store`.
-    #[test]
-    fn io_workers_join_on_drop_and_into_store() {
-        let p = BufferPool::new(store_with(2), 2).with_io_threads(2);
-        p.prefetch(&[ChunkId(0), ChunkId(1)]);
-        drop(p); // must not hang or leak threads
-        let p = BufferPool::new(store_with(2), 2).with_io_threads(2);
-        p.prefetch(&[ChunkId(0)]);
-        let store = p.into_store().unwrap();
-        assert!(store.contains(ChunkId(0)));
     }
 }

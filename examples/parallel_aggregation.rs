@@ -6,7 +6,7 @@
 //! cargo run --release --example parallel_aggregation
 //! ```
 
-use olap_cube::{CubeAggregator, Lattice, ScanOpts};
+use olap_cube::{CubeAggregator, Lattice};
 use olap_workload::retail_example;
 
 fn main() {
@@ -30,10 +30,7 @@ fn main() {
 
     for threads in [2, 4] {
         let (parallel, report) = CubeAggregator::new(&retail.cube)
-            .with_scan(ScanOpts {
-                threads,
-                ..ScanOpts::default()
-            })
+            .with_threads(threads)
             .compute(&masks)
             .expect("parallel aggregation");
         let agree = masks

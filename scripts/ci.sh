@@ -30,9 +30,10 @@ step "rustdoc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 step "concurrency flake gate (10x)"
-# The pool prefetcher, the parallel executors and aggregation workers,
-# the shared scenario cache, the fault-injection suite and the WAL crash
-# tests are timing-sensitive; a single green run proves little. Hammer the
+# The pool's concurrent demand misses, the parallel executors and
+# aggregation workers, the shared scenario cache, the fault-injection
+# suite and the WAL crash tests are timing-sensitive; a single green run
+# proves little. Hammer the
 # concurrency-heavy suites (olap-store --lib includes the wal,
 # filestore crash-sweep and pool retry tests). `--test sweeps` stays
 # out of the loop: its chaos and replica sweeps each run three fixed
@@ -41,7 +42,7 @@ i=1
 while [ "$i" -le 10 ]; do
     cargo test -q -p olap-store --lib >/dev/null
     cargo test -q -p whatif-integration-tests \
-        --test parallel_exec --test prefetch --test scenario_cache \
+        --test parallel_exec --test scenario_cache \
         --test scenario_forest --test fault_injection --test persistence \
         --test server --test run_kernels --test chaos \
         --test replication --test aggregation >/dev/null

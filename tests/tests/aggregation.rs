@@ -5,7 +5,7 @@
 //! ones (they must not move by a bit).
 
 use olap_cube::rules::Acc;
-use olap_cube::{buc, Cube, CubeAggregator, GroupByMask, GroupByResult, Lattice, Mmst, ScanOpts};
+use olap_cube::{buc, Cube, CubeAggregator, GroupByMask, GroupByResult, Lattice, Mmst};
 use olap_model::{DimensionSpec, SchemaBuilder};
 use olap_store::ChunkGeometry;
 use polap_cli::{Dataset, Outcome, Session};
@@ -84,10 +84,10 @@ fn random_cube(rng: &mut StdRng) -> Cube {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The dense cascade — under a random read order, thread count,
-    /// prefetch window, mask set and budget — agrees with a per-cell
-    /// fold of the base cube and with BUC on all four accumulator fields
-    /// of every cell of every requested group-by.
+    /// The dense cascade — under a random read order, thread count, mask
+    /// set and budget — agrees with a per-cell fold of the base cube and
+    /// with BUC on all four accumulator fields of every cell of every
+    /// requested group-by.
     #[test]
     fn dense_cascade_matches_per_cell_oracle_and_buc(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -107,15 +107,8 @@ proptest! {
         for i in (1..order.len()).rev() {
             order.swap(i, rng.random_range(0..=i));
         }
-        let prefetch = [0, 0, 3][rng.random_range(0usize..3)];
-        if prefetch > 0 {
-            cube.start_io_threads(1);
-        }
         let agg = CubeAggregator::with_order(&cube, order.clone())
-            .with_scan(ScanOpts {
-                threads: rng.random_range(1usize..=3),
-                prefetch,
-            });
+            .with_threads(rng.random_range(1usize..=3));
         let mmst = Mmst::build(geom, &order);
         let biggest = masks.iter().map(|&m| mmst.memory_cells(m)).max().unwrap();
         let (results, report) = match rng.random_range(0u32..3) {
@@ -229,10 +222,7 @@ fn rollup_replies_and_accumulators_match_the_parent_commit() {
         let biggest = masks.iter().map(|&m| mmst.memory_cells(m)).max().unwrap();
         for (threads, budget) in [(1, u64::MAX), (3, u64::MAX), (1, biggest)] {
             let (results, _) = CubeAggregator::new(cube)
-                .with_scan(ScanOpts {
-                    threads,
-                    ..ScanOpts::default()
-                })
+                .with_threads(threads)
                 .compute_with_budget(&masks, budget)
                 .unwrap();
             assert_eq!(

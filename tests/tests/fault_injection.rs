@@ -7,7 +7,7 @@
 //! so reads actually reach the store). Schedules are scripted for the
 //! regression tests and seed-derived for the property tests.
 
-use olap_cube::{CubeAggregator, CubeError, Lattice, ScanOpts};
+use olap_cube::{CubeAggregator, CubeError, Lattice};
 use olap_store::{FaultKind, FaultOp, FaultSpec, FaultStore, StoreError};
 use olap_workload::running_example;
 use proptest::prelude::*;
@@ -69,10 +69,7 @@ fn apply_with_threads(
     threads: usize,
 ) -> whatif_core::Result<WhatIfResult> {
     let opts = ExecOpts {
-        scan: ScanOpts {
-            threads,
-            ..ScanOpts::default()
-        },
+        threads,
         ..ExecOpts::default()
     };
     let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
@@ -127,7 +124,7 @@ fn persistent_read_fault_surfaces_as_err_everywhere() {
         Err(ref e) if cube_err_is_io(e)
     ));
     assert!(matches!(
-        CubeAggregator::new(&ex.cube).with_scan(ScanOpts { threads: 4, ..ScanOpts::default() }).compute(&masks),
+        CubeAggregator::new(&ex.cube).with_threads(4).compute(&masks),
         Err(ref e) if cube_err_is_io(e)
     ));
     for threads in [1, 4] {
@@ -202,7 +199,7 @@ proptest! {
         let masks = Lattice::new(ex.cube.geometry().ndims()).proper_masks();
         let start = Instant::now();
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            CubeAggregator::new(&ex.cube).with_scan(ScanOpts { threads, ..ScanOpts::default() }).compute(&masks)
+            CubeAggregator::new(&ex.cube).with_threads(threads).compute(&masks)
         }));
         prop_assert!(start.elapsed() < QUERY_TIME_BUDGET, "query stalled");
         let result = match outcome {

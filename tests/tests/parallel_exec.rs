@@ -1,7 +1,7 @@
 //! Concurrency tests: the thread-safe buffer pool under real contention,
 //! and the parallel executors agreeing with their serial counterparts.
 
-use olap_cube::{CubeAggregator, Lattice, ScanOpts};
+use olap_cube::{CubeAggregator, Lattice};
 use olap_store::{BufferPool, CellValue, Chunk, ChunkId, ChunkStore, MemStore};
 use olap_workload::{retail_example, running_example};
 use std::sync::Barrier;
@@ -90,10 +90,7 @@ fn retail_parallel_aggregation_matches_serial_grand_totals() {
     assert!(serial_report.per_thread_peak_cells.is_empty());
     for threads in [2, 4] {
         let (parallel, report) = CubeAggregator::new(&retail.cube)
-            .with_scan(ScanOpts {
-                threads,
-                ..ScanOpts::default()
-            })
+            .with_threads(threads)
             .compute(&masks)
             .unwrap();
         assert_eq!(serial.len(), parallel.len());
@@ -121,10 +118,7 @@ fn running_example_whatif_parallel_matches_serial() {
     let serial = apply(&ex.cube, &scenario, &strategy).unwrap();
     for threads in [2, 4] {
         let opts = ExecOpts {
-            scan: ScanOpts {
-                threads,
-                ..ScanOpts::default()
-            },
+            threads,
             ..ExecOpts::default()
         };
         let parallel = apply_opts(&ex.cube, &scenario, &strategy, None, opts).unwrap();

@@ -3,7 +3,7 @@
 //! executor must agree cell-for-cell with the reference relocate on
 //! arbitrary schemas, scenarios, and chunkings.
 
-use olap_cube::{Cube, ScanOpts};
+use olap_cube::Cube;
 use olap_model::{DimensionId, InstanceId, ValiditySet};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -209,7 +209,7 @@ proptest! {
                 // Same history on both sides: the plan and the wrapper
                 // each get their own cache, run cold, then warm.
                 let opts = |cache| ExecOpts {
-                    scan: ScanOpts { threads, ..ScanOpts::default() },
+                    threads,
                     kernel,
                     cache: Some(cache),
                     ..ExecOpts::default()

@@ -6,7 +6,7 @@
 //! checks the aggregator's shared-gauge concurrent peak is a true
 //! simultaneous high-water mark, not a summed bound.
 
-use olap_cube::{CubeAggregator, Lattice, ScanOpts};
+use olap_cube::{CubeAggregator, Lattice};
 use olap_store::ChunkGeometry;
 use olap_workload::{running_example, Workforce, WorkforceConfig};
 use proptest::prelude::*;
@@ -96,10 +96,7 @@ fn assert_kernels_agree(cube: &olap_cube::Cube, scenario: &Scenario, threads: us
     let strategy = Strategy::Chunked(whatif_core::OrderPolicy::Pebbling);
     let run = |kernel: KernelKind| {
         let opts = ExecOpts {
-            scan: ScanOpts {
-                threads,
-                ..ScanOpts::default()
-            },
+            threads,
             kernel,
             ..Default::default()
         };
@@ -258,10 +255,7 @@ fn aggregation_concurrent_peak_is_bounded_and_exact_in_serial() {
     assert_eq!(serial.concurrent_peak_cells, serial.peak_buffer_cells);
     for threads in [2, 4] {
         let (_, par) = CubeAggregator::new(&wf.cube)
-            .with_scan(ScanOpts {
-                threads,
-                ..ScanOpts::default()
-            })
+            .with_threads(threads)
             .compute(&masks)
             .unwrap();
         assert!(par.concurrent_peak_cells > 0);

@@ -158,7 +158,7 @@ impl Fig12Rig {
     pub fn run_query(&self) -> whatif_core::ExecReport {
         self.wf
             .cube
-            .with_pool(|pool| pool.clear().expect("no pins"));
+            .with_pool(|pool| pool.clear().expect("flush before clear"));
         let varying = self.wf.schema.varying(self.wf.department).expect("varying");
         let months = [0u32, 3, 6, 9].into_iter();
         let spec = whatif_core::PerspectiveSpec::new(

@@ -77,8 +77,8 @@ pub struct SharedData {
     data: Loaded,
     cache: Option<Arc<whatif_core::ScenarioCache>>,
     /// Memoized positive/split results, shared across sessions like the
-    /// scenario cache. Always on — entries are keyed self-invalidating
-    /// (schema identity + store flush epoch) and capped small.
+    /// scenario cache. Always on — keys self-invalidate on any data
+    /// change ([`whatif_core::memo_key`]) and the memo is capped small.
     split_memo: Arc<whatif_core::SplitMemo>,
 }
 
@@ -339,16 +339,14 @@ impl Session {
             "stats" => {
                 let s = self.data().cube().pool_stats();
                 Outcome::Continue(format!(
-                    "buffer pool: {} hits, {} misses, {} evictions, {} overflows\n\
-                     peaks: {} resident, {} pinned\n\
+                    "buffer pool: {} hits, {} misses, {} evictions\n\
+                     peaks: {} resident\n\
                      faults: {} read errors, {} retries, {} write retries\n\
                      flushes: {} committed",
                     s.hits,
                     s.misses,
                     s.evictions,
-                    s.overflows,
                     s.peak_resident,
-                    s.peak_pinned,
                     s.read_errors,
                     s.retries,
                     s.write_retries,
@@ -1071,8 +1069,8 @@ mod tests {
         };
         let reply = stats_after_one_query();
         assert_eq!(reply, stats_after_one_query());
-        let expected = "buffer pool: 0 hits, 3 misses, 0 evictions, 0 overflows\n\
-                        peaks: 3 resident, 0 pinned\n\
+        let expected = "buffer pool: 0 hits, 3 misses, 0 evictions\n\
+                        peaks: 3 resident\n\
                         faults: 0 read errors, 0 retries, 0 write retries\n\
                         flushes: 0 committed";
         assert_eq!(reply, Outcome::Continue(expected.to_string()));

@@ -133,7 +133,6 @@ fn clone_cells(cube: &Cube) -> Result<Cube> {
         let chunk = cube.chunk(id)?;
         out.put_chunk(id, (*chunk).clone())?;
     }
-    out.flush()?;
     Ok(out)
 }
 

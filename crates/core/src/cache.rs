@@ -257,13 +257,6 @@ impl ScenarioCache {
         }
     }
 
-    /// Zeroes the counters (resident entries are kept).
-    pub fn reset_stats(&self) {
-        self.lookups.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
     /// Drops every entry.
     pub fn clear(&self) {
         let mut inner = self.inner.lock();

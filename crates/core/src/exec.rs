@@ -134,9 +134,10 @@ pub struct ExecOpts {
     /// versions warm — serve those output chunks without re-merging,
     /// and install recomputed components afterwards. `None` (the
     /// default) is bit-identical to an uncached run; a populated cache
-    /// changes only the work done, never the cells produced. The cache
-    /// assumes the base cube's chunks are immutable for its lifetime
-    /// (sessions never mutate their data cube).
+    /// changes only the work done, never the cells produced. Entry keys
+    /// fold in the base cube's pool generation and store flush epoch,
+    /// so a write to the base cube, flushed or not, strands every entry
+    /// computed before it.
     pub cache: Option<Arc<ScenarioCache>>,
     /// Peak-memory ceiling in *cells* for this execution; `0` means
     /// unlimited. A plan whose predicted pebble count (times the chunk
@@ -222,7 +223,6 @@ pub fn execute(cube: &Cube, plan: &Plan, opts: &ExecOpts) -> Result<(Cube, ExecR
         run.pass(&out, pass, dest, &mut report)?;
         report.passes += 1;
     }
-    out.flush()?;
     if let Some(cache) = &opts.cache {
         // Remember the freshly merged components (their emptiness too —
         // most affected labels flush nothing, and rediscovering that
@@ -280,12 +280,16 @@ fn probe_cache(
     let geom = cube.geometry();
     let vd = plan.vd;
     let axis_len = cube.schema().axis_len(plan.dim);
-    // Scope slot numbering to this cube's shape and schema identity: a
-    // cache is per-session (one base cube), but make cross-cube aliasing
-    // within a process loud-proof anyway.
+    // Scope slot numbering to this cube's shape, schema identity and
+    // data version: a cache is per-session (one base cube), but make
+    // cross-cube aliasing within a process loud-proof anyway, and never
+    // serve a component merged before a base-cube write.
     let geometry_sig = {
         let mut h = Fnv64::new();
-        h.write_u64(Arc::as_ptr(cube.schema()) as u64);
+        let (generation, epoch) = cube.with_pool(|p| (p.generation(), p.store().flush_epoch()));
+        h.write_u64(Arc::as_ptr(cube.schema()) as u64)
+            .write_u64(generation)
+            .write_u64(epoch);
         h.write_u32(geom.ndims() as u32);
         for d in 0..geom.ndims() {
             h.write_u32(geom.lens()[d]).write_u32(geom.extents()[d]);

@@ -37,7 +37,6 @@ impl<'g> Stager<'g> {
                 out.put_chunk(id, chunk)?;
             }
         }
-        out.flush()?;
         Ok(())
     }
 }

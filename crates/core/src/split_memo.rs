@@ -11,13 +11,14 @@
 //! cube's identity, so a warm replay answers from the memo with zero
 //! re-splits.
 //!
-//! Invalidation: the key folds in the base schema's address and the
-//! backing store's flush epoch ([`memo_key`]), so swapping datasets or
-//! committing new base data (locally or via a replicated apply) changes
-//! every key and strands the stale entries, which the small LRU-ish cap
-//! then evicts. The mutex is `parking_lot` — a session panicking
-//! mid-insert must not poison the memo for its neighbours (same
-//! discipline as [`crate::ScenarioCache`]).
+//! Invalidation: the key folds in the base schema's address, the buffer
+//! pool's write generation and the backing store's flush epoch
+//! ([`memo_key`]), so swapping datasets, writing a base cell (flushed or
+//! not) or committing new base data (locally or via a replicated apply)
+//! changes every key and strands the stale entries, which the small
+//! LRU-ish cap then evicts. The mutex is `parking_lot` — a session
+//! panicking mid-insert must not poison the memo for its neighbours
+//! (same discipline as [`crate::ScenarioCache`]).
 
 use crate::fingerprint::{positive_fingerprint, Fnv64};
 use crate::perspective::Mode;
@@ -63,7 +64,7 @@ pub struct SplitMemoStats {
 /// session (or wider) behind an `Arc`.
 /// Not folded into [`crate::ScenarioCache`]: that one keys
 /// `(chunk, component digest)` entries under a byte-bounded LRU, while
-/// this one keys whole split cubes by fingerprint and flush epoch and
+/// this one keys whole split cubes by fingerprint and data version and
 /// clears at `MEMO_CAP` entries.
 #[derive(Debug, Default)]
 pub struct SplitMemo {
@@ -131,11 +132,12 @@ impl SplitMemo {
 
 /// The memo key for splitting `cube` by the change relation
 /// `(dim, mode, changes)`: the scenario's [`positive_fingerprint`]
-/// salted with the base schema's address and the backing store's flush
-/// epoch. The salt makes the key self-invalidating — a different
-/// dataset (new schema allocation) or newly committed base data (epoch
-/// advance, including a follower's replicated applies) can never
-/// collide with a stale entry.
+/// salted with the base schema's address, the pool's write generation
+/// and the backing store's flush epoch. The salt makes the key
+/// self-invalidating — a different dataset (new schema allocation), a
+/// base-cube write (generation advance, before any flush) or newly
+/// committed base data (epoch advance, including a follower's
+/// replicated applies) can never collide with a stale entry.
 pub fn memo_key<'a>(
     cube: &Cube,
     dim: DimensionId,
@@ -144,9 +146,11 @@ pub fn memo_key<'a>(
 ) -> u64 {
     let fp = positive_fingerprint(dim, mode, changes);
     let mut h = Fnv64::new();
+    let (generation, epoch) = cube.with_pool(|p| (p.generation(), p.store().flush_epoch()));
     h.write_u64(fp)
         .write_u64(Arc::as_ptr(cube.schema()) as u64)
-        .write_u64(cube.with_pool(|p| p.store().flush_epoch()));
+        .write_u64(generation)
+        .write_u64(epoch);
     h.finish()
 }
 

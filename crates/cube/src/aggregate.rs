@@ -994,12 +994,12 @@ mod tests {
         // The full mask is filled from the scan's own blocks: asking for
         // it costs no chunk read beyond the scan's, serial or threaded.
         let gets = |masks: &[GroupByMask], threads: usize| {
-            cube.reset_stats();
+            let before = cube.pool_stats();
             let (_, report) = CubeAggregator::new(&cube)
                 .with_threads(threads)
                 .compute(masks)
                 .unwrap();
-            let st = cube.pool_stats();
+            let st = cube.pool_stats().delta(&before);
             (st.hits + st.misses, report.base_chunks_scanned)
         };
         let mut masks = lattice.proper_masks();

@@ -4,14 +4,11 @@ use crate::error::CubeError;
 use crate::rules::RuleSet;
 use crate::Result;
 use olap_store::{
-    BufferPool, CellValue, Chunk, ChunkGeometry, ChunkId, FileStore, IoSnapshot, MemStore,
-    PoolStats,
+    BufferPool, CellValue, Chunk, ChunkGeometry, ChunkId, FileStore, MemStore, PoolStats,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-pub use olap_store::store::IoSnapshot as CubeIoSnapshot;
 
 use olap_model::Schema;
 
@@ -129,9 +126,10 @@ impl CubeBuilder {
 
 /// A multidimensional cube: leaf cells over the schema's axes, chunked.
 ///
-/// Cells not explicitly stored are ⊥. Reads go through an internal
-/// [`BufferPool`]; the pool (and its statistics) are reachable via
-/// [`Cube::with_pool`] for the Section 5 executors.
+/// Cells not explicitly stored are ⊥. Reads and writes go through an
+/// internal [`BufferPool`], which also decides which chunks exist; the
+/// pool (its store, generation and statistics) is reachable via
+/// [`Cube::with_pool`].
 pub struct Cube {
     schema: Arc<Schema>,
     geometry: ChunkGeometry,
@@ -219,14 +217,14 @@ impl Cube {
         self.pool.contains(id)
     }
 
-    /// Ids of all materialized chunks.
+    /// Ids of all materialized chunks, flushed or not, ascending.
     pub fn chunk_ids(&self) -> Vec<ChunkId> {
-        self.pool.store().ids()
+        self.pool.ids()
     }
 
     /// Number of materialized chunks.
     pub fn chunk_count(&self) -> usize {
-        self.pool.store().chunk_count()
+        self.pool.ids().len()
     }
 
     /// Runs a closure with access to the (thread-safe) buffer pool
@@ -235,20 +233,9 @@ impl Cube {
         f(&self.pool)
     }
 
-    /// Snapshot of the backing store's I/O counters.
-    pub fn io_snapshot(&self) -> IoSnapshot {
-        self.pool.store().stats().snapshot()
-    }
-
     /// Snapshot of the buffer pool's counters.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// Resets pool and store counters.
-    pub fn reset_stats(&self) {
-        self.pool.reset_stats();
-        self.pool.store().stats().reset();
     }
 
     /// Calls `f(cell, value)` for every stored non-⊥ leaf cell.
@@ -446,7 +433,7 @@ mod tests {
         b.set_num(&[2, 1], 9.0).unwrap();
         let cube = b.finish().unwrap();
         assert_eq!(cube.get(&[2, 1]).unwrap(), CellValue::Num(9.0));
-        assert!(cube.io_snapshot().bytes_written > 0);
+        assert!(cube.with_pool(|p| p.store().stats().bytes_written()) > 0);
         std::fs::remove_file(&path).ok();
     }
 

@@ -12,9 +12,10 @@
 //!   file-backed ([`FileStore`], with controllable physical chunk order and
 //!   an optional seek-cost model for the paper's Fig. 12 co-location
 //!   experiment);
-//! * a fixed-capacity [`BufferPool`] mediates access, tracking hits,
-//!   misses, evictions and — crucially for Section 5's pebbling analysis —
-//!   the **peak number of simultaneously resident (pinned) chunks**.
+//! * a fixed-capacity [`BufferPool`] mediates access: an LRU cache of
+//!   chunks that counts hits, misses and evictions, and the one place
+//!   that knows which chunks exist (stored, or written but not yet
+//!   flushed).
 //!
 //! The null value ⊥ ("meaningless combination", paper Section 2) is a
 //! first-class [`CellValue`]: chunks only materialize non-⊥ cells.
@@ -44,7 +45,7 @@ pub use integrity::{crc32, is_checksummed, unwrap_verified, wrap_checksummed};
 pub use memstore::MemStore;
 pub use pool::{BufferPool, PoolStats};
 pub use replication::{decode_txn, encode_txn, txn_end};
-pub use store::{ChunkStore, IoSnapshot, IoStats};
+pub use store::{ChunkStore, IoStats};
 pub use value::CellValue;
 pub use wal::{Wal, WalChunk, WalRecovery, WalStats, WalTxn};
 

@@ -56,41 +56,6 @@ impl IoStats {
     pub fn seek_distance(&self) -> u64 {
         self.seek_distance.load(Ordering::Relaxed)
     }
-
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.seek_distance.store(0, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy.
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            reads: self.reads(),
-            writes: self.writes(),
-            bytes_read: self.bytes_read(),
-            bytes_written: self.bytes_written(),
-            seek_distance: self.seek_distance(),
-        }
-    }
-}
-
-/// A plain-value copy of [`IoStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoSnapshot {
-    /// Number of chunk reads.
-    pub reads: u64,
-    /// Number of chunk writes.
-    pub writes: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Total seek distance across reads.
-    pub seek_distance: u64,
 }
 
 /// A keyed store of chunks.
@@ -179,9 +144,6 @@ mod tests {
         assert_eq!(s.bytes_read(), 150);
         assert_eq!(s.seek_distance(), 10);
         assert_eq!(s.writes(), 1);
-        let snap = s.snapshot();
-        assert_eq!(snap.bytes_written, 30);
-        s.reset();
-        assert_eq!(s.snapshot(), IoSnapshot::default());
+        assert_eq!(s.bytes_written(), 30);
     }
 }

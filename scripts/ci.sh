@@ -16,6 +16,10 @@ step() {
     echo "== $1 =="
 }
 
+step "fmt check"
+# First, so a formatting slip fails in a second, not after the full run.
+cargo fmt --all --check
+
 step "build (release)"
 cargo build --release
 
@@ -73,9 +77,6 @@ step "perfbench builds and its oracles hold"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 ./perfbench/target/release/perf --quick >/dev/null
 echo "(perf --quick: every workload's replies match its serial oracle)"
-
-step "fmt check"
-cargo fmt --all --check
 
 step "done"
 echo "CI OK ($(( $(date +%s) - ci_t0 )) s)"

@@ -20,9 +20,10 @@ fn store_with_chunks(n: u64) -> Box<dyn ChunkStore> {
 
 #[test]
 fn pool_concurrent_pins_lose_no_peak_updates() {
-    // 8 threads pin 4 distinct chunks each and rendezvous while holding
-    // them: exactly 32 frames are pinned at the barrier, so a lost
-    // update to the peak-pinned counter is directly observable.
+    // 8 threads get 4 distinct chunks each and rendezvous after their
+    // reads: the pool has room for all 32, so exactly 32 frames are
+    // resident at the barrier and a lost update to the peak-resident
+    // counter is directly observable.
     const THREADS: u64 = 8;
     const PER: u64 = 4;
     let pool = BufferPool::new(store_with_chunks(THREADS * PER), 64);
@@ -32,30 +33,28 @@ fn pool_concurrent_pins_lose_no_peak_updates() {
             let pool = &pool;
             let barrier = &barrier;
             s.spawn(move || {
-                let ids: Vec<ChunkId> = (0..PER).map(|k| ChunkId(t * PER + k)).collect();
-                for &id in &ids {
-                    pool.pin(id).unwrap();
+                for k in 0..PER {
+                    pool.get(ChunkId(t * PER + k)).unwrap();
                 }
                 barrier.wait();
-                assert_eq!(pool.pinned_count(), (THREADS * PER) as usize);
-                barrier.wait();
-                for &id in &ids {
-                    pool.unpin(id);
-                }
+                assert_eq!(pool.resident(), (THREADS * PER) as usize);
             });
         }
     });
     let stats = pool.stats();
-    assert_eq!(stats.peak_pinned, THREADS * PER, "lost peak_pinned update");
-    assert_eq!(stats.hits + stats.misses, THREADS * PER);
+    assert_eq!(
+        stats.peak_resident,
+        THREADS * PER,
+        "lost peak_resident update"
+    );
     assert_eq!(stats.misses, THREADS * PER, "each chunk read exactly once");
+    assert_eq!(stats.hits, 0);
     assert_eq!(stats.evictions, 0);
-    assert_eq!(pool.pinned_count(), 0);
 }
 
 #[test]
 fn pool_eviction_accounting_survives_contention() {
-    // A tiny pool hammered by concurrent unpinned gets: every admitted
+    // A tiny pool hammered by concurrent gets: every admitted
     // frame must be either still resident or accounted as an eviction.
     const IDS: u64 = 32;
     let pool = BufferPool::new(store_with_chunks(IDS), 4);
@@ -78,7 +77,6 @@ fn pool_eviction_accounting_survives_contention() {
         stats.misses - stats.evictions,
         "admissions minus evictions must equal residency (lost eviction updates)"
     );
-    assert_eq!(stats.overflows, 0, "nothing was pinned, so no overflows");
 }
 
 #[test]

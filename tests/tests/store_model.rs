@@ -83,12 +83,12 @@ proptest! {
     }
 
     /// The buffer pool never lies: every get returns the latest content,
-    /// hits + misses count every get, and capacity holds whenever nothing
-    /// forces an overflow.
+    /// hits + misses count every get, residency never exceeds capacity,
+    /// and a flush hands the store every update.
     #[test]
     fn buffer_pool_contract(
         capacity in 1usize..5,
-        ops in proptest::collection::vec((0u64..8, 0u8..4), 1..40),
+        ops in proptest::collection::vec((0u64..8, any::<bool>()), 1..40),
     ) {
         let mut backing = MemStore::new();
         let mut model: HashMap<u64, Chunk> = HashMap::new();
@@ -98,47 +98,24 @@ proptest! {
             model.insert(id, c);
         }
         let pool = BufferPool::new(Box::new(backing), capacity);
-        let mut pins: HashMap<u64, u32> = HashMap::new();
         let mut gets = 0u64;
-        for (id, kind) in ops {
-            match kind {
-                0 => {
-                    let got = pool.get(ChunkId(id)).unwrap();
-                    gets += 1;
-                    prop_assert!(got.same_cells(&model[&id]));
-                }
-                1 => {
-                    pool.pin(ChunkId(id)).unwrap();
-                    gets += 1;
-                    *pins.entry(id).or_insert(0) += 1;
-                }
-                2 => {
-                    if pins.get(&id).copied().unwrap_or(0) > 0 {
-                        pool.unpin(ChunkId(id));
-                        *pins.get_mut(&id).unwrap() -= 1;
-                    }
-                }
-                _ => {
-                    let c = chunk_of(&[(3, id as f64 * 2.0)]);
-                    pool.put(ChunkId(id), c.clone()).unwrap();
-                    model.insert(id, c);
-                }
+        for (id, put) in ops {
+            if put {
+                let c = chunk_of(&[(3, id as f64 * 2.0)]);
+                pool.put(ChunkId(id), c.clone()).unwrap();
+                model.insert(id, c);
+            } else {
+                let got = pool.get(ChunkId(id)).unwrap();
+                gets += 1;
+                prop_assert!(got.same_cells(&model[&id]));
             }
             let stats = pool.stats();
             prop_assert_eq!(stats.hits + stats.misses, gets);
-            let pinned_now = pins.values().filter(|&&p| p > 0).count();
-            prop_assert_eq!(pool.pinned_count(), pinned_now);
-            if pinned_now < capacity && stats.overflows == 0 {
-                prop_assert!(pool.resident() <= capacity);
-            }
+            prop_assert!(pool.resident() <= capacity);
         }
-        // Drain pins, flush, verify the backing store has every update.
-        for (id, n) in pins {
-            for _ in 0..n {
-                pool.unpin(ChunkId(id));
-            }
-        }
-        let store = pool.into_store().unwrap();
+        // Flush, then verify the backing store has every update.
+        pool.flush_all().unwrap();
+        let store = pool.store();
         for (&id, expect) in &model {
             prop_assert!(store.read(ChunkId(id)).unwrap().same_cells(expect));
         }

@@ -8,9 +8,10 @@ pub mod proto;
 use olap_mdx::{parse, QueryContext};
 use olap_model::{DimensionId, MemberId};
 use olap_workload::{retail_example, running_example, Workforce, WorkforceConfig};
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
-use whatif_core::{ExecOpts, ScenarioForest};
+use whatif_core::{ExecOpts, Fnv64, FnvSuffix, ScenarioForest};
 
 /// Which bundled dataset a session runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -900,19 +901,82 @@ fn semantics_name(s: whatif_core::Semantics) -> &'static str {
 /// pattern). Identical cell sets digest identically regardless of scan
 /// or merge interleaving, which is what lets the server tests check
 /// concurrent sessions bit-for-bit against a serial replay.
+///
+/// The walk hashes rows, not cells. In each chunk, `k` is the last axis
+/// whose chunk shape exceeds 1, so a row along `k` is a run of
+/// consecutive offsets whose later axes are fixed. A row folds its
+/// prefix coordinates (axes `0..k`) once; the rest of a cell's
+/// coordinates — `x_j` on axis `k` plus the constant tail — is a fixed
+/// byte string per row position `j`, folded by one [`FnvSuffix`] lookup
+/// instead of byte by byte. Only the value's 8 bytes are hashed per
+/// cell.
 pub fn cell_digest(cube: &olap_cube::Cube) -> olap_cube::Result<(u64, u64)> {
+    let geom = cube.geometry();
+    let mut classes: HashMap<Vec<u32>, Vec<FnvSuffix>> = HashMap::new();
     let mut count = 0u64;
     let mut digest = 0u64;
-    cube.for_each_present(|coords, v| {
-        let mut h = whatif_core::Fnv64::new();
-        for &c in coords {
-            h.write_u32(c);
-        }
-        h.write_u64(v.to_bits());
-        digest = digest.wrapping_add(h.finish());
-        count += 1;
-    })?;
+    for id in cube.chunk_ids() {
+        let chunk = cube.chunk(id)?;
+        count += u64::from(chunk.present_count());
+        let coord = geom.chunk_coord(id);
+        let shape = chunk.shape();
+        let k = shape.iter().rposition(|&s| s > 1).unwrap_or(0);
+        let width = shape.get(k).map_or(1, |&w| w.max(1));
+        let tables = classes
+            .entry(geom.chunk_origin(&coord).split_off(k))
+            .or_insert_with_key(|suffix| suffix_tables(suffix, width));
+        digest = digest.wrapping_add(digest_rows(&chunk, geom.runs_from(&coord, k), k, tables));
+    }
     Ok((count, digest))
+}
+
+/// The tables shared by every chunk of one digest call whose rows end
+/// in the suffix coordinates `suffix` (axis `k`'s origin, then the
+/// tail): row position `j` hashes the little-endian bytes of
+/// `x_j = origin + j` and the tail, whichever chunk it is in.
+fn suffix_tables(suffix: &[u32], width: u32) -> Vec<FnvSuffix> {
+    (0..width)
+        .map(|j| {
+            let bytes: Vec<u8> = suffix
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &c)| (if i == 0 { c + j } else { c }).to_le_bytes())
+                .collect();
+            FnvSuffix::new(&bytes)
+        })
+        .collect()
+}
+
+/// The wrapping sum of one chunk's cell hashes. `rows` are the chunk's
+/// runs split at axis `k`; `tables[j]` folds the bytes of row position
+/// `j`. Present cells stream in offset order (bitmap words or sparse
+/// entries, once each) and pull the row runs along, so only rows
+/// holding a cell fold a prefix.
+fn digest_rows(
+    chunk: &olap_store::Chunk,
+    mut rows: olap_store::ChunkRuns,
+    k: usize,
+    tables: &[FnvSuffix],
+) -> u64 {
+    let mut sum = 0u64;
+    let (mut start, mut end) = (0u32, 0u32);
+    let mut prefix = Fnv64::new();
+    for (off, v) in chunk.present_cells() {
+        while off >= end {
+            let (base, first, len) = rows.next_run().expect("every offset lies in a row");
+            (start, end) = (first, first + len);
+            if off < end {
+                prefix = Fnv64::new();
+                for &c in &base[..k] {
+                    prefix.write_u32(c);
+                }
+            }
+        }
+        let mut h = tables[(off - start) as usize].fold(prefix);
+        h.write_u64(v.to_bits());
+        sum = sum.wrapping_add(h.finish());
+    }
+    sum
 }
 
 /// The `.help` text.

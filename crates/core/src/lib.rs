@@ -49,7 +49,7 @@ pub use error::WhatIfError;
 pub use exec::{
     execute, execute_passes_opts, ExecOpts, ExecReport, KernelKind, OrderPolicy, Strategy,
 };
-pub use fingerprint::{positive_fingerprint, Fnv64};
+pub use fingerprint::{positive_fingerprint, Fnv64, FnvSuffix};
 pub use forest::{CowChanges, ForestError, ForkRow, ScenarioForest};
 pub use merge::MergeGraph;
 pub use operators::{relocate, select, split, CmpOp, DestMap, EvalOp, Predicate};

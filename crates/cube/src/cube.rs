@@ -260,10 +260,12 @@ impl Cube {
         Ok(s)
     }
 
-    /// Number of non-⊥ leaf cells.
+    /// Number of non-⊥ leaf cells (a per-chunk count; no cell decode).
     pub fn present_cell_count(&self) -> Result<u64> {
         let mut n = 0u64;
-        self.for_each_present(|_, _| n += 1)?;
+        for id in self.chunk_ids() {
+            n += u64::from(self.chunk(id)?.present_count());
+        }
         Ok(n)
     }
 

@@ -242,10 +242,6 @@ impl ChunkStore for FaultStore {
         self.inner.stats()
     }
 
-    fn chunk_count(&self) -> usize {
-        self.inner.chunk_count()
-    }
-
     fn sync(&mut self) -> Result<()> {
         self.inner.sync()
     }

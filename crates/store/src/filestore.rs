@@ -931,10 +931,6 @@ impl ChunkStore for FileStore {
         &self.stats
     }
 
-    fn chunk_count(&self) -> usize {
-        self.index.len()
-    }
-
     fn sync(&mut self) -> Result<()> {
         self.crash_gate()?;
         self.file.sync_all()?;
@@ -1070,7 +1066,7 @@ mod tests {
         s.write(ChunkId(2), &chunk(2.0)).unwrap();
         assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(1.0));
         assert_eq!(s.read(ChunkId(2)).unwrap().get(0), CellValue::Num(2.0));
-        assert_eq!(s.chunk_count(), 2);
+        assert_eq!(s.ids().len(), 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1549,7 +1545,7 @@ mod tests {
         }
         let s = FileStore::create(&path).unwrap();
         assert!(!wal::sidecar_path(&path).exists());
-        assert_eq!(s.chunk_count(), 0);
+        assert_eq!(s.ids().len(), 0);
         drop(s);
         let s = FileStore::open(&path).unwrap();
         assert!(s.wal_recovery().is_none());

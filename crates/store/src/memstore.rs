@@ -53,10 +53,6 @@ impl ChunkStore for MemStore {
         &self.stats
     }
 
-    fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -81,7 +77,7 @@ mod tests {
         assert!(!s.contains(ChunkId(4)));
         assert_eq!(s.read(ChunkId(3)).unwrap(), c);
         assert_eq!(s.ids(), vec![ChunkId(3)]);
-        assert_eq!(s.chunk_count(), 1);
+        assert_eq!(s.ids().len(), 1);
     }
 
     #[test]

@@ -721,10 +721,6 @@ impl ChunkStore for ReclaimStore {
         self.get().stats()
     }
 
-    fn chunk_count(&self) -> usize {
-        self.get().chunk_count()
-    }
-
     fn sync(&mut self) -> Result<()> {
         self.get_mut().sync()
     }
@@ -1275,7 +1271,7 @@ mod tests {
         // The original store is back: its chunks are still served.
         assert_eq!(p.get(ChunkId(0)).unwrap().get(0), CellValue::Num(0.0));
         assert_eq!(p.get(ChunkId(1)).unwrap().get(0), CellValue::Num(1.0));
-        assert_eq!(p.store().chunk_count(), 2);
+        assert_eq!(p.store().ids().len(), 2);
     }
 
     /// `wrap_store`'s reclaim wrapper is transparent to downcasts: a

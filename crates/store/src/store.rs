@@ -81,11 +81,6 @@ pub trait ChunkStore: Send + Sync {
     /// Cumulative I/O counters.
     fn stats(&self) -> &IoStats;
 
-    /// Number of stored chunks.
-    fn chunk_count(&self) -> usize {
-        self.ids().len()
-    }
-
     /// Forces previously written chunks to durable media (fsync).
     /// In-memory stores have nothing to do; the default is a no-op.
     fn sync(&mut self) -> Result<()> {

@@ -78,5 +78,10 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 ./perfbench/target/release/perf --quick >/dev/null
 echo "(perf --quick: every workload's replies match its serial oracle)"
 
+step "perfbench unit tests"
+# Its own suite, e.g. benchmark_json_describes_this_program, which pins
+# BENCHMARK.json's metric names to what perf emits.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 step "done"
 echo "CI OK ($(( $(date +%s) - ci_t0 )) s)"

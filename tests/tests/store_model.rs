@@ -70,7 +70,7 @@ proptest! {
                 }
             }
             // Full read-back check after every op.
-            prop_assert_eq!(store.chunk_count(), model.len());
+            prop_assert_eq!(store.ids().len(), model.len());
             for (&id, expect) in &model {
                 let got = store.read(ChunkId(id)).unwrap();
                 prop_assert!(got.same_cells(expect), "chunk {} diverged", id);

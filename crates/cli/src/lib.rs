@@ -540,69 +540,55 @@ impl Session {
         format!("no varying-dimension member named {member:?}")
     }
 
+    /// `.explain <query>`: runs the query once and prints what ran — the
+    /// Theorem 4.1 expression of its `WITH` clause, the varying-dimension
+    /// slots the MDX layer scoped execution to, and the executor's report
+    /// of that run.
     fn explain(&self, query: &str) -> String {
         let parsed = match parse(query) {
             Ok(q) => q,
             Err(e) => return format!("parse error: {e}"),
         };
-        let mut out = String::new();
-        let _ = writeln!(out, "parsed: {parsed}");
-        match &parsed.with {
-            None => {
-                let _ = writeln!(out, "no WITH clause — plain OLAP query, no scenario");
+        let mut out = format!("parsed: {parsed}\n");
+        if parsed.with.is_none() {
+            out.push_str("no WITH clause — plain OLAP query, no scenario\n");
+            return out;
+        }
+        let run = match olap_mdx::evaluate(&self.context(), &parsed) {
+            Ok(run) => run,
+            Err(e) => return format!("{out}error: {e}\n"),
+        };
+        if let Some(scenario) = &run.scenario {
+            let _ = writeln!(out, "algebra: {:?}", whatif_core::compile(scenario));
+        }
+        let scope = match &run.scope {
+            None => "unscoped".to_string(),
+            Some(slots) => {
+                let slots: Vec<String> = slots.iter().map(u32::to_string).collect();
+                format!("slots {}", slots.join(", "))
             }
-            Some(clause) => {
-                // Theorem 4.1 compilation + the Section 8 optimizer.
-                match olap_mdx::compile_with(&self.context(), clause) {
-                    Ok(scenario) => {
-                        let expr = whatif_core::compile(&scenario);
-                        let (optimized, report) = whatif_core::optimize(&expr);
-                        let _ = writeln!(out, "algebra:   {expr:?}");
-                        let _ = writeln!(out, "optimized: {optimized:?}");
-                        let _ = writeln!(
-                            out,
-                            "rewrites: {} fused, {} pushed, {} dropped",
-                            report.selections_fused,
-                            report.selections_pushed,
-                            report.identities_dropped,
-                        );
-                    }
-                    Err(e) => {
-                        let _ = writeln!(out, "scenario compilation error: {e}");
-                    }
-                }
-                // Run it and surface the executor's report.
-                match olap_mdx::evaluate_full(&self.context(), &parsed) {
-                    Ok((grid, report)) => {
-                        let _ = writeln!(
-                            out,
-                            "result: {} × {} grid, {} non-⊥ cells",
-                            grid.height(),
-                            grid.width(),
-                            grid.present_count(),
-                        );
-                        if let Some(r) = report {
-                            let _ = writeln!(
-                                out,
-                                "executor: {} pass(es), {} chunk reads, merge graph \
-                                 {}/{} (nodes/edges), predicted pebbles {}, peak \
-                                 buffers {}, {} cells relocated, {} dropped",
-                                r.passes,
-                                r.chunks_read,
-                                r.graph_nodes,
-                                r.graph_edges,
-                                r.predicted_pebbles,
-                                r.peak_out_buffers,
-                                r.cells_relocated,
-                                r.cells_dropped,
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        let _ = writeln!(out, "execution error: {e}");
-                    }
-                }
-            }
+        };
+        let _ = writeln!(out, "scope: {scope}");
+        let grid = &run.grid;
+        let _ = writeln!(
+            out,
+            "result: {} × {} grid, {} non-⊥ cells",
+            grid.height(),
+            grid.width(),
+            grid.present_count(),
+        );
+        if let Some(r) = &run.report {
+            let _ = writeln!(
+                out,
+                "executor: {} pass(es), merge graph {}/{} (nodes/edges), predicted \
+                 pebbles {}, {} chunk reads, {} cache chunks served",
+                r.passes,
+                r.graph_nodes,
+                r.graph_edges,
+                r.predicted_pebbles,
+                r.chunks_read,
+                r.cache_chunks_served,
+            );
         }
         out
     }
@@ -626,7 +612,7 @@ impl Session {
                     self.forest.current_name()
                 ));
             };
-            return self.run_scenario(&scenario);
+            return self.run_scenario(&scenario, self.request_opts());
         }
         let mut parts = arg.split_whitespace();
         let (Some(sem), Some(moments)) = (parts.next(), parts.next()) else {
@@ -663,12 +649,13 @@ impl Session {
             whatif_core::Mode::Visual,
         );
         self.forest.set_negative(spec.clone());
-        self.run_scenario(&whatif_core::Scenario::Negative(spec))
+        self.run_scenario(&whatif_core::Scenario::Negative(spec), self.request_opts())
     }
 
-    /// Runs one scenario through the session's executor options and
-    /// renders the deterministic `.apply` summary line.
-    fn run_scenario(&self, scenario: &whatif_core::Scenario) -> Outcome {
+    /// Runs one scenario under `opts` (the request's, from
+    /// [`Session::request_opts`]) and renders the deterministic `.apply`
+    /// summary line.
+    fn run_scenario(&self, scenario: &whatif_core::Scenario, opts: ExecOpts) -> Outcome {
         let label = match scenario {
             whatif_core::Scenario::Negative(spec) => format!(
                 "{} {{{}}}",
@@ -702,7 +689,6 @@ impl Session {
             whatif_core::Scenario::Negative(_) => None,
         };
         let strategy = whatif_core::Strategy::Chunked(whatif_core::OrderPolicy::Pebbling);
-        let opts = self.request_opts();
         match whatif_core::apply_opts(self.data().cube(), scenario, &strategy, None, opts) {
             Ok(result) => match cell_digest(&result.cube) {
                 Ok((count, digest)) => {
@@ -985,7 +971,7 @@ Enter an (extended) MDX query, or a command:
   .schema              dimensions, axis sizes, varying info
   .instances <member>  a changing member's instances + validity sets
   .sets                named sets registered for this dataset
-  .explain <query>     parse, compile, optimize and run a query, with reports
+  .explain <query>     run a query once; print its algebra, scope and executor report
   .csv <query>         run a query and print the grid as CSV
   .apply <sem> <m,..>  run a negative scenario (first varying dim); deterministic
                        summary: cell count, digest, passes. Bare .apply re-runs
@@ -1185,24 +1171,64 @@ mod tests {
         }
     }
 
+    /// The whole `.explain` reply is pinned for a scoped negative query
+    /// and a positive one, and every number on its executor line is the
+    /// `ExecReport` that `evaluate_full` returns for the same query.
     #[test]
     fn explain_reports_executor_stats() {
-        let mut s = Session::new(Dataset::Running);
-        let q = ".explain WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD \
-                 SELECT {Time.[Qtr1]} ON COLUMNS, {Organization.[PTE]} ON ROWS \
-                 FROM [W] WHERE (Location.[NY], Measures.[Salary])";
-        match s.handle(q) {
-            Outcome::Continue(t) => {
-                assert!(t.contains("algebra:"), "{t}");
-                assert!(t.contains("2 pass(es)"), "{t}");
-                assert!(t.contains("merge graph 2/1 (nodes/edges)"), "{t}");
-                assert!(t.contains("predicted pebbles 2, peak buffers 2"), "{t}");
-                // `algebra:` pads on purpose, to line up with `optimized:`.
-                for line in t.lines().filter(|l| !l.starts_with("algebra:")) {
-                    assert!(!line.contains("  "), "{line}");
-                }
-            }
-            other => panic!("{other:?}"),
+        let negative = "WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD \
+                        SELECT {Time.[Qtr1]} ON COLUMNS, {Organization.[PTE]} ON ROWS \
+                        FROM [W] WHERE (Location.[NY], Measures.[Salary])";
+        let positive = "WITH CHANGES {([FTE].[Lisa], [FTE], [PTE], Apr)} VISUAL \
+                        SELECT {Time.[Qtr2]} ON COLUMNS, \
+                        {Organization.[FTE], Organization.[PTE]} ON ROWS \
+                        FROM [W] WHERE (Location.[NY], Measures.[Salary])";
+        let cases = [
+            (
+                negative,
+                "parsed: WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD\n\
+                 SELECT {Time.Qtr1} ON COLUMNS, {Organization.PTE} ON ROWS FROM [W] \
+                 WHERE (Location.NY, Measures.Salary)\n\
+                 algebra: Compose([PhiRelocate { spec: PerspectiveSpec { dim: Dim(0), \
+                 perspectives: [1, 3], semantics: Forward, mode: NonVisual } }, \
+                 Eval { visual: false }])\n\
+                 scope: slots 1, 5, 6\n\
+                 result: 1 × 1 grid, 1 non-⊥ cells\n\
+                 executor: 2 pass(es), merge graph 2/1 (nodes/edges), predicted pebbles 2, \
+                 26 chunk reads, 0 cache chunks served\n",
+            ),
+            (
+                positive,
+                "parsed: WITH CHANGES {(FTE.Lisa, FTE, PTE, Apr)} VISUAL\n\
+                 SELECT {Time.Qtr2} ON COLUMNS, {Organization.FTE, Organization.PTE} ON ROWS \
+                 FROM [W] WHERE (Location.NY, Measures.Salary)\n\
+                 algebra: Compose([Split { dim: Dim(0), changes: [Change { member: Mem(3), \
+                 old_parent: Some(Mem(1)), new_parent: Mem(5), at: 3 }] }, \
+                 Eval { visual: true }])\n\
+                 scope: unscoped\n\
+                 result: 2 × 1 grid, 1 non-⊥ cells\n\
+                 executor: 0 pass(es), merge graph 0/0 (nodes/edges), predicted pebbles 0, \
+                 0 chunk reads, 0 cache chunks served\n",
+            ),
+        ];
+        for (query, expected) in cases {
+            let mut s = Session::new(Dataset::Running);
+            let (_, report) =
+                olap_mdx::evaluate_full(&s.context(), &parse(query).unwrap()).unwrap();
+            let r = report.expect("a scenario ran");
+            let executor = format!(
+                "executor: {} pass(es), merge graph {}/{} (nodes/edges), predicted pebbles {}, \
+                 {} chunk reads, {} cache chunks served\n",
+                r.passes,
+                r.graph_nodes,
+                r.graph_edges,
+                r.predicted_pebbles,
+                r.chunks_read,
+                r.cache_chunks_served,
+            );
+            assert!(expected.ends_with(&executor), "{executor}");
+            let reply = s.handle(&format!(".explain {query}"));
+            assert_eq!(reply, Outcome::Continue(expected.to_string()));
         }
     }
 
@@ -1280,9 +1306,8 @@ mod tests {
     fn mdx_and_apply_run_under_the_same_request_options() {
         // One option-assembly site (`Session::request_opts`): whatever
         // `.budget` / `.deadline` say reaches the executor identically
-        // from an MDX `WITH PERSPECTIVE` line and from `.apply`. The
-        // cache is on so the MDX path materializes in full, like
-        // `.apply` does — the same plan, hence the same verdicts.
+        // from an MDX `WITH PERSPECTIVE` line and from `.apply`, with the
+        // shared cache on.
         let mut shared = SharedData::load(Dataset::Bench);
         shared.set_cache_mb(16);
         let mut s = Session::attach(Arc::new(shared));
@@ -1294,7 +1319,9 @@ mod tests {
         };
         let apply = ".apply forward 0,3,6,9";
 
-        s.handle(".budget 64");
+        // One cell holds no merge buffer, so every plan that merges is
+        // rejected before a read, scoped (MDX) or not (`.apply`).
+        s.handle(".budget 1");
         for line in [mdx.as_str(), apply] {
             match s.handle(line) {
                 Outcome::Continue(t) => {
@@ -1307,12 +1334,28 @@ mod tests {
             }
         }
         s.handle(".budget 0");
+        // A request's deadline is fixed when its options are assembled:
+        // options taken before the deadline passed abort the run at its
+        // first check, however fast the run would be.
         s.handle(".deadline 1");
-        for line in [mdx.as_str(), apply] {
-            match s.handle(line) {
-                Outcome::Deadline(t) => assert!(t.contains("deadline"), "{line}: {t}"),
-                other => panic!("{line}: {other:?}"),
-            }
+        let expired = || {
+            let opts = s.request_opts();
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            opts
+        };
+        let mut ctx = s.context();
+        ctx.opts = expired();
+        match olap_mdx::execute(&ctx, &mdx) {
+            Err(e) => assert!(is_deadline(&e), "{e}"),
+            Ok(_) => panic!("an expired deadline must abort the MDX run"),
+        }
+        let scenario = s
+            .forest
+            .scenario()
+            .expect("recorded by the rejected .apply");
+        match s.run_scenario(&scenario, expired()) {
+            Outcome::Deadline(t) => assert!(t.contains("deadline"), "{t}"),
+            other => panic!("{other:?}"),
         }
         // Lifted, both complete — the aborts left the session intact.
         s.handle(".deadline 0");

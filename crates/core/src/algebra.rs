@@ -4,9 +4,11 @@
 //! perspectives `P`, semantics, mode) there is an algebra expression `En`
 //! with `Qn(Cin) = En(Q(Cin))` — and likewise `Ep` for positive-change
 //! queries. [`compile`] constructs that expression from a [`Scenario`];
-//! [`run`] evaluates expressions over cubes. The operators compose freely,
-//! so optimizers (the paper's future work) can rewrite expressions before
-//! running them.
+//! [`run`] evaluates expressions over cubes, composing the operators
+//! freely (σ before Φρ, say). Queries do not run through [`run`]: the
+//! MDX layer hands the scenario to [`crate::apply_opts`], and `.explain`
+//! prints [`compile`]'s expression beside the plan that ran. [`run`] is
+//! the theorem's left-hand side in the tests that hold the two equal.
 
 use crate::exec::Strategy;
 use crate::operators::select::{select, Predicate};

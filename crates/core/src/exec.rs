@@ -127,12 +127,13 @@ pub struct ExecOpts {
     /// workers; `DimOrder` stays serial, since its cross-slice
     /// interleaving is what the Lemma 5.1 ablation measures.
     pub threads: usize,
-    /// Scenario-delta cache (DESIGN.md §10, §14): when set, unscoped
-    /// executions probe it for whole merge components whose fate tables
-    /// match *any* previously cached run over the same cube — entries
-    /// are versioned by digest, so alternating scenarios keep all their
-    /// versions warm — serve those output chunks without re-merging,
-    /// and install recomputed components afterwards. `None` (the
+    /// Scenario-delta cache (DESIGN.md §10, §14): when set, executions
+    /// probe it for every merge component their scope keeps whole (all
+    /// of them when unscoped) whose fate tables match *any* previously
+    /// cached run over the same cube — entries are versioned by digest,
+    /// so alternating scenarios keep all their versions warm — serve
+    /// those output chunks without re-merging, and install recomputed
+    /// components afterwards. `None` (the
     /// default) is bit-identical to an uncached run; a populated cache
     /// changes only the work done, never the cells produced. Entry keys
     /// fold in the base cube's pool generation and store flush epoch,
@@ -178,13 +179,14 @@ impl ExecOpts {
 /// check against the predicted pebbles, the scenario-cache probe, then
 /// each pass over one shared output cube.
 ///
-/// With `ExecOpts::cache` set (and an unscoped plan — cached chunks are
-/// whole output chunks, so scoped runs bypass the cache), the merge
-/// components of the full plan are probed first: a component whose
+/// With `ExecOpts::cache` set, every merge component the scope keeps
+/// whole is probed first (all of them when unscoped): a component whose
 /// fate-table digest matches a cached run has all its output chunks
 /// installed verbatim and is withdrawn from every pass (the plan's one
 /// restriction path, which the scope closure also takes); the remaining
-/// components run normally and are inserted afterwards.
+/// whole components run normally and are inserted afterwards. A
+/// component the scope cuts produces partial output chunks, so it runs
+/// uncached.
 pub fn execute(cube: &Cube, plan: &Plan, opts: &ExecOpts) -> Result<(Cube, ExecReport)> {
     opts.check_deadline()?;
     let out = cube.empty_like();
@@ -208,7 +210,7 @@ pub fn execute(cube: &Cube, plan: &Plan, opts: &ExecOpts) -> Result<(Cube, ExecR
     let mut to_insert = Vec::new();
     let withdrawn;
     let mut run = Run { cube, plan, opts };
-    if let Some(cache) = opts.cache.as_deref().filter(|_| !plan.is_scoped()) {
+    if let Some(cache) = opts.cache.as_deref() {
         let served;
         (served, to_insert) = probe_cache(cube, plan, cache, &out, &mut report)?;
         if served.contains(&true) {
@@ -258,8 +260,8 @@ pub fn execute_passes_opts(
 /// `(output chunk, component digest)` scenario-cache keys.
 type CacheKeys = Vec<(ChunkId, u64)>;
 
-/// Probes the scenario-delta cache with every merge component of the
-/// full plan (across all slices — an output chunk is a pure function of
+/// Probes the scenario-delta cache with every merge component the scope
+/// keeps whole (across all slices — an output chunk is a pure function of
 /// its component's inputs and fates, see `crate::cache`). Hit components
 /// have all their chunks installed into `out`; returns the mask of their
 /// labels, and the `(chunk, digest)` keys of missed components so the
@@ -297,6 +299,9 @@ fn probe_cache(
         h.finish()
     };
     for comp in graph.components() {
+        if !plan.whole[graph.label(comp[0]) as usize] {
+            continue; // cut by the scope: partial output chunks
+        }
         let mut labels: Vec<u32> = comp.iter().map(|&n| graph.label(n)).collect();
         labels.sort_unstable();
         let mut cd = ComponentDigest::new(geometry_sig, vd, plan.vd_extent, axis_len, plan.map());
@@ -896,7 +901,7 @@ mod tests {
             OrderPolicy::Pebbling,
             Some(&slots),
         );
-        assert!(scoped.is_scoped() && !full.is_scoped());
+        assert!(scoped.kept.contains(&false) && !full.kept.contains(&false));
         let (_, full_report) = run(&cube, &full);
         let (_, scoped_report) = run(&cube, &scoped);
         assert!(

@@ -35,7 +35,6 @@ pub mod fingerprint;
 pub mod forest;
 pub mod merge;
 pub mod operators;
-pub mod optimize;
 pub mod perspective;
 pub mod perspective_cube;
 pub mod phi;
@@ -53,7 +52,6 @@ pub use fingerprint::{positive_fingerprint, Fnv64, FnvSuffix};
 pub use forest::{CowChanges, ForestError, ForkRow, ScenarioForest};
 pub use merge::MergeGraph;
 pub use operators::{relocate, select, split, CmpOp, DestMap, EvalOp, Predicate};
-pub use optimize::{optimize, OptimizeReport};
 pub use perspective::{Mode, PerspectiveSpec, Semantics};
 pub use perspective_cube::{apply, apply_default, apply_opts, WhatIfResult};
 pub use phi::{phi, prune_vacancies, VsMap};

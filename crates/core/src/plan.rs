@@ -61,6 +61,11 @@ pub struct Plan {
     pub(crate) anchors: Vec<Vec<u32>>,
     /// Labels (varying-dimension chunk indices) the execution may touch.
     pub(crate) kept: Vec<bool>,
+    /// Per label: whether the scope keeps its merge component of the
+    /// unrestricted graph whole (every label when unscoped). Only whole
+    /// components produce whole output chunks, so only they are served
+    /// from and inserted into the scenario cache.
+    pub(crate) whole: Vec<bool>,
     /// The full plan's merge graph, induced on `kept`.
     pub(crate) graph: MergeGraph,
     /// Peak pebbles the policy's order needs on `graph` (0 for
@@ -113,8 +118,8 @@ impl Plan {
     /// destination map and splits it into the Section 6 passes. `scope`
     /// optionally restricts execution to the varying-dimension slots a
     /// query touches (Essbase-style retrieval, the Fig. 12 access
-    /// pattern): only chunks holding a scoped slot, plus their merge
-    /// partners, are read, and the output is correct on those slots.
+    /// pattern): only chunks holding a scoped slot, plus their direct
+    /// merge partners, are read, and the output is correct on those slots.
     pub fn build(
         cube: &Cube,
         spec: &PerspectiveSpec,
@@ -159,13 +164,24 @@ impl Plan {
             in_scope[(slot / vd_extent) as usize] = true;
         }
         if scope.is_some() {
-            // Close over merge partners: a scoped chunk cannot be merged
-            // without the chunks it exchanges cells with.
+            // Close over merge partners, one hop: a scoped chunk cannot be
+            // merged without the chunks it exchanges cells with, and only
+            // its direct partners send cells into it. The snapshot keeps
+            // a partner marked earlier in the scan from marking its own.
+            let scoped = in_scope.clone();
             for node in 0..graph.len() {
-                if in_scope[graph.label(node) as usize] {
+                if scoped[graph.label(node) as usize] {
                     for nb in graph.neighbors(node) {
                         in_scope[graph.label(nb) as usize] = true;
                     }
+                }
+            }
+        }
+        let mut whole = vec![false; n_labels];
+        for comp in graph.components() {
+            if comp.iter().all(|&n| in_scope[graph.label(n) as usize]) {
+                for n in comp {
+                    whole[graph.label(n) as usize] = true;
                 }
             }
         }
@@ -195,6 +211,7 @@ impl Plan {
             vd_extent,
             anchors: geom.chunks_in_order(&walk).filter(|c| c[vd] == 0).collect(),
             kept: vec![true; n_labels],
+            whole,
             graph,
             predicted_pebbles: 0,
             pass_plans,
@@ -210,12 +227,6 @@ impl Plan {
     /// The passes, in run order.
     pub fn passes(&self) -> &[DestMap] {
         &self.passes
-    }
-
-    /// Whether a scope withdrew any label (cached chunks are whole output
-    /// chunks, so a restricted plan bypasses the scenario cache).
-    pub fn is_scoped(&self) -> bool {
-        self.kept.contains(&false)
     }
 
     /// The one label-mask path, shared by the scope closure and the
@@ -530,6 +541,53 @@ mod tests {
             .filter(|m| m.fate(2, 0) != CellFate::Skip)
             .count();
         assert_eq!(n_owners, 2);
+    }
+
+    /// The scope closure is exactly one hop. On the chain A–B–C (labels
+    /// 0–1–2, two slots each), scope {A} keeps A and its partner B but
+    /// not C, whatever order the nodes are scanned in; only a scope that
+    /// keeps the whole chain makes its component whole.
+    #[test]
+    fn scope_closure_is_one_hop() {
+        use olap_model::{DimensionSpec, SchemaBuilder};
+        use std::sync::Arc;
+        let leaves = ["a0", "a1", "b0", "b1", "c0", "c1"];
+        let schema = Arc::new(
+            SchemaBuilder::new()
+                .dimension(DimensionSpec::new("Org").tree(&[("G", &leaves[..])]))
+                .dimension(DimensionSpec::new("Time").ordered().leaves(&["t0", "t1"]))
+                .varying("Org", "Time")
+                .build()
+                .unwrap(),
+        );
+        let dim = schema.resolve_dimension("Org").unwrap();
+        let cube = Cube::builder(schema, vec![2, 2]).unwrap().finish().unwrap();
+        // Identity, except slot 1 → slot 2 (A–B) and slot 3 → slot 4 (B–C).
+        let mut flat: Vec<u32> = (0..6).flat_map(|s| [s, s]).collect();
+        flat[2..4].fill(2);
+        flat[6..8].fill(4);
+        let map = DestMap::from_raw(flat, 2);
+        let plan = |scope: &[u32]| {
+            let passes = vec![map.clone()];
+            Plan::from_maps(
+                &cube,
+                dim,
+                map.clone(),
+                passes,
+                OrderPolicy::Pebbling,
+                Some(scope),
+            )
+            .unwrap()
+        };
+        let a = plan(&[0]);
+        assert_eq!(a.kept, [true, true, false]);
+        assert_eq!(a.whole, [false; 3]);
+        let c = plan(&[5]);
+        assert_eq!(c.kept, [false, true, true]);
+        assert_eq!(c.whole, [false; 3]);
+        let b = plan(&[2]);
+        assert_eq!(b.kept, [true; 3]);
+        assert_eq!(b.whole, [true; 3]);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use olap_model::{AxisSlot, DimensionId, MemberId, Schema};
 use whatif_core::{Change, Mode, Scenario, Strategy, WhatIfResult};
 
 /// Everything a query needs besides its text: the cube, named sets, and
-/// the execution strategy for what-if clauses.
+/// the execution strategy and knobs for what-if clauses.
 pub struct QueryContext<'a> {
     /// The warehouse cube.
     pub cube: &'a Cube,
@@ -19,15 +19,11 @@ pub struct QueryContext<'a> {
     pub named_sets: NamedSets,
     /// Execution strategy for perspective clauses.
     pub strategy: Strategy,
-    /// Restrict perspective execution to the varying-dimension slots the
-    /// query touches (Essbase-style retrieval). On by default; turn off
-    /// to force full perspective-cube materialization.
-    pub scoped_retrieval: bool,
     /// The chunked executor's knobs for this context's what-if clauses,
     /// handed through to [`whatif_core::apply_opts`] as one value (see
-    /// [`whatif_core::ExecOpts`] for each field). Setting `opts.cache`
-    /// forces full materialization: cached chunks are whole output
-    /// chunks, so `scoped_retrieval` is bypassed for cached queries.
+    /// [`whatif_core::ExecOpts`] for each field). A scenario cache
+    /// composes with query scoping: a scoped run serves and fills it
+    /// with the merge components its scope keeps whole.
     pub opts: whatif_core::ExecOpts,
 }
 
@@ -39,7 +35,6 @@ impl<'a> QueryContext<'a> {
             cube,
             named_sets: NamedSets::new(),
             strategy: Strategy::Chunked(whatif_core::OrderPolicy::Pebbling),
-            scoped_retrieval: true,
             opts: whatif_core::ExecOpts::default(),
         }
     }
@@ -54,17 +49,36 @@ impl<'a> QueryContext<'a> {
     }
 }
 
-/// Parses and evaluates a query.
-pub fn execute(ctx: &QueryContext<'_>, src: &str) -> Result<Grid> {
-    evaluate_full(ctx, &parse(src)?).map(|(g, _)| g)
+/// One evaluated query, with what its `WITH` clause compiled to and how
+/// it ran.
+pub struct Evaluation {
+    /// The answer.
+    pub grid: Grid,
+    /// The scenario the `WITH` clause compiled to, if there is one.
+    pub scenario: Option<Scenario>,
+    /// The varying-dimension slots a negative scenario's execution was
+    /// scoped to; `None` when it ran unscoped or there was none.
+    pub scope: Option<Vec<u32>>,
+    /// The scenario executor's report, when a scenario ran.
+    pub report: Option<whatif_core::ExecReport>,
 }
 
-/// Evaluates a parsed query, returning the grid plus the scenario
-/// executor's report when one ran.
+/// Parses and evaluates a query.
+pub fn execute(ctx: &QueryContext<'_>, src: &str) -> Result<Grid> {
+    evaluate(ctx, &parse(src)?).map(|e| e.grid)
+}
+
+/// [`evaluate`], keeping only the grid and the executor's report; kept
+/// because `perfbench/src/trace.rs` calls it by name.
 pub fn evaluate_full(
     ctx: &QueryContext<'_>,
     query: &Query,
 ) -> Result<(Grid, Option<whatif_core::ExecReport>)> {
+    evaluate(ctx, query).map(|e| (e.grid, e.report))
+}
+
+/// Evaluates a parsed query, compiling its `WITH` clause once.
+pub fn evaluate(ctx: &QueryContext<'_>, query: &Query) -> Result<Evaluation> {
     // 1. Compile the what-if clause. Positive scenarios apply up front
     //    (their axes may reference new instances); negative scenarios
     //    apply after axis resolution so execution can be scoped to the
@@ -137,17 +151,10 @@ pub fn evaluate_full(
         }
     }
 
-    // 3½. Apply a negative scenario, scoped to the touched slots. With a
-    // scenario cache, scoping is skipped: cached entries are whole
-    // output chunks, and a scoped run would produce (and consult)
-    // partial ones. Full materialization makes consecutive edited
-    // queries share work — the very case the cache exists for.
+    // 3½. Apply a negative scenario, scoped to the touched slots.
+    let mut scope = None;
     if let Some(s @ Scenario::Negative(_)) = &scenario {
-        let scope = if ctx.scoped_retrieval && ctx.opts.cache.is_none() {
-            compute_scope(schema, s.dim(), &columns, &rows, &base)
-        } else {
-            None
-        };
+        scope = compute_scope(schema, s.dim(), &columns, &rows, &base);
         whatif = Some(whatif_core::apply_opts(
             ctx.cube,
             s,
@@ -189,17 +196,18 @@ pub fn evaluate_full(
         })
         .collect();
 
-    let report = whatif.as_ref().map(|r| r.report.clone());
-    Ok((
-        Grid {
+    Ok(Evaluation {
+        grid: Grid {
             columns: columns.iter().map(label_of).collect(),
             rows: rows.iter().map(label_of).collect(),
             cells,
             row_properties,
             property_names: properties,
         },
-        report,
-    ))
+        scenario,
+        scope,
+        report: whatif.map(|r| r.report),
+    })
 }
 
 /// The varying-dimension slots a query can touch, when determinable:
@@ -325,8 +333,9 @@ fn path_of(schema: &Schema, dim: DimensionId, m: MemberId) -> String {
     segs.join("/")
 }
 
-/// Compiles the extended `WITH` clause into a scenario (public so shells
-/// and optimizers can inspect the plan without executing it).
+/// Compiles the extended `WITH` clause into a scenario, the input of
+/// the Theorem 4.1 compiler ([`whatif_core::compile`]). [`evaluate`]
+/// calls it once per query and returns what it compiled.
 pub fn compile_with(ctx: &QueryContext<'_>, clause: &WithClause) -> Result<Scenario> {
     let schema = ctx.cube.schema();
     let resolver = Resolver::new(schema, &ctx.named_sets);

@@ -34,7 +34,7 @@ pub mod resolve;
 
 pub use ast::{Axis, AxisSpec, DescFlag, MemberExpr, Query, SetExpr, WithClause};
 pub use error::MdxError;
-pub use eval::{compile_with, evaluate_full, execute, QueryContext};
+pub use eval::{compile_with, evaluate, evaluate_full, execute, Evaluation, QueryContext};
 pub use grid::Grid;
 pub use parser::parse;
 

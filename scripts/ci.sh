@@ -20,6 +20,10 @@ step "fmt check"
 # First, so a formatting slip fails in a second, not after the full run.
 cargo fmt --all --check
 
+step "product lines"
+# The non-test line count every change reports, counted one way.
+./scripts/product_lines.sh
+
 step "build (release)"
 cargo build --release
 

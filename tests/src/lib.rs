@@ -13,6 +13,7 @@ use rand::{RngExt, SeedableRng};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use whatif_core::{DestMap, MergeGraph};
 
 /// A randomly generated varying-dimension warehouse.
 pub struct RandomWarehouse {
@@ -113,6 +114,35 @@ pub fn random_warehouse(
         dim: d,
         moments,
     }
+}
+
+/// The scenario-cache chunks a warm run of a plan over `map` serves: one
+/// per slice for each label of every merge component the scope keeps
+/// whole (every component when unscoped). An oracle independent of the
+/// planner: the graph is rebuilt from `map`, and the scope closes over
+/// exactly one hop of it.
+pub fn whole_component_chunks(
+    cube: &Cube,
+    dim: DimensionId,
+    map: &DestMap,
+    scope: Option<&[u32]>,
+) -> u64 {
+    let geom = cube.geometry();
+    let extent = geom.extents()[dim.index()];
+    let varying = cube.schema().varying(dim).expect("a varying dimension");
+    let graph = MergeGraph::build(varying, map, extent);
+    let scoped =
+        |n: usize| scope.is_none_or(|slots| slots.iter().any(|&s| s / extent == graph.label(n)));
+    let kept = |n: usize| scoped(n) || graph.neighbors(n).any(scoped);
+    let labels: usize = (graph.components().iter())
+        .filter(|comp| comp.iter().all(|&n| kept(n)))
+        .map(Vec::len)
+        .sum();
+    let slices: u64 = (0..geom.ndims())
+        .filter(|&d| d != dim.index())
+        .map(|d| u64::from(geom.grid()[d]))
+        .product();
+    labels as u64 * slices
 }
 
 /// All five semantics, for exhaustive sweeps.

@@ -75,19 +75,6 @@ fn reference_and_chunked_strategies_agree_on_grids() {
 }
 
 #[test]
-fn scoped_and_unscoped_retrieval_agree() {
-    let wf = tiny();
-    let q = wf.fig10a_query_sem(&["Jan", "Apr", "Jul"], "DYNAMIC FORWARD VISUAL");
-    let mut scoped_ctx = ctx_of(&wf);
-    scoped_ctx.scoped_retrieval = true;
-    let scoped = execute(&scoped_ctx, &q).unwrap();
-    let mut full_ctx = ctx_of(&wf);
-    full_ctx.scoped_retrieval = false;
-    let full = execute(&full_ctx, &q).unwrap();
-    assert_eq!(scoped, full);
-}
-
-#[test]
 fn static_equals_multiple_single_perspective_queries() {
     // The Fig. 11 baseline's correctness: merging k single-perspective
     // static grids reproduces the direct k-perspective grid.

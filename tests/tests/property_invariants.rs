@@ -11,7 +11,7 @@ use whatif_core::{
     execute, execute_passes_opts, phi, relocate, ExecOpts, KernelKind, Mode, OrderPolicy,
     PerspectiveSpec, Plan, ScenarioCache, Semantics,
 };
-use whatif_integration_tests::{all_semantics, random_warehouse};
+use whatif_integration_tests::{all_semantics, random_warehouse, whole_component_chunks};
 
 /// Whether `got` agrees with `oracle` on every cell whose varying slot is
 /// in `scope` (all cells when unscoped), in both directions.
@@ -172,6 +172,8 @@ proptest! {
     /// pass and Section 6 passes, under a random read order, scope,
     /// thread count and kernel, with the scenario cache cold then warm —
     /// agrees with the reference relocate on the slots it answers for,
+    /// serves from the warm cache exactly the merge components its scope
+    /// keeps whole,
     /// reports exactly what `execute_passes_opts` reports for the same
     /// inputs, and gives the same cells each time one `Plan` runs.
     #[test]
@@ -224,10 +226,15 @@ proptest! {
                         &w.cube, w.dim, &map, plan.passes(), &policy, scope, wrapped.clone(),
                     ).unwrap();
                     prop_assert_eq!(&rep, &wrapper_rep, "{} report", row);
-                    // A warm unscoped run withdraws every component it
-                    // serves, so the restriction path runs too.
-                    let served = phase == "warm" && !plan.is_scoped() && rep.graph_nodes > 0;
-                    prop_assert_eq!(rep.cache_chunks_served > 0, served, "{} cache", row);
+                    // A warm run serves exactly the components its scope
+                    // keeps whole and withdraws them, so the restriction
+                    // path runs too; a component the scope cuts runs
+                    // uncached.
+                    let served = match phase {
+                        "warm" => whole_component_chunks(&w.cube, w.dim, &map, scope),
+                        _ => 0,
+                    };
+                    prop_assert_eq!(rep.cache_chunks_served, served, "{} cache", row);
                     prop_assert!(agrees_on_scope(&got, &oracle, w.dim, scope), "{} diverged ({:?})", row, rep);
                     match &first {
                         None => first = Some(got),

@@ -1,13 +1,19 @@
 //! Scenario-delta cache tests: a replay of one-perspective edits must do
 //! strictly less work with the cache on, while staying bit-identical to
 //! the uncached executor — and the default (cache off) path must be
-//! byte-for-byte the seed behavior.
+//! byte-for-byte the seed behavior. Scoped MDX queries use the cache for
+//! the merge components their scope keeps whole.
 
+use olap_mdx::{evaluate, parse, QueryContext};
 use olap_workload::{replay_scenarios, Workforce, WorkforceConfig};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 use whatif_core::{
-    apply, apply_opts, ExecOpts, Mode, OrderPolicy, Scenario, ScenarioCache, Semantics, Strategy,
+    apply, apply_opts, ExecOpts, Mode, OrderPolicy, Plan, Scenario, ScenarioCache, Semantics,
+    Strategy,
 };
+use whatif_integration_tests::whole_component_chunks;
 
 fn small_workforce() -> Workforce {
     Workforce::build(WorkforceConfig {
@@ -169,4 +175,95 @@ fn default_opts_leave_the_cache_off_and_match_apply() {
     let defaulted = apply_opts(&wf.cube, &scenario, &strategy, None, ExecOpts::default()).unwrap();
     assert!(defaulted.cube.same_cells(&plain.cube).unwrap());
     assert_eq!(defaulted.report, plain.report);
+}
+
+/// Query scope and the scenario cache compose. Seed-derived Fig. 10(a),
+/// (b) and (c) queries on the tiny workforce, over random perspective
+/// sets × all five semantics × VISUAL / NONVISUAL, render the
+/// `Strategy::Reference` grid at 1 and 3 threads with the cache off,
+/// cold and warm; a warm run serves exactly the chunks of the merge
+/// components its scope keeps whole, and nothing else.
+#[test]
+fn scoped_queries_with_the_cache_render_the_reference_grid() {
+    const MONTHS: [&str; 12] = [
+        "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+    ];
+    const SEMANTICS: [&str; 5] = [
+        "STATIC",
+        "DYNAMIC FORWARD",
+        "EXTENDED FORWARD",
+        "DYNAMIC BACKWARD",
+        "EXTENDED BACKWARD",
+    ];
+    let wf = Workforce::build(WorkforceConfig::tiny());
+    let mut ctx = QueryContext::new(&wf.cube);
+    for (name, members) in wf.named_sets() {
+        ctx.define_set(&name, wf.department, &members);
+    }
+    let mut rng = StdRng::seed_from_u64(27);
+    // (warm runs that served, warm runs with a component the scope cut):
+    // both must occur, or the property says nothing about composition.
+    let (mut served_some, mut cut_some) = (0, 0);
+    for case in 0..40 {
+        let mut moments: Vec<usize> = (0..rng.random_range(1..=4usize))
+            .map(|_| rng.random_range(0..12usize))
+            .collect();
+        moments.sort_unstable();
+        moments.dedup();
+        let months: Vec<&str> = moments.iter().map(|&m| MONTHS[m]).collect();
+        let mode = ["VISUAL", "NONVISUAL"][rng.random_range(0..2usize)];
+        let clause = format!("{} {mode}", SEMANTICS[rng.random_range(0..5usize)]);
+        let query = match rng.random_range(0..3u32) {
+            0 => wf.fig10a_query_sem(&months, &clause),
+            1 => wf
+                .fig10b_query(&months)
+                .replacen("DYNAMIC FORWARD", &clause, 1),
+            _ => {
+                let head = rng.random_range(1..=wf.movers.len() as u32 + 1);
+                (wf.fig10c_query(&months, head)).replacen("DYNAMIC FORWARD", &clause, 1)
+            }
+        };
+        let parsed = parse(&query).unwrap();
+        ctx.strategy = Strategy::Reference;
+        ctx.opts = ExecOpts::default();
+        let reference = evaluate(&ctx, &parsed).unwrap().grid;
+        ctx.strategy = Strategy::Chunked(OrderPolicy::Pebbling);
+        for threads in [1, 3] {
+            let cache = Arc::new(ScenarioCache::with_capacity_mb(8));
+            let phases = [
+                ("off", None),
+                ("cold", Some(cache.clone())),
+                ("warm", Some(cache)),
+            ];
+            for (phase, cache) in phases {
+                let row = format!("case {case} threads {threads} {phase}: {query}");
+                ctx.opts = ExecOpts {
+                    threads,
+                    cache,
+                    ..ExecOpts::default()
+                };
+                let run = evaluate(&ctx, &parsed).unwrap();
+                assert_eq!(run.grid, reference, "{row}");
+                let served = run.report.expect("a scenario ran").cache_chunks_served;
+                if phase != "warm" {
+                    assert_eq!(served, 0, "{row}");
+                    continue;
+                }
+                let Some(Scenario::Negative(spec)) = &run.scenario else {
+                    panic!("{row}: not a perspective query");
+                };
+                let scope = run.scope.as_deref();
+                let plan = Plan::build(&wf.cube, spec, &OrderPolicy::Pebbling, scope).unwrap();
+                let whole = whole_component_chunks(&wf.cube, wf.department, plan.map(), scope);
+                assert_eq!(served, whole, "{row}");
+                served_some += usize::from(served > 0);
+                let all = whole_component_chunks(&wf.cube, wf.department, plan.map(), None);
+                cut_some += usize::from(whole < all);
+            }
+        }
+    }
+    assert!(
+        served_some > 0 && cut_some > 0,
+        "{served_some} / {cut_some}"
+    );
 }

@@ -363,16 +363,13 @@ impl Session {
                         Some(fs) => {
                             let w = fs.wal_stats();
                             format!(
-                                "flushed at epoch {} — WAL: {} txns committed, \
-                                 {} aborted, {} records ({} bytes), {} syncs, \
-                                 {} checkpoints",
+                                "flushed at epoch {} — log: {} txns committed, \
+                                 {} aborted, {} marker bytes, {} syncs",
                                 fs.flush_epoch(),
                                 w.txns_committed,
                                 w.txns_aborted,
-                                w.records_logged,
                                 w.bytes_logged,
                                 w.syncs,
-                                w.checkpoints,
                             )
                         }
                         None => format!(
@@ -1142,6 +1139,36 @@ mod tests {
             Outcome::Continue(t) => assert!(t.contains("flushes: 0 committed"), "{t}"),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// `.commit` over a file-backed store reports the epoch read off the
+    /// log and the log's transaction counters: one committed transaction
+    /// is a `BEGIN` and a `COMMIT` (36 bytes each) and two fsyncs.
+    #[test]
+    fn commit_reports_log_counters_on_file_backed_dataset() {
+        let path =
+            std::env::temp_dir().join(format!("polap-commit-reply-{}.cube", std::process::id()));
+        let shared = Arc::new(
+            SharedData::load_with_backend(
+                Dataset::Bench,
+                olap_cube::StoreBackend::File(path.clone()),
+            )
+            .unwrap(),
+        );
+        let mut s = Session::attach(shared.clone());
+        let origin = vec![0u32; shared.cube().geometry().ndims()];
+        shared
+            .cube()
+            .set(&origin, olap_store::CellValue::num(7.0))
+            .unwrap();
+        let expected = "flushed at epoch 1 — log: 1 txns committed, 0 aborted, \
+                        72 marker bytes, 2 syncs";
+        assert_eq!(s.handle(".commit"), Outcome::Continue(expected.to_string()));
+        // Nothing dirty: no transaction, and the epoch stands.
+        assert_eq!(s.handle(".commit"), Outcome::Continue(expected.to_string()));
+        drop(s);
+        drop(shared);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -519,10 +519,10 @@ const SHIP_HEARTBEAT_POLLS: u32 = 25;
 
 /// Runs a `.replicate <pos>` shipping stream: every committed flush
 /// transaction at or after `pos`, oldest first, as one raw `R` frame
-/// each (the transaction's literal WAL bytes), then polls for more
-/// until the follower hangs up or the server drains. Positions are
-/// main-log byte offsets; the follower advances its own cursor from
-/// the applied bytes, so the stream carries no explicit acks.
+/// each (the transaction's exact log bytes), then polls for more until
+/// the follower hangs up or the server drains. Positions are log byte
+/// offsets; the follower advances its own cursor from the applied
+/// bytes, so the stream carries no explicit acks.
 fn serve_replication(stream: &mut TcpStream, shared: &SharedData, registry: &Registry, arg: &str) {
     let mut pos: u64 = match arg.parse() {
         Ok(p) => p,
@@ -541,37 +541,34 @@ fn serve_replication(stream: &mut TcpStream, shared: &SharedData, registry: &Reg
             );
             return;
         }
-        let batch: Result<Vec<Arc<olap_store::WalTxn>>, String> = shared.cube().with_pool(|p| {
+        let batch: Result<(Vec<Vec<u8>>, u64), String> = shared.cube().with_pool(|p| {
             let s = p.store();
             match s.as_any().downcast_ref::<FileStore>() {
                 None => Err("replication unavailable: memory-backed store".to_string()),
                 Some(fs) if !fs.replication() => {
                     Err("replication unavailable: leader capture is off".to_string())
                 }
-                Some(fs) => fs.retained_since(pos).map_err(|e| e.to_string()),
+                Some(fs) => fs
+                    .retained_since(pos)
+                    .map(|frames| (frames, fs.replication_position()))
+                    .map_err(|e| e.to_string()),
             }
         });
-        let txns = match batch {
-            Ok(txns) => txns,
+        let (frames, shipped_to) = match batch {
+            Ok(batch) => batch,
             Err(msg) => {
                 let _ = write_frame(stream, STATUS_ERR, &msg);
                 return;
             }
         };
-        for t in &txns {
-            let bytes = match olap_store::encode_txn(t) {
-                Ok(b) => b,
-                Err(e) => {
-                    let _ = write_frame(stream, STATUS_ERR, &format!("replication encode: {e}"));
-                    return;
-                }
-            };
-            if write_frame_bytes(stream, STATUS_REPL, &bytes).is_err() {
+        for frame in &frames {
+            if write_frame_bytes(stream, STATUS_REPL, frame).is_err() {
                 return; // follower hung up
             }
-            pos = olap_store::txn_end(t);
         }
-        if txns.is_empty() {
+        if !frames.is_empty() {
+            pos = shipped_to;
+        } else {
             polls += 1;
             if polls >= SHIP_HEARTBEAT_POLLS {
                 polls = 0;

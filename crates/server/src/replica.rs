@@ -1,14 +1,17 @@
 //! Follower-side replication: a read-only replica server fed by a
-//! leader's WAL-shipping stream (DESIGN.md §17).
+//! leader's log-shipping stream (DESIGN.md §17).
 //!
 //! A [`Follower`] owns two things: a [`crate::Server`] started in
 //! replica mode (sessions are read-only — `.commit` refused — and run
 //! under the apply gate), and a *sync loop* that connects to the
 //! leader, issues `.replicate <position>`, and applies each shipped
-//! transaction through [`FileStore::apply_replicated`] — the same
-//! idempotent redo path crash recovery runs, so a follower killed
-//! mid-apply re-opens to the pre- or post-transaction image and simply
-//! resumes from the position its file ends at.
+//! frame — the exact log bytes of one committed transaction — through
+//! [`FileStore::apply_replicated`]. The apply appends the frame in the
+//! shape of a local commit, so a follower killed mid-apply re-opens to
+//! the pre- or post-transaction image, its file byte-identical to a
+//! prefix of the leader's, and simply resumes from the position its
+//! file ends at. Its flush epoch is read off the log on open like any
+//! store's, so a restarted follower greets with the epoch it stands at.
 //!
 //! Consistency: the sync loop takes the [`FollowerState`] gate in
 //! write mode around each apply; every session request holds it in
@@ -18,16 +21,17 @@
 //! and both scenario caches are dropped: they were computed against
 //! the pre-apply image and carry no versioning of their own.
 //!
-//! Transport errors (leader restart, torn frame, hangup) reconnect
-//! with the current position — delivery is at-least-once and
-//! [`FileStore::apply_replicated`] treats already-applied transactions
-//! as duplicates. Store errors are *fatal*: the in-memory store has
+//! Transport errors (leader restart, hangup, and a torn or corrupt frame,
+//! which [`FileStore::apply_replicated`] refuses as
+//! [`StoreError::Corrupt`] before any I/O) reconnect with the current
+//! position — delivery is at-least-once and already-applied frames are
+//! duplicates. Other store errors are *fatal*: the in-memory store has
 //! refused an operation (e.g. an injected crash), so the loop parks
 //! with [`FollowerState::is_dead`] set and the file waits for the next
 //! open's recovery.
 
 use crate::{Server, ServerConfig};
-use olap_store::{decode_txn, txn_end, ChunkStore as _, FileStore, ReplApply};
+use olap_store::{ChunkStore as _, FileStore, ReplApply, StoreError};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use polap_cli::proto::{read_response, read_response_bytes, write_request, STATUS_OK, STATUS_REPL};
 use polap_cli::SharedData;
@@ -40,7 +44,7 @@ use std::time::Duration;
 
 /// Shared between the sync loop and the replica server's sessions.
 pub struct FollowerState {
-    /// Main-log byte offset applied up to (committed state only).
+    /// Log byte offset applied up to (committed state only).
     position: AtomicU64,
     /// Flush epoch of the last applied transaction (reporting only —
     /// positions, not epochs, are the replication cursor).
@@ -266,18 +270,14 @@ fn sync_once(
         };
         match frame {
             (STATUS_REPL, bytes) if bytes.is_empty() => {} // heartbeat
-            (STATUS_REPL, bytes) => {
-                // A frame that does not decode is a torn or corrupted
-                // delivery: drop the connection and re-request from the
-                // unchanged position rather than guessing.
-                let Ok(txn) = decode_txn(&bytes) else {
-                    return SyncEnd::Reconnect;
-                };
-                match apply_one(shared, state, &txn) {
-                    Ok(()) => {}
-                    Err(msg) => return SyncEnd::Fatal(msg),
-                }
-            }
+            (STATUS_REPL, frame) => match apply_one(shared, state, &frame) {
+                Ok(()) => {}
+                // A torn or corrupted delivery, refused before any I/O:
+                // drop the connection and re-request from the unchanged
+                // position rather than guessing.
+                Err(StoreError::Corrupt(_)) => return SyncEnd::Reconnect,
+                Err(e) => return SyncEnd::Fatal(e.to_string()),
+            },
             // `-` here is the leader refusing the stream (draining,
             // capture off, position out of retained history). All are
             // either transient or operator errors; retrying from the
@@ -288,44 +288,34 @@ fn sync_once(
     }
 }
 
-/// Applies one shipped transaction under the write gate and invalidates
-/// every cache that was computed against the pre-apply image.
-fn apply_one(
-    shared: &SharedData,
-    state: &FollowerState,
-    txn: &olap_store::WalTxn,
-) -> Result<(), String> {
+/// Applies one shipped frame under the write gate and invalidates every
+/// cache that was computed against the pre-apply image.
+fn apply_one(shared: &SharedData, state: &FollowerState, frame: &[u8]) -> olap_store::Result<()> {
     let _gate = state.gate.write();
-    let applied = shared.cube().with_pool(|p| {
+    let applied = shared.cube().with_pool(|p| -> olap_store::Result<_> {
         let mut s = p.store_mut();
         let fs = s
             .as_any_mut()
             .downcast_mut::<FileStore>()
             .expect("checked file-backed at Follower::start");
-        fs.apply_replicated(txn).map_err(|e| e.to_string())
+        let applied = fs.apply_replicated(frame)?;
+        Ok((applied, fs.replication_position(), fs.flush_epoch()))
     });
-    match applied {
-        Ok(ReplApply::Applied) => {
+    match applied? {
+        (ReplApply::Applied, position, epoch) => {
             // The pool's frames and both caches hold pre-apply state.
             // Sessions are excluded by the gate, so nothing is pinned.
-            shared
-                .cube()
-                .with_pool(|p| p.clear())
-                .map_err(|e| format!("post-apply pool clear: {e}"))?;
+            shared.cube().with_pool(|p| p.clear())?;
             if let Some(cache) = shared.cache() {
                 cache.clear();
             }
             shared.split_memo().clear();
-            state.position.store(txn_end(txn), Ordering::Release);
-            state.epoch.store(txn.epoch, Ordering::Release);
+            state.position.store(position, Ordering::Release);
+            state.epoch.store(epoch, Ordering::Release);
             Ok(())
         }
-        Ok(ReplApply::Duplicate) => {
-            // Already part of our image (at-least-once delivery after a
-            // reconnect). Advance past it if it ends at or before our
-            // position — nothing to invalidate.
-            Ok(())
-        }
-        Err(msg) => Err(msg),
+        // Already part of our image (at-least-once delivery after a
+        // reconnect): nothing to invalidate.
+        (ReplApply::Duplicate, ..) => Ok(()),
     }
 }

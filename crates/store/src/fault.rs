@@ -242,12 +242,8 @@ impl ChunkStore for FaultStore {
         self.inner.stats()
     }
 
-    fn sync(&mut self) -> Result<()> {
-        self.inner.sync()
-    }
-
     // The flush-transaction protocol passes through untouched: faults
-    // target chunk reads/writes, and the wrapped store's WAL (if any)
+    // target chunk reads/writes, and the wrapped store's log (if any)
     // must keep seeing real begin/commit boundaries.
     fn begin_flush(&mut self) -> Result<()> {
         self.inner.begin_flush()

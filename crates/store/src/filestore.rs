@@ -8,6 +8,26 @@
 //! between Fig. 12 measurements ("the cube was reorganized after every such
 //! insert to ensure there was no fragmentation").
 //!
+//! The log is also its own write-ahead log (DESIGN.md §12), using the
+//! commit-record idea of ARIES (Mohan et al., TODS '92). A flush
+//! transaction is a `BEGIN` record, the transaction's chunk records and a
+//! `COMMIT` record. The two markers are framed like chunk records under
+//! the two reserved ids `u64::MAX` and `u64::MAX − 1`:
+//!
+//! * `BEGIN {epoch, main_start}` names the offset it sits at;
+//! * `COMMIT {epoch, records, seal}` carries the CRC-32 of every byte from
+//!   its `BEGIN` up to itself, so a committed transaction's record headers
+//!   are checksummed too;
+//! * `commit_flush` fsyncs the log, appends `COMMIT` and fsyncs again, so
+//!   the commit record never becomes durable before the records it seals;
+//! * [`FileStore::open`] truncates a `BEGIN` that no `COMMIT` closed, so a
+//!   crash recovers exactly the pre- or the post-flush image, and reads
+//!   the flush epoch off the last `COMMIT`.
+//!
+//! A replication frame is the exact log bytes of one committed
+//! transaction ([`FileStore::retained_since`],
+//! [`FileStore::apply_replicated`]).
+//!
 //! An optional [`SeekModel`] charges a latency per read proportional to the
 //! file-offset distance from the previous read, saturating at a maximum —
 //! the rise-then-flatten behaviour of a physical disk arm that Fig. 12
@@ -22,16 +42,16 @@ use crate::compress;
 use crate::error::StoreError;
 use crate::geometry::ChunkId;
 use crate::integrity;
+use crate::replication;
 use crate::store::{ChunkStore, IoStats};
-use crate::wal::{self, Wal, WalChunk, WalRecovery, WalStats, WalTxn};
 use crate::Result;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::Read;
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-read latency model: `min(distance × ns_per_byte, max_ns)` of busy
@@ -84,49 +104,207 @@ impl SeekModel {
 
 const REC_HEADER: usize = 8 + 4; // chunk id + payload length
 
+/// Reserved record id of a transaction's `BEGIN {epoch, main_start}`.
+pub(crate) const BEGIN_ID: u64 = u64::MAX;
+/// Reserved record id of a transaction's `COMMIT {epoch, records, seal}`.
+const COMMIT_ID: u64 = u64::MAX - 1;
+/// Bytes of one marker record: header, OLC3 envelope, two 8-byte fields.
+const MARKER_BYTES: u64 = (REC_HEADER + integrity::ENVELOPE_BYTES + 16) as u64;
+
 /// Chunk id → (payload offset, payload length) in the log.
 type LogIndex = BTreeMap<ChunkId, (u64, u32)>;
 
-/// What [`FileStore::open`] salvaged from a file with a torn tail: the
-/// crash-recovery rule is *truncate to the last valid record* instead
-/// of refusing the whole store.
+/// Frames one record: `id u64 | len u32 | payload`.
+fn record(id: u64, payload: &[u8]) -> Result<Vec<u8>> {
+    let len = codec::count_u32(payload.len(), "record payload")?;
+    let mut rec = Vec::with_capacity(REC_HEADER + payload.len());
+    rec.extend_from_slice(&id.to_le_bytes());
+    rec.extend_from_slice(&len.to_le_bytes());
+    rec.extend_from_slice(payload);
+    Ok(rec)
+}
+
+/// A marker record: `epoch`, then eight bytes of `rest`, enveloped.
+fn marker(id: u64, epoch: u64, rest: [u8; 8]) -> Vec<u8> {
+    let mut fields = [0u8; 16];
+    fields[..8].copy_from_slice(&epoch.to_le_bytes());
+    fields[8..].copy_from_slice(&rest);
+    record(id, &integrity::wrap_checksummed(&fields)).expect("a marker fits its length field")
+}
+
+fn begin_marker(epoch: u64, main_start: u64) -> Vec<u8> {
+    marker(BEGIN_ID, epoch, main_start.to_le_bytes())
+}
+
+fn commit_marker(epoch: u64, records: u32, seal: u32) -> Vec<u8> {
+    let mut rest = [0u8; 8];
+    rest[..4].copy_from_slice(&records.to_le_bytes());
+    rest[4..].copy_from_slice(&seal.to_le_bytes());
+    marker(COMMIT_ID, epoch, rest)
+}
+
+/// A marker payload's two 8-byte fields, unverified: callers compare the
+/// whole record against the marker those fields describe.
+pub(crate) fn marker_fields(payload: &[u8]) -> Option<(u64, u64)> {
+    let field = |at: usize| {
+        let at = integrity::ENVELOPE_BYTES + at;
+        let bytes = payload.get(at..at + 8)?;
+        Some(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+    };
+    Some((field(0)?, field(8)?))
+}
+
+/// One framed record of a log buffer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Rec {
+    pub(crate) id: u64,
+    /// Buffer offset of the record's header.
+    pub(crate) start: usize,
+    /// Buffer range of the payload.
+    pub(crate) payload: Range<usize>,
+}
+
+/// Splits `bytes` into framed records, stopping at the first record that
+/// runs past the end: a torn tail.
+pub(crate) fn frame_records(bytes: &[u8]) -> Vec<Rec> {
+    let mut recs = Vec::new();
+    let mut pos = 0usize;
+    while let Some(header) = bytes.get(pos..pos + REC_HEADER) {
+        let id = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
+        let len = u32::from_le_bytes(header[8..].try_into().expect("4 bytes")) as usize;
+        let payload = pos + REC_HEADER..pos + REC_HEADER + len;
+        if payload.end > bytes.len() {
+            break;
+        }
+        let start = pos;
+        pos = payload.end;
+        recs.push(Rec { id, start, payload });
+    }
+    recs
+}
+
+/// What pairing the markers of a record run found.
+#[derive(Debug, Default)]
+pub(crate) struct TxnScan {
+    /// Epoch of the last `COMMIT` (0 when there is none).
+    pub(crate) epoch: u64,
+    /// Committed transactions as `[BEGIN, COMMIT end)` buffer ranges.
+    pub(crate) committed: Vec<Range<usize>>,
+    /// Index of a trailing `BEGIN` that no `COMMIT` closed.
+    pub(crate) open: Option<usize>,
+}
+
+/// Pairs the markers of `recs`, framed from `bytes` whose first byte sits
+/// at log offset `base`. Every `BEGIN` must name its own offset and open
+/// only after the previous transaction closed; every `COMMIT` must close
+/// the open `BEGIN` with its epoch, its chunk-record count and its seal.
+/// Anything else is corruption. [`FileStore::open`] and the follower's
+/// frame validation share this one parser.
+pub(crate) fn scan_txns(bytes: &[u8], base: u64, recs: &[Rec]) -> Result<TxnScan> {
+    let corrupt = |r: &Rec, what: &str| {
+        StoreError::Corrupt(format!(
+            "log offset {}: {what}",
+            base.wrapping_add(r.start as u64)
+        ))
+    };
+    let mut scan = TxnScan::default();
+    // The open transaction: its BEGIN's index, its epoch and its chunk
+    // records so far.
+    let mut open: Option<(usize, u64, u64)> = None;
+    for (i, r) in recs.iter().enumerate() {
+        let rec = &bytes[r.start..r.payload.end];
+        match r.id {
+            BEGIN_ID => {
+                let epoch = marker_fields(&bytes[r.payload.clone()]).map(|(e, _)| e);
+                let at = base.wrapping_add(r.start as u64);
+                if open.is_some() {
+                    return Err(corrupt(r, "BEGIN inside an open transaction"));
+                }
+                match epoch {
+                    Some(e) if rec == begin_marker(e, at) => open = Some((i, e, 0)),
+                    _ => return Err(corrupt(r, "bad BEGIN record")),
+                }
+            }
+            COMMIT_ID => {
+                let Some((b, epoch, records)) = open.take() else {
+                    return Err(corrupt(r, "COMMIT without a BEGIN"));
+                };
+                let start = recs[b].start;
+                let seal = integrity::crc32(&bytes[start..r.start]);
+                let want = u32::try_from(records)
+                    .ok()
+                    .map(|n| commit_marker(epoch, n, seal));
+                if want.as_deref() != Some(rec) {
+                    return Err(corrupt(r, "COMMIT does not seal its transaction"));
+                }
+                scan.epoch = epoch;
+                scan.committed.push(start..r.payload.end);
+            }
+            _ => {
+                if let Some((_, _, n)) = open.as_mut() {
+                    *n += 1;
+                }
+            }
+        }
+    }
+    scan.open = open.map(|(i, ..)| i);
+    Ok(scan)
+}
+
+/// What [`FileStore::open`] cut off the end of the log: a torn tail
+/// (a crash mid-append) and the flush transaction it left unclosed.
+/// The recovery rule is *truncate to the last committed boundary*
+/// instead of refusing the whole store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailRecovery {
-    /// Complete, valid records kept (the index may map fewer ids —
-    /// later records supersede earlier ones).
+    /// Records kept (the index may map fewer ids — later records
+    /// supersede earlier ones — and markers map none).
     pub records_recovered: u64,
     /// Complete-looking trailing records dropped because their payload
     /// failed validation (a torn write can leave a full-length record
     /// of partial bytes).
     pub records_dropped: u64,
-    /// Bytes truncated off the tail (partial fragment + dropped
-    /// records).
+    /// Records of the flush transaction no `COMMIT` closed, its `BEGIN`
+    /// included, rolled back (0 when every transaction was closed).
+    pub records_rolled_back: u64,
+    /// Bytes truncated off the tail (partial fragment, dropped and
+    /// rolled-back records).
     pub bytes_truncated: u64,
 }
 
-/// Retained committed transactions a leader ships to followers.
-///
-/// Replication positions are **main-log byte offsets**: because the
-/// store is an append log and followers replay the exact record bytes
-/// in order, a follower's file length names its position in the
-/// leader's history unambiguously (the same way an LSN does), and it is
-/// durable for free — no separate position file to keep in sync.
-#[derive(Debug, Default)]
-struct ReplLog {
-    /// Committed transactions in epoch order, each starting at the
-    /// main-log offset its `main_end` records.
-    txns: VecDeque<Arc<WalTxn>>,
-    /// Oldest main-log position still shippable; a follower behind this
-    /// needs a base-image copy, not a stream.
-    base_pos: u64,
-    /// Payload bytes retained (the eviction budget).
-    retained_bytes: u64,
+/// Cumulative flush-transaction counters for one [`FileStore`], printed
+/// by `.commit` in the shell.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalStats {
+    /// Flush transactions committed (the flush epoch advances with
+    /// each).
+    pub txns_committed: u64,
+    /// Flush transactions rolled back at runtime (a flush write failed
+    /// after retries and `abort_flush` undid it).
+    pub txns_aborted: u64,
+    /// `BEGIN` and `COMMIT` marker bytes appended to the log.
+    pub bytes_logged: u64,
+    /// Commit fsyncs of the log (two per committed transaction).
+    pub syncs: u64,
 }
 
-/// Retention ceiling for the leader's shipping buffer: beyond this the
-/// oldest transactions are evicted and too-stale followers must re-seed
-/// from a base image.
-const REPL_RETAIN_BYTES: u64 = 64 << 20;
+/// Committed transactions a leader ships to followers.
+///
+/// Replication positions are **log byte offsets**: because the store is
+/// an append log and followers append the exact record bytes in order, a
+/// follower's file length names its position in the leader's history
+/// unambiguously (the same way an LSN does), and it is durable for free —
+/// no separate position file to keep in sync.
+#[derive(Debug)]
+struct ReplLog {
+    /// Log position capture started at; a follower behind this needs a
+    /// base-image copy, not a stream.
+    base_pos: u64,
+    /// `[BEGIN, COMMIT end)` log ranges of the transactions committed
+    /// since, in log order. The bytes stay in the file: `reorganize` is
+    /// refused while capturing.
+    committed: Vec<Range<u64>>,
+}
 
 /// What [`FileStore::apply_replicated`] did with a shipped transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,23 +320,21 @@ pub enum ReplApply {
 /// `commit_flush` needs to seal it.
 #[derive(Debug)]
 struct FlushTxn {
-    /// The epoch this transaction will commit as (`store.epoch + 1`).
+    /// The epoch this transaction commits as.
     epoch: u64,
-    /// Main-log end when the flush began — the rollback point.
+    /// Log end when the flush began (its `BEGIN`'s offset) — the
+    /// rollback point.
     main_start: u64,
-    /// WAL length when the flush began (runtime aborts truncate back).
-    wal_start: u64,
     /// Chunk records appended so far.
     records: u32,
+    /// Running CRC-32 of every byte appended since the `BEGIN`, the
+    /// `BEGIN` included: the `COMMIT`'s seal.
+    seal: u32,
     /// Per-write undo log: the index entry each write displaced (`None`
     /// for first-time chunks), in write order.
     displaced: Vec<(ChunkId, Option<(u64, u32)>)>,
     /// `dead_bytes` added during the transaction.
     dead_added: u64,
-    /// Exact record payloads staged for replication (only when the
-    /// store is a publishing leader); shipped on commit, dropped on
-    /// abort.
-    staged: Vec<WalChunk>,
 }
 
 /// A single-file, append-log chunk store.
@@ -169,31 +345,25 @@ pub struct FileStore {
     index: LogIndex,
     /// Next append offset.
     end: u64,
-    /// Bytes occupied by superseded records.
+    /// Bytes occupied by superseded records and transaction markers.
     dead_bytes: u64,
     stats: IoStats,
     last_read_end: AtomicU64,
     seek_model: Option<SeekModel>,
-    /// Set when [`FileStore::open`] truncated a torn tail.
+    /// Set when [`FileStore::open`] truncated the tail.
     tail_recovery: Option<TailRecovery>,
-    /// The sidecar commit-record WAL, opened lazily on first
-    /// `begin_flush` (so stores that never flush transactionally never
-    /// create one).
-    wal: Option<Wal>,
     /// Last committed flush epoch (the commit LSN).
     epoch: u64,
     /// The open flush transaction, if any.
     txn: Option<FlushTxn>,
     wal_stats: WalStats,
-    /// What WAL replay did during [`FileStore::open`], if anything.
-    wal_recovery: Option<WalRecovery>,
     /// Crash injection: remaining physical ops before the store "loses
     /// power" (`None` = disarmed). See [`FileStore::set_crash_after_ops`].
     crash_budget: Option<u64>,
     /// Physical I/O operations attempted so far.
     phys_ops: u64,
-    /// Shipping buffer of committed transactions, when this store
-    /// publishes to followers. See [`FileStore::set_replication`].
+    /// Committed transactions to ship, when this store publishes to
+    /// followers. See [`FileStore::set_replication`].
     repl: Option<ReplLog>,
 }
 
@@ -208,7 +378,31 @@ fn fsync_dir(path: &Path) -> Result<()> {
     Ok(())
 }
 
+fn io_err(msg: String) -> StoreError {
+    StoreError::Io(std::io::Error::other(msg))
+}
+
 impl FileStore {
+    fn with_log(file: File, path: PathBuf, index: LogIndex, end: u64, dead_bytes: u64) -> Self {
+        FileStore {
+            file,
+            path,
+            index,
+            end,
+            dead_bytes,
+            stats: IoStats::default(),
+            last_read_end: AtomicU64::new(0),
+            seek_model: None,
+            tail_recovery: None,
+            epoch: 0,
+            txn: None,
+            wal_stats: WalStats::default(),
+            crash_budget: None,
+            phys_ops: 0,
+            repl: None,
+        }
+    }
+
     /// Creates (truncating) a store at `path`.
     pub fn create(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
@@ -218,269 +412,104 @@ impl FileStore {
             .create(true)
             .truncate(true)
             .open(&path)?;
-        // A stale sidecar from a previous store at this path would
-        // replay foreign transactions into the fresh log.
-        let _ = std::fs::remove_file(wal::sidecar_path(&path));
-        Ok(FileStore {
-            file,
-            path,
-            index: BTreeMap::new(),
-            end: 0,
-            dead_bytes: 0,
-            stats: IoStats::default(),
-            last_read_end: AtomicU64::new(0),
-            seek_model: None,
-            tail_recovery: None,
-            wal: None,
-            epoch: 0,
-            txn: None,
-            wal_stats: WalStats::default(),
-            wal_recovery: None,
-            crash_budget: None,
-            phys_ops: 0,
-            repl: None,
-        })
+        Ok(FileStore::with_log(file, path, BTreeMap::new(), 0, 0))
     }
 
     /// Opens an existing store, rebuilding the index by scanning records
     /// (later records for the same chunk win, as in any append log).
     ///
-    /// A torn tail — a crash mid-append leaving a partial record, or a
-    /// complete-looking final record whose payload fails validation — is
-    /// recovered from by truncating the file back to the last valid
-    /// record ([`TailRecovery`] reports what was salvaged). Interior
-    /// records are not decoded here (truncating at an interior record
-    /// would discard the good data after it); corruption before the
-    /// tail surfaces as [`StoreError::Corrupt`] when the record is
-    /// read.
+    /// Recovery truncates the log to its last committed boundary
+    /// ([`TailRecovery`] reports what was cut): first a torn tail — a
+    /// partial record, or complete-looking final records whose payload
+    /// fails validation — then a flush transaction whose `BEGIN` no
+    /// `COMMIT` closed. Interior chunk records are not decoded here;
+    /// corruption in one outside any transaction surfaces as
+    /// [`StoreError::Corrupt`] when it is read. A marker that does not
+    /// pair up, or a committed transaction whose seal does not match its
+    /// bytes, refuses the open.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
-        // Pass 1: collect structurally complete records. The first
-        // record extending past EOF (torn mid-header or mid-payload)
-        // marks the tear; everything from it on is tail fragment.
-        struct Rec {
-            id: u64,
-            payload_start: usize,
-            payload_end: usize,
-        }
-        let mut recs: Vec<Rec> = Vec::new();
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            if pos + REC_HEADER > bytes.len() {
-                break; // torn mid-header
-            }
-            let id = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-            let len = u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().unwrap());
-            let payload_start = pos + REC_HEADER;
-            let payload_end = payload_start + len as usize;
-            if payload_end > bytes.len() {
-                break; // torn mid-payload
-            }
-            recs.push(Rec {
-                id,
-                payload_start,
-                payload_end,
-            });
-            pos = payload_end;
-        }
-
-        // Pass 2: a torn write can also leave a record whose framing is
-        // complete but whose payload bytes are partial. Drop trailing
-        // records until the last one decodes. Interior corruption (a bad
-        // record with valid records after it) is *not* a torn tail and
-        // still refuses the open.
+        let mut recs = frame_records(&bytes);
         let mut dropped = 0u64;
         while let Some(last) = recs.last() {
-            if compress::decode_any(&bytes[last.payload_start..last.payload_end]).is_ok() {
+            let payload = &bytes[last.payload.clone()];
+            let valid = if last.id >= COMMIT_ID {
+                integrity::unwrap_verified(payload).is_ok()
+            } else {
+                compress::decode_any(payload).is_ok()
+            };
+            if valid {
                 break;
             }
             recs.pop();
             dropped += 1;
         }
+        let scan = scan_txns(&bytes, 0, &recs)?;
+        let rolled_back = scan.open.map_or(0, |i| (recs.len() - i) as u64);
+        recs.truncate(scan.open.unwrap_or(recs.len()));
 
-        let mut valid_end = recs.last().map_or(0, |r| r.payload_end) as u64;
+        let valid_end = recs.last().map_or(0, |r| r.payload.end) as u64;
         let mut tail_recovery = None;
         if valid_end < bytes.len() as u64 {
             let recovery = TailRecovery {
                 records_recovered: recs.len() as u64,
                 records_dropped: dropped,
+                records_rolled_back: rolled_back,
                 bytes_truncated: bytes.len() as u64 - valid_end,
             };
             eprintln!(
-                "olap-store: torn tail in {}: truncating {} byte(s) ({} record(s) dropped), \
-                 {} record(s) recovered",
+                "olap-store: recovered {}: truncated {} byte(s) ({} torn record(s) dropped, \
+                 {} record(s) of an uncommitted flush rolled back), {} record(s) kept",
                 path.display(),
                 recovery.bytes_truncated,
                 recovery.records_dropped,
+                recovery.records_rolled_back,
                 recovery.records_recovered,
             );
             file.set_len(valid_end)?;
             file.sync_all()?;
-            bytes.truncate(valid_end as usize);
             tail_recovery = Some(recovery);
-        }
-
-        // WAL replay: a sidecar with records means the last session
-        // crashed mid- or post-flush without reaching a checkpoint.
-        // Committed transactions are guaranteed visible (re-applied from
-        // WAL payloads if the main tail was torn off); the uncommitted
-        // one, if any, is rolled back to its BEGIN offset — the store
-        // recovers to exactly the pre-flush or post-flush image.
-        let wal_path = wal::sidecar_path(&path);
-        let mut epoch = 0u64;
-        let mut wal_recovery = None;
-        let wal_bytes = std::fs::read(&wal_path).unwrap_or_default();
-        if !wal_bytes.is_empty() {
-            let scan = wal::scan(&wal_bytes);
-            let mut rep = WalRecovery::default();
-            bytes.truncate(valid_end as usize);
-            // Roll back the uncommitted transaction (at most one can
-            // exist: BEGIN only follows a COMMIT or a runtime abort's
-            // truncation) by truncating the main log to its BEGIN
-            // offset, dropping every record the flush introduced.
-            if let Some(t) = scan.txns.iter().find(|t| !t.committed) {
-                rep.txns_rolled_back = 1;
-                let cut = t.main_end.min(valid_end);
-                if cut < valid_end {
-                    let kept = recs
-                        .iter()
-                        .take_while(|r| r.payload_end as u64 <= cut)
-                        .count();
-                    rep.records_rolled_back = (recs.len() - kept) as u64;
-                    recs.truncate(kept);
-                    // Snap to a record boundary in case the tear and the
-                    // BEGIN offset disagree.
-                    let cut = recs.last().map_or(0, |r| r.payload_end) as u64;
-                    rep.bytes_rolled_back = valid_end - cut;
-                    file.set_len(cut)?;
-                    file.sync_all()?;
-                    bytes.truncate(cut as usize);
-                    valid_end = cut;
-                }
-            }
-            // Redo committed transactions: any chunk record the main
-            // log lost is re-applied from the WAL payload. Idempotent —
-            // append logs are last-record-wins, and a newer non-flush
-            // record for the same chunk sorts later in `recs` anyway.
-            for t in scan.txns.iter().take_while(|t| t.committed) {
-                epoch = t.epoch;
-                rep.committed_txns += 1;
-                for c in &t.chunks {
-                    let intact = c.main_off >= REC_HEADER as u64
-                        && c.main_off + c.payload.len() as u64 <= valid_end
-                        && {
-                            let h = (c.main_off as usize) - REC_HEADER;
-                            let end = c.main_off as usize + c.payload.len();
-                            bytes[h..h + 8] == c.id.0.to_le_bytes()
-                                && bytes[h + 8..h + 12] == (c.payload.len() as u32).to_le_bytes()
-                                && bytes[c.main_off as usize..end] == c.payload[..]
-                        };
-                    if intact {
-                        rep.records_intact += 1;
-                        continue;
-                    }
-                    let len = codec::count_u32(c.payload.len(), "WAL replay payload")?;
-                    let mut rec = Vec::with_capacity(REC_HEADER + c.payload.len());
-                    rec.extend_from_slice(&c.id.0.to_le_bytes());
-                    rec.extend_from_slice(&len.to_le_bytes());
-                    rec.extend_from_slice(&c.payload);
-                    file.write_all_at(&rec, valid_end)?;
-                    recs.push(Rec {
-                        id: c.id.0,
-                        payload_start: valid_end as usize + REC_HEADER,
-                        payload_end: valid_end as usize + REC_HEADER + c.payload.len(),
-                    });
-                    bytes.extend_from_slice(&rec);
-                    valid_end += rec.len() as u64;
-                    rep.records_reapplied += 1;
-                }
-            }
-            if rep.acted() {
-                file.sync_all()?;
-                eprintln!(
-                    "olap-store: WAL recovery in {}: {} committed txn(s) \
-                     ({} record(s) intact, {} re-applied); {} txn(s) rolled back \
-                     ({} record(s), {} byte(s))",
-                    path.display(),
-                    rep.committed_txns,
-                    rep.records_intact,
-                    rep.records_reapplied,
-                    rep.txns_rolled_back,
-                    rep.records_rolled_back,
-                    rep.bytes_rolled_back,
-                );
-            }
-            wal_recovery = Some(rep);
-            // Checkpoint: the main log now reflects every committed
-            // flush, so the redo records are obsolete.
-            Wal::open_or_create(&wal_path)?.truncate_to(0)?;
         }
 
         let mut index = BTreeMap::new();
         let mut dead = 0u64;
-        for rec in &recs {
-            let len = (rec.payload_end - rec.payload_start) as u32;
-            if let Some((_, old_len)) =
-                index.insert(ChunkId(rec.id), (rec.payload_start as u64, len))
+        for r in &recs {
+            let len = r.payload.len() as u32;
+            if r.id >= COMMIT_ID {
+                dead += MARKER_BYTES;
+            } else if let Some((_, old_len)) =
+                index.insert(ChunkId(r.id), (r.payload.start as u64, len))
             {
                 dead += REC_HEADER as u64 + old_len as u64;
             }
         }
-        Ok(FileStore {
-            file,
-            path,
-            index,
-            end: valid_end,
-            dead_bytes: dead,
-            stats: IoStats::default(),
-            last_read_end: AtomicU64::new(0),
-            seek_model: None,
-            tail_recovery,
-            wal: None,
-            epoch,
-            txn: None,
-            wal_stats: WalStats::default(),
-            wal_recovery,
-            crash_budget: None,
-            phys_ops: 0,
-            repl: None,
-        })
+        let mut store = FileStore::with_log(file, path, index, valid_end, dead);
+        store.tail_recovery = tail_recovery;
+        store.epoch = scan.epoch;
+        Ok(store)
     }
 
-    /// What [`FileStore::open`] salvaged if the file had a torn tail;
-    /// `None` when the file was clean.
+    /// What [`FileStore::open`] cut off the end of the log; `None` when
+    /// the file ended on a committed boundary.
     pub fn tail_recovery(&self) -> Option<TailRecovery> {
         self.tail_recovery
     }
 
-    /// Cumulative WAL activity counters.
+    /// Cumulative flush-transaction counters.
     pub fn wal_stats(&self) -> WalStats {
         self.wal_stats
     }
 
-    /// What WAL replay did during [`FileStore::open`]; `None` when no
-    /// sidecar records existed.
-    pub fn wal_recovery(&self) -> Option<WalRecovery> {
-        self.wal_recovery
-    }
-
-    /// Current WAL length in bytes (0 when never opened or
-    /// checkpointed away).
-    pub fn wal_len(&self) -> u64 {
-        self.wal.as_ref().map_or(0, |w| w.len())
-    }
-
     /// Arms deterministic crash injection: the next `ops` physical I/O
-    /// operations (WAL appends, main-log appends, fsyncs, truncations)
-    /// succeed, after which every one fails permanently — the
-    /// in-process analogue of pulling the plug, leaving the on-disk
-    /// bytes exactly as a crash at that point would. Recovery is then
-    /// exercised by dropping the store and re-opening the path. `None`
-    /// disarms.
+    /// operations (log appends, fsyncs, truncations) succeed, after
+    /// which every one fails permanently — the in-process analogue of
+    /// pulling the plug, leaving the on-disk bytes exactly as a crash at
+    /// that point would. Recovery is then exercised by dropping the
+    /// store and re-opening the path. `None` disarms.
     pub fn set_crash_after_ops(&mut self, ops: Option<u64>) {
         self.crash_budget = ops;
     }
@@ -495,9 +524,7 @@ impl FileStore {
     fn crash_gate(&mut self) -> Result<()> {
         self.phys_ops += 1;
         match &mut self.crash_budget {
-            Some(0) => Err(StoreError::Io(std::io::Error::other(
-                "injected crash: store halted",
-            ))),
+            Some(0) => Err(io_err("injected crash: store halted".into())),
             Some(n) => {
                 *n -= 1;
                 Ok(())
@@ -506,32 +533,92 @@ impl FileStore {
         }
     }
 
-    /// Opens the sidecar WAL if this store hasn't yet. First-time
-    /// opening is a counted crash point: creating the sidecar (and
-    /// fsyncing its directory entry) is physical I/O a crash can land
-    /// on, and the crash-point sweeps must cover it.
-    fn ensure_wal(&mut self) -> Result<&mut Wal> {
-        if self.wal.is_none() {
-            self.crash_gate()?;
-            self.wal = Some(Wal::open_or_create(wal::sidecar_path(&self.path))?);
+    /// Appends one framed record at the end of the log, folding it into
+    /// the open transaction's seal.
+    fn append(&mut self, rec: &[u8]) -> Result<()> {
+        self.crash_gate()?;
+        self.file.write_all_at(rec, self.end)?;
+        self.end += rec.len() as u64;
+        if let Some(t) = self.txn.as_mut() {
+            t.seal = integrity::crc32_append(t.seal, rec);
         }
-        Ok(self.wal.as_mut().expect("just opened"))
+        Ok(())
+    }
+
+    /// Fsyncs the log: one of a commit's two syncs.
+    fn sync_log(&mut self) -> Result<()> {
+        self.crash_gate()?;
+        self.file.sync_all()?;
+        self.wal_stats.syncs += 1;
+        Ok(())
+    }
+
+    /// Appends the `BEGIN` record `begin` and opens the transaction it
+    /// starts.
+    fn open_txn(&mut self, begin: &[u8], epoch: u64) -> Result<()> {
+        let main_start = self.end;
+        self.append(begin)?;
+        self.dead_bytes += MARKER_BYTES;
+        self.wal_stats.bytes_logged += MARKER_BYTES;
+        self.txn = Some(FlushTxn {
+            epoch,
+            main_start,
+            records: 0,
+            seal: integrity::crc32(begin),
+            displaced: Vec::new(),
+            dead_added: MARKER_BYTES,
+        });
+        Ok(())
+    }
+
+    /// Appends the framed chunk record `rec` and indexes it, logging the
+    /// entry it displaced for the open transaction's undo.
+    fn append_chunk(&mut self, id: ChunkId, rec: &[u8]) -> Result<()> {
+        let len = (rec.len() - REC_HEADER) as u32;
+        let payload_off = self.end + REC_HEADER as u64;
+        self.append(rec)?;
+        let displaced = self.index.insert(id, (payload_off, len));
+        let dead = displaced.map_or(0, |(_, old_len)| REC_HEADER as u64 + old_len as u64);
+        self.dead_bytes += dead;
+        if let Some(t) = self.txn.as_mut() {
+            t.records += 1;
+            t.displaced.push((id, displaced));
+            t.dead_added += dead;
+        }
+        self.stats.record_write(len as u64);
+        Ok(())
+    }
+
+    /// Seals the open transaction with the `COMMIT` record `commit`:
+    /// fsync (the records become durable first), append, fsync. On
+    /// failure the transaction stays open for `abort_flush`.
+    fn close_txn(&mut self, commit: &[u8]) -> Result<u64> {
+        self.sync_log()?;
+        self.append(commit)?;
+        self.wal_stats.bytes_logged += MARKER_BYTES;
+        self.sync_log()?;
+        let t = self.txn.take().expect("close_txn with a transaction open");
+        self.dead_bytes += MARKER_BYTES;
+        self.epoch = t.epoch;
+        self.wal_stats.txns_committed += 1;
+        if let Some(repl) = self.repl.as_mut() {
+            repl.committed.push(t.main_start..self.end);
+        }
+        Ok(t.epoch)
     }
 
     /// Enables/disables leader-side replication capture. While on,
-    /// every committed flush transaction is retained (as the exact
-    /// record payloads and destination offsets, i.e. the WAL image) for
+    /// every committed flush transaction's log range is kept for
     /// shipping to followers via [`FileStore::retained_since`]. Turning
-    /// it off drops the buffer.
+    /// it off forgets them.
     ///
     /// `reorganize` rewrites the whole file and breaks the byte-offset
     /// contract, so it is refused while replication is on.
     pub fn set_replication(&mut self, on: bool) {
         if on && self.repl.is_none() {
             self.repl = Some(ReplLog {
-                txns: VecDeque::new(),
-                base_pos: self.end,
-                retained_bytes: 0,
+                base_pos: self.replication_position(),
+                committed: Vec::new(),
             });
         } else if !on {
             self.repl = None;
@@ -543,7 +630,7 @@ impl FileStore {
         self.repl.is_some()
     }
 
-    /// This store's replication position: the main-log byte offset a
+    /// This store's replication position: the log byte offset a
     /// follower reaches by applying every committed transaction so far.
     /// Refers to committed state only — an open flush transaction's
     /// appends are not part of any shippable position, so the pre-flush
@@ -552,191 +639,87 @@ impl FileStore {
         self.txn.as_ref().map_or(self.end, |t| t.main_start)
     }
 
-    /// Committed transactions a follower at main-log position `pos`
-    /// still needs, oldest first. An empty vec means the follower is
-    /// caught up. Errors if `pos` predates the retained history (the
-    /// follower must re-seed from a base image) or names an offset the
-    /// leader never committed at.
-    pub fn retained_since(&self, pos: u64) -> Result<Vec<Arc<WalTxn>>> {
-        let repl = self.repl.as_ref().ok_or_else(|| {
-            StoreError::Io(std::io::Error::other("replication capture is not enabled"))
-        })?;
+    /// The frames a follower at log position `pos` still needs, oldest
+    /// first: each is the exact log bytes of one committed transaction,
+    /// `BEGIN` through `COMMIT`. An empty vec means the follower is
+    /// caught up. Errors if `pos` predates capture (the follower must
+    /// re-seed from a base image) or lies past the leader's position.
+    pub fn retained_since(&self, pos: u64) -> Result<Vec<Vec<u8>>> {
+        let repl = self
+            .repl
+            .as_ref()
+            .ok_or_else(|| io_err("replication capture is not enabled".into()))?;
         if pos < repl.base_pos {
-            return Err(StoreError::Io(std::io::Error::other(format!(
+            return Err(io_err(format!(
                 "replication position {pos} predates retained history (base {}): \
                  follower needs a fresh base image",
                 repl.base_pos
-            ))));
-        }
-        if pos > self.replication_position() {
-            return Err(StoreError::Io(std::io::Error::other(format!(
-                "replication position {pos} is ahead of the leader ({}): diverged store",
-                self.replication_position()
-            ))));
-        }
-        Ok(repl
-            .txns
-            .iter()
-            .filter(|t| t.main_end >= pos)
-            .cloned()
-            .collect())
-    }
-
-    /// Retains a committed transaction for shipping, evicting the
-    /// oldest ones past the byte budget.
-    fn repl_push(&mut self, txn: Arc<WalTxn>) {
-        let Some(repl) = self.repl.as_mut() else {
-            return;
-        };
-        repl.retained_bytes += txn
-            .chunks
-            .iter()
-            .map(|c| c.payload.len() as u64)
-            .sum::<u64>();
-        repl.txns.push_back(txn);
-        while repl.retained_bytes > REPL_RETAIN_BYTES && repl.txns.len() > 1 {
-            let evicted = repl.txns.pop_front().expect("len > 1");
-            repl.retained_bytes -= evicted
-                .chunks
-                .iter()
-                .map(|c| c.payload.len() as u64)
-                .sum::<u64>();
-            repl.base_pos = repl.txns.front().map(|t| t.main_end).unwrap_or(self.end);
-        }
-    }
-
-    /// Applies a transaction shipped from a leader through the same
-    /// idempotent redo path [`FileStore::open`] runs: WAL-stage the
-    /// whole transaction, fsync, append the `COMMIT` record, fsync (the
-    /// atomicity point), then append the records to the main log and
-    /// checkpoint. A crash at any physical operation leaves a store
-    /// that re-opens to exactly the pre- or post-transaction image —
-    /// before the commit fsync the transaction rolls back, after it the
-    /// redo replay finishes the main-log appends at their recorded
-    /// offsets.
-    ///
-    /// Delivery may be at-least-once: a transaction ending at or before
-    /// this store's position is reported [`ReplApply::Duplicate`] and
-    /// ignored. A transaction starting beyond the position (a gap) or
-    /// whose record offsets disagree with the local log (divergence) is
-    /// refused before any I/O.
-    pub fn apply_replicated(&mut self, txn: &WalTxn) -> Result<ReplApply> {
-        if !txn.committed {
-            return Err(StoreError::Corrupt(
-                "apply_replicated: transaction has no COMMIT".into(),
-            ));
-        }
-        if self.txn.is_some() {
-            return Err(StoreError::Io(std::io::Error::other(
-                "apply_replicated during an open flush transaction",
             )));
         }
-        if txn.main_end < self.end {
+        if pos > self.replication_position() {
+            return Err(io_err(format!(
+                "replication position {pos} is ahead of the leader ({}): diverged store",
+                self.replication_position()
+            )));
+        }
+        let from = repl.committed.partition_point(|r| r.start < pos);
+        repl.committed[from..]
+            .iter()
+            .map(|r| {
+                let mut frame = vec![0u8; (r.end - r.start) as usize];
+                self.file.read_exact_at(&mut frame, r.start)?;
+                Ok(frame)
+            })
+            .collect()
+    }
+
+    /// Applies one shipped frame — the log bytes of one committed
+    /// transaction — by appending it verbatim in the shape of a local
+    /// commit: `BEGIN` and the chunk records, fsync, `COMMIT`, fsync. A
+    /// crash at any physical operation leaves a file that re-opens to
+    /// exactly the pre- or post-transaction image, and the two logs stay
+    /// byte-identical.
+    ///
+    /// The frame is validated first, by the parser [`FileStore::open`]
+    /// uses: anything but exactly one sealed transaction fails with
+    /// [`StoreError::Corrupt`] before any I/O. Delivery may be
+    /// at-least-once: a frame ending at or before this store's position
+    /// is reported [`ReplApply::Duplicate`] and ignored. A frame that
+    /// does not start at this store's position (a gap, or a divergence)
+    /// is refused before any I/O.
+    pub fn apply_replicated(&mut self, frame: &[u8]) -> Result<ReplApply> {
+        let f = replication::parse_frame(frame)?;
+        if self.txn.is_some() {
+            return Err(io_err(
+                "apply_replicated during an open flush transaction".into(),
+            ));
+        }
+        if f.end <= self.end {
             return Ok(ReplApply::Duplicate);
         }
-        if txn.main_end > self.end {
-            return Err(StoreError::Io(std::io::Error::other(format!(
-                "replication gap: transaction starts at {} but this store ends at {}",
-                txn.main_end, self.end
-            ))));
+        if f.start != self.end {
+            let what = if f.start > self.end {
+                "gap"
+            } else {
+                "divergence"
+            };
+            return Err(io_err(format!(
+                "replication {what}: frame spans [{}, {}) but this store ends at {}",
+                f.start, f.end, self.end
+            )));
         }
-        if txn.chunks.is_empty() {
-            // Nothing to write and no position to advance.
-            return Ok(ReplApply::Duplicate);
-        }
-        // Validate every destination offset against the local log
-        // before the first physical write: shipped appends must land
-        // back-to-back exactly where the leader put them, or the stores
-        // have diverged.
-        let mut expect = self.end;
-        for c in &txn.chunks {
-            if c.main_off != expect + REC_HEADER as u64 {
-                return Err(StoreError::Corrupt(format!(
-                    "replication divergence: chunk {} targets offset {} but local log \
-                     expects {}",
-                    c.id.0,
-                    c.main_off,
-                    expect + REC_HEADER as u64
-                )));
+        let (begin, rest) = f.recs.split_first().expect("a frame opens with BEGIN");
+        let (commit, chunks) = rest.split_last().expect("a frame closes with COMMIT");
+        let applied = (|| {
+            self.open_txn(&frame[..begin.payload.end], f.epoch)?;
+            for r in chunks {
+                self.append_chunk(ChunkId(r.id), &frame[r.start..r.payload.end])?;
             }
-            expect = c.main_off + c.payload.len() as u64;
-        }
-        let records = codec::count_u32(txn.chunks.len(), "replicated txn records")?;
-        // Stage the whole transaction in the WAL first, exactly as the
-        // leader's flush did.
-        let (epoch, main_end) = (txn.epoch, txn.main_end);
-        {
-            let wal = self.ensure_wal()?;
-            let wal_start = wal.len();
-            // A previous crashed apply can leave stale records; recovery
-            // checkpoints them away on open, so a non-empty WAL here
-            // means this store is also a leader mid-capture — refuse.
-            if wal_start != 0 {
-                return Err(StoreError::Io(std::io::Error::other(
-                    "apply_replicated with WAL records pending",
-                )));
-            }
-        }
-        self.crash_gate()?;
-        let n = self
-            .wal
-            .as_mut()
-            .expect("ensure_wal opened it")
-            .append_begin(epoch, main_end)?;
-        self.wal_stats.bytes_logged += n;
-        for c in &txn.chunks {
-            self.crash_gate()?;
-            let n = self
-                .wal
-                .as_mut()
-                .expect("ensure_wal opened it")
-                .append_chunk(epoch, c.id, c.main_off, &c.payload)?;
-            self.wal_stats.records_logged += 1;
-            self.wal_stats.bytes_logged += n;
-        }
-        self.crash_gate()?;
-        self.wal.as_mut().expect("ensure_wal opened it").sync()?;
-        self.wal_stats.syncs += 1;
-        self.crash_gate()?;
-        let n = self
-            .wal
-            .as_mut()
-            .expect("ensure_wal opened it")
-            .append_commit(epoch, records)?;
-        self.wal_stats.bytes_logged += n;
-        self.crash_gate()?;
-        self.wal.as_mut().expect("ensure_wal opened it").sync()?;
-        self.wal_stats.syncs += 1;
-        // The commit record is durable: the transaction is now
-        // guaranteed visible even if every operation below is lost.
-        for c in &txn.chunks {
-            self.crash_gate()?;
-            let len = codec::count_u32(c.payload.len(), "replicated payload")?;
-            let mut rec = Vec::with_capacity(REC_HEADER + c.payload.len());
-            rec.extend_from_slice(&c.id.0.to_le_bytes());
-            rec.extend_from_slice(&len.to_le_bytes());
-            rec.extend_from_slice(&c.payload);
-            self.file.write_all_at(&rec, self.end)?;
-            if let Some((_, old_len)) = self.index.insert(c.id, (c.main_off, len)) {
-                self.dead_bytes += REC_HEADER as u64 + old_len as u64;
-            }
-            self.end += rec.len() as u64;
-            self.stats.record_write(c.payload.len() as u64);
-        }
-        self.crash_gate()?;
-        self.file.sync_all()?;
-        self.epoch = epoch;
-        self.wal_stats.txns_committed += 1;
-        // Checkpoint: the main log holds the full post-image.
-        self.crash_gate()?;
-        self.wal
-            .as_mut()
-            .expect("ensure_wal opened it")
-            .truncate_to(0)?;
-        self.wal_stats.checkpoints += 1;
-        // A follower can relay: if it publishes too, retain the txn.
-        if self.repl.is_some() {
-            self.repl_push(Arc::new(txn.clone()));
+            self.close_txn(&frame[commit.start..])
+        })();
+        if let Err(e) = applied {
+            let _ = self.abort_flush();
+            return Err(e);
         }
         Ok(ReplApply::Applied)
     }
@@ -751,7 +734,8 @@ impl FileStore {
         self.end
     }
 
-    /// Bytes wasted by superseded records (cleared by `reorganize`).
+    /// Bytes of superseded records and transaction markers — what
+    /// `reorganize` reclaims.
     pub fn dead_bytes(&self) -> u64 {
         self.dead_bytes
     }
@@ -774,19 +758,19 @@ impl FileStore {
 
     /// Rewrites the file with chunks laid out contiguously in `order`
     /// (chunks not listed follow in ascending id order). Defragments and
-    /// resets the read head.
+    /// resets the read head. Transaction markers are dropped; a store
+    /// that has committed a flush ends the rewritten log with one empty
+    /// committed transaction, so its epoch survives a reopen.
     pub fn reorganize(&mut self, order: &[ChunkId]) -> Result<()> {
         if self.txn.is_some() {
-            return Err(StoreError::Io(std::io::Error::other(
-                "reorganize during an open flush transaction",
-            )));
+            return Err(io_err("reorganize during an open flush transaction".into()));
         }
         if self.repl.is_some() {
             // Rewriting the file re-keys every byte offset, breaking the
             // position contract followers replicate against.
-            return Err(StoreError::Io(std::io::Error::other(
-                "reorganize on a replicating store (followers track byte positions)",
-            )));
+            return Err(io_err(
+                "reorganize on a replicating store (followers track byte positions)".into(),
+            ));
         }
         let requested: HashSet<ChunkId> = order.iter().copied().collect();
         let mut sequence: Vec<ChunkId> = Vec::with_capacity(self.index.len());
@@ -807,6 +791,7 @@ impl FileStore {
             .create(true)
             .truncate(true)
             .open(&tmp_path)?;
+        let epoch = self.epoch;
         let rewrite = || -> Result<(LogIndex, u64)> {
             let mut new_index = BTreeMap::new();
             let mut pos = 0u64;
@@ -814,13 +799,16 @@ impl FileStore {
                 let (off, len) = self.index[&id];
                 let mut payload = vec![0u8; len as usize];
                 self.file.read_exact_at(&mut payload, off)?;
-                let mut rec = Vec::with_capacity(REC_HEADER + len as usize);
-                rec.extend_from_slice(&id.0.to_le_bytes());
-                rec.extend_from_slice(&len.to_le_bytes());
-                rec.extend_from_slice(&payload);
+                let rec = record(id.0, &payload)?;
                 tmp.write_all_at(&rec, pos)?;
                 new_index.insert(id, (pos + REC_HEADER as u64, len));
                 pos += rec.len() as u64;
+            }
+            if epoch > 0 {
+                let begin = begin_marker(epoch, pos);
+                let commit = commit_marker(epoch, 0, integrity::crc32(&begin));
+                tmp.write_all_at(&[begin, commit].concat(), pos)?;
+                pos += 2 * MARKER_BYTES;
             }
             tmp.sync_all()?;
             std::fs::rename(&tmp_path, &self.path)?;
@@ -842,18 +830,8 @@ impl FileStore {
         self.file = tmp;
         self.index = new_index;
         self.end = pos;
-        self.dead_bytes = 0;
+        self.dead_bytes = if epoch > 0 { 2 * MARKER_BYTES } else { 0 };
         self.last_read_end.store(0, Ordering::Relaxed);
-        // Reorganize doubles as a WAL checkpoint: the rewritten log was
-        // fsynced before the rename, so it holds exactly the committed
-        // image and every redo record is obsolete.
-        if let Some(w) = self.wal.as_mut() {
-            if !w.is_empty() {
-                w.truncate_to(0)?;
-                self.wal_stats.checkpoints += 1;
-                fsync_dir(&self.path)?;
-            }
-        }
         Ok(())
     }
 }
@@ -872,51 +850,18 @@ impl ChunkStore for FileStore {
         compress::decode_any(&payload)
     }
 
+    /// Appends the chunk's record. The two topmost ids are the
+    /// transaction markers' and are refused.
     fn write(&mut self, id: ChunkId, chunk: &Chunk) -> Result<()> {
+        if id.0 >= COMMIT_ID {
+            return Err(StoreError::OutOfBounds {
+                what: "chunk id (the top two are transaction markers)",
+                got: id.0,
+                bound: COMMIT_ID - 1,
+            });
+        }
         let payload = integrity::wrap_checksummed(&codec::encode(chunk)?);
-        let len = codec::count_u32(payload.len(), "record payload")?;
-        let payload_off = self.end + REC_HEADER as u64;
-        // Inside a flush transaction the payload goes to the sidecar
-        // first: it must be re-creatable from the WAL before the main
-        // log sees it, or a committed flush couldn't be redone.
-        if let Some(epoch) = self.txn.as_ref().map(|t| t.epoch) {
-            self.crash_gate()?;
-            let n = self
-                .wal
-                .as_mut()
-                .expect("begin_flush opened the WAL")
-                .append_chunk(epoch, id, payload_off, &payload)?;
-            self.wal_stats.records_logged += 1;
-            self.wal_stats.bytes_logged += n;
-        }
-        self.crash_gate()?;
-        let mut rec = Vec::with_capacity(REC_HEADER + payload.len());
-        rec.extend_from_slice(&id.0.to_le_bytes());
-        rec.extend_from_slice(&len.to_le_bytes());
-        rec.extend_from_slice(&payload);
-        self.file.write_all_at(&rec, self.end)?;
-        let displaced = self.index.insert(id, (payload_off, len));
-        if let Some((_, old_len)) = displaced {
-            self.dead_bytes += REC_HEADER as u64 + old_len as u64;
-        }
-        let capturing = self.repl.is_some();
-        if let Some(t) = self.txn.as_mut() {
-            t.records += 1;
-            t.displaced.push((id, displaced));
-            if let Some((_, old_len)) = displaced {
-                t.dead_added += REC_HEADER as u64 + old_len as u64;
-            }
-            if capturing {
-                t.staged.push(WalChunk {
-                    id,
-                    main_off: payload_off,
-                    payload: payload.clone(),
-                });
-            }
-        }
-        self.end += rec.len() as u64;
-        self.stats.record_write(payload.len() as u64);
-        Ok(())
+        self.append_chunk(id, &record(id.0, &payload)?)
     }
 
     fn contains(&self, id: ChunkId) -> bool {
@@ -931,71 +876,22 @@ impl ChunkStore for FileStore {
         &self.stats
     }
 
-    fn sync(&mut self) -> Result<()> {
-        self.crash_gate()?;
-        self.file.sync_all()?;
-        Ok(())
-    }
-
     fn begin_flush(&mut self) -> Result<()> {
         if self.txn.is_some() {
-            return Err(StoreError::Io(std::io::Error::other(
-                "begin_flush with a flush transaction already open",
-            )));
+            return Err(io_err(
+                "begin_flush with a flush transaction already open".into(),
+            ));
         }
         let epoch = self.epoch + 1;
-        let main_start = self.end;
-        self.crash_gate()?;
-        let wal = self.ensure_wal()?;
-        let wal_start = wal.len();
-        let n = wal.append_begin(epoch, main_start)?;
-        self.wal_stats.bytes_logged += n;
-        self.txn = Some(FlushTxn {
-            epoch,
-            main_start,
-            wal_start,
-            records: 0,
-            displaced: Vec::new(),
-            dead_added: 0,
-            staged: Vec::new(),
-        });
-        Ok(())
+        self.open_txn(&begin_marker(epoch, self.end), epoch)
     }
 
     fn commit_flush(&mut self) -> Result<u64> {
         let Some(t) = self.txn.as_ref() else {
             return Ok(self.epoch);
         };
-        let (epoch, records) = (t.epoch, t.records);
-        // Payload durability first: the commit record must never become
-        // durable before the chunk payloads it promises.
-        self.crash_gate()?;
-        self.wal.as_mut().expect("open txn has a WAL").sync()?;
-        self.wal_stats.syncs += 1;
-        self.crash_gate()?;
-        let n = self
-            .wal
-            .as_mut()
-            .expect("open txn has a WAL")
-            .append_commit(epoch, records)?;
-        self.wal_stats.bytes_logged += n;
-        self.crash_gate()?;
-        self.wal.as_mut().expect("open txn has a WAL").sync()?;
-        self.wal_stats.syncs += 1;
-        // On any failure above the transaction stays open, so the
-        // caller's abort_flush can still undo it cleanly.
-        let t = self.txn.take().expect("checked above");
-        self.epoch = epoch;
-        self.wal_stats.txns_committed += 1;
-        if self.repl.is_some() && !t.staged.is_empty() {
-            self.repl_push(Arc::new(WalTxn {
-                epoch,
-                main_end: t.main_start,
-                chunks: t.staged,
-                committed: true,
-            }));
-        }
-        Ok(epoch)
+        let commit = commit_marker(t.epoch, t.records, t.seal);
+        self.close_txn(&commit)
     }
 
     fn abort_flush(&mut self) -> Result<()> {
@@ -1003,7 +899,7 @@ impl ChunkStore for FileStore {
             return Ok(());
         };
         // In-memory undo first, in reverse write order, so the index is
-        // consistent even if the physical truncations fail (e.g. the
+        // consistent even if the physical truncation fails (e.g. the
         // crash gate is down — recovery then happens on re-open).
         for (id, old) in t.displaced.into_iter().rev() {
             match old {
@@ -1020,11 +916,6 @@ impl ChunkStore for FileStore {
         self.wal_stats.txns_aborted += 1;
         self.crash_gate()?;
         self.file.set_len(t.main_start)?;
-        self.crash_gate()?;
-        self.wal
-            .as_mut()
-            .expect("open txn has a WAL")
-            .truncate_to(t.wal_start)?;
         Ok(())
     }
 
@@ -1303,85 +1194,55 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Removes a test store's main log and WAL sidecar.
-    fn cleanup(path: &Path) {
-        std::fs::remove_file(path).ok();
-        std::fs::remove_file(wal::sidecar_path(path)).ok();
-    }
-
     /// The full logical image of a store, for pre/post comparisons.
-    fn image(s: &FileStore) -> std::collections::BTreeMap<ChunkId, Chunk> {
+    fn image(s: &FileStore) -> BTreeMap<ChunkId, Chunk> {
         s.ids()
             .into_iter()
             .map(|id| (id, s.read(id).unwrap()))
             .collect()
     }
 
-    /// A committed flush whose main-log records were lost (tail torn
-    /// off after the commit) is redone from the WAL payloads on open —
-    /// the "committed means visible" half of the guarantee.
-    #[test]
-    fn committed_flush_is_redone_after_main_tail_loss() {
-        let path = tmp("wal-redo");
-        let pre_flush_end;
-        {
-            let mut s = FileStore::create(&path).unwrap();
-            s.write(ChunkId(1), &chunk(1.0)).unwrap();
-            pre_flush_end = s.file_size();
-            s.begin_flush().unwrap();
-            s.write(ChunkId(1), &chunk(10.0)).unwrap();
-            s.write(ChunkId(2), &chunk(20.0)).unwrap();
-            assert_eq!(s.commit_flush().unwrap(), 1);
-            assert_eq!(s.flush_epoch(), 1);
-        }
-        // Simulate the crash model the WAL exists for: the WAL was
-        // fsynced at commit, but the main log's appends never hit disk.
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(pre_flush_end).unwrap();
-        drop(f);
-        let s = FileStore::open(&path).unwrap();
-        let rep = s.wal_recovery().expect("replay must be reported");
-        assert_eq!(rep.committed_txns, 1);
-        assert_eq!(rep.records_reapplied, 2);
-        assert_eq!(rep.txns_rolled_back, 0);
-        assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(10.0));
-        assert_eq!(s.read(ChunkId(2)).unwrap().get(0), CellValue::Num(20.0));
-        // The replay checkpointed: a second open is clean.
-        let s = FileStore::open(&path).unwrap();
-        assert!(s.wal_recovery().is_none());
-        assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(10.0));
-        cleanup(&path);
+    /// Whether a sidecar WAL (`<path>.wal`) exists next to `path`.
+    fn sidecar_exists(path: &Path) -> bool {
+        let mut wal = path.as_os_str().to_os_string();
+        wal.push(".wal");
+        Path::new(&wal).exists()
     }
 
     /// A flush with no commit record is rolled back on open — the
     /// "uncommitted means invisible" half, even though every chunk
-    /// record landed in the main log.
+    /// record landed in the log.
     #[test]
     fn uncommitted_flush_rolls_back_on_open() {
-        let path = tmp("wal-rollback");
+        let path = tmp("txn-rollback");
+        let committed_end;
         {
             let mut s = FileStore::create(&path).unwrap();
             s.write(ChunkId(1), &chunk(1.0)).unwrap();
+            committed_end = s.file_size();
             s.begin_flush().unwrap();
             s.write(ChunkId(1), &chunk(10.0)).unwrap();
             s.write(ChunkId(2), &chunk(20.0)).unwrap();
             // Crash before commit: the store is dropped mid-transaction.
         }
         let s = FileStore::open(&path).unwrap();
-        let rep = s.wal_recovery().expect("rollback must be reported");
-        assert_eq!(rep.txns_rolled_back, 1);
-        assert_eq!(rep.records_rolled_back, 2);
+        let rep = s.tail_recovery().expect("rollback must be reported");
+        assert_eq!(rep.records_rolled_back, 3, "BEGIN and two chunk records");
+        assert_eq!(rep.records_dropped, 0);
+        assert_eq!(rep.records_recovered, 1);
+        assert_eq!(s.file_size(), committed_end);
         assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(1.0));
         assert!(!s.contains(ChunkId(2)));
-        cleanup(&path);
+        assert_eq!(s.flush_epoch(), 0);
+        std::fs::remove_file(&path).ok();
     }
 
     /// A runtime abort undoes the transaction in place: index entries
-    /// restored, main log and WAL truncated back, and the store remains
-    /// usable for a subsequent successful flush.
+    /// restored, the log truncated back, and the store remains usable
+    /// for a subsequent successful flush.
     #[test]
     fn abort_flush_restores_index_and_log() {
-        let path = tmp("wal-abort");
+        let path = tmp("txn-abort");
         let mut s = FileStore::create(&path).unwrap();
         s.write(ChunkId(1), &chunk(1.0)).unwrap();
         let end_before = s.file_size();
@@ -1391,30 +1252,31 @@ mod tests {
         s.write(ChunkId(2), &chunk(20.0)).unwrap();
         s.abort_flush().unwrap();
         assert_eq!(s.file_size(), end_before);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), end_before);
         assert_eq!(s.dead_bytes(), 0);
         assert_eq!(image(&s), img_before);
         assert_eq!(s.flush_epoch(), 0);
-        // The WAL kept nothing of the aborted transaction...
-        assert_eq!(s.wal_len(), 0);
-        // ...and the next flush commits normally with the same epoch.
+        // The next flush commits normally with the same epoch.
         s.begin_flush().unwrap();
         s.write(ChunkId(3), &chunk(30.0)).unwrap();
         assert_eq!(s.commit_flush().unwrap(), 1);
         assert_eq!(s.wal_stats().txns_aborted, 1);
         assert_eq!(s.wal_stats().txns_committed, 1);
-        cleanup(&path);
+        std::fs::remove_file(&path).ok();
     }
 
-    /// With no crash, the WAL adds no bytes to the main log: writes
-    /// bracketed by a flush transaction leave the same bytes as the
-    /// same writes issued bare.
+    /// A flush transaction's bytes are its `BEGIN`, then exactly the
+    /// bytes the same writes leave when issued bare, then its `COMMIT`
+    /// sealing everything from the `BEGIN` on.
     #[test]
     fn flush_transaction_leaves_the_main_log_bytes_unchanged() {
-        let pa = tmp("wal-ab-txn");
-        let pb = tmp("wal-ab-bare");
+        let pa = tmp("txn-ab-txn");
+        let pb = tmp("txn-ab-bare");
+        let mut pre = 0;
         for (path, in_txn) in [(&pa, true), (&pb, false)] {
             let mut s = FileStore::create(path).unwrap();
             s.write(ChunkId(0), &chunk(0.5)).unwrap();
+            pre = s.file_size() as usize;
             if in_txn {
                 s.begin_flush().unwrap();
             }
@@ -1422,24 +1284,27 @@ mod tests {
                 s.write(ChunkId(i), &chunk(i as f64)).unwrap();
             }
             s.commit_flush().unwrap();
-            s.sync().unwrap();
         }
         let a = std::fs::read(&pa).unwrap();
         let b = std::fs::read(&pb).unwrap();
-        assert_eq!(a, b, "WAL must not perturb the main log's bytes");
-        assert!(wal::sidecar_path(&pa).exists());
-        assert!(!wal::sidecar_path(&pb).exists());
-        cleanup(&pa);
-        cleanup(&pb);
+        let begin = begin_marker(1, pre as u64);
+        let body = &b[pre..];
+        let seal = integrity::crc32(&[&begin[..], body].concat());
+        let commit = commit_marker(1, 4, seal);
+        assert_eq!(a, [&b[..pre], &begin, body, &commit].concat());
+        assert_eq!(begin.len() as u64, MARKER_BYTES);
+        assert!(!sidecar_exists(&pa));
+        std::fs::remove_file(&pa).ok();
+        std::fs::remove_file(&pb).ok();
     }
 
     /// Crash-point sweep at the store level: kill the store after every
-    /// possible physical op count during a begin/write×3/commit/sync
+    /// possible physical op count during a begin/write×3/commit
     /// sequence; the reopened store must equal exactly the pre-flush or
     /// the post-flush image — never a mix.
     #[test]
     fn crash_sweep_recovers_pre_or_post_image_only() {
-        let path = tmp("wal-crash-sweep");
+        let path = tmp("txn-crash-sweep");
         let build_base = |path: &Path| -> FileStore {
             let mut s = FileStore::create(path).unwrap();
             s.write(ChunkId(1), &chunk(1.0)).unwrap();
@@ -1451,8 +1316,7 @@ mod tests {
             s.write(ChunkId(1), &chunk(10.0))?;
             s.write(ChunkId(2), &chunk(20.0))?;
             s.write(ChunkId(3), &chunk(30.0))?;
-            s.commit_flush()?;
-            s.sync()
+            s.commit_flush().map(|_| ())
         };
         // Dry run: learn the op count and both legal images.
         let mut s = build_base(&path);
@@ -1462,7 +1326,10 @@ mod tests {
         let total_ops = s.phys_ops() - ops_before;
         let post = image(&s);
         drop(s);
-        assert!(total_ops >= 9, "begin + 3×(wal+main) + commit×3 + sync");
+        // The schedule: the BEGIN append (op 1), three chunk appends
+        // (2–4), the fsync of the records (5), the COMMIT append (6) and
+        // its fsync (7).
+        assert_eq!(total_ops, 7);
         let mut saw_pre = 0u32;
         let mut saw_post = 0u32;
         for k in 0..total_ops {
@@ -1474,82 +1341,183 @@ mod tests {
             let r = FileStore::open(&path).unwrap();
             let img = image(&r);
             if img == pre {
+                assert_eq!(r.flush_epoch(), 0, "k={k}");
                 saw_pre += 1;
             } else if img == post {
+                assert_eq!(r.flush_epoch(), 1, "k={k}");
                 saw_post += 1;
             } else {
                 panic!("crash at op {k} recovered to a mixed image: {img:?}");
             }
         }
-        // Early crashes roll back, post-commit crashes redo.
-        assert!(saw_pre > 0, "no crash point recovered the pre-image");
-        assert!(saw_post > 0, "no crash point recovered the post-image");
-        cleanup(&path);
+        // Crashes before the COMMIT append (k ≤ 5) roll back; once it is
+        // written (k = 6) the flush is committed although its last fsync
+        // failed.
+        assert_eq!((saw_pre, saw_post), (6, 1));
+        std::fs::remove_file(&path).ok();
     }
 
-    /// `reorganize` doubles as the WAL checkpoint: committed redo
-    /// records are dropped once the rewritten log is durable.
+    /// The flush epoch lives in the log: two commits read back as epoch
+    /// 2 on every reopen, and a reorganized log keeps it.
     #[test]
-    fn reorganize_checkpoints_the_wal() {
-        let path = tmp("wal-reorg-ckpt");
+    fn epochs_survive_reopen() {
+        let path = tmp("txn-epochs");
         let mut s = FileStore::create(&path).unwrap();
-        s.begin_flush().unwrap();
-        s.write(ChunkId(1), &chunk(1.0)).unwrap();
-        s.write(ChunkId(2), &chunk(2.0)).unwrap();
-        s.commit_flush().unwrap();
-        assert!(s.wal_len() > 0);
-        s.reorganize(&[ChunkId(2)]).unwrap();
-        assert_eq!(s.wal_len(), 0);
-        assert_eq!(s.wal_stats().checkpoints, 1);
-        // The checkpoint is durable: reopen sees no WAL work.
-        drop(s);
-        let s = FileStore::open(&path).unwrap();
-        assert!(s.wal_recovery().is_none());
-        assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(1.0));
-        cleanup(&path);
-    }
-
-    /// Satellite regression: a *failed* reorganize must leave the WAL
-    /// intact (checkpointing on failure would discard redo records the
-    /// still-live old log may need), exercised through the existing
-    /// poisoned-index failure hook.
-    #[test]
-    fn failed_reorganize_leaves_wal_intact() {
-        let path = tmp("wal-reorg-fail");
-        let mut s = FileStore::create(&path).unwrap();
-        s.begin_flush().unwrap();
-        s.write(ChunkId(1), &chunk(1.0)).unwrap();
-        s.commit_flush().unwrap();
-        let wal_len = s.wal_len();
-        assert!(wal_len > 0);
-        // Point one index entry past EOF so the rewrite loop's read fails.
-        s.index.insert(ChunkId(9), (1 << 30, 64));
-        assert!(s.reorganize(&[ChunkId(9)]).is_err());
-        assert_eq!(s.wal_len(), wal_len, "failed reorganize checkpointed");
-        assert_eq!(s.wal_stats().checkpoints, 0);
-        assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(1.0));
-        cleanup(&path);
-    }
-
-    /// `create` must not inherit a stale sidecar from a previous store
-    /// at the same path — its transactions belong to a dead log.
-    #[test]
-    fn create_discards_stale_sidecar() {
-        let path = tmp("wal-stale");
-        {
-            let mut s = FileStore::create(&path).unwrap();
+        for v in [1.0, 2.0] {
             s.begin_flush().unwrap();
-            s.write(ChunkId(1), &chunk(1.0)).unwrap();
+            s.write(ChunkId(1), &chunk(v)).unwrap();
             s.commit_flush().unwrap();
-            assert!(wal::sidecar_path(&path).exists());
         }
-        let s = FileStore::create(&path).unwrap();
-        assert!(!wal::sidecar_path(&path).exists());
-        assert_eq!(s.ids().len(), 0);
+        assert_eq!(s.flush_epoch(), 2);
         drop(s);
-        let s = FileStore::open(&path).unwrap();
-        assert!(s.wal_recovery().is_none());
-        assert!(!s.contains(ChunkId(1)));
-        cleanup(&path);
+        for _ in 0..2 {
+            let s = FileStore::open(&path).unwrap();
+            assert_eq!(s.flush_epoch(), 2);
+            assert!(s.tail_recovery().is_none());
+        }
+        let mut s = FileStore::open(&path).unwrap();
+        s.reorganize(&[]).unwrap();
+        assert_eq!(
+            s.dead_bytes(),
+            2 * MARKER_BYTES,
+            "the epoch's empty transaction"
+        );
+        drop(s);
+        let mut s = FileStore::open(&path).unwrap();
+        assert_eq!(s.flush_epoch(), 2);
+        assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(2.0));
+        s.begin_flush().unwrap();
+        s.write(ChunkId(2), &chunk(3.0)).unwrap();
+        assert_eq!(s.commit_flush().unwrap(), 3);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The two topmost ids belong to the transaction markers; writing a
+    /// chunk under one is refused before any I/O.
+    #[test]
+    fn marker_ids_are_refused_as_chunk_ids() {
+        let path = tmp("marker-ids");
+        let mut s = FileStore::create(&path).unwrap();
+        for id in [BEGIN_ID, COMMIT_ID] {
+            assert!(matches!(
+                s.write(ChunkId(id), &chunk(1.0)),
+                Err(StoreError::OutOfBounds { .. })
+            ));
+        }
+        assert_eq!(s.file_size(), 0);
+        s.write(ChunkId(COMMIT_ID - 1), &chunk(1.0)).unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// No code path creates a `<path>.wal` sidecar: not a flush, not an
+    /// abort, not a replicated apply.
+    #[test]
+    fn no_store_creates_a_sidecar() {
+        let lp = tmp("nowal-leader");
+        let fp = tmp("nowal-follower");
+        let mut l = FileStore::create(&lp).unwrap();
+        l.set_replication(true);
+        let mut f = FileStore::create(&fp).unwrap();
+        l.begin_flush().unwrap();
+        l.write(ChunkId(1), &chunk(1.0)).unwrap();
+        l.commit_flush().unwrap();
+        l.begin_flush().unwrap();
+        l.write(ChunkId(2), &chunk(2.0)).unwrap();
+        l.abort_flush().unwrap();
+        for frame in l.retained_since(0).unwrap() {
+            assert_eq!(f.apply_replicated(&frame).unwrap(), ReplApply::Applied);
+        }
+        assert_eq!(std::fs::read(&fp).unwrap(), std::fs::read(&lp).unwrap());
+        assert!(!sidecar_exists(&lp) && !sidecar_exists(&fp));
+        std::fs::remove_file(&lp).ok();
+        std::fs::remove_file(&fp).ok();
+    }
+
+    /// Byte-fuzz of the one log parser over a real three-transaction
+    /// log. `open` never panics: it returns `Err` or an image equal to a
+    /// committed prefix (truncation: exactly the longest prefix the cut
+    /// keeps). Frame validation of one transaction's mutated bytes
+    /// returns `Err` or exactly that transaction.
+    #[test]
+    fn mutated_logs_open_to_a_committed_prefix_or_err() {
+        let path = tmp("fuzz-log");
+        let scratch = tmp("fuzz-case");
+        let mut s = FileStore::create(&path).unwrap();
+        s.set_replication(true);
+        // Every record sits inside a transaction, so every byte is under
+        // a checksum: the markers' envelopes and the COMMIT's seal.
+        let mut prefixes = vec![(0usize, image(&s))];
+        for txn in [
+            &[(1u64, 1.0), (2, 2.0), (3, 3.0)][..],
+            &[(1, 10.0), (4, 4.0)],
+            &[(2, 20.0), (3, 30.0)],
+        ] {
+            s.begin_flush().unwrap();
+            for &(id, v) in txn {
+                s.write(ChunkId(id), &chunk(v)).unwrap();
+            }
+            s.commit_flush().unwrap();
+            prefixes.push((s.file_size() as usize, image(&s)));
+        }
+        let frames = s.retained_since(0).unwrap();
+        drop(s);
+        let log = std::fs::read(&path).unwrap();
+        let open_mutated = |bytes: &[u8]| -> Result<BTreeMap<ChunkId, Chunk>> {
+            std::fs::write(&scratch, bytes).unwrap();
+            let s = FileStore::open(&scratch)?;
+            s.ids()
+                .into_iter()
+                .map(|id| Ok((id, s.read(id)?)))
+                .collect()
+        };
+        let is_prefix = |img: &BTreeMap<ChunkId, Chunk>| prefixes.iter().any(|(_, p)| p == img);
+        for cut in 0..=log.len() {
+            let want = &prefixes
+                .iter()
+                .rev()
+                .find(|(end, _)| *end <= cut)
+                .unwrap()
+                .1;
+            assert_eq!(&open_mutated(&log[..cut]).unwrap(), want, "cut {cut}");
+        }
+        for pos in (0..log.len()).step_by(7) {
+            let mut bad = log.clone();
+            bad[pos] ^= 1 << (pos % 8);
+            if let Ok(img) = open_mutated(&bad) {
+                assert!(is_prefix(&img), "flip at {pos}");
+            }
+        }
+        // Spliced at every transaction boundary: a BEGIN no COMMIT
+        // closes, and a duplicate of the last COMMIT.
+        let last_commit = &log[log.len() - MARKER_BYTES as usize..];
+        for &(end, _) in &prefixes {
+            for splice in [begin_marker(9, end as u64), last_commit.to_vec()] {
+                let bytes = [&log[..end], &splice, &log[end..]].concat();
+                if let Ok(img) = open_mutated(&bytes) {
+                    assert!(is_prefix(&img), "splice at {end}");
+                }
+            }
+        }
+        assert_eq!(frames.len(), 3);
+        for frame in &frames {
+            let want = replication::parse_frame(frame).unwrap();
+            let check = |bytes: &[u8]| {
+                if let Ok(got) = replication::parse_frame(bytes) {
+                    assert_eq!(got, want);
+                }
+            };
+            for cut in 0..frame.len() {
+                check(&frame[..cut]);
+            }
+            for pos in 0..frame.len() {
+                for bit in 0..8 {
+                    let mut bad = frame.clone();
+                    bad[pos] ^= 1 << bit;
+                    check(&bad);
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&scratch).ok();
     }
 }

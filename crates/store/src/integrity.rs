@@ -67,8 +67,14 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 /// CRC-32 (IEEE 802.3) of `bytes`: eight bytes per step (slicing-by-8),
 /// then the remainder bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_append(0, bytes)
+}
+
+/// Continues a CRC-32 over more bytes:
+/// `crc32_append(crc32(a), b) == crc32(a ++ b)`.
+pub fn crc32_append(crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = !0u32;
+    let mut crc = !crc;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -164,6 +170,15 @@ mod tests {
             }
         }
         assert_eq!(crc32(&buf), crc32_bytewise(&buf));
+    }
+
+    #[test]
+    fn crc32_continues_across_splits() {
+        let bytes: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
+        for split in [0, 1, 7, 8, 9, 150, 299, 300] {
+            let (a, b) = bytes.split_at(split);
+            assert_eq!(crc32_append(crc32(a), b), crc32(&bytes), "split {split}");
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //!   file-backed ([`FileStore`], with controllable physical chunk order and
 //!   an optional seek-cost model for the paper's Fig. 12 co-location
 //!   experiment);
+//! * the [`FileStore`] log is its own write-ahead log: a flush transaction
+//!   is a `BEGIN` record, its chunk records and a `COMMIT` record in the
+//!   store file, recovery truncates a transaction no `COMMIT` closed, and
+//!   a replication frame is the exact log bytes of one committed
+//!   transaction;
 //! * a fixed-capacity [`BufferPool`] mediates access: an LRU cache of
 //!   chunks that counts hits, misses and evictions, and the one place
 //!   that knows which chunks exist (stored, or written but not yet
@@ -30,24 +35,21 @@ pub mod geometry;
 pub mod integrity;
 pub mod memstore;
 pub mod pool;
-pub mod replication;
+mod replication;
 pub mod store;
 pub mod value;
-pub mod wal;
 
 pub use chunk::{Chunk, ChunkData, PresentCells};
 pub use compress::{decode_any, encode_compressed};
 pub use error::StoreError;
 pub use fault::{FaultKind, FaultOp, FaultSpec, FaultStore};
-pub use filestore::{FileStore, ReplApply, SeekModel, TailRecovery};
+pub use filestore::{FileStore, ReplApply, SeekModel, TailRecovery, WalStats};
 pub use geometry::{CellCoord, ChunkCoord, ChunkGeometry, ChunkId, ChunkRuns, DimOrderIter};
 pub use integrity::{crc32, is_checksummed, unwrap_verified, wrap_checksummed};
 pub use memstore::MemStore;
 pub use pool::{BufferPool, PoolStats};
-pub use replication::{decode_txn, encode_txn, txn_end};
 pub use store::{ChunkStore, IoStats};
 pub use value::CellValue;
-pub use wal::{Wal, WalChunk, WalRecovery, WalStats, WalTxn};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StoreError>;

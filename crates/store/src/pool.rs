@@ -40,7 +40,7 @@ use crate::Result;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -143,9 +143,6 @@ pub struct BufferPool {
     retries: AtomicU64,
     write_retries: AtomicU64,
     flushes: AtomicU64,
-    /// When set, [`BufferPool::flush_all`] fsyncs the store after
-    /// writing dirty frames.
-    durable_flush: AtomicBool,
 }
 
 /// Read access to the pool's backing store (guard; holds the store's
@@ -209,7 +206,6 @@ impl BufferPool {
             retries: AtomicU64::new(0),
             write_retries: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
-            durable_flush: AtomicBool::new(false),
         }
     }
 
@@ -315,7 +311,7 @@ impl BufferPool {
     }
 
     /// Writes an evicted dirty frame through to the store as its own
-    /// single-chunk WAL transaction (`begin_flush` … `commit_flush`),
+    /// single-chunk flush transaction (`begin_flush` … `commit_flush`),
     /// so a crash mid-eviction recovers to the pre- or post-image and
     /// never persists part of a logical update outside any transaction.
     ///
@@ -335,9 +331,9 @@ impl BufferPool {
     ) -> Result<()> {
         sh.in_flight.insert(id);
         drop(sh);
-        let (committed, synced) = {
+        let committed = {
             let mut store = self.store.write();
-            let committed = (|| {
+            (|| {
                 store.begin_flush()?;
                 if let Err(e) = self.write_with_retry(store.as_mut(), id, &frame.chunk) {
                     let _ = store.abort_flush();
@@ -348,16 +344,7 @@ impl BufferPool {
                     return Err(e);
                 }
                 Ok(())
-            })();
-            let synced = if committed.is_ok() && self.durable_flush.load(Ordering::Relaxed) {
-                // Post-commit, as in `flush_all`: a sync failure
-                // propagates but must not roll back the committed
-                // write, so the frame stays evicted.
-                store.sync()
-            } else {
-                Ok(())
-            };
-            (committed, synced)
+            })()
         };
         let slot = &self.shards[si];
         let mut sh = slot.shard.lock();
@@ -375,7 +362,7 @@ impl BufferPool {
         }
         drop(sh);
         slot.read_done.notify_all();
-        committed.and(synced)
+        committed
     }
 
     /// Fetches a chunk: a hit, or a store read that admits a frame. The
@@ -480,9 +467,8 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Writes every dirty frame back to the store. When
-    /// [`BufferPool::set_durable_flush`] is on, also fsyncs the store so
-    /// the flush survives a crash.
+    /// Writes every dirty frame back to the store in one flush
+    /// transaction; the store's commit makes it durable.
     pub fn flush_all(&self) -> Result<()> {
         // Stage dirty frames under brief shard locks — previously each
         // shard lock was held across the store writes (and the final
@@ -501,9 +487,6 @@ impl BufferPool {
             }
         }
         if staged.is_empty() {
-            if self.durable_flush.load(Ordering::Relaxed) {
-                self.store.write().sync()?;
-            }
             return Ok(());
         }
         // Ascending id order: deterministic log layout and a
@@ -524,11 +507,6 @@ impl BufferPool {
                 let _ = store.abort_flush();
                 return Err(e);
             }
-            if self.durable_flush.load(Ordering::Relaxed) {
-                // Post-commit: a sync failure propagates but must not
-                // roll back the already-committed flush.
-                store.sync()?;
-            }
         }
         self.flushes.fetch_add(1, Ordering::Relaxed);
         // Clear dirty bits only where the frame still holds the exact
@@ -543,19 +521,6 @@ impl BufferPool {
             }
         }
         Ok(())
-    }
-
-    /// Enables/disables fsync-on-flush (off by default: in-memory
-    /// stores have nothing to sync and benchmarks shouldn't pay for
-    /// durability they don't measure). No caller today; kept because it
-    /// guards the fsync that makes a flush survive a crash.
-    pub fn set_durable_flush(&self, on: bool) {
-        self.durable_flush.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether [`BufferPool::flush_all`] fsyncs the store.
-    pub fn durable_flush(&self) -> bool {
-        self.durable_flush.load(Ordering::Relaxed)
     }
 
     /// Replaces the backing store with `f(old store)` — the injection
@@ -721,10 +686,6 @@ impl ChunkStore for ReclaimStore {
         self.get().stats()
     }
 
-    fn sync(&mut self) -> Result<()> {
-        self.get_mut().sync()
-    }
-
     fn begin_flush(&mut self) -> Result<()> {
         self.get_mut().begin_flush()
     }
@@ -819,7 +780,7 @@ mod tests {
 
     /// Satellite bugfix (ISSUE 6): a dirty eviction's write-through must
     /// run inside its own `begin_flush`/`commit_flush` transaction —
-    /// previously it wrote bare, outside any WAL transaction, exactly
+    /// previously it wrote bare, outside any flush transaction, exactly
     /// the torn state PR 5's commit record was built to prevent.
     #[test]
     fn eviction_write_runs_in_a_flush_transaction() {
@@ -884,7 +845,7 @@ mod tests {
         let mut c = Chunk::new_dense(vec![2]);
         c.set(0, CellValue::num(7.0));
         p.put(ChunkId(0), c).unwrap();
-        p.get(ChunkId(1)).unwrap(); // evicts dirty 0 through the WAL
+        p.get(ChunkId(1)).unwrap(); // evicts dirty 0 in a flush transaction
         let store = p.store();
         let gate = store.as_any().downcast_ref::<TxnGate>().unwrap();
         assert_eq!(gate.begins, 1, "eviction must open one transaction");
@@ -1130,61 +1091,31 @@ mod tests {
         assert_eq!(p.resident(), 1);
     }
 
-    /// `flush_all` fsyncs the store when (and only when) the durability
-    /// knob is on.
+    /// A committed `flush_all` on a file store is durable by itself:
+    /// the commit fsyncs the log twice (records, then the `COMMIT`
+    /// record), and a flush with nothing dirty syncs nothing.
     #[test]
     fn durable_flush_syncs_store() {
-        use crate::store::IoStats;
-
-        #[derive(Debug, Default)]
-        struct SyncCounting {
-            inner: MemStore,
-            syncs: AtomicUsize,
-        }
-        impl ChunkStore for SyncCounting {
-            fn read(&self, id: ChunkId) -> Result<Chunk> {
-                self.inner.read(id)
-            }
-            fn write(&mut self, id: ChunkId, chunk: &Chunk) -> Result<()> {
-                self.inner.write(id, chunk)
-            }
-            fn contains(&self, id: ChunkId) -> bool {
-                self.inner.contains(id)
-            }
-            fn ids(&self) -> Vec<ChunkId> {
-                self.inner.ids()
-            }
-            fn stats(&self) -> &IoStats {
-                self.inner.stats()
-            }
-            fn sync(&mut self) -> Result<()> {
-                self.syncs.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-        }
-
-        let p = BufferPool::new(Box::new(SyncCounting::default()), 4);
+        use crate::filestore::FileStore;
+        let path =
+            std::env::temp_dir().join(format!("olap-pool-test-{}-durable", std::process::id()));
+        let p = BufferPool::new(Box::new(FileStore::create(&path).unwrap()), 4);
         let syncs = |p: &BufferPool| {
             p.store()
                 .as_any()
-                .downcast_ref::<SyncCounting>()
+                .downcast_ref::<FileStore>()
                 .unwrap()
+                .wal_stats()
                 .syncs
-                .load(Ordering::Relaxed)
         };
         p.put(ChunkId(0), Chunk::new_dense(vec![2])).unwrap();
+        p.put(ChunkId(1), Chunk::new_dense(vec![2])).unwrap();
         p.flush_all().unwrap();
-        assert_eq!(syncs(&p), 0, "durability off: no fsync");
-        p.set_durable_flush(true);
-        assert!(p.durable_flush());
+        assert_eq!(syncs(&p), 2, "one committed flush, two fsyncs");
         p.flush_all().unwrap();
-        assert_eq!(syncs(&p), 1, "durability on: flush fsyncs");
+        assert_eq!(syncs(&p), 2, "nothing dirty, no transaction, no fsync");
+        drop(p);
+        std::fs::remove_file(&path).ok();
     }
 
     /// Satellite regression: one transient write fault must not fail

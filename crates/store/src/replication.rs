@@ -1,167 +1,164 @@
-//! Wire encoding for WAL shipping.
+//! Replication frames: what a leader ships and a follower validates.
 //!
-//! A shipped flush transaction is the *literal WAL byte sequence* the
-//! leader logged for it — a `BEGIN` record, the staged `CHUNK` records
-//! in append order, and the closing `COMMIT`, each length-framed and
-//! OLC3-checksummed exactly as on disk. That choice buys three things:
+//! A frame is the literal log bytes of one committed flush transaction:
+//! its `BEGIN` record, its chunk records and its `COMMIT` record, exactly
+//! as they sit in the leader's store file (DESIGN.md §17). That choice
+//! buys three things:
 //!
-//! * **No second format.** [`decode_txn`] is [`wal::scan`] over the
-//!   frame; every torn-tail, CRC and protocol-violation rule the
-//!   recovery path already enforces applies verbatim to bytes received
-//!   from the network.
-//! * **Torn streams fail closed.** A frame cut mid-`CHUNK` decodes to
-//!   an incomplete scan and is rejected whole — a follower never sees a
-//!   partial transaction.
-//! * **Idempotent replay for free.** The follower applies a decoded
-//!   [`WalTxn`] through the same redo path
-//!   [`crate::FileStore::open`] runs, so a crash mid-apply recovers to
-//!   the pre- or post-transaction image by construction.
+//! * **No second format.** [`parse_frame`] runs the marker parser
+//!   [`crate::FileStore::open`] runs. The markers' envelopes and the
+//!   `COMMIT`'s seal (a CRC-32 of every byte before it) leave no byte of
+//!   a frame unchecked.
+//! * **Torn streams fail closed.** A frame cut anywhere is refused whole —
+//!   a follower never sees a partial transaction.
+//! * **Byte-identical logs.** The follower appends the frame verbatim, so
+//!   its file length is its position in the leader's history.
 
 use crate::error::StoreError;
-use crate::wal::{self, WalTxn};
+use crate::filestore::{frame_records, marker_fields, scan_txns, Rec, BEGIN_ID};
 use crate::Result;
 
-/// Encodes a committed transaction as its WAL byte sequence
-/// (`BEGIN`, `CHUNK`*, `COMMIT`), ready to ship in one frame.
-pub fn encode_txn(txn: &WalTxn) -> Result<Vec<u8>> {
-    if !txn.committed {
-        return Err(StoreError::Corrupt(
-            "replication: refusing to ship an uncommitted transaction".into(),
-        ));
-    }
-    let mut out = wal::encode_record(&wal::begin_inner(txn.epoch, txn.main_end))?;
-    for c in &txn.chunks {
-        out.extend(wal::encode_record(&wal::chunk_inner(
-            txn.epoch, c.id, c.main_off, &c.payload,
-        ))?);
-    }
-    let records = crate::codec::count_u32(txn.chunks.len(), "replication txn records")?;
-    out.extend(wal::encode_record(&wal::commit_inner(txn.epoch, records))?);
-    Ok(out)
+/// A validated frame.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Frame {
+    /// The transaction's flush epoch.
+    pub(crate) epoch: u64,
+    /// Log offset of the `BEGIN` record.
+    pub(crate) start: u64,
+    /// Log offset just past the `COMMIT` record.
+    pub(crate) end: u64,
+    /// The frame's records: `BEGIN`, the chunk records, `COMMIT`.
+    pub(crate) recs: Vec<Rec>,
 }
 
-/// Decodes one shipped transaction. Rejects anything but a frame that
-/// scans, in full, to exactly one committed transaction — a torn or
-/// bit-flipped frame, trailing garbage, or a missing `COMMIT` all fail
-/// here rather than reaching the store.
-pub fn decode_txn(bytes: &[u8]) -> Result<WalTxn> {
-    let scan = wal::scan(bytes);
-    if scan.valid_len != bytes.len() as u64 {
-        return Err(StoreError::Corrupt(format!(
-            "replication: torn transaction frame ({} of {} bytes valid)",
-            scan.valid_len,
-            bytes.len()
-        )));
+/// Validates one shipped frame: exactly one committed transaction and
+/// nothing else, or [`StoreError::Corrupt`].
+pub(crate) fn parse_frame(bytes: &[u8]) -> Result<Frame> {
+    let bad = |what: &str| StoreError::Corrupt(format!("replication frame: {what}"));
+    let recs = frame_records(bytes);
+    let start = recs
+        .first()
+        .filter(|r| r.id == BEGIN_ID)
+        .and_then(|r| marker_fields(&bytes[r.payload.clone()]))
+        .map(|(_, main_start)| main_start)
+        .ok_or_else(|| bad("does not open with a BEGIN record"))?;
+    let scan = scan_txns(bytes, start, &recs)?;
+    if !matches!(scan.committed.as_slice(), [txn] if *txn == (0..bytes.len())) {
+        return Err(bad("not exactly one committed transaction"));
     }
-    let mut txns = scan.txns;
-    match (txns.pop(), txns.is_empty()) {
-        (Some(t), true) if t.committed => Ok(t),
-        (Some(_), true) => Err(StoreError::Corrupt(
-            "replication: shipped transaction has no COMMIT record".into(),
-        )),
-        (Some(_), false) => Err(StoreError::Corrupt(
-            "replication: frame holds more than one transaction".into(),
-        )),
-        (None, _) => Err(StoreError::Corrupt(
-            "replication: empty transaction frame".into(),
-        )),
-    }
-}
-
-/// The main-log position a store stands at *after* applying `txn`:
-/// the byte past its last chunk record, or (for an empty transaction)
-/// its starting position. Leaders advance their shipping cursor with
-/// this; followers report it as their replication position.
-pub fn txn_end(txn: &WalTxn) -> u64 {
-    txn.chunks
-        .last()
-        .map(|c| c.main_off + c.payload.len() as u64)
-        .unwrap_or(txn.main_end)
+    let end = start
+        .checked_add(bytes.len() as u64)
+        .ok_or_else(|| bad("ends past the last log offset"))?;
+    Ok(Frame {
+        epoch: scan.epoch,
+        start,
+        end,
+        recs,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::Chunk;
     use crate::geometry::ChunkId;
-    use crate::wal::WalChunk;
+    use crate::store::ChunkStore;
+    use crate::value::CellValue;
+    use crate::FileStore;
 
-    fn sample_txn() -> WalTxn {
-        WalTxn {
-            epoch: 7,
-            main_end: 4096,
-            chunks: vec![
-                WalChunk {
-                    id: ChunkId(11),
-                    main_off: 4108,
-                    payload: b"payload-11".to_vec(),
-                },
-                WalChunk {
-                    id: ChunkId(13),
-                    main_off: 4130,
-                    payload: b"payload-13".to_vec(),
-                },
-            ],
-            committed: true,
+    fn chunk(v: f64) -> Chunk {
+        let mut c = Chunk::new_dense(vec![4]);
+        c.set(1, CellValue::num(v));
+        c
+    }
+
+    /// The frames of a capturing leader that committed one bare chunk,
+    /// then one transaction per entry of `txns` (the chunk ids it
+    /// writes), with the position capture started at.
+    fn frames(name: &str, txns: &[&[u64]]) -> (Vec<Vec<u8>>, u64) {
+        let path =
+            std::env::temp_dir().join(format!("olap-repl-test-{}-{name}", std::process::id()));
+        let mut s = FileStore::create(&path).unwrap();
+        s.write(ChunkId(0), &chunk(0.5)).unwrap();
+        s.set_replication(true);
+        let base = s.replication_position();
+        for ids in txns {
+            s.begin_flush().unwrap();
+            for &id in *ids {
+                s.write(ChunkId(id), &chunk(id as f64)).unwrap();
+            }
+            s.commit_flush().unwrap();
         }
+        let frames = s.retained_since(base).unwrap();
+        std::fs::remove_file(&path).ok();
+        (frames, base)
     }
 
     #[test]
     fn txn_roundtrips() {
-        let txn = sample_txn();
-        let bytes = encode_txn(&txn).unwrap();
-        let back = decode_txn(&bytes).unwrap();
-        assert_eq!(back, txn);
+        let (frames, base) = frames("roundtrip", &[&[11, 13]]);
+        let f = parse_frame(&frames[0]).unwrap();
+        assert_eq!((f.epoch, f.start), (1, base));
+        assert_eq!(f.end, base + frames[0].len() as u64);
+        let ids: Vec<u64> = f.recs.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [BEGIN_ID, 11, 13, u64::MAX - 1]);
     }
 
     #[test]
     fn empty_txn_roundtrips() {
-        let txn = WalTxn {
-            epoch: 1,
-            main_end: 0,
-            chunks: Vec::new(),
-            committed: true,
-        };
-        assert_eq!(decode_txn(&encode_txn(&txn).unwrap()).unwrap(), txn);
+        let (frames, base) = frames("empty", &[&[]]);
+        let f = parse_frame(&frames[0]).unwrap();
+        assert_eq!((f.epoch, f.start, f.recs.len()), (1, base, 2));
     }
 
+    /// An open transaction is never shipped, and its bytes without a
+    /// `COMMIT` are no frame.
     #[test]
     fn uncommitted_txn_refuses_to_encode() {
-        let mut txn = sample_txn();
-        txn.committed = false;
-        assert!(encode_txn(&txn).is_err());
+        let path =
+            std::env::temp_dir().join(format!("olap-repl-test-{}-uncommitted", std::process::id()));
+        let mut s = FileStore::create(&path).unwrap();
+        s.set_replication(true);
+        s.begin_flush().unwrap();
+        s.write(ChunkId(3), &chunk(3.0)).unwrap();
+        assert!(s.retained_since(0).unwrap().is_empty());
+        assert_eq!(s.replication_position(), 0);
+        let open_txn = std::fs::read(&path).unwrap();
+        assert!(parse_frame(&open_txn).is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn every_torn_prefix_is_rejected() {
-        let bytes = encode_txn(&sample_txn()).unwrap();
+        let (frames, _) = frames("torn", &[&[1, 2]]);
+        let bytes = &frames[0];
         for cut in 0..bytes.len() {
-            assert!(decode_txn(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(parse_frame(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
     #[test]
     fn bit_flips_are_rejected() {
-        let bytes = encode_txn(&sample_txn()).unwrap();
-        for pos in [5, bytes.len() / 2, bytes.len() - 2] {
+        let (frames, _) = frames("flips", &[&[1, 2]]);
+        let bytes = &frames[0];
+        for pos in [5, 20, bytes.len() / 2, bytes.len() - 2] {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x10;
-            assert!(decode_txn(&bad).is_err(), "flip at {pos}");
+            assert!(parse_frame(&bad).is_err(), "flip at {pos}");
         }
     }
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let mut bytes = encode_txn(&sample_txn()).unwrap();
+        let (frames, _) = frames("trailing", &[&[1]]);
+        let mut bytes = frames[0].clone();
         bytes.extend_from_slice(b"xx");
-        assert!(decode_txn(&bytes).is_err());
+        assert!(parse_frame(&bytes).is_err());
     }
 
     #[test]
     fn two_txns_in_one_frame_are_rejected() {
-        let mut bytes = encode_txn(&sample_txn()).unwrap();
-        let mut second = sample_txn();
-        second.epoch = 8;
-        bytes.extend(encode_txn(&second).unwrap());
-        assert!(decode_txn(&bytes).is_err());
+        let (frames, _) = frames("two", &[&[1], &[2]]);
+        assert!(parse_frame(&frames.concat()).is_err());
     }
 }

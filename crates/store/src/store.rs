@@ -81,12 +81,6 @@ pub trait ChunkStore: Send + Sync {
     /// Cumulative I/O counters.
     fn stats(&self) -> &IoStats;
 
-    /// Forces previously written chunks to durable media (fsync).
-    /// In-memory stores have nothing to do; the default is a no-op.
-    fn sync(&mut self) -> Result<()> {
-        Ok(())
-    }
-
     /// Opens a flush transaction: every `write` until the matching
     /// [`ChunkStore::commit_flush`] or [`ChunkStore::abort_flush`]
     /// belongs to one all-or-nothing unit. Stores without a durability
@@ -99,8 +93,8 @@ pub trait ChunkStore: Send + Sync {
 
     /// Commits the open flush transaction, returning the store's flush
     /// epoch (a commit LSN; 0 for stores that don't track one). After a
-    /// successful commit the transaction's writes are guaranteed to
-    /// survive a crash as a unit.
+    /// successful commit the transaction's writes are durable and
+    /// survive a crash as a unit: the commit is the store's only fsync.
     fn commit_flush(&mut self) -> Result<u64> {
         Ok(0)
     }

@@ -40,10 +40,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 step "concurrency flake gate (10x)"
 # The pool's concurrent demand misses, the parallel executors and
 # aggregation workers, the shared scenario cache, the fault-injection
-# suite and the WAL crash tests are timing-sensitive; a single green run
-# proves little. Hammer the
-# concurrency-heavy suites (olap-store --lib includes the wal,
-# filestore crash-sweep and pool retry tests). `--test sweeps` stays
+# suite and the flush-transaction crash tests are timing-sensitive; a
+# single green run proves little. Hammer the
+# concurrency-heavy suites (olap-store --lib includes the log-parser
+# fuzz, filestore crash-sweep and pool retry tests). `--test sweeps` stays
 # out of the loop: its chaos and replica sweeps each run three fixed
 # seeds, so the one run in the tests step is already a repetition.
 i=1
@@ -57,6 +57,22 @@ while [ "$i" -le 10 ]; do
     i=$((i + 1))
 done
 echo "(10/10 green)"
+
+step "durability gates run by name"
+# A `cargo test` filter that matches nothing exits 0, so a renamed or
+# deleted crash sweep would pass unnoticed. Each gate runs by exact
+# name and must report exactly one passed test.
+gate() { # gate "<cargo test target args>" <exact test name>
+    out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
+    case "$out" in
+        *"test result: ok. 1 passed"*) echo "$2: 1 passed" ;;
+        *) echo "$out"; echo "durability gate $2 did not run"; exit 1 ;;
+    esac
+}
+gate "-p olap-store --lib" filestore::tests::crash_sweep_recovers_pre_or_post_image_only
+gate "-p whatif-integration-tests --test persistence" pool_flush_crash_points_recover_exact_image
+gate "-p whatif-integration-tests --test persistence" dirty_eviction_crash_points_recover_exact_image
+gate "-p whatif-integration-tests --test replication" follower_crash_at_every_op_recovers_pre_or_post_image
 
 step "corruption smoke test"
 # One flipped payload byte must surface as StoreError::Corrupt on read,

@@ -17,10 +17,8 @@ fn tmp(name: &str) -> std::path::PathBuf {
     ))
 }
 
-/// Removes a store file and its WAL sidecar.
 fn cleanup(path: &std::path::Path) {
     std::fs::remove_file(path).ok();
-    std::fs::remove_file(olap_store::wal::sidecar_path(path)).ok();
 }
 
 /// A small two-cell chunk keyed by a single value.
@@ -327,7 +325,10 @@ fn pool_flush_crash_points_recover_exact_image() {
     let (ok, total_ops) = run(None, &dry);
     assert!(ok, "{tag}: dry run must flush cleanly");
     cleanup(&dry);
-    assert!(total_ops >= 9, "{tag}: schedule too short: {total_ops}");
+    // One flush transaction of the four dirty chunks: the BEGIN append,
+    // four chunk appends, the fsync of the records, the COMMIT append
+    // and its fsync.
+    assert_eq!(total_ops, 1 + 4 + 3, "{tag}: op schedule");
 
     let (mut saw_pre, mut saw_post) = (0u64, 0u64);
     for k in 0..=total_ops {
@@ -351,8 +352,9 @@ fn pool_flush_crash_points_recover_exact_image() {
         }
         cleanup(&path);
     }
-    assert!(saw_pre > 0, "{tag}: no crash point rolled back");
-    assert!(saw_post > 0, "{tag}: no crash point redid the flush");
+    // Every crash before the COMMIT append rolls back; the crash at its
+    // fsync and the uncrashed run (k = total_ops) recover the post-image.
+    assert_eq!((saw_pre, saw_post), (total_ops - 1, 2), "{tag}");
 }
 
 /// The ISSUE 6 satellite sweep: the write at the crash point is a dirty
@@ -402,7 +404,10 @@ fn dirty_eviction_crash_points_recover_exact_image() {
     let (ok, total_ops) = run(None, &dry);
     assert!(ok, "{tag}: dry run must evict cleanly");
     cleanup(&dry);
-    assert!(total_ops >= 2, "{tag}: schedule too short: {total_ops}");
+    // The eviction's single-chunk transaction: the BEGIN append, the
+    // chunk append, the fsync of the record, the COMMIT append and its
+    // fsync.
+    assert_eq!(total_ops, 1 + 1 + 3, "{tag}: op schedule");
 
     let (mut saw_pre, mut saw_post) = (0u64, 0u64);
     for k in 0..=total_ops {
@@ -426,8 +431,9 @@ fn dirty_eviction_crash_points_recover_exact_image() {
         }
         cleanup(&path);
     }
-    assert!(saw_pre > 0, "{tag}: no crash point rolled back");
-    assert!(saw_post > 0, "{tag}: no crash point redid the eviction");
+    // Every crash before the COMMIT append rolls back; the crash at its
+    // fsync and the uncrashed run (k = total_ops) recover the post-image.
+    assert_eq!((saw_pre, saw_post), (total_ops - 1, 2), "{tag}");
 }
 
 mod crash_interleavings {

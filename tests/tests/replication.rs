@@ -1,4 +1,4 @@
-//! WAL-shipping replication (DESIGN.md §17): torn shipping frames are
+//! Log-shipping replication (DESIGN.md §17): torn shipping frames are
 //! rejected whole, duplicate delivery is a no-op, a follower crashed at
 //! every physical operation of an apply recovers to exactly the pre- or
 //! post-transaction image, and a full leader/follower server pair
@@ -8,9 +8,7 @@ use olap_cube::StoreBackend;
 use olap_server::{
     enable_replication, Client, Follower, Server, ServerConfig, STATUS_ERR, STATUS_OK, STATUS_QUIT,
 };
-use olap_store::{
-    decode_txn, encode_txn, txn_end, Chunk, ChunkId, ChunkStore, FileStore, ReplApply, WalTxn,
-};
+use olap_store::{Chunk, ChunkId, ChunkStore, FileStore, ReplApply, StoreError};
 use polap_cli::{Dataset, Outcome, Session, SharedData};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -24,23 +22,15 @@ fn tmp(name: &str) -> PathBuf {
     ))
 }
 
-/// Removes a store file and its WAL sidecar.
 fn cleanup(path: &Path) {
     std::fs::remove_file(path).ok();
-    std::fs::remove_file(olap_store::wal::sidecar_path(path)).ok();
 }
 
-/// Copies a store image: the main file, plus the WAL sidecar when one
-/// exists (a fresh base copy has none — the follower's first apply
-/// creates it, which is exactly the `ensure_wal` crash window the
-/// sweep below exercises).
-fn copy_store(src: &Path, dst: &Path) {
-    cleanup(dst);
-    std::fs::copy(src, dst).unwrap();
-    let src_wal = olap_store::wal::sidecar_path(src);
-    if src_wal.exists() {
-        std::fs::copy(src_wal, olap_store::wal::sidecar_path(dst)).unwrap();
-    }
+/// Whether a sidecar WAL (`<path>.wal`) exists next to `path`.
+fn sidecar_exists(path: &Path) -> bool {
+    let mut wal = path.as_os_str().to_os_string();
+    wal.push(".wal");
+    Path::new(&wal).exists()
 }
 
 fn main_bytes(path: &Path) -> Vec<u8> {
@@ -55,11 +45,11 @@ fn chunk(v: f64) -> Chunk {
     c
 }
 
-/// A leader with committed base content, capture on from `base_pos`,
-/// and `rounds` captured flush transactions (the second one
-/// multi-chunk, so a frame can tear *between* and *inside* CHUNK
-/// records).
-fn leader_with_history(path: &Path, rounds: usize) -> (FileStore, u64, Vec<Arc<WalTxn>>) {
+/// A leader with committed base content, its base image copied to
+/// `follower`, capture on from there, and `rounds` captured flush
+/// transactions (the odd ones three chunks long, so a frame can tear
+/// *between* and *inside* chunk records). Returns the shipped frames.
+fn leader_with_history(path: &Path, follower: &Path, rounds: usize) -> (FileStore, Vec<Vec<u8>>) {
     cleanup(path);
     let mut s = FileStore::create(path).unwrap();
     s.begin_flush().unwrap();
@@ -68,6 +58,8 @@ fn leader_with_history(path: &Path, rounds: usize) -> (FileStore, u64, Vec<Arc<W
     s.commit_flush().unwrap();
     s.set_replication(true);
     let base_pos = s.replication_position();
+    cleanup(follower);
+    std::fs::copy(path, follower).unwrap();
     for r in 0..rounds {
         s.begin_flush().unwrap();
         s.write(ChunkId(1), &chunk(10.0 + r as f64)).unwrap();
@@ -78,170 +70,143 @@ fn leader_with_history(path: &Path, rounds: usize) -> (FileStore, u64, Vec<Arc<W
         }
         s.commit_flush().unwrap();
     }
-    let txns = s.retained_since(base_pos).unwrap();
-    assert_eq!(txns.len(), rounds);
-    (s, base_pos, txns)
+    let frames = s.retained_since(base_pos).unwrap();
+    assert_eq!(frames.len(), rounds);
+    (s, frames)
 }
 
 #[test]
 fn torn_shipping_frames_are_rejected_whole() {
     let lpath = tmp("torn-leader");
-    let (_leader, _base, txns) = leader_with_history(&lpath, 2);
-    // The multi-chunk transaction: cut the encoded frame at every byte
-    // boundary — including mid-BEGIN, between CHUNKs, and mid-CHUNK —
-    // and at every boundary the whole frame must be refused (a
-    // follower never sees a partial transaction).
-    let bytes = encode_txn(&txns[1]).unwrap();
-    assert!(txns[1].chunks.len() > 1, "want a multi-chunk txn");
+    let fpath = tmp("torn-follower");
+    let (_leader, frames) = leader_with_history(&lpath, &fpath, 2);
+    let mut f = FileStore::open(&fpath).unwrap();
+    f.apply_replicated(&frames[0]).unwrap();
+    let before = main_bytes(&fpath);
+    // The three-chunk transaction, at the follower's position: cut the
+    // frame at every byte boundary — mid-BEGIN, between chunk records,
+    // mid-record, mid-COMMIT — and every cut must be refused whole, as
+    // corruption and before any I/O (a follower never sees a partial
+    // transaction).
+    let bytes = &frames[1];
+    assert!(bytes.len() > frames[0].len(), "want a multi-chunk frame");
     for cut in 0..bytes.len() {
-        assert!(decode_txn(&bytes[..cut]).is_err(), "cut at {cut}");
+        let got = f.apply_replicated(&bytes[..cut]);
+        assert!(matches!(got, Err(StoreError::Corrupt(_))), "cut at {cut}");
     }
-    // A bit flip anywhere inside is a CRC failure, not a partial apply.
+    // A bit flip anywhere inside fails a checksum, not a partial apply.
     for pos in (0..bytes.len()).step_by(97) {
         let mut bad = bytes.clone();
         bad[pos] ^= 0x04;
-        assert!(decode_txn(&bad).is_err(), "flip at {pos}");
+        let got = f.apply_replicated(&bad);
+        assert!(matches!(got, Err(StoreError::Corrupt(_))), "flip at {pos}");
     }
+    assert_eq!(main_bytes(&fpath), before, "refused frames wrote nothing");
+    assert_eq!(f.apply_replicated(bytes).unwrap(), ReplApply::Applied);
+    assert_eq!(main_bytes(&fpath), main_bytes(&lpath));
     cleanup(&lpath);
+    cleanup(&fpath);
 }
 
 #[test]
 fn duplicate_delivery_is_a_no_op_and_gaps_are_refused() {
     let lpath = tmp("dup-leader");
     let fpath = tmp("dup-follower");
-    cleanup(&fpath);
-    let (_leader, _base, txns) = {
-        // Copy the base image before any captured transaction exists.
-        cleanup(&lpath);
-        let mut s = FileStore::create(&lpath).unwrap();
-        s.begin_flush().unwrap();
-        s.write(ChunkId(1), &chunk(1.0)).unwrap();
-        s.commit_flush().unwrap();
-        s.set_replication(true);
-        let base = s.replication_position();
-        std::fs::copy(&lpath, &fpath).unwrap();
-        s.begin_flush().unwrap();
-        s.write(ChunkId(2), &chunk(2.0)).unwrap();
-        s.commit_flush().unwrap();
-        s.begin_flush().unwrap();
-        s.write(ChunkId(1), &chunk(9.0)).unwrap();
-        s.write(ChunkId(3), &chunk(3.0)).unwrap();
-        s.commit_flush().unwrap();
-        let txns = s.retained_since(base).unwrap();
-        (s, base, txns)
-    };
+    let (leader, frames) = leader_with_history(&lpath, &fpath, 2);
     let mut f = FileStore::open(&fpath).unwrap();
     // Applying t2 before t1 is a gap: refused before any I/O.
-    let gap = f.apply_replicated(&txns[1]);
-    assert!(gap.is_err(), "gap must be refused");
     let before = main_bytes(&fpath);
+    let gap = f.apply_replicated(&frames[1]);
+    assert!(gap.is_err(), "gap must be refused");
     assert_eq!(main_bytes(&fpath), before, "refused gap wrote nothing");
     // In order: t1, then t1 again (at-least-once redelivery), then t2.
     assert!(matches!(
-        f.apply_replicated(&txns[0]).unwrap(),
+        f.apply_replicated(&frames[0]).unwrap(),
         ReplApply::Applied
     ));
     let after_t1 = main_bytes(&fpath);
     assert!(matches!(
-        f.apply_replicated(&txns[0]).unwrap(),
+        f.apply_replicated(&frames[0]).unwrap(),
         ReplApply::Duplicate
     ));
     assert_eq!(main_bytes(&fpath), after_t1, "duplicate wrote nothing");
     assert!(matches!(
-        f.apply_replicated(&txns[1]).unwrap(),
+        f.apply_replicated(&frames[1]).unwrap(),
         ReplApply::Applied
     ));
-    assert_eq!(f.replication_position(), txn_end(&txns[1]));
-    // Byte-identical to the leader's main log.
+    assert_eq!(f.replication_position(), leader.replication_position());
+    assert_eq!(f.flush_epoch(), leader.flush_epoch());
+    // Byte-identical to the leader's log.
     assert_eq!(main_bytes(&fpath), main_bytes(&lpath));
     cleanup(&lpath);
     cleanup(&fpath);
 }
 
-/// The replication crash-point sweep: for every captured transaction,
-/// inject a crash after every physical store operation of its apply —
-/// including the follower's first-ever WAL creation (sidecar create +
-/// directory fsync) — and require the re-opened file to be exactly the
-/// pre- or post-transaction image, then require the re-delivered
-/// transaction to finish the job. Every intermediate and final image
-/// must be a byte prefix of the leader's log.
+/// The replication crash-point sweep: for every shipped frame, inject a
+/// crash after every physical store operation of its apply and require
+/// the re-opened file to be exactly the pre- or post-transaction image,
+/// then require the re-delivered frame to finish the job. Every
+/// intermediate and final image must be a byte prefix of the leader's
+/// log.
 #[test]
 fn follower_crash_at_every_op_recovers_pre_or_post_image() {
     let lpath = tmp("sweep-leader");
     let fpath = tmp("sweep-follower");
     let scratch = tmp("sweep-scratch");
     let crashp = tmp("sweep-crash");
-    cleanup(&lpath);
-    let mut leader = FileStore::create(&lpath).unwrap();
-    leader.begin_flush().unwrap();
-    leader.write(ChunkId(1), &chunk(1.0)).unwrap();
-    leader.write(ChunkId(2), &chunk(2.0)).unwrap();
-    leader.commit_flush().unwrap();
-    leader.set_replication(true);
-    let base = leader.replication_position();
-    // The follower's base image: the main file only — no WAL sidecar,
-    // so the first apply walks the WAL-creation crash points too.
-    cleanup(&fpath);
-    std::fs::copy(&lpath, &fpath).unwrap();
-    for r in 0..3u64 {
-        leader.begin_flush().unwrap();
-        leader.write(ChunkId(1), &chunk(100.0 + r as f64)).unwrap();
-        if r == 1 {
-            leader.write(ChunkId(7), &chunk(7.7)).unwrap();
-            leader.write(ChunkId(2), &chunk(2.2)).unwrap();
-        }
-        leader.commit_flush().unwrap();
-    }
-    let txns = leader.retained_since(base).unwrap();
+    let (_leader, frames) = leader_with_history(&lpath, &fpath, 3);
     let leader_bytes = main_bytes(&lpath);
 
+    // An apply of a frame with `n` chunk records is the shape of a local
+    // commit: the BEGIN append (op 1), the `n` chunk appends, the fsync
+    // of the records, the COMMIT append and its fsync — `n + 4` ops.
+    // Rounds 0, 1, 2 write 1, 3, 1 chunks: 5, 7 and 5 ops. A crash
+    // after `k` ops leaves the COMMIT on disk only for `k = n + 3`.
+    let chunks = [1u64, 3, 1];
     let mut crash_points = 0u64;
-    for txn in &txns {
+    for (frame, n) in frames.iter().zip(chunks) {
         let pre = main_bytes(&fpath);
         // Dry run on a scratch copy to learn the op count and the
         // post-image.
-        copy_store(&fpath, &scratch);
-        let post = {
+        std::fs::copy(&fpath, &scratch).unwrap();
+        let (ops, post_bytes) = {
             let mut s = FileStore::open(&scratch).unwrap();
             let ops0 = s.phys_ops();
             assert!(matches!(
-                s.apply_replicated(txn).unwrap(),
+                s.apply_replicated(frame).unwrap(),
                 ReplApply::Applied
             ));
-            let ops = s.phys_ops() - ops0;
-            assert!(ops > 0);
-            crash_points += ops;
-            (ops, main_bytes(&scratch))
+            (s.phys_ops() - ops0, main_bytes(&scratch))
         };
-        let (ops, post_bytes) = post;
+        assert_eq!(ops, n + 4, "apply op schedule");
+        crash_points += ops;
         assert!(
             leader_bytes.starts_with(&post_bytes),
             "post-image must be a prefix of the leader log"
         );
+        let mut saw_post = Vec::new();
         for k in 0..ops {
-            copy_store(&fpath, &crashp);
+            std::fs::copy(&fpath, &crashp).unwrap();
             let mut s = FileStore::open(&crashp).unwrap();
             s.set_crash_after_ops(Some(k));
-            let crashed = s.apply_replicated(txn);
+            assert!(s.apply_replicated(frame).is_err(), "k={k}: crash surfaces");
             drop(s);
             // Recovery on re-open must land on exactly one of the two
             // committed images, and redelivery must converge to post.
             let mut s = FileStore::open(&crashp).unwrap();
             let got = main_bytes(&crashp);
-            if crashed.is_ok() {
-                // The crash budget outlived the apply (k beyond its
-                // last op): the image is simply post.
-                assert_eq!(got, post_bytes, "k={k}");
+            if got == post_bytes {
+                saw_post.push(k);
             } else {
                 assert!(
-                    got == pre || got == post_bytes,
+                    got == pre,
                     "k={k}: recovered image is neither pre nor post ({} bytes, pre {} post {})",
                     got.len(),
                     pre.len(),
                     post_bytes.len()
                 );
             }
-            let redeliver = s.apply_replicated(txn).unwrap();
+            let redeliver = s.apply_replicated(frame).unwrap();
             match redeliver {
                 ReplApply::Applied | ReplApply::Duplicate => {}
             }
@@ -251,18 +216,16 @@ fn follower_crash_at_every_op_recovers_pre_or_post_image() {
                 "k={k}: redelivery converges"
             );
         }
+        assert_eq!(saw_post, [n + 3], "only a written COMMIT commits");
         // Advance the real follower cleanly.
         let mut f = FileStore::open(&fpath).unwrap();
         assert!(matches!(
-            f.apply_replicated(txn).unwrap(),
+            f.apply_replicated(frame).unwrap(),
             ReplApply::Applied
         ));
         assert_eq!(main_bytes(&fpath), post_bytes);
     }
-    assert!(
-        crash_points >= 10,
-        "sweep exercised {crash_points} crash points"
-    );
+    assert_eq!(crash_points, 17, "sweep exercised every crash point");
     assert_eq!(
         main_bytes(&fpath),
         leader_bytes,
@@ -271,6 +234,68 @@ fn follower_crash_at_every_op_recovers_pre_or_post_image() {
     for p in [&lpath, &fpath, &scratch, &crashp] {
         cleanup(p);
     }
+}
+
+/// Commits `rounds` one-cell flushes on a file-backed leader.
+fn commit_rounds(shared: &SharedData, rounds: u32) {
+    let lens: Vec<u32> = shared.cube().geometry().lens().to_vec();
+    for round in 0..rounds {
+        let coords: Vec<u32> = lens.iter().map(|&l| (round + 1).min(l - 1)).collect();
+        shared
+            .cube()
+            .set(&coords, olap_store::CellValue::num(1000.0 + round as f64))
+            .unwrap();
+        shared.cube().flush().unwrap();
+    }
+}
+
+fn leader_position(shared: &SharedData) -> u64 {
+    shared.cube().with_pool(|p| {
+        p.store()
+            .as_any()
+            .downcast_ref::<FileStore>()
+            .unwrap()
+            .replication_position()
+    })
+}
+
+/// The epoch lives in the log, so a follower started on a copy of a
+/// leader at epoch N greets with `epoch N` before any apply.
+#[test]
+fn follower_seeded_from_a_leader_copy_greets_with_its_epoch() {
+    let lpath = tmp("epoch-leader");
+    let fpath = tmp("epoch-follower");
+    cleanup(&lpath);
+    let leader_shared = Arc::new(
+        SharedData::load_with_backend(Dataset::Bench, StoreBackend::File(lpath.clone())).unwrap(),
+    );
+    enable_replication(&leader_shared).expect("file-backed leader");
+    commit_rounds(&leader_shared, 3);
+    let pos = leader_position(&leader_shared);
+    cleanup(&fpath);
+    std::fs::copy(&lpath, &fpath).unwrap();
+    let cfg = ServerConfig {
+        drain_grace_ms: 200,
+        ..ServerConfig::default()
+    };
+    let leader_srv = Server::start(leader_shared, "127.0.0.1:0", cfg.clone()).unwrap();
+    let follower_shared = Arc::new(
+        SharedData::load_with_backend(Dataset::Bench, StoreBackend::Attach(fpath.clone())).unwrap(),
+    );
+    let follower = Follower::start(follower_shared, "127.0.0.1:0", cfg, leader_srv.addr()).unwrap();
+    assert_eq!(follower.state().epoch(), 3);
+    let fc = Client::connect(follower.addr()).unwrap();
+    assert!(
+        fc.greeting()
+            .contains(&format!("(replica, position {pos}, epoch 3)")),
+        "{}",
+        fc.greeting()
+    );
+    drop(fc);
+    follower.shutdown();
+    leader_srv.shutdown();
+    cleanup(&lpath);
+    cleanup(&fpath);
 }
 
 /// Full stack: a leader server shipping to a follower server. The
@@ -362,6 +387,7 @@ fn leader_and_follower_servers_converge_and_serve_reads() {
 
     follower.shutdown();
     leader_srv.shutdown();
+    assert!(!sidecar_exists(&lpath) && !sidecar_exists(&fpath));
     cleanup(&lpath);
     cleanup(&fpath);
 }

@@ -4,7 +4,7 @@
 //!
 //! * the chaos sweep (DESIGN.md §16): eight sessions through a
 //!   seed-reproducible socket-fault proxy;
-//! * the replica sweep (DESIGN.md §17): four WAL-shipping followers
+//! * the replica sweep (DESIGN.md §17): four log-shipping followers
 //!   under random kill/restart schedules.
 
 use olap_cube::StoreBackend;
@@ -113,10 +113,8 @@ fn tmp(tag: &str, seed: u64) -> PathBuf {
     ))
 }
 
-/// Removes a store file and its WAL sidecar.
 fn cleanup(path: &Path) {
     std::fs::remove_file(path).ok();
-    std::fs::remove_file(olap_store::wal::sidecar_path(path)).ok();
 }
 
 fn replication_position(shared: &SharedData) -> u64 {

@@ -1142,8 +1142,9 @@ mod tests {
     }
 
     /// `.commit` over a file-backed store reports the epoch read off the
-    /// log and the log's transaction counters: one committed transaction
-    /// is a `BEGIN` and a `COMMIT` (36 bytes each) and two fsyncs.
+    /// log and the log's transaction counters. The build committed the
+    /// base image as epoch 1, so the `.commit` is the second transaction;
+    /// each is a `BEGIN` and a `COMMIT` (36 bytes each) and two fsyncs.
     #[test]
     fn commit_reports_log_counters_on_file_backed_dataset() {
         let path =
@@ -1161,8 +1162,8 @@ mod tests {
             .cube()
             .set(&origin, olap_store::CellValue::num(7.0))
             .unwrap();
-        let expected = "flushed at epoch 1 — log: 1 txns committed, 0 aborted, \
-                        72 marker bytes, 2 syncs";
+        let expected = "flushed at epoch 2 — log: 2 txns committed, 0 aborted, \
+                        144 marker bytes, 4 syncs";
         assert_eq!(s.handle(".commit"), Outcome::Continue(expected.to_string()));
         // Nothing dirty: no transaction, and the epoch stands.
         assert_eq!(s.handle(".commit"), Outcome::Continue(expected.to_string()));

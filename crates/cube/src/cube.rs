@@ -97,7 +97,9 @@ impl CubeBuilder {
         self.set(cell, CellValue::num(v))
     }
 
-    /// Compacts staged chunks and writes them to the backend.
+    /// Compacts staged chunks and writes them to the backend as one flush
+    /// transaction, the base image: a file-backed cube starts at flush
+    /// epoch 1, and each later commit counts from there.
     pub fn finish(self) -> Result<Cube> {
         let attached = matches!(self.backend, StoreBackend::Attach(_));
         let mut store: Box<dyn olap_store::ChunkStore> = match &self.backend {
@@ -106,6 +108,9 @@ impl CubeBuilder {
             StoreBackend::Attach(path) => Box::new(FileStore::open(path)?),
         };
         if !attached {
+            // A failed build drops the store with its transaction open;
+            // reopening the file rolls that back.
+            store.begin_flush()?;
             for (id, mut chunk) in self.staged {
                 if chunk.present_count() == 0 {
                     continue; // all-⊥ chunks are implicit
@@ -113,6 +118,7 @@ impl CubeBuilder {
                 chunk.compact(self.dense_threshold);
                 store.write(id, &chunk)?;
             }
+            store.commit_flush()?;
         }
         Ok(Cube {
             schema: self.schema,

@@ -30,7 +30,6 @@
 
 use crate::chunk::Chunk;
 use crate::codec;
-use crate::compress;
 use crate::error::StoreError;
 use crate::geometry::ChunkId;
 use crate::integrity;
@@ -205,7 +204,7 @@ impl ChunkStore for FaultStore {
                 let mut bytes = integrity::wrap_checksummed(&codec::encode(&chunk)?);
                 let victim = bytes.len() - 3; // a value byte, not framing
                 bytes[victim] ^= 1 << (n % 8) as u8;
-                return compress::decode_any(&bytes);
+                return codec::decode(integrity::unwrap_verified(&bytes)?);
             }
             Some(FaultKind::Delay(d)) => std::thread::sleep(d),
             None => {}

@@ -9,10 +9,12 @@
 //! insert to ensure there was no fragmentation").
 //!
 //! The log is also its own write-ahead log (DESIGN.md §12), using the
-//! commit-record idea of ARIES (Mohan et al., TODS '92). A flush
-//! transaction is a `BEGIN` record, the transaction's chunk records and a
-//! `COMMIT` record. The two markers are framed like chunk records under
-//! the two reserved ids `u64::MAX` and `u64::MAX − 1`:
+//! commit-record idea of ARIES (Mohan et al., TODS '92). Every chunk
+//! record sits inside a flush transaction — the base image a build
+//! writes is one too — so every byte of the log is under a checksum. A
+//! flush transaction is a `BEGIN` record, the transaction's chunk
+//! records and a `COMMIT` record. The two markers are framed like chunk
+//! records under the two reserved ids `u64::MAX` and `u64::MAX − 1`:
 //!
 //! * `BEGIN {epoch, main_start}` names the offset it sits at;
 //! * `COMMIT {epoch, records, seal}` carries the CRC-32 of every byte from
@@ -20,9 +22,9 @@
 //!   are checksummed too;
 //! * `commit_flush` fsyncs the log, appends `COMMIT` and fsyncs again, so
 //!   the commit record never becomes durable before the records it seals;
-//! * [`FileStore::open`] truncates a `BEGIN` that no `COMMIT` closed, so a
-//!   crash recovers exactly the pre- or the post-flush image, and reads
-//!   the flush epoch off the last `COMMIT`.
+//! * [`FileStore::open`] truncates everything after the last `COMMIT`, so
+//!   a crash recovers exactly the pre- or the post-flush image, and reads
+//!   the flush epoch off that `COMMIT`.
 //!
 //! A replication frame is the exact log bytes of one committed
 //! transaction ([`FileStore::retained_since`],
@@ -38,7 +40,6 @@
 
 use crate::chunk::Chunk;
 use crate::codec;
-use crate::compress;
 use crate::error::StoreError;
 use crate::geometry::ChunkId;
 use crate::integrity;
@@ -143,6 +144,16 @@ fn commit_marker(epoch: u64, records: u32, seal: u32) -> Vec<u8> {
     marker(COMMIT_ID, epoch, rest)
 }
 
+/// Whether `rec` is one whole, well-formed `COMMIT` record: the marker
+/// id, the marker length and an envelope that verifies.
+fn is_commit(rec: &[u8]) -> bool {
+    let len = (MARKER_BYTES as usize - REC_HEADER) as u32;
+    rec.len() as u64 == MARKER_BYTES
+        && rec[..8] == COMMIT_ID.to_le_bytes()
+        && rec[8..REC_HEADER] == len.to_le_bytes()
+        && integrity::unwrap_verified(&rec[REC_HEADER..]).is_ok()
+}
+
 /// A marker payload's two 8-byte fields, unverified: callers compare the
 /// whole record against the marker those fields describe.
 pub(crate) fn marker_fields(payload: &[u8]) -> Option<(u64, u64)> {
@@ -190,16 +201,16 @@ pub(crate) struct TxnScan {
     pub(crate) epoch: u64,
     /// Committed transactions as `[BEGIN, COMMIT end)` buffer ranges.
     pub(crate) committed: Vec<Range<usize>>,
-    /// Index of a trailing `BEGIN` that no `COMMIT` closed.
-    pub(crate) open: Option<usize>,
 }
 
 /// Pairs the markers of `recs`, framed from `bytes` whose first byte sits
 /// at log offset `base`. Every `BEGIN` must name its own offset and open
-/// only after the previous transaction closed; every `COMMIT` must close
-/// the open `BEGIN` with its epoch, its chunk-record count and its seal.
-/// Anything else is corruption. [`FileStore::open`] and the follower's
-/// frame validation share this one parser.
+/// only after the previous transaction closed; every chunk record must
+/// sit inside a transaction; every `COMMIT` must close the open `BEGIN`
+/// with its epoch, its chunk-record count and its seal. Anything else is
+/// corruption; a trailing `BEGIN` no `COMMIT` closed is left out of
+/// `committed`. [`FileStore::open`] and the follower's frame validation
+/// share this one parser.
 pub(crate) fn scan_txns(bytes: &[u8], base: u64, recs: &[Rec]) -> Result<TxnScan> {
     let corrupt = |r: &Rec, what: &str| {
         StoreError::Corrupt(format!(
@@ -240,35 +251,30 @@ pub(crate) fn scan_txns(bytes: &[u8], base: u64, recs: &[Rec]) -> Result<TxnScan
                 scan.epoch = epoch;
                 scan.committed.push(start..r.payload.end);
             }
-            _ => {
-                if let Some((_, _, n)) = open.as_mut() {
-                    *n += 1;
-                }
-            }
+            _ => match open.as_mut() {
+                Some((_, _, n)) => *n += 1,
+                None => return Err(corrupt(r, "chunk record outside a transaction")),
+            },
         }
     }
-    scan.open = open.map(|(i, ..)| i);
     Ok(scan)
 }
 
-/// What [`FileStore::open`] cut off the end of the log: a torn tail
-/// (a crash mid-append) and the flush transaction it left unclosed.
-/// The recovery rule is *truncate to the last committed boundary*
-/// instead of refusing the whole store.
+/// What [`FileStore::open`] cut off the end of the log: everything after
+/// the last `COMMIT` — the flush transaction a crash left unclosed and
+/// any torn record after it. The recovery rule is *truncate to the last
+/// committed boundary* instead of refusing the whole store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailRecovery {
     /// Records kept (the index may map fewer ids — later records
     /// supersede earlier ones — and markers map none).
     pub records_recovered: u64,
-    /// Complete-looking trailing records dropped because their payload
-    /// failed validation (a torn write can leave a full-length record
-    /// of partial bytes).
-    pub records_dropped: u64,
-    /// Records of the flush transaction no `COMMIT` closed, its `BEGIN`
-    /// included, rolled back (0 when every transaction was closed).
+    /// Whole records after the last `COMMIT`, rolled back: the unclosed
+    /// transaction's `BEGIN` and chunk records, or a full-length record
+    /// of torn bytes.
     pub records_rolled_back: u64,
-    /// Bytes truncated off the tail (partial fragment, dropped and
-    /// rolled-back records).
+    /// Bytes truncated off the tail (rolled-back records and a partial
+    /// record fragment).
     pub bytes_truncated: u64,
 }
 
@@ -418,15 +424,14 @@ impl FileStore {
     /// Opens an existing store, rebuilding the index by scanning records
     /// (later records for the same chunk win, as in any append log).
     ///
-    /// Recovery truncates the log to its last committed boundary
-    /// ([`TailRecovery`] reports what was cut): first a torn tail — a
-    /// partial record, or complete-looking final records whose payload
-    /// fails validation — then a flush transaction whose `BEGIN` no
-    /// `COMMIT` closed. Interior chunk records are not decoded here;
-    /// corruption in one outside any transaction surfaces as
-    /// [`StoreError::Corrupt`] when it is read. A marker that does not
-    /// pair up, or a committed transaction whose seal does not match its
-    /// bytes, refuses the open.
+    /// Recovery is one rule: everything after the last `COMMIT` is
+    /// uncommitted and is truncated ([`TailRecovery`] reports what was
+    /// cut). Before that point every record must sit in a committed
+    /// transaction whose markers pair up and whose seal matches its bytes;
+    /// anything else refuses the open with [`StoreError::Corrupt`]. So
+    /// does a log that ends on a whole `COMMIT` record yet does not frame
+    /// up to it: `commit_flush` fsyncs the records before it appends the
+    /// `COMMIT`, so such a log was closed cleanly, not torn.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
@@ -434,39 +439,33 @@ impl FileStore {
         file.read_to_end(&mut bytes)?;
 
         let mut recs = frame_records(&bytes);
-        let mut dropped = 0u64;
-        while let Some(last) = recs.last() {
-            let payload = &bytes[last.payload.clone()];
-            let valid = if last.id >= COMMIT_ID {
-                integrity::unwrap_verified(payload).is_ok()
-            } else {
-                compress::decode_any(payload).is_ok()
-            };
-            if valid {
-                break;
-            }
-            recs.pop();
-            dropped += 1;
+        let framed = recs.len();
+        let kept = recs
+            .iter()
+            .rposition(|r| is_commit(&bytes[r.start..r.payload.end]))
+            .map_or(0, |i| i + 1);
+        recs.truncate(kept);
+        let valid_end = recs.last().map_or(0, |r| r.payload.end) as u64;
+        let tail = bytes.len().saturating_sub(MARKER_BYTES as usize);
+        if valid_end < bytes.len() as u64 && is_commit(&bytes[tail..]) {
+            return Err(StoreError::Corrupt(format!(
+                "log offset {valid_end}: records do not frame up to the closing COMMIT"
+            )));
         }
         let scan = scan_txns(&bytes, 0, &recs)?;
-        let rolled_back = scan.open.map_or(0, |i| (recs.len() - i) as u64);
-        recs.truncate(scan.open.unwrap_or(recs.len()));
 
-        let valid_end = recs.last().map_or(0, |r| r.payload.end) as u64;
         let mut tail_recovery = None;
         if valid_end < bytes.len() as u64 {
             let recovery = TailRecovery {
                 records_recovered: recs.len() as u64,
-                records_dropped: dropped,
-                records_rolled_back: rolled_back,
+                records_rolled_back: (framed - kept) as u64,
                 bytes_truncated: bytes.len() as u64 - valid_end,
             };
             eprintln!(
-                "olap-store: recovered {}: truncated {} byte(s) ({} torn record(s) dropped, \
-                 {} record(s) of an uncommitted flush rolled back), {} record(s) kept",
+                "olap-store: recovered {}: truncated {} byte(s) after the last COMMIT \
+                 ({} record(s) rolled back), {} record(s) kept",
                 path.display(),
                 recovery.bytes_truncated,
-                recovery.records_dropped,
                 recovery.records_rolled_back,
                 recovery.records_recovered,
             );
@@ -580,11 +579,13 @@ impl FileStore {
         let displaced = self.index.insert(id, (payload_off, len));
         let dead = displaced.map_or(0, |(_, old_len)| REC_HEADER as u64 + old_len as u64);
         self.dead_bytes += dead;
-        if let Some(t) = self.txn.as_mut() {
-            t.records += 1;
-            t.displaced.push((id, displaced));
-            t.dead_added += dead;
-        }
+        let t = self
+            .txn
+            .as_mut()
+            .expect("chunk records append inside a transaction");
+        t.records += 1;
+        t.displaced.push((id, displaced));
+        t.dead_added += dead;
         self.stats.record_write(len as u64);
         Ok(())
     }
@@ -758,9 +759,8 @@ impl FileStore {
 
     /// Rewrites the file with chunks laid out contiguously in `order`
     /// (chunks not listed follow in ascending id order). Defragments and
-    /// resets the read head. Transaction markers are dropped; a store
-    /// that has committed a flush ends the rewritten log with one empty
-    /// committed transaction, so its epoch survives a reopen.
+    /// resets the read head. The rewritten log is one committed
+    /// transaction at the current epoch, so the epoch survives a reopen.
     pub fn reorganize(&mut self, order: &[ChunkId]) -> Result<()> {
         if self.txn.is_some() {
             return Err(io_err("reorganize during an open flush transaction".into()));
@@ -794,22 +794,23 @@ impl FileStore {
         let epoch = self.epoch;
         let rewrite = || -> Result<(LogIndex, u64)> {
             let mut new_index = BTreeMap::new();
-            let mut pos = 0u64;
+            let begin = begin_marker(epoch, 0);
+            tmp.write_all_at(&begin, 0)?;
+            let mut seal = integrity::crc32(&begin);
+            let mut pos = MARKER_BYTES;
+            let records = codec::count_u32(sequence.len(), "reorganized records")?;
             for id in sequence {
                 let (off, len) = self.index[&id];
                 let mut payload = vec![0u8; len as usize];
                 self.file.read_exact_at(&mut payload, off)?;
                 let rec = record(id.0, &payload)?;
                 tmp.write_all_at(&rec, pos)?;
+                seal = integrity::crc32_append(seal, &rec);
                 new_index.insert(id, (pos + REC_HEADER as u64, len));
                 pos += rec.len() as u64;
             }
-            if epoch > 0 {
-                let begin = begin_marker(epoch, pos);
-                let commit = commit_marker(epoch, 0, integrity::crc32(&begin));
-                tmp.write_all_at(&[begin, commit].concat(), pos)?;
-                pos += 2 * MARKER_BYTES;
-            }
+            tmp.write_all_at(&commit_marker(epoch, records, seal), pos)?;
+            pos += MARKER_BYTES;
             tmp.sync_all()?;
             std::fs::rename(&tmp_path, &self.path)?;
             // The rename swapped a directory entry; without fsyncing the
@@ -830,7 +831,7 @@ impl FileStore {
         self.file = tmp;
         self.index = new_index;
         self.end = pos;
-        self.dead_bytes = if epoch > 0 { 2 * MARKER_BYTES } else { 0 };
+        self.dead_bytes = 2 * MARKER_BYTES;
         self.last_read_end.store(0, Ordering::Relaxed);
         Ok(())
     }
@@ -847,11 +848,12 @@ impl ChunkStore for FileStore {
         let mut payload = vec![0u8; len as usize];
         self.file.read_exact_at(&mut payload, off)?;
         self.stats.record_read(len as u64, dist);
-        compress::decode_any(&payload)
+        codec::decode(integrity::unwrap_verified(&payload)?)
     }
 
-    /// Appends the chunk's record. The two topmost ids are the
-    /// transaction markers' and are refused.
+    /// Appends the chunk's record to the open flush transaction. A write
+    /// with no transaction open is refused, and so are the two topmost
+    /// ids (the transaction markers'), both before any I/O.
     fn write(&mut self, id: ChunkId, chunk: &Chunk) -> Result<()> {
         if id.0 >= COMMIT_ID {
             return Err(StoreError::OutOfBounds {
@@ -859,6 +861,9 @@ impl ChunkStore for FileStore {
                 got: id.0,
                 bound: COMMIT_ID - 1,
             });
+        }
+        if self.txn.is_none() {
+            return Err(io_err("write outside a flush transaction".into()));
         }
         let payload = integrity::wrap_checksummed(&codec::encode(chunk)?);
         self.append_chunk(id, &record(id.0, &payload)?)
@@ -933,7 +938,7 @@ impl ChunkStore for FileStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::value::CellValue;
 
@@ -949,15 +954,55 @@ mod tests {
         c
     }
 
+    /// Writes `chunks` as one committed flush transaction, returning its
+    /// epoch: the only way a chunk record enters a log.
+    pub(crate) fn commit(s: &mut FileStore, chunks: &[(ChunkId, Chunk)]) -> u64 {
+        s.begin_flush().unwrap();
+        for (id, c) in chunks {
+            s.write(*id, c).unwrap();
+        }
+        s.commit_flush().unwrap()
+    }
+
+    /// `(id, chunk(v))` pairs for [`commit`].
+    fn chunks(entries: &[(u64, f64)]) -> Vec<(ChunkId, Chunk)> {
+        entries
+            .iter()
+            .map(|&(id, v)| (ChunkId(id), chunk(v)))
+            .collect()
+    }
+
+    /// Chunks `0..n`, chunk `i` holding `i`.
+    fn numbered(n: u64) -> Vec<(ChunkId, Chunk)> {
+        (0..n).map(|i| (ChunkId(i), chunk(i as f64))).collect()
+    }
+
     #[test]
     fn write_read_roundtrip() {
         let path = tmp("rw");
         let mut s = FileStore::create(&path).unwrap();
-        s.write(ChunkId(1), &chunk(1.0)).unwrap();
-        s.write(ChunkId(2), &chunk(2.0)).unwrap();
+        commit(&mut s, &chunks(&[(1, 1.0), (2, 2.0)]));
         assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(1.0));
         assert_eq!(s.read(ChunkId(2)).unwrap().get(0), CellValue::Num(2.0));
         assert_eq!(s.ids().len(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A write with no flush transaction open is refused before any I/O:
+    /// there is one write path, and it is sealed.
+    #[test]
+    fn write_outside_a_transaction_is_refused() {
+        let path = tmp("bare-write");
+        let mut s = FileStore::create(&path).unwrap();
+        assert!(matches!(
+            s.write(ChunkId(1), &chunk(1.0)),
+            Err(StoreError::Io(_))
+        ));
+        assert_eq!((s.file_size(), s.phys_ops()), (0, 0));
+        assert!(!s.contains(ChunkId(1)));
+        commit(&mut s, &chunks(&[(1, 1.0)]));
+        assert!(s.write(ChunkId(2), &chunk(2.0)).is_err(), "after a commit");
+        assert!(!s.contains(ChunkId(2)));
         std::fs::remove_file(&path).ok();
     }
 
@@ -966,15 +1011,14 @@ mod tests {
         let path = tmp("reopen");
         {
             let mut s = FileStore::create(&path).unwrap();
-            s.write(ChunkId(7), &chunk(1.0)).unwrap();
-            s.write(ChunkId(7), &chunk(9.0)).unwrap(); // supersedes
-            s.write(ChunkId(8), &chunk(3.0)).unwrap();
-            assert!(s.dead_bytes() > 0);
+            // Chunk 7's second record supersedes its first.
+            commit(&mut s, &chunks(&[(7, 1.0), (7, 9.0), (8, 3.0)]));
+            assert!(s.dead_bytes() > 2 * MARKER_BYTES);
         }
         let s = FileStore::open(&path).unwrap();
         assert_eq!(s.read(ChunkId(7)).unwrap().get(0), CellValue::Num(9.0));
         assert_eq!(s.read(ChunkId(8)).unwrap().get(0), CellValue::Num(3.0));
-        assert!(s.dead_bytes() > 0);
+        assert!(s.dead_bytes() > 2 * MARKER_BYTES);
         std::fs::remove_file(&path).ok();
     }
 
@@ -982,14 +1026,12 @@ mod tests {
     fn reorganize_orders_and_defragments() {
         let path = tmp("reorg");
         let mut s = FileStore::create(&path).unwrap();
-        for i in 0..5u64 {
-            s.write(ChunkId(i), &chunk(i as f64)).unwrap();
-        }
-        s.write(ChunkId(0), &chunk(100.0)).unwrap(); // fragment
+        commit(&mut s, &numbered(5));
+        commit(&mut s, &chunks(&[(0, 100.0)])); // fragment
         let before = s.file_size();
         s.reorganize(&[ChunkId(4), ChunkId(0)]).unwrap();
         assert!(s.file_size() < before);
-        assert_eq!(s.dead_bytes(), 0);
+        assert_eq!(s.dead_bytes(), 2 * MARKER_BYTES, "only the image's markers");
         // Requested order is physically first.
         assert!(s.offset_of(ChunkId(4)).unwrap() < s.offset_of(ChunkId(0)).unwrap());
         assert!(s.offset_of(ChunkId(0)).unwrap() < s.offset_of(ChunkId(1)).unwrap());
@@ -1003,9 +1045,7 @@ mod tests {
     fn separation_reflects_layout() {
         let path = tmp("sep");
         let mut s = FileStore::create(&path).unwrap();
-        for i in 0..10u64 {
-            s.write(ChunkId(i), &chunk(i as f64)).unwrap();
-        }
+        commit(&mut s, &numbered(10));
         let near = s.separation(ChunkId(0), ChunkId(1)).unwrap();
         let far = s.separation(ChunkId(0), ChunkId(9)).unwrap();
         assert!(far > near);
@@ -1027,9 +1067,7 @@ mod tests {
     fn seek_distance_recorded() {
         let path = tmp("dist");
         let mut s = FileStore::create(&path).unwrap();
-        for i in 0..4u64 {
-            s.write(ChunkId(i), &chunk(i as f64)).unwrap();
-        }
+        commit(&mut s, &numbered(4));
         s.read(ChunkId(0)).unwrap();
         let d0 = s.stats().seek_distance();
         s.read(ChunkId(3)).unwrap(); // jump forward
@@ -1064,9 +1102,7 @@ mod tests {
     fn reorganize_failure_cleans_up_temp_file() {
         let path = tmp("reorgfail");
         let mut s = FileStore::create(&path).unwrap();
-        for i in 0..4u64 {
-            s.write(ChunkId(i), &chunk(i as f64)).unwrap();
-        }
+        commit(&mut s, &numbered(4));
         // Point one index entry past EOF so the rewrite loop's read fails.
         s.index.insert(ChunkId(9), (1 << 30, 64));
         assert!(s.reorganize(&[ChunkId(9)]).is_err());
@@ -1081,81 +1117,58 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Files written before the OLC3 envelope hold plain OLC1/OLC2
-    /// payloads. They stay readable record by record, and whatever a
-    /// reopened store appends next is enveloped — there is no mode to
-    /// carry over.
-    #[test]
-    fn plain_legacy_records_stay_readable_and_new_writes_are_enveloped() {
-        let path = tmp("legacy-plain");
-        let mut bytes = Vec::new();
-        for (id, payload) in [
-            (1u64, codec::encode(&chunk(1.0)).unwrap()),
-            (2, compress::encode_compressed(&chunk(2.0)).unwrap()),
-        ] {
-            assert!(!integrity::is_checksummed(&payload));
-            bytes.extend_from_slice(&id.to_le_bytes());
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-        }
-        std::fs::write(&path, &bytes).unwrap();
-        let mut s = FileStore::open(&path).unwrap();
-        assert!(s.tail_recovery().is_none(), "plain records are not a tear");
-        assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(1.0));
-        assert_eq!(s.read(ChunkId(2)).unwrap().get(0), CellValue::Num(2.0));
-        s.write(ChunkId(3), &chunk(3.0)).unwrap();
-        let (off, len) = s.index[&ChunkId(3)];
-        drop(s);
-        let on_disk = std::fs::read(&path).unwrap();
-        assert!(integrity::is_checksummed(
-            &on_disk[off as usize..off as usize + len as usize]
-        ));
-        let s = FileStore::open(&path).unwrap();
-        for i in 1..=3u64 {
-            assert_eq!(s.read(ChunkId(i)).unwrap().get(0), CellValue::Num(i as f64));
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// The corruption smoke test of the issue: one flipped payload byte
-    /// must surface as `StoreError::Corrupt`, never as garbage cells.
-    /// (A flipped *final* record is instead dropped by the torn-tail
-    /// rule on reopen; interior corruption is kept and caught on read.)
+    /// The corruption smoke test: one flipped payload byte never reads
+    /// back as garbage cells. Flipped under an open store, the chunk
+    /// reads as `StoreError::Corrupt` (its OLC3 checksum) while its
+    /// neighbour still reads; flipped at rest, `open` refuses the log
+    /// (the transaction's `COMMIT` seal).
     #[test]
     fn flipped_payload_byte_reads_as_corrupt() {
         let path = tmp("cksum-flip");
         let mut s = FileStore::create(&path).unwrap();
-        s.write(ChunkId(1), &chunk(3.5)).unwrap();
-        s.write(ChunkId(2), &chunk(4.5)).unwrap();
+        commit(&mut s, &chunks(&[(1, 3.5), (2, 4.5)]));
         let (off, len) = s.index[&ChunkId(1)];
-        drop(s);
-        // Flip a bit in the middle of chunk 1's codec payload, past the
-        // OLC3 + OLC1 headers — the bytes where a wrong-but-plausible
-        // value would otherwise hide.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let victim = off as usize + len as usize - 3;
-        bytes[victim] ^= 0x10;
-        std::fs::write(&path, &bytes).unwrap();
-        let s = FileStore::open(&path).unwrap();
-        assert!(s.tail_recovery().is_none(), "interior flip is not a tear");
+        // A bit in the middle of chunk 1's codec payload, past the OLC3 +
+        // OLC1 headers — the bytes where a wrong-but-plausible value
+        // would otherwise hide.
+        let victim = off + len as u64 - 3;
+        let flip = || {
+            let f = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+                .unwrap();
+            let mut byte = [0u8];
+            f.read_exact_at(&mut byte, victim).unwrap();
+            f.write_all_at(&[byte[0] ^ 0x10], victim).unwrap();
+        };
+        flip();
         assert!(matches!(s.read(ChunkId(1)), Err(StoreError::Corrupt(_))));
         // Healthy records around the corruption still read fine.
         assert_eq!(s.read(ChunkId(2)).unwrap().get(0), CellValue::Num(4.5));
+        drop(s);
+        assert!(matches!(
+            FileStore::open(&path),
+            Err(StoreError::Corrupt(_))
+        ));
+        // Flipped back, the log is whole again.
+        flip();
+        let s = FileStore::open(&path).unwrap();
+        assert!(s.tail_recovery().is_none());
+        assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(3.5));
         std::fs::remove_file(&path).ok();
     }
 
     /// A crash mid-append (partial trailing record) must not condemn
     /// the store: reopen truncates the tail and serves everything
-    /// written before it.
+    /// committed before it.
     #[test]
     fn torn_tail_is_truncated_on_open() {
         let path = tmp("torn-basic");
         let full_len;
         {
             let mut s = FileStore::create(&path).unwrap();
-            for i in 0..3u64 {
-                s.write(ChunkId(i), &chunk(i as f64)).unwrap();
-            }
+            commit(&mut s, &numbered(3));
             full_len = s.file_size();
         }
         // Simulate a torn append: a record header promising more bytes
@@ -1169,8 +1182,8 @@ mod tests {
         }
         let s = FileStore::open(&path).unwrap();
         let rec = s.tail_recovery().expect("tear must be reported");
-        assert_eq!(rec.records_recovered, 3);
-        assert_eq!(rec.records_dropped, 0);
+        assert_eq!(rec.records_recovered, 5, "BEGIN, three chunks, COMMIT");
+        assert_eq!(rec.records_rolled_back, 0, "a fragment is no record");
         assert_eq!(rec.bytes_truncated, REC_HEADER as u64 + 10);
         assert_eq!(s.file_size(), full_len);
         assert!(!s.contains(ChunkId(99)));
@@ -1218,7 +1231,7 @@ mod tests {
         let committed_end;
         {
             let mut s = FileStore::create(&path).unwrap();
-            s.write(ChunkId(1), &chunk(1.0)).unwrap();
+            commit(&mut s, &chunks(&[(1, 1.0)]));
             committed_end = s.file_size();
             s.begin_flush().unwrap();
             s.write(ChunkId(1), &chunk(10.0)).unwrap();
@@ -1228,12 +1241,11 @@ mod tests {
         let s = FileStore::open(&path).unwrap();
         let rep = s.tail_recovery().expect("rollback must be reported");
         assert_eq!(rep.records_rolled_back, 3, "BEGIN and two chunk records");
-        assert_eq!(rep.records_dropped, 0);
-        assert_eq!(rep.records_recovered, 1);
+        assert_eq!(rep.records_recovered, 3, "the base's BEGIN, chunk, COMMIT");
         assert_eq!(s.file_size(), committed_end);
         assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(1.0));
         assert!(!s.contains(ChunkId(2)));
-        assert_eq!(s.flush_epoch(), 0);
+        assert_eq!(s.flush_epoch(), 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1244,7 +1256,7 @@ mod tests {
     fn abort_flush_restores_index_and_log() {
         let path = tmp("txn-abort");
         let mut s = FileStore::create(&path).unwrap();
-        s.write(ChunkId(1), &chunk(1.0)).unwrap();
+        commit(&mut s, &chunks(&[(1, 1.0)]));
         let end_before = s.file_size();
         let img_before = image(&s);
         s.begin_flush().unwrap();
@@ -1253,49 +1265,43 @@ mod tests {
         s.abort_flush().unwrap();
         assert_eq!(s.file_size(), end_before);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), end_before);
-        assert_eq!(s.dead_bytes(), 0);
+        assert_eq!(s.dead_bytes(), 2 * MARKER_BYTES, "the base's markers");
         assert_eq!(image(&s), img_before);
-        assert_eq!(s.flush_epoch(), 0);
-        // The next flush commits normally with the same epoch.
-        s.begin_flush().unwrap();
-        s.write(ChunkId(3), &chunk(30.0)).unwrap();
-        assert_eq!(s.commit_flush().unwrap(), 1);
+        assert_eq!(s.flush_epoch(), 1);
+        // The next flush commits normally with the epoch the aborted one
+        // would have had.
+        assert_eq!(commit(&mut s, &chunks(&[(3, 30.0)])), 2);
         assert_eq!(s.wal_stats().txns_aborted, 1);
-        assert_eq!(s.wal_stats().txns_committed, 1);
+        assert_eq!(s.wal_stats().txns_committed, 2);
         std::fs::remove_file(&path).ok();
     }
 
     /// A flush transaction's bytes are its `BEGIN`, then exactly the
-    /// bytes the same writes leave when issued bare, then its `COMMIT`
-    /// sealing everything from the `BEGIN` on.
+    /// framed OLC3 records of its writes, then its `COMMIT` sealing
+    /// everything from the `BEGIN` on; the log before it is untouched.
     #[test]
     fn flush_transaction_leaves_the_main_log_bytes_unchanged() {
-        let pa = tmp("txn-ab-txn");
-        let pb = tmp("txn-ab-bare");
-        let mut pre = 0;
-        for (path, in_txn) in [(&pa, true), (&pb, false)] {
-            let mut s = FileStore::create(path).unwrap();
-            s.write(ChunkId(0), &chunk(0.5)).unwrap();
-            pre = s.file_size() as usize;
-            if in_txn {
-                s.begin_flush().unwrap();
-            }
-            for i in 1..5u64 {
-                s.write(ChunkId(i), &chunk(i as f64)).unwrap();
-            }
-            s.commit_flush().unwrap();
-        }
-        let a = std::fs::read(&pa).unwrap();
-        let b = std::fs::read(&pb).unwrap();
-        let begin = begin_marker(1, pre as u64);
-        let body = &b[pre..];
-        let seal = integrity::crc32(&[&begin[..], body].concat());
-        let commit = commit_marker(1, 4, seal);
-        assert_eq!(a, [&b[..pre], &begin, body, &commit].concat());
+        let path = tmp("txn-bytes");
+        let mut s = FileStore::create(&path).unwrap();
+        commit(&mut s, &chunks(&[(0, 0.5)]));
+        let pre = std::fs::read(&path).unwrap();
+        let writes: Vec<_> = (1..5u64).map(|i| (ChunkId(i), chunk(i as f64))).collect();
+        commit(&mut s, &writes);
+        let log = std::fs::read(&path).unwrap();
+        let begin = begin_marker(2, pre.len() as u64);
+        let body: Vec<u8> = writes
+            .iter()
+            .flat_map(|(id, c)| {
+                let payload = integrity::wrap_checksummed(&codec::encode(c).unwrap());
+                record(id.0, &payload).unwrap()
+            })
+            .collect();
+        let seal = integrity::crc32(&[&begin[..], &body].concat());
+        let commit = commit_marker(2, 4, seal);
+        assert_eq!(log, [&pre[..], &begin, &body, &commit].concat());
         assert_eq!(begin.len() as u64, MARKER_BYTES);
-        assert!(!sidecar_exists(&pa));
-        std::fs::remove_file(&pa).ok();
-        std::fs::remove_file(&pb).ok();
+        assert!(!sidecar_exists(&path));
+        std::fs::remove_file(&path).ok();
     }
 
     /// Crash-point sweep at the store level: kill the store after every
@@ -1307,8 +1313,7 @@ mod tests {
         let path = tmp("txn-crash-sweep");
         let build_base = |path: &Path| -> FileStore {
             let mut s = FileStore::create(path).unwrap();
-            s.write(ChunkId(1), &chunk(1.0)).unwrap();
-            s.write(ChunkId(2), &chunk(2.0)).unwrap();
+            commit(&mut s, &chunks(&[(1, 1.0), (2, 2.0)]));
             s
         };
         let flush = |s: &mut FileStore| -> Result<()> {
@@ -1341,10 +1346,10 @@ mod tests {
             let r = FileStore::open(&path).unwrap();
             let img = image(&r);
             if img == pre {
-                assert_eq!(r.flush_epoch(), 0, "k={k}");
+                assert_eq!(r.flush_epoch(), 1, "k={k}");
                 saw_pre += 1;
             } else if img == post {
-                assert_eq!(r.flush_epoch(), 1, "k={k}");
+                assert_eq!(r.flush_epoch(), 2, "k={k}");
                 saw_post += 1;
             } else {
                 panic!("crash at op {k} recovered to a mixed image: {img:?}");
@@ -1358,15 +1363,14 @@ mod tests {
     }
 
     /// The flush epoch lives in the log: two commits read back as epoch
-    /// 2 on every reopen, and a reorganized log keeps it.
+    /// 2 on every reopen, and a reorganized log — one transaction at that
+    /// epoch — keeps it.
     #[test]
     fn epochs_survive_reopen() {
         let path = tmp("txn-epochs");
         let mut s = FileStore::create(&path).unwrap();
         for v in [1.0, 2.0] {
-            s.begin_flush().unwrap();
-            s.write(ChunkId(1), &chunk(v)).unwrap();
-            s.commit_flush().unwrap();
+            commit(&mut s, &chunks(&[(1, v)]));
         }
         assert_eq!(s.flush_epoch(), 2);
         drop(s);
@@ -1380,15 +1384,14 @@ mod tests {
         assert_eq!(
             s.dead_bytes(),
             2 * MARKER_BYTES,
-            "the epoch's empty transaction"
+            "the rewritten image's BEGIN and COMMIT"
         );
         drop(s);
         let mut s = FileStore::open(&path).unwrap();
+        assert!(s.tail_recovery().is_none());
         assert_eq!(s.flush_epoch(), 2);
         assert_eq!(s.read(ChunkId(1)).unwrap().get(0), CellValue::Num(2.0));
-        s.begin_flush().unwrap();
-        s.write(ChunkId(2), &chunk(3.0)).unwrap();
-        assert_eq!(s.commit_flush().unwrap(), 3);
+        assert_eq!(commit(&mut s, &chunks(&[(2, 3.0)])), 3);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1398,13 +1401,14 @@ mod tests {
     fn marker_ids_are_refused_as_chunk_ids() {
         let path = tmp("marker-ids");
         let mut s = FileStore::create(&path).unwrap();
+        s.begin_flush().unwrap();
         for id in [BEGIN_ID, COMMIT_ID] {
             assert!(matches!(
                 s.write(ChunkId(id), &chunk(1.0)),
                 Err(StoreError::OutOfBounds { .. })
             ));
         }
-        assert_eq!(s.file_size(), 0);
+        assert_eq!(s.file_size(), MARKER_BYTES, "only the BEGIN");
         s.write(ChunkId(COMMIT_ID - 1), &chunk(1.0)).unwrap();
         std::fs::remove_file(&path).ok();
     }
@@ -1418,9 +1422,7 @@ mod tests {
         let mut l = FileStore::create(&lp).unwrap();
         l.set_replication(true);
         let mut f = FileStore::create(&fp).unwrap();
-        l.begin_flush().unwrap();
-        l.write(ChunkId(1), &chunk(1.0)).unwrap();
-        l.commit_flush().unwrap();
+        commit(&mut l, &chunks(&[(1, 1.0)]));
         l.begin_flush().unwrap();
         l.write(ChunkId(2), &chunk(2.0)).unwrap();
         l.abort_flush().unwrap();
@@ -1433,30 +1435,30 @@ mod tests {
         std::fs::remove_file(&fp).ok();
     }
 
-    /// Byte-fuzz of the one log parser over a real three-transaction
-    /// log. `open` never panics: it returns `Err` or an image equal to a
-    /// committed prefix (truncation: exactly the longest prefix the cut
-    /// keeps). Frame validation of one transaction's mutated bytes
-    /// returns `Err` or exactly that transaction.
+    /// Byte-fuzz of the one log parser over a real log: a base image
+    /// committed the way `CubeBuilder::finish` writes it, then two flush
+    /// transactions. `open` never panics, and:
+    ///
+    /// * the log ends on a whole `COMMIT`, so it was closed cleanly:
+    ///   every single-bit flip before that record opens to `Err` or the
+    ///   full image, never to a cut;
+    /// * a flip inside the final `COMMIT` is a torn commit: the image
+    ///   before the last transaction;
+    /// * a cut at any byte: exactly the longest committed prefix it keeps;
+    /// * a splice at a transaction boundary: `Err` or a committed prefix.
+    ///
+    /// Frame validation of one transaction's mutated bytes returns `Err`
+    /// or exactly that transaction.
     #[test]
     fn mutated_logs_open_to_a_committed_prefix_or_err() {
         let path = tmp("fuzz-log");
         let scratch = tmp("fuzz-case");
         let mut s = FileStore::create(&path).unwrap();
         s.set_replication(true);
-        // Every record sits inside a transaction, so every byte is under
-        // a checksum: the markers' envelopes and the COMMIT's seal.
         let mut prefixes = vec![(0usize, image(&s))];
-        for txn in [
-            &[(1u64, 1.0), (2, 2.0), (3, 3.0)][..],
-            &[(1, 10.0), (4, 4.0)],
-            &[(2, 20.0), (3, 30.0)],
-        ] {
-            s.begin_flush().unwrap();
-            for &(id, v) in txn {
-                s.write(ChunkId(id), &chunk(v)).unwrap();
-            }
-            s.commit_flush().unwrap();
+        let base = (1..=6u64).map(|i| (i, i as f64)).collect::<Vec<_>>();
+        for txn in [&base[..], &[(1, 10.0), (4, 40.0)], &[(2, 20.0), (3, 30.0)]] {
+            commit(&mut s, &chunks(txn));
             prefixes.push((s.file_size() as usize, image(&s)));
         }
         let frames = s.retained_since(0).unwrap();
@@ -1480,16 +1482,34 @@ mod tests {
                 .1;
             assert_eq!(&open_mutated(&log[..cut]).unwrap(), want, "cut {cut}");
         }
-        for pos in (0..log.len()).step_by(7) {
-            let mut bad = log.clone();
-            bad[pos] ^= 1 << (pos % 8);
-            if let Ok(img) = open_mutated(&bad) {
-                assert!(is_prefix(&img), "flip at {pos}");
+        let full = &prefixes[3].1;
+        let before_last = &prefixes[2].1;
+        let sealed = log.len() - MARKER_BYTES as usize;
+        let mut wrong = Vec::new();
+        for pos in 0..log.len() {
+            for bit in 0..8 {
+                let mut bad = log.clone();
+                bad[pos] ^= 1 << bit;
+                let right = match open_mutated(&bad) {
+                    Ok(img) if pos < sealed => img == *full,
+                    Ok(img) => img == *before_last,
+                    Err(_) => pos < sealed,
+                };
+                if !right {
+                    wrong.push((pos, bit));
+                }
             }
         }
+        assert!(
+            wrong.is_empty(),
+            "{} of {} flips opened to the wrong state, first (byte, bit) {:?}",
+            wrong.len(),
+            8 * log.len(),
+            wrong[0]
+        );
         // Spliced at every transaction boundary: a BEGIN no COMMIT
         // closes, and a duplicate of the last COMMIT.
-        let last_commit = &log[log.len() - MARKER_BYTES as usize..];
+        let last_commit = &log[sealed..];
         for &(end, _) in &prefixes {
             for splice in [begin_marker(9, end as u64), last_commit.to_vec()] {
                 let bytes = [&log[..end], &splice, &log[end..]].concat();

@@ -1,24 +1,23 @@
 //! Record integrity: the OLC3 checksum envelope.
 //!
-//! OLC1/OLC2 payloads carry structural checks (magic words, length
-//! fields) but no content checksum — a flipped bit inside a value is
-//! decoded as a perfectly plausible wrong number. The OLC3 envelope
-//! closes that hole: new [`crate::FileStore`] records wrap their codec
-//! payload in
+//! The OLC1 codec carries structural checks (magic word, length fields)
+//! but no content checksum — a flipped bit inside a value is decoded as
+//! a perfectly plausible wrong number. The OLC3 envelope closes that
+//! hole: every [`crate::FileStore`] record payload is
 //!
 //! ```text
 //! magic  u32 = 0x4F4C4333 ("OLC3")
 //! crc    u32 = CRC-32 (IEEE 802.3) over the inner payload
-//! inner  bytes (a complete OLC1 or OLC2 record)
+//! inner  bytes (a complete OLC1 record, or a transaction marker's fields)
 //! ```
 //!
-//! and every read verifies the CRC before the inner codec runs
-//! ([`crate::compress::decode_any`] dispatches on the magic). CRC-32
-//! detects all single-bit and all burst errors up to 32 bits, which
-//! covers the media-corruption model the fault-injection harness
-//! simulates. Old files remain readable: a payload whose first word is
-//! OLC1/OLC2 simply has no envelope (and no integrity guarantee beyond
-//! the structural checks).
+//! and every read verifies the CRC ([`unwrap_verified`]) before the OLC1
+//! decoder runs. CRC-32 detects all single-bit and all burst errors up
+//! to 32 bits, which covers the media-corruption model the
+//! fault-injection harness simulates. There is no other record format:
+//! a payload without the envelope is [`StoreError::Corrupt`]. The record
+//! headers around the payloads are sealed by their transaction's
+//! `COMMIT` (DESIGN.md §12).
 
 use crate::error::StoreError;
 use crate::Result;
@@ -133,6 +132,7 @@ pub fn unwrap_verified(buf: &[u8]) -> Result<&[u8]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{codec, decode_any, CellValue, Chunk};
 
     /// Known-answer tests for the IEEE CRC-32 ("123456789" → 0xCBF43926
     /// is the standard check value).
@@ -206,6 +206,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The read path is `unwrap_verified`, then OLC1: `decode_any` takes
+    /// the verified inner payload, refuses the envelope itself, and a
+    /// nested envelope is corruption, not recursion.
+    #[test]
+    fn decode_any_handles_checksum_envelope() {
+        let mut c = Chunk::new_dense(vec![4]);
+        c.set(1, CellValue::num(3.5));
+        let wrapped = wrap_checksummed(&codec::encode(&c).unwrap());
+        assert_eq!(decode_any(unwrap_verified(&wrapped).unwrap()).unwrap(), c);
+        assert!(matches!(decode_any(&wrapped), Err(StoreError::Corrupt(_))));
+        let nested = wrap_checksummed(&wrapped);
+        let inner = unwrap_verified(&nested).unwrap();
+        assert!(matches!(decode_any(inner), Err(StoreError::Corrupt(_))));
+    }
+
+    /// The checksum turns silent payload corruption into a clean
+    /// `Corrupt` error: flipping a value bit in an OLC1 record decodes
+    /// to a wrong number, while the same flip under OLC3 is detected.
+    #[test]
+    fn envelope_catches_value_bit_flips_olc1_cannot() {
+        let mut c = Chunk::new_dense(vec![2]);
+        c.set(0, CellValue::num(1.0));
+        let bare = codec::encode(&c).unwrap().to_vec();
+        // Flip a low mantissa bit of the stored f64 (last payload byte
+        // region) — structurally valid, numerically wrong.
+        let mut bad_bare = bare.clone();
+        let flip_at = bare.len() - 3;
+        bad_bare[flip_at] ^= 0x01;
+        let decoded = decode_any(&bad_bare).unwrap();
+        assert_ne!(decoded, c, "OLC1 cannot detect a value bit flip");
+        // The same flip inside an OLC3 envelope is caught.
+        let mut bad_wrapped = wrap_checksummed(&bare);
+        bad_wrapped[ENVELOPE_BYTES + flip_at] ^= 0x01;
+        assert!(matches!(
+            unwrap_verified(&bad_wrapped),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!   experiment);
 //! * the [`FileStore`] log is its own write-ahead log: a flush transaction
 //!   is a `BEGIN` record, its chunk records and a `COMMIT` record in the
-//!   store file, recovery truncates a transaction no `COMMIT` closed, and
-//!   a replication frame is the exact log bytes of one committed
+//!   store file; every chunk record, the built base image's included,
+//!   sits in one, so every byte the store trusts is under a checksum;
+//!   recovery truncates everything after the last `COMMIT`, and a
+//!   replication frame is the exact log bytes of one committed
 //!   transaction;
 //! * a fixed-capacity [`BufferPool`] mediates access: an LRU cache of
 //!   chunks that counts hits, misses and evictions, and the one place
@@ -27,7 +29,6 @@
 
 pub mod chunk;
 pub mod codec;
-pub mod compress;
 pub mod error;
 pub mod fault;
 pub mod filestore;
@@ -40,7 +41,9 @@ pub mod store;
 pub mod value;
 
 pub use chunk::{Chunk, ChunkData, PresentCells};
-pub use compress::{decode_any, encode_compressed};
+/// Decodes the OLC1 codec payload a verified record envelope holds
+/// ([`unwrap_verified`]); OLC1 is the only chunk codec.
+pub use codec::decode as decode_any;
 pub use error::StoreError;
 pub use fault::{FaultKind, FaultOp, FaultSpec, FaultStore};
 pub use filestore::{FileStore, ReplApply, SeekModel, TailRecovery, WalStats};

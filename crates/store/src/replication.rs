@@ -61,6 +61,7 @@ pub(crate) fn parse_frame(bytes: &[u8]) -> Result<Frame> {
 mod tests {
     use super::*;
     use crate::chunk::Chunk;
+    use crate::filestore::tests::commit;
     use crate::geometry::ChunkId;
     use crate::store::ChunkStore;
     use crate::value::CellValue;
@@ -72,22 +73,22 @@ mod tests {
         c
     }
 
-    /// The frames of a capturing leader that committed one bare chunk,
-    /// then one transaction per entry of `txns` (the chunk ids it
+    /// The frames of a capturing leader that committed a one-chunk base
+    /// image, then one transaction per entry of `txns` (the chunk ids it
     /// writes), with the position capture started at.
     fn frames(name: &str, txns: &[&[u64]]) -> (Vec<Vec<u8>>, u64) {
         let path =
             std::env::temp_dir().join(format!("olap-repl-test-{}-{name}", std::process::id()));
         let mut s = FileStore::create(&path).unwrap();
-        s.write(ChunkId(0), &chunk(0.5)).unwrap();
+        commit(&mut s, &[(ChunkId(0), chunk(0.5))]);
         s.set_replication(true);
         let base = s.replication_position();
         for ids in txns {
-            s.begin_flush().unwrap();
-            for &id in *ids {
-                s.write(ChunkId(id), &chunk(id as f64)).unwrap();
-            }
-            s.commit_flush().unwrap();
+            let writes: Vec<_> = ids
+                .iter()
+                .map(|&id| (ChunkId(id), chunk(id as f64)))
+                .collect();
+            commit(&mut s, &writes);
         }
         let frames = s.retained_since(base).unwrap();
         std::fs::remove_file(&path).ok();
@@ -98,7 +99,7 @@ mod tests {
     fn txn_roundtrips() {
         let (frames, base) = frames("roundtrip", &[&[11, 13]]);
         let f = parse_frame(&frames[0]).unwrap();
-        assert_eq!((f.epoch, f.start), (1, base));
+        assert_eq!((f.epoch, f.start), (2, base));
         assert_eq!(f.end, base + frames[0].len() as u64);
         let ids: Vec<u64> = f.recs.iter().map(|r| r.id).collect();
         assert_eq!(ids, [BEGIN_ID, 11, 13, u64::MAX - 1]);
@@ -108,7 +109,7 @@ mod tests {
     fn empty_txn_roundtrips() {
         let (frames, base) = frames("empty", &[&[]]);
         let f = parse_frame(&frames[0]).unwrap();
-        assert_eq!((f.epoch, f.start, f.recs.len()), (1, base, 2));
+        assert_eq!((f.epoch, f.start, f.recs.len()), (2, base, 2));
     }
 
     /// An open transaction is never shipped, and its bytes without a

@@ -114,7 +114,8 @@ impl WorkforceConfig {
         }
     }
 
-    /// The paper's full scale (slow; ~12M input cells at 100 accounts).
+    /// The paper's full scale (slow; 20 250 × 12 × 100 × 5 ≈ 121.5M input
+    /// cells at 100 accounts, see [`Workforce::input_cells`]).
     pub fn paper_scale() -> Self {
         WorkforceConfig {
             employees: 20_250,

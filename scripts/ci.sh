@@ -61,7 +61,8 @@ echo "(10/10 green)"
 step "durability gates run by name"
 # A `cargo test` filter that matches nothing exits 0, so a renamed or
 # deleted crash sweep would pass unnoticed. Each gate runs by exact
-# name and must report exactly one passed test.
+# name and must report exactly one passed test. The last store gate is
+# the log byte-fuzz: a cleanly closed log never opens to a cut.
 gate() { # gate "<cargo test target args>" <exact test name>
     out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
     case "$out" in
@@ -70,13 +71,16 @@ gate() { # gate "<cargo test target args>" <exact test name>
     esac
 }
 gate "-p olap-store --lib" filestore::tests::crash_sweep_recovers_pre_or_post_image_only
+gate "-p olap-store --lib" filestore::tests::mutated_logs_open_to_a_committed_prefix_or_err
 gate "-p whatif-integration-tests --test persistence" pool_flush_crash_points_recover_exact_image
 gate "-p whatif-integration-tests --test persistence" dirty_eviction_crash_points_recover_exact_image
 gate "-p whatif-integration-tests --test replication" follower_crash_at_every_op_recovers_pre_or_post_image
 
 step "corruption smoke test"
-# One flipped payload byte must surface as StoreError::Corrupt on read,
-# never as garbage cells (the OLC3 checksum gate).
+# One flipped payload byte never becomes garbage cells. Flipped while
+# the store is open, it reads back as StoreError::Corrupt (the OLC3
+# checksum) and the neighbouring chunk still reads; flipped at rest,
+# `open` returns Err (the transaction's COMMIT seal).
 cargo test -q -p olap-store --lib \
     filestore::tests::flipped_payload_byte_reads_as_corrupt >/dev/null
 cargo test -q -p whatif-integration-tests \

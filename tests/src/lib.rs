@@ -1,12 +1,14 @@
 //! Shared helpers for the integration tests: deterministic random
-//! schemas, scenarios, and cubes used by the property-based suites, and
-//! the one multi-session harness the server, chaos and sweep suites
-//! drive (`edit_script` → `serial_replies` → `drive_sessions` →
+//! schemas, scenarios, and cubes used by the property-based suites, the
+//! one way the storage suites write a file store (`commit`), and the one
+//! multi-session harness the server, chaos and sweep suites drive
+//! (`edit_script` → `serial_replies` → `drive_sessions` →
 //! `first_divergence`).
 
 use olap_cube::Cube;
 use olap_model::{DimensionId, Schema};
 use olap_server::{Client, RetryPolicy, STATUS_OK, STATUS_QUIT};
+use olap_store::{Chunk, ChunkId, ChunkStore, FileStore};
 use polap_cli::{Dataset, Outcome, Session, SharedData};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -293,6 +295,16 @@ pub fn first_divergence(runs: &[SessionRun], expected: &[Vec<String>]) -> Option
                 want[k], run.replies[k]
             ))
         })
+}
+
+/// Writes `chunks` to `store` as one committed flush transaction and
+/// returns its epoch: the only way a chunk record enters a file store.
+pub fn commit(store: &mut FileStore, chunks: &[(ChunkId, Chunk)]) -> u64 {
+    store.begin_flush().expect("begin_flush");
+    for (id, c) in chunks {
+        store.write(*id, c).expect("write");
+    }
+    store.commit_flush().expect("commit_flush")
 }
 
 #[cfg(test)]

@@ -180,7 +180,7 @@ fn visual_mode_changes_department_rollups() {
 /// The paper's full scale. Slow (~minutes) — run with
 /// `cargo test -p whatif-integration-tests -- --ignored paper_scale`.
 #[test]
-#[ignore = "builds the full 12M-cell dataset; minutes of runtime"]
+#[ignore = "builds the full 121.5M-cell dataset; minutes of runtime"]
 fn paper_scale_workload_builds_and_answers() {
     let wf = Workforce::build(WorkforceConfig::paper_scale());
     assert_eq!(wf.config.employees, 20_250);

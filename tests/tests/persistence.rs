@@ -8,6 +8,7 @@ use olap_store::{BufferPool, CellValue, Chunk, ChunkId, ChunkStore, FileStore, S
 use olap_workload::{Workforce, WorkforceConfig};
 use std::collections::BTreeMap;
 use whatif_core::{apply_default, Mode, Scenario, Semantics};
+use whatif_integration_tests::commit;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -120,24 +121,33 @@ fn reorganize_preserves_query_results() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The torn-tail matrix of ISSUE 4: tear an OLC3-enveloped log
-/// mid-header, mid-payload, and exactly at a record boundary. Every
-/// record written before the tear must survive the reopen, bit for bit.
+/// The torn-tail matrix: four records committed, then a
+/// tear inside a fifth record's transaction — mid-header, mid-payload,
+/// exactly at the record boundary, and at the transaction boundary.
+/// Every committed record must survive the reopen, bit for bit.
 #[test]
 fn torn_tail_matrix_recovers_pre_tear_records() {
     const REC_HEADER: u64 = 12; // chunk id u64 + payload len u32
 
     let base = tmp("torn");
+    let committed_end;
     let mut payload_offsets = Vec::new();
     {
         let mut s = FileStore::create(&base).unwrap();
-        for i in 0..5u64 {
-            let mut c = Chunk::new_dense(vec![8]);
-            for j in 0..8u32 {
-                c.set(j, CellValue::num((i * 8) as f64 + j as f64));
-            }
-            s.write(ChunkId(i), &c).unwrap();
-        }
+        let chunks: Vec<_> = (0..5u64)
+            .map(|i| {
+                let mut c = Chunk::new_dense(vec![8]);
+                for j in 0..8u32 {
+                    c.set(j, CellValue::num((i * 8) as f64 + j as f64));
+                }
+                (ChunkId(i), c)
+            })
+            .collect();
+        commit(&mut s, &chunks[..4]);
+        committed_end = s.file_size();
+        // The fifth record's transaction never commits.
+        s.begin_flush().unwrap();
+        s.write(chunks[4].0, &chunks[4].1).unwrap();
         for i in 0..5u64 {
             payload_offsets.push(s.offset_of(ChunkId(i)).unwrap());
         }
@@ -150,6 +160,7 @@ fn torn_tail_matrix_recovers_pre_tear_records() {
         ("mid-header", last_start + 5, 4u64),
         ("mid-payload", payload_offsets[4] + 3, 4),
         ("boundary", last_start, 4),
+        ("committed", committed_end, 4),
     ];
     for (what, cut, keep) in cases {
         let torn = tmp(&format!("torn-{what}"));
@@ -166,18 +177,20 @@ fn torn_tail_matrix_recovers_pre_tear_records() {
                 );
             }
         }
-        if cut == last_start {
-            // A boundary cut leaves a perfectly clean (shorter)
-            // file — nothing to recover, nothing to report.
+        if cut == committed_end {
+            // A cut at the transaction boundary leaves a perfectly
+            // clean (shorter) file — nothing to recover, nothing to
+            // report.
             assert!(s.tail_recovery().is_none(), "{what}");
         } else {
             let tr = s
                 .tail_recovery()
                 .unwrap_or_else(|| panic!("{what}: tear not reported"));
-            assert_eq!(tr.records_recovered, keep, "{what}");
-            assert_eq!(tr.records_dropped, 0, "{what}");
-            assert_eq!(tr.bytes_truncated, cut - last_start, "{what}");
-            assert_eq!(s.file_size(), last_start, "{what}");
+            // The committed transaction's BEGIN, records and COMMIT.
+            assert_eq!(tr.records_recovered, keep + 2, "{what}");
+            assert_eq!(tr.records_rolled_back, 1, "{what}: the open BEGIN");
+            assert_eq!(tr.bytes_truncated, cut - committed_end, "{what}");
+            assert_eq!(s.file_size(), committed_end, "{what}");
         }
         // Recovery is physical: the store accepts appends and a
         // second open is clean.
@@ -186,26 +199,29 @@ fn torn_tail_matrix_recovers_pre_tear_records() {
         assert!(s.tail_recovery().is_none(), "{what}: reopen dirty");
         let mut c = Chunk::new_dense(vec![8]);
         c.set(0, CellValue::num(777.0));
-        s.write(ChunkId(50), &c).unwrap();
+        commit(&mut s, &[(ChunkId(50), c)]);
         assert_eq!(s.read(ChunkId(50)).unwrap().get(0), CellValue::Num(777.0));
         std::fs::remove_file(&torn).ok();
     }
     std::fs::remove_file(&base).ok();
 }
 
-/// A torn write can leave a structurally complete final record whose
-/// payload is garbage; the reopen must drop it (checksum fails) and
-/// keep the valid prefix.
+/// A torn write can leave a structurally complete record of garbage
+/// after the last `COMMIT`; the reopen must cut it (no `COMMIT` seals
+/// it) and keep the committed prefix.
 #[test]
 fn torn_full_length_garbage_record_is_dropped() {
     let path = tmp("torn-garbage-rec");
     {
         let mut s = FileStore::create(&path).unwrap();
-        for i in 0..3u64 {
-            let mut c = Chunk::new_dense(vec![4]);
-            c.set(0, CellValue::num(i as f64));
-            s.write(ChunkId(i), &c).unwrap();
-        }
+        let chunks: Vec<_> = (0..3u64)
+            .map(|i| {
+                let mut c = Chunk::new_dense(vec![4]);
+                c.set(0, CellValue::num(i as f64));
+                (ChunkId(i), c)
+            })
+            .collect();
+        commit(&mut s, &chunks);
     }
     let clean_len = std::fs::metadata(&path).unwrap().len();
     {
@@ -221,8 +237,8 @@ fn torn_full_length_garbage_record_is_dropped() {
     }
     let s = FileStore::open(&path).unwrap();
     let tr = s.tail_recovery().expect("garbage record must be reported");
-    assert_eq!(tr.records_recovered, 3);
-    assert_eq!(tr.records_dropped, 1);
+    assert_eq!(tr.records_recovered, 5, "BEGIN, three chunks, COMMIT");
+    assert_eq!(tr.records_rolled_back, 1, "the garbage record");
     assert_eq!(s.file_size(), clean_len);
     assert!(!s.contains(ChunkId(7)));
     for i in 0..3u64 {
@@ -380,9 +396,11 @@ fn dirty_eviction_crash_points_recover_exact_image() {
     let run = |crash_op: Option<u64>, path: &std::path::Path| -> (bool, u64) {
         cleanup(path);
         let mut s = FileStore::create(path).unwrap();
-        for (id, c) in &pre {
-            s.write(ChunkId(*id), c).unwrap();
-        }
+        let base: Vec<_> = pre
+            .iter()
+            .map(|(id, c)| (ChunkId(*id), c.clone()))
+            .collect();
+        commit(&mut s, &base);
         let before = s.phys_ops();
         s.set_crash_after_ops(crash_op);
         let pool = BufferPool::new(Box::new(s), 1);

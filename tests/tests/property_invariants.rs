@@ -267,35 +267,6 @@ proptest! {
         prop_assert_eq!(chunk, decoded);
     }
 
-    /// Compressed codec roundtrip, and OLC2 never loses to OLC1 by more
-    /// than the small fixed header.
-    #[test]
-    fn compressed_codec_roundtrip(
-        shape in proptest::collection::vec(1u32..6, 1..4),
-        cells in proptest::collection::vec((0u32..128, -1e6f64..1e6), 0..48),
-        constant in any::<bool>(),
-        sparse in any::<bool>(),
-    ) {
-        let mut chunk = if sparse {
-            olap_store::Chunk::new_sparse(shape.clone())
-        } else {
-            olap_store::Chunk::new_dense(shape.clone())
-        };
-        let n = chunk.len();
-        if n > 0 {
-            for (off, v) in cells {
-                let v = if constant { 42.0 } else { v };
-                chunk.set(off % n, olap_store::CellValue::num(v));
-            }
-        }
-        let bytes = olap_store::encode_compressed(&chunk).unwrap();
-        let decoded = olap_store::decode_any(&bytes).unwrap();
-        prop_assert_eq!(&chunk, &decoded);
-        // Compressed is never much larger than OLC1.
-        let v1 = olap_store::codec::encode(&chunk).unwrap().len();
-        prop_assert!(bytes.len() <= v1 + 2);
-    }
-
     /// Validity-set algebra matches a BTreeSet model.
     #[test]
     fn validity_set_model(

@@ -260,7 +260,8 @@ fn leader_position(shared: &SharedData) -> u64 {
 }
 
 /// The epoch lives in the log, so a follower started on a copy of a
-/// leader at epoch N greets with `epoch N` before any apply.
+/// leader at epoch N greets with `epoch N` before any apply. The leader
+/// built its base image as epoch 1, then committed three rounds.
 #[test]
 fn follower_seeded_from_a_leader_copy_greets_with_its_epoch() {
     let lpath = tmp("epoch-leader");
@@ -283,11 +284,11 @@ fn follower_seeded_from_a_leader_copy_greets_with_its_epoch() {
         SharedData::load_with_backend(Dataset::Bench, StoreBackend::Attach(fpath.clone())).unwrap(),
     );
     let follower = Follower::start(follower_shared, "127.0.0.1:0", cfg, leader_srv.addr()).unwrap();
-    assert_eq!(follower.state().epoch(), 3);
+    assert_eq!(follower.state().epoch(), 4);
     let fc = Client::connect(follower.addr()).unwrap();
     assert!(
         fc.greeting()
-            .contains(&format!("(replica, position {pos}, epoch 3)")),
+            .contains(&format!("(replica, position {pos}, epoch 4)")),
         "{}",
         fc.greeting()
     );

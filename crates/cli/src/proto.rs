@@ -123,11 +123,22 @@ pub fn write_request(w: &mut impl Write, line: &str) -> io::Result<()> {
 
 fn read_payload(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
-    // A clean EOF at a frame boundary ends the conversation.
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    // A clean EOF at a frame boundary ends the conversation; one inside
+    // the length prefix is a cut frame, not a hang-up.
+    let mut got = 0;
+    while got < len.len() {
+        match r.read(&mut len[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "connection closed inside a frame's length prefix",
+                ))
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     let len = u32::from_be_bytes(len) as usize;
     if len > MAX_FRAME {

@@ -30,7 +30,6 @@
 //! what lets a mismatched client fail with a readable error instead of
 //! misparsing frames (DESIGN.md §16).
 
-pub mod chaos;
 pub mod replica;
 
 use olap_store::FileStore;

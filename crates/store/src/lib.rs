@@ -30,7 +30,6 @@
 pub mod chunk;
 pub mod codec;
 pub mod error;
-pub mod fault;
 pub mod filestore;
 pub mod geometry;
 pub mod integrity;
@@ -45,7 +44,6 @@ pub use chunk::{Chunk, ChunkData, PresentCells};
 /// ([`unwrap_verified`]); OLC1 is the only chunk codec.
 pub use codec::decode as decode_any;
 pub use error::StoreError;
-pub use fault::{FaultKind, FaultOp, FaultSpec, FaultStore};
 pub use filestore::{FileStore, ReplApply, SeekModel, TailRecovery, WalStats};
 pub use geometry::{CellCoord, ChunkCoord, ChunkGeometry, ChunkId, ChunkRuns, DimOrderIter};
 pub use integrity::{crc32, is_checksummed, unwrap_verified, wrap_checksummed};

@@ -523,40 +523,12 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Replaces the backing store with `f(old store)` — the injection
-    /// point for wrapping a live pool's store in a
-    /// [`crate::FaultStore`]. Resident frames keep serving hits; call
+    /// Installs `store` as the backing store and returns the one it
+    /// replaces. Resident frames keep serving hits; call
     /// [`BufferPool::clear`] first if subsequent reads must go through
     /// the new store.
-    ///
-    /// Panic-safe: if `f` panics, the original store is reinstalled
-    /// before the panic resumes (previously the pool was left silently
-    /// serving an empty placeholder). `f` receives the original store
-    /// behind a transparent reclaim wrapper whose `as_any` forwards to
-    /// the real store, so downcasts through it keep working.
-    pub fn wrap_store(&self, f: impl FnOnce(Box<dyn ChunkStore>) -> Box<dyn ChunkStore>) {
-        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-        let mut guard = self.store.write();
-        let placeholder: Box<dyn ChunkStore> = Box::new(crate::memstore::MemStore::new());
-        let old = std::mem::replace(&mut *guard, placeholder);
-        let slot: Arc<Mutex<Option<Box<dyn ChunkStore>>>> = Arc::new(Mutex::new(None));
-        let reclaim: Box<dyn ChunkStore> = Box::new(ReclaimStore {
-            inner: Some(old),
-            slot: Arc::clone(&slot),
-        });
-        match catch_unwind(AssertUnwindSafe(|| f(reclaim))) {
-            Ok(new_store) => *guard = new_store,
-            Err(payload) => {
-                // The unwinding closure dropped the reclaim wrapper,
-                // which parked the original store in the slot instead of
-                // destroying it — put it back.
-                if let Some(old) = slot.lock().take() {
-                    *guard = old;
-                }
-                drop(guard);
-                resume_unwind(payload);
-            }
-        }
+    pub fn replace_store(&self, store: Box<dyn ChunkStore>) -> Box<dyn ChunkStore> {
+        std::mem::replace(&mut *self.store.write(), store)
     }
 
     /// Whether the chunk exists (resident or in the backing store).
@@ -634,81 +606,6 @@ impl BufferPool {
             self.resident.fetch_sub(n, Ordering::Relaxed);
         }
         Ok(())
-    }
-}
-
-/// The store handed to [`BufferPool::wrap_store`]'s closure: a
-/// transparent delegate that, when dropped mid-unwind (the closure
-/// panicked), parks the wrapped store in a shared slot instead of
-/// destroying it, so `wrap_store` can reinstall it.
-struct ReclaimStore {
-    /// `Some` until drop; `Option` only so `Drop` can move it out.
-    inner: Option<Box<dyn ChunkStore>>,
-    slot: Arc<Mutex<Option<Box<dyn ChunkStore>>>>,
-}
-
-impl ReclaimStore {
-    fn get(&self) -> &dyn ChunkStore {
-        self.inner.as_deref().expect("present until drop")
-    }
-
-    fn get_mut(&mut self) -> &mut dyn ChunkStore {
-        self.inner.as_deref_mut().expect("present until drop")
-    }
-}
-
-impl Drop for ReclaimStore {
-    fn drop(&mut self) {
-        if let Some(s) = self.inner.take() {
-            *self.slot.lock() = Some(s);
-        }
-    }
-}
-
-impl ChunkStore for ReclaimStore {
-    fn read(&self, id: ChunkId) -> Result<Chunk> {
-        self.get().read(id)
-    }
-
-    fn write(&mut self, id: ChunkId, chunk: &Chunk) -> Result<()> {
-        self.get_mut().write(id, chunk)
-    }
-
-    fn contains(&self, id: ChunkId) -> bool {
-        self.get().contains(id)
-    }
-
-    fn ids(&self) -> Vec<ChunkId> {
-        self.get().ids()
-    }
-
-    fn stats(&self) -> &crate::store::IoStats {
-        self.get().stats()
-    }
-
-    fn begin_flush(&mut self) -> Result<()> {
-        self.get_mut().begin_flush()
-    }
-
-    fn commit_flush(&mut self) -> Result<u64> {
-        self.get_mut().commit_flush()
-    }
-
-    fn abort_flush(&mut self) -> Result<()> {
-        self.get_mut().abort_flush()
-    }
-
-    fn flush_epoch(&self) -> u64 {
-        self.get().flush_epoch()
-    }
-
-    // Transparent: downcasts reach the wrapped store, not the wrapper.
-    fn as_any(&self) -> &dyn std::any::Any {
-        self.get().as_any()
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self.get_mut().as_any_mut()
     }
 }
 
@@ -857,44 +754,6 @@ mod tests {
         );
     }
 
-    /// Satellite bugfix (ISSUE 6): a terminal eviction write failure
-    /// must not drop the dirty frame — the update would be lost with no
-    /// recovery path. The frame is restored (still dirty), the eviction
-    /// is un-counted, and the next admission retries the write-back.
-    #[test]
-    fn failed_eviction_write_restores_dirty_frame() {
-        use crate::fault::{FaultKind, FaultOp, FaultSpec, FaultStore};
-        let p = BufferPool::new(store_with(2), 1);
-        // Enough one-shot write faults to exhaust the retry budget.
-        let plan = (1..=1 + READ_RETRIES as u64)
-            .map(|at| FaultSpec {
-                op: FaultOp::Write,
-                at,
-                kind: FaultKind::Error,
-                persistent: false,
-            })
-            .collect();
-        p.wrap_store(|s| Box::new(FaultStore::new(s, plan)));
-        let mut c = Chunk::new_dense(vec![2]);
-        c.set(0, CellValue::num(42.0));
-        p.put(ChunkId(0), c).unwrap();
-        // Admitting chunk 1 must evict dirty 0; the write-through fails
-        // terminally and the error surfaces on the get.
-        assert!(matches!(p.get(ChunkId(1)), Err(StoreError::Io(_))));
-        assert!(p.contains(ChunkId(0)), "dirty frame must be restored");
-        let st = p.stats();
-        assert_eq!(st.evictions, 0, "failed eviction stays un-counted");
-        assert_eq!(st.write_retries, READ_RETRIES as u64);
-        assert_eq!(p.resident(), 1, "only the restored frame is resident");
-        // The fault budget is spent: the next admission evicts cleanly
-        // and the penned-up update reaches the store.
-        p.get(ChunkId(1)).unwrap();
-        assert_eq!(
-            p.store().read(ChunkId(0)).unwrap().get(0),
-            CellValue::Num(42.0)
-        );
-    }
-
     /// Regression: a failed store read must not disturb the counters or
     /// admit anything — previously the miss was counted before the read
     /// could fail.
@@ -977,120 +836,6 @@ mod tests {
         assert_eq!(d.peak_resident, p.stats().peak_resident);
     }
 
-    /// A single transient read fault is absorbed by the retry loop: the
-    /// caller sees success, and the stats record the retry.
-    #[test]
-    fn transient_read_fault_is_retried() {
-        use crate::fault::FaultStore;
-        let p = BufferPool::new(store_with(2), 4);
-        p.wrap_store(|s| Box::new(FaultStore::fail_nth_read(s, 1)));
-        let c = p.get(ChunkId(0)).unwrap();
-        assert_eq!(c.get(0), CellValue::Num(0.0));
-        let st = p.stats();
-        assert_eq!(st.retries, 1);
-        assert_eq!(st.read_errors, 0);
-        assert_eq!(st.misses, 1);
-    }
-
-    /// A persistent fault exhausts the retry budget: the error
-    /// propagates, `read_errors` records it, and nothing is admitted.
-    #[test]
-    fn exhausted_retries_surface_error_and_count() {
-        use crate::fault::{FaultKind, FaultOp, FaultSpec, FaultStore};
-        let p = BufferPool::new(store_with(2), 4);
-        p.wrap_store(|s| {
-            Box::new(FaultStore::new(
-                s,
-                vec![FaultSpec {
-                    op: FaultOp::Read,
-                    at: 1,
-                    kind: FaultKind::Error,
-                    persistent: true,
-                }],
-            ))
-        });
-        assert!(matches!(p.get(ChunkId(0)), Err(StoreError::Io(_))));
-        let st = p.stats();
-        assert_eq!(st.retries, READ_RETRIES as u64);
-        assert_eq!(st.read_errors, 1);
-        assert_eq!(st.misses, 0);
-        assert_eq!(p.resident(), 0);
-        let sh = p.shards[shard_of(ChunkId(0))].shard.lock();
-        assert!(sh.in_flight.is_empty(), "failed read left in-flight slot");
-    }
-
-    /// Corrupt reads are deterministic: no retry, immediate error,
-    /// counted once.
-    #[test]
-    fn corrupt_read_is_not_retried() {
-        use crate::fault::{FaultKind, FaultOp, FaultSpec, FaultStore};
-        let p = BufferPool::new(store_with(1), 4);
-        p.wrap_store(|s| {
-            Box::new(FaultStore::new(
-                s,
-                vec![FaultSpec {
-                    op: FaultOp::Read,
-                    at: 1,
-                    kind: FaultKind::BitFlip,
-                    persistent: false,
-                }],
-            ))
-        });
-        assert!(matches!(p.get(ChunkId(0)), Err(StoreError::Corrupt(_))));
-        let st = p.stats();
-        assert_eq!(st.retries, 0, "corruption must not be retried");
-        assert_eq!(st.read_errors, 1);
-        // The fault was one-shot; the pool recovers on the next demand.
-        assert_eq!(p.get(ChunkId(0)).unwrap().get(0), CellValue::Num(0.0));
-    }
-
-    /// Satellite regression: a demand read whose owner fails must wake
-    /// condvar waiters and let one of them take over the read — never
-    /// strand them. Three transient faults exhaust the first owner's
-    /// whole retry budget (1 + READ_RETRIES attempts), so a waiter must
-    /// take over with attempt 4, which succeeds.
-    #[test]
-    fn failed_owner_wakes_waiters_who_retry() {
-        use crate::fault::{FaultKind, FaultOp, FaultSpec, FaultStore};
-        let p = BufferPool::new(store_with(1), 4);
-        let plan = (1..=3)
-            .map(|at| FaultSpec {
-                op: FaultOp::Read,
-                at,
-                kind: FaultKind::Error,
-                persistent: false,
-            })
-            .collect();
-        p.wrap_store(|s| Box::new(FaultStore::new(s, plan)));
-        let barrier = std::sync::Barrier::new(8);
-        let errors = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let p = &p;
-                let barrier = &barrier;
-                let errors = &errors;
-                s.spawn(move || {
-                    barrier.wait();
-                    match p.get(ChunkId(0)) {
-                        Ok(c) => assert_eq!(c.get(0), CellValue::Num(0.0)),
-                        Err(StoreError::Io(_)) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => panic!("unexpected error class: {e}"),
-                    }
-                });
-            }
-        });
-        // Exactly one thread (the first owner) burned the fault budget;
-        // every waiter it woke re-raced the slot and succeeded.
-        assert_eq!(errors.load(Ordering::Relaxed), 1);
-        let st = p.stats();
-        assert_eq!(st.read_errors, 1);
-        assert_eq!(st.retries, READ_RETRIES as u64);
-        assert_eq!(st.misses, 1);
-        assert_eq!(p.resident(), 1);
-    }
-
     /// A committed `flush_all` on a file store is durable by itself:
     /// the commit fsyncs the log twice (records, then the `COMMIT`
     /// record), and a flush with nothing dirty syncs nothing.
@@ -1116,112 +861,5 @@ mod tests {
         assert_eq!(syncs(&p), 2, "nothing dirty, no transaction, no fsync");
         drop(p);
         std::fs::remove_file(&path).ok();
-    }
-
-    /// Satellite regression: one transient write fault must not fail
-    /// the flush — the retry policy demand reads got in PR 4 now covers
-    /// flush writes too, counted in `write_retries`.
-    #[test]
-    fn transient_flush_write_fault_is_retried() {
-        use crate::fault::{FaultKind, FaultOp, FaultSpec, FaultStore};
-        let p = BufferPool::new(store_with(0), 4);
-        p.wrap_store(|s| {
-            Box::new(FaultStore::new(
-                s,
-                vec![FaultSpec {
-                    op: FaultOp::Write,
-                    at: 1,
-                    kind: FaultKind::Error,
-                    persistent: false,
-                }],
-            ))
-        });
-        let mut c = Chunk::new_dense(vec![2]);
-        c.set(0, CellValue::num(5.0));
-        p.put(ChunkId(0), c).unwrap();
-        p.flush_all().unwrap();
-        let st = p.stats();
-        assert_eq!(st.write_retries, 1);
-        assert_eq!(st.flushes, 1);
-        assert_eq!(
-            p.store().read(ChunkId(0)).unwrap().get(0),
-            CellValue::Num(5.0)
-        );
-    }
-
-    /// Satellite regression: a terminal flush failure must leave every
-    /// staged frame dirty (previously frames written before the error
-    /// were marked clean and their data could be lost), and the next
-    /// flush must retry and succeed.
-    #[test]
-    fn failed_flush_keeps_frames_dirty_for_retry() {
-        use crate::fault::{FaultKind, FaultOp, FaultSpec, FaultStore};
-        let p = BufferPool::new(store_with(0), 8);
-        // Writes 2..4 fail persistently enough to exhaust the retry
-        // budget mid-flush, after the first chunk already went through.
-        let plan = (2..=2 + READ_RETRIES as u64)
-            .map(|at| FaultSpec {
-                op: FaultOp::Write,
-                at,
-                kind: FaultKind::Error,
-                persistent: false,
-            })
-            .collect();
-        p.wrap_store(|s| Box::new(FaultStore::new(s, plan)));
-        for i in 0..3u64 {
-            let mut c = Chunk::new_dense(vec![2]);
-            c.set(0, CellValue::num(i as f64 + 10.0));
-            p.put(ChunkId(i), c).unwrap();
-        }
-        assert!(matches!(p.flush_all(), Err(StoreError::Io(_))));
-        let st = p.stats();
-        assert_eq!(st.flushes, 0);
-        assert_eq!(st.write_retries, READ_RETRIES as u64);
-        // All three frames are still dirty: the second flush rewrites
-        // every one of them and the store ends up complete.
-        p.flush_all().unwrap();
-        assert_eq!(p.stats().flushes, 1);
-        for i in 0..3u64 {
-            assert_eq!(
-                p.store().read(ChunkId(i)).unwrap().get(0),
-                CellValue::Num(i as f64 + 10.0)
-            );
-        }
-    }
-
-    /// Satellite regression: a panicking `wrap_store` closure used to
-    /// leave the pool silently serving an empty `MemStore` placeholder;
-    /// the original store must be reinstalled before the panic resumes.
-    #[test]
-    fn wrap_store_panic_restores_old_store() {
-        let p = BufferPool::new(store_with(2), 4);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.wrap_store(|_old| panic!("injected wrap failure"));
-        }));
-        assert!(r.is_err(), "the panic must propagate");
-        // The original store is back: its chunks are still served.
-        assert_eq!(p.get(ChunkId(0)).unwrap().get(0), CellValue::Num(0.0));
-        assert_eq!(p.get(ChunkId(1)).unwrap().get(0), CellValue::Num(1.0));
-        assert_eq!(p.store().ids().len(), 2);
-    }
-
-    /// `wrap_store`'s reclaim wrapper is transparent to downcasts: a
-    /// successful wrap that keeps the store inside a new wrapper still
-    /// lets `as_any` reach the original concrete type.
-    #[test]
-    fn wrap_store_stays_downcastable() {
-        use crate::fault::FaultStore;
-        let p = BufferPool::new(store_with(1), 4);
-        p.wrap_store(|s| Box::new(FaultStore::new(s, vec![])));
-        let store = p.store();
-        let fs = store
-            .as_any()
-            .downcast_ref::<FaultStore>()
-            .expect("outermost store is the FaultStore");
-        assert!(fs
-            .inner()
-            .as_any()
-            .downcast_ref::<MemStore>()
-            .is_some_and(|m| m.contains(ChunkId(0))));
     }
 }

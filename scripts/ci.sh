@@ -37,20 +37,37 @@ step "rustdoc (-D warnings)"
 # A deletion must never leave a dangling intra-doc link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
+step "product crates ship no test rig"
+# The storage and network fault harnesses live in the test crate; the
+# store and the server must not depend on `rand` again. Depth 1: the
+# server still reaches `rand` through polap-cli -> olap-workload, which
+# generates the datasets. --no-dedupe: without it the second package's
+# dependencies print as `(*)` once the first has listed the package.
+direct=$(cargo tree --offline --locked -e normal --depth 1 --no-dedupe \
+    -p olap-store -p olap-server)
+if echo "$direct" | grep -q ' rand v'; then
+    echo "$direct"
+    echo "olap-store or olap-server depends on rand directly"
+    exit 1
+fi
+echo "(no direct rand dependency)"
+
 step "concurrency flake gate (10x)"
 # The pool's concurrent demand misses, the parallel executors and
 # aggregation workers, the shared scenario cache, the fault-injection
 # suite and the flush-transaction crash tests are timing-sensitive; a
 # single green run proves little. Hammer the
 # concurrency-heavy suites (olap-store --lib includes the log-parser
-# fuzz, filestore crash-sweep and pool retry tests). `--test sweeps` stays
+# fuzz and filestore crash-sweep tests; `--test pool_faults` the pool's
+# retry and waiter tests; the test crate's --lib the FaultStore and
+# ChaosProxy unit tests, socket timing included). `--test sweeps` stays
 # out of the loop: its chaos and replica sweeps each run three fixed
 # seeds, so the one run in the tests step is already a repetition.
 i=1
 while [ "$i" -le 10 ]; do
     cargo test -q -p olap-store --lib >/dev/null
-    cargo test -q -p whatif-integration-tests \
-        --test parallel_exec --test scenario_cache \
+    cargo test -q -p whatif-integration-tests --lib \
+        --test parallel_exec --test scenario_cache --test pool_faults \
         --test scenario_forest --test fault_injection --test persistence \
         --test server --test run_kernels --test chaos \
         --test replication --test aggregation >/dev/null

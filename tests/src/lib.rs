@@ -4,6 +4,13 @@
 //! multi-session harness the server, chaos and sweep suites drive
 //! (`edit_script` → `serial_replies` → `drive_sessions` →
 //! `first_divergence`).
+//!
+//! It also holds the two fault harnesses the product does not ship:
+//! [`fault`] wraps a chunk store in a scripted storage-fault plan, and
+//! [`chaos`] puts a scripted network-fault proxy in front of a server.
+
+pub mod chaos;
+pub mod fault;
 
 use olap_cube::Cube;
 use olap_model::{DimensionId, Schema};

@@ -4,7 +4,6 @@
 //! retry through scripted socket faults with journal replay, and the
 //! versioned greeting that turns protocol skew into a readable error.
 
-use olap_server::chaos::{ChaosProxy, Dir, NetFaultKind, NetFaultSpec};
 use olap_server::{Server, ServerConfig, STATUS_ERR, STATUS_OK, STATUS_QUIT};
 use polap_cli::proto::{self, Client, RetryPolicy};
 use polap_cli::{Dataset, SharedData};
@@ -14,6 +13,7 @@ use std::time::{Duration, Instant};
 use whatif_core::{
     apply_opts, ExecOpts, Mode, OrderPolicy, Scenario, Semantics, Strategy, WhatIfError,
 };
+use whatif_integration_tests::chaos::{ChaosProxy, Dir, NetFaultKind, NetFaultSpec};
 use whatif_integration_tests::serial_replies;
 
 fn start(dataset: Dataset, cfg: ServerConfig) -> Server {

@@ -3,12 +3,12 @@
 //! fault-free run — never a panic, a hang, or a silently wrong cell.
 //!
 //! Faults are injected by wrapping the cube's backing store in a
-//! [`FaultStore`] via `BufferPool::wrap_store` (after clearing the pool
-//! so reads actually reach the store). Schedules are scripted for the
+//! [`FaultStore`] with [`fault::inject`], which drains the pool first so
+//! reads actually reach the store. Schedules are scripted for the
 //! regression tests and seed-derived for the property tests.
 
 use olap_cube::{CubeAggregator, CubeError, Lattice};
-use olap_store::{FaultKind, FaultOp, FaultSpec, FaultStore, StoreError};
+use olap_store::StoreError;
 use olap_workload::running_example;
 use proptest::prelude::*;
 use std::panic::AssertUnwindSafe;
@@ -17,6 +17,7 @@ use whatif_core::{
     apply, apply_opts, ExecOpts, Mode, OrderPolicy, Scenario, Semantics, Strategy, WhatIfError,
     WhatIfResult,
 };
+use whatif_integration_tests::fault::{self, FaultKind, FaultOp, FaultSpec, FaultStore};
 
 /// Hard per-query wall-clock budget: generous for slow CI machines but
 /// far below any hang (condvar waiters stranded on a failed read would
@@ -44,17 +45,14 @@ fn whatif_err_is_corrupt(e: &WhatIfError) -> bool {
     )
 }
 
-/// A running-example cube whose store is wrapped in `fault` after the
+/// A running-example cube whose store is wrapped by `wrap` after the
 /// pool is drained, so every chunk read goes through the fault plan.
 fn faulted_example(
-    fault: impl FnOnce(Box<dyn olap_store::ChunkStore>) -> FaultStore,
+    wrap: impl FnOnce(Box<dyn olap_store::ChunkStore>) -> FaultStore,
 ) -> olap_workload::RunningExample {
     let ex = running_example();
     ex.cube.flush().unwrap();
-    ex.cube.with_pool(|pool| {
-        pool.clear().unwrap();
-        pool.wrap_store(|s| Box::new(fault(s)));
-    });
+    ex.cube.with_pool(|pool| fault::inject(pool, wrap));
     ex
 }
 

@@ -8,7 +8,6 @@
 //!   under random kill/restart schedules.
 
 use olap_cube::StoreBackend;
-use olap_server::chaos::{random_plan, ChaosProxy};
 use olap_server::{
     enable_replication, Client, Follower, RetryPolicy, Server, ServerConfig, STATUS_OK,
 };
@@ -21,6 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
+use whatif_integration_tests::chaos::{random_plan, ChaosProxy};
 use whatif_integration_tests::{drive_sessions, edit_script, first_divergence, serial_replies};
 
 const SEEDS: [u64; 3] = [11, 29, 47];

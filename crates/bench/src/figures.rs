@@ -57,24 +57,6 @@ impl Figure {
         }
         out
     }
-
-    /// Least-squares slope of a series — used to check the paper's
-    /// "scales linearly" claims.
-    pub fn linearity_r2(points: &[(f64, f64)]) -> f64 {
-        let n = points.len() as f64;
-        if points.len() < 3 {
-            return 1.0;
-        }
-        let mx = points.iter().map(|p| p.0).sum::<f64>() / n;
-        let my = points.iter().map(|p| p.1).sum::<f64>() / n;
-        let sxy: f64 = points.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
-        let sxx: f64 = points.iter().map(|p| (p.0 - mx) * (p.0 - mx)).sum();
-        let syy: f64 = points.iter().map(|p| (p.1 - my) * (p.1 - my)).sum();
-        if sxx == 0.0 || syy == 0.0 {
-            return 1.0;
-        }
-        (sxy * sxy) / (sxx * syy)
-    }
 }
 
 impl fmt::Display for Figure {
@@ -143,15 +125,6 @@ mod tests {
         assert_eq!(lines[0], "n,A,B");
         assert_eq!(lines.len(), 4);
         assert!(lines[1].starts_with("1,2.000,1.000"));
-    }
-
-    #[test]
-    fn perfectly_linear_r2_is_one() {
-        let f = fig();
-        let r2 = Figure::linearity_r2(&f.series[0].points);
-        assert!((r2 - 1.0).abs() < 1e-12);
-        let r2b = Figure::linearity_r2(&f.series[1].points);
-        assert!(r2b < 1.0);
     }
 
     #[test]

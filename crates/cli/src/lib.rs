@@ -156,9 +156,9 @@ impl SharedData {
 /// [`Arc<SharedData>`] that may be shared with other sessions.
 pub struct Session {
     shared: Arc<SharedData>,
-    /// This session's executor knobs (`--threads`, `--budget` /
-    /// `.budget`). `budget_cells` also bounds `.rollup`
-    /// (more passes instead of reject-with-error). The two per-request
+    /// This session's executor knobs (`--threads`, `--budget`, the
+    /// budget verb). `budget_cells` also bounds the rollup verb (more
+    /// passes instead of reject-with-error). The two per-request
     /// fields, `cache` and `deadline`, stay unset here:
     /// `Session::request_opts` fills them in for each request.
     opts: ExecOpts,
@@ -168,9 +168,8 @@ pub struct Session {
     /// request aborts with `DeadlineExceeded` and the session (forest,
     /// budget, cache) is untouched.
     deadline_ms: u64,
-    /// This session's scenario forest (`.fork` / `.switch` /
-    /// `.scenarios`): private, like the tuning state — forks are an
-    /// analyst's exploration, not shared server state.
+    /// This session's scenario forest: private, like the tuning state —
+    /// forks are an analyst's exploration, not shared server state.
     forest: ScenarioForest,
 }
 
@@ -269,10 +268,10 @@ impl Session {
     }
 
     /// The executor options for a request starting *now* — the one
-    /// place a request's [`ExecOpts`] is assembled, used by the MDX path
-    /// and `.apply` alike: the session's knobs, the shared scenario
-    /// cache, and the deadline instant per the `.deadline` setting
-    /// (`None` = unlimited).
+    /// place a request's [`ExecOpts`] is assembled, used by MDX queries
+    /// and scenario verbs alike: the session's knobs, the shared scenario
+    /// cache, and the deadline instant per `deadline_ms` (`None` =
+    /// unlimited).
     fn request_opts(&self) -> ExecOpts {
         ExecOpts {
             cache: self.shared.cache.clone(),
@@ -292,190 +291,123 @@ impl Session {
         ctx
     }
 
-    /// Handles one input line.
+    /// Handles one input line: a dot-command runs its [`VERBS`] row,
+    /// anything else is an MDX query.
     pub fn handle(&mut self, line: &str) -> Outcome {
         let line = line.trim();
         if line.is_empty() {
             return Outcome::Continue(String::new());
         }
-        if let Some(rest) = line.strip_prefix('.') {
-            return self.command(rest);
+        if let Some(head) = line.strip_prefix('.') {
+            return match lookup(line) {
+                Some((verb, arg)) => (verb.run)(self, arg).unwrap_or_else(|r| r.outcome(verb)),
+                None => Outcome::Continue(format!(
+                    "unknown command .{} — try .{}",
+                    head.split(' ').next().unwrap_or("").to_ascii_lowercase(),
+                    VERBS[0].name
+                )),
+            };
         }
         match olap_mdx::execute(&self.context(), line) {
             Ok(grid) => Outcome::Continue(grid.to_string()),
-            Err(e) if is_deadline(&e) => Outcome::Deadline(format!("error: {e}")),
-            Err(e) => Outcome::Continue(format!("error: {e}")),
+            // A query has no row of its own, and no usage to refuse.
+            Err(e) => Refusal::from(e).outcome(&READ),
         }
     }
 
-    fn command(&mut self, cmd: &str) -> Outcome {
-        let mut parts = cmd.splitn(2, ' ');
-        let head = parts.next().unwrap_or("").to_ascii_lowercase();
-        let arg = parts.next().unwrap_or("").trim();
-        match head.as_str() {
-            "help" | "h" => Outcome::Continue(HELP.to_string()),
-            "quit" | "q" | "exit" => Outcome::Quit("bye".to_string()),
-            "schema" => Outcome::Continue(self.schema_text()),
-            "cache" => Outcome::Continue(match &self.shared.cache {
-                None => "scenario cache off — start the shell with --cache <MB>".to_string(),
-                Some(c) => {
-                    let s = c.stats();
-                    let hit_rate = if s.lookups > 0 {
-                        100.0 * s.hits as f64 / s.lookups as f64
-                    } else {
-                        0.0
-                    };
+    fn cache(&mut self, _: &str) -> Reply {
+        let Some(c) = &self.shared.cache else {
+            return say("scenario cache off — start the shell with --cache <MB>".to_string());
+        };
+        let s = c.stats();
+        let hit_rate = 100.0 * s.hits as f64 / s.lookups.max(1) as f64;
+        say(format!(
+            "scenario cache: {} entries, {} KiB / {} KiB, \
+             {} lookups, {} hits ({hit_rate:.1}%), {} evictions",
+            c.len(),
+            s.bytes / 1024,
+            c.capacity() / 1024,
+            s.lookups,
+            s.hits,
+            s.evictions,
+        ))
+    }
+
+    fn stats(&mut self, _: &str) -> Reply {
+        let s = self.data().cube().pool_stats();
+        say(format!(
+            "buffer pool: {} hits, {} misses, {} evictions\n\
+             peaks: {} resident\n\
+             faults: {} read errors, {} retries, {} write retries\n\
+             flushes: {} committed",
+            s.hits,
+            s.misses,
+            s.evictions,
+            s.peak_resident,
+            s.read_errors,
+            s.retries,
+            s.write_retries,
+            s.flushes,
+        ))
+    }
+
+    /// Flushes the pool's dirty chunks as one transaction and reports
+    /// the flush epoch and, for a file store, the log's counters.
+    fn commit(&mut self, _: &str) -> Reply {
+        let cube = self.data().cube();
+        cube.flush()
+            .map_err(|e| Refusal::Error(format!("flush failed: {e}")))?;
+        say(cube.with_pool(|pool| {
+            use olap_store::ChunkStore as _;
+            let guard = pool.store();
+            match guard.as_any().downcast_ref::<olap_store::FileStore>() {
+                Some(fs) => {
+                    let w = fs.wal_stats();
                     format!(
-                        "scenario cache: {} entries, {} KiB / {} KiB, \
-                         {} lookups, {} hits ({hit_rate:.1}%), {} evictions",
-                        c.len(),
-                        s.bytes / 1024,
-                        c.capacity() / 1024,
-                        s.lookups,
-                        s.hits,
-                        s.evictions,
+                        "flushed at epoch {} — log: {} txns committed, \
+                         {} aborted, {} marker bytes, {} syncs",
+                        fs.flush_epoch(),
+                        w.txns_committed,
+                        w.txns_aborted,
+                        w.bytes_logged,
+                        w.syncs,
                     )
                 }
-            }),
-            "stats" => {
-                let s = self.data().cube().pool_stats();
-                Outcome::Continue(format!(
-                    "buffer pool: {} hits, {} misses, {} evictions\n\
-                     peaks: {} resident\n\
-                     faults: {} read errors, {} retries, {} write retries\n\
-                     flushes: {} committed",
-                    s.hits,
-                    s.misses,
-                    s.evictions,
-                    s.peak_resident,
-                    s.read_errors,
-                    s.retries,
-                    s.write_retries,
-                    s.flushes,
-                ))
+                None => format!(
+                    "flushed (memory-backed store: epoch {}, no WAL)",
+                    guard.flush_epoch()
+                ),
             }
-            "commit" => match self.data().cube().flush() {
-                Err(e) => Outcome::Continue(format!("flush error: {e}")),
-                Ok(()) => Outcome::Continue(self.data().cube().with_pool(|pool| {
-                    use olap_store::ChunkStore as _;
-                    let guard = pool.store();
-                    match guard.as_any().downcast_ref::<olap_store::FileStore>() {
-                        Some(fs) => {
-                            let w = fs.wal_stats();
-                            format!(
-                                "flushed at epoch {} — log: {} txns committed, \
-                                 {} aborted, {} marker bytes, {} syncs",
-                                fs.flush_epoch(),
-                                w.txns_committed,
-                                w.txns_aborted,
-                                w.bytes_logged,
-                                w.syncs,
-                            )
-                        }
-                        None => format!(
-                            "flushed (memory-backed store: epoch {}, no WAL)",
-                            guard.flush_epoch()
-                        ),
-                    }
-                })),
-            },
-            "sets" => {
-                let sets = self.data().named_sets();
-                if sets.is_empty() {
-                    return Outcome::Continue("(no named sets in this dataset)".to_string());
-                }
-                let schema = self.data().cube().schema();
-                let mut out = String::new();
-                for (name, dim, members) in sets {
-                    let names: Vec<&str> = members
-                        .iter()
-                        .take(8)
-                        .map(|&m| schema.dim(dim).member_name(m))
-                        .collect();
-                    let more = members.len().saturating_sub(8);
-                    let _ = writeln!(
-                        out,
-                        "[{name}] — {} members: {}{}",
-                        members.len(),
-                        names.join(", "),
-                        if more > 0 {
-                            format!(", … (+{more})")
-                        } else {
-                            String::new()
-                        }
-                    );
-                }
-                Outcome::Continue(out)
-            }
-            "instances" => {
-                if arg.is_empty() {
-                    return Outcome::Continue("usage: .instances <member name>".to_string());
-                }
-                Outcome::Continue(self.instances_text(arg))
-            }
-            "explain" => {
-                if arg.is_empty() {
-                    return Outcome::Continue("usage: .explain <extended MDX query>".to_string());
-                }
-                Outcome::Continue(self.explain(arg))
-            }
-            "csv" => {
-                if arg.is_empty() {
-                    return Outcome::Continue("usage: .csv <query>".to_string());
-                }
-                match olap_mdx::execute(&self.context(), arg) {
-                    Ok(grid) => Outcome::Continue(grid.to_csv()),
-                    Err(e) if is_deadline(&e) => Outcome::Deadline(format!("error: {e}")),
-                    Err(e) => Outcome::Continue(format!("error: {e}")),
-                }
-            }
-            "budget" => {
-                if arg.is_empty() {
-                    return Outcome::Continue(match self.opts.budget_cells {
-                        0 => "session budget: unlimited".to_string(),
-                        n => format!("session budget: {n} cells"),
-                    });
-                }
-                match arg.parse::<u64>() {
-                    Ok(n) => {
-                        self.opts.budget_cells = n;
-                        Outcome::Continue(match n {
-                            0 => "session budget: unlimited".to_string(),
-                            n => format!("session budget: {n} cells"),
-                        })
-                    }
-                    Err(_) => Outcome::Continue("usage: .budget [cells]".to_string()),
-                }
-            }
-            "deadline" => {
-                if arg.is_empty() {
-                    return Outcome::Continue(match self.deadline_ms {
-                        0 => "request deadline: unlimited".to_string(),
-                        n => format!("request deadline: {n} ms"),
-                    });
-                }
-                match arg.parse::<u64>() {
-                    Ok(n) => {
-                        self.deadline_ms = n;
-                        Outcome::Continue(match n {
-                            0 => "request deadline: unlimited".to_string(),
-                            n => format!("request deadline: {n} ms"),
-                        })
-                    }
-                    Err(_) => Outcome::Continue("usage: .deadline [ms]".to_string()),
-                }
-            }
-            "apply" => self.apply(arg),
-            "fork" => Outcome::Continue(self.fork(arg)),
-            "switch" => Outcome::Continue(self.switch(arg)),
-            "scenarios" => Outcome::Continue(self.scenarios()),
-            "change" => Outcome::Continue(self.change(arg)),
-            "rollup" => Outcome::Continue(self.rollup()),
-            other => Outcome::Continue(format!("unknown command .{other} — try .help")),
-        }
+        }))
     }
 
-    fn schema_text(&self) -> String {
+    fn sets(&mut self, _: &str) -> Reply {
+        let sets = self.data().named_sets();
+        if sets.is_empty() {
+            return say("(no named sets in this dataset)".to_string());
+        }
+        let schema = self.data().cube().schema();
+        let mut out = String::new();
+        for (name, dim, members) in sets {
+            let names: Vec<&str> = members
+                .iter()
+                .take(8)
+                .map(|&m| schema.dim(dim).member_name(m))
+                .collect();
+            let more = members.len().saturating_sub(8);
+            let more = (more > 0).then(|| format!(", … (+{more})"));
+            let _ = writeln!(
+                out,
+                "[{name}] — {} members: {}{}",
+                members.len(),
+                names.join(", "),
+                more.unwrap_or_default()
+            );
+        }
+        say(out)
+    }
+
+    fn schema(&mut self, _: &str) -> Reply {
         let schema = self.data().cube().schema();
         let mut out = String::new();
         for d in schema.dim_ids() {
@@ -507,17 +439,18 @@ impl Session {
             self.data().cube().present_cell_count().unwrap_or(0),
             self.data().cube().chunk_count(),
         );
-        out
+        say(out)
     }
 
-    fn instances_text(&self, member: &str) -> String {
+    fn instances(&mut self, member: &str) -> Reply {
+        let member = need(member)?;
         let schema = self.data().cube().schema();
         for d in schema.dim_ids() {
             if let Some(v) = schema.varying(d) {
                 if let Some(m) = schema.dim(d).find(member) {
                     let ids = v.instances_of(m);
                     if ids.is_empty() {
-                        return format!("{member} has no instances (non-leaf?)");
+                        return say(format!("{member} has no instances (non-leaf?)"));
                     }
                     let names = schema.dim(v.parameter_dim()).leaf_names();
                     let mut out = String::new();
@@ -530,30 +463,30 @@ impl Session {
                             inst.validity.display_with(&names),
                         );
                     }
-                    return out;
+                    return say(out);
                 }
             }
         }
-        format!("no varying-dimension member named {member:?}")
+        say(format!("no varying-dimension member named {member:?}"))
     }
 
-    /// `.explain <query>`: runs the query once and prints what ran — the
+    /// Runs the query once and prints what ran — the
     /// Theorem 4.1 expression of its `WITH` clause, the varying-dimension
     /// slots the MDX layer scoped execution to, and the executor's report
     /// of that run.
-    fn explain(&self, query: &str) -> String {
-        let parsed = match parse(query) {
+    fn explain(&mut self, query: &str) -> Reply {
+        let parsed = match parse(need(query)?) {
             Ok(q) => q,
-            Err(e) => return format!("parse error: {e}"),
+            Err(e) => return say(format!("parse error: {e}")),
         };
         let mut out = format!("parsed: {parsed}\n");
         if parsed.with.is_none() {
             out.push_str("no WITH clause — plain OLAP query, no scenario\n");
-            return out;
+            return say(out);
         }
         let run = match olap_mdx::evaluate(&self.context(), &parsed) {
             Ok(run) => run,
-            Err(e) => return format!("{out}error: {e}\n"),
+            Err(e) => return say(format!("{out}error: {e}\n")),
         };
         if let Some(scenario) = &run.scenario {
             let _ = writeln!(out, "algebra: {:?}", whatif_core::compile(scenario));
@@ -587,33 +520,38 @@ impl Session {
                 r.cache_chunks_served,
             );
         }
-        out
+        say(out)
     }
 
-    /// `.apply <semantics> <m1,m2,...>`: record a negative scenario on
-    /// the current fork and run it; bare `.apply` re-runs whatever the
-    /// current fork assumes (a `.switch`-then-`.apply` toggle). Reports
-    /// only *deterministic* facts about the result — cell count, an
-    /// order-independent digest, and the pass count. Cache/pool counters
-    /// are deliberately omitted: under a shared pool and cache they
-    /// depend on sibling sessions, and the server tests assert
-    /// byte-identical responses across concurrent and serial runs.
-    fn apply(&mut self, arg: &str) -> Outcome {
-        const USAGE: &str =
-            "usage: .apply <static|forward|xforward|backward|xbackward> <m1,m2,...> \
-             — bare .apply re-runs the current fork's scenario";
+    fn csv(&mut self, query: &str) -> Reply {
+        say(olap_mdx::execute(&self.context(), need(query)?)?.to_csv())
+    }
+
+    /// Records a negative scenario (`<semantics> <m1,m2,...>`) on the
+    /// current fork and runs it; with no argument, re-runs whatever the
+    /// current fork assumes (a switch-then-re-run toggle). The scenario
+    /// is recorded only once its run succeeds, so a refused or aborted
+    /// run leaves the fork as it was. Reports only *deterministic* facts
+    /// about the result — cell count, an order-independent digest, and
+    /// the pass count. Cache/pool counters are deliberately omitted:
+    /// under a shared pool and cache they depend on sibling sessions,
+    /// and the server tests assert byte-identical responses across
+    /// concurrent and serial runs.
+    fn apply(&mut self, arg: &str) -> Reply {
         if arg.is_empty() {
-            let Some(scenario) = self.forest.scenario() else {
-                return Outcome::Continue(format!(
-                    "{USAGE}\n(fork '{}' has no scenario to re-run yet)",
+            let scenario = self.forest.scenario().ok_or_else(|| {
+                Refusal::Usage(Some(format!(
+                    "(fork '{}' has no scenario to re-run yet)",
                     self.forest.current_name()
-                ));
-            };
-            return self.run_scenario(&scenario, self.request_opts());
+                )))
+            })?;
+            return self
+                .run_scenario(&scenario, self.request_opts())
+                .map(Outcome::Continue);
         }
         let mut parts = arg.split_whitespace();
         let (Some(sem), Some(moments)) = (parts.next(), parts.next()) else {
-            return Outcome::Continue(USAGE.to_string());
+            return Err(Refusal::Usage(None));
         };
         let semantics = match sem.to_ascii_lowercase().as_str() {
             "static" => whatif_core::Semantics::Static,
@@ -621,38 +559,44 @@ impl Session {
             "xforward" => whatif_core::Semantics::ExtendedForward,
             "backward" | "bwd" => whatif_core::Semantics::Backward,
             "xbackward" => whatif_core::Semantics::ExtendedBackward,
-            _ => return Outcome::Continue(USAGE.to_string()),
+            _ => return Err(Refusal::Usage(None)),
         };
-        let parsed: std::result::Result<Vec<u32>, _> = moments
+        let perspectives = moments
             .split(',')
             .map(|m| m.trim().parse::<u32>())
-            .collect();
-        let Ok(perspectives) = parsed else {
-            return Outcome::Continue(USAGE.to_string());
-        };
-        let dim = {
-            let schema = self.data().cube().schema();
-            match schema.dim_ids().find(|&d| schema.varying(d).is_some()) {
-                Some(d) => d,
-                None => {
-                    return Outcome::Continue("this dataset has no varying dimension".to_string())
-                }
-            }
-        };
+            .collect::<Result<Vec<u32>, _>>()
+            .map_err(|_| Refusal::Usage(None))?;
         let spec = whatif_core::PerspectiveSpec::new(
-            dim,
-            perspectives.iter().copied(),
+            self.varying_dim()?,
+            perspectives,
             semantics,
             whatif_core::Mode::Visual,
         );
-        self.forest.set_negative(spec.clone());
-        self.run_scenario(&whatif_core::Scenario::Negative(spec), self.request_opts())
+        let reply = self.run_scenario(
+            &whatif_core::Scenario::Negative(spec.clone()),
+            self.request_opts(),
+        )?;
+        self.forest.set_negative(spec);
+        say(reply)
+    }
+
+    /// The first varying dimension, which the scenario verbs act on.
+    fn varying_dim(&self) -> Result<DimensionId, Refusal> {
+        let schema = self.data().cube().schema();
+        schema
+            .dim_ids()
+            .find(|&d| schema.varying(d).is_some())
+            .ok_or_else(|| Refusal::Error("this dataset has no varying dimension".to_string()))
     }
 
     /// Runs one scenario under `opts` (the request's, from
-    /// [`Session::request_opts`]) and renders the deterministic `.apply`
-    /// summary line.
-    fn run_scenario(&self, scenario: &whatif_core::Scenario, opts: ExecOpts) -> Outcome {
+    /// [`Session::request_opts`]) and renders the deterministic summary
+    /// line.
+    fn run_scenario(
+        &self,
+        scenario: &whatif_core::Scenario,
+        opts: ExecOpts,
+    ) -> Result<String, Refusal> {
         let label = match scenario {
             whatif_core::Scenario::Negative(spec) => format!(
                 "{} {{{}}}",
@@ -676,7 +620,7 @@ impl Session {
             whatif_core::Scenario::Positive { dim, changes, mode } => {
                 let key = whatif_core::memo_key(self.data().cube(), *dim, *mode, changes.iter());
                 if let Some(hit) = self.shared.split_memo.lookup(key) {
-                    return Outcome::Continue(format!(
+                    return Ok(format!(
                         "applied {label}: {} cells, digest {:016x}, 0 pass(es)",
                         hit.cells, hit.digest,
                     ));
@@ -686,118 +630,98 @@ impl Session {
             whatif_core::Scenario::Negative(_) => None,
         };
         let strategy = whatif_core::Strategy::Chunked(whatif_core::OrderPolicy::Pebbling);
-        match whatif_core::apply_opts(self.data().cube(), scenario, &strategy, None, opts) {
-            Ok(result) => match cell_digest(&result.cube) {
-                Ok((count, digest)) => {
-                    let passes = result.report.passes;
-                    if let Some(key) = positive_key {
-                        self.shared.split_memo.insert(
-                            key,
-                            Arc::new(whatif_core::SplitResult {
-                                schema: result.schema,
-                                cube: result.cube,
-                                cells: count,
-                                digest,
-                            }),
-                        );
-                    }
-                    Outcome::Continue(format!(
-                        "applied {label}: {count} cells, digest {digest:016x}, {passes} pass(es)",
-                    ))
-                }
-                Err(e) => Outcome::Continue(format!("error: {e}")),
-            },
-            Err(e @ whatif_core::WhatIfError::DeadlineExceeded) => {
-                Outcome::Deadline(format!("error: {e}"))
-            }
-            Err(e) => Outcome::Continue(format!("error: {e}")),
+        let result = whatif_core::apply_opts(self.data().cube(), scenario, &strategy, None, opts)
+            .map_err(|e| match e {
+            whatif_core::WhatIfError::DeadlineExceeded => Refusal::Deadline(e.to_string()),
+            e => Refusal::Error(e.to_string()),
+        })?;
+        let (count, digest) = cell_digest(&result.cube).map_err(Refusal::error)?;
+        let passes = result.report.passes;
+        if let Some(key) = positive_key {
+            self.shared.split_memo.insert(
+                key,
+                Arc::new(whatif_core::SplitResult {
+                    schema: result.schema,
+                    cube: result.cube,
+                    cells: count,
+                    digest,
+                }),
+            );
         }
+        Ok(format!(
+            "applied {label}: {count} cells, digest {digest:016x}, {passes} pass(es)",
+        ))
     }
 
-    /// `.fork <name>`: fork the current scenario copy-on-write and
-    /// switch to the child.
-    fn fork(&mut self, arg: &str) -> String {
+    /// Forks the current scenario copy-on-write and switches to the
+    /// child.
+    fn fork(&mut self, arg: &str) -> Reply {
         if arg.is_empty() || arg.split_whitespace().count() != 1 {
-            return "usage: .fork <name>".to_string();
+            return Err(Refusal::Usage(None));
         }
         let parent = self.forest.current_name().to_string();
-        match self.forest.fork(arg) {
-            Ok(()) => format!("forked '{arg}' from '{parent}' — now on '{arg}'"),
-            Err(e) => format!("error: {e}"),
-        }
+        self.forest.fork(arg).map_err(Refusal::error)?;
+        say(format!("forked '{arg}' from '{parent}' — now on '{arg}'"))
     }
 
-    /// `.switch <name>`: make another fork current. Re-running it is
-    /// then a warm-cache replay (the versioned cache kept its entries).
-    fn switch(&mut self, arg: &str) -> String {
-        if arg.is_empty() {
-            return "usage: .switch <name>".to_string();
-        }
-        match self.forest.switch(arg) {
-            Ok(()) => format!("now on '{arg}'"),
-            Err(e) => format!("error: {e}"),
-        }
+    /// Makes another fork current. Re-running it is then a warm-cache
+    /// replay (the versioned cache kept its entries).
+    fn switch(&mut self, arg: &str) -> Reply {
+        self.forest.switch(need(arg)?).map_err(Refusal::error)?;
+        say(format!("now on '{arg}'"))
     }
 
-    /// `.scenarios`: the session's fork tree.
-    fn scenarios(&self) -> String {
+    /// The session's fork tree.
+    fn scenarios(&mut self, _: &str) -> Reply {
         let mut out = String::new();
         for r in self.forest.rows() {
             let parent = r
                 .parent
                 .map(|p| format!("<- {p}"))
                 .unwrap_or_else(|| "(root)".to_string());
-            let shared = if r.shared_changes > 0 {
-                format!(" [{} changes shared]", r.shared_changes)
-            } else {
-                String::new()
-            };
+            let shared =
+                (r.shared_changes > 0).then(|| format!(" [{} changes shared]", r.shared_changes));
             let _ = writeln!(
                 out,
-                "{} {:<12} {:<12} {}{shared}",
+                "{} {:<12} {:<12} {}{}",
                 if r.current { "*" } else { " " },
                 r.name,
                 parent,
                 r.summary,
+                shared.unwrap_or_default(),
             );
         }
-        out
+        say(out)
     }
 
-    /// `.change <member> <new parent> <moment>`: append a positive
-    /// change to the current fork (run it with a bare `.apply`).
-    fn change(&mut self, arg: &str) -> String {
-        const USAGE: &str = "usage: .change <member> <new parent> <moment>";
+    /// Appends a positive change (`<member> <new parent> <moment>`) to
+    /// the current fork; a bare re-run runs it.
+    fn change(&mut self, arg: &str) -> Reply {
         let parts: Vec<&str> = arg.split_whitespace().collect();
         let [member, parent, moment] = parts[..] else {
-            return USAGE.to_string();
+            return Err(Refusal::Usage(None));
         };
-        let (dim, dim_name, m, n, at) = {
+        let dim = self.varying_dim()?;
+        let (dim_name, m, n, at) = {
             let schema = self.data().cube().schema();
-            let Some(dim) = schema.dim_ids().find(|&d| schema.varying(d).is_some()) else {
-                return "this dataset has no varying dimension".to_string();
-            };
             let dimension = schema.dim(dim);
-            let Some(m) = dimension.find(member) else {
-                return format!("no member named {member:?} in {}", dimension.name());
+            let find = |name: &str| {
+                dimension.find(name).ok_or_else(|| {
+                    Refusal::Error(format!("no member named {name:?} in {}", dimension.name()))
+                })
             };
-            let Some(n) = dimension.find(parent) else {
-                return format!("no member named {parent:?} in {}", dimension.name());
-            };
-            let at = match moment.parse::<u32>() {
-                Ok(t) => t,
-                Err(_) => {
-                    let v = schema.varying(dim).expect("varying dim found above");
-                    let names = schema.dim(v.parameter_dim()).leaf_names();
-                    match names.iter().position(|nm| nm.eq_ignore_ascii_case(moment)) {
-                        Some(i) => i as u32,
-                        None => {
-                            return format!("no moment named {moment:?} (and it is not a number)")
-                        }
-                    }
-                }
-            };
-            (dim, dimension.name().to_string(), m, n, at)
+            let (m, n) = (find(member)?, find(parent)?);
+            let v = schema.varying(dim).expect("varying dim found above");
+            let names = schema.dim(v.parameter_dim()).leaf_names();
+            let named = || names.iter().position(|nm| nm.eq_ignore_ascii_case(moment));
+            let at = (moment.parse().ok())
+                .or_else(|| named().map(|i| i as u32))
+                .ok_or_else(|| {
+                    Refusal::Error(format!(
+                        "no moment named {moment:?} (and it is not a number)"
+                    ))
+                })?;
+            (dimension.name().to_string(), m, n, at)
         };
         let change = whatif_core::Change {
             member: m,
@@ -805,70 +729,51 @@ impl Session {
             new_parent: n,
             at,
         };
-        match self
-            .forest
+        self.forest
             .add_change(dim, whatif_core::Mode::Visual, change)
-        {
-            Ok(()) => {
-                let c = self.forest.current_changes().expect("change just added");
-                format!(
-                    "fork '{}': {} change(s) on {dim_name} ({} shared with ancestors)",
-                    self.forest.current_name(),
-                    c.len(),
-                    c.shared_len(),
-                )
-            }
-            Err(e) => format!("error: {e}"),
-        }
+            .map_err(Refusal::error)?;
+        let c = self.forest.current_changes().expect("change just added");
+        say(format!(
+            "fork '{}': {} change(s) on {dim_name} ({} shared with ancestors)",
+            self.forest.current_name(),
+            c.len(),
+            c.shared_len(),
+        ))
     }
 
-    /// `.rollup`: one single-dimension group-by per cube dimension, run
-    /// through the budget-respecting multi-pass aggregator with the
-    /// session's threads. A small session budget means more
-    /// passes; an impossible one is an error.
-    fn rollup(&self) -> String {
+    /// One single-dimension group-by per cube dimension, run through
+    /// the budget-respecting multi-pass aggregator with the session's
+    /// threads. A small session budget means more passes; an impossible
+    /// one is refused.
+    fn rollup(&mut self, _: &str) -> Reply {
         let cube = self.data().cube();
         let schema = cube.schema();
         let ndims = cube.geometry().ndims();
         let masks: Vec<olap_cube::GroupByMask> = (0..ndims as u32).map(|d| 1 << d).collect();
-        let budget = match self.opts.budget_cells {
-            0 => u64::MAX,
-            n => n,
-        };
+        let budget = Some(self.opts.budget_cells).filter(|&n| n > 0);
         let aggregator = olap_cube::CubeAggregator::new(cube).with_threads(self.opts.threads);
-        match aggregator.compute_with_budget(&masks, budget) {
-            Ok((results, report)) => {
-                let mut out = String::new();
-                for (d, &mask) in masks.iter().enumerate() {
-                    let name = schema.dim(schema.dim_ids().nth(d).expect("dim")).name();
-                    let total = results
-                        .get(&mask)
-                        .map(|r| r.grand_total())
-                        .unwrap_or(f64::NAN);
-                    let _ = writeln!(out, "{name:<14} total {total}");
-                }
-                let _ = write!(
-                    out,
-                    "{} pass(es), peak {} buffer cells",
-                    report.passes, report.peak_buffer_cells
-                );
-                out
-            }
-            Err(e) => format!("error: {e}"),
+        let (results, report) = aggregator
+            .compute_with_budget(&masks, budget.unwrap_or(u64::MAX))
+            .map_err(Refusal::error)?;
+        let mut out = String::new();
+        for (d, &mask) in masks.iter().enumerate() {
+            let name = schema.dim(schema.dim_ids().nth(d).expect("dim")).name();
+            let total = results
+                .get(&mask)
+                .map(|r| r.grand_total())
+                .unwrap_or(f64::NAN);
+            let _ = writeln!(out, "{name:<14} total {total}");
         }
+        let _ = write!(
+            out,
+            "{} pass(es), peak {} buffer cells",
+            report.passes, report.peak_buffer_cells
+        );
+        say(out)
     }
 }
 
-/// Whether an MDX error is the executor's cooperative deadline abort
-/// (the one `-` the server reports without closing the connection).
-fn is_deadline(e: &olap_mdx::MdxError) -> bool {
-    matches!(
-        e,
-        olap_mdx::MdxError::WhatIf(whatif_core::WhatIfError::DeadlineExceeded)
-    )
-}
-
-/// The `.apply` spelling of each semantics variant.
+/// How a scenario verb spells each semantics variant.
 fn semantics_name(s: whatif_core::Semantics) -> &'static str {
     match s {
         whatif_core::Semantics::Static => "static",
@@ -962,38 +867,213 @@ fn digest_rows(
     sum
 }
 
-/// The `.help` text.
-pub const HELP: &str = "\
-Enter an (extended) MDX query, or a command:
-  .schema              dimensions, axis sizes, varying info
-  .instances <member>  a changing member's instances + validity sets
-  .sets                named sets registered for this dataset
-  .explain <query>     run a query once; print its algebra, scope and executor report
-  .csv <query>         run a query and print the grid as CSV
-  .apply <sem> <m,..>  run a negative scenario (first varying dim); deterministic
-                       summary: cell count, digest, passes. Bare .apply re-runs
-                       the current fork's scenario
-  .fork <name>         fork the current scenario copy-on-write and switch to it
-  .switch <name>       make another fork current (warm-cache replay on re-apply)
-  .scenarios           list this session's scenario forks
-  .change <m> <p> <t>  append a positive change (member, new parent, moment) to
-                       the current fork; run it with bare .apply
-  .rollup              per-dimension totals via the budget-aware multi-pass
-                       aggregator (small budgets add passes)
-  .budget [cells]      show or set this session's peak-memory budget (0 = unlimited)
-  .deadline [ms]       show or set the per-request deadline (0 = unlimited); an
-                       expired request aborts at a pass boundary, session intact
-  .cache               scenario-delta cache statistics (--cache MB to enable)
-  .commit              flush dirty chunks atomically; report flush epoch + WAL counters
-  .stats               buffer-pool counters (incl. read errors, retries, flushes)
-  .help                this text
-  .quit                exit
+/// One dot-verb. [`VERBS`] holds one row per verb and is the only
+/// place a verb is known: [`Session::handle`] looks a line up and runs
+/// its row, [`help`] and the unknown-verb reply are generated from the
+/// rows, the reconnect journal ([`proto`]) keeps what `sets_session`
+/// says, and a replica refuses every `writes_base` row. A row either
+/// succeeds or leaves the session as it was; the table words every
+/// refusal, so that [`is_refusal`] tells the two apart.
+pub struct Verb {
+    /// The name after the dot; it and the aliases match in any case.
+    pub name: &'static str,
+    /// Other names for the row.
+    pub aliases: &'static [&'static str],
+    /// The argument synopsis a usage refusal prints after the name.
+    pub usage: &'static str,
+    /// What the verb does, for [`help`].
+    pub help: &'static str,
+    /// Writes the base cube, which a replica takes only from its leader.
+    pub writes_base: bool,
+    /// How an accepted line *with an argument* changes the session;
+    /// `None` for a verb that only reads. The bare form of every such
+    /// verb only reads, or is refused.
+    pub sets_session: Option<SessionEffect>,
+    run: fn(&mut Session, &str) -> Reply,
+}
 
-Example what-if (running example dataset):
+/// How an accepted line changes its session: all the reconnect journal
+/// needs to replay it, or to drop it once a later line of the same verb
+/// supersedes it ([`proto::compact_journal`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionEffect {
+    /// Sets a knob that scenario runs read.
+    Knob,
+    /// Makes another fork current.
+    Pick,
+    /// Records the current fork's scenario, once it ran.
+    Record,
+    /// Adds a fork, or a change to the current fork; never superseded.
+    Grow,
+}
+
+impl SessionEffect {
+    /// Whether this line depends on what an `earlier` line left, so that
+    /// one must replay even if superseded later: a run reads the knobs
+    /// and the current fork, growth acts on the current fork and copies
+    /// its scenario, and a pick decides where the next record lands.
+    pub fn observes(self, earlier: SessionEffect) -> bool {
+        matches!(
+            (self, earlier),
+            (Record, Knob | Pick) | (Grow, Pick | Record) | (Pick, Record)
+        )
+    }
+}
+
+use SessionEffect::{Grow, Knob, Pick, Record};
+
+/// What a row's `run` returns: its reply, or why it changed nothing.
+type Reply = Result<Outcome, Refusal>;
+
+fn say(text: String) -> Reply {
+    Ok(Outcome::Continue(text))
+}
+
+/// Why a verb turned a line down; the dispatcher words the reply.
+#[derive(Debug)]
+enum Refusal {
+    /// The argument does not fit the row's usage; a note may follow.
+    Usage(Option<String>),
+    /// The line fits but cannot be carried out.
+    Error(String),
+    /// The request's deadline expired mid-run.
+    Deadline(String),
+}
+
+impl Refusal {
+    fn error(e: impl fmt::Display) -> Refusal {
+        Refusal::Error(e.to_string())
+    }
+
+    /// The reply; only a usage refusal reads `verb`.
+    fn outcome(self, verb: &Verb) -> Outcome {
+        match self {
+            Refusal::Usage(note) => {
+                let note = note.map(|n| format!("\n{n}")).unwrap_or_default();
+                Outcome::Continue(format!("usage: .{} {}{note}", verb.name, verb.usage))
+            }
+            Refusal::Error(e) => Outcome::Continue(format!("error: {e}")),
+            Refusal::Deadline(e) => Outcome::Deadline(format!("error: {e}")),
+        }
+    }
+}
+
+/// The executor's deadline abort is the one failure answered with `-`.
+impl From<olap_mdx::MdxError> for Refusal {
+    fn from(e: olap_mdx::MdxError) -> Refusal {
+        use whatif_core::WhatIfError::DeadlineExceeded;
+        match e {
+            olap_mdx::MdxError::WhatIf(DeadlineExceeded) => Refusal::Deadline(e.to_string()),
+            e => Refusal::error(e),
+        }
+    }
+}
+
+/// Whether a reply says its line was refused, and so changed nothing.
+pub fn is_refusal(reply: &str) -> bool {
+    reply.starts_with("error:") || reply.starts_with("usage:")
+}
+
+/// The argument of a verb that requires one.
+fn need(arg: &str) -> Result<&str, Refusal> {
+    (!arg.is_empty()).then_some(arg).ok_or(Refusal::Usage(None))
+}
+
+/// Shows a knob, or sets it first when `arg` is a number; 0 reads as
+/// unlimited.
+fn knob(slot: &mut u64, arg: &str, label: &str, unit: &str) -> Reply {
+    if !arg.is_empty() {
+        *slot = arg.parse().map_err(|_| Refusal::Usage(None))?;
+    }
+    say(match *slot {
+        0 => format!("{label}: unlimited"),
+        n => format!("{label}: {n} {unit}"),
+    })
+}
+
+/// The fields most rows share: no aliases or argument, and no write.
+#[rustfmt::skip]
+const READ: Verb = Verb { name: "", aliases: &[], usage: "", help: "", writes_base: false,
+    sets_session: None, run: |_, _| say(String::new()) };
+
+/// Every dot-verb, in `.help` order. The unknown-verb reply points to
+/// the first row.
+#[rustfmt::skip]
+pub static VERBS: &[Verb] = &[
+    Verb { name: "help", aliases: &["h"], run: |_, _| say(help()), help: "this text", ..READ },
+    Verb { name: "schema", run: Session::schema, help: "dimensions, axis sizes, varying info", ..READ },
+    Verb { name: "instances", usage: "<member name>", run: Session::instances,
+        help: "a changing member's instances + validity sets", ..READ },
+    Verb { name: "sets", run: Session::sets, help: "named sets registered for this dataset", ..READ },
+    Verb { name: "explain", usage: "<extended MDX query>", run: Session::explain,
+        help: "run a query once; print its algebra, scope and executor report", ..READ },
+    Verb { name: "csv", usage: "<query>", run: Session::csv,
+        help: "run a query and print the grid as CSV", ..READ },
+    Verb { name: "apply", sets_session: Some(Record), run: Session::apply,
+        usage: "<static|forward|xforward|backward|xbackward> <m1,m2,...> \
+                — bare .apply re-runs the current fork's scenario",
+        help: "run a negative scenario (first varying dim) and record it on\n\
+               the current fork; deterministic summary: cell count, digest,\n\
+               passes", ..READ },
+    Verb { name: "fork", usage: "<name>", sets_session: Some(Grow), run: Session::fork,
+        help: "fork the current scenario copy-on-write and switch to it", ..READ },
+    Verb { name: "switch", usage: "<name>", sets_session: Some(Pick), run: Session::switch,
+        help: "make another fork current (warm-cache replay on re-apply)", ..READ },
+    Verb { name: "scenarios", run: Session::scenarios, help: "list this session's scenario forks", ..READ },
+    Verb { name: "change", usage: "<member> <new parent> <moment>", sets_session: Some(Grow),
+        run: Session::change,
+        help: "append a positive change to the current fork; run it with\nbare .apply", ..READ },
+    Verb { name: "rollup", run: Session::rollup, help: "per-dimension totals via the budget-aware \
+        multi-pass\naggregator (small budgets add passes)", ..READ },
+    Verb { name: "budget", usage: "[cells]", sets_session: Some(Knob),
+        run: |s, arg| knob(&mut s.opts.budget_cells, arg, "session budget", "cells"),
+        help: "show or set this session's peak-memory budget (0 = unlimited)", ..READ },
+    Verb { name: "deadline", usage: "[ms]", sets_session: Some(Knob),
+        run: |s, arg| knob(&mut s.deadline_ms, arg, "request deadline", "ms"),
+        help: "show or set the per-request deadline (0 = unlimited); an\n\
+               expired request aborts at a pass boundary, session intact", ..READ },
+    Verb { name: "cache", run: Session::cache,
+        help: "scenario-delta cache statistics (--cache MB to enable)", ..READ },
+    Verb { name: "commit", writes_base: true, run: Session::commit,
+        help: "flush dirty chunks atomically; report flush epoch + log counters", ..READ },
+    Verb { name: "stats", run: Session::stats,
+        help: "buffer-pool counters (incl. read errors, retries, flushes)", ..READ },
+    Verb { name: "quit", aliases: &["q", "exit"], run: |_, _| Ok(Outcome::Quit("bye".into())),
+        help: "exit", ..READ },
+];
+
+/// The row a dot-command's verb runs and the line's trimmed argument;
+/// `None` for a query line or an unknown verb.
+pub fn lookup(line: &str) -> Option<(&'static Verb, &str)> {
+    let rest = line.trim().strip_prefix('.')?;
+    let (head, arg) = rest.split_once(' ').unwrap_or((rest, ""));
+    let is = |n: &&str| n.eq_ignore_ascii_case(head);
+    let verb = VERBS
+        .iter()
+        .find(|v| is(&v.name) || v.aliases.iter().any(is))?;
+    Some((verb, arg.trim()))
+}
+
+/// The `.help` text: one entry per row of [`VERBS`], then an example.
+pub fn help() -> String {
+    let indent = format!("\n{:23}", "");
+    let mut out = String::from("Enter an (extended) MDX query, or a command:\n");
+    for v in VERBS {
+        let synopsis = format!(".{} {}", v.name, v.usage);
+        let (synopsis, text) = (synopsis.trim_end(), v.help.replace('\n', &indent));
+        let wide = synopsis.len() > 20;
+        let gap = if wide { &indent[..] } else { " " };
+        let _ = writeln!(out, "  {synopsis:<20}{gap}{text}");
+    }
+    out.push_str(
+        "\nExample what-if (running example dataset):
   WITH PERSPECTIVE {(Jan)} FOR Organization DYNAMIC FORWARD VISUAL
   SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS,
          {Organization.[FTE], Organization.[Contractor]} ON ROWS
-  FROM [Warehouse] WHERE (Location.[NY], Measures.[Salary])";
+  FROM [Warehouse] WHERE (Location.[NY], Measures.[Salary])",
+    );
+    out
+}
 
 #[cfg(test)]
 mod tests {
@@ -1361,6 +1441,15 @@ mod tests {
                 other => panic!("{line}: {other:?}"),
             }
         }
+        // The rejected `.apply` recorded nothing; its scenario is rebuilt
+        // here exactly as the verb builds it.
+        assert!(s.forest.scenario().is_none());
+        let scenario = whatif_core::Scenario::Negative(whatif_core::PerspectiveSpec::new(
+            s.varying_dim().unwrap(),
+            [0, 3, 6, 9],
+            whatif_core::Semantics::Forward,
+            whatif_core::Mode::Visual,
+        ));
         s.handle(".budget 0");
         // A request's deadline is fixed when its options are assembled:
         // options taken before the deadline passed abort the run at its
@@ -1373,22 +1462,41 @@ mod tests {
         };
         let mut ctx = s.context();
         ctx.opts = expired();
-        match olap_mdx::execute(&ctx, &mdx) {
-            Err(e) => assert!(is_deadline(&e), "{e}"),
-            Ok(_) => panic!("an expired deadline must abort the MDX run"),
+        match olap_mdx::execute(&ctx, &mdx).map_err(Refusal::from) {
+            Err(Refusal::Deadline(e)) => assert!(e.contains("deadline"), "{e}"),
+            other => panic!("an expired deadline must abort the MDX run: {other:?}"),
         }
-        let scenario = s
-            .forest
-            .scenario()
-            .expect("recorded by the rejected .apply");
         match s.run_scenario(&scenario, expired()) {
-            Outcome::Deadline(t) => assert!(t.contains("deadline"), "{t}"),
+            Err(Refusal::Deadline(t)) => assert!(t.contains("deadline"), "{t}"),
             other => panic!("{other:?}"),
         }
         // Lifted, both complete — the aborts left the session intact.
         s.handle(".deadline 0");
         assert!(matches!(s.handle(&mdx), Outcome::Continue(t) if !t.starts_with("error:")));
         assert!(matches!(s.handle(apply), Outcome::Continue(t) if t.contains("digest")));
+        assert_eq!(s.forest.scenario(), Some(scenario));
+    }
+
+    /// A scenario run the deadline aborts records nothing: the fork keeps
+    /// the scenario it had, so a client that does not journal the `-`
+    /// reply stays in step with the live session.
+    #[test]
+    fn an_aborted_apply_leaves_the_fork_untouched() {
+        let mut s = Session::new(Dataset::Bench);
+        let first = s.handle(".apply forward 0,3");
+        assert!(
+            matches!(&first, Outcome::Continue(t) if t.contains("digest")),
+            "{first:?}"
+        );
+        let before = s.handle(".scenarios");
+        s.handle(".deadline 1");
+        match s.handle(".apply forward 0,3,6,9") {
+            Outcome::Deadline(t) => assert!(t.starts_with("error:"), "{t}"),
+            other => panic!("a 1 ms deadline must abort the run: {other:?}"),
+        }
+        assert_eq!(s.handle(".scenarios"), before);
+        s.handle(".deadline 0");
+        assert_eq!(s.handle(".apply"), first);
     }
 
     #[test]

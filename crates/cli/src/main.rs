@@ -7,7 +7,7 @@
 //! ```
 
 use polap_cli::proto::{Client, STATUS_OK, STATUS_QUIT};
-use polap_cli::{Dataset, Outcome, Session, HELP};
+use polap_cli::{help, Dataset, Outcome, Session};
 use std::io::{BufRead, Write};
 
 const USAGE: &str = "usage: polap [running|retail|workforce|bench] [--threads N] \
@@ -102,7 +102,7 @@ fn main() {
             eprintln!("{e}");
             std::process::exit(2);
         });
-    println!("{HELP}\n");
+    println!("{}\n", help());
     repl(|line| match session.handle(line) {
         Outcome::Continue(text) | Outcome::Deadline(text) => (text, false),
         Outcome::Quit(text) => (text, true),

@@ -12,6 +12,7 @@
 //! mismatched client/server pair fails with a readable error instead of
 //! misparsing each other's frames.
 
+use crate::{is_refusal, lookup, SessionEffect, Verb};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -55,32 +56,27 @@ pub fn greeting_banner(text: &str) -> String {
 /// Returns the human text after the version prefix.
 pub fn parse_greeting(banner: &str) -> io::Result<&str> {
     let Some(rest) = banner.strip_prefix(PROTO_MAGIC) else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("server did not present a {PROTO_MAGIC}/<version> greeting (old server?)"),
-        ));
+        return Err(invalid(format!(
+            "server did not present a {PROTO_MAGIC}/<version> greeting (old server?)"
+        )));
     };
     let Some(rest) = rest.strip_prefix('/') else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed greeting: missing protocol version",
-        ));
+        return Err(invalid("malformed greeting: missing protocol version"));
     };
     let (ver, text) = rest.split_once(' ').unwrap_or((rest, ""));
     match ver.parse::<u8>() {
         Ok(v) if v == PROTO_VERSION => Ok(text),
-        Ok(v) => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "protocol version mismatch: server speaks {PROTO_MAGIC}/{v}, \
-                 this client speaks {PROTO_MAGIC}/{PROTO_VERSION}"
-            ),
-        )),
-        Err(_) => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed greeting: non-numeric protocol version",
-        )),
+        Ok(v) => Err(invalid(format!(
+            "protocol version mismatch: server speaks {PROTO_MAGIC}/{v}, \
+             this client speaks {PROTO_MAGIC}/{PROTO_VERSION}"
+        ))),
+        Err(_) => Err(invalid("malformed greeting: non-numeric protocol version")),
     }
+}
+
+/// An `InvalidData` error: the peer sent bytes this protocol refuses.
+fn invalid(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 /// Writes one frame: length prefix, optional status byte, payload. A
@@ -142,10 +138,9 @@ fn read_payload(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     }
     let len = u32::from_be_bytes(len) as usize;
     if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
-        ));
+        return Err(invalid(format!(
+            "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
+        )));
     }
     // Grow in bounded steps as real payload bytes arrive: the length
     // prefix is untrusted, and committing `len` bytes up front would let
@@ -163,43 +158,31 @@ fn read_payload(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 
 /// Reads one request frame; `None` on clean end-of-stream.
 pub fn read_request(r: &mut impl Read) -> io::Result<Option<String>> {
-    match read_payload(r)? {
-        None => Ok(None),
-        Some(buf) => String::from_utf8(buf)
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
-    }
+    read_payload(r)?
+        .map(|buf| String::from_utf8(buf).map_err(invalid))
+        .transpose()
 }
 
 /// Reads one response frame as `(status, bytes)` without requiring the
 /// payload to be UTF-8; `None` on clean end-of-stream. Replication
 /// consumers use this — a `STATUS_REPL` payload is binary.
 pub fn read_response_bytes(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
-    match read_payload(r)? {
-        None => Ok(None),
-        Some(buf) => {
-            let (&status, rest) = buf
-                .split_first()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty response"))?;
-            Ok(Some((status, rest.to_vec())))
-        }
+    let Some(mut buf) = read_payload(r)? else {
+        return Ok(None);
+    };
+    if buf.is_empty() {
+        return Err(invalid("empty response"));
     }
+    let status = buf.remove(0);
+    Ok(Some((status, buf)))
 }
 
 /// Reads one response frame as `(status, text)`; `None` on clean
 /// end-of-stream.
 pub fn read_response(r: &mut impl Read) -> io::Result<Option<(u8, String)>> {
-    match read_payload(r)? {
-        None => Ok(None),
-        Some(buf) => {
-            let (&status, text) = buf
-                .split_first()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty response"))?;
-            let text = String::from_utf8(text.to_vec())
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            Ok(Some((status, text)))
-        }
-    }
+    read_response_bytes(r)?
+        .map(|(status, bytes)| Ok((status, String::from_utf8(bytes).map_err(invalid)?)))
+        .transpose()
 }
 
 /// Bounded-retry policy for [`Client::request`]: on an I/O failure the
@@ -243,124 +226,64 @@ impl RetryPolicy {
     }
 }
 
-/// Verbs whose *acknowledged* execution changes server-session state
-/// and must therefore be replayed into a fresh session after a
-/// reconnect: tuning (`.budget`, `.deadline`), the scenario forest
-/// (`.fork`, `.switch`, `.change`), and an argful `.apply` (it records
-/// the fork's negative scenario). Bare `.apply` and plain queries are
-/// read-only.
-fn is_stateful(line: &str) -> bool {
-    let line = line.trim();
-    let Some(rest) = line.strip_prefix('.') else {
-        return false;
-    };
-    let mut parts = rest.splitn(2, ' ');
-    let head = parts.next().unwrap_or("").to_ascii_lowercase();
-    let arg = parts.next().unwrap_or("").trim();
-    match head.as_str() {
-        "budget" | "deadline" | "fork" | "switch" | "change" => !arg.is_empty(),
-        "apply" => !arg.is_empty(),
-        _ => false,
+/// The row and effect of a line that changes its server session once
+/// accepted, and so must replay into a fresh one after a reconnect: an
+/// argument to a verb whose row `sets_session`.
+fn session_effect(line: &str) -> Option<(&'static Verb, SessionEffect)> {
+    let (verb, arg) = lookup(line)?;
+    Some((verb, verb.sets_session.filter(|_| !arg.is_empty())?))
+}
+
+/// Journals `line` if the server took it — a `+` reply that is not a
+/// refusal ([`is_refusal`]) to a stateful line — then compacts.
+fn journal_accepted(journal: &mut Vec<String>, line: &str, (status, reply): &(u8, String)) {
+    if *status == STATUS_OK && !is_refusal(reply) && session_effect(line).is_some() {
+        journal.push(line.to_string());
+        compact_journal(journal);
     }
 }
 
 /// Compacts a reconnect journal in place, dropping lines whose effect a
 /// later line provably supersedes. Without this the journal grows
-/// without bound — a long tuning session accumulates thousands of acked
-/// `.budget`/`.apply` lines that every reconnect replays in full.
+/// without bound: a long tuning session accumulates thousands of
+/// accepted knob and scenario lines that every reconnect replays.
 ///
-/// The rules are conservative: a line is dropped only when a later
-/// *kept* line of the same verb supersedes it AND no kept line between
-/// them could observe the earlier value:
-///
-/// * `.budget`/`.deadline` — last-write-wins, unless an argful `.apply`
-///   sits between (it executed under the earlier setting, and must
-///   replay under it);
-/// * `.switch` — last-write-wins, unless a `.fork`/`.change`/`.apply`
-///   sits between (those act on the then-current fork);
-/// * argful `.apply` — the fork's negative scenario is overwritten by
-///   the next argful `.apply`, unless a `.fork`/`.switch` sits between
-///   (the fork in effect may differ, or a child fork inherited the
-///   earlier scenario);
-/// * `.fork`/`.change` — never dropped: forks cannot be deleted, so
-///   their creation and change history stays live.
-///
-/// Dropped lines are not barriers — they will not be replayed, so they
-/// cannot observe anything.
+/// The rule is conservative and reads only each row's
+/// [`SessionEffect`]: a line is dropped when a later *kept* line of the
+/// same verb follows it and no kept line between them
+/// [observes](SessionEffect::observes) its effect. Growth (new forks,
+/// changes) is never dropped: forks cannot be deleted. Dropped lines
+/// are not barriers — they will not be replayed.
 pub fn compact_journal(journal: &mut Vec<String>) {
-    let verb_of = |line: &str| -> String {
-        line.trim()
-            .strip_prefix('.')
-            .unwrap_or("")
-            .split(' ')
-            .next()
-            .unwrap_or("")
-            .to_ascii_lowercase()
-    };
-    let n = journal.len();
-    let mut keep = vec![true; n];
-    let (mut later_budget, mut later_deadline, mut later_switch, mut later_apply) =
-        (false, false, false, false);
-    for i in (0..n).rev() {
-        match verb_of(&journal[i]).as_str() {
-            "budget" => {
-                if later_budget {
-                    keep[i] = false;
-                } else {
-                    later_budget = true;
-                }
-            }
-            "deadline" => {
-                if later_deadline {
-                    keep[i] = false;
-                } else {
-                    later_deadline = true;
-                }
-            }
-            "switch" => {
-                if later_switch {
-                    keep[i] = false;
-                } else {
-                    later_switch = true;
-                    later_apply = false;
-                }
-            }
-            "apply" => {
-                if later_apply {
-                    keep[i] = false;
-                } else {
-                    later_apply = true;
-                    later_budget = false;
-                    later_deadline = false;
-                    later_switch = false;
-                }
-            }
-            "fork" => {
-                later_switch = false;
-                later_apply = false;
-            }
-            "change" => {
-                later_switch = false;
-            }
-            _ => {}
+    let mut keep = vec![true; journal.len()];
+    // Verbs with a kept later line that no kept line since observes.
+    let mut superseding: Vec<(&str, SessionEffect)> = Vec::new();
+    for (i, line) in journal.iter().enumerate().rev() {
+        let Some((verb, effect)) = session_effect(line) else {
+            continue;
+        };
+        let last_wins = effect != SessionEffect::Grow;
+        if last_wins && superseding.iter().any(|&(name, _)| name == verb.name) {
+            keep[i] = false;
+            continue;
+        }
+        superseding.retain(|&(_, later)| !effect.observes(later));
+        if last_wins {
+            superseding.push((verb.name, effect));
         }
     }
-    let mut i = 0;
-    journal.retain(|_| {
-        let k = keep[i];
-        i += 1;
-        k
-    });
+    let mut keep = keep.into_iter();
+    journal.retain(|_| keep.next().unwrap_or(true));
 }
 
 /// A blocking client: one request, one response. With a
 /// [`RetryPolicy`], a failed request transparently reconnects (bounded
 /// attempts, exponential backoff + jitter) and replays the session
-/// journal — every acknowledged state-setting verb — before re-issuing
-/// the failed request. Re-issuing is safe even for non-idempotent verbs
-/// like `.fork`: a reconnect always lands in a *fresh* server session,
-/// and the journal holds only acknowledged requests, so the replayed
-/// session has never seen the failed one. `.apply` replies are
+/// journal — every accepted state-setting line — before re-issuing the
+/// failed request. Re-issuing is safe even for a non-idempotent verb
+/// such as a fork: a reconnect always lands in a *fresh* server
+/// session, and the journal holds only accepted requests, so the
+/// replayed session has never seen the failed one. Scenario replies are
 /// deterministic digests, so a replayed answer is byte-identical to the
 /// lost one.
 #[derive(Debug)]
@@ -369,8 +292,8 @@ pub struct Client {
     /// Resolved server addresses, kept for reconnects.
     addrs: Vec<SocketAddr>,
     retry: RetryPolicy,
-    /// Acknowledged state-setting requests, in issue order (compacted
-    /// after every ack — see [`compact_journal`]).
+    /// Accepted state-setting requests, in issue order (compacted after
+    /// every one — see [`compact_journal`]).
     journal: Vec<String>,
     /// xorshift state for backoff jitter.
     jitter: u64,
@@ -468,13 +391,10 @@ impl Client {
         })
     }
 
-    /// Records an acknowledged state-setting verb, then passes the
+    /// Journals an accepted state-setting line, then passes the
     /// response through.
     fn journal_ack(&mut self, line: &str, resp: (u8, String)) -> (u8, String) {
-        if resp.0 == STATUS_OK && is_stateful(line) {
-            self.journal.push(line.to_string());
-            compact_journal(&mut self.journal);
-        }
+        journal_accepted(&mut self.journal, line, &resp);
         resp
     }
 
@@ -486,7 +406,7 @@ impl Client {
         for line in &self.journal {
             write_request(&mut stream, line)?;
             match read_response(&mut stream)? {
-                Some((STATUS_OK, _)) => {}
+                Some((STATUS_OK, text)) if !is_refusal(&text) => {}
                 Some((_, text)) => {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -607,16 +527,18 @@ mod tests {
 
     #[test]
     fn stateful_verbs_feed_the_journal() {
-        assert!(is_stateful(".budget 100"));
-        assert!(is_stateful(".deadline 50"));
-        assert!(is_stateful(".fork a"));
-        assert!(is_stateful(".switch a"));
-        assert!(is_stateful(".change FTE Contractor 3"));
-        assert!(is_stateful(".apply static 2,3"));
-        assert!(!is_stateful(".apply")); // re-run only, no state change
-        assert!(!is_stateful(".budget")); // query, not a set
-        assert!(!is_stateful(".schema"));
-        assert!(!is_stateful("SELECT x ON COLUMNS FROM c"));
+        use SessionEffect::*;
+        let effect = |line| session_effect(line).map(|(_, e)| e);
+        assert_eq!(effect(".budget 100"), Some(Knob));
+        assert_eq!(effect(".DEADLINE 50"), Some(Knob));
+        assert_eq!(effect(".fork a"), Some(Grow));
+        assert_eq!(effect(".switch a"), Some(Pick));
+        assert_eq!(effect(".change FTE Contractor 3"), Some(Grow));
+        assert_eq!(effect(".apply static 2,3"), Some(Record));
+        assert_eq!(effect(".apply"), None); // re-run only, no state change
+        assert_eq!(effect(".budget"), None); // query, not a set
+        assert_eq!(effect(".schema"), None);
+        assert_eq!(effect("SELECT x ON COLUMNS FROM c"), None);
     }
 
     fn compacted(lines: &[&str]) -> Vec<String> {
@@ -706,6 +628,94 @@ mod tests {
         let once = j.clone();
         compact_journal(&mut j);
         assert_eq!(j, once);
+    }
+
+    /// The wire status the server gives a reply `Session::handle` made.
+    fn wire(outcome: crate::Outcome) -> (u8, String) {
+        match outcome {
+            crate::Outcome::Continue(t) => (STATUS_OK, t),
+            crate::Outcome::Deadline(t) => (STATUS_ERR, t),
+            crate::Outcome::Quit(t) => (STATUS_QUIT, t),
+        }
+    }
+
+    /// Drives `script` through a live session, journaling and compacting
+    /// each reply the way `Client` does, then replays the journal into a
+    /// fresh session (as a reconnect does; every line must be accepted
+    /// again) and asks both sessions the same probes.
+    fn assert_replay_matches_live(script: &[&str]) {
+        use crate::{Dataset, Session};
+        let mut live = Session::new(Dataset::Running);
+        let mut journal = Vec::new();
+        for line in script {
+            journal_accepted(&mut journal, line, &wire(live.handle(line)));
+        }
+        let mut fresh = Session::new(Dataset::Running);
+        for line in &journal {
+            let (status, reply) = wire(fresh.handle(line));
+            assert!(
+                status == STATUS_OK && !is_refusal(&reply),
+                "replaying {line:?} of {journal:?}: {reply}"
+            );
+        }
+        for probe in [".scenarios", ".apply", ".budget", ".deadline"] {
+            assert_eq!(
+                wire(fresh.handle(probe)),
+                wire(live.handle(probe)),
+                "{probe} after {script:?}, replayed from {journal:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_replayed_journal_restores_exactly_the_accepted_lines() {
+        // A refused switch must not supersede the good one before it.
+        assert_replay_matches_live(&[
+            ".apply forward 1,3",
+            ".fork a",
+            ".apply forward 2,4",
+            ".switch main",
+            ".switch ghost",
+        ]);
+        // A refused scenario must not supersede the recorded one.
+        assert_replay_matches_live(&[".apply forward 1,3", ".apply forward one,two"]);
+        // A seeded mix of accepted and refused state-setting lines.
+        let lines = [
+            ".apply forward 1,3",
+            ".apply static 2,4",
+            ".apply xbackward 0,5",
+            ".apply forward one,two",
+            ".apply sideways 1",
+            ".apply",
+            ".fork f0",
+            ".fork f1",
+            ".switch main",
+            ".switch f0",
+            ".switch f1",
+            ".switch ghost",
+            ".change Joe Contractor 2",
+            ".change Lisa PTE Mar",
+            ".change Ghost FTE 1",
+            ".change Joe FTE Smarch",
+            ".budget 0",
+            ".budget 1",
+            ".budget lots",
+            ".deadline 0",
+            ".deadline 600000",
+            ".deadline soon",
+        ];
+        for seed in 1..=200u64 {
+            let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+            let script: Vec<&str> = (0..24)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    lines[(state % lines.len() as u64) as usize]
+                })
+                .collect();
+            assert_replay_matches_live(&script);
+        }
     }
 
     #[test]

@@ -177,17 +177,6 @@ impl ScenarioCache {
         self.len() == 0
     }
 
-    /// Number of distinct digests resident for one chunk id — the
-    /// "version count" a toggle workload accumulates.
-    pub fn digests_resident(&self, id: ChunkId) -> usize {
-        self.inner
-            .lock()
-            .entries
-            .keys()
-            .filter(|(kid, _)| *kid == id)
-            .count()
-    }
-
     /// All-or-nothing probe for one merge component: `keys` lists every
     /// output chunk the component owns with the digest of its current
     /// fate table. Returns the payloads only if *every* chunk is
@@ -379,7 +368,7 @@ mod tests {
         let cache = ScenarioCache::new(1 << 20);
         cache.insert(ChunkId(5), 0xA, Cached::Chunk(chunk()));
         cache.insert(ChunkId(5), 0xB, Cached::Empty);
-        assert_eq!(cache.digests_resident(ChunkId(5)), 2);
+        assert_eq!(cache.len(), 2, "both versions of chunk 5 are resident");
         for _ in 0..4 {
             assert!(cache.lookup_component(&[(ChunkId(5), 0xA)]).is_some());
             assert!(cache.lookup_component(&[(ChunkId(5), 0xB)]).is_some());

@@ -133,15 +133,6 @@ impl DestMap {
         }
     }
 
-    /// Whether instance `src` is entirely untouched: every moment maps
-    /// back to `src` itself.
-    pub fn is_full_identity_for(&self, src: u32) -> bool {
-        let m = self.moments as usize;
-        self.dest[src as usize * m..(src as usize + 1) * m]
-            .iter()
-            .all(|&d| d == src)
-    }
-
     /// Moments count.
     pub fn moments(&self) -> u32 {
         self.moments
@@ -275,11 +266,16 @@ mod tests {
         assert_eq!(out.get(&[1, 1]).unwrap(), CellValue::Null); // PTE/Joe Feb gone
     }
 
+    /// Whether instance `src` keeps every moment's data in place.
+    fn is_full_identity_for(map: &DestMap, src: u32) -> bool {
+        (0..map.moments()).all(|t| map.dest(src, t) == Some(src))
+    }
+
     #[test]
     fn dest_map_identity() {
         let map = DestMap::identity(3, 4);
         for i in 0..3 {
-            assert!(map.is_full_identity_for(i));
+            assert!(is_full_identity_for(&map, i));
             for t in 0..4 {
                 assert_eq!(map.dest(i, t), Some(i));
             }
@@ -298,8 +294,8 @@ mod tests {
         // FTE/Joe's Jan data is dropped (FTE/Joe not valid at Feb).
         assert_eq!(map.dest(0, 0), None);
         // Lisa (inst 3) keeps everything.
-        assert!(map.is_full_identity_for(3));
-        assert!(!map.is_full_identity_for(2));
+        assert!(is_full_identity_for(&map, 3));
+        assert!(!is_full_identity_for(&map, 2));
     }
 
     #[test]

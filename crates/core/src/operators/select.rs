@@ -86,11 +86,6 @@ impl Predicate {
     pub fn and(self, rhs: Predicate) -> Predicate {
         Predicate::And(Box::new(self), Box::new(rhs))
     }
-
-    /// `¬self`.
-    pub fn negate(self) -> Predicate {
-        Predicate::Not(Box::new(self))
-    }
 }
 
 /// Evaluates the predicate for one slot of `dim`.
@@ -281,7 +276,7 @@ mod tests {
         let pred = Predicate::MemberIs(tv).and(Predicate::VsIntersects(vec![2]));
         let slots = matching_slots(&cube, prod, &pred).unwrap();
         assert_eq!(slots, vec![1]); // Print/TV only
-        let pred = Predicate::MemberIs(tv).negate();
+        let pred = Predicate::Not(Box::new(Predicate::MemberIs(tv)));
         let slots = matching_slots(&cube, prod, &pred).unwrap();
         assert_eq!(slots, vec![2, 3]);
     }

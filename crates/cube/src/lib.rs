@@ -21,7 +21,6 @@
 //! shared by queries and by the what-if operators' visual mode.
 
 pub mod aggregate;
-pub mod buc;
 pub mod cube;
 pub mod error;
 pub mod eval;
@@ -29,7 +28,6 @@ pub mod lattice;
 pub mod rules;
 
 pub use aggregate::{CubeAggregator, GroupByResult};
-pub use buc::{buc, IcebergCube};
 pub use cube::{Cube, CubeBuilder, StoreBackend};
 pub use error::CubeError;
 pub use eval::{CellEvaluator, Sel};

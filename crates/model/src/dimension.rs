@@ -278,17 +278,6 @@ impl Dimension {
         out
     }
 
-    /// Leaf descendants of `m` (or `m` itself if it is a leaf), preorder.
-    pub fn leaf_descendants(&self, m: MemberId) -> Vec<MemberId> {
-        if self.is_leaf(m) && m != MemberId::ROOT {
-            return vec![m];
-        }
-        self.descendants(m)
-            .into_iter()
-            .filter(|&d| self.members[d.index()].is_leaf())
-            .collect()
-    }
-
     /// Members at exactly `level` (root = level 0), preorder.
     pub fn members_at_level(&self, level: u32) -> Vec<MemberId> {
         let mut out = Vec::new();
@@ -309,20 +298,6 @@ impl Dimension {
     /// Maximum depth of the hierarchy.
     pub fn depth(&self) -> u32 {
         self.members.iter().map(|m| m.level).max().unwrap_or(0)
-    }
-
-    /// Full `/`-joined path of a member from the root (root omitted).
-    pub fn path_name(&self, m: MemberId) -> String {
-        let mut segs = vec![self.members[m.index()].name.clone()];
-        let mut cur = self.members[m.index()].parent;
-        while let Some(p) = cur {
-            if p != MemberId::ROOT {
-                segs.push(self.members[p.index()].name.clone());
-            }
-            cur = self.members[p.index()].parent;
-        }
-        segs.reverse();
-        segs.join("/")
     }
 
     /// Iterate all member ids (including the root).
@@ -366,7 +341,7 @@ mod tests {
     fn paths_and_resolution() {
         let d = org();
         let joe = d.resolve_path("FTE/Joe").unwrap();
-        assert_eq!(d.path_name(joe), "FTE/Joe");
+        assert_eq!(joe, d.resolve("Joe").unwrap());
         assert_eq!(d.member_name(joe), "Joe");
         assert!(d.resolve_path("PTE/Joe").is_err());
     }
@@ -379,9 +354,9 @@ mod tests {
         assert_eq!(d.ancestors(joe), vec![fte, MemberId::ROOT]);
         assert!(d.is_ancestor(fte, joe));
         assert!(!d.is_ancestor(joe, fte));
-        let leaves = d.leaf_descendants(fte);
-        assert_eq!(leaves.len(), 3);
-        assert_eq!(d.leaf_descendants(MemberId::ROOT).len(), 6);
+        let leaves = |m| d.descendants(m).into_iter().filter(|&c| d.is_leaf(c));
+        assert_eq!(leaves(fte).count(), 3);
+        assert_eq!(leaves(MemberId::ROOT).count(), 6);
     }
 
     #[test]

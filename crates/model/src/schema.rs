@@ -277,17 +277,6 @@ impl Schema {
         }
     }
 
-    /// Human-readable axis slot label (`"FTE/Joe"` or `"Jan"`).
-    pub fn slot_label(&self, dim: DimensionId, slot: AxisSlot) -> String {
-        match self.varying(dim) {
-            Some(v) => v.instance_name(self.dim(dim), InstanceId(slot.0)),
-            None => {
-                let leaf = self.dim(dim).leaf_at(slot.0).expect("slot in range");
-                self.dim(dim).member_name(leaf).to_string()
-            }
-        }
-    }
-
     /// For a parameter dimension: the moment ordinal of a leaf member.
     pub fn moment_of(&self, dim: DimensionId, leaf: MemberId) -> Option<Moment> {
         self.dim(dim).leaf_ordinal(leaf)
@@ -341,8 +330,9 @@ mod tests {
     #[test]
     fn slot_labels_and_members() {
         let (s, _, org) = schema();
+        let v = s.varying(org).unwrap();
         let labels: Vec<String> = (0..s.axis_len(org))
-            .map(|i| s.slot_label(org, AxisSlot(i)))
+            .map(|i| v.instance_name(s.dim(org), InstanceId(i)))
             .collect();
         assert_eq!(labels, vec!["FTE/Joe", "PTE/Joe", "FTE/Lisa", "PTE/Tom"]);
         let joe = s.dim(org).resolve("Joe").unwrap();

@@ -49,11 +49,6 @@ impl ValiditySet {
         }
     }
 
-    /// A validity set covering `[from, +∞)` — i.e. up to the last moment.
-    pub fn from_onward(moments: u32, from: Moment) -> Self {
-        Self::interval(moments, from, moments)
-    }
-
     /// Is the instance valid at `t`?
     #[inline]
     pub fn is_valid_at(&self, t: Moment) -> bool {
@@ -153,12 +148,6 @@ mod tests {
         assert!(v.is_valid_at(4));
         assert!(!v.is_valid_at(5));
         assert_eq!(v.len(), 3);
-    }
-
-    #[test]
-    fn from_onward_reaches_end() {
-        let v = ValiditySet::from_onward(12, 10);
-        assert_eq!(v.iter().collect::<Vec<_>>(), vec![10, 11]);
     }
 
     #[test]

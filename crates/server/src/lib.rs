@@ -19,7 +19,7 @@
 //! | status | meaning                                                  |
 //! |--------|----------------------------------------------------------|
 //! | `+`    | handled; text is the shell's reply (may be an engine error message, exactly as the REPL would print it) |
-//! | `-`    | server-level failure. The connection closes after this frame for admission refusal, oversized/garbled frames, idle timeout, drain, and session panics — but **stays open** after a request-deadline abort (`.deadline` / `--deadline-ms`): the session is still healthy |
+//! | `-`    | server-level failure. The connection closes after this frame for admission refusal, oversized/garbled frames, idle timeout, drain, and session panics — but **stays open** after a request-deadline abort (a session's deadline or `--deadline-ms`): the session is still healthy |
 //! | `Q`    | quit acknowledged; the connection closes after this frame |
 //!
 //! On connect, before any request, the server pushes one *greeting*
@@ -34,7 +34,7 @@ pub mod replica;
 
 use olap_store::FileStore;
 use parking_lot::Mutex;
-use polap_cli::{Outcome, Session, SharedData};
+use polap_cli::{lookup, Outcome, Session, SharedData};
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -60,7 +60,7 @@ pub struct ServerConfig {
     /// with a `-` frame.
     pub max_sessions: usize,
     /// Executor knobs every session starts from (`--threads`,
-    /// `--budget`); a session can change its own budget with `.budget`.
+    /// `--budget`); a session can change its own budget.
     /// The per-request fields `cache` and `deadline` are ignored here —
     /// sessions fill them from the shared data's cache and from
     /// `deadline_ms`.
@@ -70,7 +70,7 @@ pub struct ServerConfig {
     /// frees its admission slot instead of holding it forever.
     pub idle_timeout_ms: u64,
     /// Default per-request deadline in milliseconds (0 = unlimited).
-    /// Sessions can change their own with `.deadline`; an expired
+    /// Sessions can change their own; an expired
     /// request gets a `-` frame and the connection stays open.
     pub deadline_ms: u64,
     /// How long [`Server::shutdown`] waits for in-flight sessions to
@@ -146,7 +146,8 @@ impl Server {
     }
 
     /// Binds `bind` and starts accepting *read-only* sessions over a
-    /// follower's `shared`: `.commit` is refused, requests run under
+    /// follower's `shared`: every verb that writes the base cube
+    /// ([`polap_cli::Verb::writes_base`]) is refused, requests run under
     /// `state`'s apply gate, and the greeting reports the replication
     /// position. Used by [`replica::Follower::start`].
     pub fn start_replica(
@@ -419,14 +420,12 @@ fn serve_connection(
         // A follower's base data arrives only from the leader; letting
         // a session flush locally would fork the byte stream and every
         // later shipped offset would land in the wrong place.
-        if follower.is_some() && req.trim() == ".commit" {
-            if write_frame(
-                stream,
-                STATUS_ERR,
-                "read-only replica: .commit is disabled (base data arrives from the leader)",
-            )
-            .is_err()
-            {
+        if let Some((verb, _)) = lookup(&req).filter(|(v, _)| follower.is_some() && v.writes_base) {
+            let refusal = format!(
+                "read-only replica: .{} is disabled (base data arrives from the leader)",
+                verb.name
+            );
+            if write_frame(stream, STATUS_ERR, &refusal).is_err() {
                 return;
             }
             continue;

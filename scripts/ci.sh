@@ -75,16 +75,19 @@ while [ "$i" -le 10 ]; do
 done
 echo "(10/10 green)"
 
-step "durability gates run by name"
+step "gates run by name"
 # A `cargo test` filter that matches nothing exits 0, so a renamed or
 # deleted crash sweep would pass unnoticed. Each gate runs by exact
 # name and must report exactly one passed test. The last store gate is
-# the log byte-fuzz: a cleanly closed log never opens to a cut.
+# the log byte-fuzz: a cleanly closed log never opens to a cut. The
+# last two hold the verb table's contracts: a follower refuses every
+# base write however it is spelled, and a reconnect replays exactly
+# the lines a session accepted.
 gate() { # gate "<cargo test target args>" <exact test name>
     out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
     case "$out" in
         *"test result: ok. 1 passed"*) echo "$2: 1 passed" ;;
-        *) echo "$out"; echo "durability gate $2 did not run"; exit 1 ;;
+        *) echo "$out"; echo "gate $2 did not run"; exit 1 ;;
     esac
 }
 gate "-p olap-store --lib" filestore::tests::crash_sweep_recovers_pre_or_post_image_only
@@ -92,6 +95,8 @@ gate "-p olap-store --lib" filestore::tests::mutated_logs_open_to_a_committed_pr
 gate "-p whatif-integration-tests --test persistence" pool_flush_crash_points_recover_exact_image
 gate "-p whatif-integration-tests --test persistence" dirty_eviction_crash_points_recover_exact_image
 gate "-p whatif-integration-tests --test replication" follower_crash_at_every_op_recovers_pre_or_post_image
+gate "-p whatif-integration-tests --test replication" follower_refuses_every_base_write_in_any_spelling
+gate "-p polap-cli --lib" proto::tests::a_replayed_journal_restores_exactly_the_accepted_lines
 
 step "corruption smoke test"
 # One flipped payload byte never becomes garbage cells. Flipped while

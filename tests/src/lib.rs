@@ -5,10 +5,12 @@
 //! (`edit_script` → `serial_replies` → `drive_sessions` →
 //! `first_divergence`).
 //!
-//! It also holds the two fault harnesses the product does not ship:
-//! [`fault`] wraps a chunk store in a scripted storage-fault plan, and
-//! [`chaos`] puts a scripted network-fault proxy in front of a server.
+//! It also holds the rigs the product does not ship: [`fault`] wraps a
+//! chunk store in a scripted storage-fault plan, [`chaos`] puts a
+//! scripted network-fault proxy in front of a server, and [`buc`] is the
+//! aggregation oracle (Bottom-Up Cube with iceberg pruning).
 
+pub mod buc;
 pub mod chaos;
 pub mod fault;
 

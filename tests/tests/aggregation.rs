@@ -5,7 +5,7 @@
 //! ones (they must not move by a bit).
 
 use olap_cube::rules::Acc;
-use olap_cube::{buc, Cube, CubeAggregator, GroupByMask, GroupByResult, Lattice, Mmst};
+use olap_cube::{Cube, CubeAggregator, GroupByMask, GroupByResult, Lattice, Mmst};
 use olap_model::{DimensionSpec, SchemaBuilder};
 use olap_store::ChunkGeometry;
 use polap_cli::{Dataset, Outcome, Session};
@@ -15,6 +15,7 @@ use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 use whatif_core::Fnv64;
+use whatif_integration_tests::buc::buc;
 
 /// Calls `f(coords)` for every coordinate of a row-major array of `shape`.
 fn for_each_coord(shape: &[u32], mut f: impl FnMut(&[u32])) {

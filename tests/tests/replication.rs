@@ -9,7 +9,7 @@ use olap_server::{
     enable_replication, Client, Follower, Server, ServerConfig, STATUS_ERR, STATUS_OK, STATUS_QUIT,
 };
 use olap_store::{Chunk, ChunkId, ChunkStore, FileStore, ReplApply, StoreError};
-use polap_cli::{Dataset, Outcome, Session, SharedData};
+use polap_cli::{Dataset, Outcome, Session, SharedData, VERBS};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -295,6 +295,59 @@ fn follower_seeded_from_a_leader_copy_greets_with_its_epoch() {
     drop(fc);
     follower.shutdown();
     leader_srv.shutdown();
+    cleanup(&lpath);
+    cleanup(&fpath);
+}
+
+/// A follower refuses every verb that writes the base cube however the
+/// line spells it — any case, any trailing argument — because it asks
+/// the verb table's `writes_base`, not a string compare. Its store file
+/// stays the leader's, byte for byte.
+#[test]
+fn follower_refuses_every_base_write_in_any_spelling() {
+    let lpath = tmp("refuse-leader");
+    let fpath = tmp("refuse-follower");
+    cleanup(&lpath);
+    cleanup(&fpath);
+    let leader_shared = Arc::new(
+        SharedData::load_with_backend(Dataset::Bench, StoreBackend::File(lpath.clone())).unwrap(),
+    );
+    enable_replication(&leader_shared).expect("file-backed leader");
+    std::fs::copy(&lpath, &fpath).unwrap();
+    let cfg = ServerConfig {
+        drain_grace_ms: 200,
+        ..ServerConfig::default()
+    };
+    let leader_srv = Server::start(leader_shared, "127.0.0.1:0", cfg.clone()).unwrap();
+    let follower_shared = Arc::new(
+        SharedData::load_with_backend(Dataset::Bench, StoreBackend::Attach(fpath.clone())).unwrap(),
+    );
+    let follower = Follower::start(follower_shared, "127.0.0.1:0", cfg, leader_srv.addr()).unwrap();
+
+    let mut fc = Client::connect(follower.addr()).unwrap();
+    let writes: Vec<_> = VERBS.iter().filter(|v| v.writes_base).collect();
+    assert!(!writes.is_empty(), "the table names no base write");
+    for verb in writes {
+        for name in std::iter::once(&verb.name).chain(verb.aliases) {
+            let upper = name.to_ascii_uppercase();
+            for line in [
+                format!(".{name}"),
+                format!(".{upper}"),
+                format!(".{name} now"),
+            ] {
+                let (status, text) = fc.request(&line).unwrap();
+                assert_eq!(status, STATUS_ERR, "{line}: {text}");
+                assert!(text.contains("read-only replica"), "{line}: {text}");
+            }
+        }
+    }
+    // Refusals keep the connection: the session still answers.
+    assert_eq!(fc.request(".schema").unwrap().0, STATUS_OK);
+    assert_eq!(fc.request(".quit").unwrap().0, STATUS_QUIT);
+
+    follower.shutdown();
+    leader_srv.shutdown();
+    assert_eq!(main_bytes(&fpath), main_bytes(&lpath));
     cleanup(&lpath);
     cleanup(&fpath);
 }

@@ -22,8 +22,8 @@ use olap_store::SeekModel;
 use olap_workload::{replay_scenarios, Workforce, WorkforceConfig};
 use std::sync::Arc;
 use whatif_core::{
-    apply_opts, execute, merge, ExecOpts, Mode, OrderPolicy, PerspectiveSpec, Plan, ScenarioCache,
-    Semantics, Strategy,
+    apply, execute, merge, ExecOpts, Mode, OrderPolicy, PerspectiveSpec, Plan, ScenarioCache,
+    Semantics,
 };
 
 const ITERS: u32 = 3;
@@ -381,7 +381,6 @@ fn run_ablations(opts: &ExecOpts) {
 fn run_replay(opts: &ExecOpts, cache_mb: usize) {
     println!("=== Scenario-delta replay (K=8 one-perspective edits) ===");
     let wf = Workforce::build(WorkforceConfig::bench());
-    let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     let mb = if cache_mb > 0 { cache_mb } else { 64 };
 
     for (sem_name, semantics) in [("fwd", Semantics::Forward), ("static", Semantics::Static)] {
@@ -403,7 +402,7 @@ fn run_replay(opts: &ExecOpts, cache_mb: usize) {
             let mut merges = 0u64;
             let mut served = 0u64;
             for s in &scenarios {
-                let r = apply_opts(&wf.cube, s, &strategy, None, opts.clone()).unwrap();
+                let r = apply(&wf.cube, s, None, &opts).unwrap();
                 chunk_reads += r.report.chunks_read;
                 merges += r.report.merges;
                 served += r.report.cache_chunks_served;

@@ -173,24 +173,6 @@ pub struct Session {
     forest: ScenarioForest,
 }
 
-/// [`Session::with_cache`] was called after the session's data had
-/// already been shared with other sessions; the cache must be
-/// configured on [`SharedData`] *before* attaching ([`SharedData::set_cache_mb`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfigError;
-
-impl fmt::Display for CacheConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cannot configure the cache through an already-shared session; \
-             call SharedData::set_cache_mb before attaching sessions"
-        )
-    }
-}
-
-impl std::error::Error for CacheConfigError {}
-
 /// What the caller should do after a line.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Outcome {
@@ -235,25 +217,11 @@ impl Session {
 
     /// Sets the session's executor knobs (`--threads N`, `--budget
     /// CELLS`). `opts.cache` and `opts.deadline` are per-request values
-    /// and are overwritten on every request ([`Session::with_cache`] /
-    /// [`Session::with_deadline_ms`] configure their sources).
+    /// and are overwritten on every request ([`SharedData::set_cache_mb`]
+    /// and [`Session::with_deadline_ms`] configure their sources).
     pub fn with_opts(mut self, opts: ExecOpts) -> Session {
         self.opts = opts;
         self
-    }
-
-    /// Enables the scenario-delta cache (`--cache MB`); 0 = off. What-if
-    /// queries in this session then reuse merged output chunks across
-    /// repeated or edited scenarios (DESIGN.md §10, §14). Must be called
-    /// before the session's data is shared with other sessions (the
-    /// server configures the cache on [`SharedData`] instead); calling
-    /// it later is a [`CacheConfigError`], not a panic — an embedder's
-    /// misconfiguration should surface as an error it can handle.
-    pub fn with_cache(mut self, mb: usize) -> Result<Session, CacheConfigError> {
-        Arc::get_mut(&mut self.shared)
-            .ok_or(CacheConfigError)?
-            .set_cache_mb(mb);
-        Ok(self)
     }
 
     /// Sets the session's per-request deadline in milliseconds
@@ -300,6 +268,10 @@ impl Session {
         }
         if let Some(head) = line.strip_prefix('.') {
             return match lookup(line) {
+                // A row without a usage takes no argument.
+                Some((verb, arg)) if verb.usage.is_empty() && !arg.is_empty() => {
+                    Refusal::Usage(None).outcome(verb)
+                }
                 Some((verb, arg)) => (verb.run)(self, arg).unwrap_or_else(|r| r.outcome(verb)),
                 None => Outcome::Continue(format!(
                     "unknown command .{} — try .{}",
@@ -374,7 +346,7 @@ impl Session {
                     )
                 }
                 None => format!(
-                    "flushed (memory-backed store: epoch {}, no WAL)",
+                    "flushed (memory-backed store: epoch {}, no log)",
                     guard.flush_epoch()
                 ),
             }
@@ -450,7 +422,9 @@ impl Session {
                 if let Some(m) = schema.dim(d).find(member) {
                     let ids = v.instances_of(m);
                     if ids.is_empty() {
-                        return say(format!("{member} has no instances (non-leaf?)"));
+                        return Err(Refusal::Error(format!(
+                            "{member} has no instances (non-leaf?)"
+                        )));
                     }
                     let names = schema.dim(v.parameter_dim()).leaf_names();
                     let mut out = String::new();
@@ -467,7 +441,9 @@ impl Session {
                 }
             }
         }
-        say(format!("no varying-dimension member named {member:?}"))
+        Err(Refusal::Error(format!(
+            "no varying-dimension member named {member:?}"
+        )))
     }
 
     /// Runs the query once and prints what ran — the
@@ -475,19 +451,13 @@ impl Session {
     /// slots the MDX layer scoped execution to, and the executor's report
     /// of that run.
     fn explain(&mut self, query: &str) -> Reply {
-        let parsed = match parse(need(query)?) {
-            Ok(q) => q,
-            Err(e) => return say(format!("parse error: {e}")),
-        };
+        let parsed = parse(need(query)?)?;
         let mut out = format!("parsed: {parsed}\n");
         if parsed.with.is_none() {
             out.push_str("no WITH clause — plain OLAP query, no scenario\n");
             return say(out);
         }
-        let run = match olap_mdx::evaluate(&self.context(), &parsed) {
-            Ok(run) => run,
-            Err(e) => return say(format!("{out}error: {e}\n")),
-        };
+        let run = olap_mdx::evaluate(&self.context(), &parsed)?;
         if let Some(scenario) = &run.scenario {
             let _ = writeln!(out, "algebra: {:?}", whatif_core::compile(scenario));
         }
@@ -629,12 +599,11 @@ impl Session {
             }
             whatif_core::Scenario::Negative(_) => None,
         };
-        let strategy = whatif_core::Strategy::Chunked(whatif_core::OrderPolicy::Pebbling);
-        let result = whatif_core::apply_opts(self.data().cube(), scenario, &strategy, None, opts)
-            .map_err(|e| match e {
-            whatif_core::WhatIfError::DeadlineExceeded => Refusal::Deadline(e.to_string()),
-            e => Refusal::Error(e.to_string()),
-        })?;
+        let result =
+            whatif_core::apply(self.data().cube(), scenario, None, &opts).map_err(|e| match e {
+                whatif_core::WhatIfError::DeadlineExceeded => Refusal::Deadline(e.to_string()),
+                e => Refusal::Error(e.to_string()),
+            })?;
         let (count, digest) = cell_digest(&result.cube).map_err(Refusal::error)?;
         let passes = result.report.passes;
         if let Some(key) = positive_key {
@@ -879,7 +848,9 @@ pub struct Verb {
     pub name: &'static str,
     /// Other names for the row.
     pub aliases: &'static [&'static str],
-    /// The argument synopsis a usage refusal prints after the name.
+    /// The argument synopsis a usage refusal prints after the name;
+    /// empty for a row that takes no argument, whose argful line the
+    /// dispatcher refuses.
     pub usage: &'static str,
     /// What the verb does, for [`help`].
     pub help: &'static str,
@@ -950,7 +921,8 @@ impl Refusal {
         match self {
             Refusal::Usage(note) => {
                 let note = note.map(|n| format!("\n{n}")).unwrap_or_default();
-                Outcome::Continue(format!("usage: .{} {}{note}", verb.name, verb.usage))
+                let synopsis = format!(".{} {}", verb.name, verb.usage);
+                Outcome::Continue(format!("usage: {}{note}", synopsis.trim_end()))
             }
             Refusal::Error(e) => Outcome::Continue(format!("error: {e}")),
             Refusal::Deadline(e) => Outcome::Deadline(format!("error: {e}")),
@@ -1079,6 +1051,13 @@ pub fn help() -> String {
 mod tests {
     use super::*;
 
+    /// A fresh session over unshared data with a 16 MB scenario cache.
+    fn cached(dataset: Dataset) -> Session {
+        let mut shared = SharedData::load(dataset);
+        shared.set_cache_mb(16);
+        Session::attach(Arc::new(shared))
+    }
+
     #[test]
     fn dataset_parsing() {
         assert_eq!(Dataset::parse("running"), Some(Dataset::Running));
@@ -1163,7 +1142,7 @@ mod tests {
                  {Organization.[FTE], Organization.[PTE], Organization.[Contractor]} ON ROWS \
                  FROM [W] WHERE (Location.[NY], Measures.[Salary])";
         let mut plain = Session::new(Dataset::Running);
-        let mut cached = Session::new(Dataset::Running).with_cache(16).unwrap();
+        let mut cached = cached(Dataset::Running);
         // Twice: the second cached run replays from a warm cache and
         // must still render the identical grid.
         assert_eq!(plain.handle(q), cached.handle(q));
@@ -1209,7 +1188,7 @@ mod tests {
         match s.handle(".commit") {
             Outcome::Continue(t) => {
                 assert!(t.contains("flushed"), "{t}");
-                assert!(t.contains("no WAL"), "{t}");
+                assert!(t.contains("no log"), "{t}");
             }
             other => panic!("{other:?}"),
         }
@@ -1353,7 +1332,7 @@ mod tests {
                 threads: 4,
                 ..ExecOpts::default()
             }),
-            Session::new(Dataset::Running).with_cache(16).unwrap(),
+            cached(Dataset::Running),
         ] {
             match s.handle(".apply forward 1,3") {
                 Outcome::Continue(t) => assert_eq!(t, baseline),
@@ -1361,7 +1340,7 @@ mod tests {
             }
         }
         // A warm cache replays the same answer.
-        let mut cached = Session::new(Dataset::Running).with_cache(16).unwrap();
+        let mut cached = cached(Dataset::Running);
         cached.handle(".apply forward 1,3");
         assert!(matches!(
             cached.handle(".apply forward 1,3"),
@@ -1534,21 +1513,107 @@ mod tests {
         }
     }
 
+    /// Every row of the table refuses a malformed argument, and every row
+    /// that can fail refuses a failing line, in words [`is_refusal`]
+    /// reads; no refused line changes the fork tree. A one-cell budget
+    /// makes every line that would run a scenario or a rollup fail.
     #[test]
-    fn with_cache_after_sharing_is_an_error_not_a_panic() {
-        let session = Session::new(Dataset::Running);
-        let _second_owner = session.shared().clone();
-        let err = match session.with_cache(16) {
-            Err(e) => e,
-            Ok(_) => panic!("with_cache on shared data must fail"),
-        };
-        assert_eq!(err, CacheConfigError);
-        assert!(err.to_string().contains("set_cache_mb"), "{err}");
+    fn every_verb_refuses_malformed_and_failing_lines() {
+        let what_if = "WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD \
+                       SELECT {Time.[Qtr1]} ON COLUMNS, {Organization.[PTE]} ON ROWS \
+                       FROM [W] WHERE (Location.[NY], Measures.[Salary])";
+        let unresolved = "WITH PERSPECTIVE {(Feb)} FOR Organization STATIC \
+                          SELECT {Time.[Qtr1]} ON COLUMNS, {Organization.[Ghost]} ON ROWS \
+                          FROM [W]";
+        let explain = [
+            ".explain SELECT nonsense".to_string(),
+            format!(".explain {unresolved}"),
+            format!(".explain {what_if}"),
+        ];
+        let csv = [
+            ".csv SELECT nonsense".to_string(),
+            format!(".csv {what_if}"),
+        ];
+        // (row, malformed line, failing lines)
+        let rows: Vec<(&str, &str, Vec<String>)> = vec![
+            ("help", ".help me", vec![]),
+            ("schema", ".schema Organization", vec![]),
+            (
+                "instances",
+                ".instances",
+                vec![".instances Ghost".into(), ".instances FTE".into()],
+            ),
+            ("sets", ".sets all", vec![]),
+            ("explain", ".explain", explain.to_vec()),
+            ("csv", ".csv", csv.to_vec()),
+            (
+                "apply",
+                ".apply sideways 1",
+                vec![
+                    ".apply".into(),
+                    ".apply forward 1,3".into(),
+                    ".apply forward 99".into(),
+                ],
+            ),
+            ("fork", ".fork a b", vec![".fork main".into()]),
+            ("switch", ".switch", vec![".switch ghost".into()]),
+            ("scenarios", ".scenarios all", vec![]),
+            (
+                "change",
+                ".change Joe PTE",
+                vec![".change Ghost PTE 2".into(), ".change Joe PTE Never".into()],
+            ),
+            ("rollup", ".rollup Time", vec![".rollup".into()]),
+            ("budget", ".budget lots", vec![]),
+            ("deadline", ".deadline soon", vec![]),
+            ("cache", ".cache clear", vec![]),
+            ("commit", ".commit now", vec![]),
+            ("stats", ".stats reset", vec![]),
+            ("quit", ".quit now", vec![]),
+        ];
+        let named: Vec<&str> = rows.iter().map(|r| r.0).collect();
+        let table: Vec<&str> = VERBS.iter().map(|v| v.name).collect();
+        assert_eq!(named, table, "one case row per VERBS row, in table order");
+
+        let mut s = Session::new(Dataset::Running);
+        for line in [".apply forward 1,3", ".fork alt", ".apply forward 2,4"] {
+            let reply = s.handle(line);
+            assert!(
+                matches!(&reply, Outcome::Continue(t) if !is_refusal(t)),
+                "{reply:?}"
+            );
+        }
+        let before = s.handle(".scenarios");
+        s.handle(".budget 1");
+        for (name, malformed, failing) in &rows {
+            for line in std::iter::once(malformed.to_string()).chain(failing.iter().cloned()) {
+                let reply = match s.handle(&line) {
+                    Outcome::Continue(t) | Outcome::Deadline(t) | Outcome::Quit(t) => t,
+                };
+                assert!(is_refusal(&reply), ".{name}: {line}: {reply}");
+                assert_eq!(s.handle(".scenarios"), before, ".{name}: {line}");
+            }
+        }
+    }
+
+    /// A deadline that expires inside `.explain` is a deadline refusal,
+    /// as it is for a plain query.
+    #[test]
+    fn an_expired_explain_is_a_deadline_refusal() {
+        let mut s = Session::new(Dataset::Bench);
+        s.handle(".deadline 1");
+        let query = "WITH PERSPECTIVE {(Jan), (Apr), (Jul), (Oct)} FOR Department \
+                     DYNAMIC FORWARD VISUAL SELECT {[Account].Levels(0).Members} ON COLUMNS \
+                     FROM [App].[Db]";
+        match s.handle(&format!(".explain {query}")) {
+            Outcome::Deadline(t) => assert!(t.starts_with("error:"), "{t}"),
+            other => panic!("a 1 ms deadline must abort the run: {other:?}"),
+        }
     }
 
     #[test]
     fn fork_switch_and_reapply_toggle_scenarios() {
-        let mut s = Session::new(Dataset::Running).with_cache(16).unwrap();
+        let mut s = cached(Dataset::Running);
         let a = match s.handle(".apply forward 1,3") {
             Outcome::Continue(t) => t,
             other => panic!("{other:?}"),

@@ -7,8 +7,9 @@
 //! ```
 
 use polap_cli::proto::{Client, STATUS_OK, STATUS_QUIT};
-use polap_cli::{help, Dataset, Outcome, Session};
+use polap_cli::{help, Dataset, Outcome, Session, SharedData};
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 const USAGE: &str = "usage: polap [running|retail|workforce|bench] [--threads N] \
                      [--cache MB] [--budget CELLS] | polap --connect HOST:PORT";
@@ -93,15 +94,9 @@ fn main() {
         std::process::exit(2);
     };
     eprintln!("loading {dataset:?} dataset…");
-    let mut session = Session::new(dataset)
-        .with_opts(opts)
-        .with_cache(cache_mb)
-        .unwrap_or_else(|e| {
-            // Unreachable from this binary (the session is not yet
-            // shared), but an embedder's misconfiguration reports.
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+    let mut shared = SharedData::load(dataset);
+    shared.set_cache_mb(cache_mb);
+    let mut session = Session::attach(Arc::new(shared)).with_opts(opts);
     println!("{}\n", help());
     repl(|line| match session.handle(line) {
         Outcome::Continue(text) | Outcome::Deadline(text) => (text, false),

@@ -4,7 +4,8 @@
 
 use olap_cube::Cube;
 use olap_store::CellValue;
-use polap_cli::{cell_digest, Dataset, Session};
+use polap_cli::{cell_digest, Dataset, Session, SharedData};
+use std::sync::Arc;
 
 /// Adds 1000 to the first `n` present cells of `cube`.
 fn raise(cube: &Cube, n: usize) {
@@ -14,6 +15,13 @@ fn raise(cube: &Cube, n: usize) {
     for (cell, v) in cells.into_iter().take(n) {
         cube.set(&cell, CellValue::num(v + 1000.0)).unwrap();
     }
+}
+
+/// A running-example session with a 16 MB scenario cache.
+fn cached_session() -> Session {
+    let mut shared = SharedData::load(Dataset::Running);
+    shared.set_cache_mb(16);
+    Session::attach(Arc::new(shared))
 }
 
 /// The positive path memoizes split results. A base write followed by
@@ -44,13 +52,13 @@ fn split_memo_sees_a_base_write() {
 #[test]
 fn scenario_cache_sees_a_base_write() {
     let all = usize::MAX;
-    let mut s = Session::new(Dataset::Running).with_cache(16).unwrap();
+    let mut s = cached_session();
     s.handle(".apply forward 1,3");
     raise(s.shared().cube(), all);
     s.handle(".commit");
     let after = s.handle(".apply forward 1,3");
 
-    let mut fresh = Session::new(Dataset::Running).with_cache(16).unwrap();
+    let mut fresh = cached_session();
     raise(fresh.shared().cube(), all);
     fresh.handle(".commit");
     assert_eq!(after, fresh.handle(".apply forward 1,3"));

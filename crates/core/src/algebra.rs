@@ -4,17 +4,19 @@
 //! perspectives `P`, semantics, mode) there is an algebra expression `En`
 //! with `Qn(Cin) = En(Q(Cin))` — and likewise `Ep` for positive-change
 //! queries. [`compile`] constructs that expression from a [`Scenario`];
-//! [`run`] evaluates expressions over cubes, composing the operators
-//! freely (σ before Φρ, say). Queries do not run through [`run`]: the
-//! MDX layer hands the scenario to [`crate::apply_opts`], and `.explain`
-//! prints [`compile`]'s expression beside the plan that ran. [`run`] is
-//! the theorem's left-hand side in the tests that hold the two equal.
+//! [`run`] evaluates expressions over cubes by definition, composing the
+//! operators freely (σ before Φρ, say): Φρ is [`crate::operators::relocate()`]
+//! over [`crate::phi()`], cell by cell. Queries do not run through
+//! [`run`]: the MDX layer hands the scenario to [`crate::apply`], the
+//! chunked engine, and `.explain` prints [`compile`]'s expression beside
+//! the plan that ran. [`run`] is the theorem's left-hand side in the
+//! tests that hold the two equal.
 
-use crate::exec::Strategy;
+use crate::operators::relocate::relocate;
 use crate::operators::select::{select, Predicate};
 use crate::operators::split::split;
 use crate::perspective::{Mode, PerspectiveSpec};
-use crate::perspective_cube::{apply, WhatIfResult};
+use crate::plan::checked_phi;
 use crate::scenario::{Change, Scenario};
 use crate::Result;
 use olap_cube::Cube;
@@ -86,25 +88,26 @@ pub fn compile(scenario: &Scenario) -> AlgebraExpr {
     }
 }
 
-/// Evaluates an algebra expression over a cube.
-pub fn run(cube: &Cube, expr: &AlgebraExpr, strategy: &Strategy) -> Result<AlgebraOutput> {
+/// Evaluates an algebra expression over a cube, each operator by its
+/// definition.
+pub fn run(cube: &Cube, expr: &AlgebraExpr) -> Result<AlgebraOutput> {
     let mut out = AlgebraOutput {
         schema: Arc::clone(cube.schema()),
         cube: clone_cells(cube)?,
         mode: None,
     };
-    run_into(&mut out, expr, strategy)?;
+    run_into(&mut out, expr)?;
     Ok(out)
 }
 
-fn run_into(state: &mut AlgebraOutput, expr: &AlgebraExpr, strategy: &Strategy) -> Result<()> {
+fn run_into(state: &mut AlgebraOutput, expr: &AlgebraExpr) -> Result<()> {
     match expr {
         AlgebraExpr::Select { dim, pred } => {
             state.cube = select(&state.cube, *dim, pred)?;
         }
         AlgebraExpr::PhiRelocate { spec } => {
-            let r: WhatIfResult = apply(&state.cube, &Scenario::Negative(spec.clone()), strategy)?;
-            state.cube = r.cube;
+            let vs = checked_phi(&state.cube, spec)?;
+            state.cube = relocate(&state.cube, spec.dim, &vs)?;
         }
         AlgebraExpr::Split { dim, changes } => {
             let (schema, cube) = split(&state.cube, *dim, changes)?;
@@ -120,7 +123,7 @@ fn run_into(state: &mut AlgebraOutput, expr: &AlgebraExpr, strategy: &Strategy) 
         }
         AlgebraExpr::Compose(steps) => {
             for s in steps {
-                run_into(state, s, strategy)?;
+                run_into(state, s)?;
             }
         }
     }
@@ -141,8 +144,9 @@ fn clone_cells(cube: &Cube) -> Result<Cube> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::OrderPolicy;
+    use crate::exec::ExecOpts;
     use crate::perspective::Semantics;
+    use crate::perspective_cube::apply;
     use olap_model::{DimensionSpec, SchemaBuilder};
 
     fn fixture() -> (Cube, DimensionId) {
@@ -175,14 +179,14 @@ mod tests {
 
     #[test]
     fn theorem_4_1_negative() {
-        // compile(scenario) run over Cin equals apply(scenario) on cells.
+        // compile(scenario) run over Cin by definition equals the chunked
+        // apply(scenario) on cells.
         let (cube, org) = fixture();
         for sem in [Semantics::Static, Semantics::Forward, Semantics::Backward] {
             for mode in [Mode::Visual, Mode::NonVisual] {
                 let scenario = Scenario::negative(org, [1], sem, mode);
-                let direct = apply(&cube, &scenario, &Strategy::Reference).unwrap();
-                let expr = compile(&scenario);
-                let algebra = run(&cube, &expr, &Strategy::Reference).unwrap();
+                let direct = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
+                let algebra = run(&cube, &compile(&scenario)).unwrap();
                 assert!(algebra.cube.same_cells(&direct.cube).unwrap(), "{sem:?}");
                 assert_eq!(algebra.mode, Some(mode));
             }
@@ -205,8 +209,8 @@ mod tests {
             }],
             Mode::Visual,
         );
-        let direct = apply(&cube, &scenario, &Strategy::Reference).unwrap();
-        let algebra = run(&cube, &compile(&scenario), &Strategy::Reference).unwrap();
+        let direct = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
+        let algebra = run(&cube, &compile(&scenario)).unwrap();
         assert!(algebra.cube.same_cells(&direct.cube).unwrap());
         assert_eq!(algebra.schema.shape(), direct.schema.shape());
     }
@@ -225,7 +229,7 @@ mod tests {
                 spec: PerspectiveSpec::new(org, [0], Semantics::Forward, Mode::Visual),
             },
         ]);
-        let out = run(&cube, &expr, &Strategy::Chunked(OrderPolicy::Pebbling)).unwrap();
+        let out = run(&cube, &expr).unwrap();
         // Only Joe's data survives the selection; forward from Jan pulls
         // his Feb+ data into FTE/Joe (instance 0).
         // Joe instances: 0 (FTE, t0), 1 (PTE, t1..3): values 10, 11.

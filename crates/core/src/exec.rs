@@ -1,8 +1,7 @@
 //! Chunked perspective-cube execution (Sections 5 and 6).
 //!
-//! The reference path ([`crate::operators::relocate()`]) is the semantic
-//! oracle; this module is the engine the paper actually proposes: stream
-//! chunks, *merge* the sub-cubes of a changing member's instances, and
+//! [`crate::operators::relocate()`] states ρ cell by cell (Definition 4.4);
+//! this module is the engine the paper actually proposes: stream chunks, *merge* the sub-cubes of a changing member's instances, and
 //! choose the read order so that as few chunks as possible are resident
 //! at once.
 //!
@@ -29,15 +28,6 @@ use olap_model::DimensionId;
 use olap_store::{Chunk, ChunkId};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// How to evaluate a what-if query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Strategy {
-    /// Cell-at-a-time reference implementation (the test oracle).
-    Reference,
-    /// Section 5/6 chunked execution with per-perspective passes.
-    Chunked(OrderPolicy),
-}
 
 /// Chunk read-order policy for the chunked executor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,34 +77,6 @@ pub struct ExecReport {
     pub cache_chunks_served: u64,
 }
 
-/// Inner-loop implementation for the chunked executor.
-///
-/// `Runs` (the default) decomposes each chunk into maximal row-major runs
-/// ([`olap_store::ChunkGeometry::runs`]) and hoists every per-cell decision
-/// that is constant over a run — fate lookup, kept-scope check, destination
-/// chunk id and base offset — out of the inner loop, which becomes a slice
-/// copy plus a word-wise presence OR. `Scalar` keeps the original
-/// cell-at-a-time loops as the semantics oracle; the two are bit-identical
-/// (gated by the `run_kernels` equivalence suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelKind {
-    /// Cell-at-a-time loops (the oracle): `tests/tests/run_kernels.rs`
-    /// holds `Runs` to it bit for bit.
-    Scalar,
-    /// Run-decomposed branch-free loops (DESIGN.md §15).
-    #[default]
-    Runs,
-}
-
-impl std::fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            KernelKind::Scalar => "scalar",
-            KernelKind::Runs => "runs",
-        })
-    }
-}
-
 /// Tuning knobs for the chunked executor — the one declaration of them:
 /// callers build a value here and pass it down; nothing re-declares the
 /// fields.
@@ -148,9 +110,6 @@ pub struct ExecOpts {
     /// check uses the same pebble prediction the `.explain` report
     /// shows, so a rejection names the exact shortfall.
     pub budget_cells: u64,
-    /// Inner-loop implementation (default [`KernelKind::Runs`]); `Scalar`
-    /// is the bit-identical cell-at-a-time oracle.
-    pub kernel: KernelKind,
     /// Cooperative wall-clock deadline; `None` (the default) means
     /// unlimited. Checked at pass boundaries and before each Lemma 5.1
     /// slice sequence (slices are independent, so aborting between them
@@ -530,18 +489,19 @@ impl Run<'_> {
     /// Scatters one affected chunk's present cells into per-destination
     /// output buffers (the Lemma 5.1 merge inner loop).
     ///
-    /// Under `Runs`, the chunk is decomposed with the split axis just
-    /// after `max(vd, pd)`: each run is the chunk's full cross-section
-    /// of the remaining axis suffix, over which the fate, the kept-scope
-    /// check and the destination chunk/offset are all constant and
-    /// computed once. The cells then move with one
+    /// The chunk is decomposed into runs with the split axis just after
+    /// `max(vd, pd)`: each run is the chunk's full cross-section of the
+    /// remaining axis suffix, over which the fate, the kept-scope check
+    /// and the destination chunk/offset are all constant and computed
+    /// once — so trailing length-1 axes (currency, version, …) never
+    /// shrink a run to single cells. The cells then move with one
     /// [`Chunk::copy_run_from`] — a values `copy_from_slice` plus a
     /// word-wise presence OR. The wholesale copy is sound because the
     /// relocation map is injective per pass: distinct source runs land
     /// on disjoint destination ranges, so no present destination cell is
     /// ever overwritten (debug-asserted inside the kernel). When vd or
     /// pd is the very last axis the runs degenerate to single cells,
-    /// which is still correct — just no faster than the oracle.
+    /// which is still correct.
     fn scatter(
         &self,
         chunk: &Chunk,
@@ -552,71 +512,33 @@ impl Run<'_> {
     ) {
         let geom = self.cube.geometry();
         let (vd, pd, vd_extent) = (self.plan.vd, self.plan.pd, self.plan.vd_extent);
-        match self.opts.kernel {
-            KernelKind::Scalar => {
-                for (off, v) in chunk.present_cells() {
-                    let cell = geom.cell_of_local(coord, off);
-                    let src = cell[vd];
-                    let t = cell[pd];
-                    match dest.fate(src, t) {
-                        CellFate::Skip => {}
-                        CellFate::Drop => report.cells_dropped += 1,
-                        CellFate::To(dst) => {
-                            if !self.plan.kept[(dst / vd_extent) as usize] {
-                                continue; // out-of-scope destination
-                            }
-                            if dst != src {
-                                report.cells_relocated += 1;
-                            }
-                            let mut target = cell.clone();
-                            target[vd] = dst;
-                            let (tid, toff) = geom.split_cell(&target);
-                            let buf = buffers.entry(tid).or_insert_with(|| {
-                                Chunk::new_dense(geom.chunk_shape(&geom.chunk_coord(tid)))
-                            });
-                            buf.set(toff, olap_store::CellValue::num(v));
-                        }
-                    }
+        let mut target: Vec<u32> = Vec::with_capacity(geom.ndims());
+        let mut it = geom.runs_from(coord, vd.max(pd) + 1);
+        while let Some((base, start, len)) = it.next_run() {
+            let src = base[vd];
+            match dest.fate(src, base[pd]) {
+                CellFate::Skip => {}
+                CellFate::Drop => {
+                    report.cells_dropped += chunk.present_in_range(start, len) as u64;
                 }
-            }
-            KernelKind::Runs => {
-                // Splitting after the later of vd/pd makes the fate, the
-                // kept-scope check and the destination chunk constant
-                // over every run: a run is the chunk's full cross-section
-                // of the axes behind both, so trailing length-1 axes
-                // (currency, version, …) never shrink it to single cells.
-                let split = vd.max(pd) + 1;
-                let mut target: Vec<u32> = Vec::with_capacity(geom.ndims());
-                let mut it = geom.runs_from(coord, split);
-                while let Some((base, start, len)) = it.next_run() {
-                    let src = base[vd];
-                    let t = base[pd];
-                    match dest.fate(src, t) {
-                        CellFate::Skip => {}
-                        CellFate::Drop => {
-                            report.cells_dropped += chunk.present_in_range(start, len) as u64;
-                        }
-                        CellFate::To(dst) => {
-                            if !self.plan.kept[(dst / vd_extent) as usize] {
-                                continue; // out-of-scope destination
-                            }
-                            // The destination chunk differs only in the
-                            // vd grid coordinate (vd is before the
-                            // split), so its suffix cross-section has the
-                            // same clipped shape and the whole run lands
-                            // contiguously from one computed base offset.
-                            target.clear();
-                            target.extend_from_slice(base);
-                            target[vd] = dst;
-                            let (tid, toff) = geom.split_cell(&target);
-                            let buf = buffers.entry(tid).or_insert_with(|| {
-                                Chunk::new_dense(geom.chunk_shape(&geom.chunk_coord(tid)))
-                            });
-                            let n = buf.copy_run_from(chunk, start, toff, len);
-                            if dst != src {
-                                report.cells_relocated += n as u64;
-                            }
-                        }
+                CellFate::To(dst) => {
+                    if !self.plan.kept[(dst / vd_extent) as usize] {
+                        continue; // out-of-scope destination
+                    }
+                    // The destination chunk differs only in the vd grid
+                    // coordinate (vd is before the split), so its suffix
+                    // cross-section has the same clipped shape and the
+                    // whole run lands contiguously from one base offset.
+                    target.clear();
+                    target.extend_from_slice(base);
+                    target[vd] = dst;
+                    let (tid, toff) = geom.split_cell(&target);
+                    let buf = buffers.entry(tid).or_insert_with(|| {
+                        Chunk::new_dense(geom.chunk_shape(&geom.chunk_coord(tid)))
+                    });
+                    let n = buf.copy_run_from(chunk, start, toff, len);
+                    if dst != src {
+                        report.cells_relocated += n as u64;
                     }
                 }
             }
@@ -624,23 +546,15 @@ impl Run<'_> {
     }
 
     /// Writes a buffer into the output cube, overlaying any cells an
-    /// earlier pass already produced for the same chunk. Under `Runs`,
-    /// the merge is the word-masked [`Chunk::overlay_from`] kernel;
-    /// under `Scalar`, the original per-cell `set` loop.
+    /// earlier pass already produced for the same chunk with the
+    /// word-masked [`Chunk::overlay_from`] kernel.
     fn flush_overlay(&self, out: &Cube, id: ChunkId, buf: Chunk) -> Result<()> {
         if buf.present_count() == 0 {
             return Ok(());
         }
         if out.chunk_exists(id) {
             let mut existing = (*out.chunk(id)?).clone();
-            match self.opts.kernel {
-                KernelKind::Runs => existing.overlay_from(&buf),
-                KernelKind::Scalar => {
-                    for (off, v) in buf.present_cells() {
-                        existing.set(off, olap_store::CellValue::num(v));
-                    }
-                }
-            }
+            existing.overlay_from(&buf);
             out.put_chunk(id, existing)?;
         } else {
             out.put_chunk(id, buf)?;
@@ -652,14 +566,12 @@ impl Run<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::relocate::relocate;
     use crate::perspective::{Mode, PerspectiveSpec, Semantics};
-    use crate::phi::phi;
     use olap_model::{DimensionSpec, SchemaBuilder};
 
     /// A 3-dim cube: Product (varying, 8 members, 4 moving) × Time (6) ×
     /// Location (4). Chunk extents 2.
-    pub(crate) fn fixture() -> (Cube, DimensionId) {
+    fn fixture() -> (Cube, DimensionId) {
         let schema = Arc::new(
             SchemaBuilder::new()
                 .dimension(DimensionSpec::new("Product").tree(&[
@@ -714,102 +626,6 @@ mod tests {
     /// One serial run with default knobs.
     fn run(cube: &Cube, plan: &Plan) -> (Cube, ExecReport) {
         execute(cube, plan, &ExecOpts::default()).unwrap()
-    }
-
-    /// Whether `got` agrees with `oracle` on every cell whose varying
-    /// slot is in `scope` (all cells when unscoped), in both directions.
-    fn agrees_on_scope(got: &Cube, oracle: &Cube, dim: DimensionId, scope: Option<&[u32]>) -> bool {
-        let Some(slots) = scope else {
-            return got.same_cells(oracle).unwrap();
-        };
-        let covers = |a: &Cube, b: &Cube| {
-            let mut ok = true;
-            a.for_each_present(|cell, v| {
-                if slots.contains(&cell[dim.index()]) {
-                    ok &= b.get(cell).unwrap() == olap_store::CellValue::num(v);
-                }
-            })
-            .unwrap();
-            ok
-        };
-        covers(oracle, got) && covers(got, oracle)
-    }
-
-    /// The one equivalence table over the one entry point: {single pass,
-    /// decomposed passes} × {unscoped, scoped} × {1, 3 threads} ×
-    /// {run kernels, scalar oracle} × {Pebbling, Naive, two DimOrders},
-    /// every combination checked against `relocate` (the reference
-    /// operator) on the slots the run is answerable for.
-    fn check_equivalence(sem: Semantics, p: &[u32]) {
-        let (cube, prod) = fixture();
-        let varying = cube.schema().varying(prod).unwrap();
-        let oracle = relocate(&cube, prod, &phi(sem, varying.instances(), p, 6)).unwrap();
-        let p3 = cube.schema().dim(prod).resolve("p3").unwrap();
-        let slots: Vec<u32> = varying.instances_of(p3).iter().map(|i| i.0).collect();
-        assert!(slots.len() >= 2);
-        for policy in [
-            OrderPolicy::Pebbling,
-            OrderPolicy::Naive,
-            OrderPolicy::DimOrder(vec![1, 0, 2]),
-            OrderPolicy::DimOrder(vec![0, 1, 2]),
-        ] {
-            for scope in [None, Some(&slots[..])] {
-                let decomposed = plan(&cube, prod, sem, p, policy.clone(), scope);
-                assert_eq!(decomposed.passes().len(), p.len());
-                let map = decomposed.map().clone();
-                let single =
-                    Plan::from_maps(&cube, prod, map.clone(), vec![map], policy.clone(), scope)
-                        .unwrap();
-                for (name, plan) in [("single", &single), ("decomposed", &decomposed)] {
-                    // The serial run-kernel report of this row: threads
-                    // and the kernel choice must not change the work done.
-                    let mut serial: Option<ExecReport> = None;
-                    for threads in [1, 3] {
-                        for kernel in [KernelKind::Runs, KernelKind::Scalar] {
-                            let opts = ExecOpts {
-                                threads,
-                                kernel,
-                                ..ExecOpts::default()
-                            };
-                            let (got, report) = execute(&cube, plan, &opts).unwrap();
-                            let row = format!(
-                                "{sem:?} P={p:?} {policy:?} {name} scope={scope:?} \
-                                 threads={threads} {kernel}"
-                            );
-                            assert!(
-                                agrees_on_scope(&got, &oracle, prod, scope),
-                                "{row} diverged from relocate (report: {report:?})"
-                            );
-                            assert_eq!(report.passes, plan.passes().len() as u64, "{row}");
-                            let base = serial.get_or_insert_with(|| report.clone());
-                            assert_eq!(report.chunks_read, base.chunks_read, "{row}");
-                            assert_eq!(report.cells_relocated, base.cells_relocated, "{row}");
-                            assert_eq!(report.cells_dropped, base.cells_dropped, "{row}");
-                            assert_eq!(report.slices, base.slices, "{row}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_matches_reference_forward() {
-        check_equivalence(Semantics::Forward, &[1, 3]);
-        check_equivalence(Semantics::Forward, &[0]);
-    }
-
-    #[test]
-    fn chunked_matches_reference_static() {
-        check_equivalence(Semantics::Static, &[2]);
-        check_equivalence(Semantics::Static, &[0, 2, 4]);
-    }
-
-    #[test]
-    fn chunked_matches_reference_extended_and_backward() {
-        check_equivalence(Semantics::ExtendedForward, &[3]);
-        check_equivalence(Semantics::Backward, &[4]);
-        check_equivalence(Semantics::ExtendedBackward, &[2]);
     }
 
     #[test]

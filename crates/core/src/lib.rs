@@ -20,9 +20,8 @@
 //!   validity-set transform [`phi()`], relocation [`operators::relocate()`],
 //!   split [`operators::split()`], and eval [`operators::EvalOp`]; plus the
 //!   Theorem 4.1 compiler in [`algebra`].
-//! * **The perspective cube** (Section 5): [`perspective_cube::apply`]
-//!   evaluates a what-if query either cell-at-a-time (the reference
-//!   oracle) or chunked — ordering chunk reads with the
+//! * **The perspective cube** (Section 5): [`apply`] evaluates a what-if
+//!   query chunk by chunk — ordering chunk reads with the
 //!   **merge-dependency graph** and **pebbling heuristic** of Section 5.2
 //!   ([`merge`]) and measuring memory via the buffer pool. A [`Plan`] holds
 //!   every decision made before a chunk is read; [`execute`] runs it.
@@ -45,15 +44,13 @@ pub mod split_memo;
 pub use algebra::{compile, run, AlgebraExpr, AlgebraOutput};
 pub use cache::{CacheStats, Cached, ScenarioCache};
 pub use error::WhatIfError;
-pub use exec::{
-    execute, execute_passes_opts, ExecOpts, ExecReport, KernelKind, OrderPolicy, Strategy,
-};
+pub use exec::{execute, execute_passes_opts, ExecOpts, ExecReport, OrderPolicy};
 pub use fingerprint::{positive_fingerprint, Fnv64, FnvSuffix};
 pub use forest::{CowChanges, ForestError, ForkRow, ScenarioForest};
 pub use merge::MergeGraph;
 pub use operators::{relocate, select, split, CmpOp, DestMap, EvalOp, Predicate};
 pub use perspective::{Mode, PerspectiveSpec, Semantics};
-pub use perspective_cube::{apply, apply_default, apply_opts, WhatIfResult};
+pub use perspective_cube::{apply, WhatIfResult};
 pub use phi::{phi, prune_vacancies, VsMap};
 pub use plan::{decompose_passes, Plan};
 pub use scenario::{Change, Scenario};

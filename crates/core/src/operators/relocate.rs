@@ -9,8 +9,9 @@
 //! ```
 //!
 //! where `dₜ` is the instance of `d`'s member valid at `t` in the *input*.
-//! This is the cell-at-a-time reference implementation — the semantic
-//! oracle the Section 5 chunked executor is tested against.
+//! This is the operator by its definition, one cell at a time:
+//! [`crate::algebra::run`] evaluates ρ∘Φ with it, beside the Section 5
+//! chunked executor that [`crate::apply`] runs.
 
 use crate::error::WhatIfError;
 use crate::operators::stage::Stager;

@@ -2,16 +2,15 @@
 //!
 //! "We call the result of any of the what-if queries we discussed in this
 //! paper a perspective cube." [`apply`] computes it for either scenario
-//! kind under either execution strategy; [`WhatIfResult`] answers cell
-//! queries respecting the query's **mode**: visual re-derives non-leaf
-//! cells on the output cube, non-visual retains the input's.
+//! kind; [`WhatIfResult`] answers cell queries respecting the query's
+//! **mode**: visual re-derives non-leaf cells on the output cube,
+//! non-visual retains the input's.
 
-use crate::exec::{execute, ExecOpts, ExecReport, OrderPolicy, Strategy};
-use crate::operators::relocate::relocate;
+use crate::exec::{execute, ExecOpts, ExecReport, OrderPolicy};
 use crate::operators::split::split;
 use crate::perspective::Mode;
 use crate::phi::{prune_vacancies, VsMap};
-use crate::plan::{checked_phi, Plan};
+use crate::plan::Plan;
 use crate::scenario::Scenario;
 use crate::Result;
 use olap_cube::{CellEvaluator, Cube, Sel};
@@ -33,7 +32,8 @@ pub struct WhatIfResult {
     /// the paper's examples). `None` for positive scenarios, whose
     /// validity sets live in the output schema itself.
     pub vs_out: Option<VsMap>,
-    /// Executor metrics (defaults for the reference path).
+    /// Executor metrics (all zero for a positive scenario, which runs no
+    /// pass).
     pub report: ExecReport,
 }
 
@@ -104,49 +104,35 @@ impl WhatIfResult {
 }
 
 /// Applies a what-if scenario to a cube (Theorem 4.1's right-hand side:
-/// the algebra applied to the core query's result), unscoped, with the
-/// default executor knobs.
-pub fn apply(cube: &Cube, scenario: &Scenario, strategy: &Strategy) -> Result<WhatIfResult> {
-    apply_opts(cube, scenario, strategy, None, ExecOpts::default())
-}
-
-/// [`apply`] with every argument explicit: `scope` optionally restricts
-/// chunked execution to the varying-dimension slots the query touches
-/// (Essbase-style retrieval; negative scenarios only — positive
-/// scenarios rebuild the axis and ignore both the scope and `opts`), and
-/// `opts` carries the executor's knobs.
-pub fn apply_opts(
+/// the algebra applied to the core query's result) — the one way a
+/// scenario runs. A negative scenario is planned with
+/// [`OrderPolicy::Pebbling`] and executed chunk by chunk (Sections 5–6);
+/// `scope` optionally restricts that execution to the varying-dimension
+/// slots the query touches (Essbase-style retrieval), and `opts` carries
+/// the executor's knobs. A positive scenario rebuilds the axis with
+/// [`split`] and ignores both. Other read orders run through
+/// [`Plan::build`] and [`execute`].
+pub fn apply(
     cube: &Cube,
     scenario: &Scenario,
-    strategy: &Strategy,
     scope: Option<&[u32]>,
-    opts: ExecOpts,
+    opts: &ExecOpts,
 ) -> Result<WhatIfResult> {
     match scenario {
         Scenario::Negative(spec) => {
-            let (out, vs, report) = match strategy {
-                Strategy::Reference => {
-                    let vs = checked_phi(cube, spec)?;
-                    (relocate(cube, spec.dim, &vs)?, vs, ExecReport::default())
-                }
-                Strategy::Chunked(policy) => {
-                    let plan = Plan::build(cube, spec, policy, scope)?;
-                    let (out, report) = execute(cube, &plan, &opts)?;
-                    let (_, vs) = plan.scenario.expect("Plan::build records its scenario");
-                    (out, vs, report)
-                }
-            };
-            let mut vs_pruned = vs;
+            let plan = Plan::build(cube, spec, &OrderPolicy::Pebbling, scope)?;
+            let (out, report) = execute(cube, &plan, opts)?;
+            let (_, mut vs) = plan.scenario.expect("Plan::build records its scenario");
             let varying = cube
                 .schema()
                 .varying(spec.dim)
                 .expect("checked by planning");
-            prune_vacancies(&mut vs_pruned, varying.instances(), varying.moments());
+            prune_vacancies(&mut vs, varying.instances(), varying.moments());
             Ok(WhatIfResult {
                 cube: out,
                 schema: Arc::clone(cube.schema()),
                 scenario: scenario.clone(),
-                vs_out: Some(vs_pruned),
+                vs_out: Some(vs),
                 report,
             })
         }
@@ -161,11 +147,6 @@ pub fn apply_opts(
             })
         }
     }
-}
-
-/// Convenience: apply with the default strategy (chunked + pebbling).
-pub fn apply_default(cube: &Cube, scenario: &Scenario) -> Result<WhatIfResult> {
-    apply(cube, scenario, &Strategy::Chunked(OrderPolicy::Pebbling))
 }
 
 #[cfg(test)]
@@ -233,7 +214,7 @@ mod tests {
         let org = cube.schema().resolve_dimension("Organization").unwrap();
         // P = {Feb, Apr}, forward, visual.
         let scenario = Scenario::negative(org, [1, 3], Semantics::Forward, Mode::Visual);
-        let r = apply_default(&cube, &scenario).unwrap();
+        let r = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
         // PTE total over Qtr1 in the output: Tom (Jan+Feb+Mar) + PTE/Joe
         // (Feb + Mar inherited) = 30 + 20 = 50.
         let v = r
@@ -258,7 +239,7 @@ mod tests {
         let cube = fixture();
         let org = cube.schema().resolve_dimension("Organization").unwrap();
         let scenario = Scenario::negative(org, [1, 3], Semantics::Forward, Mode::NonVisual);
-        let r = apply_default(&cube, &scenario).unwrap();
+        let r = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
         // Non-visual: the PTE Qtr1 total is the input's (Tom 30 + PTE/Joe
         // Feb 10 = 40), even though leaf cells moved.
         let v = r
@@ -278,7 +259,7 @@ mod tests {
         let cube = fixture();
         let org = cube.schema().resolve_dimension("Organization").unwrap();
         let scenario = Scenario::negative(org, [0, 3], Semantics::Static, Mode::Visual);
-        let r = apply_default(&cube, &scenario).unwrap();
+        let r = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
         // FTE/Joe (valid at Jan) and Contractor/Joe (valid at Apr) stay
         // with original values; PTE/Joe drops.
         let vs = r.vs_out.as_ref().unwrap();
@@ -305,7 +286,7 @@ mod tests {
             }],
             Mode::Visual,
         );
-        let r = apply_default(&cube, &scenario).unwrap();
+        let r = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
         assert!(!Arc::ptr_eq(&r.schema, cube.schema()));
         // Visual: PTE Qtr2 total = Tom 30 + PTE/Lisa (Apr, May, Jun) 30.
         let pte_sel = Sel::Member(pte);
@@ -334,7 +315,7 @@ mod tests {
             }],
             Mode::NonVisual,
         );
-        let r = apply_default(&cube, &scenario).unwrap();
+        let r = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
         // Non-visual PTE Qtr2: input total (Tom only) = 30.
         let qtr2 = {
             let t = r.schema.resolve_dimension("Time").unwrap();
@@ -354,19 +335,19 @@ mod tests {
         // Empty perspectives.
         let s = Scenario::negative(org, [], Semantics::Static, Mode::Visual);
         assert!(matches!(
-            apply_default(&cube, &s),
+            apply(&cube, &s, None, &ExecOpts::default()),
             Err(WhatIfError::NoPerspectives)
         ));
         // Out-of-range moment.
         let s = Scenario::negative(org, [17], Semantics::Static, Mode::Visual);
         assert!(matches!(
-            apply_default(&cube, &s),
+            apply(&cube, &s, None, &ExecOpts::default()),
             Err(WhatIfError::BadPerspective { .. })
         ));
         // Non-varying dimension.
         let s = Scenario::negative(time, [0], Semantics::Static, Mode::Visual);
         assert!(matches!(
-            apply_default(&cube, &s),
+            apply(&cube, &s, None, &ExecOpts::default()),
             Err(WhatIfError::NotVarying(_))
         ));
     }
@@ -388,11 +369,11 @@ mod tests {
         let cube = b.finish().unwrap();
         let s = Scenario::negative(org, [0], Semantics::Forward, Mode::Visual);
         assert!(matches!(
-            apply_default(&cube, &s),
+            apply(&cube, &s, None, &ExecOpts::default()),
             Err(WhatIfError::UnorderedParameter { .. })
         ));
         let s = Scenario::negative(org, [0], Semantics::Static, Mode::Visual);
-        assert!(apply_default(&cube, &s).is_ok());
+        assert!(apply(&cube, &s, None, &ExecOpts::default()).is_ok());
         let _ = MemberId::ROOT;
     }
 }

@@ -8,19 +8,17 @@ use crate::resolve::{Atom, NamedSets, Resolver, Tuple};
 use crate::Result;
 use olap_cube::{CellEvaluator, Cube, Sel};
 use olap_model::{AxisSlot, DimensionId, MemberId, Schema};
-use whatif_core::{Change, Mode, Scenario, Strategy, WhatIfResult};
+use whatif_core::{Change, Mode, Scenario, WhatIfResult};
 
 /// Everything a query needs besides its text: the cube, named sets, and
-/// the execution strategy and knobs for what-if clauses.
+/// the executor's knobs for what-if clauses.
 pub struct QueryContext<'a> {
     /// The warehouse cube.
     pub cube: &'a Cube,
     /// Named sets (`[EmployeesWithAtleastOneMove-Set1]`, …).
     pub named_sets: NamedSets,
-    /// Execution strategy for perspective clauses.
-    pub strategy: Strategy,
     /// The chunked executor's knobs for this context's what-if clauses,
-    /// handed through to [`whatif_core::apply_opts`] as one value (see
+    /// handed through to [`whatif_core::apply`] as one value (see
     /// [`whatif_core::ExecOpts`] for each field). A scenario cache
     /// composes with query scoping: a scoped run serves and fills it
     /// with the merge components its scope keeps whole.
@@ -28,13 +26,11 @@ pub struct QueryContext<'a> {
 }
 
 impl<'a> QueryContext<'a> {
-    /// A context with no named sets and the default (chunked + pebbling)
-    /// strategy.
+    /// A context with no named sets and the default executor knobs.
     pub fn new(cube: &'a Cube) -> Self {
         QueryContext {
             cube,
             named_sets: NamedSets::new(),
-            strategy: Strategy::Chunked(whatif_core::OrderPolicy::Pebbling),
             opts: whatif_core::ExecOpts::default(),
         }
     }
@@ -79,6 +75,21 @@ pub fn evaluate_full(
 
 /// Evaluates a parsed query, compiling its `WITH` clause once.
 pub fn evaluate(ctx: &QueryContext<'_>, query: &Query) -> Result<Evaluation> {
+    evaluate_with(ctx, query, |s, scope| {
+        whatif_core::apply(ctx.cube, s, scope, &ctx.opts)
+    })
+}
+
+/// [`evaluate`], with the `WITH` clause's perspective cube computed by
+/// `apply(scenario, scope)` in place of [`whatif_core::apply`]: the grid
+/// is then the evaluation `E` of whatever cube another implementation of
+/// the algebra produced (`scope` lists the varying-dimension slots the
+/// grid reads, or is `None`).
+pub fn evaluate_with(
+    ctx: &QueryContext<'_>,
+    query: &Query,
+    apply: impl Fn(&Scenario, Option<&[u32]>) -> whatif_core::Result<WhatIfResult>,
+) -> Result<Evaluation> {
     // 1. Compile the what-if clause. Positive scenarios apply up front
     //    (their axes may reference new instances); negative scenarios
     //    apply after axis resolution so execution can be scoped to the
@@ -89,13 +100,7 @@ pub fn evaluate(ctx: &QueryContext<'_>, query: &Query) -> Result<Evaluation> {
     };
     let mut whatif: Option<WhatIfResult> = None;
     if let Some(s @ Scenario::Positive { .. }) = &scenario {
-        whatif = Some(whatif_core::apply_opts(
-            ctx.cube,
-            s,
-            &ctx.strategy,
-            None,
-            ctx.opts.clone(),
-        )?);
+        whatif = Some(apply(s, None)?);
     }
     let schema_arc = match &whatif {
         Some(r) => std::sync::Arc::clone(&r.schema),
@@ -155,13 +160,7 @@ pub fn evaluate(ctx: &QueryContext<'_>, query: &Query) -> Result<Evaluation> {
     let mut scope = None;
     if let Some(s @ Scenario::Negative(_)) = &scenario {
         scope = compute_scope(schema, s.dim(), &columns, &rows, &base);
-        whatif = Some(whatif_core::apply_opts(
-            ctx.cube,
-            s,
-            &ctx.strategy,
-            scope.as_deref(),
-            ctx.opts.clone(),
-        )?);
+        whatif = Some(apply(s, scope.as_deref())?);
     }
 
     // 4. Evaluate cells.

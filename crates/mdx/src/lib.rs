@@ -20,7 +20,7 @@
 //! {(m, o, n, t), …}` positive-scenario clause.
 //!
 //! Evaluation compiles the `WITH` clause to a [`whatif_core::Scenario`],
-//! applies it with a configurable [`whatif_core::Strategy`], and renders
+//! applies it with [`whatif_core::apply`], and renders
 //! the axes into a [`Grid`], respecting visual / non-visual mode for
 //! derived cells.
 
@@ -34,7 +34,9 @@ pub mod resolve;
 
 pub use ast::{Axis, AxisSpec, DescFlag, MemberExpr, Query, SetExpr, WithClause};
 pub use error::MdxError;
-pub use eval::{compile_with, evaluate, evaluate_full, execute, Evaluation, QueryContext};
+pub use eval::{
+    compile_with, evaluate, evaluate_full, evaluate_with, execute, Evaluation, QueryContext,
+};
 pub use grid::Grid;
 pub use parser::parse;
 

@@ -17,7 +17,7 @@
 //! cell by cell — the baseline the paper's native perspectives replace.
 //! Kept: `examples/type2_comparison.rs` runs it, and
 //! `client_side_simulation_matches_native_perspectives` holds it to
-//! `apply_default`.
+//! `whatif_core::apply`.
 
 use olap_cube::Cube;
 use olap_model::{DimensionId, MemberId, Moment, Schema, ValiditySet};
@@ -254,7 +254,7 @@ mod tests {
     use super::*;
     use crate::running_example;
     use olap_cube::{CellEvaluator, Sel};
-    use whatif_core::{apply_default, Mode, Scenario, Semantics};
+    use whatif_core::{apply, ExecOpts, Mode, Scenario, Semantics};
 
     #[test]
     fn surrogates_mirror_instances() {
@@ -312,7 +312,7 @@ mod tests {
             let simulated = simulate_forward(&t2, &p, &slicer);
             // Native: perspective cube + visual rollups per type.
             let scenario = Scenario::negative(ex.org, p.clone(), Semantics::Forward, Mode::Visual);
-            let r = apply_default(&ex.cube, &scenario).unwrap();
+            let r = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
             let ev = CellEvaluator::new(&r.cube);
             for group in ["FTE", "PTE", "Contractor"] {
                 let g = ex.schema.dim(ex.org).resolve(group).unwrap();

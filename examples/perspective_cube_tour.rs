@@ -11,7 +11,6 @@ use whatif_core::{
     apply, execute,
     merge::{heuristic_order, naive_order, optimal_pebbles, pebbles_for_order, MergeGraph},
     phi, prune_vacancies, ExecOpts, Mode, OrderPolicy, PerspectiveSpec, Plan, Scenario, Semantics,
-    Strategy,
 };
 
 fn main() {
@@ -80,12 +79,7 @@ fn main() {
 
     // And the high-level entry point: a full what-if result.
     let scenario = Scenario::negative(ex.org, [1, 3], Semantics::Forward, Mode::Visual);
-    let result = apply(
-        &ex.cube,
-        &scenario,
-        &Strategy::Chunked(OrderPolicy::Pebbling),
-    )
-    .expect("apply");
+    let result = apply(&ex.cube, &scenario, None, &ExecOpts::default()).expect("apply");
     println!(
         "\nperspective cube: {} cells (input had {}), total value {} (input {})",
         result.cube.present_cell_count().unwrap(),

@@ -14,7 +14,7 @@
 use olap_cube::{CellEvaluator, Sel};
 use olap_model::MemberId;
 use olap_workload::{running_example, simulate_forward, type2_of};
-use whatif_core::{apply_default, Mode, Scenario, Semantics};
+use whatif_core::{apply, ExecOpts, Mode, Scenario, Semantics};
 
 fn main() {
     let ex = running_example();
@@ -54,7 +54,7 @@ fn main() {
 
     // Native: one clause, engine-evaluated.
     let scenario = Scenario::negative(ex.org, p.clone(), Semantics::Forward, Mode::Visual);
-    let native = apply_default(&ex.cube, &scenario).expect("native what-if");
+    let native = apply(&ex.cube, &scenario, None, &ExecOpts::default()).expect("native what-if");
     let evn = CellEvaluator::new(&native.cube);
     println!("  native perspective engine:");
     for group in ["FTE", "PTE", "Contractor"] {

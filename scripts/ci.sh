@@ -60,7 +60,9 @@ step "concurrency flake gate (10x)"
 # concurrency-heavy suites (olap-store --lib includes the log-parser
 # fuzz and filestore crash-sweep tests; `--test pool_faults` the pool's
 # retry and waiter tests; the test crate's --lib the FaultStore and
-# ChaosProxy unit tests, socket timing included). `--test sweeps` stays
+# ChaosProxy unit tests, socket timing included; `--test oracle` the
+# executor against the definitional oracle over threads 1-3 and the
+# cache off, cold and warm). `--test sweeps` stays
 # out of the loop: its chaos and replica sweeps each run three fixed
 # seeds, so the one run in the tests step is already a repetition.
 i=1
@@ -70,7 +72,7 @@ while [ "$i" -le 10 ]; do
         --test parallel_exec --test scenario_cache --test pool_faults \
         --test scenario_forest --test fault_injection --test persistence \
         --test server --test run_kernels --test chaos \
-        --test replication --test aggregation >/dev/null
+        --test replication --test aggregation --test oracle >/dev/null
     i=$((i + 1))
 done
 echo "(10/10 green)"
@@ -80,9 +82,11 @@ step "gates run by name"
 # deleted crash sweep would pass unnoticed. Each gate runs by exact
 # name and must report exactly one passed test. The last store gate is
 # the log byte-fuzz: a cleanly closed log never opens to a cut. The
-# last two hold the verb table's contracts: a follower refuses every
+# next two hold the verb table's contracts: a follower refuses every
 # base write however it is spelled, and a reconnect replays exactly
-# the lines a session accepted.
+# the lines a session accepted. The last two hold the executor to the
+# definitional oracle: the random-warehouse property and Theorem 4.1's
+# three-way check.
 gate() { # gate "<cargo test target args>" <exact test name>
     out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
     case "$out" in
@@ -97,6 +101,8 @@ gate "-p whatif-integration-tests --test persistence" dirty_eviction_crash_point
 gate "-p whatif-integration-tests --test replication" follower_crash_at_every_op_recovers_pre_or_post_image
 gate "-p whatif-integration-tests --test replication" follower_refuses_every_base_write_in_any_spelling
 gate "-p polap-cli --lib" proto::tests::a_replayed_journal_restores_exactly_the_accepted_lines
+gate "-p whatif-integration-tests --test property_invariants" chunked_equals_reference
+gate "-p whatif-integration-tests --test algebra_theorem" theorem_4_1_negative_all_semantics_and_modes
 
 step "corruption smoke test"
 # One flipped payload byte never becomes garbage cells. Flipped while

@@ -7,12 +7,15 @@
 //!
 //! It also holds the rigs the product does not ship: [`fault`] wraps a
 //! chunk store in a scripted storage-fault plan, [`chaos`] puts a
-//! scripted network-fault proxy in front of a server, and [`buc`] is the
-//! aggregation oracle (Bottom-Up Cube with iceberg pruning).
+//! scripted network-fault proxy in front of a server, [`buc`] is the
+//! aggregation oracle (Bottom-Up Cube with iceberg pruning), and
+//! [`oracle`] is the definitional what-if oracle (Φ and ρ straight from
+//! Definitions 4.2–4.4).
 
 pub mod buc;
 pub mod chaos;
 pub mod fault;
+pub mod oracle;
 
 use olap_cube::Cube;
 use olap_model::{DimensionId, Schema};
@@ -24,7 +27,7 @@ use rand::{RngExt, SeedableRng};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use whatif_core::{DestMap, MergeGraph};
+use whatif_core::{DestMap, ExecReport, MergeGraph, Scenario, WhatIfResult};
 
 /// A randomly generated varying-dimension warehouse.
 pub struct RandomWarehouse {
@@ -154,6 +157,29 @@ pub fn whole_component_chunks(
         .map(|d| u64::from(geom.grid()[d]))
         .product();
     labels as u64 * slices
+}
+
+/// A negative scenario's what-if result with `leaves` as its perspective
+/// cube: a grid evaluated over it is `E` applied to those leaves (visual
+/// totals summed over them, non-visual derived cells the input's).
+pub fn result_with_leaves(input: &Cube, scenario: &Scenario, leaves: Cube) -> WhatIfResult {
+    assert!(matches!(scenario, Scenario::Negative(_)), "{scenario:?}");
+    WhatIfResult {
+        cube: leaves,
+        schema: Arc::clone(input.schema()),
+        scenario: scenario.clone(),
+        vs_out: None,
+        report: ExecReport::default(),
+    }
+}
+
+/// [`result_with_leaves`] over the definitional oracle's leaves.
+pub fn oracle_result(input: &Cube, scenario: &Scenario) -> WhatIfResult {
+    let Scenario::Negative(spec) = scenario else {
+        panic!("the oracle covers negative scenarios: {scenario:?}");
+    };
+    let leaves = oracle::perspective_cube(input, spec.dim, spec.semantics, &spec.perspectives);
+    result_with_leaves(input, scenario, leaves)
 }
 
 /// All five semantics, for exhaustive sweeps.

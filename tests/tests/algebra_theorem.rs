@@ -1,13 +1,16 @@
 //! Theorem 4.1 at the integration level: every extended-MDX what-if query
 //! equals its compiled algebra expression applied to the core query's
-//! result — across semantics, modes, scenario kinds, and datasets.
+//! result — across semantics, modes, scenario kinds, and datasets. Three
+//! implementations meet: the chunked engine ([`apply`]), the algebra by
+//! definition ([`run`] of [`compile`]'s ρ∘Φ) and, for negative
+//! scenarios, the definitional oracle.
 
 use olap_workload::{retail_example, running_example};
 use whatif_core::{
-    apply, compile, run, AlgebraExpr, Change, Mode, PerspectiveSpec, Predicate, Scenario,
-    Semantics, Strategy,
+    apply, compile, run, AlgebraExpr, Change, ExecOpts, Mode, PerspectiveSpec, Predicate, Scenario,
+    Semantics,
 };
-use whatif_integration_tests::all_semantics;
+use whatif_integration_tests::{all_semantics, oracle};
 
 #[test]
 fn theorem_4_1_negative_all_semantics_and_modes() {
@@ -16,12 +19,17 @@ fn theorem_4_1_negative_all_semantics_and_modes() {
         for mode in [Mode::Visual, Mode::NonVisual] {
             for p in [vec![0u32], vec![1, 3], vec![0, 2, 5]] {
                 let scenario = Scenario::negative(ex.org, p.clone(), sem, mode);
-                let direct = apply(&ex.cube, &scenario, &Strategy::Reference).unwrap();
-                let expr = compile(&scenario);
-                let algebra = run(&ex.cube, &expr, &Strategy::Reference).unwrap();
+                let chunked = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
+                let algebra = run(&ex.cube, &compile(&scenario)).unwrap();
+                let want = oracle::perspective_cube(&ex.cube, ex.org, sem, &p);
+                let row = format!("{sem:?} {mode:?} P={p:?}");
                 assert!(
-                    algebra.cube.same_cells(&direct.cube).unwrap(),
-                    "{sem:?} {mode:?} P={p:?}"
+                    algebra.cube.same_cells(&want).unwrap(),
+                    "ρ∘Φ vs oracle: {row}"
+                );
+                assert!(
+                    chunked.cube.same_cells(&want).unwrap(),
+                    "apply vs oracle: {row}"
                 );
                 assert_eq!(algebra.mode, Some(mode));
             }
@@ -46,8 +54,8 @@ fn theorem_4_1_positive_on_retail() {
         }],
         Mode::Visual,
     );
-    let direct = apply(&r.cube, &scenario, &Strategy::Reference).unwrap();
-    let algebra = run(&r.cube, &compile(&scenario), &Strategy::Reference).unwrap();
+    let direct = apply(&r.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    let algebra = run(&r.cube, &compile(&scenario)).unwrap();
     assert!(algebra.cube.same_cells(&direct.cube).unwrap());
     assert_eq!(algebra.schema.shape(), direct.schema.shape());
 }
@@ -74,8 +82,8 @@ fn operators_compose_in_any_useful_order() {
             pred: Predicate::MemberIs(joe),
         },
     ]);
-    let a = run(&ex.cube, &select_then_phi, &Strategy::Reference).unwrap();
-    let b = run(&ex.cube, &phi_then_select, &Strategy::Reference).unwrap();
+    let a = run(&ex.cube, &select_then_phi).unwrap();
+    let b = run(&ex.cube, &phi_then_select).unwrap();
     assert!(a.cube.same_cells(&b.cube).unwrap());
     assert!(a.cube.total_sum().unwrap() > 0.0);
 }
@@ -102,7 +110,7 @@ fn split_then_perspective_s2_style() {
             spec: PerspectiveSpec::new(ex.org, [0], Semantics::Forward, Mode::Visual),
         },
     ]);
-    let out = run(&ex.cube, &expr, &Strategy::Reference).unwrap();
+    let out = run(&ex.cube, &expr).unwrap();
     // Forward from Jan undoes the hypothetical change again: Lisa's value
     // flows back to FTE/Lisa. Total is conserved through both steps.
     assert_eq!(out.cube.total_sum().unwrap(), ex.cube.total_sum().unwrap());

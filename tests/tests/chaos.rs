@@ -10,9 +10,7 @@ use polap_cli::{Dataset, SharedData};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-use whatif_core::{
-    apply_opts, ExecOpts, Mode, OrderPolicy, Scenario, Semantics, Strategy, WhatIfError,
-};
+use whatif_core::{apply, ExecOpts, Mode, Scenario, Semantics, WhatIfError};
 use whatif_integration_tests::chaos::{ChaosProxy, Dir, NetFaultKind, NetFaultSpec};
 use whatif_integration_tests::serial_replies;
 
@@ -41,19 +39,18 @@ fn wait_for_sessions(server: &Server, n: usize) {
 fn executor_deadline_aborts_cleanly() {
     let ex = olap_workload::running_example();
     let scenario = Scenario::negative(ex.org, [1, 3], Semantics::Forward, Mode::Visual);
-    let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     let expired = ExecOpts {
         deadline: Some(Instant::now() - Duration::from_millis(1)),
         ..ExecOpts::default()
     };
-    match apply_opts(&ex.cube, &scenario, &strategy, None, expired) {
+    match apply(&ex.cube, &scenario, None, &expired) {
         Err(WhatIfError::DeadlineExceeded) => {}
         Err(e) => panic!("wrong error: {e}"),
         Ok(_) => panic!("expired deadline must abort"),
     }
     // Same cube, no deadline: bit-identical to a never-aborted run.
-    let a = apply_opts(&ex.cube, &scenario, &strategy, None, ExecOpts::default()).unwrap();
-    let b = apply_opts(&ex.cube, &scenario, &strategy, None, ExecOpts::default()).unwrap();
+    let a = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    let b = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
     assert!(a.cube.same_cells(&b.cube).unwrap());
 }
 
@@ -63,9 +60,8 @@ fn executor_deadline_aborts_cleanly() {
 fn out_of_range_scope_slot_is_an_error() {
     let ex = olap_workload::running_example();
     let scenario = Scenario::negative(ex.org, [1, 3], Semantics::Forward, Mode::Visual);
-    let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     let scope = Some(&[9999][..]);
-    match apply_opts(&ex.cube, &scenario, &strategy, scope, ExecOpts::default()) {
+    match apply(&ex.cube, &scenario, scope, &ExecOpts::default()) {
         Err(e) => {
             let axis_len = ex.schema.axis_len(ex.org);
             assert!(

@@ -2,10 +2,11 @@
 //! → cube → extended MDX → perspective cube → grid — including the exact
 //! Fig. 10 query shapes and the equivalences the experiments rely on.
 
-use olap_mdx::{execute, QueryContext};
+use olap_mdx::{evaluate, evaluate_with, execute, parse, QueryContext};
 use olap_store::CellValue;
 use olap_workload::{Workforce, WorkforceConfig};
-use whatif_core::{OrderPolicy, Strategy};
+use whatif_core::{execute as run_plan, OrderPolicy, Plan, Scenario};
+use whatif_integration_tests::{oracle_result, result_with_leaves};
 
 fn tiny() -> Workforce {
     Workforce::build(WorkforceConfig::tiny())
@@ -56,22 +57,28 @@ fn fig10c_head_limits_rows() {
     assert_eq!(g.height(), 2 * wf.config.months as usize);
 }
 
+/// The chunked engine's grid (pebbling order, scoped by the MDX layer)
+/// equals the grid `E` renders over the definitional oracle's leaves,
+/// and over a naive-order execution of the same scoped plan.
 #[test]
 fn reference_and_chunked_strategies_agree_on_grids() {
     let wf = tiny();
-    let q = wf.fig10a_query_sem(&["Jan", "Apr"], "DYNAMIC FORWARD VISUAL");
-    let mut grids = Vec::new();
-    for strategy in [
-        Strategy::Reference,
-        Strategy::Chunked(OrderPolicy::Pebbling),
-        Strategy::Chunked(OrderPolicy::Naive),
-    ] {
-        let mut ctx = ctx_of(&wf);
-        ctx.strategy = strategy;
-        grids.push(execute(&ctx, &q).unwrap());
-    }
-    assert_eq!(grids[0], grids[1]);
-    assert_eq!(grids[0], grids[2]);
+    let ctx = ctx_of(&wf);
+    let q = parse(&wf.fig10a_query_sem(&["Jan", "Apr"], "DYNAMIC FORWARD VISUAL")).unwrap();
+    let oracle = evaluate_with(&ctx, &q, |s, _| Ok(oracle_result(&wf.cube, s))).unwrap();
+    let naive = evaluate_with(&ctx, &q, |s, scope| {
+        let Scenario::Negative(spec) = s else {
+            unreachable!("a perspective query")
+        };
+        let plan = Plan::build(&wf.cube, spec, &OrderPolicy::Naive, scope)?;
+        let (leaves, _) = run_plan(&wf.cube, &plan, &ctx.opts)?;
+        Ok(result_with_leaves(&wf.cube, s, leaves))
+    })
+    .unwrap();
+    let pebbling = evaluate(&ctx, &q).unwrap();
+    assert!(pebbling.scope.is_some(), "the query is scoped");
+    assert_eq!(oracle.grid, pebbling.grid);
+    assert_eq!(oracle.grid, naive.grid);
 }
 
 #[test]

@@ -13,10 +13,7 @@ use olap_workload::running_example;
 use proptest::prelude::*;
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
-use whatif_core::{
-    apply, apply_opts, ExecOpts, Mode, OrderPolicy, Scenario, Semantics, Strategy, WhatIfError,
-    WhatIfResult,
-};
+use whatif_core::{apply, ExecOpts, Mode, Scenario, Semantics, WhatIfError, WhatIfResult};
 use whatif_integration_tests::fault::{self, FaultKind, FaultOp, FaultSpec, FaultStore};
 
 /// Hard per-query wall-clock budget: generous for slow CI machines but
@@ -70,8 +67,7 @@ fn apply_with_threads(
         threads,
         ..ExecOpts::default()
     };
-    let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
-    apply_opts(cube, scenario, &strategy, None, opts)
+    apply(cube, scenario, None, &opts)
 }
 
 /// Satellite regression: exactly one transient read failure under
@@ -83,12 +79,7 @@ fn single_transient_read_fault_under_contention_is_absorbed() {
     let baseline = {
         let ex = running_example();
         let scenario = whatif_scenario(&ex);
-        apply(
-            &ex.cube,
-            &scenario,
-            &Strategy::Chunked(OrderPolicy::Pebbling),
-        )
-        .unwrap()
+        apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap()
     };
     let ex = faulted_example(|s| FaultStore::fail_nth_read(s, 1));
     let scenario = whatif_scenario(&ex);
@@ -149,11 +140,7 @@ fn bit_flip_fault_yields_corrupt_not_garbage() {
     }];
     let ex = faulted_example(|s| FaultStore::new(s, plan));
     let scenario = whatif_scenario(&ex);
-    let r = apply(
-        &ex.cube,
-        &scenario,
-        &Strategy::Chunked(OrderPolicy::Pebbling),
-    );
+    let r = apply(&ex.cube, &scenario, None, &ExecOpts::default());
     assert!(matches!(r, Err(ref e) if whatif_err_is_corrupt(e)));
     // The flip was injected on the read path only; the store itself is
     // intact, so the same query now succeeds and matches a clean run.
@@ -162,16 +149,12 @@ fn bit_flip_fault_yields_corrupt_not_garbage() {
         apply(
             &clean_ex.cube,
             &whatif_scenario(&clean_ex),
-            &Strategy::Chunked(OrderPolicy::Pebbling),
+            None,
+            &ExecOpts::default(),
         )
         .unwrap()
     };
-    let retried = apply(
-        &ex.cube,
-        &scenario,
-        &Strategy::Chunked(OrderPolicy::Pebbling),
-    )
-    .unwrap();
+    let retried = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
     assert!(retried.cube.same_cells(&clean.cube).unwrap());
 }
 
@@ -229,7 +212,7 @@ proptest! {
         let baseline = {
             let ex = running_example();
             let scenario = whatif_scenario(&ex);
-            apply(&ex.cube, &scenario, &Strategy::Chunked(OrderPolicy::Pebbling)).unwrap()
+            apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap()
         };
         let ex = faulted_example(|s| FaultStore::with_random_plan(s, seed));
         let scenario = whatif_scenario(&ex);

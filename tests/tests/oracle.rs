@@ -1,0 +1,291 @@
+//! The definitional oracle (`whatif_integration_tests::oracle`) against
+//! the paper's worked examples, against Φ, and — the load-bearing part —
+//! the chunked executor against the oracle over every read order, pass
+//! layout, scope, thread count and cache phase.
+
+use olap_cube::Cube;
+use olap_mdx::{evaluate_with, parse, QueryContext};
+use olap_model::{DimensionId, DimensionSpec, SchemaBuilder};
+use olap_store::CellValue;
+use olap_workload::running_example;
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+use whatif_core::{
+    execute, phi, ExecOpts, ExecReport, Mode, OrderPolicy, PerspectiveSpec, Plan, ScenarioCache,
+    Semantics,
+};
+use whatif_integration_tests::oracle::{self, agrees_on_scope};
+use whatif_integration_tests::{
+    all_semantics, oracle_result, random_warehouse, whole_component_chunks,
+};
+
+/// The running example's Joe instances (FTE, PTE, Contractor) under the
+/// oracle's Φ for `semantics` and `p`.
+fn joe_phi(semantics: Semantics, p: &[u32]) -> [Vec<u32>; 3] {
+    let ex = running_example();
+    let (instances, moments) = oracle::instances(&ex.cube, ex.org);
+    let p: BTreeSet<u32> = p.iter().copied().collect();
+    let out = oracle::phi(semantics, &instances, &p, moments);
+    let joe = ex.schema.dim(ex.org).resolve("Joe").unwrap();
+    let ids = ex.schema.varying(ex.org).unwrap().instances_of(joe);
+    [0, 1, 2].map(|k| out[ids[k].index()].iter().copied().collect())
+}
+
+/// Φ on the paper's examples (Section 3, Figs. 2 and 4, scenario S3):
+/// Joe is FTE in Jan, PTE in Feb, Contractor in Mar, Apr and Jun.
+#[test]
+fn oracle_phi_reproduces_the_papers_examples() {
+    let none: Vec<u32> = vec![];
+    use Semantics::*;
+    // Static, P = {Jan}: only FTE/Joe survives, with its own set.
+    assert_eq!(joe_phi(Static, &[0]), [vec![0], none.clone(), none.clone()]);
+    // Fig. 4, forward, P = {Feb, Apr}: PTE/Joe owns [Feb, Apr) and
+    // Contractor/Joe [Apr, ∞); FTE/Joe, valid at neither, vanishes.
+    assert_eq!(
+        joe_phi(Forward, &[1, 3]),
+        [none.clone(), vec![1, 2], vec![3, 4, 5]]
+    );
+    // S3, forward, P = {Jan, Apr}.
+    assert_eq!(
+        joe_phi(Forward, &[0, 3]),
+        [vec![0, 1, 2], none.clone(), vec![3, 4, 5]]
+    );
+    // Forward, P = {Apr}: Contractor/Joe keeps its own March; FTE/Joe and
+    // PTE/Joe are inactive and keep nothing, their history included.
+    assert_eq!(
+        joe_phi(Forward, &[3]),
+        [none.clone(), none.clone(), vec![2, 3, 4, 5]]
+    );
+    // Extended forward, P = {Apr}: Contractor/Joe takes Jan–Mar too.
+    assert_eq!(
+        joe_phi(ExtendedForward, &[3]),
+        [none.clone(), none.clone(), vec![0, 1, 2, 3, 4, 5]]
+    );
+    // Backward, P = {Apr}: Contractor/Joe owns (-∞, Apr] and keeps its
+    // own June.
+    assert_eq!(
+        joe_phi(Backward, &[3]),
+        [none.clone(), none.clone(), vec![0, 1, 2, 3, 5]]
+    );
+    // Extended backward, P = {Feb}: PTE/Joe owns every moment.
+    assert_eq!(
+        joe_phi(ExtendedBackward, &[1]),
+        [none.clone(), vec![0, 1, 2, 3, 4, 5], none]
+    );
+}
+
+/// The paper's grids (Fig. 4's visual quarter totals, the non-visual
+/// retention, backward and extended forward) rendered over the oracle's
+/// leaves: the numbers `semantics_golden.rs` pins for the engine.
+#[test]
+fn oracle_grids_reproduce_the_semantics_goldens() {
+    let ex = running_example();
+    let ctx = QueryContext::new(&ex.cube);
+    let rows = "{Organization.[FTE], Organization.[PTE], Organization.[Contractor]} ON ROWS \
+                FROM [Warehouse] WHERE (Location.[NY], Measures.[Salary])";
+    let cols = "SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS,";
+    let cases = [
+        (
+            "{(Feb), (Apr)} FOR Organization DYNAMIC FORWARD VISUAL",
+            [
+                ("PTE", "Qtr1", 50.0),
+                ("FTE", "Qtr1", 30.0),
+                ("Contractor", "Qtr2", 50.0),
+            ],
+        ),
+        (
+            "{(Feb), (Apr)} FOR Organization DYNAMIC FORWARD NONVISUAL",
+            [
+                ("PTE", "Qtr1", 40.0),
+                ("FTE", "Qtr1", 40.0),
+                ("Contractor", "Qtr2", 50.0),
+            ],
+        ),
+        (
+            "{(Apr)} FOR Organization DYNAMIC BACKWARD VISUAL",
+            [
+                ("Contractor", "Qtr1", 60.0),
+                ("FTE", "Qtr1", 30.0),
+                ("Contractor", "Qtr2", 50.0),
+            ],
+        ),
+        (
+            "{(Apr)} FOR Organization DYNAMIC EXTENDED FORWARD VISUAL",
+            [
+                ("Contractor", "Qtr1", 60.0),
+                ("FTE", "Qtr1", 30.0),
+                ("Contractor", "Qtr2", 50.0),
+            ],
+        ),
+    ];
+    for (clause, cells) in cases {
+        let query = parse(&format!("WITH PERSPECTIVE {clause} {cols} {rows}")).unwrap();
+        let grid = evaluate_with(&ctx, &query, |s, _| Ok(oracle_result(&ex.cube, s)))
+            .unwrap()
+            .grid;
+        for (row, col, want) in cells {
+            assert_eq!(
+                grid.cell(row, col),
+                Some(CellValue::Num(want)),
+                "{clause}: {row} {col}"
+            );
+        }
+    }
+}
+
+fn arb_perspectives(moments: u32) -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::btree_set(0..moments, 1..=4).prop_map(|s| s.into_iter().collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The oracle's Φ and the engine's `phi` agree on every instance of
+    /// random warehouses, under all five semantics.
+    #[test]
+    fn oracle_phi_agrees_with_phi(seed in 0u64..200, p in arb_perspectives(8)) {
+        let w = random_warehouse(seed, 3, 8, 8, 4);
+        let v = w.schema.varying(w.dim).unwrap();
+        let (instances, moments) = oracle::instances(&w.cube, w.dim);
+        let set: BTreeSet<u32> = p.iter().copied().collect();
+        for sem in all_semantics() {
+            let want = oracle::phi(sem, &instances, &set, moments);
+            let got = phi(sem, v.instances(), &p, moments);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(&g.iter().collect::<BTreeSet<u32>>(), w, "{:?} P={:?} instance {}", sem, p, i);
+            }
+        }
+    }
+}
+
+/// A 3-dim cube: Product (varying, 8 members, 4 moving) × Time (6) ×
+/// Location (4). Chunk extents 2.
+fn fixture() -> (Cube, DimensionId) {
+    let schema = Arc::new(
+        SchemaBuilder::new()
+            .dimension(DimensionSpec::new("Product").tree(&[
+                ("G1", &["p0", "p1", "p2"][..]),
+                ("G2", &["p3", "p4", "p5"]),
+                ("G3", &["p6", "p7"]),
+            ]))
+            .dimension(
+                DimensionSpec::new("Time")
+                    .ordered()
+                    .leaves(&["t0", "t1", "t2", "t3", "t4", "t5"]),
+            )
+            .dimension(DimensionSpec::new("Location").leaves(&["L0", "L1", "L2", "L3"]))
+            .varying("Product", "Time")
+            .reclassify("Product", "p0", "G2", "t2")
+            .reclassify("Product", "p3", "G3", "t1")
+            .reclassify("Product", "p3", "G1", "t4")
+            .reclassify("Product", "p7", "G1", "t3")
+            .build()
+            .unwrap(),
+    );
+    let prod = schema.resolve_dimension("Product").unwrap();
+    let mut b = Cube::builder(Arc::clone(&schema), vec![2, 2, 2]).unwrap();
+    let varying = schema.varying(prod).unwrap();
+    for (i, inst) in varying.instances().iter().enumerate() {
+        for t in inst.validity.iter() {
+            for l in 0..4u32 {
+                b.set_num(
+                    &[i as u32, t, l],
+                    (i as f64 + 1.0) * 1000.0 + t as f64 * 10.0 + l as f64,
+                )
+                .unwrap();
+            }
+        }
+    }
+    (b.finish().unwrap(), prod)
+}
+
+/// The one equivalence table over the one entry point: {single pass,
+/// decomposed passes} × {unscoped, scoped} × threads 1–3 × cache {off,
+/// cold, warm} × {Pebbling, Naive, two DimOrders}, every combination
+/// checked against the oracle on the slots the run is answerable for. A
+/// warm run serves exactly the components its scope keeps whole, and
+/// the thread count never changes the work a phase does.
+fn check_equivalence(sem: Semantics, p: &[u32]) {
+    let (cube, prod) = fixture();
+    let want = oracle::perspective_cube(&cube, prod, sem, p);
+    let varying = cube.schema().varying(prod).unwrap();
+    let p3 = cube.schema().dim(prod).resolve("p3").unwrap();
+    let slots: Vec<u32> = varying.instances_of(p3).iter().map(|i| i.0).collect();
+    assert!(slots.len() >= 2);
+    for policy in [
+        OrderPolicy::Pebbling,
+        OrderPolicy::Naive,
+        OrderPolicy::DimOrder(vec![1, 0, 2]),
+        OrderPolicy::DimOrder(vec![0, 1, 2]),
+    ] {
+        for scope in [None, Some(&slots[..])] {
+            let spec = PerspectiveSpec::new(prod, p.iter().copied(), sem, Mode::Visual);
+            let decomposed = Plan::build(&cube, &spec, &policy, scope).unwrap();
+            assert_eq!(decomposed.passes().len(), p.len());
+            let map = decomposed.map().clone();
+            let single = Plan::from_maps(
+                &cube,
+                prod,
+                map.clone(),
+                vec![map.clone()],
+                policy.clone(),
+                scope,
+            )
+            .unwrap();
+            let whole = whole_component_chunks(&cube, prod, &map, scope);
+            for (name, plan) in [("single", &single), ("decomposed", &decomposed)] {
+                // Each phase's serial report: threads must not change it.
+                let mut serial: [Option<ExecReport>; 3] = Default::default();
+                for threads in 1..=3 {
+                    let cache = Arc::new(ScenarioCache::with_capacity_mb(4));
+                    let phases = [None, Some(cache.clone()), Some(cache)];
+                    for (k, cache) in phases.into_iter().enumerate() {
+                        let phase = ["off", "cold", "warm"][k];
+                        let opts = ExecOpts {
+                            threads,
+                            cache,
+                            ..ExecOpts::default()
+                        };
+                        let (got, report) = execute(&cube, plan, &opts).unwrap();
+                        let row = format!(
+                            "{sem:?} P={p:?} {policy:?} {name} scope={scope:?} \
+                             threads={threads} {phase}"
+                        );
+                        assert!(
+                            agrees_on_scope(&got, &want, prod, scope),
+                            "{row} diverged from the oracle (report: {report:?})"
+                        );
+                        assert_eq!(report.passes, plan.passes().len() as u64, "{row}");
+                        let served = if phase == "warm" { whole } else { 0 };
+                        assert_eq!(report.cache_chunks_served, served, "{row}");
+                        let base = serial[k].get_or_insert_with(|| report.clone());
+                        assert_eq!(report.chunks_read, base.chunks_read, "{row}");
+                        assert_eq!(report.cells_relocated, base.cells_relocated, "{row}");
+                        assert_eq!(report.cells_dropped, base.cells_dropped, "{row}");
+                        assert_eq!(report.slices, base.slices, "{row}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn chunked_matches_reference_forward() {
+    check_equivalence(Semantics::Forward, &[1, 3]);
+    check_equivalence(Semantics::Forward, &[0]);
+}
+
+#[test]
+fn chunked_matches_reference_static() {
+    check_equivalence(Semantics::Static, &[2]);
+    check_equivalence(Semantics::Static, &[0, 2, 4]);
+}
+
+#[test]
+fn chunked_matches_reference_extended_and_backward() {
+    check_equivalence(Semantics::ExtendedForward, &[3]);
+    check_equivalence(Semantics::Backward, &[4]);
+    check_equivalence(Semantics::ExtendedBackward, &[2]);
+}

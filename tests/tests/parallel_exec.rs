@@ -5,7 +5,7 @@ use olap_cube::{CubeAggregator, Lattice};
 use olap_store::{BufferPool, CellValue, Chunk, ChunkId, ChunkStore, MemStore};
 use olap_workload::{retail_example, running_example};
 use std::sync::Barrier;
-use whatif_core::{apply, apply_opts, ExecOpts, Mode, OrderPolicy, Scenario, Semantics, Strategy};
+use whatif_core::{apply, ExecOpts, Mode, Scenario, Semantics};
 
 /// A MemStore holding `n` small materialized chunks.
 fn store_with_chunks(n: u64) -> Box<dyn ChunkStore> {
@@ -112,14 +112,13 @@ fn retail_parallel_aggregation_matches_serial_grand_totals() {
 fn running_example_whatif_parallel_matches_serial() {
     let ex = running_example();
     let scenario = Scenario::negative(ex.org, [1, 3], Semantics::Forward, Mode::Visual);
-    let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
-    let serial = apply(&ex.cube, &scenario, &strategy).unwrap();
+    let serial = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
     for threads in [2, 4] {
         let opts = ExecOpts {
             threads,
             ..ExecOpts::default()
         };
-        let parallel = apply_opts(&ex.cube, &scenario, &strategy, None, opts).unwrap();
+        let parallel = apply(&ex.cube, &scenario, None, &opts).unwrap();
         assert!(
             parallel.cube.same_cells(&serial.cube).unwrap(),
             "threads={threads} perspective cube diverged"

@@ -7,7 +7,7 @@ use olap_cube::{Cube, StoreBackend};
 use olap_store::{BufferPool, CellValue, Chunk, ChunkId, ChunkStore, FileStore, SeekModel};
 use olap_workload::{Workforce, WorkforceConfig};
 use std::collections::BTreeMap;
-use whatif_core::{apply_default, Mode, Scenario, Semantics};
+use whatif_core::{apply, ExecOpts, Mode, Scenario, Semantics};
 use whatif_integration_tests::commit;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -61,8 +61,8 @@ fn file_and_memory_backends_agree() {
     assert!(mem.cube.same_cells(&file.cube).unwrap());
     // And a what-if gives the same output cube.
     let scenario = Scenario::negative(mem.department, [0, 6], Semantics::Forward, Mode::Visual);
-    let a = apply_default(&mem.cube, &scenario).unwrap();
-    let b = apply_default(&file.cube, &scenario).unwrap();
+    let a = apply(&mem.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    let b = apply(&file.cube, &scenario, None, &ExecOpts::default()).unwrap();
     assert!(a.cube.same_cells(&b.cube).unwrap());
     std::fs::remove_file(&path).ok();
 }
@@ -102,7 +102,7 @@ fn reorganize_preserves_query_results() {
     let wf = file_workforce(&path);
     let before = wf.cube.total_sum().unwrap();
     let scenario = Scenario::negative(wf.department, [3], Semantics::Static, Mode::Visual);
-    let r_before = apply_default(&wf.cube, &scenario).unwrap();
+    let r_before = apply(&wf.cube, &scenario, None, &ExecOpts::default()).unwrap();
     let total_before = r_before.cube.total_sum().unwrap();
 
     // Reverse the physical chunk order, then re-ask.
@@ -115,7 +115,7 @@ fn reorganize_preserves_query_results() {
         store.set_seek_model(Some(SeekModel::default_disk()));
     });
     assert_eq!(wf.cube.total_sum().unwrap(), before);
-    let r_after = apply_default(&wf.cube, &scenario).unwrap();
+    let r_after = apply(&wf.cube, &scenario, None, &ExecOpts::default()).unwrap();
     assert!((r_after.cube.total_sum().unwrap() - total_before).abs() < 1e-9);
     assert!(r_after.cube.same_cells(&r_before.cube).unwrap());
     std::fs::remove_file(&path).ok();

@@ -1,36 +1,18 @@
 //! Property-based invariants (DESIGN.md §7), driven by randomly generated
-//! warehouses. The load-bearing one is the last: the chunked Section 5/6
-//! executor must agree cell-for-cell with the reference relocate on
-//! arbitrary schemas, scenarios, and chunkings.
+//! warehouses. The load-bearing one is `chunked_equals_reference`: the
+//! chunked Section 5/6 executor must agree cell-for-cell with the
+//! definitional oracle on arbitrary schemas, scenarios, and chunkings.
 
 use olap_cube::Cube;
-use olap_model::{DimensionId, InstanceId, ValiditySet};
+use olap_model::{InstanceId, ValiditySet};
 use proptest::prelude::*;
 use std::sync::Arc;
 use whatif_core::{
-    execute, execute_passes_opts, phi, relocate, ExecOpts, KernelKind, Mode, OrderPolicy,
-    PerspectiveSpec, Plan, ScenarioCache, Semantics,
+    execute, execute_passes_opts, phi, relocate, ExecOpts, Mode, OrderPolicy, PerspectiveSpec,
+    Plan, ScenarioCache, Semantics,
 };
+use whatif_integration_tests::oracle::{self, agrees_on_scope};
 use whatif_integration_tests::{all_semantics, random_warehouse, whole_component_chunks};
-
-/// Whether `got` agrees with `oracle` on every cell whose varying slot is
-/// in `scope` (all cells when unscoped), in both directions.
-fn agrees_on_scope(got: &Cube, oracle: &Cube, dim: DimensionId, scope: Option<&[u32]>) -> bool {
-    let Some(slots) = scope else {
-        return got.same_cells(oracle).unwrap();
-    };
-    let covers = |a: &Cube, b: &Cube| {
-        let mut ok = true;
-        a.for_each_present(|cell, v| {
-            if slots.contains(&cell[dim.index()]) {
-                ok &= b.get(cell).unwrap() == olap_store::CellValue::num(v);
-            }
-        })
-        .unwrap();
-        ok
-    };
-    covers(oracle, got) && covers(got, oracle)
-}
 
 fn arb_perspectives(moments: u32) -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::btree_set(0..moments, 1..=4).prop_map(|s| s.into_iter().collect())
@@ -169,13 +151,13 @@ proptest! {
     }
 
     /// Invariant 12 (the load-bearing one): a planned execution — single
-    /// pass and Section 6 passes, under a random read order, scope,
-    /// thread count and kernel, with the scenario cache cold then warm —
-    /// agrees with the reference relocate on the slots it answers for,
+    /// pass and Section 6 passes, under a random read order, scope and
+    /// thread count, with the scenario cache off, cold, then warm —
+    /// agrees with the definitional oracle on the slots it answers for,
     /// serves from the warm cache exactly the merge components its scope
-    /// keeps whole,
-    /// reports exactly what `execute_passes_opts` reports for the same
-    /// inputs, and gives the same cells each time one `Plan` runs.
+    /// keeps whole, reports exactly what `execute_passes_opts` reports
+    /// for the same inputs, and gives the same cells each time one `Plan`
+    /// runs.
     #[test]
     fn chunked_equals_reference(
         seed in 0u64..60,
@@ -183,7 +165,6 @@ proptest! {
         policy in 0usize..8,
         scope_bits in proptest::option::of(any::<u32>()),
         threads in 1usize..=3,
-        scalar in any::<bool>(),
     ) {
         let w = random_warehouse(seed, 3, 8, 8, 4);
         let v = w.schema.varying(w.dim).unwrap();
@@ -198,9 +179,8 @@ proptest! {
         let slots: Option<Vec<u32>> = scope_bits
             .map(|bits| (0..v.instance_count()).filter(|s| bits >> (s % 32) & 1 == 1).collect());
         let scope = slots.as_deref();
-        let kernel = if scalar { KernelKind::Scalar } else { KernelKind::Runs };
         for sem in all_semantics() {
-            let oracle = relocate(&w.cube, w.dim, &phi(sem, v.instances(), &p, w.moments)).unwrap();
+            let want = oracle::perspective_cube(&w.cube, w.dim, sem, &p);
             let spec = PerspectiveSpec::new(w.dim, p.iter().copied(), sem, Mode::Visual);
             let passes = Plan::build(&w.cube, &spec, &policy, scope).unwrap();
             let map = passes.map().clone();
@@ -209,21 +189,27 @@ proptest! {
             ).unwrap();
             for (name, plan) in [("single-pass", &single), ("multi-pass", &passes)] {
                 // Same history on both sides: the plan and the wrapper
-                // each get their own cache, run cold, then warm.
+                // each get their own cache, run off, cold, then warm.
                 let opts = |cache| ExecOpts {
                     threads,
-                    kernel,
-                    cache: Some(cache),
+                    cache,
                     ..ExecOpts::default()
                 };
-                let planned = opts(Arc::new(ScenarioCache::with_capacity_mb(4)));
-                let wrapped = opts(Arc::new(ScenarioCache::with_capacity_mb(4)));
+                let (planned, wrapped) = (
+                    Arc::new(ScenarioCache::with_capacity_mb(4)),
+                    Arc::new(ScenarioCache::with_capacity_mb(4)),
+                );
+                let phases = [
+                    ("off", opts(None), opts(None)),
+                    ("cold", opts(Some(planned.clone())), opts(Some(wrapped.clone()))),
+                    ("warm", opts(Some(planned)), opts(Some(wrapped))),
+                ];
                 let mut first: Option<Cube> = None;
-                for phase in ["cold", "warm"] {
+                for (phase, planned, wrapped) in phases {
                     let row = format!("{sem:?} P={p:?} {policy:?} scope={scope:?} {name} {phase}");
                     let (got, rep) = execute(&w.cube, plan, &planned).unwrap();
                     let (_, wrapper_rep) = execute_passes_opts(
-                        &w.cube, w.dim, &map, plan.passes(), &policy, scope, wrapped.clone(),
+                        &w.cube, w.dim, &map, plan.passes(), &policy, scope, wrapped,
                     ).unwrap();
                     prop_assert_eq!(&rep, &wrapper_rep, "{} report", row);
                     // A warm run serves exactly the components its scope
@@ -235,10 +221,10 @@ proptest! {
                         _ => 0,
                     };
                     prop_assert_eq!(rep.cache_chunks_served, served, "{} cache", row);
-                    prop_assert!(agrees_on_scope(&got, &oracle, w.dim, scope), "{} diverged ({:?})", row, rep);
+                    prop_assert!(agrees_on_scope(&got, &want, w.dim, scope), "{} diverged ({:?})", row, rep);
                     match &first {
                         None => first = Some(got),
-                        Some(cold) => prop_assert!(got.same_cells(cold).unwrap(), "{} rerun", row),
+                        Some(off) => prop_assert!(got.same_cells(off).unwrap(), "{} rerun", row),
                     }
                 }
             }

@@ -1,16 +1,17 @@
 //! Run-kernel gates (DESIGN.md §15): the run decomposition of a chunk
 //! covers every local offset exactly once with correct base cells
-//! (property-tested over random clipped geometries), and the branch-free
-//! run kernels are bit-identical to the scalar per-cell oracle across
-//! scenario kinds, chunk layouts, clipped edges and thread counts. Also
-//! checks the aggregator's shared-gauge concurrent peak is a true
-//! simultaneous high-water mark, not a summed bound.
+//! (property-tested over random clipped geometries), and the executor's
+//! run kernels give exactly the definitional oracle's cells across
+//! semantics, modes, dense and sparse chunk layouts, clipped edges and
+//! thread counts. Also checks the aggregator's shared-gauge concurrent
+//! peak is a true simultaneous high-water mark, not a summed bound.
 
 use olap_cube::{CubeAggregator, Lattice};
 use olap_store::ChunkGeometry;
 use olap_workload::{running_example, Workforce, WorkforceConfig};
 use proptest::prelude::*;
-use whatif_core::{apply_opts, Change, ExecOpts, KernelKind, Mode, Scenario, Semantics, Strategy};
+use whatif_core::{apply, ExecOpts, Mode, Scenario, Semantics};
+use whatif_integration_tests::oracle_result;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -90,27 +91,23 @@ proptest! {
     }
 }
 
-/// Runs one scenario under both kernels at the given thread count and
-/// asserts the perspective cubes are cell-identical.
+/// Runs one negative scenario through the executor at the given thread
+/// count and asserts its perspective cube is cell-identical to the
+/// definitional oracle's.
 fn assert_kernels_agree(cube: &olap_cube::Cube, scenario: &Scenario, threads: usize, tag: &str) {
-    let strategy = Strategy::Chunked(whatif_core::OrderPolicy::Pebbling);
-    let run = |kernel: KernelKind| {
-        let opts = ExecOpts {
-            threads,
-            kernel,
-            ..Default::default()
-        };
-        apply_opts(cube, scenario, &strategy, None, opts).unwrap()
+    let opts = ExecOpts {
+        threads,
+        ..Default::default()
     };
-    let scalar = run(KernelKind::Scalar);
-    let runs = run(KernelKind::Runs);
+    let runs = apply(cube, scenario, None, &opts).unwrap();
+    let oracle = oracle_result(cube, scenario);
     assert!(
-        runs.cube.same_cells(&scalar.cube).unwrap(),
-        "{tag}: run kernels diverged from the scalar oracle (threads {threads})"
+        runs.cube.same_cells(&oracle.cube).unwrap(),
+        "{tag}: run kernels diverged from the oracle (threads {threads})"
     );
     assert_eq!(
         runs.cube.present_cell_count().unwrap(),
-        scalar.cube.present_cell_count().unwrap(),
+        oracle.cube.present_cell_count().unwrap(),
         "{tag}: present-cell counts diverged (threads {threads})"
     );
 }
@@ -138,28 +135,6 @@ fn kernels_agree_on_running_example_negative_scenarios() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn kernels_agree_on_positive_split_scenario() {
-    // A positive change splits Lisa's validity at Apr — the split path
-    // rewrites the varying axis, covering the split/residue kernels.
-    let ex = running_example();
-    let lisa = ex.schema.dim(ex.org).resolve("Lisa").unwrap();
-    let pte = ex.schema.dim(ex.org).resolve("PTE").unwrap();
-    let scenario = Scenario::positive(
-        ex.org,
-        vec![Change {
-            member: lisa,
-            old_parent: None,
-            new_parent: pte,
-            at: 3,
-        }],
-        Mode::Visual,
-    );
-    for threads in [1, 2] {
-        assert_kernels_agree(&ex.cube, &scenario, threads, "positive split");
     }
 }
 

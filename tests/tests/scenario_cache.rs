@@ -4,16 +4,15 @@
 //! byte-for-byte the seed behavior. Scoped MDX queries use the cache for
 //! the merge components their scope keeps whole.
 
-use olap_mdx::{evaluate, parse, QueryContext};
+use olap_mdx::{evaluate, evaluate_with, parse, QueryContext};
 use olap_workload::{replay_scenarios, Workforce, WorkforceConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 use whatif_core::{
-    apply, apply_opts, ExecOpts, Mode, OrderPolicy, Plan, Scenario, ScenarioCache, Semantics,
-    Strategy,
+    apply, execute, ExecOpts, Mode, OrderPolicy, Plan, Scenario, ScenarioCache, Semantics,
 };
-use whatif_integration_tests::whole_component_chunks;
+use whatif_integration_tests::{oracle_result, whole_component_chunks};
 
 fn small_workforce() -> Workforce {
     Workforce::build(WorkforceConfig {
@@ -30,7 +29,6 @@ fn small_workforce() -> Workforce {
 #[test]
 fn cached_replay_is_identical_and_does_strictly_less_work() {
     let wf = small_workforce();
-    let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     // The `repro --replay` edit session: early history pinned, the last
     // perspective nudged back and forth.
     let scenarios = replay_scenarios(wf.department, Semantics::Forward);
@@ -38,7 +36,7 @@ fn cached_replay_is_identical_and_does_strictly_less_work() {
     let mut baseline = Vec::new();
     let (mut reads_off, mut merges_off) = (0u64, 0u64);
     for s in &scenarios {
-        let r = apply_opts(&wf.cube, s, &strategy, None, ExecOpts::default()).unwrap();
+        let r = apply(&wf.cube, s, None, &ExecOpts::default()).unwrap();
         reads_off += r.report.chunks_read;
         merges_off += r.report.merges;
         assert_eq!(
@@ -55,7 +53,7 @@ fn cached_replay_is_identical_and_does_strictly_less_work() {
     };
     let (mut reads_on, mut merges_on) = (0u64, 0u64);
     for (s, expect) in scenarios.iter().zip(&baseline) {
-        let r = apply_opts(&wf.cube, s, &strategy, None, opts.clone()).unwrap();
+        let r = apply(&wf.cube, s, None, &opts).unwrap();
         reads_on += r.report.chunks_read;
         merges_on += r.report.merges;
         assert!(
@@ -79,7 +77,6 @@ fn cached_replay_is_identical_and_does_strictly_less_work() {
 #[test]
 fn warm_cache_serves_a_repeated_scenario_without_merging() {
     let wf = small_workforce();
-    let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     let scenario = Scenario::negative(
         wf.department,
         [0, 3, 6, 9],
@@ -92,10 +89,10 @@ fn warm_cache_serves_a_repeated_scenario_without_merging() {
         ..ExecOpts::default()
     };
 
-    let cold = apply_opts(&wf.cube, &scenario, &strategy, None, opts.clone()).unwrap();
+    let cold = apply(&wf.cube, &scenario, None, &opts).unwrap();
     assert!(cold.report.merges > 0, "cold run must do real merge work");
 
-    let warm = apply_opts(&wf.cube, &scenario, &strategy, None, opts).unwrap();
+    let warm = apply(&wf.cube, &scenario, None, &opts).unwrap();
     assert_eq!(
         warm.report.merges, 0,
         "warm identical replay must merge nothing"
@@ -114,7 +111,6 @@ fn warm_cache_serves_a_repeated_scenario_without_merging() {
 fn ab_toggle_replays_warm_with_zero_misses_and_merges() {
     const ROUNDS: usize = 4;
     let wf = small_workforce();
-    let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     for k in [2, 3] {
         let scenarios: Vec<Scenario> = [[0, 3, 6, 9], [0, 3, 6, 10], [0, 3, 7, 10]][..k]
             .iter()
@@ -123,11 +119,7 @@ fn ab_toggle_replays_warm_with_zero_misses_and_merges() {
         // Cache-off baselines establish what "bit-identical" means.
         let baselines: Vec<_> = scenarios
             .iter()
-            .map(|s| {
-                apply_opts(&wf.cube, s, &strategy, None, ExecOpts::default())
-                    .unwrap()
-                    .cube
-            })
+            .map(|s| apply(&wf.cube, s, None, &ExecOpts::default()).unwrap().cube)
             .collect();
 
         let cache = Arc::new(ScenarioCache::with_capacity_mb(32));
@@ -137,13 +129,13 @@ fn ab_toggle_replays_warm_with_zero_misses_and_merges() {
         };
         // One warm pass over each scenario…
         for s in &scenarios {
-            apply_opts(&wf.cube, s, &strategy, None, opts.clone()).unwrap();
+            apply(&wf.cube, s, None, &opts).unwrap();
         }
         let before = cache.stats();
         // …then the toggle: every switch must replay entirely from cache.
         for round in 0..ROUNDS {
             for (i, (s, base)) in scenarios.iter().zip(&baselines).enumerate() {
-                let r = apply_opts(&wf.cube, s, &strategy, None, opts.clone()).unwrap();
+                let r = apply(&wf.cube, s, None, &opts).unwrap();
                 assert_eq!(r.report.merges, 0, "K={k} round {round}: {i} re-merged");
                 assert!(r.cube.same_cells(base).unwrap(), "K={k} round {round}: {i}");
             }
@@ -167,22 +159,29 @@ fn ab_toggle_replays_warm_with_zero_misses_and_merges() {
 #[test]
 fn default_opts_leave_the_cache_off_and_match_apply() {
     let wf = small_workforce();
-    let strategy = Strategy::Chunked(OrderPolicy::Pebbling);
     let scenario = Scenario::negative(wf.department, [0, 6], Semantics::Forward, Mode::Visual);
+    let Scenario::Negative(spec) = &scenario else {
+        unreachable!()
+    };
 
     assert!(ExecOpts::default().cache.is_none(), "cache must be opt-in");
-    let plain = apply(&wf.cube, &scenario, &strategy).unwrap();
-    let defaulted = apply_opts(&wf.cube, &scenario, &strategy, None, ExecOpts::default()).unwrap();
-    assert!(defaulted.cube.same_cells(&plain.cube).unwrap());
-    assert_eq!(defaulted.report, plain.report);
+    let defaulted = apply(&wf.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    assert_eq!(defaulted.report.cache_chunks_served, 0);
+    // `apply` is a pebbling plan run by `execute`, nothing more.
+    let plan = Plan::build(&wf.cube, spec, &OrderPolicy::Pebbling, None).unwrap();
+    let (planned, report) = execute(&wf.cube, &plan, &ExecOpts::default()).unwrap();
+    assert!(defaulted.cube.same_cells(&planned).unwrap());
+    assert_eq!(defaulted.report, report);
 }
 
 /// Query scope and the scenario cache compose. Seed-derived Fig. 10(a),
 /// (b) and (c) queries on the tiny workforce, over random perspective
-/// sets × all five semantics × VISUAL / NONVISUAL, render the
-/// `Strategy::Reference` grid at 1 and 3 threads with the cache off,
-/// cold and warm; a warm run serves exactly the chunks of the merge
-/// components its scope keeps whole, and nothing else.
+/// sets × all five semantics × VISUAL / NONVISUAL, render the grid `E`
+/// gives over the definitional oracle's leaves (visual totals summed over
+/// the oracle cube, non-visual derived cells the input's) at 1 and 3
+/// threads with the cache off, cold and warm; a warm run serves exactly
+/// the chunks of the merge components its scope keeps whole, and nothing
+/// else.
 #[test]
 fn scoped_queries_with_the_cache_render_the_reference_grid() {
     const MONTHS: [&str; 12] = [
@@ -224,10 +223,9 @@ fn scoped_queries_with_the_cache_render_the_reference_grid() {
             }
         };
         let parsed = parse(&query).unwrap();
-        ctx.strategy = Strategy::Reference;
-        ctx.opts = ExecOpts::default();
-        let reference = evaluate(&ctx, &parsed).unwrap().grid;
-        ctx.strategy = Strategy::Chunked(OrderPolicy::Pebbling);
+        let reference = evaluate_with(&ctx, &parsed, |s, _| Ok(oracle_result(&wf.cube, s)))
+            .unwrap()
+            .grid;
         for threads in [1, 3] {
             let cache = Arc::new(ScenarioCache::with_capacity_mb(8));
             let phases = [

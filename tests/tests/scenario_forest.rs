@@ -3,9 +3,16 @@
 //! forks over the versioned cache replays warm (DESIGN.md §14).
 
 use olap_model::{DimensionId, MemberId};
-use polap_cli::{Dataset, Outcome, Session};
+use polap_cli::{Dataset, Outcome, Session, SharedData};
 use std::sync::Arc;
 use whatif_core::{Change, Mode, PerspectiveSpec, ScenarioForest, Semantics};
+
+/// A running-example session with a 16 MB scenario cache.
+fn cached_session() -> Session {
+    let mut shared = SharedData::load(Dataset::Running);
+    shared.set_cache_mb(16);
+    Session::attach(Arc::new(shared))
+}
 
 fn change(member: u32, at: u32) -> Change {
     Change {
@@ -145,7 +152,7 @@ fn negative_forks_inherit_then_diverge() {
 /// the session-level statement of the versioned-cache fix.
 #[test]
 fn session_fork_toggle_replays_warm_and_identical() {
-    let mut s = Session::new(Dataset::Running).with_cache(16).unwrap();
+    let mut s = cached_session();
     let text = |o: Outcome| match o {
         Outcome::Continue(t) | Outcome::Quit(t) | Outcome::Deadline(t) => t,
     };

@@ -7,7 +7,7 @@ use olap_mdx::{execute, QueryContext};
 use olap_model::{InstanceId, MemberId};
 use olap_store::CellValue;
 use olap_workload::running_example;
-use whatif_core::{apply_default, phi, prune_vacancies, Change, Mode, Scenario, Semantics};
+use whatif_core::{apply, phi, prune_vacancies, Change, ExecOpts, Mode, Scenario, Semantics};
 
 /// Instance ids in the running example's axis order.
 fn joe_instances(ex: &olap_workload::RunningExample) -> (u32, u32, u32) {
@@ -92,7 +92,7 @@ fn fig4_forward_visual_inheritance() {
     let ex = running_example();
     let (fte_joe, pte_joe, contr_joe) = joe_instances(&ex);
     let scenario = Scenario::negative(ex.org, [1, 3], Semantics::Forward, Mode::Visual);
-    let r = apply_default(&ex.cube, &scenario).unwrap();
+    let r = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
     assert_eq!(
         r.cube.get(&ny_salary_cell(&ex, pte_joe, 2)).unwrap(),
         CellValue::Num(10.0),
@@ -183,7 +183,7 @@ fn fig5_positive_split() {
         }],
         Mode::Visual,
     );
-    let r = apply_default(&ex.cube, &scenario).unwrap();
+    let r = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
     let v2 = r.schema.varying(ex.org).unwrap();
     let ids = v2.instances_of(lisa);
     assert_eq!(ids.len(), 2);
@@ -237,7 +237,7 @@ fn s1_scenario_tom_contractor_then_fte() {
         ],
         Mode::Visual,
     );
-    let r = apply_default(&ex.cube, &scenario).unwrap();
+    let r = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
     let v2 = r.schema.varying(ex.org).unwrap();
     let names: Vec<String> = v2
         .instances_of(tom)

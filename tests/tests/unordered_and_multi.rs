@@ -15,8 +15,14 @@ use olap_model::{DimensionId, Schema};
 use olap_store::CellValue;
 use std::sync::Arc;
 use whatif_core::{
-    apply_default, AlgebraExpr, Change, Mode, PerspectiveSpec, Scenario, Semantics, Strategy,
+    apply, AlgebraExpr, Change, ExecOpts, Mode, PerspectiveSpec, Scenario, Semantics, WhatIfResult,
 };
+use whatif_integration_tests::oracle;
+
+/// The chunked engine's answer with the default knobs.
+fn apply_default(cube: &Cube, scenario: &Scenario) -> whatif_core::Result<WhatIfResult> {
+    apply(cube, scenario, None, &ExecOpts::default())
+}
 
 /// S2's warehouse: Organization varies over *Location* — Lisa is FTE in
 /// NY and CA but classified PTE for work performed in MA.
@@ -239,11 +245,25 @@ fn scenarios_on_both_varying_dims_compose() {
             spec: PerspectiveSpec::new(product, [0], Semantics::Forward, Mode::Visual),
         },
     ]);
-    for strategy in [
-        Strategy::Reference,
-        Strategy::Chunked(whatif_core::OrderPolicy::Pebbling),
+    // The algebra by definition, the chunked engine step by step, and
+    // the definitional oracle step by step.
+    let by_definition = whatif_core::run(&cube, &expr).unwrap().cube;
+    let chunked = {
+        let step = |c: &Cube, dim| {
+            let s = Scenario::negative(dim, [0], Semantics::Forward, Mode::Visual);
+            apply_default(c, &s).unwrap().cube
+        };
+        step(&step(&cube, org), product)
+    };
+    let definitional = {
+        let step = |c: &Cube, dim| oracle::perspective_cube(c, dim, Semantics::Forward, &[0]);
+        step(&step(&cube, org), product)
+    };
+    for (name, out) in [
+        ("by definition", &by_definition),
+        ("chunked", &chunked),
+        ("oracle", &definitional),
     ] {
-        let out = whatif_core::run(&cube, &expr, &strategy).unwrap();
         // Everything flows back to the t0 structures: A/Joe × G1/TV cells
         // exist at every t.
         let schema = cube.schema();
@@ -255,21 +275,23 @@ fn scenarios_on_both_varying_dims_compose() {
         let g1_tv = vp.instances_of(tv)[0].0;
         for t in 0..4u32 {
             assert_eq!(
-                out.cube.get(&[t, a_joe, g1_tv]).unwrap(),
+                out.get(&[t, a_joe, g1_tv]).unwrap(),
                 CellValue::Num(1.0),
-                "{strategy:?} t={t}"
+                "{name} t={t}"
             );
         }
         // Totals conserved: both members existed at t0.
-        assert_eq!(out.cube.total_sum().unwrap(), cube.total_sum().unwrap());
+        assert_eq!(out.total_sum().unwrap(), cube.total_sum().unwrap());
         // The moved-away instances are empty.
         let b_joe = vo.instances_of(joe)[1].0;
         for t in 0..4u32 {
             for j in 0..3u32 {
-                assert_eq!(out.cube.get(&[t, b_joe, j]).unwrap(), CellValue::Null);
+                assert_eq!(out.get(&[t, b_joe, j]).unwrap(), CellValue::Null);
             }
         }
     }
+    assert!(by_definition.same_cells(&definitional).unwrap());
+    assert!(chunked.same_cells(&definitional).unwrap());
 }
 
 #[test]
@@ -281,17 +303,13 @@ fn order_of_composition_is_immaterial_for_independent_dims() {
     let s2 = AlgebraExpr::PhiRelocate {
         spec: PerspectiveSpec::new(product, [1], Semantics::Forward, Mode::Visual),
     };
-    let ab = whatif_core::run(
-        &cube,
-        &AlgebraExpr::Compose(vec![s1.clone(), s2.clone()]),
-        &Strategy::Reference,
-    )
-    .unwrap();
-    let ba = whatif_core::run(
-        &cube,
-        &AlgebraExpr::Compose(vec![s2, s1]),
-        &Strategy::Reference,
-    )
-    .unwrap();
+    let ab = whatif_core::run(&cube, &AlgebraExpr::Compose(vec![s1.clone(), s2.clone()])).unwrap();
+    let ba = whatif_core::run(&cube, &AlgebraExpr::Compose(vec![s2, s1])).unwrap();
     assert!(ab.cube.same_cells(&ba.cube).unwrap());
+    // The definitional oracle, composed in both orders, agrees.
+    let forward = |c: &Cube, dim| oracle::perspective_cube(c, dim, Semantics::Forward, &[1]);
+    let oracle_ab = forward(&forward(&cube, org), product);
+    let oracle_ba = forward(&forward(&cube, product), org);
+    assert!(oracle_ab.same_cells(&oracle_ba).unwrap());
+    assert!(ab.cube.same_cells(&oracle_ab).unwrap());
 }

@@ -10,8 +10,8 @@ use olap_model::{DimensionId, MemberId};
 use olap_workload::{retail_example, running_example, Workforce, WorkforceConfig};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
-use whatif_core::{ExecOpts, Fnv64, FnvSuffix, ScenarioForest};
+use std::sync::{Arc, Mutex, PoisonError};
+use whatif_core::{ExecOpts, Fnv64, FnvSuffix, PerspectiveSpec, Scenario, ScenarioForest};
 
 /// Which bundled dataset a session runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,19 +69,32 @@ impl Loaded {
 }
 
 /// The shareable half of a session: the loaded dataset (whose cube owns
-/// the buffer pool) and the optional scenario-delta cache. One instance
-/// backs one in-process REPL — or, behind `olap-server`, *every*
-/// concurrent analyst session: sessions share the pool and the cache
-/// but own their private tuning/budget state ([`Session`]). Sound
-/// because sessions never mutate the base cube.
+/// the buffer pool), the optional scenario-delta cache and the positive
+/// replies. One instance backs one in-process REPL — or, behind
+/// `olap-server`, *every* concurrent analyst session: sessions share the
+/// pool, the cache and the replies but own their private tuning/budget
+/// state ([`Session`]). Sound because sessions never mutate the base
+/// cube.
 pub struct SharedData {
     data: Loaded,
     cache: Option<Arc<whatif_core::ScenarioCache>>,
-    /// Memoized positive/split results, shared across sessions like the
-    /// scenario cache. Always on — keys self-invalidate on any data
-    /// change ([`whatif_core::memo_key`]) and the memo is capped small.
-    split_memo: Arc<whatif_core::SplitMemo>,
+    /// Positive `.apply` replies, `(cells, digest)`, by [`ReplyKey`]:
+    /// a warm replay of a change list answers without splitting again.
+    /// A session that panics while holding the lock leaves the map
+    /// whole (an insert is one call), so the poison flag is ignored.
+    replies: Mutex<HashMap<ReplyKey, (u64, u64)>>,
 }
+
+/// What a positive reply depends on: the scenario exactly as it runs
+/// (dimension, mode and the change list in order — `split` applies it
+/// in order) and the version of the base data, the pool's write
+/// generation and the store's flush epoch. A base write or a commit
+/// moves the version, so no reply computed before it is served after.
+type ReplyKey = (Scenario, u64, u64);
+
+/// Entries the reply memo holds before it starts over; an entry is one
+/// change list and two numbers.
+const REPLY_CAP: usize = 64;
 
 impl SharedData {
     /// Loads a dataset (in-memory backend).
@@ -122,7 +135,7 @@ impl SharedData {
         Ok(SharedData {
             data,
             cache: None,
-            split_memo: Arc::new(whatif_core::SplitMemo::new()),
+            replies: Mutex::default(),
         })
     }
 
@@ -146,9 +159,25 @@ impl SharedData {
         self.cache.as_ref()
     }
 
-    /// The shared positive/split memo.
-    pub fn split_memo(&self) -> &Arc<whatif_core::SplitMemo> {
-        &self.split_memo
+    /// Forgets every positive reply. A replica calls it after applying
+    /// its leader's log, beside dropping the pool's frames and the
+    /// scenario cache.
+    pub fn clear_replies(&self) {
+        self.replies().clear();
+    }
+
+    fn replies(&self) -> std::sync::MutexGuard<'_, HashMap<ReplyKey, (u64, u64)>> {
+        self.replies.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Keeps a positive reply, starting over once [`REPLY_CAP`] are
+    /// kept (the keys carry no recency worth an LRU at this size).
+    fn remember(&self, key: ReplyKey, reply: (u64, u64)) {
+        let mut replies = self.replies();
+        if replies.len() >= REPLY_CAP {
+            replies.clear();
+        }
+        replies.insert(key, reply);
     }
 }
 
@@ -207,12 +236,6 @@ impl Session {
     /// The shared data this session runs over.
     pub fn shared(&self) -> &Arc<SharedData> {
         &self.shared
-    }
-
-    /// Counters of the shared positive/split memo (hits = re-splits
-    /// avoided).
-    pub fn split_stats(&self) -> whatif_core::SplitMemoStats {
-        self.shared.split_memo.stats()
     }
 
     /// Sets the session's executor knobs (`--threads N`, `--budget
@@ -516,7 +539,7 @@ impl Session {
                 )))
             })?;
             return self
-                .run_scenario(&scenario, self.request_opts())
+                .run_scenario(scenario, self.request_opts())
                 .map(Outcome::Continue);
         }
         let mut parts = arg.split_whitespace();
@@ -542,10 +565,7 @@ impl Session {
             semantics,
             whatif_core::Mode::Visual,
         );
-        let reply = self.run_scenario(
-            &whatif_core::Scenario::Negative(spec.clone()),
-            self.request_opts(),
-        )?;
+        let reply = self.run_scenario(&Scenario::Negative(spec.clone()), self.request_opts())?;
         self.forest.set_negative(spec);
         say(reply)
     }
@@ -562,43 +582,31 @@ impl Session {
     /// Runs one scenario under `opts` (the request's, from
     /// [`Session::request_opts`]) and renders the deterministic summary
     /// line.
-    fn run_scenario(
-        &self,
-        scenario: &whatif_core::Scenario,
-        opts: ExecOpts,
-    ) -> Result<String, Refusal> {
+    fn run_scenario(&self, scenario: &Scenario, opts: ExecOpts) -> Result<String, Refusal> {
         let label = match scenario {
-            whatif_core::Scenario::Negative(spec) => format!(
-                "{} {{{}}}",
-                semantics_name(spec.semantics),
-                spec.perspectives
-                    .iter()
-                    .map(|m| m.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            ),
-            whatif_core::Scenario::Positive { changes, .. } => format!(
+            Scenario::Negative(spec) => perspective_label(spec),
+            Scenario::Positive { changes, .. } => format!(
                 "{} change(s) [fork '{}']",
                 changes.len(),
                 self.forest.current_name()
             ),
         };
-        // The positive/split path is a pure function of the base cube
-        // and the change relation, so a fork replaying it answers from
-        // the memo — zero re-splits, byte-identical reply.
-        let positive_key = match scenario {
-            whatif_core::Scenario::Positive { dim, changes, mode } => {
-                let key = whatif_core::memo_key(self.data().cube(), *dim, *mode, changes.iter());
-                if let Some(hit) = self.shared.split_memo.lookup(key) {
-                    return Ok(format!(
-                        "applied {label}: {} cells, digest {:016x}, 0 pass(es)",
-                        hit.cells, hit.digest,
-                    ));
-                }
-                Some(key)
-            }
-            whatif_core::Scenario::Negative(_) => None,
-        };
+        // A positive run is a pure function of the base data and the
+        // change list, so a replay answers from the reply memo: no
+        // split, no chunk read, the same bytes.
+        let key = matches!(scenario, Scenario::Positive { .. }).then(|| {
+            let cube = self.data().cube();
+            let (generation, epoch) = cube.with_pool(|p| (p.generation(), p.store().flush_epoch()));
+            (scenario.clone(), generation, epoch)
+        });
+        let hit = key
+            .as_ref()
+            .and_then(|k| self.shared.replies().get(k).copied());
+        if let Some((count, digest)) = hit {
+            return Ok(format!(
+                "applied {label}: {count} cells, digest {digest:016x}, 0 pass(es)"
+            ));
+        }
         let result =
             whatif_core::apply(self.data().cube(), scenario, None, &opts).map_err(|e| match e {
                 whatif_core::WhatIfError::DeadlineExceeded => Refusal::Deadline(e.to_string()),
@@ -606,24 +614,15 @@ impl Session {
             })?;
         let (count, digest) = cell_digest(&result.cube).map_err(Refusal::error)?;
         let passes = result.report.passes;
-        if let Some(key) = positive_key {
-            self.shared.split_memo.insert(
-                key,
-                Arc::new(whatif_core::SplitResult {
-                    schema: result.schema,
-                    cube: result.cube,
-                    cells: count,
-                    digest,
-                }),
-            );
+        if let Some(key) = key {
+            self.shared.remember(key, (count, digest));
         }
         Ok(format!(
             "applied {label}: {count} cells, digest {digest:016x}, {passes} pass(es)",
         ))
     }
 
-    /// Forks the current scenario copy-on-write and switches to the
-    /// child.
+    /// Forks the current scenario and switches to the child.
     fn fork(&mut self, arg: &str) -> Reply {
         if arg.is_empty() || arg.split_whitespace().count() != 1 {
             return Err(Refusal::Usage(None));
@@ -643,28 +642,34 @@ impl Session {
     /// The session's fork tree.
     fn scenarios(&mut self, _: &str) -> Reply {
         let mut out = String::new();
+        let schema = self.data().cube().schema();
         for r in self.forest.rows() {
             let parent = r
                 .parent
                 .map(|p| format!("<- {p}"))
                 .unwrap_or_else(|| "(root)".to_string());
-            let shared =
-                (r.shared_changes > 0).then(|| format!(" [{} changes shared]", r.shared_changes));
+            let summary = match r.scenario {
+                None => "(empty)".to_string(),
+                Some(Scenario::Negative(spec)) => perspective_label(spec),
+                Some(Scenario::Positive { dim, changes, .. }) => {
+                    changes_label(changes.len(), schema.dim(*dim).name())
+                }
+            };
             let _ = writeln!(
                 out,
-                "{} {:<12} {:<12} {}{}",
+                "{} {:<12} {:<12} {summary}",
                 if r.current { "*" } else { " " },
                 r.name,
                 parent,
-                r.summary,
-                shared.unwrap_or_default(),
             );
         }
         say(out)
     }
 
     /// Appends a positive change (`<member> <new parent> <moment>`) to
-    /// the current fork; a bare re-run runs it.
+    /// the current fork; a bare re-run runs it. A change `split` would
+    /// refuse ([`whatif_core::check_changes`]) is refused here and leaves
+    /// the fork as it was.
     fn change(&mut self, arg: &str) -> Reply {
         let parts: Vec<&str> = arg.split_whitespace().collect();
         let [member, parent, moment] = parts[..] else {
@@ -698,15 +703,24 @@ impl Session {
             new_parent: n,
             at,
         };
-        self.forest
+        // The fork's list with the change appended, as `split` will get it.
+        let mut changes = match self.forest.scenario() {
+            Some(Scenario::Positive {
+                dim: d, changes, ..
+            }) if *d == dim => changes.clone(),
+            _ => Vec::new(),
+        };
+        changes.push(change.clone());
+        whatif_core::check_changes(self.data().cube().schema(), dim, &changes)
+            .map_err(Refusal::error)?;
+        let count = self
+            .forest
             .add_change(dim, whatif_core::Mode::Visual, change)
             .map_err(Refusal::error)?;
-        let c = self.forest.current_changes().expect("change just added");
         say(format!(
-            "fork '{}': {} change(s) on {dim_name} ({} shared with ancestors)",
+            "fork '{}': {}",
             self.forest.current_name(),
-            c.len(),
-            c.shared_len(),
+            changes_label(count, &dim_name),
         ))
     }
 
@@ -740,6 +754,22 @@ impl Session {
         );
         say(out)
     }
+}
+
+/// How `.apply` and `.scenarios` word a perspective clause:
+/// `forward {1,3}`.
+fn perspective_label(spec: &PerspectiveSpec) -> String {
+    let moments: Vec<String> = spec.perspectives.iter().map(u32::to_string).collect();
+    format!(
+        "{} {{{}}}",
+        semantics_name(spec.semantics),
+        moments.join(",")
+    )
+}
+
+/// How `.change` and `.scenarios` word a change list.
+fn changes_label(count: usize, dim: &str) -> String {
+    format!("{count} change(s) on {dim}")
 }
 
 /// How a scenario verb spells each semantics variant.
@@ -988,7 +1018,7 @@ pub static VERBS: &[Verb] = &[
                the current fork; deterministic summary: cell count, digest,\n\
                passes", ..READ },
     Verb { name: "fork", usage: "<name>", sets_session: Some(Grow), run: Session::fork,
-        help: "fork the current scenario copy-on-write and switch to it", ..READ },
+        help: "fork the current scenario and switch to it", ..READ },
     Verb { name: "switch", usage: "<name>", sets_session: Some(Pick), run: Session::switch,
         help: "make another fork current (warm-cache replay on re-apply)", ..READ },
     Verb { name: "scenarios", run: Session::scenarios, help: "list this session's scenario forks", ..READ },
@@ -1453,7 +1483,7 @@ mod tests {
         s.handle(".deadline 0");
         assert!(matches!(s.handle(&mdx), Outcome::Continue(t) if !t.starts_with("error:")));
         assert!(matches!(s.handle(apply), Outcome::Continue(t) if t.contains("digest")));
-        assert_eq!(s.forest.scenario(), Some(scenario));
+        assert_eq!(s.forest.scenario(), Some(&scenario));
     }
 
     /// A scenario run the deadline aborts records nothing: the fork keeps
@@ -1561,7 +1591,12 @@ mod tests {
             (
                 "change",
                 ".change Joe PTE",
-                vec![".change Ghost PTE 2".into(), ".change Joe PTE Never".into()],
+                vec![
+                    ".change Ghost PTE 2".into(),
+                    ".change Joe PTE Never".into(),
+                    ".change Joe FTE 99".into(),
+                    ".change Joe Tom 2".into(),
+                ],
             ),
             ("rollup", ".rollup Time", vec![".rollup".into()]),
             ("budget", ".budget lots", vec![]),
@@ -1670,43 +1705,104 @@ mod tests {
         ));
     }
 
+    /// A replayed positive `.apply` answers from the reply memo: the
+    /// same bytes, and not one pool get (hits and misses stand still).
+    /// A fork replaying the same list shares the entry; an edited list
+    /// splits again.
     #[test]
     fn warm_positive_replay_answers_from_the_split_memo() {
         let mut s = Session::new(Dataset::Running);
+        let gets = |s: &Session| {
+            let p = s.shared().cube().pool_stats();
+            p.hits + p.misses
+        };
         assert!(matches!(
             s.handle(".change Joe Contractor 2"),
-            Outcome::Continue(t) if t.contains("1 change(s)")
+            Outcome::Continue(t) if t == "fork 'main': 1 change(s) on Organization"
         ));
+        let before = gets(&s);
         let cold = match s.handle(".apply") {
             Outcome::Continue(t) => t,
             other => panic!("{other:?}"),
         };
-        let after_cold = s.split_stats();
-        assert_eq!(after_cold.hits, 0);
-        assert_eq!(after_cold.misses, 1);
-        // Replay the identical scenario: zero re-splits, and the reply —
-        // cell count and digest included — is byte-identical.
+        let after_cold = gets(&s);
+        assert!(after_cold > before, "the cold apply reads the cube");
         for _ in 0..3 {
-            match s.handle(".apply") {
-                Outcome::Continue(t) => assert_eq!(t, cold),
-                other => panic!("{other:?}"),
-            }
+            assert_eq!(s.handle(".apply"), Outcome::Continue(cold.clone()));
         }
-        let warm = s.split_stats();
-        assert_eq!(warm.hits, 3, "replays must answer from the memo");
-        assert_eq!(warm.misses, 1, "only the cold apply may split");
-        // A fork replaying the inherited changes hits the same entry; an
-        // edit (different change relation) misses and re-splits.
+        assert_eq!(gets(&s), after_cold, "a replay must not touch the pool");
         s.handle(".fork child");
         match s.handle(".apply") {
             Outcome::Continue(t) => assert_eq!(t.replace("fork 'child'", "fork 'main'"), cold),
             other => panic!("{other:?}"),
         }
-        assert_eq!(s.split_stats().hits, 4);
+        assert_eq!(gets(&s), after_cold);
         s.handle(".change Lisa Contractor 3");
         assert!(matches!(s.handle(".apply"), Outcome::Continue(t) if t.contains("digest")));
-        let end = s.split_stats();
-        assert_eq!(end.misses, 2, "an edited relation must re-split");
+        assert!(gets(&s) > after_cold, "an edited list must split again");
+    }
+
+    #[test]
+    fn reply_memo_overflow_clears_rather_than_grows() {
+        let shared = SharedData::load(Dataset::Running);
+        for at in 0..REPLY_CAP as u32 + 3 {
+            let change = whatif_core::Change {
+                member: MemberId(1),
+                old_parent: None,
+                new_parent: MemberId(2),
+                at,
+            };
+            let scenario =
+                Scenario::positive(DimensionId(0), vec![change], whatif_core::Mode::Visual);
+            shared.remember((scenario, 0, 0), (0, 0));
+            assert!(shared.replies().len() <= REPLY_CAP);
+        }
+        assert_eq!(shared.replies().len(), 3);
+    }
+
+    /// A session that panics holding the reply memo's lock leaves it
+    /// usable: the next replay still answers, and from the memo.
+    #[test]
+    fn a_panicked_holder_does_not_poison_the_replies() {
+        let shared = Arc::new(SharedData::load(Dataset::Running));
+        let mut s = Session::attach(shared.clone());
+        s.handle(".change Joe Contractor 2");
+        let cold = s.handle(".apply");
+        let held = shared.clone();
+        let died = std::thread::spawn(move || {
+            let _guard = held.replies();
+            panic!("session died holding the lock");
+        })
+        .join();
+        assert!(died.is_err());
+        let gets = || shared.cube().pool_stats().misses + shared.cube().pool_stats().hits;
+        let before = gets();
+        assert_eq!(s.handle(".apply"), cold);
+        assert_eq!(gets(), before, "the replay answered from the memo");
+    }
+
+    /// `.change` refuses what `split` would refuse — a moment out of
+    /// range, a leaf parent, a cycle the fork's list closes — and leaves
+    /// the fork runnable.
+    #[test]
+    fn change_refuses_what_split_refuses() {
+        let mut s = Session::new(Dataset::Running);
+        s.handle(".change FTE PTE 1");
+        let before = s.handle(".scenarios");
+        for (line, says) in [
+            (".change Joe FTE 99", "change moment 99 out of range"),
+            (".change Joe Tom 2", "must be a non-leaf member"),
+            (".change PTE FTE 2", "its own ancestor at moment 2"),
+        ] {
+            match s.handle(line) {
+                Outcome::Continue(t) => {
+                    assert!(t.starts_with("error: ") && t.contains(says), "{line}: {t}")
+                }
+                other => panic!("{line}: {other:?}"),
+            }
+            assert_eq!(s.handle(".scenarios"), before, "{line}");
+        }
+        assert!(matches!(s.handle(".apply"), Outcome::Continue(t) if t.contains("digest")));
     }
 
     #[test]
@@ -1725,21 +1821,24 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // A fork of the changes shares them copy-on-write; the child's
-        // extra edit is invisible to the parent.
+        // A fork copies the changes; the child's extra edit is invisible
+        // to the parent.
         s.handle(".fork more");
-        match s.handle(".change Lisa Contractor 3") {
-            Outcome::Continue(t) => {
-                assert!(t.contains("2 change(s)"), "{t}");
-                assert!(t.contains("1 shared"), "{t}");
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(
+            s.handle(".change Lisa Contractor 3"),
+            Outcome::Continue("fork 'more': 2 change(s) on Organization".to_string())
+        );
         s.handle(".switch main");
-        assert!(matches!(
+        s.handle(".fork negative");
+        s.handle(".apply forward 1,3");
+        s.handle(".switch main");
+        let expected = "* main         (root)       1 change(s) on Organization\n  \
+                        more         <- main      2 change(s) on Organization\n  \
+                        negative     <- main      forward {1,3}\n";
+        assert_eq!(
             s.handle(".scenarios"),
-            Outcome::Continue(t) if t.contains("(1 changes)") && t.contains("(2 changes)")
-        ));
+            Outcome::Continue(expected.to_string())
+        );
         // Moments can be named after parameter-dimension leaves too.
         let by_name = s.handle(".change Joe PTE Mar");
         assert!(

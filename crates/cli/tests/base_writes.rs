@@ -24,8 +24,8 @@ fn cached_session() -> Session {
     Session::attach(Arc::new(shared))
 }
 
-/// The positive path memoizes split results. A base write followed by
-/// `.commit` must change the memo key even on a memory store, whose
+/// The positive path memoizes its replies. A base write followed by
+/// `.commit` must change the reply's key even on a memory store, whose
 /// flush epoch never moves: the replay must equal the reply of a fresh
 /// session that made the same write.
 #[test]

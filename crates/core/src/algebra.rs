@@ -89,30 +89,49 @@ pub fn compile(scenario: &Scenario) -> AlgebraExpr {
 }
 
 /// Evaluates an algebra expression over a cube, each operator by its
-/// definition.
+/// definition. The first operator reads `cube` itself; each operator
+/// builds a new cube and none writes its input. An expression with no
+/// operator (a bare `Eval`) is σ_true.
 pub fn run(cube: &Cube, expr: &AlgebraExpr) -> Result<AlgebraOutput> {
-    let mut out = AlgebraOutput {
+    let mut state = State {
         schema: Arc::clone(cube.schema()),
-        cube: clone_cells(cube)?,
+        cube: None,
         mode: None,
     };
-    run_into(&mut out, expr)?;
-    Ok(out)
+    run_into(cube, &mut state, expr)?;
+    let out = match state.cube {
+        Some(out) => out,
+        None => select(cube, DimensionId(0), &Predicate::True)?,
+    };
+    Ok(AlgebraOutput {
+        schema: state.schema,
+        cube: out,
+        mode: state.mode,
+    })
 }
 
-fn run_into(state: &mut AlgebraOutput, expr: &AlgebraExpr) -> Result<()> {
+/// [`run`]'s progress: the last operator's output, `None` before the
+/// first.
+struct State {
+    schema: Arc<Schema>,
+    cube: Option<Cube>,
+    mode: Option<Mode>,
+}
+
+fn run_into(input: &Cube, state: &mut State, expr: &AlgebraExpr) -> Result<()> {
+    let current = state.cube.as_ref().unwrap_or(input);
     match expr {
         AlgebraExpr::Select { dim, pred } => {
-            state.cube = select(&state.cube, *dim, pred)?;
+            state.cube = Some(select(current, *dim, pred)?);
         }
         AlgebraExpr::PhiRelocate { spec } => {
-            let vs = checked_phi(&state.cube, spec)?;
-            state.cube = relocate(&state.cube, spec.dim, &vs)?;
+            let vs = checked_phi(current, spec)?;
+            state.cube = Some(relocate(current, spec.dim, &vs)?);
         }
         AlgebraExpr::Split { dim, changes } => {
-            let (schema, cube) = split(&state.cube, *dim, changes)?;
+            let (schema, cube) = split(current, *dim, changes)?;
             state.schema = schema;
-            state.cube = cube;
+            state.cube = Some(cube);
         }
         AlgebraExpr::Eval { visual } => {
             state.mode = Some(if *visual {
@@ -123,22 +142,11 @@ fn run_into(state: &mut AlgebraOutput, expr: &AlgebraExpr) -> Result<()> {
         }
         AlgebraExpr::Compose(steps) => {
             for s in steps {
-                run_into(state, s)?;
+                run_into(input, state, s)?;
             }
         }
     }
     Ok(())
-}
-
-/// Copies a cube's leaf cells into a fresh memory-backed cube (the
-/// algebra never mutates its input).
-fn clone_cells(cube: &Cube) -> Result<Cube> {
-    let out = cube.empty_like();
-    for id in cube.chunk_ids() {
-        let chunk = cube.chunk(id)?;
-        out.put_chunk(id, (*chunk).clone())?;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -241,9 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn clone_cells_is_identity() {
+    fn an_expression_without_an_operator_is_the_identity() {
         let (cube, _) = fixture();
-        let copy = clone_cells(&cube).unwrap();
-        assert!(copy.same_cells(&cube).unwrap());
+        let out = run(&cube, &AlgebraExpr::Eval { visual: false }).unwrap();
+        assert!(out.cube.same_cells(&cube).unwrap());
+        assert_eq!(out.mode, Some(Mode::NonVisual));
     }
 }

@@ -1,22 +1,12 @@
-//! Stable content fingerprints for scenarios and perspective sets.
+//! FNV-1a, the stable 64-bit hash behind the scenario-delta cache's
+//! component digests (DESIGN.md §10) and the `.apply` reply's cell
+//! digest.
 //!
-//! The scenario-delta cache (DESIGN.md §10) keys cached chunks on a
-//! 64-bit digest of the *semantic content* that determines the chunk's
-//! bytes. Rust's `std::hash::Hash` is not stable across executions for
-//! the default hasher, so we fold everything through FNV-1a with fixed
-//! encodings: the digest of a given scenario is the same in every
-//! process, which keeps cache keys meaningful across sessions sharing a
-//! serialized store.
-//!
-//! Digests are *order-independent* where order is immaterial: a
-//! positive scenario's change relation is a set, so its changes are
-//! digested individually and the per-change digests are sorted before
-//! being folded together. Perspective sets are already canonical
-//! (`PerspectiveSpec::new` sorts and dedups), so they fold in order.
-
-use crate::perspective::{Mode, PerspectiveSpec, Semantics};
-use crate::scenario::{Change, Scenario};
-use olap_model::DimensionId;
+//! Rust's `std::hash::Hash` is not stable across executions for the
+//! default hasher, so digests that must mean the same thing in every
+//! process fold their bytes through [`Fnv64`] with fixed encodings.
+//! [`FnvSuffix`] folds a fixed byte string in one step, for hot loops
+//! that hash the same suffix many times.
 
 /// FNV-1a, 64-bit. Tiny, dependency-free, and good enough for cache
 /// keys: collisions would need two different fate tables to collide in
@@ -115,156 +105,9 @@ impl FnvSuffix {
     }
 }
 
-fn semantics_tag(s: Semantics) -> u8 {
-    match s {
-        Semantics::Static => 0,
-        Semantics::Forward => 1,
-        Semantics::ExtendedForward => 2,
-        Semantics::Backward => 3,
-        Semantics::ExtendedBackward => 4,
-    }
-}
-
-fn mode_tag(m: Mode) -> u8 {
-    match m {
-        Mode::NonVisual => 0,
-        Mode::Visual => 1,
-    }
-}
-
-impl Change {
-    /// Stable digest of one positive change tuple `R(m, o, n, t)`.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u32(self.member.0);
-        match self.old_parent {
-            None => {
-                h.write_u8(0);
-            }
-            Some(o) => {
-                h.write_u8(1).write_u32(o.0);
-            }
-        }
-        h.write_u32(self.new_parent.0).write_u32(self.at);
-        h.finish()
-    }
-}
-
-impl PerspectiveSpec {
-    /// Stable digest of a perspective clause. The perspective vector is
-    /// canonical (sorted + deduped) so positional folding is fine.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u32(self.dim.0);
-        h.write_u8(semantics_tag(self.semantics));
-        h.write_u8(mode_tag(self.mode));
-        h.write_u32(self.perspectives.len() as u32);
-        for &p in &self.perspectives {
-            h.write_u32(p);
-        }
-        h.finish()
-    }
-}
-
-/// Stable digest of a positive scenario whose change relation arrives
-/// as an iterator. The scenario forest stores a fork's changes as a
-/// copy-on-write chain of shared segments; this lets it fingerprint the
-/// logical relation without first materializing a contiguous vector.
-/// Equal relations (in any iteration order) digest equal.
-pub fn positive_fingerprint<'a>(
-    dim: DimensionId,
-    mode: Mode,
-    changes: impl Iterator<Item = &'a Change>,
-) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u8(2).write_u32(dim.0).write_u8(mode_tag(mode));
-    // The change relation is a set: digest each tuple, sort, then fold,
-    // so iteration order is immaterial but duplicate tuples still count
-    // (unlike an XOR combine, which would let pairs cancel out).
-    let mut digests: Vec<u64> = changes.map(Change::fingerprint).collect();
-    digests.sort_unstable();
-    h.write_u32(digests.len() as u32);
-    for d in digests {
-        h.write_u64(d);
-    }
-    h.finish()
-}
-
-impl Scenario {
-    /// Stable content digest of the whole scenario. Two scenarios that
-    /// are semantically equal — same perspective set, or the same change
-    /// *relation* in any vector order — fingerprint equal; any
-    /// single-field mutation changes the digest.
-    pub fn fingerprint(&self) -> u64 {
-        match self {
-            Scenario::Negative(spec) => {
-                let mut h = Fnv64::new();
-                h.write_u8(1).write_u64(spec.fingerprint());
-                h.finish()
-            }
-            Scenario::Positive { dim, changes, mode } => {
-                positive_fingerprint(*dim, *mode, changes.iter())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olap_model::{DimensionId, MemberId};
-
-    fn change(member: u32, at: u32) -> Change {
-        Change {
-            member: MemberId(member),
-            old_parent: Some(MemberId(1)),
-            new_parent: MemberId(2),
-            at,
-        }
-    }
-
-    #[test]
-    fn change_order_is_immaterial() {
-        let a = Scenario::positive(
-            DimensionId(0),
-            vec![change(3, 1), change(4, 2)],
-            Mode::Visual,
-        );
-        let b = Scenario::positive(
-            DimensionId(0),
-            vec![change(4, 2), change(3, 1)],
-            Mode::Visual,
-        );
-        assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn duplicate_changes_do_not_cancel() {
-        let one = Scenario::positive(DimensionId(0), vec![change(3, 1)], Mode::Visual);
-        let twice = Scenario::positive(
-            DimensionId(0),
-            vec![change(3, 1), change(3, 1)],
-            Mode::Visual,
-        );
-        assert_ne!(one.fingerprint(), twice.fingerprint());
-    }
-
-    #[test]
-    fn every_field_feeds_the_negative_digest() {
-        let base = Scenario::negative(DimensionId(1), [0, 6], Semantics::Forward, Mode::Visual);
-        let variants = [
-            Scenario::negative(DimensionId(2), [0, 6], Semantics::Forward, Mode::Visual),
-            Scenario::negative(DimensionId(1), [0, 7], Semantics::Forward, Mode::Visual),
-            Scenario::negative(DimensionId(1), [0, 6], Semantics::Static, Mode::Visual),
-            Scenario::negative(DimensionId(1), [0, 6], Semantics::Forward, Mode::NonVisual),
-        ];
-        for v in &variants {
-            assert_ne!(base.fingerprint(), v.fingerprint(), "{v:?}");
-        }
-        // And the digest is a pure content function: rebuild equals.
-        let again = Scenario::negative(DimensionId(1), [6, 0], Semantics::Forward, Mode::Visual);
-        assert_eq!(base.fingerprint(), again.fingerprint());
-    }
 
     /// The table identity, exhaustively over the low byte: every one of
     /// the 256 low bytes under several high-bit patterns, for strings of

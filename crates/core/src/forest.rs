@@ -1,123 +1,29 @@
-//! Scenario forests: named, copy-on-write forks of what-if scenarios.
+//! Scenario forests: named forks of what-if scenarios.
 //!
 //! Comparative what-if work is rarely one scenario at a time — the
 //! analyst builds a baseline, forks it, perturbs the fork, and toggles
 //! between the two to compare (DESIGN.md §14). A [`ScenarioForest`]
 //! holds that exploration as a tree of named forks rooted at `main`:
 //!
-//! * forking copies the parent's scenario **by reference** — a positive
-//!   change relation is a chain of immutable, `Arc`-shared *segments*
-//!   plus one private tail ([`CowChanges`]), so a fork of a thousand
-//!   changes copies a handful of pointers, never the tuples;
-//! * edits after a fork land in the editing fork's private tail and are
-//!   invisible to the parent and to siblings;
-//! * switching forks is a pure pointer move — and, because the scenario
-//!   cache is versioned by digest, switching back to a previously run
-//!   fork replays from warm entries instead of re-merging.
-//!
-//! The structural sharing is the epoch model of crossworld-style MVCC
-//! versioning scaled down to a session: versions share all unchanged
-//! state and pay only for their deltas.
+//! * each fork holds its own [`Scenario`], and forking clones the
+//!   parent's — a perspective clause or a change list of a few tuples;
+//! * edits after a fork land in the editing fork only and are invisible
+//!   to the parent and to siblings;
+//! * switching forks changes which fork is current and nothing else —
+//!   re-running a negative fork replays from the scenario cache, whose
+//!   entries are keyed by what the run computes, not by the fork.
 
-use crate::fingerprint::positive_fingerprint;
 use crate::perspective::{Mode, PerspectiveSpec};
 use crate::scenario::{Change, Scenario};
 use olap_model::DimensionId;
 use std::fmt;
-use std::sync::Arc;
-
-/// A change relation stored as a copy-on-write chain: a vector of
-/// sealed, immutable segments (shared with ancestor/descendant forks)
-/// followed by one mutable tail private to the owning fork. Forking
-/// seals the tail into a new shared segment; the logical relation is
-/// the concatenation, in order, of all segments then the tail.
-#[derive(Debug, Clone, Default)]
-pub struct CowChanges {
-    segments: Vec<Arc<Vec<Change>>>,
-    tail: Vec<Change>,
-}
-
-impl CowChanges {
-    /// An empty relation.
-    pub fn new() -> Self {
-        CowChanges::default()
-    }
-
-    /// Total number of change tuples in the logical relation.
-    pub fn len(&self) -> usize {
-        self.segments.iter().map(|s| s.len()).sum::<usize>() + self.tail.len()
-    }
-
-    /// Whether the logical relation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of tuples living in sealed (shared) segments.
-    pub fn shared_len(&self) -> usize {
-        self.segments.iter().map(|s| s.len()).sum()
-    }
-
-    /// Appends a tuple to this fork's private tail.
-    pub fn push(&mut self, c: Change) {
-        self.tail.push(c);
-    }
-
-    /// Iterates the logical relation in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Change> {
-        self.segments
-            .iter()
-            .flat_map(|s| s.iter())
-            .chain(self.tail.iter())
-    }
-
-    /// The sealed segments (for structural-sharing assertions in tests).
-    pub fn segments(&self) -> &[Arc<Vec<Change>>] {
-        &self.segments
-    }
-
-    /// Copy-on-write fork: seals this relation's tail into a shared
-    /// segment (skipped when empty) and returns a child that references
-    /// the same segments. Neither side can mutate the other's tuples
-    /// afterwards — both grow through their own fresh tails.
-    pub fn fork(&mut self) -> CowChanges {
-        if !self.tail.is_empty() {
-            let sealed = Arc::new(std::mem::take(&mut self.tail));
-            self.segments.push(sealed);
-        }
-        CowChanges {
-            segments: self.segments.clone(),
-            tail: Vec::new(),
-        }
-    }
-
-    /// Materializes the logical relation as one contiguous vector.
-    pub fn to_vec(&self) -> Vec<Change> {
-        self.iter().cloned().collect()
-    }
-}
-
-/// What one fork currently assumes.
-#[derive(Debug, Clone, Default)]
-enum ForkState {
-    /// Nothing applied yet (a fresh fork of an empty parent).
-    #[default]
-    Empty,
-    /// A negative scenario: a perspective clause.
-    Negative(PerspectiveSpec),
-    /// A positive scenario: a CoW change relation.
-    Positive {
-        dim: DimensionId,
-        mode: Mode,
-        changes: CowChanges,
-    },
-}
 
 #[derive(Debug, Clone)]
 struct Fork {
     name: String,
     parent: Option<usize>,
-    state: ForkState,
+    /// What the fork assumes; `None` until something is recorded.
+    scenario: Option<Scenario>,
 }
 
 /// Errors from forest verbs — misuse, never a panic.
@@ -158,25 +64,22 @@ impl std::error::Error for ForestError {}
 
 /// One row of `.scenarios` output.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ForkRow {
+pub struct ForkRow<'a> {
     /// Fork name.
-    pub name: String,
+    pub name: &'a str,
     /// Parent fork name (`None` for the root).
-    pub parent: Option<String>,
+    pub parent: Option<&'a str>,
     /// Whether this is the session's current fork.
     pub current: bool,
-    /// Human summary of the fork's scenario.
-    pub summary: String,
-    /// Of the fork's change tuples, how many live in segments shared
-    /// with other forks (0 for negative/empty forks).
-    pub shared_changes: usize,
+    /// The fork's scenario, if it has one yet.
+    pub scenario: Option<&'a Scenario>,
 }
 
 /// A session's tree of named scenario forks, rooted at `main`.
 ///
 /// Exactly one fork is *current*; scenario-building verbs edit it and
 /// query verbs run it. [`ScenarioForest::fork`] copies the current
-/// fork's scenario copy-on-write and switches to the child.
+/// fork's scenario and switches to the child.
 #[derive(Debug, Clone)]
 pub struct ScenarioForest {
     forks: Vec<Fork>,
@@ -196,7 +99,7 @@ impl ScenarioForest {
             forks: vec![Fork {
                 name: "main".to_string(),
                 parent: None,
-                state: ForkState::Empty,
+                scenario: None,
             }],
             current: 0,
         }
@@ -211,28 +114,17 @@ impl ScenarioForest {
         self.forks.iter().position(|f| f.name == name)
     }
 
-    /// Forks the current fork under `name` and switches to the child.
-    /// The child starts with a copy-on-write reference to the parent's
-    /// scenario: perspective clauses are tiny and cloned outright, while
-    /// positive change relations share their sealed segments.
+    /// Forks the current fork under `name`, copying its scenario, and
+    /// switches to the child.
     pub fn fork(&mut self, name: &str) -> Result<(), ForestError> {
         if self.index_of(name).is_some() {
             return Err(ForestError::DuplicateFork(name.to_string()));
         }
         let parent = self.current;
-        let state = match &mut self.forks[parent].state {
-            ForkState::Empty => ForkState::Empty,
-            ForkState::Negative(spec) => ForkState::Negative(spec.clone()),
-            ForkState::Positive { dim, mode, changes } => ForkState::Positive {
-                dim: *dim,
-                mode: *mode,
-                changes: changes.fork(),
-            },
-        };
         self.forks.push(Fork {
             name: name.to_string(),
             parent: Some(parent),
-            state,
+            scenario: self.forks[parent].scenario.clone(),
         });
         self.current = self.forks.len() - 1;
         Ok(())
@@ -252,23 +144,23 @@ impl ScenarioForest {
     /// Records a negative scenario (perspective clause) on the current
     /// fork, replacing whatever it assumed before.
     pub fn set_negative(&mut self, spec: PerspectiveSpec) {
-        self.forks[self.current].state = ForkState::Negative(spec);
+        self.forks[self.current].scenario = Some(Scenario::Negative(spec));
     }
 
-    /// Appends a positive change to the current fork. If the fork held
-    /// a negative scenario (or nothing), it becomes a fresh positive
-    /// one; if it already holds changes, the dimension must match.
+    /// Appends a positive change to the current fork and returns how
+    /// many changes the fork now holds. If the fork held a negative
+    /// scenario (or nothing), it becomes a fresh positive one; if it
+    /// already holds changes, the dimension must match.
     pub fn add_change(
         &mut self,
         dim: DimensionId,
         mode: Mode,
         change: Change,
-    ) -> Result<(), ForestError> {
-        let state = &mut self.forks[self.current].state;
-        match state {
-            ForkState::Positive {
+    ) -> Result<usize, ForestError> {
+        match &mut self.forks[self.current].scenario {
+            Some(Scenario::Positive {
                 dim: have, changes, ..
-            } => {
+            }) => {
                 if *have != dim {
                     return Err(ForestError::DimMismatch {
                         have: *have,
@@ -276,82 +168,29 @@ impl ScenarioForest {
                     });
                 }
                 changes.push(change);
+                Ok(changes.len())
             }
-            _ => {
-                let mut changes = CowChanges::new();
-                changes.push(change);
-                *state = ForkState::Positive { dim, mode, changes };
-            }
-        }
-        Ok(())
-    }
-
-    /// Materializes the current fork's scenario, or `None` if the fork
-    /// has nothing applied yet.
-    pub fn scenario(&self) -> Option<Scenario> {
-        match &self.forks[self.current].state {
-            ForkState::Empty => None,
-            ForkState::Negative(spec) => Some(Scenario::Negative(spec.clone())),
-            ForkState::Positive { dim, mode, changes } => Some(Scenario::Positive {
-                dim: *dim,
-                changes: changes.to_vec(),
-                mode: *mode,
-            }),
-        }
-    }
-
-    /// Stable fingerprint of the current fork's scenario without
-    /// materializing a positive fork's CoW chain. Agrees with
-    /// [`Scenario::fingerprint`] of [`ScenarioForest::scenario`].
-    pub fn fingerprint(&self) -> Option<u64> {
-        match &self.forks[self.current].state {
-            ForkState::Empty => None,
-            ForkState::Negative(spec) => Some(Scenario::Negative(spec.clone()).fingerprint()),
-            ForkState::Positive { dim, mode, changes } => {
-                Some(positive_fingerprint(*dim, *mode, changes.iter()))
+            scenario => {
+                *scenario = Some(Scenario::positive(dim, vec![change], mode));
+                Ok(1)
             }
         }
     }
 
-    /// The current fork's CoW relation, if it is positive (tests assert
-    /// structural sharing through this).
-    pub fn current_changes(&self) -> Option<&CowChanges> {
-        match &self.forks[self.current].state {
-            ForkState::Positive { changes, .. } => Some(changes),
-            _ => None,
-        }
+    /// The current fork's scenario, or `None` if the fork has nothing
+    /// applied yet.
+    pub fn scenario(&self) -> Option<&Scenario> {
+        self.forks[self.current].scenario.as_ref()
     }
 
     /// `.scenarios` listing, in fork-creation order.
-    pub fn rows(&self) -> Vec<ForkRow> {
-        self.forks
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let (summary, shared) = match &f.state {
-                    ForkState::Empty => ("(empty)".to_string(), 0),
-                    ForkState::Negative(spec) => {
-                        let moments: Vec<String> =
-                            spec.perspectives.iter().map(|m| m.to_string()).collect();
-                        (
-                            format!("negative {:?} {{{}}}", spec.semantics, moments.join(",")),
-                            0,
-                        )
-                    }
-                    ForkState::Positive { dim, changes, .. } => (
-                        format!("positive dim {} ({} changes)", dim.0, changes.len()),
-                        changes.shared_len(),
-                    ),
-                };
-                ForkRow {
-                    name: f.name.clone(),
-                    parent: f.parent.map(|p| self.forks[p].name.clone()),
-                    current: i == self.current,
-                    summary,
-                    shared_changes: shared,
-                }
-            })
-            .collect()
+    pub fn rows(&self) -> impl Iterator<Item = ForkRow<'_>> {
+        self.forks.iter().enumerate().map(|(i, f)| ForkRow {
+            name: &f.name,
+            parent: f.parent.map(|p| self.forks[p].name.as_str()),
+            current: i == self.current,
+            scenario: f.scenario.as_ref(),
+        })
     }
 }
 
@@ -370,20 +209,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fork_shares_segments_structurally() {
-        let mut f = ScenarioForest::new();
-        f.add_change(DimensionId(0), Mode::Visual, change(10, 1))
-            .unwrap();
-        f.add_change(DimensionId(0), Mode::Visual, change(11, 2))
-            .unwrap();
-        f.fork("b").unwrap();
-        // The child's first segment IS the parent's sealed tail.
-        let child_seg = f.current_changes().unwrap().segments()[0].clone();
-        f.switch("main").unwrap();
-        let parent_seg = f.current_changes().unwrap().segments()[0].clone();
-        assert!(Arc::ptr_eq(&child_seg, &parent_seg));
-        assert_eq!(f.current_changes().unwrap().shared_len(), 2);
+    fn members(f: &ScenarioForest) -> Vec<u32> {
+        match f.scenario() {
+            Some(Scenario::Positive { changes, .. }) => {
+                changes.iter().map(|c| c.member.0).collect()
+            }
+            other => panic!("not a positive fork: {other:?}"),
+        }
     }
 
     #[test]
@@ -394,44 +226,14 @@ mod tests {
         f.fork("b").unwrap();
         f.add_change(DimensionId(0), Mode::Visual, change(20, 3))
             .unwrap();
-        assert_eq!(f.current_changes().unwrap().len(), 2);
+        assert_eq!(members(&f), vec![10, 20]);
         f.switch("main").unwrap();
-        assert_eq!(f.current_changes().unwrap().len(), 1);
+        assert_eq!(members(&f), vec![10]);
         // Parent edits after the fork are equally invisible to the child.
         f.add_change(DimensionId(0), Mode::Visual, change(30, 4))
             .unwrap();
         f.switch("b").unwrap();
-        let members: Vec<u32> = f
-            .current_changes()
-            .unwrap()
-            .iter()
-            .map(|c| c.member.0)
-            .collect();
-        assert_eq!(members, vec![10, 20]);
-    }
-
-    #[test]
-    fn forest_fingerprint_matches_materialized_scenario() {
-        let mut f = ScenarioForest::new();
-        f.add_change(DimensionId(0), Mode::Visual, change(10, 1))
-            .unwrap();
-        f.fork("b").unwrap();
-        f.add_change(DimensionId(0), Mode::Visual, change(20, 3))
-            .unwrap();
-        let via_chain = f.fingerprint().unwrap();
-        let via_vec = f.scenario().unwrap().fingerprint();
-        assert_eq!(via_chain, via_vec);
-        // Negative forks agree too.
-        f.set_negative(PerspectiveSpec::new(
-            DimensionId(1),
-            [2, 5],
-            Semantics::Forward,
-            Mode::Visual,
-        ));
-        assert_eq!(
-            f.fingerprint().unwrap(),
-            f.scenario().unwrap().fingerprint()
-        );
+        assert_eq!(members(&f), vec![10, 20]);
     }
 
     #[test]
@@ -459,50 +261,47 @@ mod tests {
     #[test]
     fn rows_describe_the_tree() {
         let mut f = ScenarioForest::new();
-        f.set_negative(PerspectiveSpec::new(
-            DimensionId(1),
-            [1, 3],
-            Semantics::Forward,
-            Mode::Visual,
-        ));
+        let spec = PerspectiveSpec::new(DimensionId(1), [1, 3], Semantics::Forward, Mode::Visual);
+        f.set_negative(spec.clone());
         f.fork("alt").unwrap();
-        let rows = f.rows();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].name, "main");
-        assert!(rows[0].parent.is_none());
-        assert!(!rows[0].current);
-        assert_eq!(rows[1].name, "alt");
-        assert_eq!(rows[1].parent.as_deref(), Some("main"));
-        assert!(rows[1].current);
-        assert!(rows[1].summary.contains("negative"), "{}", rows[1].summary);
+        let rows: Vec<ForkRow> = f.rows().collect();
+        let negative = Scenario::Negative(spec);
+        assert_eq!(
+            rows,
+            vec![
+                ForkRow {
+                    name: "main",
+                    parent: None,
+                    current: false,
+                    scenario: Some(&negative),
+                },
+                ForkRow {
+                    name: "alt",
+                    parent: Some("main"),
+                    current: true,
+                    scenario: Some(&negative),
+                },
+            ]
+        );
     }
 
     #[test]
     fn switching_back_resumes_the_same_scenario() {
         let mut f = ScenarioForest::new();
-        f.set_negative(PerspectiveSpec::new(
-            DimensionId(1),
-            [1, 3],
-            Semantics::Forward,
-            Mode::Visual,
-        ));
-        let a = f.fingerprint().unwrap();
+        let spec =
+            |p: [u32; 2]| PerspectiveSpec::new(DimensionId(1), p, Semantics::Forward, Mode::Visual);
+        f.set_negative(spec([1, 3]));
         f.fork("b").unwrap();
-        f.set_negative(PerspectiveSpec::new(
-            DimensionId(1),
-            [2, 4],
-            Semantics::Forward,
-            Mode::Visual,
-        ));
-        let b = f.fingerprint().unwrap();
-        assert_ne!(a, b);
-        // Toggle A↔B: fingerprints are stable, which is what makes the
-        // versioned cache hit on every switch.
+        f.set_negative(spec([2, 4]));
+        let (a, b) = (
+            Scenario::Negative(spec([1, 3])),
+            Scenario::Negative(spec([2, 4])),
+        );
         for _ in 0..3 {
             f.switch("main").unwrap();
-            assert_eq!(f.fingerprint().unwrap(), a);
+            assert_eq!(f.scenario(), Some(&a));
             f.switch("b").unwrap();
-            assert_eq!(f.fingerprint().unwrap(), b);
+            assert_eq!(f.scenario(), Some(&b));
         }
     }
 }

@@ -39,22 +39,20 @@ pub mod perspective_cube;
 pub mod phi;
 pub mod plan;
 pub mod scenario;
-pub mod split_memo;
 
 pub use algebra::{compile, run, AlgebraExpr, AlgebraOutput};
 pub use cache::{CacheStats, Cached, ScenarioCache};
 pub use error::WhatIfError;
 pub use exec::{execute, execute_passes_opts, ExecOpts, ExecReport, OrderPolicy};
-pub use fingerprint::{positive_fingerprint, Fnv64, FnvSuffix};
-pub use forest::{CowChanges, ForestError, ForkRow, ScenarioForest};
+pub use fingerprint::{Fnv64, FnvSuffix};
+pub use forest::{ForestError, ForkRow, ScenarioForest};
 pub use merge::MergeGraph;
-pub use operators::{relocate, select, split, CmpOp, DestMap, EvalOp, Predicate};
+pub use operators::{check_changes, relocate, select, split, CmpOp, DestMap, EvalOp, Predicate};
 pub use perspective::{Mode, PerspectiveSpec, Semantics};
 pub use perspective_cube::{apply, WhatIfResult};
 pub use phi::{phi, prune_vacancies, VsMap};
 pub use plan::{decompose_passes, Plan};
 pub use scenario::{Change, Scenario};
-pub use split_memo::{memo_key, SplitMemo, SplitMemoStats, SplitResult};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, WhatIfError>;

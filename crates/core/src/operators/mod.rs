@@ -10,4 +10,4 @@ mod stage;
 pub use eval_op::EvalOp;
 pub use relocate::{relocate, DestMap};
 pub use select::{select, CmpOp, Predicate};
-pub use split::split;
+pub use split::{check_changes, split};

@@ -14,35 +14,35 @@ use crate::operators::stage::Stager;
 use crate::scenario::Change;
 use crate::Result;
 use olap_cube::Cube;
-use olap_model::{DimensionId, Schema};
+use olap_model::{DimensionId, MemberId, Schema};
 use std::sync::Arc;
 
-/// S(Cin, R): applies positive changes, returning the extended schema and
-/// the re-homed cube.
-///
-/// Each change's `old_parent`, when given, is validated against the
-/// member's actual parent at the change moment (the relation's contract:
-/// "o is the current parent of m at point t").
-pub fn split(cube: &Cube, dim: DimensionId, changes: &[Change]) -> Result<(Arc<Schema>, Cube)> {
-    let schema_in = cube.schema();
-    let varying_in = schema_in
+/// Checks the change relation `changes` against `dim` of `schema`: the
+/// one validation that [`split`] runs and that the shell's `.change` runs
+/// on a fork's list before it records a change. Each change must take
+/// effect at a moment of the parameter dimension, move a member of `dim`
+/// under a non-leaf parent that is neither the member nor one of its
+/// descendants, and, when it names an old parent `o`, name the member's
+/// parent at that moment once the changes before it apply (the
+/// relation's contract: "o is the current parent of m at point t").
+/// Applied in order, the list must leave no member its own ancestor at
+/// any moment.
+pub fn check_changes(schema: &Schema, dim: DimensionId, changes: &[Change]) -> Result<()> {
+    let varying = schema
         .varying(dim)
-        .ok_or_else(|| WhatIfError::NotVarying(schema_in.dim(dim).name().to_string()))?;
-    let moments = varying_in.moments();
-    let d = schema_in.dim(dim);
-
-    // Validate the change relation up front.
+        .ok_or_else(|| WhatIfError::NotVarying(schema.dim(dim).name().to_string()))?;
+    let moments = varying.moments();
+    let d = schema.dim(dim);
+    let mut after = varying.clone();
     for ch in changes {
-        d.try_member(ch.member)?;
-        d.try_member(ch.new_parent)?;
         if ch.at >= moments {
-            return Err(WhatIfError::BadPerspective {
-                moment: ch.at,
-                moments,
-            });
+            return Err(WhatIfError::BadChange(format!(
+                "change moment {} out of range (parameter has {moments} leaves)",
+                ch.at
+            )));
         }
         if let Some(claimed) = ch.old_parent {
-            let actual = varying_in.parent_at(d, ch.member, ch.at);
+            let actual = after.parent_at(d, ch.member, ch.at);
             if actual != Some(claimed) {
                 return Err(WhatIfError::WrongOldParent {
                     member: d.member_name(ch.member).to_string(),
@@ -53,7 +53,47 @@ pub fn split(cube: &Cube, dim: DimensionId, changes: &[Change]) -> Result<(Arc<S
                 });
             }
         }
+        after
+            .reclassify(d, ch.member, ch.new_parent, ch.at)
+            .map_err(|e| WhatIfError::BadChange(e.to_string()))?;
     }
+    // Each change is legal against the static hierarchy, but two moves
+    // of non-leaf members can still close a cycle (FTE under PTE from
+    // Feb, PTE under FTE from Mar). Only a moved member can lie on one.
+    for ch in changes.iter().filter(|c| !d.is_leaf(c.member)) {
+        for t in ch.at..moments {
+            let mut up = after.parent_at(d, ch.member, t);
+            for _ in 0..d.member_count() {
+                match up {
+                    Some(p) if p == ch.member => {
+                        return Err(WhatIfError::BadChange(format!(
+                            "the changes make {:?} its own ancestor at moment {t}",
+                            d.member_name(ch.member)
+                        )))
+                    }
+                    Some(p) if p != MemberId::ROOT => up = after.parent_at(d, p, t),
+                    _ => break,
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// S(Cin, R): applies positive changes, returning the extended schema and
+/// the re-homed cube.
+///
+/// The changes apply in list order, each reclassifying its member from
+/// its moment onward (`VaryingDimension::reclassify`), so a later change
+/// of the same member overrides an earlier one from the later change's
+/// moment on. Definition 4.5 treats `R` as a set and is silent on a
+/// member changed twice; this ordered reading is the one `WITH CHANGES`
+/// and the shell's `.change` list give (DESIGN.md §3).
+pub fn split(cube: &Cube, dim: DimensionId, changes: &[Change]) -> Result<(Arc<Schema>, Cube)> {
+    let schema_in = cube.schema();
+    check_changes(schema_in, dim, changes)?;
+    let varying_in = schema_in.varying(dim).expect("checked varying");
+    let moments = varying_in.moments();
 
     // Hypothetically apply the changes on a cloned schema.
     let mut schema_out = (**schema_in).clone();
@@ -101,7 +141,6 @@ pub fn split(cube: &Cube, dim: DimensionId, changes: &[Change]) -> Result<(Arc<S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perspective::Mode;
     use olap_model::{DimensionSpec, SchemaBuilder};
     use olap_store::CellValue;
 
@@ -190,6 +229,36 @@ mod tests {
         assert!(matches!(err, Err(WhatIfError::WrongOldParent { .. })));
     }
 
+    /// An old-parent claim reads the list applied so far: after Lisa
+    /// moves to PTE in March, she reports to PTE in May, not to FTE.
+    #[test]
+    fn old_parent_claims_read_the_list_applied_so_far() {
+        let (cube, org) = fixture();
+        let d = cube.schema().dim(org);
+        let [lisa, fte, pte, contractor] =
+            ["Lisa", "FTE", "PTE", "Contractor"].map(|n| d.resolve(n).unwrap());
+        let moves = |claimed| {
+            let first = Change {
+                member: lisa,
+                old_parent: Some(fte),
+                new_parent: pte,
+                at: 2,
+            };
+            let second = Change {
+                member: lisa,
+                old_parent: Some(claimed),
+                new_parent: contractor,
+                at: 4,
+            };
+            split(&cube, org, &[first, second])
+        };
+        assert!(moves(pte).is_ok());
+        assert!(matches!(
+            moves(fte),
+            Err(WhatIfError::WrongOldParent { .. })
+        ));
+    }
+
     #[test]
     fn split_rejects_leaf_parent() {
         let (cube, org) = fixture();
@@ -207,6 +276,38 @@ mod tests {
             }],
         );
         assert!(matches!(err, Err(WhatIfError::BadChange(_))));
+    }
+
+    /// Each move is legal against the static hierarchy; together they
+    /// put FTE under PTE under FTE from March.
+    #[test]
+    fn split_rejects_a_cycle_the_list_closes() {
+        let (cube, org) = fixture();
+        let d = cube.schema().dim(org);
+        let fte = d.resolve("FTE").unwrap();
+        let pte = d.resolve("PTE").unwrap();
+        let err = split(
+            &cube,
+            org,
+            &[
+                Change {
+                    member: fte,
+                    old_parent: None,
+                    new_parent: pte,
+                    at: 1,
+                },
+                Change {
+                    member: pte,
+                    old_parent: None,
+                    new_parent: fte,
+                    at: 2,
+                },
+            ],
+        );
+        match err {
+            Err(WhatIfError::BadChange(e)) => assert!(e.contains("own ancestor"), "{e}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -269,7 +370,9 @@ mod tests {
                 at: 9,
             }],
         );
-        assert!(matches!(err, Err(WhatIfError::BadPerspective { .. })));
-        let _ = Mode::NonVisual; // silence unused import in some cfgs
+        match err {
+            Err(WhatIfError::BadChange(e)) => assert!(e.contains("change moment 9"), "{e}"),
+            other => panic!("{other:?}"),
+        }
     }
 }

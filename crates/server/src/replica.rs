@@ -309,7 +309,7 @@ fn apply_one(shared: &SharedData, state: &FollowerState, frame: &[u8]) -> olap_s
             if let Some(cache) = shared.cache() {
                 cache.clear();
             }
-            shared.split_memo().clear();
+            shared.clear_replies();
             state.position.store(position, Ordering::Release);
             state.epoch.store(epoch, Ordering::Release);
             Ok(())

@@ -84,9 +84,11 @@ step "gates run by name"
 # the log byte-fuzz: a cleanly closed log never opens to a cut. The
 # next two hold the verb table's contracts: a follower refuses every
 # base write however it is spelled, and a reconnect replays exactly
-# the lines a session accepted. The last two hold the executor to the
+# the lines a session accepted. The next two hold the executor to the
 # definitional oracle: the random-warehouse property and Theorem 4.1's
-# three-way check.
+# three-way check. The last two hold the positive path: Theorem 4.1's
+# three-way check of split (R in list order), and the session-level
+# regression that a change list and its reversal never share a reply.
 gate() { # gate "<cargo test target args>" <exact test name>
     out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
     case "$out" in
@@ -103,6 +105,8 @@ gate "-p whatif-integration-tests --test replication" follower_refuses_every_bas
 gate "-p polap-cli --lib" proto::tests::a_replayed_journal_restores_exactly_the_accepted_lines
 gate "-p whatif-integration-tests --test property_invariants" chunked_equals_reference
 gate "-p whatif-integration-tests --test algebra_theorem" theorem_4_1_negative_all_semantics_and_modes
+gate "-p whatif-integration-tests --test algebra_theorem" theorem_4_1_positive_on_retail
+gate "-p whatif-integration-tests --test scenario_forest" reordered_change_lists_never_share_a_reply
 
 step "corruption smoke test"
 # One flipped payload byte never becomes garbage cells. Flipped while

@@ -1,13 +1,14 @@
-//! The definitional oracle for negative scenarios: Φ (Definitions 4.2 /
-//! 4.3) and ρ (Definition 4.4) written straight from the paper, per
-//! member and per moment, over plain `BTreeSet<u32>` validity sets.
+//! The definitional oracle: Φ (Definitions 4.2 / 4.3) and ρ
+//! (Definition 4.4) for negative scenarios, and S (Definition 4.5) for
+//! positive ones, written straight from the paper, per member and per
+//! moment, over plain `BTreeSet`s and `BTreeMap`s.
 //!
 //! It shares no code with the engine it checks: it calls no `whatif_core`
-//! function and takes [`Semantics`] only as an input enum. The input's
-//! instances and validity sets come from the schema (`olap_model`), its
-//! cells through [`Cube::for_each_present`]; the output is staged chunk
-//! by chunk into an empty cube of the input's geometry and rules, so a
-//! grid can evaluate it.
+//! function and takes [`Semantics`] and [`Change`] only as inputs. The
+//! input's instances, validity sets and parent timelines come from the
+//! schema (`olap_model`), its cells through [`Cube::for_each_present`].
+//! The negative output is staged chunk by chunk into an empty cube of the
+//! input's geometry and rules, so a grid can evaluate it.
 //!
 //! Each semantics, for one instance `d` of member `m` with input validity
 //! set `VS(d)`, perspectives `P`, `Pmin = min P`, `Pmax = max P`:
@@ -30,12 +31,24 @@
 //! at `t` to the one instance of the same member whose output set holds
 //! `t`; a cell no output set claims is dropped, and a cell at an instance
 //! not valid at its moment is never read.
+//!
+//! S adds instances, so its output has another schema and other axis
+//! slots; the oracle states it by what does not change, the hierarchy
+//! path. Every member's parent timeline is read off the input schema,
+//! and the tuples `(m, o, n, t)` of `R` apply in list order, each setting
+//! `m`'s parent to `n` at every `τ ≥ t`. Definition 4.5 treats `R` as a
+//! set and says nothing of a member changed twice; the list order is the
+//! reading `WITH CHANGES` and the shell's `.change` give it, so a later
+//! tuple overrides an earlier one from its own moment on. A cell
+//! `(m, τ, ē)` read off an instance valid at `τ` then belongs at `m`'s
+//! path at `τ` under those timelines, and [`split_cells`] reads any cube
+//! the same way through its own schema.
 
 use olap_cube::Cube;
 use olap_model::{DimensionId, MemberId};
 use olap_store::{CellValue, Chunk, ChunkId};
 use std::collections::{BTreeMap, BTreeSet};
-use whatif_core::Semantics;
+use whatif_core::{Change, Semantics};
 
 /// One varying-dimension instance: its member and input validity set.
 pub type Instance = (MemberId, BTreeSet<u32>);
@@ -157,6 +170,88 @@ pub fn perspective_cube(
     let (instances, moments) = instances(cube, dim);
     let p: BTreeSet<u32> = perspectives.iter().copied().collect();
     relocate(cube, dim, &phi(semantics, &instances, &p, moments))
+}
+
+/// A leaf cell as Definition 4.5 speaks of it: the leaf member, its
+/// ancestor path below the root at the cell's moment, and the cell's
+/// other coordinates (the varying one removed, the moment kept). The
+/// path is `None` for a cell that lies off its instance's validity set,
+/// where no definition puts one.
+pub type PathCell = (MemberId, Option<Vec<MemberId>>, Vec<u32>);
+
+/// S(C, R) by definition: the cells the split of `cube` along `dim` by
+/// the change list `changes` holds, each keyed by its [`PathCell`], with
+/// the value's bits.
+pub fn split(cube: &Cube, dim: DimensionId, changes: &[Change]) -> BTreeMap<PathCell, u64> {
+    let schema = cube.schema();
+    let varying = schema.varying(dim).expect("a varying dimension");
+    let d = schema.dim(dim);
+    let moments = varying.moments();
+    let timeline = |m: MemberId| -> Vec<Option<MemberId>> {
+        (0..moments).map(|t| varying.parent_at(d, m, t)).collect()
+    };
+    let mut timelines: BTreeMap<MemberId, Vec<Option<MemberId>>> = BTreeMap::new();
+    for c in changes {
+        let tl = timelines
+            .entry(c.member)
+            .or_insert_with(|| timeline(c.member));
+        for parent in &mut tl[c.at as usize..] {
+            *parent = Some(c.new_parent);
+        }
+    }
+    let parent = |m: MemberId, t: u32| match timelines.get(&m) {
+        Some(tl) => tl[t as usize],
+        None => varying.parent_at(d, m, t),
+    };
+    // The path below the root, top-down; `None` if a link is missing.
+    let path = |leaf: MemberId, t: u32| -> Option<Vec<MemberId>> {
+        let mut up = Vec::new();
+        let mut m = parent(leaf, t)?;
+        while m != MemberId::ROOT {
+            up.push(m);
+            assert!(up.len() <= d.member_count(), "a cycle above {leaf:?}");
+            m = parent(m, t)?;
+        }
+        up.reverse();
+        Some(up)
+    };
+    let (instances, _) = instances(cube, dim);
+    let pd = varying.parameter_dim().index();
+    let mut out = BTreeMap::new();
+    cube.for_each_present(|cell, v| {
+        let (member, valid) = &instances[cell[dim.index()] as usize];
+        let t = cell[pd];
+        if !valid.contains(&t) {
+            return; // never read, as in ρ
+        }
+        if let Some(p) = path(*member, t) {
+            let mut rest = cell.to_vec();
+            rest.remove(dim.index());
+            out.insert((*member, Some(p), rest), v.to_bits());
+        }
+    })
+    .expect("read the input");
+    out
+}
+
+/// `cube`'s cells keyed by [`PathCell`] through its own schema: the form
+/// in which [`split`] states what a split must hold.
+pub fn split_cells(cube: &Cube, dim: DimensionId) -> BTreeMap<PathCell, u64> {
+    let varying = cube.schema().varying(dim).expect("a varying dimension");
+    let pd = varying.parameter_dim().index();
+    let mut out = BTreeMap::new();
+    cube.for_each_present(|cell, v| {
+        let inst = &varying.instances()[cell[dim.index()] as usize];
+        let path = inst
+            .validity
+            .is_valid_at(cell[pd])
+            .then(|| inst.path.clone());
+        let mut rest = cell.to_vec();
+        rest.remove(dim.index());
+        out.insert((inst.member, path, rest), v.to_bits());
+    })
+    .expect("read the cube");
+    out
 }
 
 /// Whether `got` holds exactly `want`'s cells among those whose slot on

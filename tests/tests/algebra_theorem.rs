@@ -2,15 +2,18 @@
 //! equals its compiled algebra expression applied to the core query's
 //! result — across semantics, modes, scenario kinds, and datasets. Three
 //! implementations meet: the chunked engine ([`apply`]), the algebra by
-//! definition ([`run`] of [`compile`]'s ρ∘Φ) and, for negative
-//! scenarios, the definitional oracle.
+//! definition ([`run`] of [`compile`]'s ρ∘Φ or S) and the definitional
+//! oracle.
 
+use olap_cube::Cube;
+use olap_model::DimensionId;
 use olap_workload::{retail_example, running_example};
 use whatif_core::{
     apply, compile, run, AlgebraExpr, Change, ExecOpts, Mode, PerspectiveSpec, Predicate, Scenario,
     Semantics,
 };
-use whatif_integration_tests::{all_semantics, oracle};
+use whatif_integration_tests::all_semantics;
+use whatif_integration_tests::oracle::{self, split_cells};
 
 #[test]
 fn theorem_4_1_negative_all_semantics_and_modes() {
@@ -37,27 +40,108 @@ fn theorem_4_1_negative_all_semantics_and_modes() {
     }
 }
 
+/// `(member, new parent, moment)` by name, as `.change` takes them.
+fn changes(cube: &Cube, dim: DimensionId, list: &[(&str, &str, u32)]) -> Vec<Change> {
+    let d = cube.schema().dim(dim);
+    (list.iter())
+        .map(|&(m, n, at)| Change {
+            member: d.resolve(m).unwrap(),
+            old_parent: None,
+            new_parent: d.resolve(n).unwrap(),
+            at,
+        })
+        .collect()
+}
+
+/// Positive scenarios, three ways: the engine's `apply`, `run` of the
+/// compiled `S` and the oracle's split by definition. The relations hold
+/// one change, two changes of two members, and two changes of one member
+/// (where list order decides the cube), each in both orders, on the
+/// running example and on retail, visual and non-visual.
 #[test]
 fn theorem_4_1_positive_on_retail() {
+    let ex = running_example();
     let r = retail_example(9);
     let d = r.schema.dim(r.product);
-    let p1002 = d.resolve("1002").unwrap();
-    let f100 = d.resolve("100").unwrap();
-    let f200 = d.resolve("200").unwrap();
-    let scenario = Scenario::positive(
-        r.product,
-        vec![Change {
-            member: p1002,
-            old_parent: Some(f100),
-            new_parent: f200,
-            at: 3,
-        }],
-        Mode::Visual,
-    );
-    let direct = apply(&r.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    let algebra = run(&r.cube, &compile(&scenario)).unwrap();
-    assert!(algebra.cube.same_cells(&direct.cube).unwrap());
-    assert_eq!(algebra.schema.shape(), direct.schema.shape());
+    let claimed = Change {
+        member: d.resolve("1002").unwrap(),
+        old_parent: Some(d.resolve("100").unwrap()),
+        new_parent: d.resolve("200").unwrap(),
+        at: 3,
+    };
+    let joe_twice = [("Joe", "Contractor", 4), ("Joe", "FTE", 1)];
+    // (cube, dimension, R, whether R's two orders split differently)
+    let relations: Vec<(&Cube, DimensionId, Vec<Change>, bool)> = vec![
+        (
+            &ex.cube,
+            ex.org,
+            changes(&ex.cube, ex.org, &[("Lisa", "PTE", 3)]),
+            false,
+        ),
+        (
+            &ex.cube,
+            ex.org,
+            changes(
+                &ex.cube,
+                ex.org,
+                &[("Lisa", "PTE", 2), ("Tom", "Contractor", 4)],
+            ),
+            false,
+        ),
+        (
+            &ex.cube,
+            ex.org,
+            changes(&ex.cube, ex.org, &joe_twice),
+            true,
+        ),
+        (&r.cube, r.product, vec![claimed], false),
+        (
+            &r.cube,
+            r.product,
+            changes(
+                &r.cube,
+                r.product,
+                &[("1002", "200", 3), ("2001", "100", 1)],
+            ),
+            false,
+        ),
+        (
+            &r.cube,
+            r.product,
+            changes(
+                &r.cube,
+                r.product,
+                &[("1002", "200", 2), ("1002", "300", 5)],
+            ),
+            true,
+        ),
+    ];
+    for (cube, dim, list, order_matters) in relations {
+        let mut reversed = list.clone();
+        reversed.reverse();
+        let mut wants = Vec::new();
+        for r in [list, reversed] {
+            let want = oracle::split(cube, dim, &r);
+            assert_ne!(want, split_cells(cube, dim), "R moves cells: {r:?}");
+            for mode in [Mode::Visual, Mode::NonVisual] {
+                let scenario = Scenario::positive(dim, r.clone(), mode);
+                let chunked = apply(cube, &scenario, None, &ExecOpts::default()).unwrap();
+                let algebra = run(cube, &compile(&scenario)).unwrap();
+                let row = format!("{mode:?} R={r:?}");
+                let (s, a) = (
+                    split_cells(&algebra.cube, dim),
+                    split_cells(&chunked.cube, dim),
+                );
+                assert!(s == want, "S vs oracle: {row}");
+                assert!(a == want, "apply vs oracle: {row}");
+                assert!(algebra.cube.same_cells(&chunked.cube).unwrap(), "{row}");
+                assert_eq!(algebra.schema.shape(), chunked.schema.shape(), "{row}");
+                assert_eq!(algebra.mode, Some(mode));
+            }
+            wants.push(want);
+        }
+        assert_eq!(wants[0] != wants[1], order_matters, "{wants:?}");
+    }
 }
 
 #[test]

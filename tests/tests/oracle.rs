@@ -1,7 +1,7 @@
 //! The definitional oracle (`whatif_integration_tests::oracle`) against
-//! the paper's worked examples, against Φ, and — the load-bearing part —
-//! the chunked executor against the oracle over every read order, pass
-//! layout, scope, thread count and cache phase.
+//! the paper's worked examples, against Φ and `split`, and — the
+//! load-bearing part — the chunked executor against the oracle over
+//! every read order, pass layout, scope, thread count and cache phase.
 
 use olap_cube::Cube;
 use olap_mdx::{evaluate_with, parse, QueryContext};
@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whatif_core::{
-    execute, phi, ExecOpts, ExecReport, Mode, OrderPolicy, PerspectiveSpec, Plan, ScenarioCache,
-    Semantics,
+    execute, phi, split, Change, ExecOpts, ExecReport, Mode, OrderPolicy, PerspectiveSpec, Plan,
+    ScenarioCache, Semantics,
 };
 use whatif_integration_tests::oracle::{self, agrees_on_scope};
 use whatif_integration_tests::{
@@ -156,6 +156,66 @@ proptest! {
                 prop_assert_eq!(&g.iter().collect::<BTreeSet<u32>>(), w, "{:?} P={:?} instance {}", sem, p, i);
             }
         }
+    }
+}
+
+/// S on the paper's example (Section 3.4, R = {(FTE/Lisa, FTE, PTE,
+/// Apr)}): Lisa's cells before April stay under FTE, from April on they
+/// sit under PTE, and every other cell keeps its path and value.
+#[test]
+fn oracle_split_reproduces_the_papers_example() {
+    let ex = running_example();
+    let d = ex.schema.dim(ex.org);
+    let [lisa, fte, pte] = ["Lisa", "FTE", "PTE"].map(|n| d.resolve(n).unwrap());
+    let r = [Change {
+        member: lisa,
+        old_parent: Some(fte),
+        new_parent: pte,
+        at: 3,
+    }];
+    let before = oracle::split_cells(&ex.cube, ex.org);
+    let after = oracle::split(&ex.cube, ex.org, &r);
+    assert_eq!(before.len(), after.len());
+    // The moment's place among the coordinates once Organization's is gone.
+    let t_at = ex.time.index() - usize::from(ex.time.index() > ex.org.index());
+    let mut lisa_cells = [0, 0];
+    for ((member, path, rest), v) in &after {
+        if *member == lisa {
+            let april_on = rest[t_at] >= 3;
+            lisa_cells[usize::from(april_on)] += 1;
+            let parent = if april_on { pte } else { fte };
+            assert_eq!(path.as_deref(), Some(&[parent][..]), "{rest:?}");
+        } else {
+            assert_eq!(before.get(&(*member, path.clone(), rest.clone())), Some(v));
+        }
+    }
+    assert!(lisa_cells[0] > 0 && lisa_cells[1] > 0, "{lisa_cells:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `split` holds exactly the oracle's cells on random warehouses
+    /// under random change lists of one to five tuples over four of the
+    /// eight members, so that many lists change a member more than once.
+    #[test]
+    fn oracle_split_agrees_with_split(
+        seed in 0u64..200,
+        picks in proptest::collection::vec((0u32..4, 0u32..3, 0u32..8), 1..6),
+    ) {
+        let w = random_warehouse(seed, 3, 8, 8, 4);
+        let d = w.schema.dim(w.dim);
+        let changes: Vec<Change> = (picks.iter())
+            .map(|&(m, g, at)| Change {
+                member: d.resolve(&format!("m{m}")).unwrap(),
+                old_parent: None,
+                new_parent: d.resolve(&format!("g{g}")).unwrap(),
+                at,
+            })
+            .collect();
+        let (_, out) = split(&w.cube, w.dim, &changes).unwrap();
+        let want = oracle::split(&w.cube, w.dim, &changes);
+        prop_assert!(oracle::split_cells(&out, w.dim) == want, "seed {} R={:?}", seed, picks);
     }
 }
 

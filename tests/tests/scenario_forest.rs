@@ -1,11 +1,18 @@
-//! Scenario-forest tests: copy-on-write forks share unchanged change
-//! lists structurally, fork edits stay isolated, and a session toggling
-//! forks over the versioned cache replays warm (DESIGN.md §14).
+//! Scenario-forest tests: fork edits stay isolated, a session toggling
+//! forks over the versioned cache replays warm, and forks sharing one
+//! dataset never share a positive reply their change lists do not
+//! determine (DESIGN.md §14).
 
 use olap_model::{DimensionId, MemberId};
 use polap_cli::{Dataset, Outcome, Session, SharedData};
 use std::sync::Arc;
-use whatif_core::{Change, Mode, PerspectiveSpec, ScenarioForest, Semantics};
+use whatif_core::{Change, Mode, PerspectiveSpec, Scenario, ScenarioForest, Semantics};
+
+fn text(o: Outcome) -> String {
+    match o {
+        Outcome::Continue(t) | Outcome::Quit(t) | Outcome::Deadline(t) => t,
+    }
+}
 
 /// A running-example session with a 16 MB scenario cache.
 fn cached_session() -> Session {
@@ -20,36 +27,6 @@ fn change(member: u32, at: u32) -> Change {
         old_parent: None,
         new_parent: MemberId(1),
         at,
-    }
-}
-
-/// A deep fork chain shares every sealed segment with its ancestors:
-/// the total tuples *stored* grow linearly in the edits, not in
-/// forks × edits — the crossworld-style structural-sharing claim.
-#[test]
-fn deep_fork_chains_share_all_sealed_segments() {
-    let mut f = ScenarioForest::new();
-    for round in 0..8u32 {
-        f.add_change(DimensionId(0), Mode::Visual, change(100 + round, round))
-            .unwrap();
-        f.fork(&format!("gen{round}")).unwrap();
-    }
-    // The deepest fork sees all 8 changes, all of them shared.
-    let leaf = f.current_changes().unwrap();
-    assert_eq!(leaf.len(), 8);
-    assert_eq!(leaf.shared_len(), 8);
-    // Each ancestor's segments are prefixes of the leaf's — pointer-equal,
-    // not copies.
-    let leaf_segments: Vec<_> = leaf.segments().to_vec();
-    for round in 0..8usize {
-        f.switch(&format!("gen{round}")).unwrap();
-        let c = f.current_changes().unwrap();
-        for (i, seg) in c.segments().iter().enumerate() {
-            assert!(
-                Arc::ptr_eq(seg, &leaf_segments[i]),
-                "gen{round} segment {i} was copied, not shared"
-            );
-        }
     }
 }
 
@@ -71,55 +48,18 @@ fn sibling_forks_are_mutually_isolated() {
         .unwrap();
 
     let members = |f: &ScenarioForest| -> Vec<u32> {
-        f.current_changes()
-            .unwrap()
-            .iter()
-            .map(|c| c.member.0)
-            .collect()
+        match f.scenario() {
+            Some(Scenario::Positive { changes, .. }) => {
+                changes.iter().map(|c| c.member.0).collect()
+            }
+            other => panic!("not a positive fork: {other:?}"),
+        }
     };
     assert_eq!(members(&f), vec![1, 3, 4]);
     f.switch("right").unwrap();
     assert_eq!(members(&f), vec![1, 2]);
     f.switch("main").unwrap();
     assert_eq!(members(&f), vec![1]);
-    // Distinct relations fingerprint distinctly; equal ones equally.
-    let mut prints = Vec::new();
-    for name in ["main", "left", "right"] {
-        f.switch(name).unwrap();
-        prints.push(f.fingerprint().unwrap());
-    }
-    prints.sort_unstable();
-    prints.dedup();
-    assert_eq!(prints.len(), 3, "sibling scenarios must not collide");
-}
-
-/// The forest's chain fingerprint is the scenario fingerprint: a fork
-/// whose *logical* relation equals a flat scenario digests identically,
-/// no matter how the chain is segmented.
-#[test]
-fn segmentation_never_changes_the_fingerprint() {
-    let mut chained = ScenarioForest::new();
-    chained
-        .add_change(DimensionId(2), Mode::NonVisual, change(7, 1))
-        .unwrap();
-    chained.fork("a").unwrap();
-    chained
-        .add_change(DimensionId(2), Mode::NonVisual, change(8, 2))
-        .unwrap();
-    chained.fork("b").unwrap();
-    chained
-        .add_change(DimensionId(2), Mode::NonVisual, change(9, 3))
-        .unwrap();
-
-    let mut flat = ScenarioForest::new();
-    for c in [change(7, 1), change(8, 2), change(9, 3)] {
-        flat.add_change(DimensionId(2), Mode::NonVisual, c).unwrap();
-    }
-    assert_eq!(chained.fingerprint(), flat.fingerprint());
-    assert_eq!(
-        chained.scenario().unwrap().fingerprint(),
-        chained.fingerprint().unwrap()
-    );
 }
 
 /// Negative scenarios fork too: the child inherits the parent's
@@ -131,20 +71,14 @@ fn negative_forks_inherit_then_diverge() {
     f.set_negative(base.clone());
     f.fork("alt").unwrap();
     // The child starts equal to the parent…
-    assert_eq!(
-        f.scenario().unwrap().fingerprint(),
-        whatif_core::Scenario::Negative(base).fingerprint()
-    );
+    let parent = Scenario::Negative(base);
+    assert_eq!(f.scenario(), Some(&parent));
     // …and diverges privately.
-    f.set_negative(PerspectiveSpec::new(
-        DimensionId(1),
-        [2, 4],
-        Semantics::Forward,
-        Mode::Visual,
-    ));
-    let child = f.fingerprint().unwrap();
+    let child = PerspectiveSpec::new(DimensionId(1), [2, 4], Semantics::Forward, Mode::Visual);
+    f.set_negative(child.clone());
+    assert_eq!(f.scenario(), Some(&Scenario::Negative(child)));
     f.switch("main").unwrap();
-    assert_ne!(f.fingerprint().unwrap(), child);
+    assert_eq!(f.scenario(), Some(&parent));
 }
 
 /// End-to-end through a session: fork/switch toggling over a warm
@@ -153,9 +87,6 @@ fn negative_forks_inherit_then_diverge() {
 #[test]
 fn session_fork_toggle_replays_warm_and_identical() {
     let mut s = cached_session();
-    let text = |o: Outcome| match o {
-        Outcome::Continue(t) | Outcome::Quit(t) | Outcome::Deadline(t) => t,
-    };
     let a = text(s.handle(".apply forward 1,3"));
     s.handle(".fork b");
     let b = text(s.handle(".apply forward 2,4"));
@@ -172,4 +103,48 @@ fn session_fork_toggle_replays_warm_and_identical() {
     let (hits, lookups) = (stats.hits - before.hits, stats.lookups - before.lookups);
     assert_eq!(stats.evictions, before.evictions, "{stats:?}");
     assert!(hits > 0 && hits == lookups, "{stats:?}");
+}
+
+/// Forks `fork` off `main` in session `s`, records `changes` on it and
+/// returns the `.apply` reply.
+fn apply_on_fork(s: &mut Session, fork: &str, changes: &[&str]) -> String {
+    s.handle(".switch main");
+    assert!(!text(s.handle(&format!(".fork {fork}"))).starts_with("error:"));
+    for line in changes {
+        assert!(!text(s.handle(line)).starts_with("error:"), "{line}");
+    }
+    text(s.handle(".apply"))
+}
+
+/// `split` applies a change list in order, so a list and its reversal
+/// are two scenarios with two replies. Run on two forks over one
+/// `SharedData` — in one session, or in two sessions with either list
+/// first — each reply must equal the one a fresh session gives.
+#[test]
+fn reordered_change_lists_never_share_a_reply() {
+    let list = [".change Joe Contractor 4", ".change Joe FTE 1"];
+    let reversed = [list[1], list[0]];
+    let fresh = |fork: &str, changes: &[&str]| {
+        apply_on_fork(&mut Session::new(Dataset::Running), fork, changes)
+    };
+    let (want_a, want_b) = (fresh("a", &list), fresh("b", &reversed));
+    let digest = |reply: &str| reply.split("digest ").nth(1).map(str::to_string);
+    assert_ne!(digest(&want_a), digest(&want_b), "the two orders differ");
+
+    let shared = Arc::new(SharedData::load(Dataset::Running));
+    let mut one = Session::attach(shared.clone());
+    assert_eq!(apply_on_fork(&mut one, "a", &list), want_a);
+    assert_eq!(apply_on_fork(&mut one, "b", &reversed), want_b);
+    for a_first in [true, false] {
+        let shared = Arc::new(SharedData::load(Dataset::Running));
+        let mut sessions = [
+            Session::attach(shared.clone()),
+            Session::attach(shared.clone()),
+        ];
+        let runs = [("a", &list, &want_a), ("b", &reversed, &want_b)];
+        for i in if a_first { [0, 1] } else { [1, 0] } {
+            let (fork, changes, want) = runs[i];
+            assert_eq!(&apply_on_fork(&mut sessions[i], fork, changes), want);
+        }
+    }
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! repro [--fig 11|12|13] [--table S] [--ablations] [--replay] [--all]
-//!       [--csv DIR] [--threads N] [--cache MB]
+//!       [--csv DIR] [--cache MB]
 //! ```
 //!
 //! With no arguments, `--all` is assumed. Timings are minima over a few
@@ -29,7 +29,7 @@ use whatif_core::{
 const ITERS: u32 = 3;
 
 const USAGE: &str = "usage: repro [--fig N]… [--table S] [--ablations] [--replay] [--all] \
-                     [--csv DIR] [--threads N] [--cache MB]";
+                     [--csv DIR] [--cache MB]";
 
 /// Every flag error ends here: the message on stderr, exit status 2.
 fn usage_error(msg: &str) -> ! {
@@ -44,9 +44,6 @@ fn main() {
     let mut ablations = false;
     let mut replay = false;
     let mut csv_dir: Option<String> = None;
-    // `--threads` lands in the one options value every experiment below
-    // borrows.
-    let mut opts = ExecOpts::default();
     let mut cache_mb = 0usize;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -57,13 +54,6 @@ fn main() {
                     .unwrap_or_else(|| usage_error("--cache needs a size in MB (0 disables)"));
             }
             "--replay" => replay = true,
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage_error("--threads needs a positive integer"));
-            }
             "--fig" => figs.push(match args.next().as_deref() {
                 Some("11") => "11",
                 Some("12") => "12",
@@ -101,29 +91,21 @@ fn main() {
     if table_s {
         print_table_s();
     }
-    if opts.threads > 1 {
-        println!("(executor parallelism: {} threads)", opts.threads);
-        println!(
-            "(note: with --threads >= 2, peak-buffer and chunks-scanned figures sum over \
-             workers — each worker streams the base once — so they are not comparable to \
-             the paper's serial Sec. 5 measurements; use --threads 1 to reproduce those)\n"
-        );
-    }
     for f in figs {
         let fig = match f {
-            "11" => fig11(&opts),
+            "11" => fig11(),
             "12" => fig12(),
-            "13" => fig13(&opts),
+            "13" => fig13(),
             _ => unreachable!(),
         };
         println!("{fig}");
         outputs.push(fig);
     }
     if ablations {
-        run_ablations(&opts);
+        run_ablations();
     }
     if replay {
-        run_replay(&opts, cache_mb);
+        run_replay(cache_mb);
     }
     if let Some(dir) = csv_dir {
         std::fs::create_dir_all(&dir).expect("create csv dir");
@@ -198,11 +180,10 @@ fn print_table_s() {
     println!("(scale: 1/10th linear — see DESIGN.md §2)\n");
 }
 
-fn fig11(opts: &ExecOpts) -> Figure {
+fn fig11() -> Figure {
     eprintln!("[fig11] building workload…");
     let wf = default_workforce();
-    let mut ctx = context(&wf);
-    ctx.opts = opts.clone();
+    let ctx = context(&wf);
     let ks = [1usize, 2, 3, 4, 6, 8, 10, 12];
     let mut static_s = Vec::new();
     let mut fwd_s = Vec::new();
@@ -281,11 +262,10 @@ fn fig12() -> Figure {
     }
 }
 
-fn fig13(opts: &ExecOpts) -> Figure {
+fn fig13() -> Figure {
     eprintln!("[fig13] building 4-move workload…");
     let wf = fig13_workforce(25);
-    let mut ctx = context(&wf);
-    ctx.opts = opts.clone();
+    let ctx = context(&wf);
     let p = quarterly();
     let mut pts = Vec::new();
     for &n in &[5u32, 10, 15, 20, 25] {
@@ -307,7 +287,7 @@ fn fig13(opts: &ExecOpts) -> Figure {
     }
 }
 
-fn run_ablations(opts: &ExecOpts) {
+fn run_ablations() {
     println!("=== Ablations ===");
     // Pebbling vs naive on the paper's Fig. 9 graph.
     let g = merge::MergeGraph::fig9();
@@ -346,7 +326,7 @@ fn run_ablations(opts: &ExecOpts) {
             None,
         )
         .unwrap();
-        let run = || execute(&wf.cube, &plan, opts).unwrap();
+        let run = || execute(&wf.cube, &plan, &ExecOpts::default()).unwrap();
         let t = min_time(ITERS, run);
         let (_, report) = run();
         println!(
@@ -362,8 +342,7 @@ fn run_ablations(opts: &ExecOpts) {
     // Visual re-derives non-leaf cells over the output cube, non-visual
     // retains the input's: the Fig. 10(a) query at 4 perspectives.
     let wf = default_workforce();
-    let mut ctx = context(&wf);
-    ctx.opts = opts.clone();
+    let ctx = context(&wf);
     let [nonvisual, visual] = ["NONVISUAL", "VISUAL"].map(|mode| {
         let q = wf.fig10a_query_sem(&first_months(4), &format!("DYNAMIC FORWARD {mode}"));
         min_time(ITERS, || run(&ctx, &q)).as_secs_f64() * 1e3
@@ -378,7 +357,7 @@ fn run_ablations(opts: &ExecOpts) {
 /// structural on any hardware: every merge component whose fate table
 /// an edit leaves unchanged is served from cache instead of being
 /// re-read and re-merged.
-fn run_replay(opts: &ExecOpts, cache_mb: usize) {
+fn run_replay(cache_mb: usize) {
     println!("=== Scenario-delta replay (K=8 one-perspective edits) ===");
     let wf = Workforce::build(WorkforceConfig::bench());
     let mb = if cache_mb > 0 { cache_mb } else { 64 };
@@ -395,7 +374,7 @@ fn run_replay(opts: &ExecOpts, cache_mb: usize) {
             let label = format!("replay_{sem_name}_{phase}");
             let opts = ExecOpts {
                 cache: cache.clone(),
-                ..opts.clone()
+                ..ExecOpts::default()
             };
             let start = std::time::Instant::now();
             let mut chunk_reads = 0u64;

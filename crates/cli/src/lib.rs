@@ -181,16 +181,15 @@ impl SharedData {
     }
 }
 
-/// One interactive session: private tuning and budget over an
-/// [`Arc<SharedData>`] that may be shared with other sessions.
+/// One interactive session: a private budget and deadline over an
+/// [`Arc<SharedData>`] that may be shared with other sessions. Each
+/// request runs on the session's own thread.
 pub struct Session {
     shared: Arc<SharedData>,
-    /// This session's executor knobs (`--threads`, `--budget`, the
-    /// budget verb). `budget_cells` also bounds the rollup verb (more
-    /// passes instead of reject-with-error). The two per-request
-    /// fields, `cache` and `deadline`, stay unset here:
-    /// `Session::request_opts` fills them in for each request.
-    opts: ExecOpts,
+    /// Peak-memory ceiling in cells for this session's requests (`--budget`,
+    /// the budget verb); 0 = unlimited. It also bounds the rollup verb
+    /// (more passes instead of reject-with-error).
+    budget_cells: u64,
     /// Per-request wall-clock deadline in milliseconds; 0 = unlimited.
     /// The clock starts when execution starts, and the chunked executor
     /// checks it cooperatively at pass/slice boundaries — an expired
@@ -227,7 +226,7 @@ impl Session {
     pub fn attach(shared: Arc<SharedData>) -> Session {
         Session {
             shared,
-            opts: ExecOpts::default(),
+            budget_cells: 0,
             deadline_ms: 0,
             forest: ScenarioForest::new(),
         }
@@ -238,12 +237,10 @@ impl Session {
         &self.shared
     }
 
-    /// Sets the session's executor knobs (`--threads N`, `--budget
-    /// CELLS`). `opts.cache` and `opts.deadline` are per-request values
-    /// and are overwritten on every request ([`SharedData::set_cache_mb`]
-    /// and [`Session::with_deadline_ms`] configure their sources).
-    pub fn with_opts(mut self, opts: ExecOpts) -> Session {
-        self.opts = opts;
+    /// Sets the session's peak-memory budget in cells (`--budget
+    /// CELLS`); 0 = unlimited.
+    pub fn with_budget(mut self, cells: u64) -> Session {
+        self.budget_cells = cells;
         self
     }
 
@@ -260,16 +257,16 @@ impl Session {
 
     /// The executor options for a request starting *now* — the one
     /// place a request's [`ExecOpts`] is assembled, used by MDX queries
-    /// and scenario verbs alike: the session's knobs, the shared scenario
-    /// cache, and the deadline instant per `deadline_ms` (`None` =
-    /// unlimited).
+    /// and scenario verbs alike: the session's budget, the shared
+    /// scenario cache, and the deadline instant per `deadline_ms` (`None`
+    /// = unlimited).
     fn request_opts(&self) -> ExecOpts {
         ExecOpts {
             cache: self.shared.cache.clone(),
+            budget_cells: self.budget_cells,
             deadline: (self.deadline_ms > 0).then(|| {
                 std::time::Instant::now() + std::time::Duration::from_millis(self.deadline_ms)
             }),
-            ..self.opts.clone()
         }
     }
 
@@ -725,17 +722,15 @@ impl Session {
     }
 
     /// One single-dimension group-by per cube dimension, run through
-    /// the budget-respecting multi-pass aggregator with the session's
-    /// threads. A small session budget means more passes; an impossible
-    /// one is refused.
+    /// the budget-respecting multi-pass aggregator. A small session
+    /// budget means more passes; an impossible one is refused.
     fn rollup(&mut self, _: &str) -> Reply {
         let cube = self.data().cube();
         let schema = cube.schema();
         let ndims = cube.geometry().ndims();
         let masks: Vec<olap_cube::GroupByMask> = (0..ndims as u32).map(|d| 1 << d).collect();
-        let budget = Some(self.opts.budget_cells).filter(|&n| n > 0);
-        let aggregator = olap_cube::CubeAggregator::new(cube).with_threads(self.opts.threads);
-        let (results, report) = aggregator
+        let budget = Some(self.budget_cells).filter(|&n| n > 0);
+        let (results, report) = olap_cube::CubeAggregator::new(cube)
             .compute_with_budget(&masks, budget.unwrap_or(u64::MAX))
             .map_err(Refusal::error)?;
         let mut out = String::new();
@@ -1028,7 +1023,7 @@ pub static VERBS: &[Verb] = &[
     Verb { name: "rollup", run: Session::rollup, help: "per-dimension totals via the budget-aware \
         multi-pass\naggregator (small budgets add passes)", ..READ },
     Verb { name: "budget", usage: "[cells]", sets_session: Some(Knob),
-        run: |s, arg| knob(&mut s.opts.budget_cells, arg, "session budget", "cells"),
+        run: |s, arg| knob(&mut s.budget_cells, arg, "session budget", "cells"),
         help: "show or set this session's peak-memory budget (0 = unlimited)", ..READ },
     Verb { name: "deadline", usage: "[ms]", sets_session: Some(Knob),
         run: |s, arg| knob(&mut s.deadline_ms, arg, "request deadline", "ms"),
@@ -1149,20 +1144,29 @@ mod tests {
         }
     }
 
+    /// The server's shape: sessions over one shared dataset, each on its
+    /// own thread and asking at once, reply exactly as one session alone.
     #[test]
     fn threaded_session_matches_serial() {
         let q = "WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD VISUAL \
                  SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS, \
                  {Organization.[FTE], Organization.[PTE], Organization.[Contractor]} ON ROWS \
                  FROM [W] WHERE (Location.[NY], Measures.[Salary])";
+        let lines = [q, ".rollup", ".apply forward 1,3"];
         let mut serial = Session::new(Dataset::Running);
-        let mut parallel = Session::new(Dataset::Running).with_opts(ExecOpts {
-            threads: 4,
-            ..ExecOpts::default()
+        let want: Vec<Outcome> = lines.iter().map(|l| serial.handle(l)).collect();
+        let shared = Arc::new(SharedData::load(Dataset::Running));
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let (shared, want) = (shared.clone(), &want);
+                s.spawn(move || {
+                    let mut session = Session::attach(shared);
+                    for (line, want) in lines.iter().zip(want) {
+                        assert_eq!(&session.handle(line), want, "{line}");
+                    }
+                });
+            }
         });
-        for line in [q, ".rollup"] {
-            assert_eq!(serial.handle(line), parallel.handle(line), "{line}");
-        }
     }
 
     #[test]
@@ -1357,17 +1361,9 @@ mod tests {
         };
         assert!(baseline.contains("digest"), "{baseline}");
         assert!(baseline.contains("cells"), "{baseline}");
-        for mut s in [
-            Session::new(Dataset::Running).with_opts(ExecOpts {
-                threads: 4,
-                ..ExecOpts::default()
-            }),
-            cached(Dataset::Running),
-        ] {
-            match s.handle(".apply forward 1,3") {
-                Outcome::Continue(t) => assert_eq!(t, baseline),
-                other => panic!("{other:?}"),
-            }
+        match cached(Dataset::Running).handle(".apply forward 1,3") {
+            Outcome::Continue(t) => assert_eq!(t, baseline),
+            other => panic!("{other:?}"),
         }
         // A warm cache replays the same answer.
         let mut cached = cached(Dataset::Running);
@@ -1525,10 +1521,7 @@ mod tests {
         ));
         // A squeezed-but-feasible budget forces extra passes yet keeps
         // the same totals.
-        let mut squeezed = Session::new(Dataset::Running).with_opts(ExecOpts {
-            budget_cells: 64,
-            ..ExecOpts::default()
-        });
+        let mut squeezed = Session::new(Dataset::Running).with_budget(64);
         match squeezed.handle(".rollup") {
             Outcome::Continue(t) => {
                 let totals = |s: &str| -> Vec<String> {

@@ -1,8 +1,7 @@
 //! `polap` — the perspective-olap shell.
 //!
 //! ```sh
-//! polap [running|retail|workforce|bench] [--threads N] [--cache MB]
-//!       [--budget CELLS]
+//! polap [running|retail|workforce|bench] [--cache MB] [--budget CELLS]
 //! polap --connect host:port      # client for a running olap-server
 //! ```
 
@@ -11,78 +10,55 @@ use polap_cli::{help, Dataset, Outcome, Session, SharedData};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
-const USAGE: &str = "usage: polap [running|retail|workforce|bench] [--threads N] \
-                     [--cache MB] [--budget CELLS] | polap --connect HOST:PORT";
+const USAGE: &str = "usage: polap [running|retail|workforce|bench] [--cache MB] \
+                     [--budget CELLS] | polap --connect HOST:PORT";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut dataset_arg: Option<String> = None;
-    let mut opts = whatif_core::ExecOpts::default();
-    let mut cache_mb = 0usize;
-    // Executor flags given, for rejecting them in client mode.
-    let (mut threads_given, mut budget_given) = (false, false);
+    // `None` until given, so client mode can refuse any value.
+    let (mut cache_mb, mut budget_cells): (Option<usize>, Option<u64>) = (None, None);
     let mut connect: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--cache" => {
                 i += 1;
-                cache_mb = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--cache needs a size in MiB (0 = off)");
-                    std::process::exit(2);
-                });
-            }
-            "--threads" => {
-                i += 1;
-                threads_given = true;
-                opts.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs a positive integer");
-                        std::process::exit(2);
-                    });
+                cache_mb = Some(
+                    args.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| usage_error("--cache needs a size in MiB (0 = off)")),
+                );
             }
             "--budget" => {
                 i += 1;
-                budget_given = true;
-                opts.budget_cells = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--budget needs a cell count (0 = unlimited)");
-                    std::process::exit(2);
-                });
+                budget_cells =
+                    Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                        usage_error("--budget needs a cell count (0 = unlimited)")
+                    }));
             }
             "--connect" => {
                 i += 1;
-                connect = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--connect needs HOST:PORT");
-                    std::process::exit(2);
-                }));
+                connect = Some(
+                    (args.get(i).cloned())
+                        .unwrap_or_else(|| usage_error("--connect needs HOST:PORT")),
+                );
             }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag:?}")),
             other if dataset_arg.is_none() => dataset_arg = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument {other:?}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unexpected argument {other:?}")),
         }
         i += 1;
     }
 
     if let Some(addr) = connect {
-        if dataset_arg.is_some() || cache_mb > 0 {
-            eprintln!("--connect runs against a server; dataset/--cache are chosen server-side");
-            std::process::exit(2);
+        if dataset_arg.is_some() || cache_mb.is_some() {
+            usage_error("--connect runs against a server; dataset/--cache are chosen server-side");
         }
-        if threads_given {
-            eprintln!("--connect runs against a server; set threads with olap-server --threads N");
-            std::process::exit(2);
-        }
-        if budget_given {
-            eprintln!(
-                "--connect runs against a server; set the budget in the session with .budget N"
+        if budget_cells.is_some() {
+            usage_error(
+                "--connect runs against a server; set the budget in the session with .budget N",
             );
-            std::process::exit(2);
         }
         run_client(&addr);
         return;
@@ -95,13 +71,19 @@ fn main() {
     };
     eprintln!("loading {dataset:?} dataset…");
     let mut shared = SharedData::load(dataset);
-    shared.set_cache_mb(cache_mb);
-    let mut session = Session::attach(Arc::new(shared)).with_opts(opts);
+    shared.set_cache_mb(cache_mb.unwrap_or(0));
+    let mut session = Session::attach(Arc::new(shared)).with_budget(budget_cells.unwrap_or(0));
     println!("{}\n", help());
     repl(|line| match session.handle(line) {
         Outcome::Continue(text) | Outcome::Deadline(text) => (text, false),
         Outcome::Quit(text) => (text, true),
     });
+}
+
+/// Reports a command-line mistake with the usage line and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
 }
 
 /// Client mode: same prompt loop, but every line goes to the server.

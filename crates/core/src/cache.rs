@@ -123,8 +123,8 @@ impl Inner {
 /// versioned by component digest.
 ///
 /// `Send + Sync`: one instance is shared by every query a `Session`
-/// runs, including parallel (`--threads`) executions — and, behind the
-/// server, by every *session* of a multi-tenant process. The executor
+/// runs — and, behind the server, by every *session* of a multi-tenant
+/// process, each on its own thread. The executor
 /// consults it before pebbling each merge component and installs the
 /// component's output chunks after a miss. Because entries are keyed by
 /// `(chunk id, digest)`, sessions on different scenarios coexist: each

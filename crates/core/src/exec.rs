@@ -13,7 +13,7 @@
 //! sharing one output cube; queries can also be **scoped** to the
 //! varying-dimension slots they touch, Essbase-style. All of that is
 //! decided up front in a [`Plan`]; the one entry point, [`execute`], only
-//! reads it. Serial, uncached execution is
+//! reads it, on the caller's thread. Uncached, unbounded execution is
 //! [`ExecOpts::default`]. [`ExecReport`] exposes predicted pebbles and
 //! observed peak buffer residency for the ablations.
 
@@ -82,13 +82,6 @@ pub struct ExecReport {
 /// fields.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOpts {
-    /// Worker threads, shared with `.rollup`'s aggregator; `0` (the
-    /// default) and `1` are serial. Lemma 5.1 slices are independent
-    /// (cells only move along the varying dimension), so
-    /// `Pebbling`/`Naive` passes split them across up to `threads`
-    /// workers; `DimOrder` stays serial, since its cross-slice
-    /// interleaving is what the Lemma 5.1 ablation measures.
-    pub threads: usize,
     /// Scenario-delta cache (DESIGN.md §10, §14): when set, executions
     /// probe it for every merge component their scope keeps whole (all
     /// of them when unscoped) whose fate tables match *any* previously
@@ -303,11 +296,9 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    /// Runs one pass of `dest` into `out`. With `opts.threads ≥ 2`
-    /// under `Pebbling`/`Naive`, slices fan out over scoped workers (they
-    /// are independent: cells only move along the varying dimension, so
-    /// no two slices touch the same output chunk); `DimOrder` always runs
-    /// serially.
+    /// Runs one pass of `dest` into `out`: one chunk sequence per
+    /// slice (the varying dimension first, Lemma 5.1), or `DimOrder`'s
+    /// one interleaved walk, with the deadline checked before each.
     fn pass(
         &self,
         out: &Cube,
@@ -315,73 +306,34 @@ impl Run<'_> {
         dest: &DestMap,
         report: &mut ExecReport,
     ) -> Result<()> {
-        // Units of serial work: one chunk sequence per slice (the varying
-        // dimension first, Lemma 5.1), or `DimOrder`'s one interleaved walk.
         let (geom, vd) = (self.cube.geometry(), self.plan.vd);
-        let groups: Vec<Vec<Vec<u32>>> = match &self.plan.policy {
-            OrderPolicy::DimOrder(dims) => vec![geom
-                .chunks_in_order(dims)
+        if let OrderPolicy::DimOrder(dims) = &self.plan.policy {
+            let walk: Vec<Vec<u32>> = (geom.chunks_in_order(dims))
                 .filter(|c| pass.roles[c[vd] as usize] != Role::Skip)
-                .collect()],
-            _ if pass.reads.is_empty() => Vec::new(),
-            _ => (self.plan.anchors.iter())
-                .map(|anchor| {
-                    let at = |&l: &u32| {
-                        let mut coord = anchor.clone();
-                        coord[vd] = l;
-                        coord
-                    };
-                    pass.reads.iter().map(at).collect()
+                .collect();
+            self.opts.check_deadline()?;
+            return self.process(out, dest, pass, &walk, report);
+        }
+        if pass.reads.is_empty() {
+            return Ok(());
+        }
+        for anchor in &self.plan.anchors {
+            let slice: Vec<Vec<u32>> = (pass.reads.iter())
+                .map(|&l| {
+                    let mut coord = anchor.clone();
+                    coord[vd] = l;
+                    coord
                 })
-                .collect(),
-        };
-        let workers = match self.plan.policy {
-            OrderPolicy::DimOrder(_) => 1,
-            _ => self.opts.threads.max(1).min(groups.len().max(1)),
-        };
-        let mut buckets: Vec<Vec<&Vec<Vec<u32>>>> = vec![Vec::new(); workers];
-        for (i, g) in groups.iter().enumerate() {
-            buckets[i % workers].push(g);
+                .collect();
+            self.opts.check_deadline()?;
+            self.process(out, dest, pass, &slice, report)?;
         }
-        let run_bucket = |bucket: &[&Vec<Vec<u32>>]| {
-            let mut r = ExecReport::default();
-            for seq in bucket {
-                self.opts.check_deadline()?;
-                self.process(out, dest, pass, seq, &mut r)?;
-            }
-            Ok(r)
-        };
-        let parts: Vec<Result<ExecReport>> = if workers == 1 {
-            vec![run_bucket(&buckets[0])]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (buckets.iter())
-                    .map(|bucket| s.spawn(|| run_bucket(bucket)))
-                    .collect();
-                (handles.into_iter())
-                    .map(|h| h.join().expect("executor worker panicked"))
-                    .collect()
-            })
-        };
-        let mut peak_sum = 0u64;
-        for part in parts {
-            let r = part?;
-            report.chunks_read += r.chunks_read;
-            report.cells_relocated += r.cells_relocated;
-            report.cells_dropped += r.cells_dropped;
-            report.slices += r.slices;
-            report.merges += r.merges;
-            peak_sum += r.peak_out_buffers;
-        }
-        // Sum of per-worker peaks: an upper bound on simultaneous
-        // residency (workers need not peak at the same instant); exact
-        // for one worker.
-        report.peak_out_buffers = report.peak_out_buffers.max(peak_sum);
         Ok(())
     }
 
-    /// Processes one ordered chunk sequence with private slice/buffer
-    /// state, into the worker's own report.
+    /// Processes one ordered chunk sequence with its own slice/buffer
+    /// state; `peak_out_buffers` is the high-water mark of one sequence's
+    /// live buffers, the serial figure Sec. 5.2's pebbling predicts.
     fn process(
         &self,
         out: &Cube,

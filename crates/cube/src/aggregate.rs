@@ -4,9 +4,9 @@
 //! every requested group-by at once. Group-bys cascade through the
 //! [`Mmst`]: each node aggregates from its tree parent's *completed*
 //! chunks, holding partial chunk buffers exactly as long as Zhao's memory
-//! rule predicts. The aggregator reports the observed peak buffer
-//! occupancy so tests (and the dimension-order ablation) can check the
-//! prediction.
+//! rule predicts. Each pass is one serial scan on the caller's thread,
+//! and the aggregator reports its observed peak buffer occupancy so tests
+//! (and the dimension-order ablation) can check the prediction.
 //!
 //! What travels along a tree edge is a *dense block*: a completed chunk's
 //! accumulators as one row-major array plus its chunk-grid coordinate,
@@ -19,8 +19,7 @@
 //! position and per live buffer, not per cell, and an all-⊥ grid position
 //! only advances completion counters. Within a block sources are folded
 //! in ascending offset and blocks arrive in scan order, which fixes the
-//! floating-point result of every target whatever the thread count or
-//! pass split.
+//! floating-point result of every target whatever the pass split.
 //!
 //! Accumulators carry (sum, count, min, max) end-to-end, so the algebraic
 //! AVG stays correct through arbitrary cascade depth.
@@ -31,7 +30,6 @@ use crate::rules::{Acc, AggFn};
 use crate::Result;
 use olap_store::{CellValue, Chunk, ChunkData, ChunkGeometry};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One completed group-by: a dense array of accumulators over the
 /// retained dimensions' full axes.
@@ -99,49 +97,20 @@ impl GroupByResult {
 pub struct AggregationReport {
     /// Peak simultaneously-live buffer cells across all group-bys, by
     /// Zhao's accounting: a chunk buffer counts in full from the first
-    /// parent chunk delivered to it (all-⊥ or not) until its last. In
-    /// parallel mode this is the sum of the per-worker peaks — an upper
-    /// bound on simultaneous residency (workers need not peak together);
-    /// `concurrent_peak_cells` is the exact mark.
+    /// parent chunk delivered to it (all-⊥ or not) until its last. The
+    /// scan's serial high-water mark; maxed across passes in multi-pass
+    /// runs.
     pub peak_buffer_cells: u64,
-    /// Peak simultaneously-live chunk buffers across all group-bys
-    /// (summed over workers in parallel mode, like `peak_buffer_cells`).
+    /// Peak simultaneously-live chunk buffers across all group-bys.
     pub peak_buffer_chunks: u64,
     /// Base chunk-grid positions visited, materialized or implicit ⊥
     /// (only the former are read; the latter are announced to the
     /// cascade as empty blocks). One scan visits every position once;
-    /// summed over passes for the multi-pass fallback, and over workers
-    /// in parallel mode — each worker streams the base once.
+    /// summed over passes for the multi-pass fallback.
     pub base_chunks_scanned: u64,
     /// Number of passes over the input (1 unless a memory budget forced
     /// Zhao's multi-pass fallback).
     pub passes: u64,
-    /// Peak live buffer cells observed by each worker thread. Empty in
-    /// serial mode; element-wise maxed across passes in multi-pass runs.
-    pub per_thread_peak_cells: Vec<u64>,
-    /// True concurrent high-water mark of live buffer cells: every
-    /// worker adds and subtracts on one shared gauge, and the peak is
-    /// taken atomically (`fetch_max`), so this is the largest number of
-    /// cells simultaneously resident across the whole pool. Equals
-    /// `peak_buffer_cells` in serial mode; in parallel mode it sits
-    /// between `max_worker_peak_cells()` and the summed
-    /// `peak_buffer_cells` (workers need not peak together). Maxed
-    /// across passes in multi-pass runs.
-    pub concurrent_peak_cells: u64,
-}
-
-impl AggregationReport {
-    /// Largest single-worker peak of live buffer cells — the figure
-    /// comparable to a serial run's `peak_buffer_cells` (which in
-    /// parallel mode sums the workers instead). Equals
-    /// `peak_buffer_cells` in serial mode.
-    pub fn max_worker_peak_cells(&self) -> u64 {
-        self.per_thread_peak_cells
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(self.peak_buffer_cells)
-    }
 }
 
 /// The accumulator array of one in-flight group-by chunk.
@@ -154,8 +123,8 @@ struct Buffer {
     seen: u32,
 }
 
-/// A node's place in the cascade plan, shared (read-only) by every
-/// worker; each worker runs its own [`Node`]s against these.
+/// A node's place in the cascade plan, read-only during the scan; the
+/// scan runs one [`Node`] against each.
 struct NodeSpec {
     mask: GroupByMask,
     /// Retained dims, ascending.
@@ -171,7 +140,7 @@ struct NodeSpec {
     requested: bool,
 }
 
-/// One worker's mutable state for a group-by node.
+/// The scan's mutable state for a group-by node.
 #[derive(Default)]
 struct Node {
     /// Live partial chunks, keyed by the row-major index of the chunk in
@@ -183,7 +152,7 @@ struct Node {
     /// the chunk currently being delivered to.
     coord: Vec<u32>,
     shape: Vec<u32>,
-    /// Completed output (only for requested masks this worker owns).
+    /// Completed output (only for requested masks).
     result: Option<GroupByResult>,
 }
 
@@ -211,7 +180,6 @@ enum Cells<'a> {
 pub struct CubeAggregator<'a> {
     cube: &'a Cube,
     order: Vec<usize>,
-    threads: usize,
 }
 
 impl<'a> CubeAggregator<'a> {
@@ -224,22 +192,7 @@ impl<'a> CubeAggregator<'a> {
     /// Aggregator with an explicit read order (`order[0]` fastest).
     pub fn with_order(cube: &'a Cube, order: Vec<usize>) -> Self {
         assert_eq!(order.len(), cube.geometry().ndims());
-        CubeAggregator {
-            cube,
-            order,
-            threads: 1,
-        }
-    }
-
-    /// Sets the parallelism degree. `1` (the default) is serial. `n ≥ 2`
-    /// partitions the MMST's root subtrees across up to `n` worker
-    /// threads, each streaming the base chunks with a private buffer map
-    /// (the `(sum, count, min, max)` accumulators make every merge
-    /// associative, and each requested mask belongs to exactly one
-    /// subtree, so no cross-worker merging is needed).
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
+        CubeAggregator { cube, order }
     }
 
     /// The read order in use.
@@ -266,16 +219,7 @@ impl<'a> CubeAggregator<'a> {
             out.extend(results);
             report.peak_buffer_cells = report.peak_buffer_cells.max(r.peak_buffer_cells);
             report.peak_buffer_chunks = report.peak_buffer_chunks.max(r.peak_buffer_chunks);
-            report.concurrent_peak_cells =
-                report.concurrent_peak_cells.max(r.concurrent_peak_cells);
             report.base_chunks_scanned += r.base_chunks_scanned;
-            for (i, &v) in r.per_thread_peak_cells.iter().enumerate() {
-                if i < report.per_thread_peak_cells.len() {
-                    report.per_thread_peak_cells[i] = report.per_thread_peak_cells[i].max(v);
-                } else {
-                    report.per_thread_peak_cells.push(v);
-                }
-            }
         }
         report.passes = passes.len() as u64;
         Ok((out, report))
@@ -292,56 +236,29 @@ impl<'a> CubeAggregator<'a> {
         self.run_pass(&mmst, masks)
     }
 
-    /// One scan of the base cube computing `masks` together.
+    /// One scan of the base cube computing `masks` together: every
+    /// requested node gets its result array, then the scan fills them.
     fn run_pass(
         &self,
         mmst: &Mmst,
         masks: &[GroupByMask],
     ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
+        let geom = self.cube.geometry();
         let specs = self.plan(mmst, masks);
-        let root_children = &specs[0].children;
-        let workers = self.threads.max(1).min(root_children.len().max(1));
-        let gauge = Gauge::default();
-        let (out, mut report) = if workers <= 1 {
-            self.run_worker(&specs, root_children, true, &gauge)?
-        } else {
-            // Root subtrees are disjoint (every non-full mask hangs under
-            // exactly one child of the root), so they partition
-            // round-robin across scoped threads. Each worker streams the
-            // base chunks itself (the buffer pool is safe for concurrent
-            // readers) into private nodes and hands back the results of
-            // its own subtrees; the first also answers the full mask. The
-            // merge is a disjoint union.
-            let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); workers];
-            for (i, &c) in root_children.iter().enumerate() {
-                assigned[i % workers].push(c);
-            }
-            let (specs, gauge) = (&specs, &gauge);
-            let parts: Vec<Result<_>> = std::thread::scope(|s| {
-                let handles: Vec<_> = assigned
-                    .iter()
-                    .enumerate()
-                    .map(|(w, mine)| s.spawn(move || self.run_worker(specs, mine, w == 0, gauge)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("aggregation worker panicked"))
-                    .collect()
-            });
-            let mut out = HashMap::new();
-            let mut report = AggregationReport::default();
-            for part in parts {
-                let (results, r) = part?;
-                out.extend(results);
-                report.peak_buffer_cells += r.peak_buffer_cells;
-                report.peak_buffer_chunks += r.peak_buffer_chunks;
-                report.base_chunks_scanned += r.base_chunks_scanned;
-                report.per_thread_peak_cells.push(r.peak_buffer_cells);
-            }
-            (out, report)
-        };
-        report.concurrent_peak_cells = gauge.peak();
+        let mut nodes: Vec<Node> = (specs.iter())
+            .map(|spec| Node {
+                result: spec.requested.then(|| {
+                    let shape = spec.dims.iter().map(|&d| geom.lens()[d]).collect();
+                    GroupByResult::new(spec.dims.clone(), shape)
+                }),
+                ..Node::default()
+            })
+            .collect();
+        let mut report = self.scan(&specs, &mut nodes)?;
         report.passes = 1;
+        let out = (nodes.into_iter().zip(&specs))
+            .filter_map(|(node, spec)| Some((spec.mask, node.result?)))
+            .collect();
         Ok((out, report))
     }
 
@@ -383,58 +300,16 @@ impl<'a> CubeAggregator<'a> {
         specs
     }
 
-    /// Runs one worker: a scan of every base chunk feeding the subtrees
-    /// rooted at `subtrees` (and, with `root`, the full mask's own result)
-    /// from private nodes. Returns the requested results of those nodes.
-    fn run_worker(
-        &self,
-        specs: &[NodeSpec],
-        subtrees: &[usize],
-        root: bool,
-        gauge: &Gauge,
-    ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
-        let geom = self.cube.geometry();
-        let mut nodes: Vec<Node> = specs.iter().map(|_| Node::default()).collect();
-        let mut stack = subtrees.to_vec();
-        if root {
-            stack.push(0);
-        }
-        while let Some(ni) = stack.pop() {
-            let spec = &specs[ni];
-            if ni != 0 {
-                stack.extend_from_slice(&spec.children);
-            }
-            if spec.requested {
-                let shape = spec.dims.iter().map(|&d| geom.lens()[d]).collect();
-                nodes[ni].result = Some(GroupByResult::new(spec.dims.clone(), shape));
-            }
-        }
-        let report = self.scan(specs, &mut nodes, subtrees, gauge)?;
-        let out = nodes
-            .iter_mut()
-            .zip(specs)
-            .filter_map(|(node, spec)| Some((spec.mask, node.result.take()?)))
-            .collect();
-        Ok((out, report))
-    }
-
     /// Streams every base chunk in the chosen order, delivering each as a
-    /// block to the root children in `deliver_to` only. Implicit (all-⊥)
+    /// block to the root's children. Implicit (all-⊥)
     /// chunks are announced too: children count completions per parent
     /// chunk. A requested full mask is filled here, from the same blocks,
     /// so the base is never walked a second time.
-    fn scan(
-        &self,
-        specs: &[NodeSpec],
-        nodes: &mut [Node],
-        deliver_to: &[usize],
-        gauge: &Gauge,
-    ) -> Result<AggregationReport> {
+    fn scan(&self, specs: &[NodeSpec], nodes: &mut [Node]) -> Result<AggregationReport> {
         let geom = self.cube.geometry();
         let mut exec = Exec {
             geom,
             specs,
-            gauge,
             live_cells: 0,
             live_chunks: 0,
             report: AggregationReport::default(),
@@ -465,7 +340,7 @@ impl<'a> CubeAggregator<'a> {
                 shape: &shape,
                 cells,
             };
-            for &c in deliver_to {
+            for &c in &specs[0].children {
                 exec.deliver(nodes, c, &block);
             }
         }
@@ -481,36 +356,10 @@ impl<'a> CubeAggregator<'a> {
     }
 }
 
-/// Shared high-water gauge for live buffer cells. Every worker adds and
-/// subtracts on the same `cur` counter, so `peak` captures the largest
-/// *simultaneous* residency across the whole pool — unlike the summed
-/// per-worker peaks, which assume all workers peak at once.
-#[derive(Default)]
-struct Gauge {
-    cur: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl Gauge {
-    fn add(&self, n: u64) {
-        let now = self.cur.fetch_add(n, Ordering::Relaxed) + n;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    fn sub(&self, n: u64) {
-        self.cur.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
-    }
-}
-
 /// Mutable execution state threaded through the cascade.
 struct Exec<'p> {
     geom: &'p ChunkGeometry,
     specs: &'p [NodeSpec],
-    gauge: &'p Gauge,
     live_cells: u64,
     live_chunks: u64,
     report: AggregationReport,
@@ -552,7 +401,6 @@ impl<'p> Exec<'p> {
         let buffer = node.live.entry(key).or_insert_with(|| {
             self.live_chunks += 1;
             self.live_cells += buf_len as u64;
-            self.gauge.add(buf_len as u64);
             self.report.peak_buffer_chunks = self.report.peak_buffer_chunks.max(self.live_chunks);
             self.report.peak_buffer_cells = self.report.peak_buffer_cells.max(self.live_cells);
             Buffer {
@@ -580,7 +428,6 @@ impl<'p> Exec<'p> {
         let mut accs = node.live.remove(&key).expect("just inserted").accs;
         self.live_chunks -= 1;
         self.live_cells -= buf_len as u64;
-        self.gauge.sub(buf_len as u64);
         if let (Some(result), false) = (&mut node.result, accs.is_empty()) {
             // Every result cell lies in exactly one chunk, and folding a
             // completed accumulator into a fresh one reproduces it bit
@@ -892,60 +739,37 @@ mod tests {
         assert_eq!(r.passes, 1);
     }
 
-    #[test]
-    fn parallel_matches_serial_accumulators() {
-        let cube = cube3d();
-        let lattice = Lattice::new(3);
-        // Include the full mask so the main-thread path is covered too.
-        let mut masks = lattice.proper_masks();
-        masks.push(lattice.full());
-        let serial = CubeAggregator::with_order(&cube, vec![0, 1, 2]);
-        let (s_res, s_rep) = serial.compute(&masks).unwrap();
-        assert!(s_rep.per_thread_peak_cells.is_empty(), "serial mode");
-        for threads in [2, 3, 8] {
-            let par = CubeAggregator::with_order(&cube, vec![0, 1, 2]).with_threads(threads);
-            let (p_res, p_rep) = par.compute(&masks).unwrap();
-            assert_eq!(s_res.len(), p_res.len());
-            for (&m, r) in &s_res {
-                let r2 = &p_res[&m];
-                for (i, acc) in r.accs.iter().enumerate() {
-                    assert_eq!(acc, &r2.accs[i], "threads {threads} mask {m:b} cell {i}");
-                }
-            }
-            assert!(!p_rep.per_thread_peak_cells.is_empty());
-            assert_eq!(
-                p_rep.per_thread_peak_cells.iter().sum::<u64>(),
-                p_rep.peak_buffer_cells,
-                "aggregate peak is the sum of per-worker peaks"
-            );
-            assert!(p_rep.max_worker_peak_cells() <= p_rep.peak_buffer_cells);
-        }
+    /// Runs `f` on `n` threads at once and returns what each returned —
+    /// the shape of `n` server sessions asking at the same time.
+    fn concurrently<T: Send>(n: usize, f: impl Fn() -> T + Sync) -> Vec<T> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n).map(|_| s.spawn(&f)).collect();
+            (handles.into_iter())
+                .map(|h| h.join().expect("request panicked"))
+                .collect()
+        })
     }
 
+    /// Requests running at once over one cube each report their own
+    /// serial high-water mark: four concurrent scans read exactly the
+    /// report of one scan alone, so no request's peak counts another's
+    /// buffers, and the mark stays inside the MMST's memory prediction.
     #[test]
     fn concurrent_peak_is_true_high_water() {
         let cube = cube3d();
         let masks = Lattice::new(3).proper_masks();
-        let (_, serial) = CubeAggregator::with_order(&cube, vec![0, 1, 2])
-            .compute(&masks)
-            .unwrap();
-        // One worker: the gauge and the serial counter see the same
-        // inserts/removes, so the marks coincide exactly.
-        assert_eq!(serial.concurrent_peak_cells, serial.peak_buffer_cells);
-        for threads in [2, 3, 8] {
-            let (_, par) = CubeAggregator::with_order(&cube, vec![0, 1, 2])
-                .with_threads(threads)
-                .compute(&masks)
-                .unwrap();
-            assert!(par.concurrent_peak_cells > 0);
-            // The true mark is bracketed by the busiest single worker
-            // (that worker's cells were all live at its own peak) and
-            // the summed per-worker peaks (the all-peak-together bound).
-            assert!(par.concurrent_peak_cells >= par.max_worker_peak_cells());
-            assert!(par.concurrent_peak_cells <= par.peak_buffer_cells);
+        let agg = CubeAggregator::with_order(&cube, vec![0, 1, 2]);
+        let (_, alone) = agg.compute(&masks).unwrap();
+        assert!(alone.peak_buffer_cells > 0);
+        let mmst = Mmst::build(cube.geometry(), &[0, 1, 2]);
+        assert!(alone.peak_buffer_cells <= mmst.total_memory_cells());
+        for report in concurrently(4, || agg.compute(&masks).unwrap().1) {
+            assert_eq!(report, alone);
         }
     }
 
+    /// The multi-pass fallback's peak is the largest single pass's, at or
+    /// under the budget, for each of several budgeted requests at once.
     #[test]
     fn concurrent_peak_survives_multipass_max() {
         let cube = cube3d();
@@ -953,24 +777,13 @@ mod tests {
         let agg = CubeAggregator::with_order(&cube, vec![0, 1, 2]);
         let mmst = Mmst::build(cube.geometry(), &[0, 1, 2]);
         let biggest = masks.iter().map(|&m| mmst.memory_cells(m)).max().unwrap();
-        let (_, multi) = agg.compute_with_budget(&masks, biggest + 4).unwrap();
-        assert!(multi.passes > 1);
-        assert_eq!(multi.concurrent_peak_cells, multi.peak_buffer_cells);
-        assert!(multi.concurrent_peak_cells <= biggest + 4);
-    }
-
-    #[test]
-    fn threads_one_is_bit_identical_to_default() {
-        let cube = cube3d();
-        let masks = Lattice::new(3).proper_masks();
-        let (_, base) = CubeAggregator::with_order(&cube, vec![0, 1, 2])
-            .compute(&masks)
-            .unwrap();
-        let (_, one) = CubeAggregator::with_order(&cube, vec![0, 1, 2])
-            .with_threads(1)
-            .compute(&masks)
-            .unwrap();
-        assert_eq!(base, one);
+        let (_, alone) = agg.compute_with_budget(&masks, biggest + 4).unwrap();
+        assert!(alone.passes > 1);
+        assert!(alone.peak_buffer_cells <= biggest + 4);
+        let budgeted = || agg.compute_with_budget(&masks, biggest + 4).unwrap().1;
+        for report in concurrently(4, budgeted) {
+            assert_eq!(report, alone);
+        }
     }
 
     #[test]
@@ -992,21 +805,18 @@ mod tests {
         assert_eq!(r.accs.iter().filter(|a| !a.is_empty()).count(), cells);
 
         // The full mask is filled from the scan's own blocks: asking for
-        // it costs no chunk read beyond the scan's, serial or threaded.
-        let gets = |masks: &[GroupByMask], threads: usize| {
+        // it costs no chunk read beyond the scan's.
+        let gets = |masks: &[GroupByMask]| {
             let before = cube.pool_stats();
-            let (_, report) = CubeAggregator::new(&cube)
-                .with_threads(threads)
-                .compute(masks)
-                .unwrap();
+            let (_, report) = CubeAggregator::new(&cube).compute(masks).unwrap();
             let st = cube.pool_stats().delta(&before);
             (st.hits + st.misses, report.base_chunks_scanned)
         };
         let mut masks = lattice.proper_masks();
-        let without = (gets(&masks, 1), gets(&masks, 3));
+        let without = gets(&masks);
         masks.push(full);
-        assert_eq!((gets(&masks, 1), gets(&masks, 3)), without);
-        assert_eq!(without.0, (12, 12));
+        assert_eq!(gets(&masks), without);
+        assert_eq!(without, (12, 12));
     }
 
     /// Workforce's shape: trailing axes of length 2 cut into extent-1

@@ -43,7 +43,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-use whatif_core::ExecOpts;
 
 pub use polap_cli::proto::{
     greeting_banner, read_request, read_response, read_response_bytes, write_frame,
@@ -59,12 +58,9 @@ pub struct ServerConfig {
     /// Hard cap on concurrent sessions; further connections are refused
     /// with a `-` frame.
     pub max_sessions: usize,
-    /// Executor knobs every session starts from (`--threads`,
-    /// `--budget`); a session can change its own budget.
-    /// The per-request fields `cache` and `deadline` are ignored here —
-    /// sessions fill them from the shared data's cache and from
-    /// `deadline_ms`.
-    pub session: ExecOpts,
+    /// Peak-memory budget in cells every session starts from
+    /// (`--budget`; 0 = unlimited); a session can change its own.
+    pub budget_cells: u64,
     /// Per-connection idle timeout in milliseconds (0 = none): applied
     /// as the socket's read/write timeout, so a dead or slowloris peer
     /// frees its admission slot instead of holding it forever.
@@ -82,7 +78,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_sessions: 64,
-            session: ExecOpts::default(),
+            budget_cells: 0,
             idle_timeout_ms: 0,
             deadline_ms: 0,
             drain_grace_ms: 2_000,
@@ -386,7 +382,7 @@ fn serve_connection(
         return;
     }
     let mut session = Session::attach(shared.clone())
-        .with_opts(cfg.session.clone())
+        .with_budget(cfg.budget_cells)
         .with_deadline_ms(cfg.deadline_ms);
     loop {
         if registry.draining.load(Ordering::Relaxed) {

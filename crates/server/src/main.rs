@@ -23,7 +23,6 @@ usage: olap-server [dataset] [options]
                         sessions are served locally, .commit is refused
   --max-sessions N      admission cap: refuse connections past N sessions (default 64)
   --cache MB            shared scenario-delta cache size (default 0 = off)
-  --threads N           executor threads per session (default 1)
   --budget CELLS        default per-session peak-memory budget (default 0 = unlimited)
   --idle-timeout MS     per-connection socket read/write timeout; a silent peer is
                         disconnected and frees its session slot (default 0 = none)
@@ -65,12 +64,8 @@ fn main() {
                 Ok(mb) => cache_mb = mb,
                 Err(_) => die("--cache needs a size in MiB"),
             },
-            "--threads" => match value("--threads").parse() {
-                Ok(n) if n > 0 => cfg.session.threads = n,
-                _ => die("--threads needs a positive integer"),
-            },
             "--budget" => match value("--budget").parse() {
-                Ok(n) => cfg.session.budget_cells = n,
+                Ok(n) => cfg.budget_cells = n,
                 Err(_) => die("--budget needs a cell count"),
             },
             "--idle-timeout" => match value("--idle-timeout").parse() {

@@ -11,9 +11,9 @@
 //! into their keys.
 //!
 //! Concurrency: every method takes `&self`. Frames are partitioned into
-//! [`SHARD_COUNT`] independently locked shards so parallel aggregation
-//! workers contend only when touching the same shard; counters are
-//! atomics. The backing store sits behind a `RwLock` — reads proceed
+//! [`SHARD_COUNT`] independently locked shards so concurrent sessions
+//! contend only when touching the same shard; counters are atomics.
+//! The backing store sits behind a `RwLock` — reads proceed
 //! concurrently, writes (flushes) are exclusive. Lock order is always
 //! one shard at a time, then the store, so the pool cannot deadlock
 //! against itself. Concurrent misses on the *same* chunk are
@@ -22,7 +22,11 @@
 //! exactly one counted miss (`resident == misses - evictions` holds
 //! under contention). Residency can still transiently exceed
 //! `capacity` by at most one frame per thread admitting a *distinct*
-//! chunk; in single-threaded use it never exceeds `capacity`.
+//! chunk; in single-threaded use it never exceeds `capacity`. A dirty
+//! frame being written back on eviction is neither a frame nor yet in
+//! the store, so the shard records it as *evicting* until the write
+//! commits: `contains` and `ids` count it as present, and `get` waits
+//! for it as it waits for a read in flight.
 //!
 //! Fault handling (DESIGN.md §11): a demand read that fails with a
 //! *transient* ([`crate::StoreError::Io`]) error is retried a bounded
@@ -115,11 +119,17 @@ struct Shard {
     frames: HashMap<ChunkId, Frame>,
     /// Chunks some thread is currently reading from the store; other
     /// threads missing on the same chunk wait instead of re-reading.
+    /// A read in flight admits a chunk the store already holds, so it
+    /// says nothing about existence.
     in_flight: HashSet<ChunkId>,
+    /// Dirty chunks some thread has taken out of `frames` and is writing
+    /// back to the store. Until the write commits the store may not hold
+    /// them, so these still exist; a `get` waits for the write.
+    evicting: HashSet<ChunkId>,
 }
 
-/// One lockable frame shard plus the condvar its in-flight readers
-/// signal on.
+/// One lockable frame shard plus the condvar its in-flight reads and
+/// evictions signal on.
 #[derive(Debug, Default)]
 struct ShardSlot {
     shard: Mutex<Shard>,
@@ -316,12 +326,13 @@ impl BufferPool {
     /// never persists part of a logical update outside any transaction.
     ///
     /// The caller has already removed the frame from its shard and
-    /// still holds the shard guard. `id` is parked in the shard's
-    /// in-flight set for the duration of the write, so a concurrent
-    /// miss on the same chunk waits on the condvar for the post-image
-    /// instead of re-admitting the store's pre-image. On a terminal
-    /// write failure the frame is restored (still dirty) and the
-    /// eviction un-counted — an eviction must never lose an update.
+    /// still holds the shard guard. `id` moves to the shard's evicting
+    /// set in the same critical section and stays there for the duration
+    /// of the write, so `contains` and `ids` never miss it, and a
+    /// concurrent miss on the same chunk waits on the condvar for the
+    /// post-image instead of re-admitting the store's pre-image. On a
+    /// terminal write failure the frame is restored (still dirty) and
+    /// the eviction un-counted — an eviction must never lose an update.
     fn evict_dirty(
         &self,
         si: usize,
@@ -329,7 +340,7 @@ impl BufferPool {
         frame: Frame,
         mut sh: MutexGuard<'_, Shard>,
     ) -> Result<()> {
-        sh.in_flight.insert(id);
+        sh.evicting.insert(id);
         drop(sh);
         let committed = {
             let mut store = self.store.write();
@@ -348,7 +359,7 @@ impl BufferPool {
         };
         let slot = &self.shards[si];
         let mut sh = slot.shard.lock();
-        sh.in_flight.remove(&id);
+        sh.evicting.remove(&id);
         if committed.is_err() {
             // The write never committed: restore the frame (unless a
             // concurrent `put` already re-admitted a newer version —
@@ -381,11 +392,12 @@ impl BufferPool {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(Arc::clone(&f.chunk));
                 }
-                if sh.in_flight.insert(id) {
+                if !sh.evicting.contains(&id) && sh.in_flight.insert(id) {
                     break; // this thread performs the read
                 }
-                // Another thread is reading `id`; wait for it rather
-                // than duplicating the store I/O, then re-check.
+                // Another thread is reading or writing back `id`; wait
+                // for it rather than duplicating the store I/O or reading
+                // the pre-image, then re-check.
                 slot.read_done.wait(&mut sh);
             }
         }
@@ -531,25 +543,29 @@ impl BufferPool {
         std::mem::replace(&mut *self.store.write(), store)
     }
 
-    /// Whether the chunk exists (resident or in the backing store).
+    /// Whether the chunk exists (resident, being written back, or in
+    /// the backing store). An evicting chunk leaves the evicting set only
+    /// after its write commits, so a chunk absent from the shard here is
+    /// either new or already in the store.
     pub fn contains(&self, id: ChunkId) -> bool {
-        if self.shards[shard_of(id)]
-            .shard
-            .lock()
-            .frames
-            .contains_key(&id)
-        {
+        let sh = self.shards[shard_of(id)].shard.lock();
+        if sh.frames.contains_key(&id) || sh.evicting.contains(&id) {
             return true;
         }
+        drop(sh);
         self.store.read().contains(id)
     }
 
-    /// Ids of every existing chunk — stored or resident — ascending.
+    /// Ids of every existing chunk — stored, resident or being written
+    /// back — ascending. The shards are read before the store, for the
+    /// reason [`BufferPool::contains`] gives.
     pub fn ids(&self) -> Vec<ChunkId> {
-        let mut ids = self.store.read().ids();
+        let mut ids = Vec::new();
         for slot in &self.shards {
-            ids.extend(slot.shard.lock().frames.keys());
+            let sh = slot.shard.lock();
+            ids.extend(sh.frames.keys().chain(&sh.evicting));
         }
+        ids.extend(self.store.read().ids());
         ids.sort_unstable();
         ids.dedup();
         ids

@@ -53,23 +53,24 @@ fi
 echo "(no direct rand dependency)"
 
 step "concurrency flake gate (10x)"
-# The pool's concurrent demand misses, the parallel executors and
-# aggregation workers, the shared scenario cache, the fault-injection
-# suite and the flush-transaction crash tests are timing-sensitive; a
-# single green run proves little. Hammer the
+# The pool's concurrent demand misses and dirty write-backs, concurrent
+# requests over one faulted cube, the shared scenario cache, the
+# fault-injection suite and the flush-transaction crash tests are
+# timing-sensitive; a single green run proves little. Hammer the
 # concurrency-heavy suites (olap-store --lib includes the log-parser
-# fuzz and filestore crash-sweep tests; `--test pool_faults` the pool's
-# retry and waiter tests; the test crate's --lib the FaultStore and
-# ChaosProxy unit tests, socket timing included; `--test oracle` the
-# executor against the definitional oracle over threads 1-3 and the
-# cache off, cold and warm). `--test sweeps` stays
+# fuzz and filestore crash-sweep tests; `--test pool_contention` the
+# pool under many threads, its eviction race stress test included;
+# `--test pool_faults` the pool's retry and waiter tests; the test
+# crate's --lib the FaultStore and ChaosProxy unit tests, socket timing
+# included; `--test oracle` the executor against the definitional oracle
+# with the cache off, cold and warm). `--test sweeps` stays
 # out of the loop: its chaos and replica sweeps each run three fixed
 # seeds, so the one run in the tests step is already a repetition.
 i=1
 while [ "$i" -le 10 ]; do
     cargo test -q -p olap-store --lib >/dev/null
     cargo test -q -p whatif-integration-tests --lib \
-        --test parallel_exec --test scenario_cache --test pool_faults \
+        --test pool_contention --test scenario_cache --test pool_faults \
         --test scenario_forest --test fault_injection --test persistence \
         --test server --test run_kernels --test chaos \
         --test replication --test aggregation --test oracle >/dev/null
@@ -86,9 +87,12 @@ step "gates run by name"
 # base write however it is spelled, and a reconnect replays exactly
 # the lines a session accepted. The next two hold the executor to the
 # definitional oracle: the random-warehouse property and Theorem 4.1's
-# three-way check. The last two hold the positive path: Theorem 4.1's
+# three-way check. The next two hold the positive path: Theorem 4.1's
 # three-way check of split (R in list order), and the session-level
 # regression that a change list and its reversal never share a reply.
+# The last two hold the pool under contention: one transient read fault
+# among concurrent requests is retried exactly once and absorbed, and a
+# chunk being written back by a dirty eviction never reads as absent.
 gate() { # gate "<cargo test target args>" <exact test name>
     out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
     case "$out" in
@@ -107,6 +111,8 @@ gate "-p whatif-integration-tests --test property_invariants" chunked_equals_ref
 gate "-p whatif-integration-tests --test algebra_theorem" theorem_4_1_negative_all_semantics_and_modes
 gate "-p whatif-integration-tests --test algebra_theorem" theorem_4_1_positive_on_retail
 gate "-p whatif-integration-tests --test scenario_forest" reordered_change_lists_never_share_a_reply
+gate "-p whatif-integration-tests --test fault_injection" single_transient_read_fault_under_contention_is_absorbed
+gate "-p whatif-integration-tests --test pool_contention" evicting_chunks_never_vanish_from_contains_or_ids
 
 step "corruption smoke test"
 # One flipped payload byte never becomes garbage cells. Flipped while

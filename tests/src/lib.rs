@@ -188,6 +188,19 @@ pub fn all_semantics() -> [whatif_core::Semantics; 5] {
     [Static, Forward, ExtendedForward, Backward, ExtendedBackward]
 }
 
+/// Runs `request` once on each of `callers` threads at the same time and
+/// returns each caller's outcome, a panicking caller's as `Err` — the
+/// server's shape: one thread per session, each request serial.
+pub fn concurrently<T: Send>(
+    callers: usize,
+    request: impl Fn() -> T + Sync,
+) -> Vec<std::thread::Result<T>> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..callers).map(|_| s.spawn(&request)).collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    })
+}
+
 /// The edit script analyst `i` replays (`Running` or a workforce
 /// dataset): perspective-set edits alternating FORWARD / STATIC across a
 /// fork and back, a bare `.apply` that re-runs the forest's scenario,

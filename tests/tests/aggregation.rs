@@ -108,8 +108,7 @@ proptest! {
         for i in (1..order.len()).rev() {
             order.swap(i, rng.random_range(0..=i));
         }
-        let agg = CubeAggregator::with_order(&cube, order.clone())
-            .with_threads(rng.random_range(1usize..=3));
+        let agg = CubeAggregator::with_order(&cube, order.clone());
         let mmst = Mmst::build(geom, &order);
         let biggest = masks.iter().map(|&m| mmst.memory_cells(m)).max().unwrap();
         let (results, report) = match rng.random_range(0u32..3) {
@@ -217,19 +216,18 @@ fn rollup_replies_and_accumulators_match_the_parent_commit() {
         if cube.geometry().total_cells() < 1 << 16 {
             masks.push(lattice.full());
         }
-        // Serial, threaded and budget-squeezed runs all fold every target
-        // in the same order, so one digest covers them.
+        // Unbudgeted and budget-squeezed runs fold every target in the
+        // same order, so one digest covers them.
         let mmst = Mmst::build(cube.geometry(), CubeAggregator::new(cube).order());
         let biggest = masks.iter().map(|&m| mmst.memory_cells(m)).max().unwrap();
-        for (threads, budget) in [(1, u64::MAX), (3, u64::MAX), (1, biggest)] {
+        for budget in [u64::MAX, biggest] {
             let (results, _) = CubeAggregator::new(cube)
-                .with_threads(threads)
                 .compute_with_budget(&masks, budget)
                 .unwrap();
             assert_eq!(
                 acc_digest(&results),
                 digest,
-                "{dataset:?} threads {threads} budget {budget}: got {:#018x}",
+                "{dataset:?} budget {budget}: got {:#018x}",
                 acc_digest(&results)
             );
         }

@@ -5,15 +5,18 @@
 //! Faults are injected by wrapping the cube's backing store in a
 //! [`FaultStore`] with [`fault::inject`], which drains the pool first so
 //! reads actually reach the store. Schedules are scripted for the
-//! regression tests and seed-derived for the property tests.
+//! regression tests and seed-derived for the property tests. Contention
+//! comes from concurrent requests, the server's shape: several callers,
+//! each on its own thread, run one serial `apply` or `compute` apiece
+//! over the one faulted cube and its shared pool.
 
 use olap_cube::{CubeAggregator, CubeError, Lattice};
 use olap_store::StoreError;
 use olap_workload::running_example;
 use proptest::prelude::*;
-use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 use whatif_core::{apply, ExecOpts, Mode, Scenario, Semantics, WhatIfError, WhatIfResult};
+use whatif_integration_tests::concurrently;
 use whatif_integration_tests::fault::{self, FaultKind, FaultOp, FaultSpec, FaultStore};
 
 /// Hard per-query wall-clock budget: generous for slow CI machines but
@@ -57,44 +60,41 @@ fn whatif_scenario(ex: &olap_workload::RunningExample) -> Scenario {
     Scenario::negative(ex.org, [1, 3], Semantics::Forward, Mode::Visual)
 }
 
-/// The pebbling what-if at an explicit parallelism degree.
-fn apply_with_threads(
-    cube: &olap_cube::Cube,
-    scenario: &Scenario,
-    threads: usize,
-) -> whatif_core::Result<WhatIfResult> {
-    let opts = ExecOpts {
-        threads,
-        ..ExecOpts::default()
-    };
-    apply(cube, scenario, None, &opts)
+/// The pebbling what-if, one serial request.
+fn apply_serial(cube: &olap_cube::Cube, scenario: &Scenario) -> whatif_core::Result<WhatIfResult> {
+    apply(cube, scenario, None, &ExecOpts::default())
 }
 
 /// Satellite regression: exactly one transient read failure under
-/// contention. The bounded retry absorbs it — the threaded what-if must
-/// *succeed* and match the fault-free run bit for bit, with no stranded
-/// condvar waiter (the test completing is the hang assertion).
+/// contention. The bounded retry absorbs it — every concurrent what-if
+/// must *succeed* and match the fault-free run bit for bit, with no
+/// stranded condvar waiter (the test completing is the hang assertion),
+/// and the fault is retried exactly once across all callers.
 #[test]
 fn single_transient_read_fault_under_contention_is_absorbed() {
     let baseline = {
         let ex = running_example();
         let scenario = whatif_scenario(&ex);
-        apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap()
+        apply_serial(&ex.cube, &scenario).unwrap()
     };
     let ex = faulted_example(|s| FaultStore::fail_nth_read(s, 1));
     let scenario = whatif_scenario(&ex);
     let start = Instant::now();
-    let got = apply_with_threads(&ex.cube, &scenario, 4)
-        .expect("one transient fault must be retried, not surfaced");
+    for got in concurrently(4, || apply_serial(&ex.cube, &scenario)) {
+        let got = got
+            .expect("a caller panicked")
+            .expect("one transient fault must be retried, not surfaced");
+        assert!(got.cube.same_cells(&baseline.cube).unwrap());
+    }
     assert!(start.elapsed() < QUERY_TIME_BUDGET, "query stalled");
-    assert!(got.cube.same_cells(&baseline.cube).unwrap());
     let stats = ex.cube.pool_stats();
     assert_eq!(stats.retries, 1, "the fault must be visible in stats");
     assert_eq!(stats.read_errors, 0);
 }
 
 /// A dead device (persistent read failure) makes queries return `Err` —
-/// serial and threaded, aggregation and what-if — never panic or hang.
+/// alone and from concurrent callers, aggregation and what-if — never
+/// panic or hang.
 #[test]
 fn persistent_read_fault_surfaces_as_err_everywhere() {
     let plan = vec![FaultSpec {
@@ -108,20 +108,20 @@ fn persistent_read_fault_surfaces_as_err_everywhere() {
     let start = Instant::now();
 
     let masks = Lattice::new(ex.cube.geometry().ndims()).proper_masks();
-    assert!(matches!(
-        CubeAggregator::new(&ex.cube).compute(&masks),
-        Err(ref e) if cube_err_is_io(e)
-    ));
-    assert!(matches!(
-        CubeAggregator::new(&ex.cube).with_threads(4).compute(&masks),
-        Err(ref e) if cube_err_is_io(e)
-    ));
-    for threads in [1, 4] {
-        let r = apply_with_threads(&ex.cube, &scenario, threads);
-        assert!(
-            matches!(r, Err(ref e) if whatif_err_is_io(e)),
-            "threads={threads}: dead device must surface as Err"
-        );
+    for callers in [1, 4] {
+        let aggregate = || CubeAggregator::new(&ex.cube).compute(&masks);
+        for r in concurrently(callers, aggregate) {
+            assert!(
+                matches!(r, Ok(Err(ref e)) if cube_err_is_io(e)),
+                "{callers} callers: dead device must surface as Err from aggregation"
+            );
+        }
+        for r in concurrently(callers, || apply_serial(&ex.cube, &scenario)) {
+            assert!(
+                matches!(r, Ok(Err(ref e)) if whatif_err_is_io(e)),
+                "{callers} callers: dead device must surface as Err from the what-if"
+            );
+        }
     }
     assert!(start.elapsed() < QUERY_TIME_BUDGET, "query stalled");
     let stats = ex.cube.pool_stats();
@@ -163,13 +163,14 @@ proptest! {
 
     /// The tentpole invariant, aggregation edition: under a seed-derived
     /// random fault schedule (single- and multi-fault, transient and
-    /// persistent, errors/bit-flips/delays), `compute` over the full
-    /// lattice either errors or produces bitwise-identical grand totals
-    /// — and never panics (catch_unwind) or exceeds the time budget.
+    /// persistent, errors/bit-flips/delays), each of 1–4 concurrent
+    /// `compute` calls over the full lattice either errors or produces
+    /// bitwise-identical grand totals — and never panics or exceeds the
+    /// time budget.
     #[test]
     fn random_fault_schedules_aggregation_err_or_identical(
         seed in 0u64..u64::MAX,
-        threads in 1usize..5,
+        callers in 1usize..5,
     ) {
         let baseline = {
             let ex = running_example();
@@ -179,57 +180,55 @@ proptest! {
         let ex = faulted_example(|s| FaultStore::with_random_plan(s, seed));
         let masks = Lattice::new(ex.cube.geometry().ndims()).proper_masks();
         let start = Instant::now();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            CubeAggregator::new(&ex.cube).with_threads(threads).compute(&masks)
-        }));
+        let outcomes = concurrently(callers, || CubeAggregator::new(&ex.cube).compute(&masks));
         prop_assert!(start.elapsed() < QUERY_TIME_BUDGET, "query stalled");
-        let result = match outcome {
-            Ok(r) => r,
-            Err(_) => return Err(TestCaseError::Fail(format!("seed {seed}: query panicked"))),
-        };
-        // Err is an allowed outcome — silent divergence is not.
-        if let Ok((got, _report)) = result {
-            let (want, _) = &baseline;
-            prop_assert_eq!(got.len(), want.len());
-            for (mask, result) in want {
-                prop_assert_eq!(
-                    result.grand_total(),
-                    got[mask].grand_total(),
-                    "seed {}: mask {:b} total diverged under faults", seed, mask
-                );
+        for outcome in outcomes {
+            let Ok(result) = outcome else {
+                return Err(TestCaseError::Fail(format!("seed {seed}: query panicked")));
+            };
+            // Err is an allowed outcome — silent divergence is not.
+            if let Ok((got, _report)) = result {
+                let (want, _) = &baseline;
+                prop_assert_eq!(got.len(), want.len());
+                for (mask, result) in want {
+                    prop_assert_eq!(
+                        result.grand_total(),
+                        got[mask].grand_total(),
+                        "seed {}: mask {:b} total diverged under faults", seed, mask
+                    );
+                }
             }
         }
     }
 
     /// The tentpole invariant, what-if edition: a random fault schedule
-    /// under a threaded scenario merge yields `Err` or a perspective
-    /// cube bit-identical to the fault-free run.
+    /// under 1–4 concurrent scenario merges yields, for each, `Err` or a
+    /// perspective cube bit-identical to the fault-free run.
     #[test]
     fn random_fault_schedules_whatif_err_or_identical(
         seed in 0u64..u64::MAX,
-        threads in 1usize..5,
+        callers in 1usize..5,
     ) {
         let baseline = {
             let ex = running_example();
             let scenario = whatif_scenario(&ex);
-            apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap()
+            apply_serial(&ex.cube, &scenario).unwrap()
         };
         let ex = faulted_example(|s| FaultStore::with_random_plan(s, seed));
         let scenario = whatif_scenario(&ex);
         let start = Instant::now();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            apply_with_threads(&ex.cube, &scenario, threads)
-        }));
+        let outcomes = concurrently(callers, || apply_serial(&ex.cube, &scenario));
         prop_assert!(start.elapsed() < QUERY_TIME_BUDGET, "query stalled");
-        let result = match outcome {
-            Ok(r) => r,
-            Err(_) => return Err(TestCaseError::Fail(format!("seed {seed}: query panicked"))),
-        };
-        if let Ok(got) = result {
-            prop_assert!(
-                got.cube.same_cells(&baseline.cube).unwrap(),
-                "seed {}: perspective cube silently diverged under faults", seed
-            );
+        for outcome in outcomes {
+            let Ok(result) = outcome else {
+                return Err(TestCaseError::Fail(format!("seed {seed}: query panicked")));
+            };
+            if let Ok(got) = result {
+                prop_assert!(
+                    got.cube.same_cells(&baseline.cube).unwrap(),
+                    "seed {}: perspective cube silently diverged under faults", seed
+                );
+            }
         }
     }
 }

@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whatif_core::{
-    execute, phi, split, Change, ExecOpts, ExecReport, Mode, OrderPolicy, PerspectiveSpec, Plan,
-    ScenarioCache, Semantics,
+    execute, phi, split, Change, ExecOpts, Mode, OrderPolicy, PerspectiveSpec, Plan, ScenarioCache,
+    Semantics,
 };
 use whatif_integration_tests::oracle::{self, agrees_on_scope};
 use whatif_integration_tests::{
@@ -261,11 +261,10 @@ fn fixture() -> (Cube, DimensionId) {
 }
 
 /// The one equivalence table over the one entry point: {single pass,
-/// decomposed passes} × {unscoped, scoped} × threads 1–3 × cache {off,
-/// cold, warm} × {Pebbling, Naive, two DimOrders}, every combination
-/// checked against the oracle on the slots the run is answerable for. A
-/// warm run serves exactly the components its scope keeps whole, and
-/// the thread count never changes the work a phase does.
+/// decomposed passes} × {unscoped, scoped} × cache {off, cold, warm} ×
+/// {Pebbling, Naive, two DimOrders}, every combination checked against
+/// the oracle on the slots the run is answerable for. A warm run serves
+/// exactly the components its scope keeps whole.
 fn check_equivalence(sem: Semantics, p: &[u32]) {
     let (cube, prod) = fixture();
     let want = oracle::perspective_cube(&cube, prod, sem, p);
@@ -295,36 +294,23 @@ fn check_equivalence(sem: Semantics, p: &[u32]) {
             .unwrap();
             let whole = whole_component_chunks(&cube, prod, &map, scope);
             for (name, plan) in [("single", &single), ("decomposed", &decomposed)] {
-                // Each phase's serial report: threads must not change it.
-                let mut serial: [Option<ExecReport>; 3] = Default::default();
-                for threads in 1..=3 {
-                    let cache = Arc::new(ScenarioCache::with_capacity_mb(4));
-                    let phases = [None, Some(cache.clone()), Some(cache)];
-                    for (k, cache) in phases.into_iter().enumerate() {
-                        let phase = ["off", "cold", "warm"][k];
-                        let opts = ExecOpts {
-                            threads,
-                            cache,
-                            ..ExecOpts::default()
-                        };
-                        let (got, report) = execute(&cube, plan, &opts).unwrap();
-                        let row = format!(
-                            "{sem:?} P={p:?} {policy:?} {name} scope={scope:?} \
-                             threads={threads} {phase}"
-                        );
-                        assert!(
-                            agrees_on_scope(&got, &want, prod, scope),
-                            "{row} diverged from the oracle (report: {report:?})"
-                        );
-                        assert_eq!(report.passes, plan.passes().len() as u64, "{row}");
-                        let served = if phase == "warm" { whole } else { 0 };
-                        assert_eq!(report.cache_chunks_served, served, "{row}");
-                        let base = serial[k].get_or_insert_with(|| report.clone());
-                        assert_eq!(report.chunks_read, base.chunks_read, "{row}");
-                        assert_eq!(report.cells_relocated, base.cells_relocated, "{row}");
-                        assert_eq!(report.cells_dropped, base.cells_dropped, "{row}");
-                        assert_eq!(report.slices, base.slices, "{row}");
-                    }
+                let cache = Arc::new(ScenarioCache::with_capacity_mb(4));
+                let phases = [None, Some(cache.clone()), Some(cache)];
+                for (k, cache) in phases.into_iter().enumerate() {
+                    let phase = ["off", "cold", "warm"][k];
+                    let opts = ExecOpts {
+                        cache,
+                        ..ExecOpts::default()
+                    };
+                    let (got, report) = execute(&cube, plan, &opts).unwrap();
+                    let row = format!("{sem:?} P={p:?} {policy:?} {name} scope={scope:?} {phase}");
+                    assert!(
+                        agrees_on_scope(&got, &want, prod, scope),
+                        "{row} diverged from the oracle (report: {report:?})"
+                    );
+                    assert_eq!(report.passes, plan.passes().len() as u64, "{row}");
+                    let served = if phase == "warm" { whole } else { 0 };
+                    assert_eq!(report.cache_chunks_served, served, "{row}");
                 }
             }
         }

@@ -151,8 +151,8 @@ proptest! {
     }
 
     /// Invariant 12 (the load-bearing one): a planned execution — single
-    /// pass and Section 6 passes, under a random read order, scope and
-    /// thread count, with the scenario cache off, cold, then warm —
+    /// pass and Section 6 passes, under a random read order and scope,
+    /// with the scenario cache off, cold, then warm —
     /// agrees with the definitional oracle on the slots it answers for,
     /// serves from the warm cache exactly the merge components its scope
     /// keeps whole, reports exactly what `execute_passes_opts` reports
@@ -164,7 +164,6 @@ proptest! {
         p in arb_perspectives(8),
         policy in 0usize..8,
         scope_bits in proptest::option::of(any::<u32>()),
-        threads in 1usize..=3,
     ) {
         let w = random_warehouse(seed, 3, 8, 8, 4);
         let v = w.schema.varying(w.dim).unwrap();
@@ -191,7 +190,6 @@ proptest! {
                 // Same history on both sides: the plan and the wrapper
                 // each get their own cache, run off, cold, then warm.
                 let opts = |cache| ExecOpts {
-                    threads,
                     cache,
                     ..ExecOpts::default()
                 };

@@ -2,16 +2,16 @@
 //! covers every local offset exactly once with correct base cells
 //! (property-tested over random clipped geometries), and the executor's
 //! run kernels give exactly the definitional oracle's cells across
-//! semantics, modes, dense and sparse chunk layouts, clipped edges and
-//! thread counts. Also checks the aggregator's shared-gauge concurrent
-//! peak is a true simultaneous high-water mark, not a summed bound.
+//! semantics, modes, dense and sparse chunk layouts and clipped edges.
+//! Also checks that the aggregator's peak is each request's own serial
+//! high-water mark, however many requests run at once.
 
-use olap_cube::{CubeAggregator, Lattice};
+use olap_cube::{CubeAggregator, Lattice, Mmst};
 use olap_store::ChunkGeometry;
 use olap_workload::{running_example, Workforce, WorkforceConfig};
 use proptest::prelude::*;
 use whatif_core::{apply, ExecOpts, Mode, Scenario, Semantics};
-use whatif_integration_tests::oracle_result;
+use whatif_integration_tests::{concurrently, oracle_result};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -91,24 +91,19 @@ proptest! {
     }
 }
 
-/// Runs one negative scenario through the executor at the given thread
-/// count and asserts its perspective cube is cell-identical to the
-/// definitional oracle's.
-fn assert_kernels_agree(cube: &olap_cube::Cube, scenario: &Scenario, threads: usize, tag: &str) {
-    let opts = ExecOpts {
-        threads,
-        ..Default::default()
-    };
-    let runs = apply(cube, scenario, None, &opts).unwrap();
+/// Runs one negative scenario through the executor and asserts its
+/// perspective cube is cell-identical to the definitional oracle's.
+fn assert_kernels_agree(cube: &olap_cube::Cube, scenario: &Scenario, tag: &str) {
+    let runs = apply(cube, scenario, None, &ExecOpts::default()).unwrap();
     let oracle = oracle_result(cube, scenario);
     assert!(
         runs.cube.same_cells(&oracle.cube).unwrap(),
-        "{tag}: run kernels diverged from the oracle (threads {threads})"
+        "{tag}: run kernels diverged from the oracle"
     );
     assert_eq!(
         runs.cube.present_cell_count().unwrap(),
         oracle.cube.present_cell_count().unwrap(),
-        "{tag}: present-cell counts diverged (threads {threads})"
+        "{tag}: present-cell counts diverged"
     );
 }
 
@@ -126,14 +121,8 @@ fn kernels_agree_on_running_example_negative_scenarios() {
     ] {
         for mode in [Mode::Visual, Mode::NonVisual] {
             let scenario = Scenario::negative(ex.org, [0, 3], semantics, mode);
-            for threads in [1, 2] {
-                assert_kernels_agree(
-                    &ex.cube,
-                    &scenario,
-                    threads,
-                    &format!("running {semantics:?}/{mode:?}"),
-                );
-            }
+            let tag = format!("running {semantics:?}/{mode:?}");
+            assert_kernels_agree(&ex.cube, &scenario, &tag);
         }
     }
 }
@@ -161,9 +150,7 @@ fn kernels_agree_on_all_sparse_chunks() {
         ex.cube.present_cell_count().unwrap()
     );
     let scenario = Scenario::negative(ex.org, [0, 3], Semantics::Forward, Mode::Visual);
-    for threads in [1, 2] {
-        assert_kernels_agree(&sparse_cube, &scenario, threads, "all-sparse");
-    }
+    assert_kernels_agree(&sparse_cube, &scenario, "all-sparse");
 }
 
 #[test]
@@ -190,29 +177,25 @@ fn kernels_agree_on_dense_workforce_relocations() {
         scenarios: 4,
         ..WorkforceConfig::default()
     };
-    // (The wide cube runs the one scenario at the one thread count its
-    // old `repro` gate ran; thread fan-out is the small cube's job.)
-    for (name, config, moment_sets, thread_counts) in [
-        (
-            "small",
-            small,
-            vec![vec![0u32, 6], vec![0, 4, 8]],
-            vec![1, 2],
-        ),
-        ("wide", wide, vec![vec![0, 6]], vec![1]),
+    // (The wide cube runs the one scenario its old `repro` gate ran.)
+    for (name, config, moment_sets) in [
+        ("small", small, vec![vec![0u32, 6], vec![0, 4, 8]]),
+        ("wide", wide, vec![vec![0, 6]]),
     ] {
         let wf = Workforce::build(config);
         for moments in moment_sets {
             let tag = format!("{name} workforce {moments:?}");
             let scenario =
                 Scenario::negative(wf.department, moments, Semantics::Forward, Mode::Visual);
-            for &threads in &thread_counts {
-                assert_kernels_agree(&wf.cube, &scenario, threads, &tag);
-            }
+            assert_kernels_agree(&wf.cube, &scenario, &tag);
         }
     }
 }
 
+/// Four aggregation requests at once over one workforce cube, each on
+/// its own thread, report exactly what one request alone reports: the
+/// peak is that request's serial high-water mark, never a sum over other
+/// requests' buffers, and it stays inside the MMST's memory prediction.
 #[test]
 fn aggregation_concurrent_peak_is_bounded_and_exact_in_serial() {
     let wf = Workforce::build(WorkforceConfig {
@@ -226,21 +209,16 @@ fn aggregation_concurrent_peak_is_bounded_and_exact_in_serial() {
     });
     let lattice = Lattice::new(wf.cube.geometry().ndims());
     let masks = lattice.proper_masks();
-    let (_, serial) = CubeAggregator::new(&wf.cube).compute(&masks).unwrap();
-    assert_eq!(serial.concurrent_peak_cells, serial.peak_buffer_cells);
-    for threads in [2, 4] {
-        let (_, par) = CubeAggregator::new(&wf.cube)
-            .with_threads(threads)
-            .compute(&masks)
-            .unwrap();
-        assert!(par.concurrent_peak_cells > 0);
-        assert!(
-            par.concurrent_peak_cells >= par.max_worker_peak_cells(),
-            "true mark below the busiest worker's own peak"
-        );
-        assert!(
-            par.concurrent_peak_cells <= par.peak_buffer_cells,
-            "true mark above the summed all-peak-together bound"
+    let agg = CubeAggregator::new(&wf.cube);
+    let (_, alone) = agg.compute(&masks).unwrap();
+    assert!(alone.peak_buffer_cells > 0);
+    let mmst = Mmst::build(wf.cube.geometry(), agg.order());
+    assert!(alone.peak_buffer_cells <= mmst.total_memory_cells());
+    for report in concurrently(4, || agg.compute(&masks).unwrap().1) {
+        assert_eq!(
+            report.unwrap(),
+            alone,
+            "a concurrent request changed the peak"
         );
     }
 }

@@ -178,8 +178,8 @@ fn default_opts_leave_the_cache_off_and_match_apply() {
 /// (b) and (c) queries on the tiny workforce, over random perspective
 /// sets × all five semantics × VISUAL / NONVISUAL, render the grid `E`
 /// gives over the definitional oracle's leaves (visual totals summed over
-/// the oracle cube, non-visual derived cells the input's) at 1 and 3
-/// threads with the cache off, cold and warm; a warm run serves exactly
+/// the oracle cube, non-visual derived cells the input's) with the cache
+/// off, cold and warm; a warm run serves exactly
 /// the chunks of the merge components its scope keeps whole, and nothing
 /// else.
 #[test]
@@ -226,38 +226,35 @@ fn scoped_queries_with_the_cache_render_the_reference_grid() {
         let reference = evaluate_with(&ctx, &parsed, |s, _| Ok(oracle_result(&wf.cube, s)))
             .unwrap()
             .grid;
-        for threads in [1, 3] {
-            let cache = Arc::new(ScenarioCache::with_capacity_mb(8));
-            let phases = [
-                ("off", None),
-                ("cold", Some(cache.clone())),
-                ("warm", Some(cache)),
-            ];
-            for (phase, cache) in phases {
-                let row = format!("case {case} threads {threads} {phase}: {query}");
-                ctx.opts = ExecOpts {
-                    threads,
-                    cache,
-                    ..ExecOpts::default()
-                };
-                let run = evaluate(&ctx, &parsed).unwrap();
-                assert_eq!(run.grid, reference, "{row}");
-                let served = run.report.expect("a scenario ran").cache_chunks_served;
-                if phase != "warm" {
-                    assert_eq!(served, 0, "{row}");
-                    continue;
-                }
-                let Some(Scenario::Negative(spec)) = &run.scenario else {
-                    panic!("{row}: not a perspective query");
-                };
-                let scope = run.scope.as_deref();
-                let plan = Plan::build(&wf.cube, spec, &OrderPolicy::Pebbling, scope).unwrap();
-                let whole = whole_component_chunks(&wf.cube, wf.department, plan.map(), scope);
-                assert_eq!(served, whole, "{row}");
-                served_some += usize::from(served > 0);
-                let all = whole_component_chunks(&wf.cube, wf.department, plan.map(), None);
-                cut_some += usize::from(whole < all);
+        let cache = Arc::new(ScenarioCache::with_capacity_mb(8));
+        let phases = [
+            ("off", None),
+            ("cold", Some(cache.clone())),
+            ("warm", Some(cache)),
+        ];
+        for (phase, cache) in phases {
+            let row = format!("case {case} {phase}: {query}");
+            ctx.opts = ExecOpts {
+                cache,
+                ..ExecOpts::default()
+            };
+            let run = evaluate(&ctx, &parsed).unwrap();
+            assert_eq!(run.grid, reference, "{row}");
+            let served = run.report.expect("a scenario ran").cache_chunks_served;
+            if phase != "warm" {
+                assert_eq!(served, 0, "{row}");
+                continue;
             }
+            let Some(Scenario::Negative(spec)) = &run.scenario else {
+                panic!("{row}: not a perspective query");
+            };
+            let scope = run.scope.as_deref();
+            let plan = Plan::build(&wf.cube, spec, &OrderPolicy::Pebbling, scope).unwrap();
+            let whole = whole_component_chunks(&wf.cube, wf.department, plan.map(), scope);
+            assert_eq!(served, whole, "{row}");
+            served_some += usize::from(served > 0);
+            let all = whole_component_chunks(&wf.cube, wf.department, plan.map(), None);
+            cut_some += usize::from(whole < all);
         }
     }
     assert!(

@@ -227,10 +227,7 @@ fn server_default_budget_applies_to_new_sessions() {
         Dataset::Running,
         0,
         ServerConfig {
-            session: whatif_core::ExecOpts {
-                budget_cells: 1,
-                ..Default::default()
-            },
+            budget_cells: 1,
             ..ServerConfig::default()
         },
     );

@@ -10,7 +10,7 @@ use olap_model::{DimensionId, MemberId};
 use olap_workload::{retail_example, running_example, Workforce, WorkforceConfig};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use whatif_core::{ExecOpts, Fnv64, FnvSuffix, PerspectiveSpec, Scenario, ScenarioForest};
 
 /// Which bundled dataset a session runs against.
@@ -69,32 +69,15 @@ impl Loaded {
 }
 
 /// The shareable half of a session: the loaded dataset (whose cube owns
-/// the buffer pool), the optional scenario-delta cache and the positive
-/// replies. One instance backs one in-process REPL — or, behind
-/// `olap-server`, *every* concurrent analyst session: sessions share the
-/// pool, the cache and the replies but own their private tuning/budget
-/// state ([`Session`]). Sound because sessions never mutate the base
-/// cube.
+/// the buffer pool) and the optional scenario-delta cache. One instance
+/// backs one in-process REPL — or, behind `olap-server`, *every*
+/// concurrent analyst session: sessions share the pool and the cache but
+/// own their private tuning/budget state ([`Session`]). Sound because
+/// sessions never mutate the base cube.
 pub struct SharedData {
     data: Loaded,
     cache: Option<Arc<whatif_core::ScenarioCache>>,
-    /// Positive `.apply` replies, `(cells, digest)`, by [`ReplyKey`]:
-    /// a warm replay of a change list answers without splitting again.
-    /// A session that panics while holding the lock leaves the map
-    /// whole (an insert is one call), so the poison flag is ignored.
-    replies: Mutex<HashMap<ReplyKey, (u64, u64)>>,
 }
-
-/// What a positive reply depends on: the scenario exactly as it runs
-/// (dimension, mode and the change list in order — `split` applies it
-/// in order) and the version of the base data, the pool's write
-/// generation and the store's flush epoch. A base write or a commit
-/// moves the version, so no reply computed before it is served after.
-type ReplyKey = (Scenario, u64, u64);
-
-/// Entries the reply memo holds before it starts over; an entry is one
-/// change list and two numbers.
-const REPLY_CAP: usize = 64;
 
 impl SharedData {
     /// Loads a dataset (in-memory backend).
@@ -132,11 +115,7 @@ impl SharedData {
                 ..WorkforceConfig::bench()
             }))),
         };
-        Ok(SharedData {
-            data,
-            cache: None,
-            replies: Mutex::default(),
-        })
+        Ok(SharedData { data, cache: None })
     }
 
     /// Enables (mb > 0) or disables (mb = 0) the shared scenario-delta
@@ -157,27 +136,6 @@ impl SharedData {
     /// The shared scenario-delta cache, if enabled.
     pub fn cache(&self) -> Option<&Arc<whatif_core::ScenarioCache>> {
         self.cache.as_ref()
-    }
-
-    /// Forgets every positive reply. A replica calls it after applying
-    /// its leader's log, beside dropping the pool's frames and the
-    /// scenario cache.
-    pub fn clear_replies(&self) {
-        self.replies().clear();
-    }
-
-    fn replies(&self) -> std::sync::MutexGuard<'_, HashMap<ReplyKey, (u64, u64)>> {
-        self.replies.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Keeps a positive reply, starting over once [`REPLY_CAP`] are
-    /// kept (the keys carry no recency worth an LRU at this size).
-    fn remember(&self, key: ReplyKey, reply: (u64, u64)) {
-        let mut replies = self.replies();
-        if replies.len() >= REPLY_CAP {
-            replies.clear();
-        }
-        replies.insert(key, reply);
     }
 }
 
@@ -588,22 +546,6 @@ impl Session {
                 self.forest.current_name()
             ),
         };
-        // A positive run is a pure function of the base data and the
-        // change list, so a replay answers from the reply memo: no
-        // split, no chunk read, the same bytes.
-        let key = matches!(scenario, Scenario::Positive { .. }).then(|| {
-            let cube = self.data().cube();
-            let (generation, epoch) = cube.with_pool(|p| (p.generation(), p.store().flush_epoch()));
-            (scenario.clone(), generation, epoch)
-        });
-        let hit = key
-            .as_ref()
-            .and_then(|k| self.shared.replies().get(k).copied());
-        if let Some((count, digest)) = hit {
-            return Ok(format!(
-                "applied {label}: {count} cells, digest {digest:016x}, 0 pass(es)"
-            ));
-        }
         let result =
             whatif_core::apply(self.data().cube(), scenario, None, &opts).map_err(|e| match e {
                 whatif_core::WhatIfError::DeadlineExceeded => Refusal::Deadline(e.to_string()),
@@ -611,9 +553,6 @@ impl Session {
             })?;
         let (count, digest) = cell_digest(&result.cube).map_err(Refusal::error)?;
         let passes = result.report.passes;
-        if let Some(key) = key {
-            self.shared.remember(key, (count, digest));
-        }
         Ok(format!(
             "applied {label}: {count} cells, digest {digest:016x}, {passes} pass(es)",
         ))
@@ -664,9 +603,9 @@ impl Session {
     }
 
     /// Appends a positive change (`<member> <new parent> <moment>`) to
-    /// the current fork; a bare re-run runs it. A change `split` would
-    /// refuse ([`whatif_core::check_changes`]) is refused here and leaves
-    /// the fork as it was.
+    /// the current fork; a bare re-run runs it. A change the positive
+    /// plan would refuse ([`whatif_core::check_changes`]) is refused here
+    /// and leaves the fork as it was.
     fn change(&mut self, arg: &str) -> Reply {
         let parts: Vec<&str> = arg.split_whitespace().collect();
         let [member, parent, moment] = parts[..] else {
@@ -700,7 +639,7 @@ impl Session {
             new_parent: n,
             at,
         };
-        // The fork's list with the change appended, as `split` will get it.
+        // The fork's list with the change appended, as planning will get it.
         let mut changes = match self.forest.scenario() {
             Some(Scenario::Positive {
                 dim: d, changes, ..
@@ -1294,7 +1233,10 @@ mod tests {
 
     /// The whole `.explain` reply is pinned for a scoped negative query
     /// and a positive one, and every number on its executor line is the
-    /// `ExecReport` that `evaluate_full` returns for the same query.
+    /// `ExecReport` that `evaluate_full` returns for the same query. A
+    /// positive run streams: on the bench cube (employee extent 1) every
+    /// slot after the move shifts into the next chunk, a merge path of
+    /// hundreds of nodes, yet no more buffers live at once than a few.
     #[test]
     fn explain_reports_executor_stats() {
         let negative = "WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD \
@@ -1328,8 +1270,8 @@ mod tests {
                  Eval { visual: true }])\n\
                  scope: unscoped\n\
                  result: 2 × 1 grid, 1 non-⊥ cells\n\
-                 executor: 0 pass(es), merge graph 0/0 (nodes/edges), predicted pebbles 0, \
-                 0 chunk reads, 0 cache chunks served\n",
+                 executor: 1 pass(es), merge graph 4/3 (nodes/edges), predicted pebbles 2, \
+                 14 chunk reads, 0 cache chunks served\n",
             ),
         ];
         for (query, expected) in cases {
@@ -1351,6 +1293,17 @@ mod tests {
             let reply = s.handle(&format!(".explain {query}"));
             assert_eq!(reply, Outcome::Continue(expected.to_string()));
         }
+        let mut s = Session::new(Dataset::Bench);
+        s.handle(".change emp00001 dept002 5");
+        let positive = s.forest.scenario().expect("the change is recorded");
+        let r = whatif_core::apply(s.data().cube(), positive, None, &ExecOpts::default())
+            .unwrap()
+            .report;
+        assert!(
+            r.peak_out_buffers >= r.predicted_pebbles as u64
+                && r.peak_out_buffers < r.graph_nodes as u64,
+            "{r:?}"
+        );
     }
 
     #[test]
@@ -1419,8 +1372,8 @@ mod tests {
     fn mdx_and_apply_run_under_the_same_request_options() {
         // One option-assembly site (`Session::request_opts`): whatever
         // `.budget` / `.deadline` say reaches the executor identically
-        // from an MDX `WITH PERSPECTIVE` line and from `.apply`, with the
-        // shared cache on.
+        // from MDX `WITH PERSPECTIVE` and `WITH CHANGES` lines and from a
+        // negative and a positive `.apply`, with the shared cache on.
         let mut shared = SharedData::load(Dataset::Bench);
         shared.set_cache_mb(16);
         let mut s = Session::attach(Arc::new(shared));
@@ -1430,12 +1383,40 @@ mod tests {
             }
             _ => unreachable!("bench is a workforce dataset"),
         };
+        // The golden transcript's move, as a `.change` on the main fork
+        // (a bare `.apply` runs it) and as the same grid `WITH CHANGES`.
+        let change = ".change emp00001 dept002 5";
+        let changes_mdx = {
+            let dim = s.varying_dim().unwrap();
+            let schema = s.data().cube().schema();
+            let d = schema.dim(dim);
+            let emp = d.resolve("emp00001").unwrap();
+            let old = schema.varying(dim).unwrap().parent_at(d, emp, 5).unwrap();
+            let select = mdx.split_once("SELECT").unwrap().1;
+            format!(
+                "WITH CHANGES {{([emp00001], [{}], [dept002], Jun)}} VISUAL SELECT{select}",
+                d.member_name(old)
+            )
+        };
+        assert!(matches!(s.handle(change), Outcome::Continue(t) if t.contains("1 change(s)")));
+        let positive = s
+            .forest
+            .scenario()
+            .cloned()
+            .expect("the change is recorded");
         let apply = ".apply forward 0,3,6,9";
+        let lines = [mdx.as_str(), apply, changes_mdx.as_str(), ".apply"];
+        let gets = |s: &Session| {
+            let p = s.shared().cube().pool_stats();
+            p.hits + p.misses
+        };
 
         // One cell holds no merge buffer, so every plan that merges is
-        // rejected before a read, scoped (MDX) or not (`.apply`).
+        // rejected before a read, scoped (MDX) or not (`.apply`),
+        // negative or positive.
         s.handle(".budget 1");
-        for line in [mdx.as_str(), apply] {
+        for line in lines {
+            let before = gets(&s);
             match s.handle(line) {
                 Outcome::Continue(t) => {
                     assert!(
@@ -1445,11 +1426,12 @@ mod tests {
                 }
                 other => panic!("{line}: {other:?}"),
             }
+            assert_eq!(gets(&s), before, "{line}: refused before a chunk read");
         }
         // The rejected `.apply` recorded nothing; its scenario is rebuilt
         // here exactly as the verb builds it.
-        assert!(s.forest.scenario().is_none());
-        let scenario = whatif_core::Scenario::Negative(whatif_core::PerspectiveSpec::new(
+        assert_eq!(s.forest.scenario(), Some(&positive));
+        let negative = whatif_core::Scenario::Negative(whatif_core::PerspectiveSpec::new(
             s.varying_dim().unwrap(),
             [0, 3, 6, 9],
             whatif_core::Semantics::Forward,
@@ -1460,26 +1442,47 @@ mod tests {
         // options taken before the deadline passed abort the run at its
         // first check, however fast the run would be.
         s.handle(".deadline 1");
+        let scenarios = s.handle(".scenarios");
         let expired = || {
             let opts = s.request_opts();
             std::thread::sleep(std::time::Duration::from_millis(5));
             opts
         };
-        let mut ctx = s.context();
-        ctx.opts = expired();
-        match olap_mdx::execute(&ctx, &mdx).map_err(Refusal::from) {
-            Err(Refusal::Deadline(e)) => assert!(e.contains("deadline"), "{e}"),
-            other => panic!("an expired deadline must abort the MDX run: {other:?}"),
+        for query in [&mdx, &changes_mdx] {
+            let mut ctx = s.context();
+            ctx.opts = expired();
+            match olap_mdx::execute(&ctx, query).map_err(Refusal::from) {
+                Err(Refusal::Deadline(e)) => assert!(e.contains("deadline"), "{e}"),
+                other => panic!("an expired deadline must abort the MDX run: {other:?}"),
+            }
         }
-        match s.run_scenario(&scenario, expired()) {
-            Err(Refusal::Deadline(t)) => assert!(t.contains("deadline"), "{t}"),
-            other => panic!("{other:?}"),
+        for scenario in [&negative, &positive] {
+            match s.run_scenario(scenario, expired()) {
+                Err(Refusal::Deadline(t)) => assert!(t.contains("deadline"), "{t}"),
+                other => panic!("{other:?}"),
+            }
         }
-        // Lifted, both complete — the aborts left the session intact.
+        assert_eq!(s.handle(".scenarios"), scenarios);
+        // Lifted, every line answers what a fresh uncached session does,
+        // and the positive `.apply` the golden transcript's bytes — the
+        // aborts left the session intact.
         s.handle(".deadline 0");
-        assert!(matches!(s.handle(&mdx), Outcome::Continue(t) if !t.starts_with("error:")));
-        assert!(matches!(s.handle(apply), Outcome::Continue(t) if t.contains("digest")));
-        assert_eq!(s.forest.scenario(), Some(&scenario));
+        let mut fresh = Session::new(Dataset::Bench);
+        fresh.handle(change);
+        for line in [changes_mdx.as_str(), ".apply", mdx.as_str(), apply] {
+            let reply = s.handle(line);
+            assert!(
+                matches!(&reply, Outcome::Continue(t) if !t.starts_with("error:")),
+                "{line}: {reply:?}"
+            );
+            assert_eq!(reply, fresh.handle(line), "{line}");
+            if line == ".apply" {
+                let golden = "applied 1 change(s) [fork 'main']: 38400 cells, \
+                              digest 78cb371fd553faac, 1 pass(es)";
+                assert_eq!(reply, Outcome::Continue(golden.to_string()));
+            }
+        }
+        assert_eq!(s.forest.scenario(), Some(&negative));
     }
 
     /// A scenario run the deadline aborts records nothing: the fork keeps
@@ -1698,83 +1701,43 @@ mod tests {
         ));
     }
 
-    /// A replayed positive `.apply` answers from the reply memo: the
-    /// same bytes, and not one pool get (hits and misses stand still).
-    /// A fork replaying the same list shares the entry; an edited list
-    /// splits again.
+    /// A replayed positive `.apply` on a cached session is served the
+    /// split's merged components from the scenario cache (its hits grow)
+    /// and answers the cold bytes. A fork replaying the same list shares
+    /// the entries; an edited list grows the axis further, so it merges
+    /// again and hits nothing.
     #[test]
     fn warm_positive_replay_answers_from_the_split_memo() {
-        let mut s = Session::new(Dataset::Running);
-        let gets = |s: &Session| {
-            let p = s.shared().cube().pool_stats();
-            p.hits + p.misses
-        };
+        let mut s = cached(Dataset::Running);
+        let hits = |s: &Session| s.shared().cache().expect("cache on").stats().hits;
         assert!(matches!(
-            s.handle(".change Joe Contractor 2"),
+            s.handle(".change Joe PTE 3"),
             Outcome::Continue(t) if t == "fork 'main': 1 change(s) on Organization"
         ));
-        let before = gets(&s);
         let cold = match s.handle(".apply") {
             Outcome::Continue(t) => t,
             other => panic!("{other:?}"),
         };
-        let after_cold = gets(&s);
-        assert!(after_cold > before, "the cold apply reads the cube");
+        assert_eq!(hits(&s), 0, "the cold apply merges every component");
+        let mut served = 0;
         for _ in 0..3 {
             assert_eq!(s.handle(".apply"), Outcome::Continue(cold.clone()));
+            assert!(hits(&s) > served, "a replay is served components");
+            served = hits(&s);
         }
-        assert_eq!(gets(&s), after_cold, "a replay must not touch the pool");
         s.handle(".fork child");
         match s.handle(".apply") {
             Outcome::Continue(t) => assert_eq!(t.replace("fork 'child'", "fork 'main'"), cold),
             other => panic!("{other:?}"),
         }
-        assert_eq!(gets(&s), after_cold);
+        assert!(hits(&s) > served, "the fork shares the entries");
+        served = hits(&s);
         s.handle(".change Lisa Contractor 3");
         assert!(matches!(s.handle(".apply"), Outcome::Continue(t) if t.contains("digest")));
-        assert!(gets(&s) > after_cold, "an edited list must split again");
+        assert_eq!(hits(&s), served, "an edited list must merge again");
     }
 
-    #[test]
-    fn reply_memo_overflow_clears_rather_than_grows() {
-        let shared = SharedData::load(Dataset::Running);
-        for at in 0..REPLY_CAP as u32 + 3 {
-            let change = whatif_core::Change {
-                member: MemberId(1),
-                old_parent: None,
-                new_parent: MemberId(2),
-                at,
-            };
-            let scenario =
-                Scenario::positive(DimensionId(0), vec![change], whatif_core::Mode::Visual);
-            shared.remember((scenario, 0, 0), (0, 0));
-            assert!(shared.replies().len() <= REPLY_CAP);
-        }
-        assert_eq!(shared.replies().len(), 3);
-    }
-
-    /// A session that panics holding the reply memo's lock leaves it
-    /// usable: the next replay still answers, and from the memo.
-    #[test]
-    fn a_panicked_holder_does_not_poison_the_replies() {
-        let shared = Arc::new(SharedData::load(Dataset::Running));
-        let mut s = Session::attach(shared.clone());
-        s.handle(".change Joe Contractor 2");
-        let cold = s.handle(".apply");
-        let held = shared.clone();
-        let died = std::thread::spawn(move || {
-            let _guard = held.replies();
-            panic!("session died holding the lock");
-        })
-        .join();
-        assert!(died.is_err());
-        let gets = || shared.cube().pool_stats().misses + shared.cube().pool_stats().hits;
-        let before = gets();
-        assert_eq!(s.handle(".apply"), cold);
-        assert_eq!(gets(), before, "the replay answered from the memo");
-    }
-
-    /// `.change` refuses what `split` would refuse — a moment out of
+    /// `.change` refuses what planning would refuse — a moment out of
     /// range, a leaf parent, a cycle the fork's list closes — and leaves
     /// the fork runnable.
     #[test]

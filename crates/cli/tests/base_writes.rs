@@ -1,10 +1,11 @@
 //! Writes to a session's base cube through the public API: scans see a
-//! written chunk before any flush, and neither what-if memo answers with
-//! cells computed before the write.
+//! written chunk before any flush, and the scenario cache answers no
+//! scenario, negative or positive, with cells computed before the write;
+//! toggled scenarios whose output geometries differ never share cells.
 
 use olap_cube::Cube;
 use olap_store::CellValue;
-use polap_cli::{cell_digest, Dataset, Session, SharedData};
+use polap_cli::{cell_digest, Dataset, Outcome, Session, SharedData};
 use std::sync::Arc;
 
 /// Adds 1000 to the first `n` present cells of `cube`.
@@ -24,15 +25,73 @@ fn cached_session() -> Session {
     Session::attach(Arc::new(shared))
 }
 
-/// The positive path memoizes its replies. A base write followed by
-/// `.commit` must change the reply's key even on a memory store, whose
-/// flush epoch never moves: the replay must equal the reply of a fresh
-/// session that made the same write.
+/// The scenario cache's hits so far.
+fn hits(s: &Session) -> u64 {
+    s.shared().cache().expect("cache on").stats().hits
+}
+
+/// Builds three forks on `s` — `one`: a 1-change list; `two`: a second
+/// change of the same member, which grows the axis by one more slot;
+/// `neg`: `forward 1,3` — and returns their fork names.
+fn three_forks(s: &mut Session) -> [&'static str; 3] {
+    for line in [
+        ".fork one",
+        ".change Lisa PTE 3",
+        ".fork two",
+        ".change Lisa Contractor 5",
+        ".switch main",
+        ".fork neg",
+        ".apply forward 1,3",
+    ] {
+        let reply = s.handle(line);
+        assert!(
+            !format!("{reply:?}").contains("error:"),
+            "{line}: {reply:?}"
+        );
+    }
+    ["one", "two", "neg"]
+}
+
+/// The scenario cache keys output chunks by the output geometry, so
+/// scenarios whose outputs have different axis lengths never serve one
+/// another's chunks. Toggled several times on one cached session, each
+/// reply equals a fresh uncached session's, and from the second round
+/// each positive replay is served components.
+#[test]
+fn toggled_output_geometries_never_share_cached_chunks() {
+    let mut fresh = Session::new(Dataset::Running);
+    let forks = three_forks(&mut fresh);
+    let want: Vec<Outcome> = (forks.iter())
+        .map(|f| {
+            fresh.handle(&format!(".switch {f}"));
+            fresh.handle(".apply")
+        })
+        .collect();
+    let mut s = cached_session();
+    three_forks(&mut s);
+    for round in 0..4 {
+        for (fork, want) in forks.iter().zip(&want) {
+            s.handle(&format!(".switch {fork}"));
+            let before = hits(&s);
+            assert_eq!(&s.handle(".apply"), want, "round {round} fork {fork}");
+            if round > 0 && *fork != "neg" {
+                assert!(hits(&s) > before, "round {round} fork {fork}: served");
+            }
+        }
+    }
+}
+
+/// The cache serves a positive replay the split's merged components. A
+/// base write followed by `.commit` must strand them even on a memory
+/// store, whose flush epoch never moves: the replay must equal the reply
+/// of a fresh session that made the same write.
 #[test]
 fn split_memo_sees_a_base_write() {
-    let mut s = Session::new(Dataset::Running);
-    s.handle(".change Joe Contractor 2");
+    let mut s = cached_session();
+    s.handle(".change Joe PTE 3");
     let before = s.handle(".apply");
+    assert_eq!(s.handle(".apply"), before);
+    assert!(hits(&s) > 0, "the replay is served components");
     raise(s.shared().cube(), 1);
     s.handle(".commit");
     let after = s.handle(".apply");
@@ -40,7 +99,7 @@ fn split_memo_sees_a_base_write() {
     let mut fresh = Session::new(Dataset::Running);
     raise(fresh.shared().cube(), 1);
     fresh.handle(".commit");
-    fresh.handle(".change Joe Contractor 2");
+    fresh.handle(".change Joe PTE 3");
     let expected = fresh.handle(".apply");
     assert_ne!(before, expected, "the write must change the reply");
     assert_eq!(after, expected);

@@ -4,24 +4,26 @@
 //! perspectives `P`, semantics, mode) there is an algebra expression `En`
 //! with `Qn(Cin) = En(Q(Cin))` — and likewise `Ep` for positive-change
 //! queries. [`compile`] constructs that expression from a [`Scenario`];
-//! [`run`] evaluates expressions over cubes by definition, composing the
-//! operators freely (σ before Φρ, say): Φρ is [`crate::operators::relocate()`]
-//! over [`crate::phi()`], cell by cell. Queries do not run through
-//! [`run`]: the MDX layer hands the scenario to [`crate::apply`], the
-//! chunked engine, and `.explain` prints [`compile`]'s expression beside
-//! the plan that ran. [`run`] is the theorem's left-hand side in the
-//! tests that hold the two equal.
+//! [`run`] evaluates expressions over cubes, composing the operators
+//! freely (σ before Φρ, say): σ and Φρ by definition, cell by cell (Φρ is
+//! [`crate::operators::relocate()`] over [`crate::phi()`]). S has one
+//! implementation in the product, the chunked executor: [`run`]'s split
+//! step is [`crate::apply`] of a positive scenario, and the definitional
+//! S is the test oracle's. Queries do not run through [`run`]: the MDX
+//! layer hands the scenario to [`crate::apply`], and `.explain` prints
+//! [`compile`]'s expression beside the plan that ran. [`run`] is the
+//! theorem's left-hand side in the tests that hold the two equal.
 
+use crate::exec::ExecOpts;
 use crate::operators::relocate::relocate;
 use crate::operators::select::{select, Predicate};
-use crate::operators::split::split;
 use crate::perspective::{Mode, PerspectiveSpec};
+use crate::perspective_cube::apply;
 use crate::plan::checked_phi;
 use crate::scenario::{Change, Scenario};
 use crate::Result;
 use olap_cube::Cube;
-use olap_model::{DimensionId, Schema};
-use std::sync::Arc;
+use olap_model::DimensionId;
 
 /// An expression in the Section 4 algebra.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,9 +61,8 @@ pub enum AlgebraExpr {
 
 /// The result of running an algebra expression.
 pub struct AlgebraOutput {
-    /// Output schema (may differ from the input's after Split).
-    pub schema: Arc<Schema>,
-    /// Output cube (leaf cells).
+    /// Output cube (leaf cells), over the output schema (the input's, or
+    /// a grown one after Split).
     pub cube: Cube,
     /// The mode requested by a trailing Eval marker, if any.
     pub mode: Option<Mode>,
@@ -88,23 +89,19 @@ pub fn compile(scenario: &Scenario) -> AlgebraExpr {
     }
 }
 
-/// Evaluates an algebra expression over a cube, each operator by its
-/// definition. The first operator reads `cube` itself; each operator
+/// Evaluates an algebra expression over a cube: σ and Φρ each by its
+/// definition, S through [`crate::apply`]. The first operator reads
+/// `cube` itself; each operator
 /// builds a new cube and none writes its input. An expression with no
 /// operator (a bare `Eval`) is σ_true.
 pub fn run(cube: &Cube, expr: &AlgebraExpr) -> Result<AlgebraOutput> {
-    let mut state = State {
-        schema: Arc::clone(cube.schema()),
-        cube: None,
-        mode: None,
-    };
+    let mut state = State::default();
     run_into(cube, &mut state, expr)?;
     let out = match state.cube {
         Some(out) => out,
         None => select(cube, DimensionId(0), &Predicate::True)?,
     };
     Ok(AlgebraOutput {
-        schema: state.schema,
         cube: out,
         mode: state.mode,
     })
@@ -112,8 +109,8 @@ pub fn run(cube: &Cube, expr: &AlgebraExpr) -> Result<AlgebraOutput> {
 
 /// [`run`]'s progress: the last operator's output, `None` before the
 /// first.
+#[derive(Default)]
 struct State {
-    schema: Arc<Schema>,
     cube: Option<Cube>,
     mode: Option<Mode>,
 }
@@ -129,9 +126,10 @@ fn run_into(input: &Cube, state: &mut State, expr: &AlgebraExpr) -> Result<()> {
             state.cube = Some(relocate(current, spec.dim, &vs)?);
         }
         AlgebraExpr::Split { dim, changes } => {
-            let (schema, cube) = split(current, *dim, changes)?;
-            state.schema = schema;
-            state.cube = Some(cube);
+            // The mode only marks how derived cells evaluate later.
+            let scenario = Scenario::positive(*dim, changes.clone(), Mode::Visual);
+            let out = apply(current, &scenario, None, &ExecOpts::default())?;
+            state.cube = Some(out.cube);
         }
         AlgebraExpr::Eval { visual } => {
             state.mode = Some(if *visual {
@@ -152,10 +150,9 @@ fn run_into(input: &Cube, state: &mut State, expr: &AlgebraExpr) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecOpts;
     use crate::perspective::Semantics;
-    use crate::perspective_cube::apply;
     use olap_model::{DimensionSpec, SchemaBuilder};
+    use std::sync::Arc;
 
     fn fixture() -> (Cube, DimensionId) {
         let schema = Arc::new(
@@ -220,7 +217,7 @@ mod tests {
         let direct = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
         let algebra = run(&cube, &compile(&scenario)).unwrap();
         assert!(algebra.cube.same_cells(&direct.cube).unwrap());
-        assert_eq!(algebra.schema.shape(), direct.schema.shape());
+        assert_eq!(algebra.cube.schema().shape(), direct.cube.schema().shape());
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! (Section 5.2). Per Section 6, a multi-perspective query runs as
 //! **passes** — one per perspective (static) or per range (dynamic) —
 //! sharing one output cube; queries can also be **scoped** to the
-//! varying-dimension slots they touch, Essbase-style. All of that is
-//! decided up front in a [`Plan`]; the one entry point, [`execute`], only
-//! reads it, on the caller's thread. Uncached, unbounded execution is
+//! varying-dimension slots they touch, Essbase-style, and a positive
+//! scenario writes onto a grown axis. All of that is decided up front in
+//! a [`Plan`]; the one entry point, [`execute`], only reads it, on the
+//! caller's thread. Uncached, unbounded execution is
 //! [`ExecOpts::default`]. [`ExecReport`] exposes predicted pebbles and
 //! observed peak buffer residency for the ablations.
 
@@ -96,17 +97,19 @@ pub struct ExecOpts {
     /// computed before it.
     pub cache: Option<Arc<ScenarioCache>>,
     /// Peak-memory ceiling in *cells* for this execution; `0` means
-    /// unlimited. A plan whose predicted pebble count (times the chunk
-    /// cell extent) exceeds the ceiling is rejected with
-    /// [`crate::WhatIfError::BudgetExceeded`] before any chunk is read —
-    /// the per-session admission check of the multi-tenant server. The
-    /// check uses the same pebble prediction the `.explain` report
-    /// shows, so a rejection names the exact shortfall.
+    /// unlimited. A plan of either scenario kind whose predicted pebble
+    /// count (times the chunk cell extent) exceeds the ceiling is
+    /// rejected with [`crate::WhatIfError::BudgetExceeded`] before any
+    /// chunk is read — the per-session admission check of the
+    /// multi-tenant server. The check uses the same pebble prediction
+    /// the `.explain` report shows, so a rejection names the exact
+    /// shortfall.
     pub budget_cells: u64,
     /// Cooperative wall-clock deadline; `None` (the default) means
-    /// unlimited. Checked at pass boundaries and before each Lemma 5.1
-    /// slice sequence (slices are independent, so aborting between them
-    /// leaves no partial state); once the instant passes, execution
+    /// unlimited. Checked for either scenario kind when execution
+    /// starts, at pass boundaries and before each Lemma 5.1 slice
+    /// sequence (slices are independent, so aborting between them leaves
+    /// no partial state); once the instant passes, execution
     /// stops with [`crate::WhatIfError::DeadlineExceeded`] and the
     /// partial output cube is discarded. The scenario cache is only
     /// updated after a complete run, so a deadline abort never installs
@@ -129,7 +132,7 @@ impl ExecOpts {
 /// Chunked execution (Sections 5 and 6) of a [`Plan`] built on `cube` —
 /// the executor's only entry point. It only reads the plan: the budget
 /// check against the predicted pebbles, the scenario-cache probe, then
-/// each pass over one shared output cube.
+/// each pass over one shared output cube of the plan's output schema.
 ///
 /// With `ExecOpts::cache` set, every merge component the scope keeps
 /// whole is probed first (all of them when unscoped): a component whose
@@ -141,7 +144,7 @@ impl ExecOpts {
 /// uncached.
 pub fn execute(cube: &Cube, plan: &Plan, opts: &ExecOpts) -> Result<(Cube, ExecReport)> {
     opts.check_deadline()?;
-    let out = cube.empty_like();
+    let out = cube.empty_for_schema(Arc::clone(&plan.out_schema))?;
     let mut report = ExecReport {
         graph_nodes: plan.graph.len(),
         graph_edges: plan.graph.edge_count(),
@@ -214,10 +217,11 @@ type CacheKeys = Vec<(ChunkId, u64)>;
 
 /// Probes the scenario-delta cache with every merge component the scope
 /// keeps whole (across all slices — an output chunk is a pure function of
-/// its component's inputs and fates, see `crate::cache`). Hit components
-/// have all their chunks installed into `out`; returns the mask of their
-/// labels, and the `(chunk, digest)` keys of missed components so the
-/// caller can insert the freshly merged chunks after the run.
+/// its component's inputs, its fates and the output geometry, see
+/// `crate::cache`). Hit components have all their chunks installed into
+/// `out`; returns the mask of their labels, and the `(output chunk,
+/// digest)` keys of missed components so the caller can insert the
+/// freshly merged chunks after the run.
 fn probe_cache(
     cube: &Cube,
     plan: &Plan,
@@ -232,10 +236,12 @@ fn probe_cache(
         return Ok((served, to_insert));
     }
     let geom = cube.geometry();
+    let out_geom = &plan.out_geom;
     let vd = plan.vd;
     let axis_len = cube.schema().axis_len(plan.dim);
     // Scope slot numbering to this cube's shape, schema identity and
-    // data version: a cache is per-session (one base cube), but make
+    // data version, and to the output axis's length (which a positive
+    // plan grows): a cache is per-session (one base cube), but make
     // cross-cube aliasing within a process loud-proof anyway, and never
     // serve a component merged before a base-cube write.
     let geometry_sig = {
@@ -248,6 +254,7 @@ fn probe_cache(
         for d in 0..geom.ndims() {
             h.write_u32(geom.lens()[d]).write_u32(geom.extents()[d]);
         }
+        h.write_u32(out_geom.lens()[vd]);
         h.finish()
     };
     for comp in graph.components() {
@@ -264,9 +271,9 @@ fn probe_cache(
         let mut keys: Vec<(ChunkId, u64)> = Vec::with_capacity(plan.anchors.len() * labels.len());
         for anchor in &plan.anchors {
             let mut coord = anchor.clone();
-            for &l in &labels {
+            for &l in labels.iter().filter(|&&l| l < out_geom.grid()[vd]) {
                 coord[vd] = l;
-                keys.push((geom.chunk_id(&coord), digest));
+                keys.push((out_geom.chunk_id(&coord), digest));
             }
         }
         match cache.lookup_component(&keys) {
@@ -342,7 +349,7 @@ impl Run<'_> {
         sequence: &[Vec<u32>],
         report: &mut ExecReport,
     ) -> Result<()> {
-        let geom = self.cube.geometry();
+        let (geom, out_geom) = (self.cube.geometry(), &self.plan.out_geom);
         let vd = self.plan.vd;
         let graph = &pass.graph;
 
@@ -354,28 +361,34 @@ impl Run<'_> {
         let mut buffers: HashMap<ChunkId, Chunk> = HashMap::new();
 
         for coord in sequence.iter() {
-            let label = coord[vd] as usize;
-            let id = geom.chunk_id(coord);
-            let materialized = self.cube.chunk_exists(id);
-            if materialized {
+            let label = coord[vd];
+            // A label past the input's end (the axis grew) has no input
+            // chunk and reads as absent; one past the output's end (it
+            // shrank) has no output chunk and keeps no buffer.
+            let input = (label < geom.grid()[vd])
+                .then(|| geom.chunk_id(coord))
+                .filter(|&id| self.cube.chunk_exists(id));
+            let out_id = (label < out_geom.grid()[vd]).then(|| out_geom.chunk_id(coord));
+            if input.is_some() {
                 report.chunks_read += 1;
             }
-            let node = match pass.roles[label] {
-                Role::Merge(node) => node,
+            let node = match (pass.roles[label as usize], input) {
+                (Role::Merge(node), _) => node,
                 // Copy-through (first pass only; untouched by any pass of
-                // the plan).
-                Role::Copy if materialized => {
-                    out.put_chunk(id, (*self.cube.chunk(id)?).clone())?;
+                // the plan, and one shape in both geometries).
+                (Role::Copy, Some(id)) => {
+                    let out_id = out_id.expect("a copied label is in both geometries");
+                    out.put_chunk(out_id, (*self.cube.chunk(id)?).clone())?;
                     continue;
                 }
                 // Residue: keep exactly the cells this pass owns. None of
                 // them moves, so scattering fills this chunk's own buffer.
-                Role::Residue if materialized => {
+                (Role::Residue, Some(id)) => {
                     let mut own = HashMap::new();
                     self.scatter(&*self.cube.chunk(id)?, coord, dest, &mut own, report);
-                    debug_assert!(own.keys().all(|&k| k == id), "residue cells stay put");
-                    if let Some(buf) = own.remove(&id) {
-                        self.flush_overlay(out, id, buf)?;
+                    debug_assert!(own.keys().all(|&k| Some(k) == out_id), "cells stay put");
+                    for (out_id, buf) in own {
+                        self.flush_overlay(out, out_id, buf)?;
                     }
                     continue;
                 }
@@ -400,15 +413,17 @@ impl Run<'_> {
             }
 
             // Scatter this chunk's cells into output buffers.
-            if materialized {
+            if let Some(id) = input {
                 let chunk = self.cube.chunk(id)?;
                 self.scatter(&chunk, coord, dest, &mut buffers, report);
             }
             // This node's buffer exists even when nothing lands in it —
             // it is "pebbled" while its merges are pending.
-            buffers
-                .entry(id)
-                .or_insert_with(|| Chunk::new_dense(geom.chunk_shape(&geom.chunk_coord(id))));
+            if let Some(out_id) = out_id {
+                buffers
+                    .entry(out_id)
+                    .or_insert_with(|| Chunk::new_dense(out_geom.chunk_shape(coord)));
+            }
             report.peak_out_buffers = report.peak_out_buffers.max(buffers.len() as u64);
 
             // Flush every node of this slice whose neighbors are done.
@@ -422,10 +437,13 @@ impl Run<'_> {
                 }
             }
             let slice_done = state.done == graph.len();
-            for y in flush {
+            for y in flush
+                .into_iter()
+                .filter(|&y| graph.label(y) < out_geom.grid()[vd])
+            {
                 let mut ycoord = coord.clone();
                 ycoord[vd] = graph.label(y);
-                let yid = geom.chunk_id(&ycoord);
+                let yid = out_geom.chunk_id(&ycoord);
                 if let Some(buf) = buffers.remove(&yid) {
                     self.flush_overlay(out, yid, buf)?;
                 }
@@ -451,7 +469,9 @@ impl Run<'_> {
     /// word-wise presence OR. The wholesale copy is sound because the
     /// relocation map is injective per pass: distinct source runs land
     /// on disjoint destination ranges, so no present destination cell is
-    /// ever overwritten (debug-asserted inside the kernel). When vd or
+    /// ever overwritten (debug-asserted inside the kernel). Both
+    /// geometries share every extent, so the argument holds across them.
+    /// When vd or
     /// pd is the very last axis the runs degenerate to single cells,
     /// which is still correct.
     fn scatter(
@@ -462,7 +482,7 @@ impl Run<'_> {
         buffers: &mut HashMap<ChunkId, Chunk>,
         report: &mut ExecReport,
     ) {
-        let geom = self.cube.geometry();
+        let (geom, out_geom) = (self.cube.geometry(), &self.plan.out_geom);
         let (vd, pd, vd_extent) = (self.plan.vd, self.plan.pd, self.plan.vd_extent);
         let mut target: Vec<u32> = Vec::with_capacity(geom.ndims());
         let mut it = geom.runs_from(coord, vd.max(pd) + 1);
@@ -484,9 +504,9 @@ impl Run<'_> {
                     target.clear();
                     target.extend_from_slice(base);
                     target[vd] = dst;
-                    let (tid, toff) = geom.split_cell(&target);
+                    let (tid, toff) = out_geom.split_cell(&target);
                     let buf = buffers.entry(tid).or_insert_with(|| {
-                        Chunk::new_dense(geom.chunk_shape(&geom.chunk_coord(tid)))
+                        Chunk::new_dense(out_geom.chunk_shape(&out_geom.chunk_coord(tid)))
                     });
                     let n = buf.copy_run_from(chunk, start, toff, len);
                     if dst != src {

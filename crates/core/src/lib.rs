@@ -18,8 +18,8 @@
 //!   hypothetical reclassifications that never happened.
 //! * **The algebra** (Section 4): selection [`operators::select()`], the
 //!   validity-set transform [`phi()`], relocation [`operators::relocate()`],
-//!   split [`operators::split()`], and eval [`operators::EvalOp`]; plus the
-//!   Theorem 4.1 compiler in [`algebra`].
+//!   split (a [`Plan`] over a grown axis, [`operators::split`]), and eval
+//!   [`operators::EvalOp`]; plus the Theorem 4.1 compiler in [`algebra`].
 //! * **The perspective cube** (Section 5): [`apply`] evaluates a what-if
 //!   query chunk by chunk — ordering chunk reads with the
 //!   **merge-dependency graph** and **pebbling heuristic** of Section 5.2
@@ -47,7 +47,7 @@ pub use exec::{execute, execute_passes_opts, ExecOpts, ExecReport, OrderPolicy};
 pub use fingerprint::{Fnv64, FnvSuffix};
 pub use forest::{ForestError, ForkRow, ScenarioForest};
 pub use merge::MergeGraph;
-pub use operators::{check_changes, relocate, select, split, CmpOp, DestMap, EvalOp, Predicate};
+pub use operators::{check_changes, relocate, select, CmpOp, DestMap, EvalOp, Predicate};
 pub use perspective::{Mode, PerspectiveSpec, Semantics};
 pub use perspective_cube::{apply, WhatIfResult};
 pub use phi::{phi, prune_vacancies, VsMap};

@@ -1,5 +1,6 @@
 //! The algebraic operators of Section 4: σ (selection), ρ (relocate),
-//! S (split), and E (eval). Φ lives in [`crate::phi()`].
+//! the validation of S's change relation, and E (eval). Φ lives in
+//! [`crate::phi()`]; S runs as a plan ([`crate::Plan::for_scenario`]).
 
 pub mod eval_op;
 pub mod relocate;
@@ -10,4 +11,4 @@ mod stage;
 pub use eval_op::EvalOp;
 pub use relocate::{relocate, DestMap};
 pub use select::{select, CmpOp, Predicate};
-pub use split::{check_changes, split};
+pub use split::check_changes;

@@ -5,20 +5,20 @@
 //! and an "after t" instance under the hypothetical parent `n`: the `o/m`
 //! sub-cube is ⊥ for τ ≥ t, the `n/m` sub-cube is ⊥ for τ < t.
 //!
-//! The output cube has a *new schema* (the split adds instances and thus
-//! axis slots); the input schema is never mutated — the change is
-//! hypothetical.
+//! In the product S is the Section 5 executor: [`crate::Plan::for_scenario`]
+//! grows a clone of the schema by `R` (the input schema is never mutated —
+//! the change is hypothetical) and plans S as ρ onto the grown axis, which
+//! [`crate::execute`] runs chunk by chunk. The definitional S, cell by cell
+//! and keyed by hierarchy path, is the test oracle's. This module keeps
+//! the one validation of a change relation.
 
 use crate::error::WhatIfError;
-use crate::operators::stage::Stager;
 use crate::scenario::Change;
 use crate::Result;
-use olap_cube::Cube;
 use olap_model::{DimensionId, MemberId, Schema};
-use std::sync::Arc;
 
 /// Checks the change relation `changes` against `dim` of `schema`: the
-/// one validation that [`split`] runs and that the shell's `.change` runs
+/// one validation that planning S runs and that the shell's `.change` runs
 /// on a fork's list before it records a change. Each change must take
 /// effect at a moment of the parameter dimension, move a member of `dim`
 /// under a non-leaf parent that is neither the member nor one of its
@@ -80,69 +80,29 @@ pub fn check_changes(schema: &Schema, dim: DimensionId, changes: &[Change]) -> R
     Ok(())
 }
 
-/// S(Cin, R): applies positive changes, returning the extended schema and
-/// the re-homed cube.
-///
-/// The changes apply in list order, each reclassifying its member from
-/// its moment onward (`VaryingDimension::reclassify`), so a later change
-/// of the same member overrides an earlier one from the later change's
-/// moment on. Definition 4.5 treats `R` as a set and is silent on a
-/// member changed twice; this ordered reading is the one `WITH CHANGES`
-/// and the shell's `.change` list give (DESIGN.md §3).
-pub fn split(cube: &Cube, dim: DimensionId, changes: &[Change]) -> Result<(Arc<Schema>, Cube)> {
-    let schema_in = cube.schema();
-    check_changes(schema_in, dim, changes)?;
-    let varying_in = schema_in.varying(dim).expect("checked varying");
-    let moments = varying_in.moments();
-
-    // Hypothetically apply the changes on a cloned schema.
-    let mut schema_out = (**schema_in).clone();
-    for ch in changes {
-        schema_out
-            .reclassify(dim, ch.member, ch.new_parent, ch.at)
-            .map_err(|e| WhatIfError::BadChange(e.to_string()))?;
-    }
-    schema_out.seal();
-    schema_out.validate()?;
-    let schema_out = Arc::new(schema_out);
-
-    // Re-home every cell: the value of (member, τ) moves to the *new*
-    // schema's instance valid at τ.
-    let varying_out = schema_out.varying(dim).expect("still varying");
-    let vd = dim.index();
-    let pd = varying_in.parameter_dim().index();
-    let n_in = varying_in.instance_count();
-    let mut slot_map = vec![u32::MAX; (n_in * moments) as usize];
-    for i in 0..n_in {
-        let inst = varying_in.instance(olap_model::InstanceId(i));
-        for t in inst.validity.iter() {
-            if let Some(new) = varying_out.instance_at(inst.member, t) {
-                slot_map[(i * moments + t) as usize] = new.0;
-            }
-        }
-    }
-
-    let out = cube.empty_for_schema(Arc::clone(&schema_out))?;
-    let mut stager = Stager::new(out.geometry());
-    cube.for_each_present(|cell, v| {
-        let src = cell[vd];
-        let t = cell[pd];
-        let dst = slot_map[(src * moments + t) as usize];
-        if dst != u32::MAX {
-            let mut c = cell.to_vec();
-            c[vd] = dst;
-            stager.set(&c, v);
-        }
-    })?;
-    stager.flush_into(&out)?;
-    Ok((schema_out, out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecOpts;
+    use crate::perspective::Mode;
+    use crate::perspective_cube::apply;
+    use crate::scenario::Scenario;
+    use olap_cube::Cube;
     use olap_model::{DimensionSpec, SchemaBuilder};
     use olap_store::CellValue;
+    use std::sync::Arc;
+
+    /// S(Cin, R) as the product runs it: the output schema and cube of a
+    /// positive `apply`.
+    fn apply_changes(
+        cube: &Cube,
+        dim: DimensionId,
+        changes: &[Change],
+    ) -> Result<(Arc<Schema>, Cube)> {
+        let scenario = Scenario::positive(dim, changes.to_vec(), Mode::Visual);
+        let r = apply(cube, &scenario, None, &ExecOpts::default())?;
+        Ok((Arc::clone(r.cube.schema()), r.cube))
+    }
 
     /// Org {FTE: Lisa, Joe; PTE: Tom; Contractor: Jane} × 6 months, no
     /// real changes. Salary 10/month.
@@ -181,7 +141,7 @@ mod tests {
         let lisa = d.resolve("Lisa").unwrap();
         let fte = d.resolve("FTE").unwrap();
         let pte = d.resolve("PTE").unwrap();
-        let (schema2, out) = split(
+        let (schema2, out) = apply_changes(
             &cube,
             org,
             &[Change {
@@ -216,7 +176,7 @@ mod tests {
         let lisa = d.resolve("Lisa").unwrap();
         let pte = d.resolve("PTE").unwrap();
         let contractor = d.resolve("Contractor").unwrap();
-        let err = split(
+        let err = apply_changes(
             &cube,
             org,
             &[Change {
@@ -250,7 +210,7 @@ mod tests {
                 new_parent: contractor,
                 at: 4,
             };
-            split(&cube, org, &[first, second])
+            apply_changes(&cube, org, &[first, second])
         };
         assert!(moves(pte).is_ok());
         assert!(matches!(
@@ -265,7 +225,7 @@ mod tests {
         let d = cube.schema().dim(org);
         let lisa = d.resolve("Lisa").unwrap();
         let tom = d.resolve("Tom").unwrap();
-        let err = split(
+        let err = apply_changes(
             &cube,
             org,
             &[Change {
@@ -286,7 +246,7 @@ mod tests {
         let d = cube.schema().dim(org);
         let fte = d.resolve("FTE").unwrap();
         let pte = d.resolve("PTE").unwrap();
-        let err = split(
+        let err = apply_changes(
             &cube,
             org,
             &[
@@ -320,7 +280,7 @@ mod tests {
         let tom = d.resolve("Tom").unwrap();
         let contractor = d.resolve("Contractor").unwrap();
         let fte = d.resolve("FTE").unwrap();
-        let (schema2, out) = split(
+        let (schema2, out) = apply_changes(
             &cube,
             org,
             &[
@@ -360,7 +320,7 @@ mod tests {
         let d = cube.schema().dim(org);
         let lisa = d.resolve("Lisa").unwrap();
         let pte = d.resolve("PTE").unwrap();
-        let err = split(
+        let err = apply_changes(
             &cube,
             org,
             &[Change {

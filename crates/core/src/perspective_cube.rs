@@ -2,38 +2,36 @@
 //!
 //! "We call the result of any of the what-if queries we discussed in this
 //! paper a perspective cube." [`apply`] computes it for either scenario
-//! kind; [`WhatIfResult`] answers cell queries respecting the query's
+//! kind through the one chunked executor: a negative scenario is ρ∘Φ
+//! onto the input's axis, a positive one S as ρ onto a grown axis.
+//! [`WhatIfResult`] answers cell queries respecting the query's
 //! **mode**: visual re-derives non-leaf cells on the output cube,
 //! non-visual retains the input's.
 
-use crate::exec::{execute, ExecOpts, ExecReport, OrderPolicy};
-use crate::operators::split::split;
+use crate::exec::{execute, ExecOpts, ExecReport};
 use crate::perspective::Mode;
 use crate::phi::{prune_vacancies, VsMap};
 use crate::plan::Plan;
 use crate::scenario::Scenario;
 use crate::Result;
 use olap_cube::{CellEvaluator, Cube, Sel};
-use olap_model::{AxisSlot, Schema};
+use olap_model::AxisSlot;
 use olap_store::CellValue;
-use std::sync::Arc;
 
 /// The materialized perspective cube plus everything needed to answer
 /// queries under the scenario's mode.
 pub struct WhatIfResult {
-    /// The output cube (leaf cells after the scenario).
+    /// The output cube (leaf cells after the scenario) over the output
+    /// schema — the input's for negative scenarios, an extended clone for
+    /// positive ones (split adds instances).
     pub cube: Cube,
-    /// The output schema — the input's for negative scenarios, an
-    /// extended clone for positive ones (split adds instances).
-    pub schema: Arc<Schema>,
     /// The scenario it answers.
     pub scenario: Scenario,
     /// Output validity sets for negative scenarios (vacancy-pruned, as in
     /// the paper's examples). `None` for positive scenarios, whose
     /// validity sets live in the output schema itself.
     pub vs_out: Option<VsMap>,
-    /// Executor metrics (all zero for a positive scenario, which runs no
-    /// pass).
+    /// Executor metrics of the run that built `cube`.
     pub report: ExecReport,
 }
 
@@ -73,7 +71,7 @@ impl WhatIfResult {
         if let Some(mdim) = self.cube.rules().measure_dim() {
             let measure = match sels.get(mdim.index()) {
                 Some(Sel::Member(m)) => Some(*m),
-                Some(Sel::Slot(s)) => Some(self.schema.slot_member(mdim, AxisSlot(*s))),
+                Some(Sel::Slot(s)) => Some(self.cube.schema().slot_member(mdim, AxisSlot(*s))),
                 None => None,
             };
             if let Some(m) = measure {
@@ -94,7 +92,7 @@ impl WhatIfResult {
             Scenario::Positive { dim, .. } => {
                 let mut out = sels.to_vec();
                 if let Some(Sel::Slot(s)) = sels.get(dim.index()) {
-                    let member = self.schema.slot_member(*dim, AxisSlot(*s));
+                    let member = self.cube.schema().slot_member(*dim, AxisSlot(*s));
                     out[dim.index()] = Sel::Member(member);
                 }
                 out
@@ -105,48 +103,35 @@ impl WhatIfResult {
 
 /// Applies a what-if scenario to a cube (Theorem 4.1's right-hand side:
 /// the algebra applied to the core query's result) — the one way a
-/// scenario runs. A negative scenario is planned with
-/// [`OrderPolicy::Pebbling`] and executed chunk by chunk (Sections 5–6);
-/// `scope` optionally restricts that execution to the varying-dimension
-/// slots the query touches (Essbase-style retrieval), and `opts` carries
-/// the executor's knobs. A positive scenario rebuilds the axis with
-/// [`split`] and ignores both. Other read orders run through
-/// [`Plan::build`] and [`execute`].
+/// scenario runs, whatever its kind: [`Plan::for_scenario`] plans it with
+/// the pebbling order and [`execute`] runs it chunk by chunk (Sections
+/// 5–6) under `opts`, the executor's cache, budget and deadline. `scope`
+/// optionally restricts execution to the output slots the query touches
+/// (Essbase-style retrieval); the MDX layer passes `None` for a positive
+/// scenario, whose axes name instances that exist only in its output.
+/// Other read orders run through [`Plan::build`] and [`execute`].
 pub fn apply(
     cube: &Cube,
     scenario: &Scenario,
     scope: Option<&[u32]>,
     opts: &ExecOpts,
 ) -> Result<WhatIfResult> {
-    match scenario {
-        Scenario::Negative(spec) => {
-            let plan = Plan::build(cube, spec, &OrderPolicy::Pebbling, scope)?;
-            let (out, report) = execute(cube, &plan, opts)?;
-            let (_, mut vs) = plan.scenario.expect("Plan::build records its scenario");
-            let varying = cube
-                .schema()
-                .varying(spec.dim)
-                .expect("checked by planning");
-            prune_vacancies(&mut vs, varying.instances(), varying.moments());
-            Ok(WhatIfResult {
-                cube: out,
-                schema: Arc::clone(cube.schema()),
-                scenario: scenario.clone(),
-                vs_out: Some(vs),
-                report,
-            })
-        }
-        Scenario::Positive { dim, changes, .. } => {
-            let (schema2, out) = split(cube, *dim, changes)?;
-            Ok(WhatIfResult {
-                cube: out,
-                schema: schema2,
-                scenario: scenario.clone(),
-                vs_out: None,
-                report: ExecReport::default(),
-            })
-        }
-    }
+    let plan = Plan::for_scenario(cube, scenario, scope)?;
+    let (out, report) = execute(cube, &plan, opts)?;
+    let vs_out = plan.vs.map(|mut vs| {
+        let varying = cube
+            .schema()
+            .varying(plan.dim)
+            .expect("checked by planning");
+        prune_vacancies(&mut vs, varying.instances(), varying.moments());
+        vs
+    });
+    Ok(WhatIfResult {
+        cube: out,
+        scenario: scenario.clone(),
+        vs_out,
+        report,
+    })
 }
 
 #[cfg(test)]
@@ -156,6 +141,7 @@ mod tests {
     use crate::perspective::Semantics;
     use crate::scenario::Change;
     use olap_model::{DimensionSpec, MemberId, SchemaBuilder};
+    use std::sync::Arc;
 
     /// Running example with a measures axis: Org (varying) × Time ×
     /// Measures {Salary}. Salary 10/month per valid instance.
@@ -287,12 +273,12 @@ mod tests {
             Mode::Visual,
         );
         let r = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
-        assert!(!Arc::ptr_eq(&r.schema, cube.schema()));
+        assert!(!Arc::ptr_eq(r.cube.schema(), cube.schema()));
         // Visual: PTE Qtr2 total = Tom 30 + PTE/Lisa (Apr, May, Jun) 30.
         let pte_sel = Sel::Member(pte);
         let qtr2 = {
-            let t = r.schema.resolve_dimension("Time").unwrap();
-            Sel::Member(r.schema.dim(t).resolve("Qtr2").unwrap())
+            let t = r.cube.schema().resolve_dimension("Time").unwrap();
+            Sel::Member(r.cube.schema().dim(t).resolve("Qtr2").unwrap())
         };
         let v = r.value(&cube, &[pte_sel, qtr2, Sel::Slot(0)]).unwrap();
         assert_eq!(v, CellValue::Num(60.0));
@@ -318,8 +304,8 @@ mod tests {
         let r = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
         // Non-visual PTE Qtr2: input total (Tom only) = 30.
         let qtr2 = {
-            let t = r.schema.resolve_dimension("Time").unwrap();
-            Sel::Member(r.schema.dim(t).resolve("Qtr2").unwrap())
+            let t = r.cube.schema().resolve_dimension("Time").unwrap();
+            Sel::Member(r.cube.schema().dim(t).resolve("Qtr2").unwrap())
         };
         let v = r
             .value(&cube, &[Sel::Member(pte), qtr2, Sel::Slot(0)])

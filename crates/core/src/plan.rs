@@ -3,11 +3,12 @@
 //!
 //! A [`Plan`] is built once per request and only read by
 //! [`crate::exec::execute`]. It holds the *what* — the validated scenario,
-//! Φ's output, the destination map and the Section 6 pass partition — and
-//! the *how*: the label mask after the scope closure, the full merge
-//! graph and its predicted pebbles, and for each pass its induced graph,
-//! pebbling order, residue and copy-through labels and the label sequence
-//! every Lemma 5.1 slice reads.
+//! Φ's output, the destination map, the Section 6 pass partition and the
+//! output schema (grown, for a positive scenario: S is ρ onto a grown
+//! axis) — and the *how*: the label mask after the scope closure, the full
+//! merge graph and its predicted pebbles, and for each pass its induced
+//! graph, pebbling order, residue and copy-through labels and the label
+//! sequence every Lemma 5.1 slice reads.
 //! Scoping and scenario-cache withdrawal are one operation, a restriction
 //! of the label mask: drop these labels, re-induce, re-order.
 //!
@@ -34,24 +35,33 @@
 use crate::error::WhatIfError;
 use crate::exec::OrderPolicy;
 use crate::merge::{heuristic_order, naive_order, pebbles_for_order, MergeGraph};
+use crate::operators::check_changes;
 use crate::operators::relocate::{CellFate, DestMap};
 use crate::perspective::{PerspectiveSpec, Semantics};
 use crate::phi::{phi, VsMap};
+use crate::scenario::{Change, Scenario};
 use crate::Result;
 use olap_cube::Cube;
-use olap_model::{DimensionId, InstanceId, Moment, VaryingDimension};
+use olap_model::{DimensionId, InstanceId, Moment, Schema, VaryingDimension};
+use olap_store::ChunkGeometry;
+use std::sync::Arc;
 
-/// A negative what-if execution, decided: built once per request on the
-/// cube it will run over, then only read by [`crate::exec::execute`].
+/// A what-if execution, decided: built once per request on the cube it
+/// will run over, then only read by [`crate::exec::execute`].
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// The scenario and Φ's (vacancy-unpruned) output for it; `None` for
-    /// a plan over hand-made maps.
-    pub(crate) scenario: Option<(PerspectiveSpec, VsMap)>,
+    /// Φ's (vacancy-unpruned) output for a negative scenario; `None` for
+    /// a positive one and for a plan over hand-made maps.
+    pub(crate) vs: Option<VsMap>,
     pub(crate) dim: DimensionId,
     map: DestMap,
     /// The Section 6 passes, in run order.
     passes: Vec<DestMap>,
+    /// The output schema (the input's, or a positive plan's grown clone)
+    /// and geometry. The geometries differ at most in the varying axis's
+    /// length, so a label and an anchor name one coordinate in both.
+    pub(crate) out_schema: Arc<Schema>,
+    pub(crate) out_geom: ChunkGeometry,
     pub(crate) policy: OrderPolicy,
     pub(crate) vd: usize,
     pub(crate) pd: usize,
@@ -59,7 +69,8 @@ pub struct Plan {
     /// One chunk coordinate per Lemma 5.1 slice (varying-dimension grid
     /// coordinate 0), in slice-major order.
     pub(crate) anchors: Vec<Vec<u32>>,
-    /// Labels (varying-dimension chunk indices) the execution may touch.
+    /// Labels (varying-dimension chunk indices, over the longer of the
+    /// input and output axes) the execution may touch.
     pub(crate) kept: Vec<bool>,
     /// Per label: whether the scope keeps its merge component of the
     /// unrestricted graph whole (every label when unscoped). Only whole
@@ -91,8 +102,8 @@ pub(crate) struct PassPlan {
 pub(crate) enum Role {
     /// Not read.
     Skip,
-    /// Kept, with no merge or drop under the full plan: copied verbatim
-    /// (first pass only).
+    /// Kept, with no merge or drop under the full plan and one shape in
+    /// both geometries: copied verbatim (first pass only).
     Copy,
     /// Holds cells this pass owns but neither merges nor copies (say an
     /// instance owned by pass 2 sharing a chunk with a pass-0 mover): only
@@ -114,6 +125,23 @@ impl OrderPolicy {
 }
 
 impl Plan {
+    /// Plans a scenario of either kind with [`OrderPolicy::Pebbling`] —
+    /// the plan [`crate::apply`] runs: a negative one by [`Plan::build`],
+    /// a positive one as one pass of S onto the grown axis. `scope`
+    /// names output slots.
+    pub fn for_scenario(cube: &Cube, scenario: &Scenario, scope: Option<&[u32]>) -> Result<Plan> {
+        let (dim, changes) = match scenario {
+            Scenario::Negative(spec) => {
+                return Plan::build(cube, spec, &OrderPolicy::Pebbling, scope)
+            }
+            Scenario::Positive { dim, changes, .. } => (*dim, changes),
+        };
+        let out = grown_schema(cube.schema(), dim, changes)?;
+        let map = split_map(cube.schema(), &out, dim);
+        let passes = vec![map.clone()];
+        Plan::over(cube, dim, map, passes, OrderPolicy::Pebbling, scope, out)
+    }
+
     /// Plans a negative scenario: validates it, applies Φ, builds the
     /// destination map and splits it into the Section 6 passes. `scope`
     /// optionally restricts execution to the varying-dimension slots a
@@ -131,13 +159,14 @@ impl Plan {
         let varying = cube.schema().varying(spec.dim).expect("checked_phi");
         let passes = decompose_passes(&map, spec.semantics, &spec.perspectives, varying);
         let mut plan = Plan::from_maps(cube, spec.dim, map, passes, policy.clone(), scope)?;
-        plan.scenario = Some((spec.clone(), vs));
+        plan.vs = Some(vs);
         Ok(plan)
     }
 
-    /// Plans hand-made maps: `map` is the full plan (it defines the merge
-    /// graph, the copy-through set and the scope closure), `passes` run in
-    /// order over one output cube (`vec![map.clone()]` for a single pass).
+    /// Plans hand-made maps onto the input's own axis: `map` is the full
+    /// plan (it defines the merge graph, the copy-through set and the
+    /// scope closure), `passes` run in order over one output cube
+    /// (`vec![map.clone()]` for a single pass).
     pub fn from_maps(
         cube: &Cube,
         dim: DimensionId,
@@ -146,6 +175,21 @@ impl Plan {
         policy: OrderPolicy,
         scope: Option<&[u32]>,
     ) -> Result<Plan> {
+        let out = Arc::clone(cube.schema());
+        Plan::over(cube, dim, map, passes, policy, scope, out)
+    }
+
+    /// [`Plan::from_maps`] onto `out_schema`.
+    fn over(
+        cube: &Cube,
+        dim: DimensionId,
+        map: DestMap,
+        passes: Vec<DestMap>,
+        policy: OrderPolicy,
+        scope: Option<&[u32]>,
+        out_schema: Arc<Schema>,
+    ) -> Result<Plan> {
+        let out_geom = cube.geometry_for_schema(&out_schema)?;
         let schema = cube.schema();
         let varying = schema
             .varying(dim)
@@ -153,11 +197,11 @@ impl Plan {
         let geom = cube.geometry();
         let vd = dim.index();
         let vd_extent = geom.extents()[vd];
-        let n_labels = geom.grid()[vd] as usize;
+        let n_labels = geom.grid()[vd].max(out_geom.grid()[vd]) as usize;
         let graph = MergeGraph::build(varying, &map, vd_extent);
         let mut in_scope = vec![scope.is_none(); n_labels];
         for &slot in scope.unwrap_or_default() {
-            let axis_len = schema.axis_len(dim);
+            let axis_len = out_geom.lens()[vd];
             if slot >= axis_len {
                 return Err(WhatIfError::BadScopeSlot { slot, axis_len });
             }
@@ -201,10 +245,12 @@ impl Plan {
             .chain((0..geom.ndims()).filter(|&d| d != vd))
             .collect();
         let plan = Plan {
-            scenario: None,
+            vs: None,
             dim,
             map,
             passes,
+            out_schema,
+            out_geom,
             policy,
             vd,
             pd: varying.parameter_dim().index(),
@@ -263,7 +309,7 @@ impl Plan {
 
     /// One pass's plan over `graph` (already induced on `kept`), read in
     /// `order`; the first pass also copies through every kept label
-    /// outside the full graph.
+    /// outside the full graph, as residue where its chunk shapes differ.
     fn pass_plan(
         &self,
         cube: &Cube,
@@ -272,8 +318,17 @@ impl Plan {
         order: &[usize],
         dest: &DestMap,
     ) -> PassPlan {
-        let copy = |k: &bool| if *k && first { Role::Copy } else { Role::Skip };
-        let mut roles: Vec<Role> = self.kept.iter().map(copy).collect();
+        let n_in = cube.geometry().lens()[self.vd];
+        let n_out = self.out_geom.lens()[self.vd];
+        let same_shape = |l| n_in == n_out || (l + 1) * self.vd_extent <= n_in.min(n_out);
+        let copy = |(l, k): (usize, &bool)| {
+            if *k && first && same_shape(l as u32) {
+                Role::Copy
+            } else {
+                Role::Skip
+            }
+        };
+        let mut roles: Vec<Role> = self.kept.iter().enumerate().map(copy).collect();
         for &l in self.graph.labels() {
             roles[l as usize] = Role::Skip;
         }
@@ -305,6 +360,40 @@ impl Plan {
             reads,
         }
     }
+}
+
+/// S's output schema: a clone of `schema` with `changes` checked and
+/// applied in list order, so a later change of a member overrides an
+/// earlier one from its own moment on (the ordered reading of Definition
+/// 4.5's `R`, DESIGN.md §3).
+fn grown_schema(schema: &Schema, dim: DimensionId, changes: &[Change]) -> Result<Arc<Schema>> {
+    check_changes(schema, dim, changes)?;
+    let mut out = schema.clone();
+    for ch in changes {
+        out.reclassify(dim, ch.member, ch.new_parent, ch.at)
+            .map_err(|e| WhatIfError::BadChange(e.to_string()))?;
+    }
+    out.seal();
+    out.validate()?;
+    Ok(Arc::new(out))
+}
+
+/// S as a destination map onto `out`'s axis (Definition 4.5): each input
+/// instance's cell at a valid τ moves to the output instance of the same
+/// member valid at τ; every other cell is dropped.
+fn split_map(schema: &Schema, out: &Schema, dim: DimensionId) -> DestMap {
+    let varying_in = schema.varying(dim).expect("checked by check_changes");
+    let varying_out = out.varying(dim).expect("still varying");
+    let moments = varying_in.moments();
+    let mut dest = vec![u32::MAX; (varying_in.instance_count() * moments) as usize];
+    for (i, inst) in varying_in.instances().iter().enumerate() {
+        for t in inst.validity.iter() {
+            if let Some(new) = varying_out.instance_at(inst.member, t) {
+                dest[i * moments as usize + t as usize] = new.0;
+            }
+        }
+    }
+    DestMap::from_raw(dest, moments)
 }
 
 /// Validates a negative scenario against the cube and applies Φ: the

@@ -290,6 +290,19 @@ impl Cube {
     /// An empty cube for a *different* (e.g. split-extended) schema,
     /// carrying this cube's rules and chunk extents where they still fit.
     pub fn empty_for_schema(&self, schema: Arc<Schema>) -> Result<Cube> {
+        let geometry = self.geometry_for_schema(&schema)?;
+        Ok(Cube {
+            schema,
+            geometry,
+            pool: BufferPool::new(Box::new(MemStore::new()), 1024),
+            rules: self.rules.clone(),
+            dense_threshold: self.dense_threshold,
+        })
+    }
+
+    /// The chunk geometry [`Cube::empty_for_schema`] gives `schema`'s
+    /// cube: this cube's extents where they still fit.
+    pub fn geometry_for_schema(&self, schema: &Schema) -> Result<ChunkGeometry> {
         let lens = schema.shape();
         let extents: Vec<u32> = self
             .geometry
@@ -299,14 +312,7 @@ impl Cube {
             .chain(std::iter::repeat(8))
             .take(lens.len())
             .collect();
-        let geometry = ChunkGeometry::new(lens, extents)?;
-        Ok(Cube {
-            schema,
-            geometry,
-            pool: BufferPool::new(Box::new(MemStore::new()), 1024),
-            rules: self.rules.clone(),
-            dense_threshold: self.dense_threshold,
-        })
+        Ok(ChunkGeometry::new(lens, extents)?)
     }
 
     /// Writes a whole chunk (used by the chunked executors).

@@ -103,7 +103,7 @@ pub fn evaluate_with(
         whatif = Some(apply(s, None)?);
     }
     let schema_arc = match &whatif {
-        Some(r) => std::sync::Arc::clone(&r.schema),
+        Some(r) => std::sync::Arc::clone(r.cube.schema()),
         None => std::sync::Arc::clone(ctx.cube.schema()),
     };
     let schema: &Schema = &schema_arc;

@@ -303,13 +303,13 @@ fn apply_one(shared: &SharedData, state: &FollowerState, frame: &[u8]) -> olap_s
     });
     match applied? {
         (ReplApply::Applied, position, epoch) => {
-            // The pool's frames and both caches hold pre-apply state.
-            // Sessions are excluded by the gate, so nothing is pinned.
+            // The pool's frames and the scenario cache hold pre-apply
+            // state. Sessions are excluded by the gate, so nothing is
+            // pinned.
             shared.cube().with_pool(|p| p.clear())?;
             if let Some(cache) = shared.cache() {
                 cache.clear();
             }
-            shared.clear_replies();
             state.position.store(position, Ordering::Release);
             state.epoch.store(epoch, Ordering::Release);
             Ok(())

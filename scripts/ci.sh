@@ -87,9 +87,12 @@ step "gates run by name"
 # base write however it is spelled, and a reconnect replays exactly
 # the lines a session accepted. The next two hold the executor to the
 # definitional oracle: the random-warehouse property and Theorem 4.1's
-# three-way check. The next two hold the positive path: Theorem 4.1's
-# three-way check of split (R in list order), and the session-level
-# regression that a change list and its reversal never share a reply.
+# three-way check. The next four hold the positive path, which runs
+# through the same executor: Theorem 4.1's three-way check of S (R in
+# list order); the session-level regression that a change list and its
+# reversal never share a reply; a session's budget and deadline refusing
+# MDX and `.apply`, negative and positive, alike; and the scenario cache
+# never serving a chunk across toggled output geometries.
 # The last two hold the pool under contention: one transient read fault
 # among concurrent requests is retried exactly once and absorbed, and a
 # chunk being written back by a dirty eviction never reads as absent.
@@ -111,6 +114,8 @@ gate "-p whatif-integration-tests --test property_invariants" chunked_equals_ref
 gate "-p whatif-integration-tests --test algebra_theorem" theorem_4_1_negative_all_semantics_and_modes
 gate "-p whatif-integration-tests --test algebra_theorem" theorem_4_1_positive_on_retail
 gate "-p whatif-integration-tests --test scenario_forest" reordered_change_lists_never_share_a_reply
+gate "-p polap-cli --lib" tests::mdx_and_apply_run_under_the_same_request_options
+gate "-p polap-cli --test base_writes" toggled_output_geometries_never_share_cached_chunks
 gate "-p whatif-integration-tests --test fault_injection" single_transient_read_fault_under_contention_is_absorbed
 gate "-p whatif-integration-tests --test pool_contention" evicting_chunks_never_vanish_from_contains_or_ids
 

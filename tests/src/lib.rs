@@ -162,11 +162,10 @@ pub fn whole_component_chunks(
 /// A negative scenario's what-if result with `leaves` as its perspective
 /// cube: a grid evaluated over it is `E` applied to those leaves (visual
 /// totals summed over them, non-visual derived cells the input's).
-pub fn result_with_leaves(input: &Cube, scenario: &Scenario, leaves: Cube) -> WhatIfResult {
+pub fn result_with_leaves(scenario: &Scenario, leaves: Cube) -> WhatIfResult {
     assert!(matches!(scenario, Scenario::Negative(_)), "{scenario:?}");
     WhatIfResult {
         cube: leaves,
-        schema: Arc::clone(input.schema()),
         scenario: scenario.clone(),
         vs_out: None,
         report: ExecReport::default(),
@@ -179,7 +178,7 @@ pub fn oracle_result(input: &Cube, scenario: &Scenario) -> WhatIfResult {
         panic!("the oracle covers negative scenarios: {scenario:?}");
     };
     let leaves = oracle::perspective_cube(input, spec.dim, spec.semantics, &spec.perspectives);
-    result_with_leaves(input, scenario, leaves)
+    result_with_leaves(scenario, leaves)
 }
 
 /// All five semantics, for exhaustive sweeps.

@@ -135,7 +135,11 @@ fn theorem_4_1_positive_on_retail() {
                 assert!(s == want, "S vs oracle: {row}");
                 assert!(a == want, "apply vs oracle: {row}");
                 assert!(algebra.cube.same_cells(&chunked.cube).unwrap(), "{row}");
-                assert_eq!(algebra.schema.shape(), chunked.schema.shape(), "{row}");
+                assert_eq!(
+                    algebra.cube.schema().shape(),
+                    chunked.cube.schema().shape(),
+                    "{row}"
+                );
                 assert_eq!(algebra.mode, Some(mode));
             }
             wants.push(want);
@@ -198,7 +202,7 @@ fn split_then_perspective_s2_style() {
     // Forward from Jan undoes the hypothetical change again: Lisa's value
     // flows back to FTE/Lisa. Total is conserved through both steps.
     assert_eq!(out.cube.total_sum().unwrap(), ex.cube.total_sum().unwrap());
-    let v2 = out.schema.varying(ex.org).unwrap();
+    let v2 = out.cube.schema().varying(ex.org).unwrap();
     let ids = v2.instances_of(lisa);
     assert_eq!(ids.len(), 2, "split created the hypothetical instance");
     // All of Lisa's cells sit on the FTE instance after the perspective.

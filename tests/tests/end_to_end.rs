@@ -72,7 +72,7 @@ fn reference_and_chunked_strategies_agree_on_grids() {
         };
         let plan = Plan::build(&wf.cube, spec, &OrderPolicy::Naive, scope)?;
         let (leaves, _) = run_plan(&wf.cube, &plan, &ctx.opts)?;
-        Ok(result_with_leaves(&wf.cube, s, leaves))
+        Ok(result_with_leaves(s, leaves))
     })
     .unwrap();
     let pebbling = evaluate(&ctx, &q).unwrap();

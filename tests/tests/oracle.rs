@@ -1,7 +1,8 @@
 //! The definitional oracle (`whatif_integration_tests::oracle`) against
-//! the paper's worked examples, against Φ and `split`, and — the
-//! load-bearing part — the chunked executor against the oracle over
-//! every read order, pass layout, scope, thread count and cache phase.
+//! the paper's worked examples and against Φ, and — the load-bearing
+//! part — the chunked executor against the oracle: negative plans over
+//! every read order, pass layout, scope and cache phase, positive ones
+//! (S onto a grown axis) over random change lists and cache phases.
 
 use olap_cube::Cube;
 use olap_mdx::{evaluate_with, parse, QueryContext};
@@ -12,8 +13,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whatif_core::{
-    execute, phi, split, Change, ExecOpts, Mode, OrderPolicy, PerspectiveSpec, Plan, ScenarioCache,
-    Semantics,
+    apply, execute, phi, Change, ExecOpts, Mode, OrderPolicy, PerspectiveSpec, Plan, Scenario,
+    ScenarioCache, Semantics,
 };
 use whatif_integration_tests::oracle::{self, agrees_on_scope};
 use whatif_integration_tests::{
@@ -195,9 +196,13 @@ fn oracle_split_reproduces_the_papers_example() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `split` holds exactly the oracle's cells on random warehouses
-    /// under random change lists of one to five tuples over four of the
-    /// eight members, so that many lists change a member more than once.
+    /// A positive `apply` holds exactly the oracle's cells on random
+    /// warehouses under random change lists of one to five tuples over
+    /// four of the eight members, so that many lists change a member more
+    /// than once and some move a member back (the axis shrinks). Each
+    /// list runs with the cache off, cold and warm (the warm run serves
+    /// every component), and scoped to member `m0`'s output slots, where
+    /// it must agree with the unscoped run.
     #[test]
     fn oracle_split_agrees_with_split(
         seed in 0u64..200,
@@ -213,9 +218,29 @@ proptest! {
                 at,
             })
             .collect();
-        let (_, out) = split(&w.cube, w.dim, &changes).unwrap();
         let want = oracle::split(&w.cube, w.dim, &changes);
-        prop_assert!(oracle::split_cells(&out, w.dim) == want, "seed {} R={:?}", seed, picks);
+        let scenario = Scenario::positive(w.dim, changes, Mode::Visual);
+        let cache = Arc::new(ScenarioCache::with_capacity_mb(4));
+        let mut unscoped = None;
+        for (phase, cache) in [("off", None), ("cold", Some(cache.clone())), ("warm", Some(cache))] {
+            let opts = ExecOpts { cache, ..ExecOpts::default() };
+            let r = apply(&w.cube, &scenario, None, &opts).unwrap();
+            let row = format!("seed {seed} R={picks:?} cache {phase}");
+            prop_assert!(oracle::split_cells(&r.cube, w.dim) == want, "{}", row);
+            prop_assert_eq!(r.report.passes, 1, "{}", row);
+            let served = r.report.cache_chunks_served > 0;
+            prop_assert_eq!(served, phase == "warm" && r.report.graph_nodes > 0, "{}", row);
+            unscoped = Some(r);
+        }
+        let unscoped = unscoped.expect("three phases ran");
+        let m0 = unscoped.cube.schema().dim(w.dim).resolve("m0").unwrap();
+        let varying = unscoped.cube.schema().varying(w.dim).unwrap();
+        let slots: Vec<u32> = varying.instances_of(m0).iter().map(|i| i.0).collect();
+        let scoped = apply(&w.cube, &scenario, Some(&slots), &ExecOpts::default()).unwrap();
+        prop_assert!(
+            agrees_on_scope(&scoped.cube, &unscoped.cube, w.dim, Some(&slots)),
+            "seed {} R={:?} scoped to {:?}", seed, picks, slots
+        );
     }
 }
 

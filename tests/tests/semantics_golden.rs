@@ -184,7 +184,7 @@ fn fig5_positive_split() {
         Mode::Visual,
     );
     let r = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    let v2 = r.schema.varying(ex.org).unwrap();
+    let v2 = r.cube.schema().varying(ex.org).unwrap();
     let ids = v2.instances_of(lisa);
     assert_eq!(ids.len(), 2);
     assert_eq!(
@@ -238,11 +238,11 @@ fn s1_scenario_tom_contractor_then_fte() {
         Mode::Visual,
     );
     let r = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    let v2 = r.schema.varying(ex.org).unwrap();
+    let v2 = r.cube.schema().varying(ex.org).unwrap();
     let names: Vec<String> = v2
         .instances_of(tom)
         .iter()
-        .map(|&i| v2.instance_name(r.schema.dim(ex.org), i))
+        .map(|&i| v2.instance_name(r.cube.schema().dim(ex.org), i))
         .collect();
     assert_eq!(names, vec!["PTE/Tom", "Contractor/Tom", "FTE/Tom"]);
     // Visual impact on salary allocation: Contractor June total excludes

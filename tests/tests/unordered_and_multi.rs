@@ -166,7 +166,7 @@ fn s2_as_positive_change_over_location() {
         Mode::Visual,
     );
     let r = apply_default(&cube, &scenario).unwrap();
-    let v2 = r.schema.varying(org).unwrap();
+    let v2 = r.cube.schema().varying(org).unwrap();
     let ids = v2.instances_of(lisa);
     assert_eq!(ids.len(), 2);
     // Hypothetical PTE/Lisa holds the MA and CA work.

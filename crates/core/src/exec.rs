@@ -1,9 +1,9 @@
 //! Chunked perspective-cube execution (Sections 5 and 6).
 //!
-//! [`crate::operators::relocate()`] states ρ cell by cell (Definition 4.4);
-//! this module is the engine the paper actually proposes: stream chunks, *merge* the sub-cubes of a changing member's instances, and
-//! choose the read order so that as few chunks as possible are resident
-//! at once.
+//! ρ (Definition 4.4) moves each cell along a [`DestMap`]; this module is
+//! the engine the paper proposes for it: stream chunks, *merge* the
+//! sub-cubes of a changing member's instances, and choose the read order
+//! so that as few chunks as possible are resident at once.
 //!
 //! Per Lemma 5.1, the varying dimension comes first in the read order
 //! (slice-by-slice processing); within a slice, affected chunks are read
@@ -596,7 +596,7 @@ mod tests {
     }
 
     /// One serial run with default knobs.
-    fn run(cube: &Cube, plan: &Plan) -> (Cube, ExecReport) {
+    fn run_plan(cube: &Cube, plan: &Plan) -> (Cube, ExecReport) {
         execute(cube, plan, &ExecOpts::default()).unwrap()
     }
 
@@ -611,7 +611,7 @@ mod tests {
             OrderPolicy::Pebbling,
             None,
         );
-        let (_, report) = run(&cube, &plan);
+        let (_, report) = run_plan(&cube, &plan);
         assert!(report.graph_nodes > 0);
         assert!(report.cells_relocated > 0);
         assert!(report.chunks_read > 0);
@@ -634,7 +634,7 @@ mod tests {
                 OrderPolicy::Pebbling,
                 None,
             );
-            let (_, report) = run(&cube, &plan);
+            let (_, report) = run_plan(&cube, &plan);
             assert!(
                 report.chunks_read >= prev,
                 "reads should not shrink with more perspectives"
@@ -657,8 +657,8 @@ mod tests {
         );
         let param_first = OrderPolicy::DimOrder(vec![1, 2, 0]);
         let param_first = plan(&cube, prod, Semantics::Forward, &[0], param_first, None);
-        let (_, slice_first) = run(&cube, &naive);
-        let (_, param_first) = run(&cube, &param_first);
+        let (_, slice_first) = run_plan(&cube, &naive);
+        let (_, param_first) = run_plan(&cube, &param_first);
         assert!(
             slice_first.peak_out_buffers < param_first.peak_out_buffers,
             "vd-first {} vs param-first {}",
@@ -690,8 +690,8 @@ mod tests {
             Some(&slots),
         );
         assert!(scoped.kept.contains(&false) && !full.kept.contains(&false));
-        let (_, full_report) = run(&cube, &full);
-        let (_, scoped_report) = run(&cube, &scoped);
+        let (_, full_report) = run_plan(&cube, &full);
+        let (_, scoped_report) = run_plan(&cube, &scoped);
         assert!(
             scoped_report.chunks_read < full_report.chunks_read,
             "scoped {} vs full {}",
@@ -713,7 +713,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let (got, report) = run(&cube, &plan);
+        let (got, report) = run_plan(&cube, &plan);
         assert!(got.same_cells(&cube).unwrap());
         assert_eq!(report.graph_nodes, 0);
         assert_eq!(report.cells_relocated, 0);

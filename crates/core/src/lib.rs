@@ -16,10 +16,12 @@
 //!   on the output; [`Mode::NonVisual`] retains the input's.
 //! * **Positive changes** (Section 3.4): a relation `R(m, o, n, t)` of
 //!   hypothetical reclassifications that never happened.
-//! * **The algebra** (Section 4): selection [`operators::select()`], the
-//!   validity-set transform [`phi()`], relocation [`operators::relocate()`],
-//!   split (a [`Plan`] over a grown axis, [`operators::split`]), and eval
-//!   [`operators::EvalOp`]; plus the Theorem 4.1 compiler in [`algebra`].
+//! * **The algebra** (Section 4): the validity-set transform [`phi()`],
+//!   relocation (a [`DestMap`] that a [`Plan`] runs), split (a [`Plan`]
+//!   over a grown axis, validated by [`check_changes`]) and eval
+//!   ([`WhatIfResult::value`]); plus the Theorem 4.1 compiler in
+//!   [`algebra`], whose expression `.explain` prints. Selection σ reaches
+//!   users as MDX's `Filter` and scope.
 //! * **The perspective cube** (Section 5): [`apply`] evaluates a what-if
 //!   query chunk by chunk — ordering chunk reads with the
 //!   **merge-dependency graph** and **pebbling heuristic** of Section 5.2
@@ -40,14 +42,14 @@ pub mod phi;
 pub mod plan;
 pub mod scenario;
 
-pub use algebra::{compile, run, AlgebraExpr, AlgebraOutput};
+pub use algebra::{compile, AlgebraExpr};
 pub use cache::{CacheStats, Cached, ScenarioCache};
 pub use error::WhatIfError;
 pub use exec::{execute, execute_passes_opts, ExecOpts, ExecReport, OrderPolicy};
 pub use fingerprint::{Fnv64, FnvSuffix};
 pub use forest::{ForestError, ForkRow, ScenarioForest};
 pub use merge::MergeGraph;
-pub use operators::{check_changes, relocate, select, CmpOp, DestMap, EvalOp, Predicate};
+pub use operators::{check_changes, DestMap};
 pub use perspective::{Mode, PerspectiveSpec, Semantics};
 pub use perspective_cube::{apply, WhatIfResult};
 pub use phi::{phi, prune_vacancies, VsMap};

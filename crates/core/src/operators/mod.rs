@@ -1,14 +1,11 @@
-//! The algebraic operators of Section 4: σ (selection), ρ (relocate),
-//! the validation of S's change relation, and E (eval). Φ lives in
-//! [`crate::phi()`]; S runs as a plan ([`crate::Plan::for_scenario`]).
+//! What the executor keeps of Section 4's operators: ρ's destination map
+//! and the validation of S's change relation. Φ lives in [`crate::phi()`];
+//! ρ and S run as a plan ([`crate::Plan::for_scenario`]); E is
+//! [`crate::WhatIfResult::value`]. σ, and each operator stated by its
+//! definition, are the test oracle's.
 
-pub mod eval_op;
 pub mod relocate;
-pub mod select;
 pub mod split;
-mod stage;
 
-pub use eval_op::EvalOp;
-pub use relocate::{relocate, DestMap};
-pub use select::{select, CmpOp, Predicate};
+pub use relocate::DestMap;
 pub use split::check_changes;

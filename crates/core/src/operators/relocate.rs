@@ -9,12 +9,12 @@
 //! ```
 //!
 //! where `dₜ` is the instance of `d`'s member valid at `t` in the *input*.
-//! This is the operator by its definition, one cell at a time:
-//! [`crate::algebra::run`] evaluates ρ∘Φ with it, beside the Section 5
-//! chunked executor that [`crate::apply`] runs.
+//! This module states ρ as a [`DestMap`]: where each (instance, moment)
+//! cell goes. The Section 5 executor ([`crate::execute`]) moves the cells
+//! chunk by chunk along a plan's maps; ρ one cell at a time, by its
+//! definition, is the test oracle's.
 
 use crate::error::WhatIfError;
-use crate::operators::stage::Stager;
 use crate::phi::VsMap;
 use crate::Result;
 use olap_cube::Cube;
@@ -140,46 +140,13 @@ impl DestMap {
     }
 }
 
-/// ρ(Cin, VSout): the reference relocate.
-///
-/// `dim` must be a varying dimension of the cube; its parameter dimension
-/// supplies the moment axis.
-pub fn relocate(cube: &Cube, dim: DimensionId, vs_out: &VsMap) -> Result<Cube> {
-    let schema = cube.schema();
-    let varying = schema
-        .varying(dim)
-        .ok_or_else(|| WhatIfError::NotVarying(schema.dim(dim).name().to_string()))?;
-    let vd = dim.index();
-    let pd = varying.parameter_dim().index();
-    let map = DestMap::build(cube, dim, vs_out)?;
-
-    let out = cube.empty_like();
-    let mut stager = Stager::new(cube.geometry());
-    let mut moved = Vec::new();
-    cube.for_each_present(|cell, v| {
-        let src = cell[vd];
-        let t = cell[pd];
-        if let Some(dst) = map.dest(src, t) {
-            if dst == src {
-                stager.set(cell, v);
-            } else {
-                moved.push((cell.to_vec(), dst, v));
-            }
-        }
-    })?;
-    for (mut cell, dst, v) in moved {
-        cell[vd] = dst;
-        stager.set(&cell, v);
-    }
-    stager.flush_into(&out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{execute, ExecOpts, OrderPolicy};
     use crate::perspective::Semantics;
     use crate::phi::phi;
+    use crate::plan::Plan;
     use olap_model::{DimensionSpec, SchemaBuilder};
     use olap_store::CellValue;
     use std::sync::Arc;
@@ -215,6 +182,15 @@ mod tests {
             }
         }
         (b.finish().unwrap(), org)
+    }
+
+    /// ρ(Cin, VSout) on the product path: the executor runs one pass of
+    /// the destination map.
+    fn relocate(cube: &Cube, dim: DimensionId, vs_out: &VsMap) -> Result<Cube> {
+        let map = DestMap::build(cube, dim, vs_out)?;
+        let passes = vec![map.clone()];
+        let plan = Plan::from_maps(cube, dim, map, passes, OrderPolicy::Pebbling, None)?;
+        Ok(execute(cube, &plan, &ExecOpts::default())?.0)
     }
 
     #[test]

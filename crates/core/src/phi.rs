@@ -3,7 +3,8 @@
 //! Φ is pure metadata: it takes the input validity sets of a varying
 //! dimension's instances plus the perspective set `P` and produces output
 //! validity sets. Every perspective semantics reduces to a Φ variant; the
-//! cube-level effect is then obtained by [`crate::operators::relocate()`].
+//! cube-level effect is ρ, which [`crate::DestMap::build`] states and
+//! [`crate::execute`] runs.
 //!
 //! The key construction is `Stretch(d) = {t ≥ Pmin | max(Pₜ) ∈ VSin(d)}`
 //! — the moments whose *most recent perspective point* saw `d` valid. For

@@ -399,7 +399,7 @@ fn split_map(schema: &Schema, out: &Schema, dim: DimensionId) -> DestMap {
 /// Validates a negative scenario against the cube and applies Φ: the
 /// dimension must vary, the perspective set must be non-empty and in
 /// range, and dynamic semantics need an ordered parameter dimension.
-pub(crate) fn checked_phi(cube: &Cube, spec: &PerspectiveSpec) -> Result<VsMap> {
+fn checked_phi(cube: &Cube, spec: &PerspectiveSpec) -> Result<VsMap> {
     let schema = cube.schema();
     let varying = schema
         .varying(spec.dim)

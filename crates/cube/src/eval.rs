@@ -6,14 +6,16 @@
 //! exactly that contract, with formula rules taking precedence over rollup
 //! for the measures they define.
 //!
-//! The evaluator deliberately separates *where the rules come from* and
-//! *where the data comes from*: that split is the paper's Eval operator
-//! `E(C¹, C²)` (Definition 4.6), which whatif-core uses to implement the
-//! visual / non-visual modes.
+//! The paper's Eval operator `E(C¹, C²)` (Definition 4.6) takes its rules
+//! from `C¹` and its scope from `C²`. Every what-if output carries its
+//! input's rules, so whatif-core's `WhatIfResult::value` states `E` with
+//! two evaluators, one per cube: visual mode evaluates every cell on the
+//! output, non-visual reads base cells there and derived cells on the
+//! input.
 
 use crate::cube::Cube;
 use crate::error::CubeError;
-use crate::rules::{Acc, AggFn, Expr, FormulaRule, RuleSet};
+use crate::rules::{Acc, AggFn, Expr, FormulaRule};
 use crate::Result;
 use olap_model::{AxisSlot, DimensionId, MemberId};
 use olap_store::CellValue;
@@ -36,22 +38,12 @@ const MAX_DEPTH: u32 = 32;
 /// Evaluates cells of a cube under a rule set.
 pub struct CellEvaluator<'a> {
     data: &'a Cube,
-    rules: &'a RuleSet,
 }
 
 impl<'a> CellEvaluator<'a> {
-    /// Evaluator using the cube's own rules — ordinary querying.
+    /// Evaluator over the cube's cells under the cube's own rules.
     pub fn new(cube: &'a Cube) -> Self {
-        CellEvaluator {
-            data: cube,
-            rules: cube.rules(),
-        }
-    }
-
-    /// Evaluator with rules from one cube and data from another — the Eval
-    /// operator `E(C¹, C²)` (rules from `C¹`, scope over `C²`).
-    pub fn with_rules(rules: &'a RuleSet, data: &'a Cube) -> Self {
-        CellEvaluator { data, rules }
+        CellEvaluator { data: cube }
     }
 
     /// The value of the cell addressed by one selector per dimension.
@@ -62,9 +54,9 @@ impl<'a> CellEvaluator<'a> {
 
     fn value_at(&self, sels: &[Sel], depth: u32) -> Result<CellValue> {
         // Formula rules take precedence for the selected measure.
-        if let Some(mdim) = self.rules.measure_dim() {
+        if let Some(mdim) = self.data.rules().measure_dim() {
             if let Some(measure) = self.selected_member(mdim, sels) {
-                for rule in self.rules.candidates(measure) {
+                for rule in self.data.rules().candidates(measure) {
                     if self.scope_matches(rule, sels) {
                         return self.eval_expr(&rule.expr, sels, mdim, depth);
                     }
@@ -85,10 +77,11 @@ impl<'a> CellEvaluator<'a> {
             return self.data.get(&cell);
         }
         let measure = self
-            .rules
+            .data
+            .rules()
             .measure_dim()
             .and_then(|mdim| self.selected_member(mdim, sels));
-        let agg = self.rules.agg_for(measure);
+        let agg = self.data.rules().agg_for(measure);
         self.aggregate_region(&slot_lists, agg)
     }
 
@@ -295,7 +288,7 @@ impl<'a> CellEvaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::FormulaRule;
+    use crate::rules::RuleSet;
     use olap_model::{DimensionSpec, Schema, SchemaBuilder};
     use std::sync::Arc;
 

@@ -10,14 +10,12 @@
 //!   departments, ~1% change departments 1–11 times over 12 months, with
 //!   the experiment queries of Fig. 10;
 //! * [`retail`]: a product-catalog dataset (the Fig. 7 products) with
-//!   margin rules, for positive-scenario and selection demos.
+//!   margin rules, for positive-scenario demos.
 
 pub mod retail;
 pub mod running_example;
-pub mod type2;
 pub mod workforce;
 
 pub use retail::{retail_example, Retail};
 pub use running_example::{running_example, RunningExample};
-pub use type2::{simulate_forward, type2_of, Type2};
 pub use workforce::{replay_scenarios, Workforce, WorkforceConfig, MONTHS};

@@ -1,7 +1,6 @@
 //! Positive scenarios on the retail catalog: hypothetically re-bundle
 //! products across families (the paper's Section 3.4 / Fig. 5 example)
-//! and compare family margins under visual evaluation; then use the
-//! selection operator to focus on changing products.
+//! and compare family margins under visual evaluation.
 //!
 //! ```sh
 //! cargo run --example product_reclassification
@@ -9,7 +8,6 @@
 
 use olap_mdx::{execute, QueryContext};
 use olap_workload::retail_example;
-use whatif_core::{select, Predicate};
 
 fn main() {
     let r = retail_example(42);
@@ -41,24 +39,4 @@ fn main() {
     )
     .expect("what-if");
     println!("family margins if the April re-bundle had happened (visual):\n{whatif}");
-
-    // Selection: keep only products whose classification actually varies
-    // (σ_changing), then only those valid in February or April
-    // (σ_{VS ∩ {Feb, Apr} ≠ ∅} from Section 4.1).
-    let changing = select(&r.cube, r.product, &Predicate::Changing).expect("σ changing");
-    println!(
-        "σ_changing keeps {} of {} cells",
-        changing.present_cell_count().unwrap(),
-        r.cube.present_cell_count().unwrap(),
-    );
-    let feb_apr = select(
-        &r.cube,
-        r.product,
-        &Predicate::Changing.and(Predicate::VsIntersects(vec![1, 3])),
-    )
-    .expect("σ VS∩{Feb,Apr}");
-    println!(
-        "σ_changing ∧ VS∩{{Feb,Apr}} keeps {} cells",
-        feb_apr.present_cell_count().unwrap(),
-    );
 }

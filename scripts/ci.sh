@@ -30,6 +30,15 @@ cargo build --release
 step "tests"
 cargo test -q
 
+step "examples run"
+# `cargo test` compiles examples/ but runs none of them, so a panicking
+# `expect` in one would pass every step above. Run each once.
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    cargo run --release --offline -q -p examples --example "$name" >/dev/null
+    echo "$name: ok"
+done
+
 step "clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -85,10 +94,11 @@ step "gates run by name"
 # the log byte-fuzz: a cleanly closed log never opens to a cut. The
 # next two hold the verb table's contracts: a follower refuses every
 # base write however it is spelled, and a reconnect replays exactly
-# the lines a session accepted. The next two hold the executor to the
-# definitional oracle: the random-warehouse property and Theorem 4.1's
-# three-way check. The next four hold the positive path, which runs
-# through the same executor: Theorem 4.1's three-way check of S (R in
+# the lines a session accepted. The next three hold the executor to the
+# definitional oracle: the random-warehouse property, Theorem 4.1's
+# check of ρ∘Φ, and σ commuting with ρ∘Φ (σ(apply(C)) = apply(σ(C)),
+# both equal to the oracle's). The next four hold the positive path,
+# which runs through the same executor: Theorem 4.1's check of S (R in
 # list order); the session-level regression that a change list and its
 # reversal never share a reply; a session's budget and deadline refusing
 # MDX and `.apply`, negative and positive, alike; and the scenario cache
@@ -112,6 +122,7 @@ gate "-p whatif-integration-tests --test replication" follower_refuses_every_bas
 gate "-p polap-cli --lib" proto::tests::a_replayed_journal_restores_exactly_the_accepted_lines
 gate "-p whatif-integration-tests --test property_invariants" chunked_equals_reference
 gate "-p whatif-integration-tests --test algebra_theorem" theorem_4_1_negative_all_semantics_and_modes
+gate "-p whatif-integration-tests --test algebra_theorem" operators_compose_in_any_useful_order
 gate "-p whatif-integration-tests --test algebra_theorem" theorem_4_1_positive_on_retail
 gate "-p whatif-integration-tests --test scenario_forest" reordered_change_lists_never_share_a_reply
 gate "-p polap-cli --lib" tests::mdx_and_apply_run_under_the_same_request_options

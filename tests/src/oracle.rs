@@ -1,14 +1,25 @@
-//! The definitional oracle: Φ (Definitions 4.2 / 4.3) and ρ
-//! (Definition 4.4) for negative scenarios, and S (Definition 4.5) for
-//! positive ones, written straight from the paper, per member and per
-//! moment, over plain `BTreeSet`s and `BTreeMap`s.
+//! The definitional oracle: σ (Definition 4.1), Φ (Definitions 4.2 /
+//! 4.3) and ρ (Definition 4.4) for negative scenarios, and S
+//! (Definition 4.5) for positive ones, written straight from the paper,
+//! per member and per moment, over plain `BTreeSet`s and `BTreeMap`s.
+//! [`eval`] evaluates a Theorem 4.1 expression ([`AlgebraExpr`]) by those
+//! definitions; it is the only evaluator of the algebra there is, as the
+//! product runs every scenario through its executor.
 //!
 //! It shares no code with the engine it checks: it calls no `whatif_core`
-//! function and takes [`Semantics`] and [`Change`] only as inputs. The
-//! input's instances, validity sets and parent timelines come from the
-//! schema (`olap_model`), its cells through [`Cube::for_each_present`].
-//! The negative output is staged chunk by chunk into an empty cube of the
-//! input's geometry and rules, so a grid can evaluate it.
+//! function and takes [`Semantics`], [`Change`] and [`AlgebraExpr`] only
+//! as inputs. The input's instances, validity sets and parent timelines
+//! come from the schema (`olap_model`), its cells through
+//! [`Cube::for_each_present`]. The outputs of σ and ρ are staged chunk by
+//! chunk into an empty cube of the input's geometry and rules, so a grid
+//! can evaluate them.
+//!
+//! σ keeps the sub-cubes of the instances a predicate accepts, and drops
+//! the rest. Its structural predicates read one instance at a time:
+//! its member ("Product = TV"), its ancestor path ("under AudioVideo"),
+//! its validity set ("VS ∩ {Feb, Apr} ≠ ∅"); whether the member is
+//! changing is whether it has more than one instance. σ by value
+//! ("sales over $1000 in Jan") reaches users only as MDX's `Filter`.
 //!
 //! Each semantics, for one instance `d` of member `m` with input validity
 //! set `VS(d)`, perspectives `P`, `Pmin = min P`, `Pmax = max P`:
@@ -48,7 +59,7 @@ use olap_cube::Cube;
 use olap_model::{DimensionId, MemberId};
 use olap_store::{CellValue, Chunk, ChunkId};
 use std::collections::{BTreeMap, BTreeSet};
-use whatif_core::{Change, Semantics};
+use whatif_core::{AlgebraExpr, Change, Semantics};
 
 /// One varying-dimension instance: its member and input validity set.
 pub type Instance = (MemberId, BTreeSet<u32>);
@@ -120,12 +131,8 @@ pub fn phi(
 pub fn relocate(cube: &Cube, dim: DimensionId, vs_out: &[BTreeSet<u32>]) -> Cube {
     let (instances, _) = instances(cube, dim);
     assert_eq!(vs_out.len(), instances.len(), "one output set per instance");
-    let schema = cube.schema();
-    let pd = schema
-        .varying(dim)
-        .expect("varying")
-        .parameter_dim()
-        .index();
+    let varying = cube.schema().varying(dim).expect("a varying dimension");
+    let pd = varying.parameter_dim().index();
     let vd = dim.index();
     // (member, moment) → the one output instance that owns it.
     let mut owner: BTreeMap<(MemberId, u32), u32> = BTreeMap::new();
@@ -135,17 +142,44 @@ pub fn relocate(cube: &Cube, dim: DimensionId, vs_out: &[BTreeSet<u32>]) -> Cube
             assert!(claimed.is_none(), "two instances own moment {t}");
         }
     }
-    let geom = cube.geometry();
-    let mut staged: BTreeMap<ChunkId, Chunk> = BTreeMap::new();
-    cube.for_each_present(|cell, v| {
+    stage(cube, |cell| {
         let (src, t) = (cell[vd] as usize, cell[pd]);
         let (member, valid) = &instances[src];
         if !valid.contains(&t) {
-            return; // Cin(d_t, t, ē) never reads a cell off its instance
+            return None; // Cin(d_t, t, ē) never reads a cell off its instance
         }
-        if let Some(&d) = owner.get(&(*member, t)) {
-            let mut target = cell.to_vec();
-            target[vd] = d;
+        let &d = owner.get(&(*member, t))?;
+        let mut target = cell.to_vec();
+        target[vd] = d;
+        Some(target)
+    })
+}
+
+/// σ (Definition 4.1) over varying dimension `dim`: the cube with the
+/// sub-cubes of the instances that `keep` rejects removed. `keep` reads
+/// one instance as the structural predicates do: its member, its
+/// ancestor path below the root (top-down) and its validity set.
+pub fn select(
+    cube: &Cube,
+    dim: DimensionId,
+    keep: impl Fn(MemberId, &[MemberId], &BTreeSet<u32>) -> bool,
+) -> Cube {
+    let varying = cube.schema().varying(dim).expect("a varying dimension");
+    let kept: Vec<bool> = (varying.instances().iter())
+        .map(|inst| keep(inst.member, &inst.path, &inst.validity.iter().collect()))
+        .collect();
+    stage(cube, |cell| {
+        kept[cell[dim.index()] as usize].then(|| cell.to_vec())
+    })
+}
+
+/// A cube of `cube`'s geometry and rules holding each present cell at
+/// `target(cell)`, or nowhere when that is `None`; staged chunk by chunk.
+fn stage(cube: &Cube, mut target: impl FnMut(&[u32]) -> Option<Vec<u32>>) -> Cube {
+    let geom = cube.geometry();
+    let mut staged: BTreeMap<ChunkId, Chunk> = BTreeMap::new();
+    cube.for_each_present(|cell, v| {
+        if let Some(target) = target(cell) {
             let (id, off) = geom.split_cell(&target);
             (staged.entry(id))
                 .or_insert_with(|| Chunk::new_dense(geom.chunk_shape(&geom.chunk_coord(id))))
@@ -252,6 +286,50 @@ pub fn split_cells(cube: &Cube, dim: DimensionId) -> BTreeMap<PathCell, u64> {
     })
     .expect("read the cube");
     out
+}
+
+/// What [`eval`] returns: a negative expression's output cube, or a
+/// positive one's cells keyed by hierarchy path (S grows the schema).
+pub enum Evaluated {
+    /// The leaf cells of ρ∘Φ, over the input's schema.
+    Cube(Box<Cube>),
+    /// The cells of S(C, R), as [`split`] states them.
+    Paths(BTreeMap<PathCell, u64>),
+}
+
+/// An algebra expression evaluated by definition, left to right: Φρ is
+/// [`perspective_cube`], S is [`split`] and E leaves the leaf cells as
+/// they are (it only says how derived cells evaluate). S's output is
+/// stated by path, not as a cube, so S must be the last operator.
+pub fn eval(cube: &Cube, expr: &AlgebraExpr) -> Evaluated {
+    fn flatten<'e>(expr: &'e AlgebraExpr, out: &mut Vec<&'e AlgebraExpr>) {
+        match expr {
+            AlgebraExpr::Compose(steps) => steps.iter().for_each(|s| flatten(s, out)),
+            step => out.push(step),
+        }
+    }
+    let mut steps = Vec::new();
+    flatten(expr, &mut steps);
+    let mut current: Option<Cube> = None;
+    for (i, step) in steps.iter().enumerate() {
+        let input = current.as_ref().unwrap_or(cube);
+        match step {
+            AlgebraExpr::PhiRelocate { spec } => {
+                let p = &spec.perspectives;
+                current = Some(perspective_cube(input, spec.dim, spec.semantics, p));
+            }
+            AlgebraExpr::Split { dim, changes } => {
+                let rest = &steps[i + 1..];
+                assert!(
+                    rest.iter().all(|s| matches!(s, AlgebraExpr::Eval { .. })),
+                    "S is stated by path, so no operator may follow it: {expr:?}"
+                );
+                return Evaluated::Paths(split(input, *dim, changes));
+            }
+            AlgebraExpr::Eval { .. } | AlgebraExpr::Compose(_) => {}
+        }
+    }
+    Evaluated::Cube(Box::new(current.expect("an expression with an operator")))
 }
 
 /// Whether `got` holds exactly `want`'s cells among those whose slot on

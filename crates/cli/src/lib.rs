@@ -145,14 +145,16 @@ impl SharedData {
 pub struct Session {
     shared: Arc<SharedData>,
     /// Peak-memory ceiling in cells for this session's requests (`--budget`,
-    /// the budget verb); 0 = unlimited. It also bounds the rollup verb
-    /// (more passes instead of reject-with-error).
+    /// the budget verb); 0 = unlimited. Read only where a request's
+    /// context is assembled ([`Session::request_opts`]).
     budget_cells: u64,
     /// Per-request wall-clock deadline in milliseconds; 0 = unlimited.
-    /// The clock starts when execution starts, and the chunked executor
-    /// checks it cooperatively at pass/slice boundaries — an expired
-    /// request aborts with `DeadlineExceeded` and the session (forest,
-    /// budget, cache) is untouched.
+    /// The clock starts when the request's context is assembled, and
+    /// every bounded layer checks it cooperatively — before each base
+    /// block of an aggregation, each grid row, and each pass and slice of
+    /// the executor. An expired request aborts with
+    /// `CubeError::DeadlineExceeded` and the session (forest, budget,
+    /// cache) is untouched.
     deadline_ms: u64,
     /// This session's scenario forest: private, like the tuning state —
     /// forks are an analyst's exploration, not shared server state.
@@ -213,33 +215,41 @@ impl Session {
         &self.shared.data
     }
 
-    /// The executor options for a request starting *now* — the one
-    /// place a request's [`ExecOpts`] is assembled, used by MDX queries
-    /// and scenario verbs alike: the session's budget, the shared
-    /// scenario cache, and the deadline instant per `deadline_ms` (`None`
-    /// = unlimited).
+    /// The context of a request starting *now* — the one place it is
+    /// assembled, once per line by [`Session::handle`], and read by every
+    /// row that does bounded work: the shared scenario cache, the
+    /// session's budget, and the deadline instant per `deadline_ms`
+    /// (`None` = unlimited).
     fn request_opts(&self) -> ExecOpts {
         ExecOpts {
             cache: self.shared.cache.clone(),
-            budget_cells: self.budget_cells,
-            deadline: (self.deadline_ms > 0).then(|| {
-                std::time::Instant::now() + std::time::Duration::from_millis(self.deadline_ms)
-            }),
+            bounds: olap_cube::Bounds {
+                budget_cells: self.budget_cells,
+                deadline: (self.deadline_ms > 0).then(|| {
+                    std::time::Instant::now() + std::time::Duration::from_millis(self.deadline_ms)
+                }),
+            },
         }
     }
 
-    fn context(&self) -> QueryContext<'_> {
+    fn context(&self, opts: &ExecOpts) -> QueryContext<'_> {
         let mut ctx = QueryContext::new(self.data().cube());
-        ctx.opts = self.request_opts();
+        ctx.opts = opts.clone();
         for (name, dim, members) in self.data().named_sets() {
             ctx.define_set(&name, dim, &members);
         }
         ctx
     }
 
-    /// Handles one input line: a dot-command runs its [`VERBS`] row,
-    /// anything else is an MDX query.
+    /// Handles one input line under a context assembled for it: a
+    /// dot-command runs its [`VERBS`] row, anything else is an MDX query.
     pub fn handle(&mut self, line: &str) -> Outcome {
+        let opts = self.request_opts();
+        self.run_line(line, &opts)
+    }
+
+    /// [`Session::handle`] under a given request context.
+    fn run_line(&mut self, line: &str, opts: &ExecOpts) -> Outcome {
         let line = line.trim();
         if line.is_empty() {
             return Outcome::Continue(String::new());
@@ -250,7 +260,9 @@ impl Session {
                 Some((verb, arg)) if verb.usage.is_empty() && !arg.is_empty() => {
                     Refusal::Usage(None).outcome(verb)
                 }
-                Some((verb, arg)) => (verb.run)(self, arg).unwrap_or_else(|r| r.outcome(verb)),
+                Some((verb, arg)) => {
+                    (verb.run)(self, arg, opts).unwrap_or_else(|r| r.outcome(verb))
+                }
                 None => Outcome::Continue(format!(
                     "unknown command .{} — try .{}",
                     head.split(' ').next().unwrap_or("").to_ascii_lowercase(),
@@ -258,14 +270,14 @@ impl Session {
                 )),
             };
         }
-        match olap_mdx::execute(&self.context(), line) {
+        match olap_mdx::execute(&self.context(opts), line) {
             Ok(grid) => Outcome::Continue(grid.to_string()),
             // A query has no row of its own, and no usage to refuse.
             Err(e) => Refusal::from(e).outcome(&READ),
         }
     }
 
-    fn cache(&mut self, _: &str) -> Reply {
+    fn cache(&mut self, _: &str, _: &ExecOpts) -> Reply {
         let Some(c) = &self.shared.cache else {
             return say("scenario cache off — start the shell with --cache <MB>".to_string());
         };
@@ -283,7 +295,7 @@ impl Session {
         ))
     }
 
-    fn stats(&mut self, _: &str) -> Reply {
+    fn stats(&mut self, _: &str, _: &ExecOpts) -> Reply {
         let s = self.data().cube().pool_stats();
         say(format!(
             "buffer pool: {} hits, {} misses, {} evictions\n\
@@ -302,8 +314,11 @@ impl Session {
     }
 
     /// Flushes the pool's dirty chunks as one transaction and reports
-    /// the flush epoch and, for a file store, the log's counters.
-    fn commit(&mut self, _: &str) -> Reply {
+    /// the flush epoch and, for a file store, the log's counters. A
+    /// commit is never interrupted: it finishes, or an expired deadline
+    /// stops it before it starts.
+    fn commit(&mut self, _: &str, opts: &ExecOpts) -> Reply {
+        opts.bounds.check_deadline()?;
         let cube = self.data().cube();
         cube.flush()
             .map_err(|e| Refusal::Error(format!("flush failed: {e}")))?;
@@ -331,7 +346,7 @@ impl Session {
         }))
     }
 
-    fn sets(&mut self, _: &str) -> Reply {
+    fn sets(&mut self, _: &str, _: &ExecOpts) -> Reply {
         let sets = self.data().named_sets();
         if sets.is_empty() {
             return say("(no named sets in this dataset)".to_string());
@@ -357,7 +372,7 @@ impl Session {
         say(out)
     }
 
-    fn schema(&mut self, _: &str) -> Reply {
+    fn schema(&mut self, _: &str, _: &ExecOpts) -> Reply {
         let schema = self.data().cube().schema();
         let mut out = String::new();
         for d in schema.dim_ids() {
@@ -392,7 +407,7 @@ impl Session {
         say(out)
     }
 
-    fn instances(&mut self, member: &str) -> Reply {
+    fn instances(&mut self, member: &str, _: &ExecOpts) -> Reply {
         let member = need(member)?;
         let schema = self.data().cube().schema();
         for d in schema.dim_ids() {
@@ -428,14 +443,14 @@ impl Session {
     /// Theorem 4.1 expression of its `WITH` clause, the varying-dimension
     /// slots the MDX layer scoped execution to, and the executor's report
     /// of that run.
-    fn explain(&mut self, query: &str) -> Reply {
+    fn explain(&mut self, query: &str, opts: &ExecOpts) -> Reply {
         let parsed = parse(need(query)?)?;
         let mut out = format!("parsed: {parsed}\n");
         if parsed.with.is_none() {
             out.push_str("no WITH clause — plain OLAP query, no scenario\n");
             return say(out);
         }
-        let run = olap_mdx::evaluate(&self.context(), &parsed)?;
+        let run = olap_mdx::evaluate(&self.context(opts), &parsed)?;
         if let Some(scenario) = &run.scenario {
             let _ = writeln!(out, "algebra: {:?}", whatif_core::compile(scenario));
         }
@@ -471,8 +486,8 @@ impl Session {
         say(out)
     }
 
-    fn csv(&mut self, query: &str) -> Reply {
-        say(olap_mdx::execute(&self.context(), need(query)?)?.to_csv())
+    fn csv(&mut self, query: &str, opts: &ExecOpts) -> Reply {
+        say(olap_mdx::execute(&self.context(opts), need(query)?)?.to_csv())
     }
 
     /// Records a negative scenario (`<semantics> <m1,m2,...>`) on the
@@ -485,7 +500,7 @@ impl Session {
     /// under a shared pool and cache they depend on sibling sessions,
     /// and the server tests assert byte-identical responses across
     /// concurrent and serial runs.
-    fn apply(&mut self, arg: &str) -> Reply {
+    fn apply(&mut self, arg: &str, opts: &ExecOpts) -> Reply {
         if arg.is_empty() {
             let scenario = self.forest.scenario().ok_or_else(|| {
                 Refusal::Usage(Some(format!(
@@ -493,9 +508,7 @@ impl Session {
                     self.forest.current_name()
                 )))
             })?;
-            return self
-                .run_scenario(scenario, self.request_opts())
-                .map(Outcome::Continue);
+            return self.run_scenario(scenario, opts).map(Outcome::Continue);
         }
         let mut parts = arg.split_whitespace();
         let (Some(sem), Some(moments)) = (parts.next(), parts.next()) else {
@@ -520,7 +533,7 @@ impl Session {
             semantics,
             whatif_core::Mode::Visual,
         );
-        let reply = self.run_scenario(&Scenario::Negative(spec.clone()), self.request_opts())?;
+        let reply = self.run_scenario(&Scenario::Negative(spec.clone()), opts)?;
         self.forest.set_negative(spec);
         say(reply)
     }
@@ -534,10 +547,9 @@ impl Session {
             .ok_or_else(|| Refusal::Error("this dataset has no varying dimension".to_string()))
     }
 
-    /// Runs one scenario under `opts` (the request's, from
-    /// [`Session::request_opts`]) and renders the deterministic summary
-    /// line.
-    fn run_scenario(&self, scenario: &Scenario, opts: ExecOpts) -> Result<String, Refusal> {
+    /// Runs one scenario under the request's context and renders the
+    /// deterministic summary line.
+    fn run_scenario(&self, scenario: &Scenario, opts: &ExecOpts) -> Result<String, Refusal> {
         let label = match scenario {
             Scenario::Negative(spec) => perspective_label(spec),
             Scenario::Positive { changes, .. } => format!(
@@ -546,12 +558,8 @@ impl Session {
                 self.forest.current_name()
             ),
         };
-        let result =
-            whatif_core::apply(self.data().cube(), scenario, None, &opts).map_err(|e| match e {
-                whatif_core::WhatIfError::DeadlineExceeded => Refusal::Deadline(e.to_string()),
-                e => Refusal::Error(e.to_string()),
-            })?;
-        let (count, digest) = cell_digest(&result.cube).map_err(Refusal::error)?;
+        let result = whatif_core::apply(self.data().cube(), scenario, None, opts)?;
+        let (count, digest) = cell_digest(&result.cube)?;
         let passes = result.report.passes;
         Ok(format!(
             "applied {label}: {count} cells, digest {digest:016x}, {passes} pass(es)",
@@ -559,24 +567,24 @@ impl Session {
     }
 
     /// Forks the current scenario and switches to the child.
-    fn fork(&mut self, arg: &str) -> Reply {
+    fn fork(&mut self, arg: &str, _: &ExecOpts) -> Reply {
         if arg.is_empty() || arg.split_whitespace().count() != 1 {
             return Err(Refusal::Usage(None));
         }
         let parent = self.forest.current_name().to_string();
-        self.forest.fork(arg).map_err(Refusal::error)?;
+        self.forest.fork(arg)?;
         say(format!("forked '{arg}' from '{parent}' — now on '{arg}'"))
     }
 
     /// Makes another fork current. Re-running it is then a warm-cache
     /// replay (the versioned cache kept its entries).
-    fn switch(&mut self, arg: &str) -> Reply {
-        self.forest.switch(need(arg)?).map_err(Refusal::error)?;
+    fn switch(&mut self, arg: &str, _: &ExecOpts) -> Reply {
+        self.forest.switch(need(arg)?)?;
         say(format!("now on '{arg}'"))
     }
 
     /// The session's fork tree.
-    fn scenarios(&mut self, _: &str) -> Reply {
+    fn scenarios(&mut self, _: &str, _: &ExecOpts) -> Reply {
         let mut out = String::new();
         let schema = self.data().cube().schema();
         for r in self.forest.rows() {
@@ -606,7 +614,7 @@ impl Session {
     /// the current fork; a bare re-run runs it. A change the positive
     /// plan would refuse ([`whatif_core::check_changes`]) is refused here
     /// and leaves the fork as it was.
-    fn change(&mut self, arg: &str) -> Reply {
+    fn change(&mut self, arg: &str, _: &ExecOpts) -> Reply {
         let parts: Vec<&str> = arg.split_whitespace().collect();
         let [member, parent, moment] = parts[..] else {
             return Err(Refusal::Usage(None));
@@ -647,12 +655,8 @@ impl Session {
             _ => Vec::new(),
         };
         changes.push(change.clone());
-        whatif_core::check_changes(self.data().cube().schema(), dim, &changes)
-            .map_err(Refusal::error)?;
-        let count = self
-            .forest
-            .add_change(dim, whatif_core::Mode::Visual, change)
-            .map_err(Refusal::error)?;
+        whatif_core::check_changes(self.data().cube().schema(), dim, &changes)?;
+        let count = (self.forest).add_change(dim, whatif_core::Mode::Visual, change)?;
         say(format!(
             "fork '{}': {}",
             self.forest.current_name(),
@@ -661,17 +665,15 @@ impl Session {
     }
 
     /// One single-dimension group-by per cube dimension, run through
-    /// the budget-respecting multi-pass aggregator. A small session
+    /// the aggregator under the request's bounds. A small session
     /// budget means more passes; an impossible one is refused.
-    fn rollup(&mut self, _: &str) -> Reply {
+    fn rollup(&mut self, _: &str, opts: &ExecOpts) -> Reply {
         let cube = self.data().cube();
         let schema = cube.schema();
         let ndims = cube.geometry().ndims();
         let masks: Vec<olap_cube::GroupByMask> = (0..ndims as u32).map(|d| 1 << d).collect();
-        let budget = Some(self.budget_cells).filter(|&n| n > 0);
-        let (results, report) = olap_cube::CubeAggregator::new(cube)
-            .compute_with_budget(&masks, budget.unwrap_or(u64::MAX))
-            .map_err(Refusal::error)?;
+        let (results, report) =
+            olap_cube::CubeAggregator::new(cube).compute_bounded(&masks, &opts.bounds)?;
         let mut out = String::new();
         for (d, &mask) in masks.iter().enumerate() {
             let name = schema.dim(schema.dim_ids().nth(d).expect("dim")).name();
@@ -824,7 +826,7 @@ pub struct Verb {
     /// `None` for a verb that only reads. The bare form of every such
     /// verb only reads, or is refused.
     pub sets_session: Option<SessionEffect>,
-    run: fn(&mut Session, &str) -> Reply,
+    run: fn(&mut Session, &str, &ExecOpts) -> Reply,
 }
 
 /// How an accepted line changes its session: all the reconnect journal
@@ -894,14 +896,22 @@ impl Refusal {
     }
 }
 
-/// The executor's deadline abort is the one failure answered with `-`.
-impl From<olap_mdx::MdxError> for Refusal {
-    fn from(e: olap_mdx::MdxError) -> Refusal {
-        use whatif_core::WhatIfError::DeadlineExceeded;
-        match e {
-            olap_mdx::MdxError::WhatIf(DeadlineExceeded) => Refusal::Deadline(e.to_string()),
-            e => Refusal::error(e),
+/// The one mapping from every layer's errors to a reply. The bounds'
+/// two refusals, declared once as [`olap_cube::CubeError`], are worded
+/// by themselves whichever layer raised them; a deadline abort is the
+/// one failure answered with `-`.
+impl<E: std::error::Error + 'static> From<E> for Refusal {
+    fn from(e: E) -> Refusal {
+        use olap_cube::CubeError::{DeadlineExceeded, OverBudget};
+        let mut cause: Option<&(dyn std::error::Error + 'static)> = Some(&e);
+        while let Some(c) = cause {
+            match c.downcast_ref() {
+                Some(b @ DeadlineExceeded) => return Refusal::Deadline(b.to_string()),
+                Some(b @ OverBudget { .. }) => return Refusal::error(b),
+                _ => cause = c.source(),
+            }
         }
+        Refusal::error(e)
     }
 }
 
@@ -930,13 +940,13 @@ fn knob(slot: &mut u64, arg: &str, label: &str, unit: &str) -> Reply {
 /// The fields most rows share: no aliases or argument, and no write.
 #[rustfmt::skip]
 const READ: Verb = Verb { name: "", aliases: &[], usage: "", help: "", writes_base: false,
-    sets_session: None, run: |_, _| say(String::new()) };
+    sets_session: None, run: |_, _, _| say(String::new()) };
 
 /// Every dot-verb, in `.help` order. The unknown-verb reply points to
 /// the first row.
 #[rustfmt::skip]
 pub static VERBS: &[Verb] = &[
-    Verb { name: "help", aliases: &["h"], run: |_, _| say(help()), help: "this text", ..READ },
+    Verb { name: "help", aliases: &["h"], run: |_, _, _| say(help()), help: "this text", ..READ },
     Verb { name: "schema", run: Session::schema, help: "dimensions, axis sizes, varying info", ..READ },
     Verb { name: "instances", usage: "<member name>", run: Session::instances,
         help: "a changing member's instances + validity sets", ..READ },
@@ -962,19 +972,20 @@ pub static VERBS: &[Verb] = &[
     Verb { name: "rollup", run: Session::rollup, help: "per-dimension totals via the budget-aware \
         multi-pass\naggregator (small budgets add passes)", ..READ },
     Verb { name: "budget", usage: "[cells]", sets_session: Some(Knob),
-        run: |s, arg| knob(&mut s.budget_cells, arg, "session budget", "cells"),
+        run: |s, arg, _| knob(&mut s.budget_cells, arg, "session budget", "cells"),
         help: "show or set this session's peak-memory budget (0 = unlimited)", ..READ },
     Verb { name: "deadline", usage: "[ms]", sets_session: Some(Knob),
-        run: |s, arg| knob(&mut s.deadline_ms, arg, "request deadline", "ms"),
+        run: |s, arg, _| knob(&mut s.deadline_ms, arg, "request deadline", "ms"),
         help: "show or set the per-request deadline (0 = unlimited); an\n\
-               expired request aborts at a pass boundary, session intact", ..READ },
+               expired request aborts at a block, row, slice or pass\n\
+               boundary, session intact", ..READ },
     Verb { name: "cache", run: Session::cache,
         help: "scenario-delta cache statistics (--cache MB to enable)", ..READ },
     Verb { name: "commit", writes_base: true, run: Session::commit,
         help: "flush dirty chunks atomically; report flush epoch + log counters", ..READ },
     Verb { name: "stats", run: Session::stats,
         help: "buffer-pool counters (incl. read errors, retries, flushes)", ..READ },
-    Verb { name: "quit", aliases: &["q", "exit"], run: |_, _| Ok(Outcome::Quit("bye".into())),
+    Verb { name: "quit", aliases: &["q", "exit"], run: |_, _, _| Ok(Outcome::Quit("bye".into())),
         help: "exit", ..READ },
 ];
 
@@ -1277,7 +1288,8 @@ mod tests {
         for (query, expected) in cases {
             let mut s = Session::new(Dataset::Running);
             let (_, report) =
-                olap_mdx::evaluate_full(&s.context(), &parse(query).unwrap()).unwrap();
+                olap_mdx::evaluate_full(&s.context(&s.request_opts()), &parse(query).unwrap())
+                    .unwrap();
             let r = report.expect("a scenario ran");
             let executor = format!(
                 "executor: {} pass(es), merge graph {}/{} (nodes/edges), predicted pebbles {}, \
@@ -1449,15 +1461,13 @@ mod tests {
             opts
         };
         for query in [&mdx, &changes_mdx] {
-            let mut ctx = s.context();
-            ctx.opts = expired();
-            match olap_mdx::execute(&ctx, query).map_err(Refusal::from) {
+            match olap_mdx::execute(&s.context(&expired()), query).map_err(Refusal::from) {
                 Err(Refusal::Deadline(e)) => assert!(e.contains("deadline"), "{e}"),
                 other => panic!("an expired deadline must abort the MDX run: {other:?}"),
             }
         }
         for scenario in [&negative, &positive] {
-            match s.run_scenario(scenario, expired()) {
+            match s.run_scenario(scenario, &expired()) {
                 Err(Refusal::Deadline(t)) => assert!(t.contains("deadline"), "{t}"),
                 other => panic!("{other:?}"),
             }
@@ -1640,6 +1650,150 @@ mod tests {
             Outcome::Deadline(t) => assert!(t.starts_with("error:"), "{t}"),
             other => panic!("a 1 ms deadline must abort the run: {other:?}"),
         }
+    }
+
+    /// The lines the bounds loops run on the running example: one per
+    /// [`VERBS`] row, in table order, then a plain MDX line and a `WITH`
+    /// line, each flagged when it does bounded work.
+    fn bounds_loop_lines() -> Vec<(String, bool)> {
+        let select = "SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS, \
+                      {Organization.[FTE], Organization.[Contractor]} ON ROWS \
+                      FROM [Warehouse] WHERE (Location.[NY], Measures.[Salary])";
+        let with = format!("WITH PERSPECTIVE {{(Jan)}} FOR Organization DYNAMIC FORWARD {select}");
+        let rows = [
+            ("help", ".help".to_string()),
+            ("schema", ".schema".into()),
+            ("instances", ".instances Joe".into()),
+            ("sets", ".sets".into()),
+            ("explain", format!(".explain {with}")),
+            ("csv", format!(".csv {select}")),
+            ("apply", ".apply forward 1,3".into()),
+            ("fork", ".fork other".into()),
+            ("switch", ".switch alt".into()),
+            ("scenarios", ".scenarios".into()),
+            ("change", ".change Lisa PTE 3".into()),
+            ("rollup", ".rollup".into()),
+            ("budget", ".budget 0".into()),
+            ("deadline", ".deadline 0".into()),
+            ("cache", ".cache".into()),
+            ("commit", ".commit".into()),
+            ("stats", ".stats".into()),
+            ("quit", ".quit".into()),
+        ];
+        let named: Vec<&str> = rows.iter().map(|r| r.0).collect();
+        let table: Vec<&str> = VERBS.iter().map(|v| v.name).collect();
+        assert_eq!(named, table, "one line per VERBS row, in table order");
+        let bounded = ["explain", "csv", "apply", "rollup"];
+        (rows.into_iter())
+            .map(|(name, line)| (line, bounded.contains(&name)))
+            .chain([(select.to_string(), true), (with, true)])
+            .collect()
+    }
+
+    /// A cached running-example session with a recorded scenario and a
+    /// second fork, so that the scenario rows have something to act on.
+    fn bounds_loop_session() -> Session {
+        let mut s = cached(Dataset::Running);
+        for line in [".apply forward 2,4", ".fork alt", ".switch main"] {
+            let reply = s.handle(line);
+            assert!(
+                matches!(&reply, Outcome::Continue(t) if !is_refusal(t)),
+                "{reply:?}"
+            );
+        }
+        s
+    }
+
+    /// What a refused line must leave as it was: the fork tree, both
+    /// knobs and the scenario cache.
+    fn session_reads(s: &mut Session) -> Vec<Outcome> {
+        [".scenarios", ".budget", ".deadline", ".cache"]
+            .map(|l| s.handle(l))
+            .into()
+    }
+
+    /// Pool gets so far: a line refused before its first read adds none.
+    fn pool_gets(s: &Session) -> u64 {
+        let p = s.shared().cube().pool_stats();
+        p.hits + p.misses
+    }
+
+    /// Under a context whose deadline has passed before any layer looks,
+    /// every row answers as it does unbounded or with the deadline
+    /// refusal, and every row that does bounded work is refused before
+    /// its first pool get, leaving the session as it was.
+    #[test]
+    fn every_row_answers_an_expired_deadline_before_reading() {
+        for (line, bounded) in bounds_loop_lines() {
+            let mut free = bounds_loop_session();
+            let want = free.handle(&line);
+            let mut s = bounds_loop_session();
+            let (reads, gets) = (session_reads(&mut s), pool_gets(&s));
+            let mut expired = s.request_opts();
+            expired.bounds.deadline = Some(std::time::Instant::now());
+            match s.run_line(&line, &expired) {
+                Outcome::Deadline(t) => {
+                    assert!(t.starts_with("error: deadline exceeded"), "{line}: {t}");
+                    assert_eq!(pool_gets(&s), gets, "{line}: refused before a pool get");
+                    assert_eq!(session_reads(&mut s), reads, "{line}");
+                }
+                got => {
+                    assert!(!bounded, "{line}: bounded work must be refused: {got:?}");
+                    assert_eq!(got, want, "{line}");
+                    assert_eq!(session_reads(&mut s), session_reads(&mut free), "{line}");
+                }
+            }
+        }
+    }
+
+    /// Under a one-chunk `.budget`, every row answers as it does
+    /// unbudgeted or is refused for the budget before its first pool
+    /// get: no line fails mid-run.
+    #[test]
+    fn every_row_answers_a_one_chunk_budget_before_reading() {
+        let mut refused = Vec::new();
+        for (line, _) in bounds_loop_lines() {
+            let want = bounds_loop_session().handle(&line);
+            let mut s = bounds_loop_session();
+            let chunk = s.data().cube().geometry().chunk_cells();
+            s.handle(&format!(".budget {chunk}"));
+            let (reads, gets) = (session_reads(&mut s), pool_gets(&s));
+            match s.handle(&line) {
+                Outcome::Continue(t) if is_refusal(&t) && Outcome::Continue(t.clone()) != want => {
+                    assert!(
+                        t.starts_with("error:") && t.contains("budget"),
+                        "{line}: {t}"
+                    );
+                    assert_eq!(pool_gets(&s), gets, "{line}: refused before a pool get");
+                    assert_eq!(session_reads(&mut s), reads, "{line}");
+                    refused.push(line);
+                }
+                got => assert_eq!(got, want, "{line}"),
+            }
+        }
+        assert!(!refused.is_empty(), "one chunk holds no merge buffer");
+    }
+
+    /// A derived cube keeps each chunk once: its pool never evicts, so a
+    /// bench apply whose result spans more chunks than a base cube's
+    /// default pool of 1024 frames is digested from resident frames alone.
+    #[test]
+    fn a_derived_cube_keeps_its_chunks_once() {
+        let s = Session::new(Dataset::Bench);
+        let spec = PerspectiveSpec::new(
+            s.varying_dim().unwrap(),
+            [2, 5],
+            whatif_core::Semantics::Static,
+            whatif_core::Mode::Visual,
+        );
+        let scenario = Scenario::Negative(spec);
+        let r = whatif_core::apply(s.data().cube(), &scenario, None, &ExecOpts::default()).unwrap();
+        let chunks = r.cube.chunk_count() as u64;
+        assert!(chunks > 1024, "{chunks} output chunks");
+        cell_digest(&r.cube).unwrap();
+        let p = r.cube.pool_stats();
+        assert_eq!((p.evictions, p.misses), (0, 0), "{p:?}");
+        assert!(p.hits >= chunks, "{p:?}");
     }
 
     #[test]

@@ -32,23 +32,6 @@ pub enum WhatIfError {
     /// A positive change targets a member/parent that doesn't exist or is
     /// illegal (leaf parent, cycle, …).
     BadChange(String),
-    /// The execution plan's predicted peak memory exceeds the caller's
-    /// budget (`ExecOpts::budget_cells`) — the session-level admission
-    /// check of the multi-tenant server. The query is rejected before
-    /// any chunk is read.
-    BudgetExceeded {
-        /// Predicted peak buffer cells of the cheapest known plan.
-        needed_cells: u64,
-        /// The caller's configured ceiling.
-        budget_cells: u64,
-    },
-    /// The caller's deadline (`ExecOpts::deadline`) passed while the
-    /// query was executing. The executor checks cooperatively at pass
-    /// and merge-component boundaries (Lemma 5.1 slices are
-    /// independent, so aborting between them leaves no partial state);
-    /// partial output is discarded and the session and cache remain
-    /// intact.
-    DeadlineExceeded,
 }
 
 impl fmt::Display for WhatIfError {
@@ -84,19 +67,6 @@ impl fmt::Display for WhatIfError {
                  says {actual:?} at that moment"
             ),
             WhatIfError::BadChange(m) => write!(f, "illegal positive change: {m}"),
-            WhatIfError::BudgetExceeded {
-                needed_cells,
-                budget_cells,
-            } => write!(
-                f,
-                "query needs a peak of {needed_cells} buffer cells but the session \
-                 budget is {budget_cells}; raise the budget or narrow the query"
-            ),
-            WhatIfError::DeadlineExceeded => write!(
-                f,
-                "deadline exceeded: execution aborted at a pass/slice boundary; \
-                 partial output discarded, session and cache intact"
-            ),
         }
     }
 }

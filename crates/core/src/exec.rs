@@ -19,12 +19,11 @@
 //! observed peak buffer residency for the ablations.
 
 use crate::cache::{Cached, ComponentDigest, ScenarioCache};
-use crate::error::WhatIfError;
 use crate::fingerprint::Fnv64;
 use crate::operators::relocate::{CellFate, DestMap};
 use crate::plan::{PassPlan, Plan, Role};
 use crate::Result;
-use olap_cube::Cube;
+use olap_cube::{Bounds, Cube};
 use olap_model::DimensionId;
 use olap_store::{Chunk, ChunkId};
 use std::collections::HashMap;
@@ -78,9 +77,10 @@ pub struct ExecReport {
     pub cache_chunks_served: u64,
 }
 
-/// Tuning knobs for the chunked executor — the one declaration of them:
-/// callers build a value here and pass it down; nothing re-declares the
-/// fields.
+/// The one request context every bounded layer takes: the executor reads
+/// it here, MDX grid evaluation through `QueryContext::opts`, and the
+/// aggregator through its [`Bounds`]. A caller builds one value per
+/// request and passes it down; nothing re-declares the fields.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOpts {
     /// Scenario-delta cache (DESIGN.md §10, §14): when set, executions
@@ -96,37 +96,16 @@ pub struct ExecOpts {
     /// so a write to the base cube, flushed or not, strands every entry
     /// computed before it.
     pub cache: Option<Arc<ScenarioCache>>,
-    /// Peak-memory ceiling in *cells* for this execution; `0` means
-    /// unlimited. A plan of either scenario kind whose predicted pebble
-    /// count (times the chunk cell extent) exceeds the ceiling is
-    /// rejected with [`crate::WhatIfError::BudgetExceeded`] before any
-    /// chunk is read — the per-session admission check of the
-    /// multi-tenant server. The check uses the same pebble prediction
-    /// the `.explain` report shows, so a rejection names the exact
-    /// shortfall.
-    pub budget_cells: u64,
-    /// Cooperative wall-clock deadline; `None` (the default) means
-    /// unlimited. Checked for either scenario kind when execution
-    /// starts, at pass boundaries and before each Lemma 5.1 slice
-    /// sequence (slices are independent, so aborting between them leaves
-    /// no partial state); once the instant passes, execution
-    /// stops with [`crate::WhatIfError::DeadlineExceeded`] and the
-    /// partial output cube is discarded. The scenario cache is only
-    /// updated after a complete run, so a deadline abort never installs
-    /// partial entries.
-    pub deadline: Option<std::time::Instant>,
-}
-
-impl ExecOpts {
-    /// Errors with [`WhatIfError::DeadlineExceeded`] once the deadline
-    /// has passed. Called only at pass/slice boundaries so an abort
-    /// never observes a half-merged component.
-    fn check_deadline(&self) -> Result<()> {
-        match self.deadline {
-            Some(d) if std::time::Instant::now() >= d => Err(WhatIfError::DeadlineExceeded),
-            _ => Ok(()),
-        }
-    }
+    /// The request's budget and deadline (unbounded by default). A plan
+    /// of either scenario kind whose predicted pebble count, times the
+    /// chunk cell extent — the number `.explain` reports — exceeds the
+    /// budget is refused before any chunk is read. The deadline is
+    /// checked when execution starts, at pass boundaries and before each
+    /// Lemma 5.1 slice sequence (slices are independent, so aborting
+    /// between them leaves no partial state); an abort discards the
+    /// partial output cube, and since the scenario cache is only updated
+    /// after a complete run, it never installs partial entries.
+    pub bounds: Bounds,
 }
 
 /// Chunked execution (Sections 5 and 6) of a [`Plan`] built on `cube` —
@@ -143,7 +122,7 @@ impl ExecOpts {
 /// component the scope cuts produces partial output chunks, so it runs
 /// uncached.
 pub fn execute(cube: &Cube, plan: &Plan, opts: &ExecOpts) -> Result<(Cube, ExecReport)> {
-    opts.check_deadline()?;
+    opts.bounds.check_deadline()?;
     let out = cube.empty_for_schema(Arc::clone(&plan.out_schema))?;
     let mut report = ExecReport {
         graph_nodes: plan.graph.len(),
@@ -151,17 +130,10 @@ pub fn execute(cube: &Cube, plan: &Plan, opts: &ExecOpts) -> Result<(Cube, ExecR
         predicted_pebbles: plan.predicted_pebbles,
         ..ExecReport::default()
     };
-    if opts.budget_cells > 0 {
-        // Reject-before-read: the pebble prediction is the same number
-        // `.explain` reports, priced in cells via the chunk extent.
-        let needed = (plan.predicted_pebbles as u64).saturating_mul(cube.geometry().chunk_cells());
-        if needed > opts.budget_cells {
-            return Err(WhatIfError::BudgetExceeded {
-                needed_cells: needed,
-                budget_cells: opts.budget_cells,
-            });
-        }
-    }
+    // Reject-before-read: the pebble prediction is the same number
+    // `.explain` reports, priced in cells via the chunk extent.
+    let needed = (plan.predicted_pebbles as u64).saturating_mul(cube.geometry().chunk_cells());
+    opts.bounds.admit(needed)?;
     let mut to_insert = Vec::new();
     let withdrawn;
     let mut run = Run { cube, plan, opts };
@@ -176,7 +148,7 @@ pub fn execute(cube: &Cube, plan: &Plan, opts: &ExecOpts) -> Result<(Cube, ExecR
         }
     }
     for (pass, dest) in run.plan.pass_plans.iter().zip(plan.passes()) {
-        opts.check_deadline()?;
+        opts.bounds.check_deadline()?;
         run.pass(&out, pass, dest, &mut report)?;
         report.passes += 1;
     }
@@ -318,7 +290,7 @@ impl Run<'_> {
             let walk: Vec<Vec<u32>> = (geom.chunks_in_order(dims))
                 .filter(|c| pass.roles[c[vd] as usize] != Role::Skip)
                 .collect();
-            self.opts.check_deadline()?;
+            self.opts.bounds.check_deadline()?;
             return self.process(out, dest, pass, &walk, report);
         }
         if pass.reads.is_empty() {
@@ -332,7 +304,7 @@ impl Run<'_> {
                     coord
                 })
                 .collect();
-            self.opts.check_deadline()?;
+            self.opts.bounds.check_deadline()?;
             self.process(out, dest, pass, &slice, report)?;
         }
         Ok(())

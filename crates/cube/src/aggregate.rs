@@ -24,6 +24,7 @@
 //! Accumulators carry (sum, count, min, max) end-to-end, so the algebraic
 //! AVG stays correct through arbitrary cascade depth.
 
+use crate::bounds::Bounds;
 use crate::cube::Cube;
 use crate::lattice::{GroupByMask, Mmst};
 use crate::rules::{Acc, AggFn};
@@ -200,22 +201,26 @@ impl<'a> CubeAggregator<'a> {
         &self.order
     }
 
-    /// Zhao et al.'s multi-pass fallback: "If the available memory falls
-    /// short of the requirement determined from the MMST, then instead of
-    /// one pass, we must make multiple passes over the input cube."
-    /// Splits the requested masks into budget-respecting passes (see
-    /// [`Mmst::plan_passes`]) and runs each as its own scan.
-    pub fn compute_with_budget(
+    /// The one bounded entry point. Zhao et al.'s multi-pass fallback:
+    /// "If the available memory falls short of the requirement
+    /// determined from the MMST, then instead of one pass, we must make
+    /// multiple passes over the input cube." Splits the requested masks
+    /// into passes that fit the budget of `bounds` (see
+    /// [`Mmst::plan_passes`], which admits them) and runs each as its own
+    /// scan, checking the deadline before every base block. Results
+    /// cover exactly the requested masks (cascading through any MMST
+    /// ancestors needed).
+    pub fn compute_bounded(
         &self,
         masks: &[GroupByMask],
-        budget_cells: u64,
+        bounds: &Bounds,
     ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
         let mmst = Mmst::build(self.cube.geometry(), &self.order);
-        let passes = mmst.plan_passes(masks, budget_cells)?;
+        let passes = mmst.plan_passes(masks, bounds)?;
         let mut out = HashMap::new();
         let mut report = AggregationReport::default();
         for pass in &passes {
-            let (results, r) = self.run_pass(&mmst, pass)?;
+            let (results, r) = self.run_pass(&mmst, pass, bounds)?;
             out.extend(results);
             report.peak_buffer_cells = report.peak_buffer_cells.max(r.peak_buffer_cells);
             report.peak_buffer_chunks = report.peak_buffer_chunks.max(r.peak_buffer_chunks);
@@ -225,15 +230,28 @@ impl<'a> CubeAggregator<'a> {
         Ok((out, report))
     }
 
-    /// Computes the requested group-bys (cascading through any MMST
-    /// ancestors needed), returning results for exactly the requested
-    /// masks plus execution metrics.
+    /// [`CubeAggregator::compute_bounded`] under a budget of
+    /// `budget_cells` (0 = unlimited) and no deadline.
+    pub fn compute_with_budget(
+        &self,
+        masks: &[GroupByMask],
+        budget_cells: u64,
+    ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
+        self.compute_bounded(
+            masks,
+            &Bounds {
+                budget_cells,
+                deadline: None,
+            },
+        )
+    }
+
+    /// [`CubeAggregator::compute_bounded`], unbounded: one pass.
     pub fn compute(
         &self,
         masks: &[GroupByMask],
     ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
-        let mmst = Mmst::build(self.cube.geometry(), &self.order);
-        self.run_pass(&mmst, masks)
+        self.compute_bounded(masks, &Bounds::default())
     }
 
     /// One scan of the base cube computing `masks` together: every
@@ -242,6 +260,7 @@ impl<'a> CubeAggregator<'a> {
         &self,
         mmst: &Mmst,
         masks: &[GroupByMask],
+        bounds: &Bounds,
     ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
         let geom = self.cube.geometry();
         let specs = self.plan(mmst, masks);
@@ -254,7 +273,7 @@ impl<'a> CubeAggregator<'a> {
                 ..Node::default()
             })
             .collect();
-        let mut report = self.scan(&specs, &mut nodes)?;
+        let mut report = self.scan(&specs, &mut nodes, bounds)?;
         report.passes = 1;
         let out = (nodes.into_iter().zip(&specs))
             .filter_map(|(node, spec)| Some((spec.mask, node.result?)))
@@ -304,8 +323,14 @@ impl<'a> CubeAggregator<'a> {
     /// block to the root's children. Implicit (all-⊥)
     /// chunks are announced too: children count completions per parent
     /// chunk. A requested full mask is filled here, from the same blocks,
-    /// so the base is never walked a second time.
-    fn scan(&self, specs: &[NodeSpec], nodes: &mut [Node]) -> Result<AggregationReport> {
+    /// so the base is never walked a second time. The deadline is
+    /// checked before each block; an abort drops the partial results.
+    fn scan(
+        &self,
+        specs: &[NodeSpec],
+        nodes: &mut [Node],
+        bounds: &Bounds,
+    ) -> Result<AggregationReport> {
         let geom = self.cube.geometry();
         let mut exec = Exec {
             geom,
@@ -315,6 +340,7 @@ impl<'a> CubeAggregator<'a> {
             report: AggregationReport::default(),
         };
         for coord in geom.chunks_in_order(&self.order) {
+            bounds.check_deadline()?;
             exec.report.base_chunks_scanned += 1;
             let id = geom.chunk_id(&coord);
             let shape = geom.chunk_shape(&coord);

@@ -275,26 +275,18 @@ impl Cube {
         Ok(n)
     }
 
-    /// An empty cube with the same schema, geometry, and rules (memory
-    /// backend) — the starting point for operators that rewrite cells.
-    pub fn empty_like(&self) -> Cube {
-        Cube {
-            schema: Arc::clone(&self.schema),
-            geometry: self.geometry.clone(),
-            pool: BufferPool::new(Box::new(MemStore::new()), 1024),
-            rules: self.rules.clone(),
-            dense_threshold: self.dense_threshold,
-        }
-    }
-
-    /// An empty cube for a *different* (e.g. split-extended) schema,
-    /// carrying this cube's rules and chunk extents where they still fit.
+    /// An empty cube for `schema` (this cube's, or e.g. a split-extended
+    /// one), carrying this cube's rules and chunk extents where they
+    /// still fit — the starting point for operators that rewrite cells.
+    /// Its chunks live only in its pool, which never evicts: a derived
+    /// cube keeps each chunk once, resident, rather than spilling frames
+    /// into a second in-memory copy and reading them back.
     pub fn empty_for_schema(&self, schema: Arc<Schema>) -> Result<Cube> {
         let geometry = self.geometry_for_schema(&schema)?;
         Ok(Cube {
             schema,
             geometry,
-            pool: BufferPool::new(Box::new(MemStore::new()), 1024),
+            pool: BufferPool::new(Box::new(MemStore::new()), usize::MAX),
             rules: self.rules.clone(),
             dense_threshold: self.dense_threshold,
         })

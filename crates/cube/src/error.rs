@@ -17,8 +17,12 @@ pub enum CubeError {
     RuleCycle { measure: String },
     /// A formula divided by zero (and the rule set forbids it).
     DivisionByZero { measure: String },
-    /// The aggregation plan exceeded the memory budget in a single pass.
-    BudgetTooSmall { needed: u64, budget: u64 },
+    /// A request's predicted peak exceeds its budget
+    /// ([`crate::Bounds::admit`]); refused before any chunk is read.
+    OverBudget { needed: u64, budget: u64 },
+    /// A request's deadline passed ([`crate::Bounds::check_deadline`]);
+    /// partial output is discarded.
+    DeadlineExceeded,
 }
 
 impl fmt::Display for CubeError {
@@ -44,9 +48,15 @@ impl fmt::Display for CubeError {
             CubeError::DivisionByZero { measure } => {
                 write!(f, "division by zero evaluating measure {measure:?}")
             }
-            CubeError::BudgetTooSmall { needed, budget } => write!(
+            CubeError::OverBudget { needed, budget } => write!(
                 f,
-                "aggregation needs {needed} chunk-buffer cells but budget is {budget}"
+                "request needs a peak of {needed} buffer cells but the budget is \
+                 {budget}; raise the budget or narrow the request"
+            ),
+            CubeError::DeadlineExceeded => write!(
+                f,
+                "deadline exceeded: request aborted at a block, row, slice or pass \
+                 boundary; partial output discarded, session and cache intact"
             ),
         }
     }

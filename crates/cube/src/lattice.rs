@@ -15,7 +15,7 @@
 //! from, and can split the lattice into multiple passes when the buffer
 //! budget is too small for one.
 
-use crate::error::CubeError;
+use crate::bounds::Bounds;
 use crate::Result;
 use olap_store::ChunkGeometry;
 use std::collections::HashMap;
@@ -232,14 +232,15 @@ impl Mmst {
     }
 
     /// Splits the requested masks into passes whose combined buffer
-    /// memory fits `budget_cells`. A node is always scheduled at or after
-    /// its tree ancestors (ancestors materialize results earlier passes
-    /// can cascade from). Errors if a single mask alone exceeds the
-    /// budget.
+    /// memory fits the budget of `bounds` (one pass when it is
+    /// unlimited). A node is always scheduled at or after its tree
+    /// ancestors (ancestors materialize results earlier passes can
+    /// cascade from). Each mask is admitted through [`Bounds::admit`], so
+    /// one that alone exceeds the budget refuses the whole plan.
     pub fn plan_passes(
         &self,
         masks: &[GroupByMask],
-        budget_cells: u64,
+        bounds: &Bounds,
     ) -> Result<Vec<Vec<GroupByMask>>> {
         // Order: by depth from the root so parents come first, then by
         // descending memory so big buffers pack early.
@@ -251,13 +252,8 @@ impl Mmst {
         let mut used = 0u64;
         for g in work {
             let need = self.mem_cells[&g];
-            if need > budget_cells {
-                return Err(CubeError::BudgetTooSmall {
-                    needed: need,
-                    budget: budget_cells,
-                });
-            }
-            if used + need > budget_cells && !pass.is_empty() {
+            bounds.admit(need)?;
+            if bounds.admit(used + need).is_err() && !pass.is_empty() {
                 passes.push(std::mem::take(&mut pass));
                 used = 0;
             }
@@ -345,6 +341,13 @@ mod tests {
         assert_eq!(t.parent(0), Some(0b001));
     }
 
+    fn budget(cells: u64) -> Bounds {
+        Bounds {
+            budget_cells: cells,
+            ..Bounds::default()
+        }
+    }
+
     #[test]
     fn plan_passes_respects_budget() {
         let g = fig6();
@@ -352,18 +355,18 @@ mod tests {
         let masks = t.lattice().proper_masks();
         let total = t.total_memory_cells();
         // Everything fits in one pass with the full budget.
-        let one = t.plan_passes(&masks, total).unwrap();
+        let one = t.plan_passes(&masks, &budget(total)).unwrap();
         assert_eq!(one.len(), 1);
         // A budget that fits the biggest node but not everything forces
         // multiple passes.
         let biggest_node = masks.iter().map(|&m| t.memory_cells(m)).max().unwrap();
         assert!(biggest_node < total);
-        let multi = t.plan_passes(&masks, biggest_node + 50).unwrap();
+        let multi = t.plan_passes(&masks, &budget(biggest_node + 50)).unwrap();
         assert!(multi.len() >= 2);
         let flat: Vec<_> = multi.concat();
         assert_eq!(flat.len(), masks.len());
         // A budget smaller than the biggest single node errors.
         let biggest = masks.iter().map(|&m| t.memory_cells(m)).max().unwrap();
-        assert!(t.plan_passes(&masks, biggest - 1).is_err());
+        assert!(t.plan_passes(&masks, &budget(biggest - 1)).is_err());
     }
 }

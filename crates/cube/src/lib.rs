@@ -21,6 +21,7 @@
 //! shared by queries and by the what-if operators' visual mode.
 
 pub mod aggregate;
+pub mod bounds;
 pub mod cube;
 pub mod error;
 pub mod eval;
@@ -28,6 +29,7 @@ pub mod lattice;
 pub mod rules;
 
 pub use aggregate::{CubeAggregator, GroupByResult};
+pub use bounds::Bounds;
 pub use cube::{Cube, CubeBuilder, StoreBackend};
 pub use error::CubeError;
 pub use eval::{CellEvaluator, Sel};

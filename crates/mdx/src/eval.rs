@@ -17,11 +17,12 @@ pub struct QueryContext<'a> {
     pub cube: &'a Cube,
     /// Named sets (`[EmployeesWithAtleastOneMove-Set1]`, …).
     pub named_sets: NamedSets,
-    /// The chunked executor's knobs for this context's what-if clauses,
-    /// handed through to [`whatif_core::apply`] as one value (see
-    /// [`whatif_core::ExecOpts`] for each field). A scenario cache
-    /// composes with query scoping: a scoped run serves and fills it
-    /// with the merge components its scope keeps whole.
+    /// The request context: handed through to [`whatif_core::apply`] as
+    /// one value for this context's what-if clauses (see
+    /// [`whatif_core::ExecOpts`] for each field), and its bounds also
+    /// bound the grid ([`evaluate_with`]). A scenario cache composes with
+    /// query scoping: a scoped run serves and fills it with the merge
+    /// components its scope keeps whole.
     pub opts: whatif_core::ExecOpts,
 }
 
@@ -85,11 +86,20 @@ pub fn evaluate(ctx: &QueryContext<'_>, query: &Query) -> Result<Evaluation> {
 /// is then the evaluation `E` of whatever cube another implementation of
 /// the algebra produced (`scope` lists the varying-dimension slots the
 /// grid reads, or is `None`).
+///
+/// The grid answers to the bounds of `ctx.opts` like the executor: the
+/// deadline is checked on entry and before each grid row, and the grid's
+/// `rows × columns` cells are admitted against the budget once the axes
+/// are resolved (a positive scenario and an axis `Filter` have read
+/// cells by then), before a negative scenario runs or a grid cell is
+/// read.
 pub fn evaluate_with(
     ctx: &QueryContext<'_>,
     query: &Query,
     apply: impl Fn(&Scenario, Option<&[u32]>) -> whatif_core::Result<WhatIfResult>,
 ) -> Result<Evaluation> {
+    let bounds = &ctx.opts.bounds;
+    bounds.check_deadline()?;
     // 1. Compile the what-if clause. Positive scenarios apply up front
     //    (their axes may reference new instances); negative scenarios
     //    apply after axis resolution so execution can be scoped to the
@@ -156,6 +166,9 @@ pub fn evaluate_with(
         }
     }
 
+    // 3¼. Admit the grid's cells.
+    bounds.admit((rows.len() as u64).saturating_mul(columns.len() as u64))?;
+
     // 3½. Apply a negative scenario, scoped to the touched slots.
     let mut scope = None;
     if let Some(s @ Scenario::Negative(_)) = &scenario {
@@ -172,6 +185,7 @@ pub fn evaluate_with(
     };
     let mut cells = Vec::with_capacity(rows.len());
     for row in &rows {
+        bounds.check_deadline()?;
         let mut line = Vec::with_capacity(columns.len());
         for col in &columns {
             let mut sels = base.clone();

@@ -457,8 +457,9 @@ fn serve_connection(
                 sent => sent.is_ok(),
             },
             // A deadline abort is an error *frame*, not an error
-            // *connection*: the executor unwound at a pass boundary and
-            // the session (forest, budget, cache) is intact.
+            // *connection*: the request unwound at a block, row, slice or
+            // pass boundary and the session (forest, budget, cache) is
+            // intact.
             Ok(Outcome::Deadline(text)) => write_frame(stream, STATUS_ERR, &text).is_ok(),
             Ok(Outcome::Quit(text)) => {
                 let _ = write_frame(stream, STATUS_QUIT, &text);

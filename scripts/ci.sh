@@ -103,9 +103,13 @@ step "gates run by name"
 # reversal never share a reply; a session's budget and deadline refusing
 # MDX and `.apply`, negative and positive, alike; and the scenario cache
 # never serving a chunk across toggled output geometries.
-# The last two hold the pool under contention: one transient read fault
+# The next two hold the pool under contention: one transient read fault
 # among concurrent requests is retried exactly once and absorbed, and a
 # chunk being written back by a dirty eviction never reads as absent.
+# The last three hold the one request context: every verb-table row, a
+# plain MDX line and a `WITH` line under an already expired deadline and
+# under a one-chunk budget answer as unbounded or are refused before
+# their first pool get, and a derived cube's pool never evicts.
 gate() { # gate "<cargo test target args>" <exact test name>
     out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
     case "$out" in
@@ -129,6 +133,9 @@ gate "-p polap-cli --lib" tests::mdx_and_apply_run_under_the_same_request_option
 gate "-p polap-cli --test base_writes" toggled_output_geometries_never_share_cached_chunks
 gate "-p whatif-integration-tests --test fault_injection" single_transient_read_fault_under_contention_is_absorbed
 gate "-p whatif-integration-tests --test pool_contention" evicting_chunks_never_vanish_from_contains_or_ids
+gate "-p polap-cli --lib" tests::every_row_answers_an_expired_deadline_before_reading
+gate "-p polap-cli --lib" tests::every_row_answers_a_one_chunk_budget_before_reading
+gate "-p polap-cli --lib" tests::a_derived_cube_keeps_its_chunks_once
 
 step "corruption smoke test"
 # One flipped payload byte never becomes garbage cells. Flipped while

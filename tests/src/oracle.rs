@@ -59,6 +59,7 @@ use olap_cube::Cube;
 use olap_model::{DimensionId, MemberId};
 use olap_store::{CellValue, Chunk, ChunkId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use whatif_core::{AlgebraExpr, Change, Semantics};
 
 /// One varying-dimension instance: its member and input validity set.
@@ -187,7 +188,7 @@ fn stage(cube: &Cube, mut target: impl FnMut(&[u32]) -> Option<Vec<u32>>) -> Cub
         }
     })
     .expect("read the input");
-    let out = cube.empty_like();
+    let out = (cube.empty_for_schema(Arc::clone(cube.schema()))).expect("the input's schema");
     for (id, chunk) in staged {
         out.put_chunk(id, chunk).expect("stage the output");
     }

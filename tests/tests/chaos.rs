@@ -4,7 +4,9 @@
 //! retry through scripted socket faults with journal replay, and the
 //! versioned greeting that turns protocol skew into a readable error.
 
+use olap_cube::{Bounds, CubeError};
 use olap_server::{Server, ServerConfig, STATUS_ERR, STATUS_OK, STATUS_QUIT};
+use olap_workload::{Workforce, WorkforceConfig};
 use polap_cli::proto::{self, Client, RetryPolicy};
 use polap_cli::{Dataset, SharedData};
 use std::sync::Arc;
@@ -40,11 +42,14 @@ fn executor_deadline_aborts_cleanly() {
     let ex = olap_workload::running_example();
     let scenario = Scenario::negative(ex.org, [1, 3], Semantics::Forward, Mode::Visual);
     let expired = ExecOpts {
-        deadline: Some(Instant::now() - Duration::from_millis(1)),
+        bounds: Bounds {
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+            ..Bounds::default()
+        },
         ..ExecOpts::default()
     };
     match apply(&ex.cube, &scenario, None, &expired) {
-        Err(WhatIfError::DeadlineExceeded) => {}
+        Err(WhatIfError::Cube(CubeError::DeadlineExceeded)) => {}
         Err(e) => panic!("wrong error: {e}"),
         Ok(_) => panic!("expired deadline must abort"),
     }
@@ -78,10 +83,12 @@ fn out_of_range_scope_slot_is_an_error() {
     }
 }
 
-/// `.deadline 1` on the bench dataset trips mid-execution: the server
-/// answers with a `-` frame, keeps the connection open, and the very
-/// same request succeeds once the deadline is lifted — the session
-/// (forest, budget, cache) survived the abort.
+/// `.deadline 1` on the bench dataset trips every bounded layer — the
+/// executor (`.apply`), the aggregator (`.rollup`) and grid evaluation
+/// (a Fig. 10 query): the server answers each with a `-` frame and keeps
+/// the connection open, and once the deadline is lifted the very same
+/// request answers what a fresh session does — the session (forest,
+/// budget, cache) survived the abort.
 #[test]
 fn server_deadline_aborts_and_session_survives() {
     let server = start(
@@ -91,16 +98,21 @@ fn server_deadline_aborts_and_session_survives() {
             ..ServerConfig::default()
         },
     );
+    let grid = Workforce::build(WorkforceConfig::bench()).fig10a_query(&["Jan", "Apr", "Jul"]);
+    let lines = [".apply forward 0,3,6,9", ".rollup", grid.as_str()];
+    let fresh = serial_replies(Dataset::Bench, &lines.map(|l| vec![l.to_string()]));
     let mut c = Client::connect(server.addr()).unwrap();
-    assert_eq!(c.request(".deadline 1").unwrap().0, STATUS_OK);
-    let (status, text) = c.request(".apply forward 0,3,6,9").unwrap();
-    assert_eq!(status, STATUS_ERR, "{text}");
-    assert!(text.contains("deadline"), "{text}");
-    // Same connection, deadline lifted: the request now completes.
-    assert_eq!(c.request(".deadline 0").unwrap().0, STATUS_OK);
-    let (status, text) = c.request(".apply forward 0,3,6,9").unwrap();
-    assert_eq!(status, STATUS_OK, "{text}");
-    assert!(text.contains("digest"), "{text}");
+    for (line, fresh) in lines.iter().zip(&fresh) {
+        assert_eq!(c.request(".deadline 1").unwrap().0, STATUS_OK);
+        let (status, text) = c.request(line).unwrap();
+        assert_eq!(status, STATUS_ERR, "{line}: {text}");
+        assert!(text.contains("deadline"), "{line}: {text}");
+        // Same connection, deadline lifted: the request now completes.
+        assert_eq!(c.request(".deadline 0").unwrap().0, STATUS_OK);
+        let (status, text) = c.request(line).unwrap();
+        assert_eq!(status, STATUS_OK, "{line}: {text}");
+        assert_eq!(text, fresh[0], "{line}");
+    }
     assert_eq!(c.request(".quit").unwrap().0, STATUS_QUIT);
     server.shutdown();
 }

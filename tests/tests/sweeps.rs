@@ -38,16 +38,42 @@ const ROUND_BUDGET: Duration = Duration::from_secs(120);
 ///   returns a reply byte-identical to a faultless serial replay of the
 ///   same script (the retry journal makes a reconnected session answer
 ///   exactly like the uninterrupted one);
+/// * about a third of the sessions set `.deadline` first: `1` ms trips
+///   on bench work, and that `-` reply is a clean stop; `600000` never
+///   trips, so those sessions are held to every reply;
 /// * the server ends with zero live sessions — no admission slot leaked
 ///   by a cut, stalled or refused connection;
 /// * the whole round finishes inside the wall budget (no hangs).
 #[test]
 fn chaos_sweep_replies_match_serial_or_error_cleanly() {
     const SESSIONS: usize = 8;
-    let scripts: Vec<_> = (0..SESSIONS)
-        .map(|i| edit_script(Dataset::Bench, i))
+    const TRIPS: &str = ".deadline 1";
+    let deadline = |i: usize| match i % 6 {
+        0 => Some(TRIPS),
+        3 => Some(".deadline 600000"),
+        _ => None,
+    };
+    let scripts: Vec<Vec<String>> = (0..SESSIONS)
+        .map(|i| {
+            let knob = deadline(i).map(str::to_string);
+            knob.into_iter()
+                .chain(edit_script(Dataset::Bench, i))
+                .collect()
+        })
         .collect();
-    let expected = serial_replies(Dataset::Bench, &scripts);
+    // The serial replay never trips: it runs each script with the short
+    // deadline lifted, and answers the knob line itself as it is set.
+    let lifted: Vec<Vec<String>> = scripts
+        .iter()
+        .map(|s| s.iter().map(|l| l.replace(TRIPS, ".deadline 0")).collect())
+        .collect();
+    let mut expected = serial_replies(Dataset::Bench, &lifted);
+    let knob = serial_replies(Dataset::Running, &[vec![TRIPS.to_string()]]);
+    for (script, want) in scripts.iter().zip(&mut expected) {
+        if script[0] == TRIPS {
+            want[0] = knob[0][0].clone();
+        }
+    }
 
     for seed in SEEDS {
         let t0 = Instant::now();
@@ -73,6 +99,17 @@ fn chaos_sweep_replies_match_serial_or_error_cleanly() {
 
         let runs = drive_sessions(proxy.addr(), &scripts, &RetryPolicy::retries(10, seed));
         assert_eq!(first_divergence(&runs, &expected), None, "seed {seed}");
+        // Only a short deadline stops a session with a `-` deadline
+        // reply, and at least one of them does.
+        let tripped: Vec<usize> = (runs.iter().enumerate())
+            .filter(|(_, r)| (r.stopped.as_deref()).is_some_and(|s| s.contains("-error: deadline")))
+            .map(|(i, _)| i)
+            .collect();
+        assert!(
+            tripped.iter().all(|&i| deadline(i) == Some(TRIPS)),
+            "seed {seed}: {tripped:?}"
+        );
+        assert!(!tripped.is_empty(), "seed {seed}: no deadline ever tripped");
 
         // More accepted connections than sessions = reconnects = faults
         // actually fired and were healed.
@@ -96,7 +133,8 @@ fn chaos_sweep_replies_match_serial_or_error_cleanly() {
         let stopped = runs.iter().filter(|r| r.stopped.is_some()).count();
         println!(
             "seed {seed}: {answered} replies matched, {stopped} sessions stopped on a clean \
-             error, {conns} connections for {SESSIONS} sessions, {:.2} s",
+             error ({} on a deadline), {conns} connections for {SESSIONS} sessions, {:.2} s",
+            tripped.len(),
             elapsed.as_secs_f64()
         );
         assert!(

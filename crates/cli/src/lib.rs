@@ -151,9 +151,9 @@ pub struct Session {
     /// Per-request wall-clock deadline in milliseconds; 0 = unlimited.
     /// The clock starts when the request's context is assembled, and
     /// every bounded layer checks it cooperatively — before each base
-    /// block of an aggregation, each grid row, and each pass and slice of
-    /// the executor. An expired request aborts with
-    /// `CubeError::DeadlineExceeded` and the session (forest, budget,
+    /// block of an aggregation, each `Filter` input tuple and grid row,
+    /// and each pass and slice of the executor. An expired request aborts
+    /// with `CubeError::DeadlineExceeded` and the session (forest, budget,
     /// cache) is untouched.
     deadline_ms: u64,
     /// This session's scenario forest: private, like the tuning state —
@@ -665,8 +665,9 @@ impl Session {
     }
 
     /// One single-dimension group-by per cube dimension, run through
-    /// the aggregator under the request's bounds. A small session
-    /// budget means more passes; an impossible one is refused.
+    /// the aggregator under the request's bounds, each replied with its
+    /// non-⊥ cell count and [`group_by_digest`]. A small session budget
+    /// means more passes; an impossible one is refused.
     fn rollup(&mut self, _: &str, opts: &ExecOpts) -> Reply {
         let cube = self.data().cube();
         let schema = cube.schema();
@@ -677,11 +678,8 @@ impl Session {
         let mut out = String::new();
         for (d, &mask) in masks.iter().enumerate() {
             let name = schema.dim(schema.dim_ids().nth(d).expect("dim")).name();
-            let total = results
-                .get(&mask)
-                .map(|r| r.grand_total())
-                .unwrap_or(f64::NAN);
-            let _ = writeln!(out, "{name:<14} total {total}");
+            let (count, digest) = group_by_digest(&results[&mask]);
+            let _ = writeln!(out, "{name:<14} {count} cells, digest {digest:016x}");
         }
         let _ = write!(
             out,
@@ -751,6 +749,27 @@ pub fn cell_digest(cube: &olap_cube::Cube) -> olap_cube::Result<(u64, u64)> {
         digest = digest.wrapping_add(digest_rows(&chunk, geom.runs_from(&coord, k), k, tables));
     }
     Ok((count, digest))
+}
+
+/// `.rollup`'s summary of one group-by: its non-⊥ cell count and the
+/// wrapping sum of the FNV-1a hashes of each such cell's coordinates and
+/// accumulator (`sum`, `count`, `min`, `max` bits) — like
+/// [`cell_digest`], independent of the order the cells are visited in.
+pub fn group_by_digest(result: &olap_cube::GroupByResult) -> (u64, u64) {
+    let (mut count, mut digest) = (0u64, 0u64);
+    for (coords, acc) in result.cells().filter(|(_, acc)| !acc.is_empty()) {
+        let mut h = Fnv64::new();
+        for c in coords {
+            h.write_u32(c);
+        }
+        h.write_u64(acc.sum.to_bits())
+            .write_u64(acc.count)
+            .write_u64(acc.min.to_bits())
+            .write_u64(acc.max.to_bits());
+        count += 1;
+        digest = digest.wrapping_add(h.finish());
+    }
+    (count, digest)
 }
 
 /// The tables shared by every chunk of one digest call whose rows end
@@ -969,8 +988,8 @@ pub static VERBS: &[Verb] = &[
     Verb { name: "change", usage: "<member> <new parent> <moment>", sets_session: Some(Grow),
         run: Session::change,
         help: "append a positive change to the current fork; run it with\nbare .apply", ..READ },
-    Verb { name: "rollup", run: Session::rollup, help: "per-dimension totals via the budget-aware \
-        multi-pass\naggregator (small budgets add passes)", ..READ },
+    Verb { name: "rollup", run: Session::rollup, help: "per-dimension group-bys via the budget-aware \
+        multi-pass\naggregator, each as non-⊥ cells + digest (small budgets add passes)", ..READ },
     Verb { name: "budget", usage: "[cells]", sets_session: Some(Knob),
         run: |s, arg, _| knob(&mut s.budget_cells, arg, "session budget", "cells"),
         help: "show or set this session's peak-memory budget (0 = unlimited)", ..READ },
@@ -1524,7 +1543,7 @@ mod tests {
             Outcome::Continue(t) => t,
             other => panic!("{other:?}"),
         };
-        assert!(unlimited.contains("total"), "{unlimited}");
+        assert!(unlimited.contains("cells, digest"), "{unlimited}");
         assert!(unlimited.contains("1 pass(es)"), "{unlimited}");
         // A budget of one cell cannot host any group-by buffer.
         s.handle(".budget 1");
@@ -1532,18 +1551,18 @@ mod tests {
             s.handle(".rollup"),
             Outcome::Continue(t) if t.starts_with("error:")
         ));
-        // A squeezed-but-feasible budget forces extra passes yet keeps
-        // the same totals.
+        // A squeezed-but-feasible budget keeps every group-by's line:
+        // only the passes line may differ.
         let mut squeezed = Session::new(Dataset::Running).with_budget(64);
         match squeezed.handle(".rollup") {
             Outcome::Continue(t) => {
-                let totals = |s: &str| -> Vec<String> {
+                let per_dim = |s: &str| -> Vec<String> {
                     s.lines()
-                        .filter(|l| l.contains("total"))
+                        .filter(|l| !l.contains("pass(es)"))
                         .map(|l| l.to_string())
                         .collect()
                 };
-                assert_eq!(totals(&t), totals(&unlimited), "{t}");
+                assert_eq!(per_dim(&t), per_dim(&unlimited), "{t}");
             }
             other => panic!("{other:?}"),
         }
@@ -1772,6 +1791,47 @@ mod tests {
             }
         }
         assert!(!refused.is_empty(), "one chunk holds no merge buffer");
+    }
+
+    /// A grid admits its plan before it reads: a query whose rows or
+    /// columns a `Filter` decides, or whose positive `WITH CHANGES`
+    /// scenario must run before its cells are read, is refused for the
+    /// budget with no pool get. Unbudgeted, both reply as before the
+    /// split (the second pinned by its FNV-1a over the reply's bytes).
+    #[test]
+    fn refused_grids_read_nothing() {
+        let filter = "SELECT {Filter({Organization.[FTE].Children}, \
+                      (Time.[Jan], Location.[NY], Measures.[Salary]) > 0)} ON COLUMNS, \
+                      {Time.[Qtr1], Time.[Qtr2]} ON ROWS FROM [W]";
+        let positive = "WITH CHANGES {([FTE].[Lisa], [FTE], [PTE], Apr)} VISUAL \
+                        SELECT {CrossJoin({Time.Members}, {Location.Members})} ON COLUMNS, \
+                        {Organization.Members} ON ROWS FROM [W] WHERE (Measures.[Salary])";
+        let mut s = Session::new(Dataset::Running);
+        for (line, budget) in [(filter, 1), (positive, 100)] {
+            s.handle(&format!(".budget {budget}"));
+            let gets = pool_gets(&s);
+            match s.handle(line) {
+                Outcome::Continue(t) => assert!(
+                    t.starts_with("error:") && t.contains("budget"),
+                    "{line}: {t}"
+                ),
+                other => panic!("{line}: {other:?}"),
+            }
+            assert_eq!(pool_gets(&s), gets, "{line}: refused before a pool get");
+        }
+        s.handle(".budget 0");
+        assert_eq!(
+            s.handle(filter),
+            Outcome::Continue("      Joe  Lisa\nQtr1   60    60\nQtr2   40    60\n".into())
+        );
+        let Outcome::Continue(grid) = s.handle(positive) else {
+            panic!("{positive}")
+        };
+        let mut h = Fnv64::new();
+        for b in grid.bytes() {
+            h.write_u8(b);
+        }
+        assert_eq!((grid.len(), h.finish()), (11070, 0x2cbb_2fdc_fb99_854e));
     }
 
     /// A derived cube keeps each chunk once: its pool never evicts, so a

@@ -53,7 +53,7 @@ pub use operators::{check_changes, DestMap};
 pub use perspective::{Mode, PerspectiveSpec, Semantics};
 pub use perspective_cube::{apply, WhatIfResult};
 pub use phi::{phi, prune_vacancies, VsMap};
-pub use plan::{decompose_passes, Plan};
+pub use plan::{decompose_passes, output_schema, Plan};
 pub use scenario::{Change, Scenario};
 
 /// Crate-wide result alias.

@@ -362,6 +362,16 @@ impl Plan {
     }
 }
 
+/// The schema a scenario's output lives on, derived without reading a
+/// cell: the input's own for a negative scenario, S's grown clone for a
+/// positive one — the schema [`Plan::for_scenario`] plans onto.
+pub fn output_schema(schema: &Arc<Schema>, scenario: &Scenario) -> Result<Arc<Schema>> {
+    match scenario {
+        Scenario::Negative(_) => Ok(Arc::clone(schema)),
+        Scenario::Positive { dim, changes, .. } => grown_schema(schema, *dim, changes),
+    }
+}
+
 /// S's output schema: a clone of `schema` with `changes` checked and
 /// applied in list order, so a later change of a member overrides an
 /// earlier one from its own moment on (the ordered reading of Definition

@@ -86,6 +86,20 @@ impl GroupByResult {
         self.acc(coords).finalize(agg)
     }
 
+    /// Every cell, row-major: its retained-dimension coordinates and its
+    /// raw accumulator.
+    pub fn cells(&self) -> impl Iterator<Item = (Vec<u32>, &Acc)> + '_ {
+        self.accs.iter().enumerate().map(move |(i, acc)| {
+            let mut rest = i;
+            let mut coords = vec![0u32; self.shape.len()];
+            for (c, &len) in coords.iter_mut().zip(&self.shape).rev() {
+                *c = (rest % len as usize) as u32;
+                rest /= len as usize;
+            }
+            (coords, acc)
+        })
+    }
+
     /// Sum over every cell of the group-by (grand-total sanity check —
     /// equal for every mask when the default aggregate is SUM).
     pub fn grand_total(&self) -> f64 {

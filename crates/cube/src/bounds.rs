@@ -16,8 +16,9 @@ pub struct Bounds {
     /// its predicted peak against it before it reads a chunk.
     pub budget_cells: u64,
     /// Cooperative wall-clock deadline; `None` means unlimited. A layer
-    /// checks it at its own boundaries (base blocks, grid rows, passes,
-    /// slices), where stopping leaves no partial state behind.
+    /// checks it at its own boundaries (base blocks, `Filter` tuples,
+    /// grid rows, passes, slices), where stopping leaves no partial state
+    /// behind.
     pub deadline: Option<Instant>,
 }
 

@@ -1,6 +1,6 @@
 //! Query evaluation: extended MDX → scenario → perspective cube → grid.
 
-use crate::ast::{Axis, Query, SetExpr, WithClause};
+use crate::ast::{Axis, FilterCond, Query, SetExpr, WithClause};
 use crate::error::MdxError;
 use crate::grid::Grid;
 use crate::parser::parse;
@@ -85,14 +85,14 @@ pub fn evaluate(ctx: &QueryContext<'_>, query: &Query) -> Result<Evaluation> {
 /// `apply(scenario, scope)` in place of [`whatif_core::apply`]: the grid
 /// is then the evaluation `E` of whatever cube another implementation of
 /// the algebra produced (`scope` lists the varying-dimension slots the
-/// grid reads, or is `None`).
+/// grid reads, or is `None`). A positive scenario's axes resolve on
+/// [`whatif_core::output_schema`], so its cube must be over that schema.
 ///
-/// The grid answers to the bounds of `ctx.opts` like the executor: the
-/// deadline is checked on entry and before each grid row, and the grid's
-/// `rows × columns` cells are admitted against the budget once the axes
-/// are resolved (a positive scenario and an axis `Filter` have read
-/// cells by then), before a negative scenario runs or a grid cell is
-/// read.
+/// The grid answers to the bounds of `ctx.opts` like the executor, in
+/// its order: resolve and plan without reading a cell, admit the larger
+/// of the upper-bound `rows × columns` (every `Filter` kept whole) and
+/// the `Filter` condition cells once, then read. The deadline is checked
+/// on entry, before each `Filter` input tuple and before each grid row.
 pub fn evaluate_with(
     ctx: &QueryContext<'_>,
     query: &Query,
@@ -100,61 +100,27 @@ pub fn evaluate_with(
 ) -> Result<Evaluation> {
     let bounds = &ctx.opts.bounds;
     bounds.check_deadline()?;
-    // 1. Compile the what-if clause. Positive scenarios apply up front
-    //    (their axes may reference new instances); negative scenarios
-    //    apply after axis resolution so execution can be scoped to the
-    //    slots the query touches.
+    // 1. Plan. Compile the what-if clause and derive the schema its
+    //    output lives on (a positive scenario's axes may name instances
+    //    that exist only there), then resolve the axes and slicer on it
+    //    with every Filter kept whole, counting its condition cells.
     let scenario = match &query.with {
         None => None,
         Some(clause) => Some(compile_with(ctx, clause)?),
     };
-    let mut whatif: Option<WhatIfResult> = None;
-    if let Some(s @ Scenario::Positive { .. }) = &scenario {
-        whatif = Some(apply(s, None)?);
-    }
-    let schema_arc = match &whatif {
-        Some(r) => std::sync::Arc::clone(r.cube.schema()),
+    let schema_arc = match &scenario {
+        Some(s) => whatif_core::output_schema(ctx.cube.schema(), s)?,
         None => std::sync::Arc::clone(ctx.cube.schema()),
     };
     let schema: &Schema = &schema_arc;
     let resolver = Resolver::new(schema, &ctx.named_sets);
-
-    // 2. Resolve axes. Filter conditions evaluate against the input cube
-    //    (Theorem 4.1: the what-if operators apply to the *result* of the
-    //    core MDX query, which includes its filters).
-    // Filters must evaluate against the cube whose schema the atoms were
-    // resolved on: the split output for positive scenarios, the input
-    // otherwise.
-    let filter_cube: &Cube = match &whatif {
-        Some(r) => &r.cube,
-        None => ctx.cube,
-    };
-    let mut columns: Option<Vec<Tuple>> = None;
-    let mut rows: Option<Vec<Tuple>> = None;
-    let mut properties: Vec<String> = Vec::new();
-    for spec in &query.axes {
-        let tuples = eval_set(&resolver, filter_cube, &spec.set)?;
-        match spec.axis {
-            Axis::Columns => columns = Some(tuples),
-            Axis::Rows => {
-                rows = Some(tuples);
-                properties = spec.properties.clone();
-            }
-            Axis::Pages => {
-                return Err(MdxError::Semantic(
-                    "ON PAGES is not supported; fold pages into rows".into(),
-                ))
-            }
-        }
-    }
-    let columns = columns.ok_or_else(|| MdxError::Semantic("missing ON COLUMNS".into()))?;
-    // A 1-axis query is fine: a single pseudo-row.
-    let rows = rows.unwrap_or_else(|| vec![Vec::new()]);
-
-    // 3. Resolve the slicer.
-    let mut base: Vec<Sel> = (0..schema.dim_count())
-        .map(|_| Sel::Member(MemberId::ROOT))
-        .collect();
+    let mut condition_cells = 0u64;
+    let (mut columns, mut rows) = resolve_axes(&resolver, query, &mut |_, _, _| {
+        condition_cells += 1;
+        Ok(true)
+    })?;
+    let roots = vec![Sel::Member(MemberId::ROOT); schema.dim_count()];
+    let mut base = roots.clone();
     if let Some(slicer) = &query.slicer {
         for expr in slicer {
             let atoms = resolver.member_set(expr)?;
@@ -166,17 +132,35 @@ pub fn evaluate_with(
         }
     }
 
-    // 3¼. Admit the grid's cells.
-    bounds.admit((rows.len() as u64).saturating_mul(columns.len() as u64))?;
+    // 2. Admit the plan's peak, before anything reads.
+    let grid_cells = (rows.len() as u64).saturating_mul(columns.len() as u64);
+    bounds.admit(grid_cells.max(condition_cells))?;
 
-    // 3½. Apply a negative scenario, scoped to the touched slots.
+    // 3. Read. A positive scenario applies unscoped, and its Filters
+    //    read its output; otherwise Filters read the input (Theorem 4.1:
+    //    the what-if operators apply to the *result* of the core MDX
+    //    query, which includes its filters) and a negative scenario then
+    //    applies, scoped to the slots the grid touches.
+    let mut whatif: Option<WhatIfResult> = None;
+    if let Some(s @ Scenario::Positive { .. }) = &scenario {
+        whatif = Some(apply(s, None)?);
+    }
+    if condition_cells > 0 {
+        let ev = CellEvaluator::new(whatif.as_ref().map_or(ctx.cube, |r| &r.cube));
+        (columns, rows) = resolve_axes(&resolver, query, &mut |tuple, pinned, cond| {
+            bounds.check_deadline()?;
+            let mut sels = roots.clone();
+            for a in tuple.iter().chain(pinned) {
+                sels[a.dim.index()] = a.sel;
+            }
+            satisfies(cond, ev.value(&sels)?)
+        })?;
+    }
     let mut scope = None;
     if let Some(s @ Scenario::Negative(_)) = &scenario {
         scope = compute_scope(schema, s.dim(), &columns, &rows, &base);
         whatif = Some(apply(s, scope.as_deref())?);
     }
-
-    // 4. Evaluate cells.
     let value = |sels: &[Sel]| -> Result<olap_store::CellValue> {
         match &whatif {
             Some(r) => Ok(r.value(ctx.cube, sels)?),
@@ -197,8 +181,13 @@ pub fn evaluate_with(
         cells.push(line);
     }
 
-    // 5. Row properties (e.g. DIMENSION PROPERTIES [Department]: report
+    // 4. Row properties (e.g. DIMENSION PROPERTIES [Department]: report
     // the classification path of the row's varying-dimension coordinate).
+    let properties = query
+        .axes
+        .iter()
+        .rfind(|spec| spec.axis == Axis::Rows)
+        .map_or_else(Vec::new, |spec| spec.properties.clone());
     let row_properties: Vec<Vec<String>> = rows
         .iter()
         .map(|row| {
@@ -220,6 +209,53 @@ pub fn evaluate_with(
         scenario,
         scope,
         report: whatif.map(|r| r.report),
+    })
+}
+
+/// Decides, for each input tuple of a `Filter`, whether it stays:
+/// given the tuple, the condition's pinned coordinates and the
+/// condition. Planning keeps every tuple; reading evaluates the cell.
+type Keep<'k> = dyn FnMut(&Tuple, &[Atom], &FilterCond) -> Result<bool> + 'k;
+
+/// The query's column and row tuples, each `Filter` deciding by `keep`.
+fn resolve_axes(
+    resolver: &Resolver<'_>,
+    query: &Query,
+    keep: &mut Keep<'_>,
+) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
+    let mut columns: Option<Vec<Tuple>> = None;
+    let mut rows: Option<Vec<Tuple>> = None;
+    for spec in &query.axes {
+        let tuples = eval_set(resolver, &spec.set, keep)?;
+        match spec.axis {
+            Axis::Columns => columns = Some(tuples),
+            Axis::Rows => rows = Some(tuples),
+            Axis::Pages => {
+                return Err(MdxError::Semantic(
+                    "ON PAGES is not supported; fold pages into rows".into(),
+                ))
+            }
+        }
+    }
+    let columns = columns.ok_or_else(|| MdxError::Semantic("missing ON COLUMNS".into()))?;
+    // A 1-axis query is fine: a single pseudo-row.
+    Ok((columns, rows.unwrap_or_else(|| vec![Vec::new()])))
+}
+
+/// Whether a `Filter` condition holds for its cell's value; ⊥ never
+/// satisfies (Section 4.1).
+fn satisfies(cond: &FilterCond, v: olap_store::CellValue) -> Result<bool> {
+    let Some(x) = v.as_f64() else {
+        return Ok(false);
+    };
+    Ok(match cond.op.as_str() {
+        ">" => x > cond.value,
+        ">=" => x >= cond.value,
+        "<" => x < cond.value,
+        "<=" => x <= cond.value,
+        "=" => x == cond.value,
+        "<>" => x != cond.value,
+        other => return Err(MdxError::Semantic(format!("unknown comparison {other:?}"))),
     })
 }
 
@@ -427,12 +463,12 @@ pub fn compile_with(ctx: &QueryContext<'_>, clause: &WithClause) -> Result<Scena
 }
 
 /// Evaluates a set expression to axis tuples.
-fn eval_set(resolver: &Resolver<'_>, cube: &Cube, set: &SetExpr) -> Result<Vec<Tuple>> {
+fn eval_set(resolver: &Resolver<'_>, set: &SetExpr, keep: &mut Keep<'_>) -> Result<Vec<Tuple>> {
     Ok(match set {
         SetExpr::Braces(items) => {
             let mut out = Vec::new();
             for e in items {
-                out.extend(eval_set(resolver, cube, e)?);
+                out.extend(eval_set(resolver, e, keep)?);
             }
             out
         }
@@ -455,8 +491,8 @@ fn eval_set(resolver: &Resolver<'_>, cube: &Cube, set: &SetExpr) -> Result<Vec<T
             tuples
         }
         SetExpr::CrossJoin(a, b) => {
-            let left = eval_set(resolver, cube, a)?;
-            let right = eval_set(resolver, cube, b)?;
+            let left = eval_set(resolver, a, keep)?;
+            let right = eval_set(resolver, b, keep)?;
             let mut out = Vec::with_capacity(left.len() * right.len());
             for l in &left {
                 for r in &right {
@@ -468,8 +504,8 @@ fn eval_set(resolver: &Resolver<'_>, cube: &Cube, set: &SetExpr) -> Result<Vec<T
             out
         }
         SetExpr::Union(a, b) => {
-            let mut out = eval_set(resolver, cube, a)?;
-            for t in eval_set(resolver, cube, b)? {
+            let mut out = eval_set(resolver, a, keep)?;
+            for t in eval_set(resolver, b, keep)? {
                 if !out.contains(&t) {
                     out.push(t);
                 }
@@ -477,18 +513,18 @@ fn eval_set(resolver: &Resolver<'_>, cube: &Cube, set: &SetExpr) -> Result<Vec<T
             out
         }
         SetExpr::Head(a, n) => {
-            let mut out = eval_set(resolver, cube, a)?;
+            let mut out = eval_set(resolver, a, keep)?;
             out.truncate(*n as usize);
             out
         }
         SetExpr::Tail(a, n) => {
-            let mut out = eval_set(resolver, cube, a)?;
-            let keep = (*n as usize).min(out.len());
-            out.drain(..out.len() - keep);
+            let mut out = eval_set(resolver, a, keep)?;
+            let take = (*n as usize).min(out.len());
+            out.drain(..out.len() - take);
             out
         }
         SetExpr::Filter(a, cond) => {
-            let tuples = eval_set(resolver, cube, a)?;
+            let tuples = eval_set(resolver, a, keep)?;
             // Resolve the condition's coordinates once.
             let mut pinned: Vec<Atom> = Vec::new();
             for m in &cond.members {
@@ -499,31 +535,9 @@ fn eval_set(resolver: &Resolver<'_>, cube: &Cube, set: &SetExpr) -> Result<Vec<T
                     .ok_or_else(|| MdxError::Unresolved(m.to_string()))?;
                 pinned.push(atom);
             }
-            let ev = CellEvaluator::new(cube);
             let mut out = Vec::new();
             for t in tuples {
-                let mut sels: Vec<Sel> = (0..cube.schema().dim_count())
-                    .map(|_| Sel::Member(MemberId::ROOT))
-                    .collect();
-                for a in t.iter().chain(pinned.iter()) {
-                    sels[a.dim.index()] = a.sel;
-                }
-                let v = ev.value(&sels)?;
-                let keep = match v.as_f64() {
-                    None => false, // ⊥ never satisfies (Section 4.1)
-                    Some(x) => match cond.op.as_str() {
-                        ">" => x > cond.value,
-                        ">=" => x >= cond.value,
-                        "<" => x < cond.value,
-                        "<=" => x <= cond.value,
-                        "=" => x == cond.value,
-                        "<>" => x != cond.value,
-                        other => {
-                            return Err(MdxError::Semantic(format!("unknown comparison {other:?}")))
-                        }
-                    },
-                };
-                if keep {
+                if keep(&t, &pinned, cond)? {
                     out.push(t);
                 }
             }
@@ -688,6 +702,29 @@ mod tests {
         assert_eq!(g.cell("PTE", "Q2"), Some(CellValue::Num(60.0)));
         // FTE Q2: nobody (Joe is Contractor, Lisa moved) ⇒ ⊥.
         assert_eq!(g.cell("FTE", "Q2"), Some(CellValue::Null));
+    }
+
+    #[test]
+    fn changes_clause_filters_rows_on_its_output() {
+        // The rows name PTE/Lisa, an instance only the split creates, and
+        // a Filter decides them on the split's output cube.
+        let cube = fixture();
+        let ctx = QueryContext::new(&cube);
+        let g = execute(
+            &ctx,
+            "WITH CHANGES {([FTE].[Lisa], [FTE], [PTE], Apr)} VISUAL \
+             SELECT {Time.[Q1], Time.[Q2]} ON COLUMNS, \
+             {Filter({Organization.[FTE].[Lisa], Organization.[PTE].[Lisa], \
+                      Organization.[PTE].[Tom]}, (Time.[Q2], Measures.[Salary]) > 0)} ON ROWS \
+             FROM [W] WHERE (Measures.[Salary])",
+        )
+        .unwrap();
+        // FTE/Lisa is valid Jan–Mar only, so its Q2 is ⊥ and it drops;
+        // PTE/Lisa holds Apr–Jun (30) and Tom all six months.
+        assert_eq!(g.rows, vec!["PTE/Lisa", "PTE/Tom"]);
+        let num = CellValue::Num;
+        assert_eq!(g.cells[0], vec![CellValue::Null, num(30.0)]);
+        assert_eq!(g.cells[1], vec![num(30.0), num(30.0)]);
     }
 
     #[test]

@@ -106,10 +106,12 @@ step "gates run by name"
 # The next two hold the pool under contention: one transient read fault
 # among concurrent requests is retried exactly once and absorbed, and a
 # chunk being written back by a dirty eviction never reads as absent.
-# The last three hold the one request context: every verb-table row, a
+# The last four hold the one request context: every verb-table row, a
 # plain MDX line and a `WITH` line under an already expired deadline and
 # under a one-chunk budget answer as unbounded or are refused before
-# their first pool get, and a derived cube's pool never evicts.
+# their first pool get, a grid whose `Filter` or positive scenario reads
+# before its cells is refused for the budget with no pool get, and a
+# derived cube's pool never evicts.
 gate() { # gate "<cargo test target args>" <exact test name>
     out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
     case "$out" in
@@ -135,6 +137,7 @@ gate "-p whatif-integration-tests --test fault_injection" single_transient_read_
 gate "-p whatif-integration-tests --test pool_contention" evicting_chunks_never_vanish_from_contains_or_ids
 gate "-p polap-cli --lib" tests::every_row_answers_an_expired_deadline_before_reading
 gate "-p polap-cli --lib" tests::every_row_answers_a_one_chunk_budget_before_reading
+gate "-p polap-cli --lib" tests::refused_grids_read_nothing
 gate "-p polap-cli --lib" tests::a_derived_cube_keeps_its_chunks_once
 
 step "corruption smoke test"

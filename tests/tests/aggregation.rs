@@ -1,8 +1,8 @@
 //! Aggregation suite for the dense-block MMST cascade: a differential
 //! property test against the per-cell oracle and BUC on random clipped
 //! geometries, and golden `.rollup` replies plus accumulator digests
-//! captured at the commit before the dense blocks replaced the per-cell
-//! ones (they must not move by a bit).
+//! (the digests were captured at the commit before the dense blocks
+//! replaced the per-cell ones; neither may move by a bit).
 
 use olap_cube::rules::Acc;
 use olap_cube::{Cube, CubeAggregator, GroupByMask, GroupByResult, Lattice, Mmst};
@@ -173,11 +173,13 @@ fn acc_digest(results: &HashMap<GroupByMask, GroupByResult>) -> u64 {
     h.finish()
 }
 
-/// The reply text and accumulator digest the parent commit produced for
-/// each bundled dataset: `.rollup`'s reply, and a digest over the seven
-/// (or however many) single-dimension group-bys it computes plus the
-/// apex, a two-dimensional group-by and (where it is small) the base
-/// itself.
+/// The reply text and accumulator digest pinned for each bundled
+/// dataset: `.rollup`'s reply (one line per single-dimension group-by,
+/// its non-⊥ cells and `group_by_digest`, captured by applying that
+/// digest to the accumulators of the aggregator before the reply
+/// changed), and a digest over the seven (or however many)
+/// single-dimension group-bys it computes plus the apex, a
+/// two-dimensional group-by and (where it is small) the base itself.
 const GOLDEN: [(Dataset, &str, u64); 4] = [
     (
         Dataset::Running,

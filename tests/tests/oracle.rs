@@ -133,6 +133,24 @@ fn oracle_grids_reproduce_the_semantics_goldens() {
             );
         }
     }
+    // Rows a Filter decides on the input before the scenario runs: in
+    // Feb only PTE (Tom 10 + PTE/Joe 10) tops 15, and forward from
+    // {Feb, Apr} gives it Joe's Feb and Mar in Qtr1 and Tom alone in Qtr2.
+    let query = parse(&format!(
+        "WITH PERSPECTIVE {{(Feb), (Apr)}} FOR Organization DYNAMIC FORWARD VISUAL {cols} \
+         {{Filter({{Organization.[FTE], Organization.[PTE], Organization.[Contractor]}}, \
+                  (Time.[Feb], Location.[NY], Measures.[Salary]) > 15)}} ON ROWS \
+         FROM [Warehouse] WHERE (Location.[NY], Measures.[Salary])"
+    ))
+    .unwrap();
+    let grid = evaluate_with(&ctx, &query, |s, _| Ok(oracle_result(&ex.cube, s)))
+        .unwrap()
+        .grid;
+    assert_eq!(grid.rows, vec!["PTE"]);
+    assert_eq!(
+        grid.cells[0],
+        vec![CellValue::Num(50.0), CellValue::Num(30.0)]
+    );
 }
 
 fn arb_perspectives(moments: u32) -> impl Strategy<Value = Vec<u32>> {

@@ -666,8 +666,9 @@ impl Session {
 
     /// One single-dimension group-by per cube dimension, run through
     /// the aggregator under the request's bounds, each replied with its
-    /// non-⊥ cell count and [`group_by_digest`]. A small session budget
-    /// means more passes; an impossible one is refused.
+    /// non-⊥ cell count and [`group_by_digest`]. A session budget below
+    /// what all of them need together means more passes; one below a
+    /// single group-by's closure is refused before anything is read.
     fn rollup(&mut self, _: &str, opts: &ExecOpts) -> Reply {
         let cube = self.data().cube();
         let schema = cube.schema();
@@ -989,7 +990,7 @@ pub static VERBS: &[Verb] = &[
         run: Session::change,
         help: "append a positive change to the current fork; run it with\nbare .apply", ..READ },
     Verb { name: "rollup", run: Session::rollup, help: "per-dimension group-bys via the budget-aware \
-        multi-pass\naggregator, each as non-⊥ cells + digest (small budgets add passes)", ..READ },
+        multi-pass\naggregator, each as non-⊥ cells + digest (small budgets add passes\nor are refused)", ..READ },
     Verb { name: "budget", usage: "[cells]", sets_session: Some(Knob),
         run: |s, arg, _| knob(&mut s.budget_cells, arg, "session budget", "cells"),
         help: "show or set this session's peak-memory budget (0 = unlimited)", ..READ },
@@ -1536,6 +1537,11 @@ mod tests {
         assert_eq!(s.handle(".apply"), first);
     }
 
+    /// `.rollup` under a session budget. Below the cheapest group-by's
+    /// closure it is refused for the budget before its first pool get. At
+    /// the costliest single closure, which is below what all four
+    /// together need, it splits into passes, peaks within the budget and
+    /// replies every group-by's line as it does unlimited.
     #[test]
     fn rollup_respects_the_session_budget() {
         let mut s = Session::new(Dataset::Running);
@@ -1545,27 +1551,51 @@ mod tests {
         };
         assert!(unlimited.contains("cells, digest"), "{unlimited}");
         assert!(unlimited.contains("1 pass(es)"), "{unlimited}");
-        // A budget of one cell cannot host any group-by buffer.
-        s.handle(".budget 1");
-        assert!(matches!(
-            s.handle(".rollup"),
-            Outcome::Continue(t) if t.starts_with("error:")
-        ));
-        // A squeezed-but-feasible budget keeps every group-by's line:
-        // only the passes line may differ.
-        let mut squeezed = Session::new(Dataset::Running).with_budget(64);
-        match squeezed.handle(".rollup") {
+        // What each dimension's group-by admits alone, read from its
+        // refusal under a one-cell budget.
+        let cube = s.data().cube();
+        let agg = olap_cube::CubeAggregator::new(cube);
+        let closures: Vec<u64> = (0..cube.geometry().ndims())
+            .map(|d| match agg.compute_with_budget(&[1 << d], 1) {
+                Err(olap_cube::CubeError::OverBudget { needed, .. }) => needed,
+                other => panic!("dimension {d}: {other:?}"),
+            })
+            .collect();
+        let cheapest = *closures.iter().min().unwrap();
+        let costliest = *closures.iter().max().unwrap();
+
+        s.handle(&format!(".budget {}", cheapest - 1));
+        let (reads, gets) = (session_reads(&mut s), pool_gets(&s));
+        match s.handle(".rollup") {
             Outcome::Continue(t) => {
-                let per_dim = |s: &str| -> Vec<String> {
-                    s.lines()
-                        .filter(|l| !l.contains("pass(es)"))
-                        .map(|l| l.to_string())
-                        .collect()
-                };
-                assert_eq!(per_dim(&t), per_dim(&unlimited), "{t}");
+                assert!(t.starts_with("error:") && t.contains("budget"), "{t}")
             }
             other => panic!("{other:?}"),
         }
+        assert_eq!(pool_gets(&s), gets, "refused before a pool get");
+        assert_eq!(session_reads(&mut s), reads);
+
+        s.handle(&format!(".budget {costliest}"));
+        let squeezed = match s.handle(".rollup") {
+            Outcome::Continue(t) => t,
+            other => panic!("{other:?}"),
+        };
+        let per_dim = |s: &str| -> Vec<String> {
+            (s.lines())
+                .filter(|l| !l.contains("pass(es)"))
+                .map(|l| l.to_string())
+                .collect()
+        };
+        assert_eq!(per_dim(&squeezed), per_dim(&unlimited), "{squeezed}");
+        // `N pass(es), peak P buffer cells`
+        let last: Vec<u64> = (squeezed.lines().last().unwrap().split_whitespace())
+            .filter_map(|w| w.parse().ok())
+            .collect();
+        let [passes, peak] = last[..] else {
+            panic!("{squeezed}")
+        };
+        assert!(passes >= 2, "{squeezed}");
+        assert!(peak <= costliest, "{squeezed}");
     }
 
     /// Every row of the table refuses a malformed argument, and every row
@@ -1791,6 +1821,10 @@ mod tests {
             }
         }
         assert!(!refused.is_empty(), "one chunk holds no merge buffer");
+        assert!(
+            refused.iter().any(|l| l == ".rollup"),
+            "one chunk holds no group-by closure: {refused:?}"
+        );
     }
 
     /// A grid admits its plan before it reads: a query whose rows or

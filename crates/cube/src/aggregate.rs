@@ -1,12 +1,17 @@
 //! Simultaneous chunked aggregation (Zhao et al., SIGMOD'97).
 //!
 //! One pass over the base chunks — in a chosen dimension order — computes
-//! every requested group-by at once. Group-bys cascade through the
-//! [`Mmst`]: each node aggregates from its tree parent's *completed*
-//! chunks, holding partial chunk buffers exactly as long as Zhao's memory
-//! rule predicts. Each pass is one serial scan on the caller's thread,
-//! and the aggregator reports its observed peak buffer occupancy so tests
-//! (and the dimension-order ablation) can check the prediction.
+//! every requested group-by at once. The plan is the lattice closure of
+//! the requested masks, each node cascading from its smallest parent
+//! (*Hierarchical Datacubes*' smallest-ancestor rule, one dimension at a
+//! time): each node aggregates from its tree parent's *completed*
+//! chunks, holding partial chunk buffers no longer than Zhao's memory
+//! rule predicts. A pass is priced at the rule's sum over every node it
+//! holds buffers for and admitted before the first base read, so its
+//! observed peak never exceeds what it admitted. Each pass is one serial
+//! scan on the caller's thread, and the aggregator reports its observed
+//! peak buffer occupancy so tests (and the dimension-order ablation) can
+//! check the prediction.
 //!
 //! What travels along a tree edge is a *dense block*: a completed chunk's
 //! accumulators as one row-major array plus its chunk-grid coordinate,
@@ -26,7 +31,7 @@
 
 use crate::bounds::Bounds;
 use crate::cube::Cube;
-use crate::lattice::{GroupByMask, Mmst};
+use crate::lattice::{memory_cells, GroupByMask, Lattice};
 use crate::rules::{Acc, AggFn};
 use crate::Result;
 use olap_store::{CellValue, Chunk, ChunkData, ChunkGeometry};
@@ -149,10 +154,24 @@ struct NodeSpec {
     /// Parent chunks contributing to each of this node's chunks.
     expected: u32,
     /// Position, among the parent's dims, of the one dimension this
-    /// node aggregates away (every MMST edge drops exactly one).
+    /// node aggregates away (every cascade edge drops exactly one).
     drop_pos: usize,
     /// Whether the caller asked for this mask.
     requested: bool,
+}
+
+/// One planned pass: the requested masks it computes and the closure of
+/// group-bys it cascades through, priced before anything is read.
+#[derive(Debug, Clone)]
+struct Pass {
+    /// The requested masks, in request order.
+    masks: Vec<GroupByMask>,
+    /// The full mask, then each mask's path down from the nearest node
+    /// already held, in the order the masks joined.
+    nodes: Vec<GroupByMask>,
+    /// Zhao's memory rule summed over every node but the root, which
+    /// buffers nothing: what the pass admits.
+    cells: u64,
 }
 
 /// The scan's mutable state for a group-by node.
@@ -218,23 +237,23 @@ impl<'a> CubeAggregator<'a> {
     /// The one bounded entry point. Zhao et al.'s multi-pass fallback:
     /// "If the available memory falls short of the requirement
     /// determined from the MMST, then instead of one pass, we must make
-    /// multiple passes over the input cube." Splits the requested masks
-    /// into passes that fit the budget of `bounds` (see
-    /// [`Mmst::plan_passes`], which admits them) and runs each as its own
-    /// scan, checking the deadline before every base block. Results
-    /// cover exactly the requested masks (cascading through any MMST
-    /// ancestors needed).
+    /// multiple passes over the input cube." Packs the masks into passes,
+    /// each priced at Zhao's rule summed over the closure it cascades
+    /// through, and admits every pass before the first base read — a mask
+    /// whose closure alone exceeds the budget refuses the request having
+    /// read nothing. Then runs each pass as its own scan, checking the
+    /// deadline before every base block. Results cover exactly the
+    /// requested masks.
     pub fn compute_bounded(
         &self,
         masks: &[GroupByMask],
         bounds: &Bounds,
     ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
-        let mmst = Mmst::build(self.cube.geometry(), &self.order);
-        let passes = mmst.plan_passes(masks, bounds)?;
+        let passes = self.plan(masks, bounds)?;
         let mut out = HashMap::new();
         let mut report = AggregationReport::default();
         for pass in &passes {
-            let (results, r) = self.run_pass(&mmst, pass, bounds)?;
+            let (results, r) = self.run_pass(pass, bounds)?;
             out.extend(results);
             report.peak_buffer_cells = report.peak_buffer_cells.max(r.peak_buffer_cells);
             report.peak_buffer_chunks = report.peak_buffer_chunks.max(r.peak_buffer_chunks);
@@ -268,16 +287,78 @@ impl<'a> CubeAggregator<'a> {
         self.compute_bounded(masks, &Bounds::default())
     }
 
-    /// One scan of the base cube computing `masks` together: every
-    /// requested node gets its result array, then the scan fills them.
+    /// Packs the requested masks into passes and admits each through
+    /// [`Bounds::admit`]. A mask joins the open pass while the grown
+    /// pass's price still fits the budget, else it opens the next one, so
+    /// unbounded there is one pass. A mask whose own closure exceeds the
+    /// budget sits alone in its pass, and its admission refuses the whole
+    /// request before anything is read.
+    fn plan(&self, masks: &[GroupByMask], bounds: &Bounds) -> Result<Vec<Pass>> {
+        let root = Pass {
+            masks: Vec::new(),
+            nodes: vec![Lattice::new(self.cube.geometry().ndims()).full()],
+            cells: 0,
+        };
+        let mut passes: Vec<Pass> = Vec::new();
+        for &m in masks {
+            let grown = (passes.last().map(|pass| self.grow(pass, m)))
+                .filter(|pass| bounds.admit(pass.cells).is_ok());
+            match grown {
+                Some(pass) => *passes.last_mut().expect("grown from it") = pass,
+                None => passes.push(self.grow(&root, m)),
+            }
+        }
+        for pass in &passes {
+            bounds.admit(pass.cells)?;
+        }
+        Ok(passes)
+    }
+
+    /// `pass` with `m` added: `m` and its ancestors up to the nearest
+    /// node the pass already holds join the closure, root-most first, and
+    /// each adds its buffer memory by Zhao's rule.
+    fn grow(&self, pass: &Pass, m: GroupByMask) -> Pass {
+        let mut grown = pass.clone();
+        grown.masks.push(m);
+        let at = grown.nodes.len();
+        let mut cur = m;
+        while !grown.nodes.contains(&cur) {
+            grown.nodes.push(cur);
+            grown.cells += memory_cells(self.cube.geometry(), &self.order, cur);
+            cur = self.parent(cur);
+        }
+        grown.nodes[at..].reverse();
+        grown
+    }
+
+    /// The group-by a proper mask cascades from: of its parents (one
+    /// more retained dimension), the one with the fewest result cells,
+    /// ties to the smaller mask — the minimum-size-parent rule, which
+    /// minimises the cascade's work.
+    fn parent(&self, g: GroupByMask) -> GroupByMask {
+        let geom = self.cube.geometry();
+        let lattice = Lattice::new(geom.ndims());
+        let result_cells = |p: GroupByMask| -> u64 {
+            (lattice.dims_of(p).into_iter())
+                .map(|d| geom.lens()[d] as u64)
+                .product::<u64>()
+                .max(1)
+        };
+        (lattice.parents(g).into_iter())
+            .min_by_key(|&p| (result_cells(p), p))
+            .expect("a proper mask has a parent")
+    }
+
+    /// One scan of the base cube computing a pass's masks together:
+    /// every requested node gets its result array, then the scan fills
+    /// them.
     fn run_pass(
         &self,
-        mmst: &Mmst,
-        masks: &[GroupByMask],
+        pass: &Pass,
         bounds: &Bounds,
     ) -> Result<(HashMap<GroupByMask, GroupByResult>, AggregationReport)> {
         let geom = self.cube.geometry();
-        let specs = self.plan(mmst, masks);
+        let specs = self.specs(pass);
         let mut nodes: Vec<Node> = (specs.iter())
             .map(|spec| Node {
                 result: spec.requested.then(|| {
@@ -295,14 +376,15 @@ impl<'a> CubeAggregator<'a> {
         Ok((out, report))
     }
 
-    /// Builds the cascade plan: the closure of the requested masks under
-    /// MMST parents, root first, with tree children, per-chunk completion
-    /// counts and the axis each edge aggregates away. `specs[0]` is
-    /// always the full mask.
-    fn plan(&self, mmst: &Mmst, masks: &[GroupByMask]) -> Vec<NodeSpec> {
+    /// A pass's cascade: its closure root first and every node after its
+    /// parent (descending retained-dimension count), with tree children,
+    /// per-chunk completion counts and the axis each edge aggregates
+    /// away. `specs[0]` is always the full mask.
+    fn specs(&self, pass: &Pass) -> Vec<NodeSpec> {
         let geom = self.cube.geometry();
-        let lattice = mmst.lattice();
-        let needed = mmst.closure(masks);
+        let lattice = Lattice::new(geom.ndims());
+        let mut needed = pass.nodes.clone();
+        needed.sort_unstable_by_key(|m| std::cmp::Reverse(m.count_ones()));
         let mut specs: Vec<NodeSpec> = needed
             .iter()
             .map(|&m| NodeSpec {
@@ -311,12 +393,12 @@ impl<'a> CubeAggregator<'a> {
                 children: Vec::new(),
                 expected: 0,
                 drop_pos: 0,
-                requested: masks.contains(&m),
+                requested: pass.masks.contains(&m),
             })
             .collect();
         for i in 1..specs.len() {
             let m = specs[i].mask;
-            let p = mmst.parent(m).expect("non-root has a parent");
+            let p = self.parent(m);
             let pi = needed
                 .iter()
                 .position(|&x| x == p)
@@ -711,14 +793,10 @@ mod tests {
         assert_eq!(scalar.value(&[], AggFn::Sum), CellValue::Num(12.0));
     }
 
-    #[test]
-    fn buffer_memory_tracks_zhao_rule() {
-        // 16×16×16 cube, extent 4 — Fig. 6. Under order ABC, group-by AB
-        // alone needs 16 chunk buffers at peak.
-        let mut names: Vec<String> = Vec::new();
-        for i in 0..16 {
-            names.push(format!("m{i}"));
-        }
+    /// Fig. 6's cube: 16×16×16 cells, extent 4, with a light sprinkle of
+    /// data so chunks materialize.
+    fn fig6() -> Cube {
+        let names: Vec<String> = (0..16).map(|i| format!("m{i}")).collect();
         let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
         let schema = Arc::new(
             SchemaBuilder::new()
@@ -729,11 +807,17 @@ mod tests {
                 .unwrap(),
         );
         let mut b = Cube::builder(schema, vec![4, 4, 4]).unwrap();
-        // A light sprinkle of data so chunks materialize.
         for i in 0..16u32 {
             b.set_num(&[i, (i * 3) % 16, (i * 5) % 16], 1.0).unwrap();
         }
-        let cube = b.finish().unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn buffer_memory_tracks_zhao_rule() {
+        // Fig. 6's cube. Under order ABC, group-by AB alone needs 16
+        // chunk buffers at peak.
+        let cube = fig6();
         let ab = 0b011;
         let agg = CubeAggregator::with_order(&cube, vec![0, 1, 2]);
         let (_, report) = agg.compute(&[ab]).unwrap();
@@ -745,6 +829,98 @@ mod tests {
         assert_eq!(report2.peak_buffer_chunks, 1);
     }
 
+    /// What one pass computing `masks` admits.
+    fn pass_cells(agg: &CubeAggregator, masks: &[GroupByMask]) -> u64 {
+        let passes = agg.plan(masks, &Bounds::default()).unwrap();
+        assert_eq!(passes.len(), 1, "unbounded is one pass");
+        passes[0].cells
+    }
+
+    fn budget(cells: u64) -> Bounds {
+        Bounds {
+            budget_cells: cells,
+            ..Bounds::default()
+        }
+    }
+
+    #[test]
+    fn closure_parents_are_supersets() {
+        let cube = fig6();
+        let agg = CubeAggregator::with_order(&cube, vec![0, 1, 2]);
+        let pass = &agg
+            .plan(&Lattice::new(3).proper_masks(), &Bounds::default())
+            .unwrap()[0];
+        assert_eq!(pass.nodes.len(), 8, "every proper mask plus the root");
+        for &m in &pass.nodes[1..] {
+            let p = agg.parent(m);
+            assert_eq!(p & m, m, "parent {p:b} must contain {m:b}");
+            assert_eq!(p.count_ones(), m.count_ones() + 1);
+            assert!(pass.nodes.contains(&p), "the closure holds {p:b}");
+        }
+        // Every node but the root is the child of exactly one earlier
+        // node.
+        let specs = agg.specs(pass);
+        assert_eq!(specs[0].mask, 0b111);
+        for i in 1..specs.len() {
+            let parents: Vec<usize> = (0..specs.len())
+                .filter(|&p| specs[p].children.contains(&i))
+                .collect();
+            assert_eq!(parents.len(), 1);
+            assert!(parents[0] < i);
+        }
+    }
+
+    #[test]
+    fn closure_prefers_small_parents() {
+        // Axis lens 2, 100, 100: group-by ∅ should cascade from A (len 2),
+        // not from B or C, and A from AB (ties to the smaller mask).
+        let names: Vec<String> = (0..100).map(|i| format!("m{i}")).collect();
+        let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+        let schema = Arc::new(
+            SchemaBuilder::new()
+                .dimension(DimensionSpec::new("A").leaves(&["a0", "a1"]))
+                .dimension(DimensionSpec::new("B").leaves(&refs))
+                .dimension(DimensionSpec::new("C").leaves(&refs))
+                .build()
+                .unwrap(),
+        );
+        let cube = Cube::builder(schema, vec![2, 2, 2])
+            .unwrap()
+            .finish()
+            .unwrap();
+        let agg = CubeAggregator::with_order(&cube, vec![0, 1, 2]);
+        assert_eq!(agg.parent(0), 0b001);
+        let pass = &agg.plan(&[0], &Bounds::default()).unwrap()[0];
+        assert_eq!(pass.nodes, vec![0b111, 0b011, 0b001, 0]);
+    }
+
+    #[test]
+    fn plan_packs_passes_under_the_budget() {
+        let cube = fig6();
+        let agg = CubeAggregator::with_order(&cube, vec![0, 1, 2]);
+        let masks = Lattice::new(3).proper_masks();
+        let total = pass_cells(&agg, &masks);
+        // Everything fits in one pass with the full budget.
+        assert_eq!(agg.plan(&masks, &budget(total)).unwrap().len(), 1);
+        // A budget that fits the costliest closure but not everything
+        // forces several passes, each within it, covering every mask in
+        // request order.
+        let biggest = masks.iter().map(|&m| pass_cells(&agg, &[m])).max().unwrap();
+        assert!(biggest + 50 < total);
+        let multi = agg.plan(&masks, &budget(biggest + 50)).unwrap();
+        assert!(multi.len() >= 2);
+        assert!(multi.iter().all(|pass| pass.cells <= biggest + 50));
+        let flat: Vec<GroupByMask> = multi.iter().flat_map(|p| p.masks.clone()).collect();
+        assert_eq!(flat, masks);
+        // A budget below the costliest closure refuses the request.
+        match agg.plan(&masks, &budget(biggest - 1)) {
+            Err(crate::CubeError::OverBudget { needed, budget }) => {
+                assert_eq!((needed, budget), (biggest, biggest - 1));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn budgeted_multipass_matches_single_pass() {
         let cube = cube3d();
@@ -753,10 +929,9 @@ mod tests {
         let agg = CubeAggregator::with_order(&cube, vec![0, 1, 2]);
         let (single, single_report) = agg.compute(&masks).unwrap();
         assert_eq!(single_report.passes, 1);
-        // A budget just above the biggest single node forces several
+        // A budget just above the costliest closure forces several
         // passes but identical results.
-        let mmst = Mmst::build(cube.geometry(), &[0, 1, 2]);
-        let biggest = masks.iter().map(|&m| mmst.memory_cells(m)).max().unwrap();
+        let biggest = masks.iter().map(|&m| pass_cells(&agg, &[m])).max().unwrap();
         let (multi, multi_report) = agg.compute_with_budget(&masks, biggest + 4).unwrap();
         assert!(multi_report.passes > 1, "expected multiple passes");
         assert!(
@@ -774,7 +949,7 @@ mod tests {
         assert!(agg.compute_with_budget(&masks, biggest - 1).is_err());
         // A lavish budget runs in one pass.
         let (_, r) = agg
-            .compute_with_budget(&masks, mmst.total_memory_cells())
+            .compute_with_budget(&masks, pass_cells(&agg, &masks))
             .unwrap();
         assert_eq!(r.passes, 1);
     }
@@ -793,7 +968,7 @@ mod tests {
     /// Requests running at once over one cube each report their own
     /// serial high-water mark: four concurrent scans read exactly the
     /// report of one scan alone, so no request's peak counts another's
-    /// buffers, and the mark stays inside the MMST's memory prediction.
+    /// buffers, and the mark stays inside what the one pass admitted.
     #[test]
     fn concurrent_peak_is_true_high_water() {
         let cube = cube3d();
@@ -801,8 +976,7 @@ mod tests {
         let agg = CubeAggregator::with_order(&cube, vec![0, 1, 2]);
         let (_, alone) = agg.compute(&masks).unwrap();
         assert!(alone.peak_buffer_cells > 0);
-        let mmst = Mmst::build(cube.geometry(), &[0, 1, 2]);
-        assert!(alone.peak_buffer_cells <= mmst.total_memory_cells());
+        assert!(alone.peak_buffer_cells <= pass_cells(&agg, &masks));
         for report in concurrently(4, || agg.compute(&masks).unwrap().1) {
             assert_eq!(report, alone);
         }
@@ -815,8 +989,7 @@ mod tests {
         let cube = cube3d();
         let masks = Lattice::new(3).proper_masks();
         let agg = CubeAggregator::with_order(&cube, vec![0, 1, 2]);
-        let mmst = Mmst::build(cube.geometry(), &[0, 1, 2]);
-        let biggest = masks.iter().map(|&m| mmst.memory_cells(m)).max().unwrap();
+        let biggest = masks.iter().map(|&m| pass_cells(&agg, &[m])).max().unwrap();
         let (_, alone) = agg.compute_with_budget(&masks, biggest + 4).unwrap();
         assert!(alone.passes > 1);
         assert!(alone.peak_buffer_cells <= biggest + 4);

@@ -21,7 +21,7 @@ use olap_model::{AxisSlot, DimensionId, MemberId};
 use olap_store::CellValue;
 
 /// One coordinate of a cell reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sel {
     /// A specific axis slot (a leaf member, or a member *instance* on a
     /// varying dimension).

@@ -4,11 +4,12 @@
 //!
 //! * [`Cube`]: a sealed [`olap_model::Schema`] plus a chunked store of
 //!   leaf cells, with point reads/writes and region aggregation;
-//! * the **group-by lattice** and **minimum-memory spanning tree** of
-//!   Zhao, Deshpande, Naughton (SIGMOD'97) — the algorithm the paper's
-//!   Section 5 builds its perspective-cube evaluation on ([`lattice`]);
-//! * **simultaneous chunked aggregation** computing every lattice group-by
-//!   in one pass over the base chunks, cascading through the MMST
+//! * the **group-by lattice** and the **memory rule** of Zhao, Deshpande,
+//!   Naughton (SIGMOD'97) — the algorithm the paper's Section 5 builds
+//!   its perspective-cube evaluation on ([`lattice`]);
+//! * **simultaneous chunked aggregation** computing the requested
+//!   group-bys in one pass over the base chunks, cascading each from its
+//!   smallest parent, in as many passes as the budget admits
 //!   ([`aggregate`]);
 //! * the **rules** engine (paper Section 2): default aggregation per
 //!   measure plus scoped formula rules like
@@ -33,7 +34,7 @@ pub use bounds::Bounds;
 pub use cube::{Cube, CubeBuilder, StoreBackend};
 pub use error::CubeError;
 pub use eval::{CellEvaluator, Sel};
-pub use lattice::{GroupByMask, Lattice, Mmst};
+pub use lattice::{GroupByMask, Lattice};
 pub use rules::{AggFn, Expr, FormulaRule, RuleSet};
 
 /// Crate-wide result alias.

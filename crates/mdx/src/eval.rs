@@ -8,6 +8,7 @@ use crate::resolve::{Atom, NamedSets, Resolver, Tuple};
 use crate::Result;
 use olap_cube::{CellEvaluator, Cube, Sel};
 use olap_model::{AxisSlot, DimensionId, MemberId, Schema};
+use std::collections::HashSet;
 use whatif_core::{Change, Mode, Scenario, WhatIfResult};
 
 /// Everything a query needs besides its text: the cube, named sets, and
@@ -504,12 +505,13 @@ fn eval_set(resolver: &Resolver<'_>, set: &SetExpr, keep: &mut Keep<'_>) -> Resu
             out
         }
         SetExpr::Union(a, b) => {
+            // `a` verbatim, its duplicates kept, then each tuple of `b`
+            // not yet seen in `a` or earlier in `b`.
             let mut out = eval_set(resolver, a, keep)?;
-            for t in eval_set(resolver, b, keep)? {
-                if !out.contains(&t) {
-                    out.push(t);
-                }
-            }
+            let right = eval_set(resolver, b, keep)?;
+            let mut seen: HashSet<&Tuple> = out.iter().collect();
+            let fresh: Vec<bool> = right.iter().map(|t| seen.insert(t)).collect();
+            out.extend((right.into_iter().zip(fresh)).filter_map(|(t, f)| f.then_some(t)));
             out
         }
         SetExpr::Head(a, n) => {
@@ -617,6 +619,23 @@ mod tests {
         // Joe Q2 = Apr + Jun (May vacation) = 20.
         assert_eq!(g.cell("Joe", "Q2"), Some(CellValue::Num(20.0)));
         assert_eq!(g.cell("Lisa", "Q1"), Some(CellValue::Num(30.0)));
+    }
+
+    /// `Union` keeps its left set verbatim, duplicates included, then
+    /// appends each tuple of its right set not seen yet, in order.
+    #[test]
+    fn union_keeps_left_verbatim_then_unseen_right_tuples_in_order() {
+        let cube = fixture();
+        let ctx = QueryContext::new(&cube);
+        let g = execute(
+            &ctx,
+            "SELECT {Measures.[Salary]} ON COLUMNS, \
+             {Union({Time.[Jan], Time.[Feb], Time.[Jan]}, \
+                    {Time.[Mar], Time.[Feb], Time.[Mar], Time.[Jan], Time.[Apr]})} ON ROWS \
+             FROM [W]",
+        )
+        .unwrap();
+        assert_eq!(g.rows, vec!["Jan", "Feb", "Jan", "Mar", "Apr"]);
     }
 
     #[test]

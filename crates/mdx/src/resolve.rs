@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 /// One resolved coordinate: a dimension plus a selector, with a display
 /// label.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// The dimension the selector addresses.
     pub dim: DimensionId,

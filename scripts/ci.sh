@@ -106,12 +106,17 @@ step "gates run by name"
 # The next two hold the pool under contention: one transient read fault
 # among concurrent requests is retried exactly once and absorbed, and a
 # chunk being written back by a dirty eviction never reads as absent.
-# The last four hold the one request context: every verb-table row, a
+# The next four hold the one request context: every verb-table row, a
 # plain MDX line and a `WITH` line under an already expired deadline and
 # under a one-chunk budget answer as unbounded or are refused before
 # their first pool get, a grid whose `Filter` or positive scenario reads
 # before its cells is refused for the budget with no pool get, and a
-# derived cube's pool never evicts.
+# derived cube's pool never evicts. The last two hold the aggregator's
+# budget as a ceiling: on random cubes, mask sets, read orders and
+# budgets a run is refused having read nothing or peaks within the
+# budget with the unbudgeted accumulators, and `.rollup` under a session
+# budget is refused below a group-by's closure and splits into passes
+# within it above.
 gate() { # gate "<cargo test target args>" <exact test name>
     out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
     case "$out" in
@@ -139,6 +144,8 @@ gate "-p polap-cli --lib" tests::every_row_answers_an_expired_deadline_before_re
 gate "-p polap-cli --lib" tests::every_row_answers_a_one_chunk_budget_before_reading
 gate "-p polap-cli --lib" tests::refused_grids_read_nothing
 gate "-p polap-cli --lib" tests::a_derived_cube_keeps_its_chunks_once
+gate "-p whatif-integration-tests --test aggregation" budgeted_aggregation_never_holds_more_than_it_admitted
+gate "-p polap-cli --lib" tests::rollup_respects_the_session_budget
 
 step "corruption smoke test"
 # One flipped payload byte never becomes garbage cells. Flipped while

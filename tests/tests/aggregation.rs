@@ -1,18 +1,20 @@
-//! Aggregation suite for the dense-block MMST cascade: a differential
+//! Aggregation suite for the dense-block cascade: a differential
 //! property test against the per-cell oracle and BUC on random clipped
-//! geometries, and golden `.rollup` replies plus accumulator digests
+//! geometries, a property test that a budgeted run never holds more than
+//! it admitted, and golden `.rollup` replies plus accumulator digests
 //! (the digests were captured at the commit before the dense blocks
 //! replaced the per-cell ones; neither may move by a bit).
 
+use olap_cube::lattice::memory_cells;
 use olap_cube::rules::Acc;
-use olap_cube::{Cube, CubeAggregator, GroupByMask, GroupByResult, Lattice, Mmst};
+use olap_cube::{Cube, CubeAggregator, CubeError, GroupByMask, GroupByResult, Lattice};
 use olap_model::{DimensionSpec, SchemaBuilder};
 use olap_store::ChunkGeometry;
 use polap_cli::{Dataset, Outcome, Session};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use whatif_core::Fnv64;
 use whatif_integration_tests::buc::buc;
@@ -82,6 +84,58 @@ fn random_cube(rng: &mut StdRng) -> Cube {
     b.finish().unwrap()
 }
 
+/// What a pass computing `m` alone admits, read from the aggregator's
+/// refusal under a one-cell budget (a closure of at most one cell is
+/// admitted, and runs).
+fn closure_cells(agg: &CubeAggregator, m: GroupByMask) -> u64 {
+    match agg.compute_with_budget(&[m], 1) {
+        Err(CubeError::OverBudget { needed, .. }) => needed,
+        Ok(_) => 1,
+        Err(e) => panic!("mask {m:b}: {e}"),
+    }
+}
+
+/// Zhao's memory rule summed over the closure of `masks` — each mask and
+/// its ancestors by the smallest-parent rule, the full mask (which holds
+/// no buffer) left out: what one pass computing them all must admit,
+/// derived here from the definitions rather than read from the planner.
+fn union_cells(geom: &ChunkGeometry, order: &[usize], masks: &[GroupByMask]) -> u64 {
+    let lattice = Lattice::new(geom.ndims());
+    let result_cells = |g: GroupByMask| -> u64 {
+        (lattice.dims_of(g).into_iter())
+            .map(|d| u64::from(geom.lens()[d]))
+            .product()
+    };
+    let mut closure = HashSet::new();
+    for &m in masks {
+        let mut g = m;
+        while g != lattice.full() && closure.insert(g) {
+            g = (lattice.parents(g).into_iter())
+                .min_by_key(|&p| (result_cells(p), p))
+                .unwrap();
+        }
+    }
+    closure.iter().map(|&g| memory_cells(geom, order, g)).sum()
+}
+
+/// A random non-empty mask set and a random read order for `cube`.
+fn random_request(rng: &mut StdRng, cube: &Cube) -> (Vec<GroupByMask>, Vec<usize>) {
+    let ndims = cube.geometry().ndims();
+    let mut masks: Vec<GroupByMask> = Lattice::new(ndims)
+        .all_masks()
+        .into_iter()
+        .filter(|_| rng.random_bool(0.4))
+        .collect();
+    if masks.is_empty() {
+        masks.push(0);
+    }
+    let mut order: Vec<usize> = (0..ndims).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.random_range(0..=i));
+    }
+    (masks, order)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -95,22 +149,9 @@ proptest! {
         let cube = random_cube(&mut rng);
         let geom = cube.geometry();
         let lattice = Lattice::new(geom.ndims());
-
-        let mut masks: Vec<GroupByMask> = lattice
-            .all_masks()
-            .into_iter()
-            .filter(|_| rng.random_bool(0.4))
-            .collect();
-        if masks.is_empty() {
-            masks.push(0);
-        }
-        let mut order: Vec<usize> = (0..geom.ndims()).collect();
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.random_range(0..=i));
-        }
-        let agg = CubeAggregator::with_order(&cube, order.clone());
-        let mmst = Mmst::build(geom, &order);
-        let biggest = masks.iter().map(|&m| mmst.memory_cells(m)).max().unwrap();
+        let (masks, order) = random_request(&mut rng, &cube);
+        let agg = CubeAggregator::with_order(&cube, order);
+        let biggest = masks.iter().map(|&m| closure_cells(&agg, m)).max().unwrap();
         let (results, report) = match rng.random_range(0u32..3) {
             0 => agg.compute(&masks).unwrap(),
             1 => agg.compute_with_budget(&masks, u64::MAX).unwrap(),
@@ -152,6 +193,61 @@ proptest! {
             prop_assert_eq!(emitted, nonempty, "seed {} mask {:b}", seed, m);
         }
         prop_assert!(oracle.is_empty(), "seed {}: cells outside every result", seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Under a random budget in `[1, 2 × the union's cost]`, a request
+    /// over a random cube, mask set and read order is either refused for
+    /// the budget having read nothing, or peaks at or under the budget
+    /// with every accumulator equal to the unbudgeted run's. One pass is
+    /// admitted at exactly the union's cost and not a cell below it.
+    #[test]
+    fn budgeted_aggregation_never_holds_more_than_it_admitted(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cube = random_cube(&mut rng);
+        let (masks, order) = random_request(&mut rng, &cube);
+        let agg = CubeAggregator::with_order(&cube, order.clone());
+        let (want, _) = agg.compute(&masks).unwrap();
+        let union = union_cells(cube.geometry(), &order, &masks);
+        let budget = rng.random_range(1..=2 * union.max(1));
+
+        let before = cube.pool_stats();
+        match agg.compute_with_budget(&masks, budget) {
+            Err(CubeError::OverBudget { needed, budget: b }) => {
+                prop_assert_eq!(b, budget);
+                prop_assert!(needed > budget, "seed {}", seed);
+                let read = cube.pool_stats().delta(&before);
+                prop_assert_eq!(read.hits + read.misses, 0, "seed {} read before refusing", seed);
+            }
+            Err(e) => panic!("seed {seed}: {e}"),
+            Ok((got, report)) => {
+                prop_assert!(
+                    report.peak_buffer_cells <= budget,
+                    "seed {} peak {} over budget {}",
+                    seed,
+                    report.peak_buffer_cells,
+                    budget
+                );
+                for &m in &masks {
+                    for_each_acc(&want[&m], |coords, acc| {
+                        assert_eq!(got[&m].acc(coords), acc, "seed {seed} mask {m:b} at {coords:?}");
+                    });
+                }
+            }
+        }
+
+        let (_, one) = agg.compute_with_budget(&masks, union.max(1)).unwrap();
+        prop_assert_eq!(one.passes, 1, "seed {}", seed);
+        if union > 1 {
+            match agg.compute_with_budget(&masks, union - 1) {
+                Err(CubeError::OverBudget { .. }) => {}
+                Ok((_, split)) => prop_assert!(split.passes > 1, "seed {}", seed),
+                Err(e) => panic!("seed {seed}: {e}"),
+            }
+        }
     }
 }
 
@@ -219,9 +315,10 @@ fn rollup_replies_and_accumulators_match_the_parent_commit() {
             masks.push(lattice.full());
         }
         // Unbudgeted and budget-squeezed runs fold every target in the
-        // same order, so one digest covers them.
-        let mmst = Mmst::build(cube.geometry(), CubeAggregator::new(cube).order());
-        let biggest = masks.iter().map(|&m| mmst.memory_cells(m)).max().unwrap();
+        // same order, so one digest covers them. The squeezed budget is
+        // the costliest single mask's closure, the least that admits all.
+        let agg = CubeAggregator::new(cube);
+        let biggest = masks.iter().map(|&m| closure_cells(&agg, m)).max().unwrap();
         for budget in [u64::MAX, biggest] {
             let (results, _) = CubeAggregator::new(cube)
                 .compute_with_budget(&masks, budget)

@@ -6,7 +6,8 @@
 //! Also checks that the aggregator's peak is each request's own serial
 //! high-water mark, however many requests run at once.
 
-use olap_cube::{CubeAggregator, Lattice, Mmst};
+use olap_cube::lattice::memory_cells;
+use olap_cube::{CubeAggregator, Lattice};
 use olap_store::ChunkGeometry;
 use olap_workload::{running_example, Workforce, WorkforceConfig};
 use proptest::prelude::*;
@@ -195,7 +196,7 @@ fn kernels_agree_on_dense_workforce_relocations() {
 /// Four aggregation requests at once over one workforce cube, each on
 /// its own thread, report exactly what one request alone reports: the
 /// peak is that request's serial high-water mark, never a sum over other
-/// requests' buffers, and it stays inside the MMST's memory prediction.
+/// requests' buffers, and it stays inside what its one pass admitted.
 #[test]
 fn aggregation_concurrent_peak_is_bounded_and_exact_in_serial() {
     let wf = Workforce::build(WorkforceConfig {
@@ -212,8 +213,14 @@ fn aggregation_concurrent_peak_is_bounded_and_exact_in_serial() {
     let agg = CubeAggregator::new(&wf.cube);
     let (_, alone) = agg.compute(&masks).unwrap();
     assert!(alone.peak_buffer_cells > 0);
-    let mmst = Mmst::build(wf.cube.geometry(), agg.order());
-    assert!(alone.peak_buffer_cells <= mmst.total_memory_cells());
+    // Every proper mask is in the closure of the request, so its one
+    // pass admits Zhao's rule summed over all of them, and runs as is
+    // under exactly that budget.
+    let admitted: u64 = (masks.iter())
+        .map(|&m| memory_cells(wf.cube.geometry(), agg.order(), m))
+        .sum();
+    assert!(alone.peak_buffer_cells <= admitted);
+    assert_eq!(agg.compute_with_budget(&masks, admitted).unwrap().1, alone);
     for report in concurrently(4, || agg.compute(&masks).unwrap().1) {
         assert_eq!(
             report.unwrap(),

@@ -212,11 +212,22 @@ fn budgets_are_enforced_per_session() {
     let (status, text) = rich.request(".apply forward 1,3").unwrap();
     assert_eq!(status, STATUS_OK);
     assert!(text.contains("digest"), "{text}");
-    // A starved rollup degrades to more passes instead of failing, until
-    // even one group-by buffer cannot fit.
+    // A squeezed rollup degrades to more passes instead of failing: 232
+    // cells hold the costliest single group-by's closure on `running`
+    // but not the 353 all four need in one pass. Below one closure (the
+    // cheapest is 87) it is refused.
+    assert_eq!(broke.request(".budget 232").unwrap().0, STATUS_OK);
+    let (_, rollup) = broke.request(".rollup").unwrap();
+    assert!(
+        rollup.ends_with("3 pass(es), peak 192 buffer cells"),
+        "{rollup}"
+    );
     assert_eq!(broke.request(".budget 64").unwrap().0, STATUS_OK);
     let (_, rollup) = broke.request(".rollup").unwrap();
-    assert!(rollup.contains("pass(es)"), "{rollup}");
+    assert!(
+        rollup.starts_with("error:") && rollup.contains("budget"),
+        "{rollup}"
+    );
     server.shutdown();
 }
 

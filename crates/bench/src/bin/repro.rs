@@ -381,10 +381,10 @@ fn run_replay(cache_mb: usize) {
             let mut merges = 0u64;
             let mut served = 0u64;
             for s in &scenarios {
-                let r = apply(&wf.cube, s, None, &opts).unwrap();
-                chunk_reads += r.report.chunks_read;
-                merges += r.report.merges;
-                served += r.report.cache_chunks_served;
+                let (_, report) = apply(&wf.cube, s, None, &opts).unwrap();
+                chunk_reads += report.chunks_read;
+                merges += report.merges;
+                served += report.cache_chunks_served;
             }
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             let cstats = cache.as_ref().map(|c| c.stats()).unwrap_or_default();

@@ -41,41 +41,17 @@ impl Dataset {
     }
 }
 
-enum Loaded {
-    Running(olap_workload::RunningExample),
-    Retail(olap_workload::Retail),
-    Workforce(Box<Workforce>),
-}
-
-impl Loaded {
-    fn cube(&self) -> &olap_cube::Cube {
-        match self {
-            Loaded::Running(e) => &e.cube,
-            Loaded::Retail(r) => &r.cube,
-            Loaded::Workforce(w) => &w.cube,
-        }
-    }
-
-    fn named_sets(&self) -> Vec<(String, DimensionId, Vec<MemberId>)> {
-        match self {
-            Loaded::Workforce(w) => w
-                .named_sets()
-                .into_iter()
-                .map(|(n, m)| (n, w.department, m))
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-}
-
-/// The shareable half of a session: the loaded dataset (whose cube owns
-/// the buffer pool) and the optional scenario-delta cache. One instance
-/// backs one in-process REPL — or, behind `olap-server`, *every*
+/// The shareable half of a session: what sessions read of the loaded
+/// dataset, computed once at load — its cube (which owns the buffer
+/// pool) and its named sets — and the optional scenario-delta cache. One
+/// instance backs one in-process REPL — or, behind `olap-server`, *every*
 /// concurrent analyst session: sessions share the pool and the cache but
 /// own their private tuning/budget state ([`Session`]). Sound because
 /// sessions never mutate the base cube.
 pub struct SharedData {
-    data: Loaded,
+    cube: olap_cube::Cube,
+    /// Each named set's name, dimension and members.
+    named_sets: Vec<(String, DimensionId, Vec<MemberId>)>,
     cache: Option<Arc<whatif_core::ScenarioCache>>,
 }
 
@@ -103,19 +79,25 @@ impl SharedData {
                 "dataset {dataset:?} only supports the memory backend"
             ));
         }
-        let data = match dataset {
-            Dataset::Running => Loaded::Running(running_example()),
-            Dataset::Retail => Loaded::Retail(retail_example(42)),
-            Dataset::Workforce => Loaded::Workforce(Box::new(Workforce::build(WorkforceConfig {
-                backend,
-                ..WorkforceConfig::default()
-            }))),
-            Dataset::Bench => Loaded::Workforce(Box::new(Workforce::build(WorkforceConfig {
-                backend,
-                ..WorkforceConfig::bench()
-            }))),
+        let config = match dataset {
+            Dataset::Running => return Ok(SharedData::of(running_example().cube, Vec::new())),
+            Dataset::Retail => return Ok(SharedData::of(retail_example(42).cube, Vec::new())),
+            Dataset::Workforce => WorkforceConfig::default(),
+            Dataset::Bench => WorkforceConfig::bench(),
         };
-        Ok(SharedData { data, cache: None })
+        let w = Workforce::build(WorkforceConfig { backend, ..config });
+        let sets = (w.named_sets().into_iter())
+            .map(|(name, members)| (name, w.department, members))
+            .collect();
+        Ok(SharedData::of(w.cube, sets))
+    }
+
+    fn of(cube: olap_cube::Cube, named_sets: Vec<(String, DimensionId, Vec<MemberId>)>) -> Self {
+        SharedData {
+            cube,
+            named_sets,
+            cache: None,
+        }
     }
 
     /// Enables (mb > 0) or disables (mb = 0) the shared scenario-delta
@@ -130,7 +112,7 @@ impl SharedData {
 
     /// The dataset's cube.
     pub fn cube(&self) -> &olap_cube::Cube {
-        self.data.cube()
+        &self.cube
     }
 
     /// The shared scenario-delta cache, if enabled.
@@ -211,10 +193,6 @@ impl Session {
         self
     }
 
-    fn data(&self) -> &Loaded {
-        &self.shared.data
-    }
-
     /// The context of a request starting *now* — the one place it is
     /// assembled, once per line by [`Session::handle`], and read by every
     /// row that does bounded work: the shared scenario cache, the
@@ -233,10 +211,10 @@ impl Session {
     }
 
     fn context(&self, opts: &ExecOpts) -> QueryContext<'_> {
-        let mut ctx = QueryContext::new(self.data().cube());
+        let mut ctx = QueryContext::new(self.shared.cube());
         ctx.opts = opts.clone();
-        for (name, dim, members) in self.data().named_sets() {
-            ctx.define_set(&name, dim, &members);
+        for (name, dim, members) in &self.shared.named_sets {
+            ctx.define_set(name, *dim, members);
         }
         ctx
     }
@@ -296,7 +274,7 @@ impl Session {
     }
 
     fn stats(&mut self, _: &str, _: &ExecOpts) -> Reply {
-        let s = self.data().cube().pool_stats();
+        let s = self.shared.cube().pool_stats();
         say(format!(
             "buffer pool: {} hits, {} misses, {} evictions\n\
              peaks: {} resident\n\
@@ -319,7 +297,7 @@ impl Session {
     /// stops it before it starts.
     fn commit(&mut self, _: &str, opts: &ExecOpts) -> Reply {
         opts.bounds.check_deadline()?;
-        let cube = self.data().cube();
+        let cube = self.shared.cube();
         cube.flush()
             .map_err(|e| Refusal::Error(format!("flush failed: {e}")))?;
         say(cube.with_pool(|pool| {
@@ -347,17 +325,17 @@ impl Session {
     }
 
     fn sets(&mut self, _: &str, _: &ExecOpts) -> Reply {
-        let sets = self.data().named_sets();
+        let sets = &self.shared.named_sets;
         if sets.is_empty() {
             return say("(no named sets in this dataset)".to_string());
         }
-        let schema = self.data().cube().schema();
+        let schema = self.shared.cube().schema();
         let mut out = String::new();
         for (name, dim, members) in sets {
             let names: Vec<&str> = members
                 .iter()
                 .take(8)
-                .map(|&m| schema.dim(dim).member_name(m))
+                .map(|&m| schema.dim(*dim).member_name(m))
                 .collect();
             let more = members.len().saturating_sub(8);
             let more = (more > 0).then(|| format!(", … (+{more})"));
@@ -373,7 +351,7 @@ impl Session {
     }
 
     fn schema(&mut self, _: &str, _: &ExecOpts) -> Reply {
-        let schema = self.data().cube().schema();
+        let schema = self.shared.cube().schema();
         let mut out = String::new();
         for d in schema.dim_ids() {
             let dim = schema.dim(d);
@@ -401,15 +379,15 @@ impl Session {
         let _ = writeln!(
             out,
             "cube: {} cells in {} chunks",
-            self.data().cube().present_cell_count().unwrap_or(0),
-            self.data().cube().chunk_count(),
+            self.shared.cube().present_cell_count().unwrap_or(0),
+            self.shared.cube().chunk_count(),
         );
         say(out)
     }
 
     fn instances(&mut self, member: &str, _: &ExecOpts) -> Reply {
         let member = need(member)?;
-        let schema = self.data().cube().schema();
+        let schema = self.shared.cube().schema();
         for d in schema.dim_ids() {
             if let Some(v) = schema.varying(d) {
                 if let Some(m) = schema.dim(d).find(member) {
@@ -540,7 +518,7 @@ impl Session {
 
     /// The first varying dimension, which the scenario verbs act on.
     fn varying_dim(&self) -> Result<DimensionId, Refusal> {
-        let schema = self.data().cube().schema();
+        let schema = self.shared.cube().schema();
         schema
             .dim_ids()
             .find(|&d| schema.varying(d).is_some())
@@ -558,9 +536,9 @@ impl Session {
                 self.forest.current_name()
             ),
         };
-        let result = whatif_core::apply(self.data().cube(), scenario, None, opts)?;
-        let (count, digest) = cell_digest(&result.cube)?;
-        let passes = result.report.passes;
+        let (out, report) = whatif_core::apply(self.shared.cube(), scenario, None, opts)?;
+        let (count, digest) = cell_digest(&out)?;
+        let passes = report.passes;
         Ok(format!(
             "applied {label}: {count} cells, digest {digest:016x}, {passes} pass(es)",
         ))
@@ -586,7 +564,7 @@ impl Session {
     /// The session's fork tree.
     fn scenarios(&mut self, _: &str, _: &ExecOpts) -> Reply {
         let mut out = String::new();
-        let schema = self.data().cube().schema();
+        let schema = self.shared.cube().schema();
         for r in self.forest.rows() {
             let parent = r
                 .parent
@@ -621,7 +599,7 @@ impl Session {
         };
         let dim = self.varying_dim()?;
         let (dim_name, m, n, at) = {
-            let schema = self.data().cube().schema();
+            let schema = self.shared.cube().schema();
             let dimension = schema.dim(dim);
             let find = |name: &str| {
                 dimension.find(name).ok_or_else(|| {
@@ -655,7 +633,7 @@ impl Session {
             _ => Vec::new(),
         };
         changes.push(change.clone());
-        whatif_core::check_changes(self.data().cube().schema(), dim, &changes)?;
+        whatif_core::check_changes(self.shared.cube().schema(), dim, &changes)?;
         let count = (self.forest).add_change(dim, whatif_core::Mode::Visual, change)?;
         say(format!(
             "fork '{}': {}",
@@ -670,7 +648,7 @@ impl Session {
     /// what all of them need together means more passes; one below a
     /// single group-by's closure is refused before anything is read.
     fn rollup(&mut self, _: &str, opts: &ExecOpts) -> Reply {
-        let cube = self.data().cube();
+        let cube = self.shared.cube();
         let schema = cube.schema();
         let ndims = cube.geometry().ndims();
         let masks: Vec<olap_cube::GroupByMask> = (0..ndims as u32).map(|d| 1 << d).collect();
@@ -1328,9 +1306,8 @@ mod tests {
         let mut s = Session::new(Dataset::Bench);
         s.handle(".change emp00001 dept002 5");
         let positive = s.forest.scenario().expect("the change is recorded");
-        let r = whatif_core::apply(s.data().cube(), positive, None, &ExecOpts::default())
-            .unwrap()
-            .report;
+        let (_, r) =
+            whatif_core::apply(s.shared().cube(), positive, None, &ExecOpts::default()).unwrap();
         assert!(
             r.peak_out_buffers >= r.predicted_pebbles as u64
                 && r.peak_out_buffers < r.graph_nodes as u64,
@@ -1409,18 +1386,14 @@ mod tests {
         let mut shared = SharedData::load(Dataset::Bench);
         shared.set_cache_mb(16);
         let mut s = Session::attach(Arc::new(shared));
-        let mdx = match s.data() {
-            Loaded::Workforce(w) => {
-                w.fig10a_query_sem(&["Jan", "Apr", "Jul", "Oct"], "DYNAMIC FORWARD")
-            }
-            _ => unreachable!("bench is a workforce dataset"),
-        };
+        let mdx = Workforce::build(WorkforceConfig::bench())
+            .fig10a_query_sem(&["Jan", "Apr", "Jul", "Oct"], "DYNAMIC FORWARD");
         // The golden transcript's move, as a `.change` on the main fork
         // (a bare `.apply` runs it) and as the same grid `WITH CHANGES`.
         let change = ".change emp00001 dept002 5";
         let changes_mdx = {
             let dim = s.varying_dim().unwrap();
-            let schema = s.data().cube().schema();
+            let schema = s.shared().cube().schema();
             let d = schema.dim(dim);
             let emp = d.resolve("emp00001").unwrap();
             let old = schema.varying(dim).unwrap().parent_at(d, emp, 5).unwrap();
@@ -1553,7 +1526,7 @@ mod tests {
         assert!(unlimited.contains("1 pass(es)"), "{unlimited}");
         // What each dimension's group-by admits alone, read from its
         // refusal under a one-cell budget.
-        let cube = s.data().cube();
+        let cube = s.shared().cube();
         let agg = olap_cube::CubeAggregator::new(cube);
         let closures: Vec<u64> = (0..cube.geometry().ndims())
             .map(|d| match agg.compute_with_budget(&[1 << d], 1) {
@@ -1804,7 +1777,7 @@ mod tests {
         for (line, _) in bounds_loop_lines() {
             let want = bounds_loop_session().handle(&line);
             let mut s = bounds_loop_session();
-            let chunk = s.data().cube().geometry().chunk_cells();
+            let chunk = s.shared().cube().geometry().chunk_cells();
             s.handle(&format!(".budget {chunk}"));
             let (reads, gets) = (session_reads(&mut s), pool_gets(&s));
             match s.handle(&line) {
@@ -1881,11 +1854,12 @@ mod tests {
             whatif_core::Mode::Visual,
         );
         let scenario = Scenario::Negative(spec);
-        let r = whatif_core::apply(s.data().cube(), &scenario, None, &ExecOpts::default()).unwrap();
-        let chunks = r.cube.chunk_count() as u64;
+        let (out, _) =
+            whatif_core::apply(s.shared().cube(), &scenario, None, &ExecOpts::default()).unwrap();
+        let chunks = out.chunk_count() as u64;
         assert!(chunks > 1024, "{chunks} output chunks");
-        cell_digest(&r.cube).unwrap();
-        let p = r.cube.pool_stats();
+        cell_digest(&out).unwrap();
+        let p = out.pool_stats();
         assert_eq!((p.evictions, p.misses), (0, 0), "{p:?}");
         assert!(p.hits >= chunks, "{p:?}");
     }

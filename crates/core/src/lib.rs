@@ -19,9 +19,10 @@
 //! * **The algebra** (Section 4): the validity-set transform [`phi()`],
 //!   relocation (a [`DestMap`] that a [`Plan`] runs), split (a [`Plan`]
 //!   over a grown axis, validated by [`check_changes`]) and eval
-//!   ([`WhatIfResult::value`]); plus the Theorem 4.1 compiler in
-//!   [`algebra`], whose expression `.explain` prints. Selection σ reaches
-//!   users as MDX's `Filter` and scope.
+//!   (`olap_cube::CellEvaluator`, its mode picked by [`evaluator`]);
+//!   plus the Theorem 4.1 compiler in [`algebra`], whose expression
+//!   `.explain` prints. Selection σ reaches users as MDX's `Filter` and
+//!   scope.
 //! * **The perspective cube** (Section 5): [`apply`] evaluates a what-if
 //!   query chunk by chunk — ordering chunk reads with the
 //!   **merge-dependency graph** and **pebbling heuristic** of Section 5.2
@@ -51,7 +52,7 @@ pub use forest::{ForestError, ForkRow, ScenarioForest};
 pub use merge::MergeGraph;
 pub use operators::{check_changes, DestMap};
 pub use perspective::{Mode, PerspectiveSpec, Semantics};
-pub use perspective_cube::{apply, WhatIfResult};
+pub use perspective_cube::{apply, evaluator};
 pub use phi::{phi, prune_vacancies, VsMap};
 pub use plan::{decompose_passes, output_schema, Plan};
 pub use scenario::{Change, Scenario};

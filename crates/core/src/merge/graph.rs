@@ -255,7 +255,7 @@ mod tests {
         v.rebuild(&d);
         // Instances: 0 = A/m0 {0,1}, 1 = B/m0 {2,3}, 2 = A/m1, 3 = B/m2.
         // Forward P = {0}: A/m0 owns everything; B/m0's data moves to it.
-        let vs_out = crate::phi::phi(
+        let out_sets = crate::phi::phi(
             crate::perspective::Semantics::Forward,
             v.instances(),
             &[0],
@@ -265,7 +265,7 @@ mod tests {
         let moments = 4u32;
         let n = v.instance_count();
         let mut flat = vec![u32::MAX; (n * moments) as usize];
-        for (i, vs) in vs_out.iter().enumerate() {
+        for (i, vs) in out_sets.iter().enumerate() {
             let member = v.instance(InstanceId(i as u32)).member;
             for t in vs.iter() {
                 if let Some(src) = v.instance_at(member, t) {

@@ -53,16 +53,16 @@ impl DestMap {
     /// maps to `d`. Everything else is dropped. Because output validity
     /// sets of one member are disjoint, each (src, t) has at most one
     /// destination.
-    pub fn build(cube: &Cube, dim: DimensionId, vs_out: &VsMap) -> Result<Self> {
+    pub fn build(cube: &Cube, dim: DimensionId, out_sets: &VsMap) -> Result<Self> {
         let schema = cube.schema();
         let varying = schema
             .varying(dim)
             .ok_or_else(|| WhatIfError::NotVarying(schema.dim(dim).name().to_string()))?;
         let n = varying.instance_count() as usize;
-        assert_eq!(vs_out.len(), n, "vs_out must cover every instance");
+        assert_eq!(out_sets.len(), n, "one output validity set per instance");
         let moments = varying.moments();
         let mut dest = vec![NONE; n * moments as usize];
-        for (i, vs) in vs_out.iter().enumerate() {
+        for (i, vs) in out_sets.iter().enumerate() {
             let member = varying.instance(InstanceId(i as u32)).member;
             for t in vs.iter() {
                 if let Some(src) = varying.instance_at(member, t) {
@@ -186,8 +186,8 @@ mod tests {
 
     /// ρ(Cin, VSout) on the product path: the executor runs one pass of
     /// the destination map.
-    fn relocate(cube: &Cube, dim: DimensionId, vs_out: &VsMap) -> Result<Cube> {
-        let map = DestMap::build(cube, dim, vs_out)?;
+    fn relocate(cube: &Cube, dim: DimensionId, out_sets: &VsMap) -> Result<Cube> {
+        let map = DestMap::build(cube, dim, out_sets)?;
         let passes = vec![map.clone()];
         let plan = Plan::from_maps(cube, dim, map, passes, OrderPolicy::Pebbling, None)?;
         Ok(execute(cube, &plan, &ExecOpts::default())?.0)
@@ -200,8 +200,8 @@ mod tests {
         // (PTE/Joe, Jan) remains ⊥."
         let (cube, org) = fixture();
         let varying = cube.schema().varying(org).unwrap();
-        let vs_out = phi(Semantics::Forward, varying.instances(), &[1, 3], 6);
-        let out = relocate(&cube, org, &vs_out).unwrap();
+        let out_sets = phi(Semantics::Forward, varying.instances(), &[1, 3], 6);
+        let out = relocate(&cube, org, &out_sets).unwrap();
         // Instances: 0 FTE/Joe, 1 PTE/Joe, 2 Contractor/Joe, 3 Lisa, …
         assert_eq!(out.get(&[1, 2]).unwrap(), CellValue::Num(10.0)); // PTE/Joe Mar
         assert_eq!(out.get(&[1, 0]).unwrap(), CellValue::Null); // PTE/Joe Jan
@@ -224,8 +224,8 @@ mod tests {
         // or destroy values at moments ≥ Pmin where an instance exists.
         let (cube, org) = fixture();
         let varying = cube.schema().varying(org).unwrap();
-        let vs_out = phi(Semantics::Forward, varying.instances(), &[0], 6);
-        let out = relocate(&cube, org, &vs_out).unwrap();
+        let out_sets = phi(Semantics::Forward, varying.instances(), &[0], 6);
+        let out = relocate(&cube, org, &out_sets).unwrap();
         // P = {Jan}: every member was valid at Jan except PTE/Joe &
         // Contractor/Joe (dropped — but their data moves into FTE/Joe).
         assert_eq!(out.total_sum().unwrap(), cube.total_sum().unwrap());
@@ -235,8 +235,8 @@ mod tests {
     fn static_relocate_drops_inactive() {
         let (cube, org) = fixture();
         let varying = cube.schema().varying(org).unwrap();
-        let vs_out = phi(Semantics::Static, varying.instances(), &[0], 6);
-        let out = relocate(&cube, org, &vs_out).unwrap();
+        let out_sets = phi(Semantics::Static, varying.instances(), &[0], 6);
+        let out = relocate(&cube, org, &out_sets).unwrap();
         // Joe contributes only FTE/Joe's Jan cell; others keep all 6.
         // Total: 10 (Joe) + 60 × 3 (Lisa, Tom, Jane).
         assert_eq!(out.total_sum().unwrap(), 10.0 + 180.0);
@@ -263,8 +263,8 @@ mod tests {
     fn dest_map_routes_moves() {
         let (cube, org) = fixture();
         let varying = cube.schema().varying(org).unwrap();
-        let vs_out = phi(Semantics::Forward, varying.instances(), &[1], 6);
-        let map = DestMap::build(&cube, org, &vs_out).unwrap();
+        let out_sets = phi(Semantics::Forward, varying.instances(), &[1], 6);
+        let map = DestMap::build(&cube, org, &out_sets).unwrap();
         // P = {Feb}: PTE/Joe (inst 1) owns [Feb, ∞). Contractor/Joe's Mar
         // data (src inst 2, t 2) flows to inst 1.
         assert_eq!(map.dest(2, 2), Some(1));

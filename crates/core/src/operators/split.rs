@@ -100,8 +100,8 @@ mod tests {
         changes: &[Change],
     ) -> Result<(Arc<Schema>, Cube)> {
         let scenario = Scenario::positive(dim, changes.to_vec(), Mode::Visual);
-        let r = apply(cube, &scenario, None, &ExecOpts::default())?;
-        Ok((Arc::clone(r.cube.schema()), r.cube))
+        let (out, _) = apply(cube, &scenario, None, &ExecOpts::default())?;
+        Ok((Arc::clone(out.schema()), out))
     }
 
     /// Org {FTE: Lisa, Joe; PTE: Tom; Contractor: Jane} × 6 months, no

@@ -133,7 +133,7 @@ fn phi_forward(
 /// for those moments t for which no instance dₜ exists". The relocate
 /// operator produces ⊥ at those moments anyway; this prune makes the
 /// reported validity sets match the paper's examples exactly.
-pub fn prune_vacancies(vs_out: &mut VsMap, instances: &[InstanceNode], moments: u32) {
+pub fn prune_vacancies(out_sets: &mut VsMap, instances: &[InstanceNode], moments: u32) {
     let mut presence: HashMap<MemberId, ValiditySet> = HashMap::new();
     for inst in instances {
         presence
@@ -141,7 +141,7 @@ pub fn prune_vacancies(vs_out: &mut VsMap, instances: &[InstanceNode], moments: 
             .or_insert_with(|| ValiditySet::empty(moments))
             .union_with(&inst.validity);
     }
-    for (inst, vs) in instances.iter().zip(vs_out.iter_mut()) {
+    for (inst, vs) in instances.iter().zip(out_sets.iter_mut()) {
         vs.intersect_with(&presence[&inst.member]);
     }
 }

@@ -50,9 +50,6 @@ use std::sync::Arc;
 /// will run over, then only read by [`crate::exec::execute`].
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// Φ's (vacancy-unpruned) output for a negative scenario; `None` for
-    /// a positive one and for a plan over hand-made maps.
-    pub(crate) vs: Option<VsMap>,
     pub(crate) dim: DimensionId,
     map: DestMap,
     /// The Section 6 passes, in run order.
@@ -158,9 +155,7 @@ impl Plan {
         let map = DestMap::build(cube, spec.dim, &vs)?;
         let varying = cube.schema().varying(spec.dim).expect("checked_phi");
         let passes = decompose_passes(&map, spec.semantics, &spec.perspectives, varying);
-        let mut plan = Plan::from_maps(cube, spec.dim, map, passes, policy.clone(), scope)?;
-        plan.vs = Some(vs);
-        Ok(plan)
+        Plan::from_maps(cube, spec.dim, map, passes, policy.clone(), scope)
     }
 
     /// Plans hand-made maps onto the input's own axis: `map` is the full
@@ -245,7 +240,6 @@ impl Plan {
             .chain((0..geom.ndims()).filter(|&d| d != vd))
             .collect();
         let plan = Plan {
-            vs: None,
             dim,
             map,
             passes,

@@ -6,16 +6,14 @@
 //! exactly that contract, with formula rules taking precedence over rollup
 //! for the measures they define.
 //!
-//! The paper's Eval operator `E(C¹, C²)` (Definition 4.6) takes its rules
-//! from `C¹` and its scope from `C²`. Every what-if output carries its
-//! input's rules, so whatif-core's `WhatIfResult::value` states `E` with
-//! two evaluators, one per cube: visual mode evaluates every cell on the
-//! output, non-visual reads base cells there and derived cells on the
-//! input.
+//! It is the paper's Eval operator `E(C¹, C²)` (Definition 4.6), the one
+//! place a cell is decided base or derived. Plain queries and visual mode
+//! read every cell on one cube; non-visual mode reads base cells on the
+//! what-if output and derived cells on its input, under the input's rules.
 
 use crate::cube::Cube;
 use crate::error::CubeError;
-use crate::rules::{Acc, AggFn, Expr, FormulaRule};
+use crate::rules::{Acc, Expr, FormulaRule};
 use crate::Result;
 use olap_model::{AxisSlot, DimensionId, MemberId};
 use olap_store::CellValue;
@@ -35,54 +33,116 @@ pub enum Sel {
 /// Maximum formula recursion before declaring a rule cycle.
 const MAX_DEPTH: u32 = 32;
 
-/// Evaluates cells of a cube under a rule set.
+/// Evaluates cells under a rule set: `E` over one cube, or over a
+/// non-visual what-if output and its input.
 pub struct CellEvaluator<'a> {
-    data: &'a Cube,
+    /// The cube selectors address and base cells are read on; its rules
+    /// decide which cells are derived.
+    output: Reader<'a>,
+    /// Non-visual mode: the cube derived cells are read on, and the
+    /// dimension whose slot selectors widen to their member there.
+    input: Option<(Reader<'a>, Option<DimensionId>)>,
 }
 
 impl<'a> CellEvaluator<'a> {
-    /// Evaluator over the cube's cells under the cube's own rules.
+    /// Evaluator over the cube's cells under the cube's own rules: plain
+    /// queries, and visual mode over a what-if output.
     pub fn new(cube: &'a Cube) -> Self {
-        CellEvaluator { data: cube }
+        CellEvaluator {
+            output: Reader { data: cube },
+            input: None,
+        }
+    }
+
+    /// Non-visual mode: base cells are read on the what-if `output`,
+    /// derived cells keep their value on `input`. `grown` names the
+    /// dimension whose axis a positive scenario grew: its slot selectors
+    /// address instances the input lacks, so a derived cell reads their
+    /// member there (the paper's non-visual split keeps input totals).
+    pub fn non_visual(output: &'a Cube, input: &'a Cube, grown: Option<DimensionId>) -> Self {
+        CellEvaluator {
+            output: Reader { data: output },
+            input: Some((Reader { data: input }, grown)),
+        }
     }
 
     /// The value of the cell addressed by one selector per dimension.
+    ///
+    /// A cell is *base* when every selector covers exactly one slot and
+    /// no formula rule targets its selected measure (whether or not the
+    /// rule's scope holds for it); base cells are read on the output.
     pub fn value(&self, sels: &[Sel]) -> Result<CellValue> {
-        self.data.check_rank(sels.len())?;
-        self.value_at(sels, 0)
+        let out = &self.output;
+        out.data.check_rank(sels.len())?;
+        let slots = out.slots(sels)?;
+        let formula = (out.measure(sels)).is_some_and(|m| out.data.rules().has_formula(m));
+        if !formula && slots.iter().all(|l| l.len() == 1) {
+            return out.fold(sels, &slots);
+        }
+        let Some((input, grown)) = &self.input else {
+            return match out.rule_for(sels) {
+                Some((rule, mdim)) => out.eval_expr(&rule.expr, sels, mdim, 0),
+                None => out.fold(sels, &slots),
+            };
+        };
+        let mut sels = sels.to_vec();
+        if let Some(dim) = grown {
+            if let Some(Sel::Slot(s)) = sels.get(dim.index()) {
+                let member = out.data.schema().slot_member(*dim, AxisSlot(*s));
+                sels[dim.index()] = Sel::Member(member);
+            }
+        }
+        input.value_at(&sels, 0)
+    }
+}
+
+/// Reads the cells of one cube under that cube's own rules.
+struct Reader<'a> {
+    data: &'a Cube,
+}
+
+impl Reader<'_> {
+    fn value_at(&self, sels: &[Sel], depth: u32) -> Result<CellValue> {
+        match self.rule_for(sels) {
+            Some((rule, mdim)) => self.eval_expr(&rule.expr, sels, mdim, depth),
+            None => self.fold(sels, &self.slots(sels)?),
+        }
     }
 
-    fn value_at(&self, sels: &[Sel], depth: u32) -> Result<CellValue> {
-        // Formula rules take precedence for the selected measure.
-        if let Some(mdim) = self.data.rules().measure_dim() {
-            if let Some(measure) = self.selected_member(mdim, sels) {
-                for rule in self.data.rules().candidates(measure) {
-                    if self.scope_matches(rule, sels) {
-                        return self.eval_expr(&rule.expr, sels, mdim, depth);
-                    }
-                }
-            }
+    /// The most specific formula rule for the selected measure whose
+    /// scope holds for the cell; formula rules take precedence.
+    fn rule_for(&self, sels: &[Sel]) -> Option<(&FormulaRule, DimensionId)> {
+        let mdim = self.data.rules().measure_dim()?;
+        let measure = self.selected_member(mdim, sels)?;
+        let rules = self.data.rules().candidates(measure);
+        let rule = rules.into_iter().find(|r| self.scope_matches(r, sels))?;
+        Some((rule, mdim))
+    }
+
+    /// Base read or rollup over the region `slots` spans.
+    fn fold(&self, sels: &[Sel], slots: &[Vec<u32>]) -> Result<CellValue> {
+        if slots.iter().any(|l| l.is_empty()) {
+            return Ok(CellValue::Null);
         }
-        // Otherwise: base read or rollup.
-        let mut slot_lists = Vec::with_capacity(sels.len());
-        for (i, sel) in sels.iter().enumerate() {
-            let slots = self.slots_for(i, *sel)?;
-            if slots.is_empty() {
-                return Ok(CellValue::Null);
-            }
-            slot_lists.push(slots);
-        }
-        if slot_lists.iter().all(|l| l.len() == 1) {
-            let cell: Vec<u32> = slot_lists.iter().map(|l| l[0]).collect();
+        if slots.iter().all(|l| l.len() == 1) {
+            let cell: Vec<u32> = slots.iter().map(|l| l[0]).collect();
             return self.data.get(&cell);
         }
-        let measure = self
-            .data
-            .rules()
-            .measure_dim()
-            .and_then(|mdim| self.selected_member(mdim, sels));
-        let agg = self.data.rules().agg_for(measure);
-        self.aggregate_region(&slot_lists, agg)
+        let agg = self.data.rules().agg_for(self.measure(sels));
+        Ok(self.accumulate_region(slots)?.finalize(agg))
+    }
+
+    /// Each selector's slots, in dimension order.
+    fn slots(&self, sels: &[Sel]) -> Result<Vec<Vec<u32>>> {
+        (sels.iter().enumerate())
+            .map(|(i, &sel)| self.slots_for(i, sel))
+            .collect()
+    }
+
+    /// The selected measure, when the cube has a measure dimension.
+    fn measure(&self, sels: &[Sel]) -> Option<MemberId> {
+        let mdim = self.data.rules().measure_dim()?;
+        self.selected_member(mdim, sels)
     }
 
     /// The single member selected on dimension `dim`, if the selector pins
@@ -173,7 +233,7 @@ impl<'a> CellEvaluator<'a> {
     }
 
     /// Resolves one selector to the ascending axis slots it covers.
-    pub fn slots_for(&self, dim_index: usize, sel: Sel) -> Result<Vec<u32>> {
+    fn slots_for(&self, dim_index: usize, sel: Sel) -> Result<Vec<u32>> {
         let dim = DimensionId(dim_index as u32);
         let schema = self.data.schema();
         let len = schema.axis_len(dim);
@@ -199,16 +259,9 @@ impl<'a> CellEvaluator<'a> {
         }
     }
 
-    /// Chunk-aware aggregation over a region (the cross product of the
+    /// Chunk-aware accumulation over a region (the cross product of the
     /// given per-dimension slot lists). Skips unmaterialized chunks.
-    pub fn aggregate_region(&self, slots: &[Vec<u32>], agg: AggFn) -> Result<CellValue> {
-        let acc = self.accumulate_region(slots)?;
-        Ok(acc.finalize(agg))
-    }
-
-    /// Like [`CellEvaluator::aggregate_region`] but returns the raw
-    /// accumulator (for callers composing several regions).
-    pub fn accumulate_region(&self, slots: &[Vec<u32>]) -> Result<Acc> {
+    fn accumulate_region(&self, slots: &[Vec<u32>]) -> Result<Acc> {
         let geom = self.data.geometry();
         let n = slots.len();
         let mut acc = Acc::new();
@@ -288,7 +341,7 @@ impl<'a> CellEvaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::RuleSet;
+    use crate::rules::{AggFn, RuleSet};
     use olap_model::{DimensionSpec, Schema, SchemaBuilder};
     use std::sync::Arc;
 

@@ -9,7 +9,7 @@ use crate::Result;
 use olap_cube::{CellEvaluator, Cube, Sel};
 use olap_model::{AxisSlot, DimensionId, MemberId, Schema};
 use std::collections::HashSet;
-use whatif_core::{Change, Mode, Scenario, WhatIfResult};
+use whatif_core::{Change, ExecReport, Mode, Scenario};
 
 /// Everything a query needs besides its text: the cube, named sets, and
 /// the executor's knobs for what-if clauses.
@@ -97,7 +97,7 @@ pub fn evaluate(ctx: &QueryContext<'_>, query: &Query) -> Result<Evaluation> {
 pub fn evaluate_with(
     ctx: &QueryContext<'_>,
     query: &Query,
-    apply: impl Fn(&Scenario, Option<&[u32]>) -> whatif_core::Result<WhatIfResult>,
+    apply: impl Fn(&Scenario, Option<&[u32]>) -> whatif_core::Result<(Cube, ExecReport)>,
 ) -> Result<Evaluation> {
     let bounds = &ctx.opts.bounds;
     bounds.check_deadline()?;
@@ -142,12 +142,12 @@ pub fn evaluate_with(
     //    the what-if operators apply to the *result* of the core MDX
     //    query, which includes its filters) and a negative scenario then
     //    applies, scoped to the slots the grid touches.
-    let mut whatif: Option<WhatIfResult> = None;
+    let mut whatif: Option<(Cube, ExecReport)> = None;
     if let Some(s @ Scenario::Positive { .. }) = &scenario {
         whatif = Some(apply(s, None)?);
     }
     if condition_cells > 0 {
-        let ev = CellEvaluator::new(whatif.as_ref().map_or(ctx.cube, |r| &r.cube));
+        let ev = CellEvaluator::new(whatif.as_ref().map_or(ctx.cube, |(out, _)| out));
         (columns, rows) = resolve_axes(&resolver, query, &mut |tuple, pinned, cond| {
             bounds.check_deadline()?;
             let mut sels = roots.clone();
@@ -162,11 +162,9 @@ pub fn evaluate_with(
         scope = compute_scope(schema, s.dim(), &columns, &rows, &base);
         whatif = Some(apply(s, scope.as_deref())?);
     }
-    let value = |sels: &[Sel]| -> Result<olap_store::CellValue> {
-        match &whatif {
-            Some(r) => Ok(r.value(ctx.cube, sels)?),
-            None => Ok(CellEvaluator::new(ctx.cube).value(sels)?),
-        }
+    let ev = match (&scenario, &whatif) {
+        (Some(s), Some((out, _))) => whatif_core::evaluator(ctx.cube, s, out),
+        _ => CellEvaluator::new(ctx.cube),
     };
     let mut cells = Vec::with_capacity(rows.len());
     for row in &rows {
@@ -177,7 +175,7 @@ pub fn evaluate_with(
             for a in row.iter().chain(col.iter()) {
                 sels[a.dim.index()] = a.sel;
             }
-            line.push(value(&sels)?);
+            line.push(ev.value(&sels)?);
         }
         cells.push(line);
     }
@@ -209,7 +207,7 @@ pub fn evaluate_with(
         },
         scenario,
         scope,
-        report: whatif.map(|r| r.report),
+        report: whatif.map(|(_, report)| report),
     })
 }
 
@@ -743,6 +741,31 @@ mod tests {
         assert_eq!(g.rows, vec!["PTE/Lisa", "PTE/Tom"]);
         let num = CellValue::Num;
         assert_eq!(g.cells[0], vec![CellValue::Null, num(30.0)]);
+        assert_eq!(g.cells[1], vec![num(30.0), num(30.0)]);
+    }
+
+    #[test]
+    fn nonvisual_changes_clause_filters_visually_and_reads_input_totals() {
+        // The Filter decides on the split's output as a visual grid would:
+        // FTE/Lisa's Q2 there is ⊥ (it holds Jan–Mar), PTE/Lisa's is
+        // Apr–Jun = 30 and Tom's 30, so FTE/Lisa drops. The grid's
+        // quarter cells are derived, so non-visual mode reads them on the
+        // input, each instance widened to its member: Lisa was FTE all
+        // six months there (30 a quarter), Tom PTE (30 a quarter).
+        let cube = fixture();
+        let ctx = QueryContext::new(&cube);
+        let g = execute(
+            &ctx,
+            "WITH CHANGES {([FTE].[Lisa], [FTE], [PTE], Apr)} NONVISUAL \
+             SELECT {Time.[Q1], Time.[Q2]} ON COLUMNS, \
+             {Filter({Organization.[FTE].[Lisa], Organization.[PTE].[Lisa], \
+                      Organization.[PTE].[Tom]}, (Time.[Q2], Measures.[Salary]) > 0)} ON ROWS \
+             FROM [W] WHERE (Measures.[Salary])",
+        )
+        .unwrap();
+        assert_eq!(g.rows, vec!["PTE/Lisa", "PTE/Tom"]);
+        let num = CellValue::Num;
+        assert_eq!(g.cells[0], vec![num(30.0), num(30.0)]);
         assert_eq!(g.cells[1], vec![num(30.0), num(30.0)]);
     }
 

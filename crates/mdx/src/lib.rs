@@ -20,9 +20,10 @@
 //! {(m, o, n, t), …}` positive-scenario clause.
 //!
 //! Evaluation compiles the `WITH` clause to a [`whatif_core::Scenario`],
-//! applies it with [`whatif_core::apply`], and renders
-//! the axes into a [`Grid`], respecting visual / non-visual mode for
-//! derived cells.
+//! applies it with [`whatif_core::apply`], and renders the axes into a
+//! [`Grid`] through one Eval operator `E` per grid
+//! ([`whatif_core::evaluator`]), which respects visual / non-visual mode
+//! for derived cells.
 
 pub mod ast;
 pub mod error;

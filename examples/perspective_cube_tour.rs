@@ -77,14 +77,14 @@ fn main() {
         );
     }
 
-    // And the high-level entry point: a full what-if result.
+    // And the high-level entry point: the perspective cube itself.
     let scenario = Scenario::negative(ex.org, [1, 3], Semantics::Forward, Mode::Visual);
-    let result = apply(&ex.cube, &scenario, None, &ExecOpts::default()).expect("apply");
+    let (out, _) = apply(&ex.cube, &scenario, None, &ExecOpts::default()).expect("apply");
     println!(
         "\nperspective cube: {} cells (input had {}), total value {} (input {})",
-        result.cube.present_cell_count().unwrap(),
+        out.present_cell_count().unwrap(),
         ex.cube.present_cell_count().unwrap(),
-        result.cube.total_sum().unwrap(),
+        out.total_sum().unwrap(),
         ex.cube.total_sum().unwrap(),
     );
 }

@@ -111,12 +111,14 @@ step "gates run by name"
 # under a one-chunk budget answer as unbounded or are refused before
 # their first pool get, a grid whose `Filter` or positive scenario reads
 # before its cells is refused for the budget with no pool get, and a
-# derived cube's pool never evicts. The last two hold the aggregator's
+# derived cube's pool never evicts. The next two hold the aggregator's
 # budget as a ceiling: on random cubes, mask sets, read orders and
 # budgets a run is refused having read nothing or peaks within the
 # budget with the unbudgeted accumulators, and `.rollup` under a session
 # budget is refused below a group-by's closure and splits into passes
-# within it above.
+# within it above. The last holds E to Definition 4.6: the product's
+# `CellEvaluator` equals the definitional oracle's E bit for bit at
+# every selector, over all five semantics, visual and non-visual.
 gate() { # gate "<cargo test target args>" <exact test name>
     out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
     case "$out" in
@@ -146,6 +148,7 @@ gate "-p polap-cli --lib" tests::refused_grids_read_nothing
 gate "-p polap-cli --lib" tests::a_derived_cube_keeps_its_chunks_once
 gate "-p whatif-integration-tests --test aggregation" budgeted_aggregation_never_holds_more_than_it_admitted
 gate "-p polap-cli --lib" tests::rollup_respects_the_session_budget
+gate "-p whatif-integration-tests --test oracle" product_e_matches_the_definitional_e
 
 step "corruption smoke test"
 # One flipped payload byte never becomes garbage cells. Flipped while

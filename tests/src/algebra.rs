@@ -54,11 +54,11 @@ mod tests {
         for sem in [Semantics::Static, Semantics::Forward, Semantics::Backward] {
             for mode in [Mode::Visual, Mode::NonVisual] {
                 let scenario = Scenario::negative(org, [1], sem, mode);
-                let direct = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
+                let (direct, _) = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
                 let Evaluated::Cube(algebra) = oracle::eval(&cube, &compile(&scenario)) else {
                     panic!("ρ∘Φ evaluates to a cube");
                 };
-                assert!(algebra.same_cells(&direct.cube).unwrap(), "{sem:?}");
+                assert!(algebra.same_cells(&direct).unwrap(), "{sem:?}");
                 assert!(evaluates_in(&scenario, mode), "{sem:?} {mode:?}");
             }
         }
@@ -80,17 +80,14 @@ mod tests {
             }],
             Mode::Visual,
         );
-        let direct = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
+        let (direct, _) = apply(&cube, &scenario, None, &ExecOpts::default()).unwrap();
         let Evaluated::Paths(algebra) = oracle::eval(&cube, &compile(&scenario)) else {
             panic!("S evaluates to path-keyed cells");
         };
         assert_ne!(algebra, split_cells(&cube, org), "the change moves cells");
-        assert!(split_cells(&direct.cube, org) == algebra);
+        assert!(split_cells(&direct, org) == algebra);
         // S adds Lisa's PTE instance to the four of the input.
-        assert_eq!(
-            direct.cube.schema().varying(org).unwrap().instance_count(),
-            5
-        );
+        assert_eq!(direct.schema().varying(org).unwrap().instance_count(), 5);
     }
 
     #[test]
@@ -102,15 +99,15 @@ mod tests {
         let changing = |m| instances.iter().filter(|(n, _)| *n == m).count() > 1;
         let selected = oracle::select(&cube, org, |m, _, _| changing(m));
         let scenario = Scenario::negative(org, [0], Semantics::Forward, Mode::Visual);
-        let out = apply(&selected, &scenario, None, &ExecOpts::default()).unwrap();
+        let (out, _) = apply(&selected, &scenario, None, &ExecOpts::default()).unwrap();
         // Only Joe's data survives the selection; forward from Jan pulls
         // his Feb+ data into FTE/Joe (instance 0).
         // Joe instances: 0 (FTE, t0), 1 (PTE, t1..3): values 10, 11.
-        assert_eq!(out.cube.total_sum().unwrap(), 10.0 + 3.0 * 11.0);
-        assert_eq!(out.cube.get(&[0, 2]).unwrap(), CellValue::Num(11.0));
+        assert_eq!(out.total_sum().unwrap(), 10.0 + 3.0 * 11.0);
+        assert_eq!(out.get(&[0, 2]).unwrap(), CellValue::Num(11.0));
         let Evaluated::Cube(want) = oracle::eval(&selected, &compile(&scenario)) else {
             panic!("ρ∘Φ evaluates to a cube");
         };
-        assert!(out.cube.same_cells(&want).unwrap());
+        assert!(out.same_cells(&want).unwrap());
     }
 }

@@ -40,7 +40,7 @@ use rand::{RngExt, SeedableRng};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use whatif_core::{DestMap, ExecReport, MergeGraph, Scenario, WhatIfResult};
+use whatif_core::{DestMap, ExecReport, MergeGraph, Scenario};
 
 /// A randomly generated varying-dimension warehouse.
 pub struct RandomWarehouse {
@@ -172,26 +172,16 @@ pub fn whole_component_chunks(
     labels as u64 * slices
 }
 
-/// A negative scenario's what-if result with `leaves` as its perspective
-/// cube: a grid evaluated over it is `E` applied to those leaves (visual
-/// totals summed over them, non-visual derived cells the input's).
-pub fn result_with_leaves(scenario: &Scenario, leaves: Cube) -> WhatIfResult {
-    assert!(matches!(scenario, Scenario::Negative(_)), "{scenario:?}");
-    WhatIfResult {
-        cube: leaves,
-        scenario: scenario.clone(),
-        vs_out: None,
-        report: ExecReport::default(),
-    }
-}
-
-/// [`result_with_leaves`] over the definitional oracle's leaves.
-pub fn oracle_result(input: &Cube, scenario: &Scenario) -> WhatIfResult {
+/// A negative scenario's perspective cube by the definitional oracle, in
+/// [`whatif_core::apply`]'s shape: a grid evaluated over it is `E`
+/// applied to the oracle's leaves (visual totals summed over them,
+/// non-visual derived cells the input's).
+pub fn oracle_result(input: &Cube, scenario: &Scenario) -> (Cube, ExecReport) {
     let Scenario::Negative(spec) = scenario else {
         panic!("the oracle covers negative scenarios: {scenario:?}");
     };
     let leaves = oracle::perspective_cube(input, spec.dim, spec.semantics, &spec.perspectives);
-    result_with_leaves(scenario, leaves)
+    (leaves, ExecReport::default())
 }
 
 /// All five semantics, for exhaustive sweeps.

@@ -1,16 +1,18 @@
 //! The definitional oracle: σ (Definition 4.1), Φ (Definitions 4.2 /
-//! 4.3) and ρ (Definition 4.4) for negative scenarios, and S
-//! (Definition 4.5) for positive ones, written straight from the paper,
-//! per member and per moment, over plain `BTreeSet`s and `BTreeMap`s.
+//! 4.3) and ρ (Definition 4.4) for negative scenarios, S
+//! (Definition 4.5) for positive ones, and E (Definition 4.6) over a
+//! negative scenario's output, written straight from the paper, per
+//! member and per moment, over plain `BTreeSet`s and `BTreeMap`s.
 //! [`eval`] evaluates a Theorem 4.1 expression ([`AlgebraExpr`]) by those
 //! definitions; it is the only evaluator of the algebra there is, as the
 //! product runs every scenario through its executor.
 //!
 //! It shares no code with the engine it checks: it calls no `whatif_core`
-//! function and takes [`Semantics`], [`Change`] and [`AlgebraExpr`] only
-//! as inputs. The input's instances, validity sets and parent timelines
-//! come from the schema (`olap_model`), its cells through
-//! [`Cube::for_each_present`]. The outputs of σ and ρ are staged chunk by
+//! function, nothing of `olap_cube::eval`, and takes [`Semantics`],
+//! [`Change`], [`AlgebraExpr`] and [`Sel`] only as inputs. The input's
+//! instances, validity sets, parent timelines and hierarchies come from
+//! the schema (`olap_model`), its cells through
+//! [`Cube::for_each_present`], its formula rules from its `RuleSet`. The outputs of σ and ρ are staged chunk by
 //! chunk into an empty cube of the input's geometry and rules, so a grid
 //! can evaluate them.
 //!
@@ -54,9 +56,21 @@
 //! `(m, τ, ē)` read off an instance valid at `τ` then belongs at `m`'s
 //! path at `τ` under those timelines, and [`split_cells`] reads any cube
 //! the same way through its own schema.
+//!
+//! E reads a cell addressed by one selector per dimension. A member
+//! covers every axis slot whose ancestor chain holds it (a leaf member of
+//! a varying dimension: each of its instances). The cell is *base* when
+//! every selector covers one slot and no formula targets its measure,
+//! else *derived*. Visual mode reads every cell on the output; non-visual
+//! reads base cells there and derived cells on the input. A cube reads a
+//! cell under its own rules: the most specific formula whose scope holds
+//! for the cell, evaluated over the same coordinates with ⊥ through
+//! arithmetic and ÷0 → ⊥, or else the sum of the present leaves the
+//! selectors cover, ⊥ when none is ([`e`], over [`Leaves`]).
 
-use olap_cube::Cube;
-use olap_model::{DimensionId, MemberId};
+use olap_cube::rules::Expr;
+use olap_cube::{Cube, Sel};
+use olap_model::{AxisSlot, DimensionId, MemberId, Schema};
 use olap_store::{CellValue, Chunk, ChunkId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -347,4 +361,143 @@ pub fn agrees_on_scope(got: &Cube, want: &Cube, dim: DimensionId, scope: Option<
         m
     };
     cells(got) == cells(want)
+}
+
+/// A cube as [`e`] reads it: its present leaf cells, dense in row-major
+/// axis order, under its schema and rules.
+pub struct Leaves<'c> {
+    cube: &'c Cube,
+    cells: Vec<Option<f64>>,
+}
+
+impl<'c> Leaves<'c> {
+    /// Reads `cube`'s leaves once.
+    pub fn of(cube: &'c Cube) -> Self {
+        let schema = cube.schema();
+        let len: usize = (schema.dim_ids())
+            .map(|d| schema.axis_len(d) as usize)
+            .product();
+        let mut leaves = Leaves {
+            cube,
+            cells: vec![None; len],
+        };
+        let mut present = Vec::new();
+        cube.for_each_present(|cell, v| present.push((leaves.offset(cell), v)))
+            .expect("read the cube");
+        for (off, v) in present {
+            leaves.cells[off] = Some(v);
+        }
+        leaves
+    }
+
+    fn offset(&self, cell: &[u32]) -> usize {
+        let schema = self.cube.schema();
+        (schema.dim_ids().zip(cell)).fold(0, |off, (d, &s)| {
+            off * schema.axis_len(d) as usize + s as usize
+        })
+    }
+
+    /// The cell's value under this cube's rules.
+    fn value(&self, sels: &[Sel], depth: u32) -> Option<f64> {
+        assert!(depth < 32, "a rule cycle at {sels:?}");
+        let (schema, rules) = (self.cube.schema(), self.cube.rules());
+        if let Some(mdim) = rules.measure_dim() {
+            let measure = chain(schema, mdim, sels[mdim.index()])[0];
+            let holds = |scope: &[(DimensionId, MemberId)]| {
+                (scope.iter()).all(|&(d, m)| chain(schema, d, sels[d.index()]).contains(&m))
+            };
+            // `candidates` lists the rules for the measure, most specific
+            // scope first.
+            if let Some(rule) = (rules.candidates(measure).into_iter()).find(|r| holds(&r.scope)) {
+                return self.formula(&rule.expr, sels, mdim, depth);
+            }
+        }
+        let covers: Vec<Vec<u32>> = (schema.dim_ids().zip(sels))
+            .map(|(d, &sel)| covered(schema, d, sel))
+            .collect();
+        let mut sum = None;
+        let mut cell = vec![0u32; covers.len()];
+        let mut each = |cell: &[u32]| {
+            if let Some(v) = self.cells[self.offset(cell)] {
+                *sum.get_or_insert(0.0) += v;
+            }
+        };
+        cross(&covers, 0, &mut cell, &mut each);
+        sum
+    }
+
+    fn formula(&self, expr: &Expr, sels: &[Sel], mdim: DimensionId, depth: u32) -> Option<f64> {
+        let arg = |e: &Expr| self.formula(e, sels, mdim, depth);
+        match expr {
+            Expr::Const(c) => Some(*c),
+            Expr::Measure(m) => {
+                let mut at = sels.to_vec();
+                at[mdim.index()] = Sel::Member(*m);
+                self.value(&at, depth + 1)
+            }
+            Expr::Add(a, b) => Some(arg(a)? + arg(b)?),
+            Expr::Sub(a, b) => Some(arg(a)? - arg(b)?),
+            Expr::Mul(a, b) => Some(arg(a)? * arg(b)?),
+            Expr::Div(a, b) => {
+                let (x, y) = (arg(a)?, arg(b)?);
+                (y != 0.0).then(|| x / y)
+            }
+            Expr::Neg(a) => Some(-arg(a)?),
+        }
+    }
+}
+
+/// A selector's member, then its ancestors up to the root: a slot's leaf
+/// member (an instance's on a varying dimension) and that slot's chain.
+fn chain(schema: &Schema, dim: DimensionId, sel: Sel) -> Vec<MemberId> {
+    match sel {
+        Sel::Member(m) => std::iter::once(m)
+            .chain(schema.dim(dim).ancestors(m))
+            .collect(),
+        Sel::Slot(s) => std::iter::once(schema.slot_member(dim, AxisSlot(s)))
+            .chain(schema.slot_ancestors(dim, AxisSlot(s)))
+            .collect(),
+    }
+}
+
+/// The axis slots a selector covers: a slot itself, a member every slot
+/// whose chain holds it.
+fn covered(schema: &Schema, dim: DimensionId, sel: Sel) -> Vec<u32> {
+    match sel {
+        Sel::Slot(s) => vec![s],
+        Sel::Member(m) => (0..schema.axis_len(dim))
+            .filter(|&s| chain(schema, dim, Sel::Slot(s)).contains(&m))
+            .collect(),
+    }
+}
+
+/// Calls `each` on every cell of the cross product of `covers`.
+fn cross(covers: &[Vec<u32>], d: usize, cell: &mut Vec<u32>, each: &mut impl FnMut(&[u32])) {
+    if d == covers.len() {
+        return each(cell);
+    }
+    for &s in &covers[d] {
+        cell[d] = s;
+        cross(covers, d + 1, cell, each);
+    }
+}
+
+/// E (Definition 4.6) over `output`, a negative scenario's perspective
+/// cube of `input` (the two share one schema): the value of the cell
+/// `sels` addresses, `None` for ⊥. Visual mode reads every cell on the
+/// output; non-visual reads base cells there and derived cells on the
+/// input.
+pub fn e(input: &Leaves, output: &Leaves, visual: bool, sels: &[Sel]) -> Option<f64> {
+    let (schema, rules) = (output.cube.schema(), output.cube.rules());
+    assert!(Arc::ptr_eq(schema, input.cube.schema()), "one schema");
+    assert_eq!(sels.len(), schema.dim_count(), "one selector per dimension");
+    let formula = (rules.measure_dim())
+        .is_some_and(|d| rules.has_formula(chain(schema, d, sels[d.index()])[0]));
+    let single = (schema.dim_ids().zip(sels)).all(|(d, &sel)| covered(schema, d, sel).len() == 1);
+    let base = single && !formula;
+    if visual || base {
+        output.value(sels, 0)
+    } else {
+        input.value(sels, 0)
+    }
 }

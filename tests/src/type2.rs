@@ -312,8 +312,8 @@ mod tests {
             let simulated = simulate_forward(&t2, &p, &slicer);
             // Native: perspective cube + visual rollups per type.
             let scenario = Scenario::negative(ex.org, p.clone(), Semantics::Forward, Mode::Visual);
-            let r = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
-            let ev = CellEvaluator::new(&r.cube);
+            let (r, _) = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
+            let ev = CellEvaluator::new(&r);
             for group in ["FTE", "PTE", "Contractor"] {
                 let g = ex.schema.dim(ex.org).resolve(group).unwrap();
                 let native = ev

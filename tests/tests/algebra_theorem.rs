@@ -25,7 +25,7 @@ fn theorem_4_1_negative_all_semantics_and_modes() {
         for mode in [Mode::Visual, Mode::NonVisual] {
             for p in [vec![0u32], vec![1, 3], vec![0, 2, 5]] {
                 let scenario = Scenario::negative(ex.org, p.clone(), sem, mode);
-                let chunked = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
+                let (chunked, _) = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
                 let Evaluated::Cube(algebra) = oracle::eval(&ex.cube, &compile(&scenario)) else {
                     panic!("ρ∘Φ evaluates to a cube");
                 };
@@ -36,7 +36,7 @@ fn theorem_4_1_negative_all_semantics_and_modes() {
                     "compiled ρ∘Φ vs oracle: {row}"
                 );
                 assert!(
-                    chunked.cube.same_cells(&algebra).unwrap(),
+                    chunked.same_cells(&algebra).unwrap(),
                     "apply vs oracle: {row}"
                 );
                 assert!(evaluates_in(&scenario, mode), "{row}");
@@ -131,16 +131,13 @@ fn theorem_4_1_positive_on_retail() {
             assert_ne!(want, split_cells(cube, dim), "R moves cells: {r:?}");
             for mode in [Mode::Visual, Mode::NonVisual] {
                 let scenario = Scenario::positive(dim, r.clone(), mode);
-                let chunked = apply(cube, &scenario, None, &ExecOpts::default()).unwrap();
+                let (chunked, _) = apply(cube, &scenario, None, &ExecOpts::default()).unwrap();
                 let Evaluated::Paths(algebra) = oracle::eval(cube, &compile(&scenario)) else {
                     panic!("S evaluates to path-keyed cells");
                 };
                 let row = format!("{mode:?} R={r:?}");
                 assert!(algebra == want, "S vs oracle: {row}");
-                assert!(
-                    split_cells(&chunked.cube, dim) == want,
-                    "apply vs oracle: {row}"
-                );
+                assert!(split_cells(&chunked, dim) == want, "apply vs oracle: {row}");
                 assert!(evaluates_in(&scenario, mode), "{row}");
             }
             wants.push(want);
@@ -164,8 +161,8 @@ fn operators_compose_in_any_useful_order() {
             for p in [vec![0u32], vec![1, 3], vec![0, 2, 5]] {
                 let scenario = Scenario::negative(ex.org, p.clone(), sem, Mode::Visual);
                 let run = |c: &Cube| {
-                    let out = apply(c, &scenario, None, &ExecOpts::default()).unwrap();
-                    out.cube
+                    let (out, _) = apply(c, &scenario, None, &ExecOpts::default()).unwrap();
+                    out
                 };
                 let phi_then_select = sigma(&run(&ex.cube));
                 let select_then_phi = run(&selected);
@@ -201,23 +198,23 @@ fn split_then_perspective_s2_style() {
         }],
         Mode::Visual,
     );
-    let grown = apply(&ex.cube, &split, None, &ExecOpts::default()).unwrap();
+    let (grown, _) = apply(&ex.cube, &split, None, &ExecOpts::default()).unwrap();
     let forward = Scenario::negative(ex.org, [0], whatif_core::Semantics::Forward, Mode::Visual);
-    let out = apply(&grown.cube, &forward, None, &ExecOpts::default()).unwrap();
+    let (out, _) = apply(&grown, &forward, None, &ExecOpts::default()).unwrap();
     // Forward from Jan undoes the hypothetical change again: Lisa's value
     // flows back to FTE/Lisa. Total is conserved through both steps.
-    assert_eq!(out.cube.total_sum().unwrap(), ex.cube.total_sum().unwrap());
-    let v2 = out.cube.schema().varying(ex.org).unwrap();
+    assert_eq!(out.total_sum().unwrap(), ex.cube.total_sum().unwrap());
+    let v2 = out.schema().varying(ex.org).unwrap();
     let ids = v2.instances_of(lisa);
     assert_eq!(ids.len(), 2, "split created the hypothetical instance");
     // All of Lisa's cells sit on the FTE instance after the perspective.
     let fte_cells: f64 = (0..6)
-        .map(|t| out.cube.get(&[ids[0].0, 0, t, 0]).unwrap().or_zero())
+        .map(|t| out.get(&[ids[0].0, 0, t, 0]).unwrap().or_zero())
         .sum();
     assert_eq!(fte_cells, 60.0);
     let definitional =
-        oracle::perspective_cube(&grown.cube, ex.org, whatif_core::Semantics::Forward, &[0]);
-    assert!(out.cube.same_cells(&definitional).unwrap());
+        oracle::perspective_cube(&grown, ex.org, whatif_core::Semantics::Forward, &[0]);
+    assert!(out.same_cells(&definitional).unwrap());
 }
 
 #[test]

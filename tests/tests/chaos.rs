@@ -54,9 +54,9 @@ fn executor_deadline_aborts_cleanly() {
         Ok(_) => panic!("expired deadline must abort"),
     }
     // Same cube, no deadline: bit-identical to a never-aborted run.
-    let a = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    let b = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    assert!(a.cube.same_cells(&b.cube).unwrap());
+    let (a, _) = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    let (b, _) = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    assert!(a.same_cells(&b).unwrap());
 }
 
 /// A scope slot past the end of the varying axis is an error naming the

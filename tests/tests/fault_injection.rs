@@ -15,7 +15,7 @@ use olap_store::StoreError;
 use olap_workload::running_example;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
-use whatif_core::{apply, ExecOpts, Mode, Scenario, Semantics, WhatIfError, WhatIfResult};
+use whatif_core::{apply, ExecOpts, Mode, Scenario, Semantics, WhatIfError};
 use whatif_integration_tests::concurrently;
 use whatif_integration_tests::fault::{self, FaultKind, FaultOp, FaultSpec, FaultStore};
 
@@ -61,8 +61,11 @@ fn whatif_scenario(ex: &olap_workload::RunningExample) -> Scenario {
 }
 
 /// The pebbling what-if, one serial request.
-fn apply_serial(cube: &olap_cube::Cube, scenario: &Scenario) -> whatif_core::Result<WhatIfResult> {
-    apply(cube, scenario, None, &ExecOpts::default())
+fn apply_serial(
+    cube: &olap_cube::Cube,
+    scenario: &Scenario,
+) -> whatif_core::Result<olap_cube::Cube> {
+    apply(cube, scenario, None, &ExecOpts::default()).map(|(out, _)| out)
 }
 
 /// Satellite regression: exactly one transient read failure under
@@ -84,7 +87,7 @@ fn single_transient_read_fault_under_contention_is_absorbed() {
         let got = got
             .expect("a caller panicked")
             .expect("one transient fault must be retried, not surfaced");
-        assert!(got.cube.same_cells(&baseline.cube).unwrap());
+        assert!(got.same_cells(&baseline).unwrap());
     }
     assert!(start.elapsed() < QUERY_TIME_BUDGET, "query stalled");
     let stats = ex.cube.pool_stats();
@@ -144,7 +147,7 @@ fn bit_flip_fault_yields_corrupt_not_garbage() {
     assert!(matches!(r, Err(ref e) if whatif_err_is_corrupt(e)));
     // The flip was injected on the read path only; the store itself is
     // intact, so the same query now succeeds and matches a clean run.
-    let clean = {
+    let (clean, _) = {
         let clean_ex = running_example();
         apply(
             &clean_ex.cube,
@@ -154,8 +157,8 @@ fn bit_flip_fault_yields_corrupt_not_garbage() {
         )
         .unwrap()
     };
-    let retried = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    assert!(retried.cube.same_cells(&clean.cube).unwrap());
+    let (retried, _) = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    assert!(retried.same_cells(&clean).unwrap());
 }
 
 proptest! {
@@ -225,7 +228,7 @@ proptest! {
             };
             if let Ok(got) = result {
                 prop_assert!(
-                    got.cube.same_cells(&baseline.cube).unwrap(),
+                    got.same_cells(&baseline).unwrap(),
                     "seed {}: perspective cube silently diverged under faults", seed
                 );
             }

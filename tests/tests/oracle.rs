@@ -4,17 +4,17 @@
 //! every read order, pass layout, scope and cache phase, positive ones
 //! (S onto a grown axis) over random change lists and cache phases.
 
-use olap_cube::Cube;
+use olap_cube::{Cube, Sel};
 use olap_mdx::{evaluate_with, parse, QueryContext};
 use olap_model::{DimensionId, DimensionSpec, SchemaBuilder};
 use olap_store::CellValue;
-use olap_workload::running_example;
+use olap_workload::{retail_example, running_example};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whatif_core::{
-    apply, execute, phi, Change, ExecOpts, Mode, OrderPolicy, PerspectiveSpec, Plan, Scenario,
-    ScenarioCache, Semantics,
+    apply, evaluator, execute, phi, Change, ExecOpts, Mode, OrderPolicy, PerspectiveSpec, Plan,
+    Scenario, ScenarioCache, Semantics,
 };
 use whatif_integration_tests::oracle::{self, agrees_on_scope};
 use whatif_integration_tests::{
@@ -242,21 +242,21 @@ proptest! {
         let mut unscoped = None;
         for (phase, cache) in [("off", None), ("cold", Some(cache.clone())), ("warm", Some(cache))] {
             let opts = ExecOpts { cache, ..ExecOpts::default() };
-            let r = apply(&w.cube, &scenario, None, &opts).unwrap();
+            let (out, report) = apply(&w.cube, &scenario, None, &opts).unwrap();
             let row = format!("seed {seed} R={picks:?} cache {phase}");
-            prop_assert!(oracle::split_cells(&r.cube, w.dim) == want, "{}", row);
-            prop_assert_eq!(r.report.passes, 1, "{}", row);
-            let served = r.report.cache_chunks_served > 0;
-            prop_assert_eq!(served, phase == "warm" && r.report.graph_nodes > 0, "{}", row);
-            unscoped = Some(r);
+            prop_assert!(oracle::split_cells(&out, w.dim) == want, "{}", row);
+            prop_assert_eq!(report.passes, 1, "{}", row);
+            let served = report.cache_chunks_served > 0;
+            prop_assert_eq!(served, phase == "warm" && report.graph_nodes > 0, "{}", row);
+            unscoped = Some(out);
         }
         let unscoped = unscoped.expect("three phases ran");
-        let m0 = unscoped.cube.schema().dim(w.dim).resolve("m0").unwrap();
-        let varying = unscoped.cube.schema().varying(w.dim).unwrap();
+        let m0 = unscoped.schema().dim(w.dim).resolve("m0").unwrap();
+        let varying = unscoped.schema().varying(w.dim).unwrap();
         let slots: Vec<u32> = varying.instances_of(m0).iter().map(|i| i.0).collect();
-        let scoped = apply(&w.cube, &scenario, Some(&slots), &ExecOpts::default()).unwrap();
+        let (scoped, _) = apply(&w.cube, &scenario, Some(&slots), &ExecOpts::default()).unwrap();
         prop_assert!(
-            agrees_on_scope(&scoped.cube, &unscoped.cube, w.dim, Some(&slots)),
+            agrees_on_scope(&scoped, &unscoped, w.dim, Some(&slots)),
             "seed {} R={:?} scoped to {:?}", seed, picks, slots
         );
     }
@@ -377,4 +377,82 @@ fn chunked_matches_reference_extended_and_backward() {
     check_equivalence(Semantics::ExtendedForward, &[3]);
     check_equivalence(Semantics::Backward, &[4]);
     check_equivalence(Semantics::ExtendedBackward, &[2]);
+}
+
+/// Every selector of one dimension: each of its members (the root,
+/// non-leaf and leaf members) and, on a varying dimension, each instance.
+fn selectors(cube: &Cube, dim: DimensionId) -> Vec<Sel> {
+    let schema = cube.schema();
+    let instances = schema.varying(dim).map_or(0, |_| schema.axis_len(dim));
+    let members = schema.dim(dim).member_ids().map(Sel::Member);
+    members.chain((0..instances).map(Sel::Slot)).collect()
+}
+
+/// Calls `each` on every cell one selector per dimension addresses.
+fn for_each_cell(per_dim: &[Vec<Sel>], cell: &mut Vec<Sel>, each: &mut impl FnMut(&[Sel])) {
+    match per_dim.split_first() {
+        None => each(cell),
+        Some((sels, rest)) => {
+            for &sel in sels {
+                cell.push(sel);
+                for_each_cell(rest, cell, each);
+                cell.pop();
+            }
+        }
+    }
+}
+
+/// The product's `E` (`CellEvaluator`, its mode picked by
+/// `whatif_core::evaluator`) equals the definitional one bit for bit
+/// over the oracle's leaves: all five semantics × visual / non-visual, on
+/// the running example, the retail catalog (its formula rules, the scoped
+/// `Market = East` one included) and random warehouses, at every cell
+/// one selector per dimension addresses.
+#[test]
+fn product_e_matches_the_definitional_e() {
+    let ex = running_example();
+    let retail = retail_example(42);
+    let mut inputs = vec![
+        ("running".to_string(), ex.cube, ex.org, vec![1, 3]),
+        (
+            "retail".to_string(),
+            retail.cube,
+            retail.product,
+            vec![2, 6],
+        ),
+    ];
+    for seed in 0..3 {
+        let w = random_warehouse(seed, 3, 8, 8, 4);
+        inputs.push((format!("random seed {seed}"), w.cube, w.dim, vec![1, 5]));
+    }
+    for (name, cube, dim, p) in &inputs {
+        let per_dim: Vec<Vec<Sel>> = (cube.schema().dim_ids())
+            .map(|d| selectors(cube, d))
+            .collect();
+        let input = oracle::Leaves::of(cube);
+        let mut modes_differ = false;
+        for sem in all_semantics() {
+            let leaves = oracle::perspective_cube(cube, *dim, sem, p);
+            let output = oracle::Leaves::of(&leaves);
+            let e = |mode| {
+                evaluator(
+                    cube,
+                    &Scenario::negative(*dim, p.clone(), sem, mode),
+                    &leaves,
+                )
+            };
+            let (visual, non_visual) = (e(Mode::Visual), e(Mode::NonVisual));
+            for_each_cell(&per_dim, &mut Vec::new(), &mut |sels| {
+                let want = [true, false].map(|v| oracle::e(&input, &output, v, sels));
+                let got = [&visual, &non_visual].map(|ev| ev.value(sels).unwrap().as_f64());
+                assert_eq!(
+                    got.map(|v| v.map(f64::to_bits)),
+                    want.map(|v| v.map(f64::to_bits)),
+                    "{name} {sem:?} at {sels:?}: [visual, non-visual]"
+                );
+                modes_differ |= want[0] != want[1];
+            });
+        }
+        assert!(modes_differ, "{name}: some cell tells the modes apart");
+    }
 }

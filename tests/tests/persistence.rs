@@ -61,9 +61,9 @@ fn file_and_memory_backends_agree() {
     assert!(mem.cube.same_cells(&file.cube).unwrap());
     // And a what-if gives the same output cube.
     let scenario = Scenario::negative(mem.department, [0, 6], Semantics::Forward, Mode::Visual);
-    let a = apply(&mem.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    let b = apply(&file.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    assert!(a.cube.same_cells(&b.cube).unwrap());
+    let (a, _) = apply(&mem.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    let (b, _) = apply(&file.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    assert!(a.same_cells(&b).unwrap());
     std::fs::remove_file(&path).ok();
 }
 
@@ -102,8 +102,8 @@ fn reorganize_preserves_query_results() {
     let wf = file_workforce(&path);
     let before = wf.cube.total_sum().unwrap();
     let scenario = Scenario::negative(wf.department, [3], Semantics::Static, Mode::Visual);
-    let r_before = apply(&wf.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    let total_before = r_before.cube.total_sum().unwrap();
+    let (r_before, _) = apply(&wf.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    let total_before = r_before.total_sum().unwrap();
 
     // Reverse the physical chunk order, then re-ask.
     wf.cube.with_pool(|pool| {
@@ -115,9 +115,9 @@ fn reorganize_preserves_query_results() {
         store.set_seek_model(Some(SeekModel::default_disk()));
     });
     assert_eq!(wf.cube.total_sum().unwrap(), before);
-    let r_after = apply(&wf.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    assert!((r_after.cube.total_sum().unwrap() - total_before).abs() < 1e-9);
-    assert!(r_after.cube.same_cells(&r_before.cube).unwrap());
+    let (r_after, _) = apply(&wf.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    assert!((r_after.total_sum().unwrap() - total_before).abs() < 1e-9);
+    assert!(r_after.same_cells(&r_before).unwrap());
     std::fs::remove_file(&path).ok();
 }
 

@@ -95,15 +95,15 @@ proptest! {
 /// Runs one negative scenario through the executor and asserts its
 /// perspective cube is cell-identical to the definitional oracle's.
 fn assert_kernels_agree(cube: &olap_cube::Cube, scenario: &Scenario, tag: &str) {
-    let runs = apply(cube, scenario, None, &ExecOpts::default()).unwrap();
-    let oracle = oracle_result(cube, scenario);
+    let (runs, _) = apply(cube, scenario, None, &ExecOpts::default()).unwrap();
+    let (oracle, _) = oracle_result(cube, scenario);
     assert!(
-        runs.cube.same_cells(&oracle.cube).unwrap(),
+        runs.same_cells(&oracle).unwrap(),
         "{tag}: run kernels diverged from the oracle"
     );
     assert_eq!(
-        runs.cube.present_cell_count().unwrap(),
-        oracle.cube.present_cell_count().unwrap(),
+        runs.present_cell_count().unwrap(),
+        oracle.present_cell_count().unwrap(),
         "{tag}: present-cell counts diverged"
     );
 }

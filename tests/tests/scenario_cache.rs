@@ -36,14 +36,14 @@ fn cached_replay_is_identical_and_does_strictly_less_work() {
     let mut baseline = Vec::new();
     let (mut reads_off, mut merges_off) = (0u64, 0u64);
     for s in &scenarios {
-        let r = apply(&wf.cube, s, None, &ExecOpts::default()).unwrap();
-        reads_off += r.report.chunks_read;
-        merges_off += r.report.merges;
+        let (out, report) = apply(&wf.cube, s, None, &ExecOpts::default()).unwrap();
+        reads_off += report.chunks_read;
+        merges_off += report.merges;
         assert_eq!(
-            r.report.cache_chunks_served, 0,
+            report.cache_chunks_served, 0,
             "cache off must serve nothing"
         );
-        baseline.push(r.cube);
+        baseline.push(out);
     }
 
     let cache = Arc::new(ScenarioCache::with_capacity_mb(32));
@@ -53,11 +53,11 @@ fn cached_replay_is_identical_and_does_strictly_less_work() {
     };
     let (mut reads_on, mut merges_on) = (0u64, 0u64);
     for (s, expect) in scenarios.iter().zip(&baseline) {
-        let r = apply(&wf.cube, s, None, &opts).unwrap();
-        reads_on += r.report.chunks_read;
-        merges_on += r.report.merges;
+        let (out, report) = apply(&wf.cube, s, None, &opts).unwrap();
+        reads_on += report.chunks_read;
+        merges_on += report.merges;
         assert!(
-            r.cube.same_cells(expect).unwrap(),
+            out.same_cells(expect).unwrap(),
             "cached replay diverged from the uncached executor"
         );
     }
@@ -89,16 +89,16 @@ fn warm_cache_serves_a_repeated_scenario_without_merging() {
         ..ExecOpts::default()
     };
 
-    let cold = apply(&wf.cube, &scenario, None, &opts).unwrap();
-    assert!(cold.report.merges > 0, "cold run must do real merge work");
+    let (cold, cold_report) = apply(&wf.cube, &scenario, None, &opts).unwrap();
+    assert!(cold_report.merges > 0, "cold run must do real merge work");
 
-    let warm = apply(&wf.cube, &scenario, None, &opts).unwrap();
+    let (warm, warm_report) = apply(&wf.cube, &scenario, None, &opts).unwrap();
     assert_eq!(
-        warm.report.merges, 0,
+        warm_report.merges, 0,
         "warm identical replay must merge nothing"
     );
-    assert!(warm.report.cache_chunks_served > 0);
-    assert!(warm.cube.same_cells(&cold.cube).unwrap());
+    assert!(warm_report.cache_chunks_served > 0);
+    assert!(warm.same_cells(&cold).unwrap());
     assert!(cache.stats().hits > 0);
 }
 
@@ -119,7 +119,7 @@ fn ab_toggle_replays_warm_with_zero_misses_and_merges() {
         // Cache-off baselines establish what "bit-identical" means.
         let baselines: Vec<_> = scenarios
             .iter()
-            .map(|s| apply(&wf.cube, s, None, &ExecOpts::default()).unwrap().cube)
+            .map(|s| apply(&wf.cube, s, None, &ExecOpts::default()).unwrap().0)
             .collect();
 
         let cache = Arc::new(ScenarioCache::with_capacity_mb(32));
@@ -135,9 +135,9 @@ fn ab_toggle_replays_warm_with_zero_misses_and_merges() {
         // …then the toggle: every switch must replay entirely from cache.
         for round in 0..ROUNDS {
             for (i, (s, base)) in scenarios.iter().zip(&baselines).enumerate() {
-                let r = apply(&wf.cube, s, None, &opts).unwrap();
-                assert_eq!(r.report.merges, 0, "K={k} round {round}: {i} re-merged");
-                assert!(r.cube.same_cells(base).unwrap(), "K={k} round {round}: {i}");
+                let (out, report) = apply(&wf.cube, s, None, &opts).unwrap();
+                assert_eq!(report.merges, 0, "K={k} round {round}: {i} re-merged");
+                assert!(out.same_cells(base).unwrap(), "K={k} round {round}: {i}");
             }
         }
         // The gate the toggle used to be held to was a ≥ 90 % hit rate;
@@ -165,13 +165,14 @@ fn default_opts_leave_the_cache_off_and_match_apply() {
     };
 
     assert!(ExecOpts::default().cache.is_none(), "cache must be opt-in");
-    let defaulted = apply(&wf.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    assert_eq!(defaulted.report.cache_chunks_served, 0);
+    let (defaulted, defaulted_report) =
+        apply(&wf.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    assert_eq!(defaulted_report.cache_chunks_served, 0);
     // `apply` is a pebbling plan run by `execute`, nothing more.
     let plan = Plan::build(&wf.cube, spec, &OrderPolicy::Pebbling, None).unwrap();
     let (planned, report) = execute(&wf.cube, &plan, &ExecOpts::default()).unwrap();
-    assert!(defaulted.cube.same_cells(&planned).unwrap());
-    assert_eq!(defaulted.report, report);
+    assert!(defaulted.same_cells(&planned).unwrap());
+    assert_eq!(defaulted_report, report);
 }
 
 /// Query scope and the scenario cache compose. Seed-derived Fig. 10(a),

@@ -7,7 +7,9 @@ use olap_mdx::{execute, QueryContext};
 use olap_model::{InstanceId, MemberId};
 use olap_store::CellValue;
 use olap_workload::running_example;
-use whatif_core::{apply, phi, prune_vacancies, Change, ExecOpts, Mode, Scenario, Semantics};
+use whatif_core::{
+    apply, evaluator, phi, prune_vacancies, Change, ExecOpts, Mode, Scenario, Semantics,
+};
 
 /// Instance ids in the running example's axis order.
 fn joe_instances(ex: &olap_workload::RunningExample) -> (u32, u32, u32) {
@@ -92,35 +94,35 @@ fn fig4_forward_visual_inheritance() {
     let ex = running_example();
     let (fte_joe, pte_joe, contr_joe) = joe_instances(&ex);
     let scenario = Scenario::negative(ex.org, [1, 3], Semantics::Forward, Mode::Visual);
-    let r = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    let (r, _) = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
     assert_eq!(
-        r.cube.get(&ny_salary_cell(&ex, pte_joe, 2)).unwrap(),
+        r.get(&ny_salary_cell(&ex, pte_joe, 2)).unwrap(),
         CellValue::Num(10.0),
         "(PTE/Joe, Mar) inherits Contractor/Joe's value"
     );
     assert_eq!(
-        r.cube.get(&ny_salary_cell(&ex, pte_joe, 0)).unwrap(),
+        r.get(&ny_salary_cell(&ex, pte_joe, 0)).unwrap(),
         CellValue::Null,
         "(PTE/Joe, Jan) remains ⊥"
     );
     // FTE/Joe (valid at neither perspective) disappears entirely.
     for t in 0..6 {
         assert_eq!(
-            r.cube.get(&ny_salary_cell(&ex, fte_joe, t)).unwrap(),
+            r.get(&ny_salary_cell(&ex, fte_joe, t)).unwrap(),
             CellValue::Null
         );
     }
     // Contractor/Joe owns [Apr, ∞): Apr and Jun, ⊥ in May (vacation).
     assert_eq!(
-        r.cube.get(&ny_salary_cell(&ex, contr_joe, 3)).unwrap(),
+        r.get(&ny_salary_cell(&ex, contr_joe, 3)).unwrap(),
         CellValue::Num(10.0)
     );
     assert_eq!(
-        r.cube.get(&ny_salary_cell(&ex, contr_joe, 4)).unwrap(),
+        r.get(&ny_salary_cell(&ex, contr_joe, 4)).unwrap(),
         CellValue::Null
     );
     assert_eq!(
-        r.cube.get(&ny_salary_cell(&ex, contr_joe, 5)).unwrap(),
+        r.get(&ny_salary_cell(&ex, contr_joe, 5)).unwrap(),
         CellValue::Num(10.0)
     );
 }
@@ -183,8 +185,8 @@ fn fig5_positive_split() {
         }],
         Mode::Visual,
     );
-    let r = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    let v2 = r.cube.schema().varying(ex.org).unwrap();
+    let (r, _) = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    let v2 = r.schema().varying(ex.org).unwrap();
     let ids = v2.instances_of(lisa);
     assert_eq!(ids.len(), 2);
     assert_eq!(
@@ -196,18 +198,12 @@ fn fig5_positive_split() {
         vec![3, 4, 5]
     );
     // FTE/Lisa ⊥ for τ ≥ Apr; PTE/Lisa ⊥ for τ < Apr.
-    assert_eq!(r.cube.get(&[ids[0].0, 0, 3, 0]).unwrap(), CellValue::Null);
-    assert_eq!(
-        r.cube.get(&[ids[0].0, 0, 2, 0]).unwrap(),
-        CellValue::Num(10.0)
-    );
-    assert_eq!(r.cube.get(&[ids[1].0, 0, 2, 0]).unwrap(), CellValue::Null);
-    assert_eq!(
-        r.cube.get(&[ids[1].0, 0, 3, 0]).unwrap(),
-        CellValue::Num(10.0)
-    );
+    assert_eq!(r.get(&[ids[0].0, 0, 3, 0]).unwrap(), CellValue::Null);
+    assert_eq!(r.get(&[ids[0].0, 0, 2, 0]).unwrap(), CellValue::Num(10.0));
+    assert_eq!(r.get(&[ids[1].0, 0, 2, 0]).unwrap(), CellValue::Null);
+    assert_eq!(r.get(&[ids[1].0, 0, 3, 0]).unwrap(), CellValue::Num(10.0));
     // Values are conserved across the split.
-    assert_eq!(r.cube.total_sum().unwrap(), ex.cube.total_sum().unwrap());
+    assert_eq!(r.total_sum().unwrap(), ex.cube.total_sum().unwrap());
 }
 
 #[test]
@@ -237,26 +233,23 @@ fn s1_scenario_tom_contractor_then_fte() {
         ],
         Mode::Visual,
     );
-    let r = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
-    let v2 = r.cube.schema().varying(ex.org).unwrap();
+    let (r, _) = apply(&ex.cube, &scenario, None, &ExecOpts::default()).unwrap();
+    let v2 = r.schema().varying(ex.org).unwrap();
     let names: Vec<String> = v2
         .instances_of(tom)
         .iter()
-        .map(|&i| v2.instance_name(r.cube.schema().dim(ex.org), i))
+        .map(|&i| v2.instance_name(r.schema().dim(ex.org), i))
         .collect();
     assert_eq!(names, vec!["PTE/Tom", "Contractor/Tom", "FTE/Tom"]);
     // Visual impact on salary allocation: Contractor June total excludes
     // Tom again.
-    let contractor_jun = r
-        .value(
-            &ex.cube,
-            &[
-                Sel::Member(contractor),
-                Sel::Member(ex.schema.dim(ex.location).resolve("NY").unwrap()),
-                Sel::Member(ex.schema.dim(ex.time).resolve("Jun").unwrap()),
-                Sel::Member(ex.schema.dim(ex.measures).resolve("Salary").unwrap()),
-            ],
-        )
+    let contractor_jun = evaluator(&ex.cube, &scenario, &r)
+        .value(&[
+            Sel::Member(contractor),
+            Sel::Member(ex.schema.dim(ex.location).resolve("NY").unwrap()),
+            Sel::Member(ex.schema.dim(ex.time).resolve("Jun").unwrap()),
+            Sel::Member(ex.schema.dim(ex.measures).resolve("Salary").unwrap()),
+        ])
         .unwrap();
     // Jane 10 + Joe 10 (Contractor in Jun) — Tom back to FTE.
     assert_eq!(contractor_jun, CellValue::Num(20.0));

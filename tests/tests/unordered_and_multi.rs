@@ -15,12 +15,12 @@ use olap_model::{DimensionId, Schema};
 use olap_store::CellValue;
 use std::sync::Arc;
 use whatif_core::{
-    apply, AlgebraExpr, Change, ExecOpts, Mode, PerspectiveSpec, Scenario, Semantics, WhatIfResult,
+    apply, AlgebraExpr, Change, ExecOpts, ExecReport, Mode, PerspectiveSpec, Scenario, Semantics,
 };
 use whatif_integration_tests::oracle;
 
 /// The chunked engine's answer with the default knobs.
-fn apply_default(cube: &Cube, scenario: &Scenario) -> whatif_core::Result<WhatIfResult> {
+fn apply_default(cube: &Cube, scenario: &Scenario) -> whatif_core::Result<(Cube, ExecReport)> {
     apply(cube, scenario, None, &ExecOpts::default())
 }
 
@@ -98,15 +98,15 @@ fn static_perspective_over_locations() {
     // P = {NY} keeps only the structures valid in NY.
     let (cube, org, _) = location_varying();
     let scenario = Scenario::negative(org, [0], Semantics::Static, Mode::Visual);
-    let r = apply_default(&cube, &scenario).unwrap();
+    let (r, _) = apply_default(&cube, &scenario).unwrap();
     let schema = cube.schema();
     let v = schema.varying(org).unwrap();
     let lisa = schema.dim(org).resolve("Lisa").unwrap();
     let ids = v.instances_of(lisa);
     // PTE/Lisa (valid only in MA) is dropped; FTE/Lisa keeps NY + CA.
-    assert_eq!(r.cube.get(&[1, ids[1].0]).unwrap(), CellValue::Null);
-    assert_eq!(r.cube.get(&[0, ids[0].0]).unwrap(), CellValue::Num(8.0));
-    assert_eq!(r.cube.get(&[2, ids[0].0]).unwrap(), CellValue::Num(8.0));
+    assert_eq!(r.get(&[1, ids[1].0]).unwrap(), CellValue::Null);
+    assert_eq!(r.get(&[0, ids[0].0]).unwrap(), CellValue::Num(8.0));
+    assert_eq!(r.get(&[2, ids[0].0]).unwrap(), CellValue::Num(8.0));
 }
 
 #[test]
@@ -165,14 +165,14 @@ fn s2_as_positive_change_over_location() {
         }],
         Mode::Visual,
     );
-    let r = apply_default(&cube, &scenario).unwrap();
-    let v2 = r.cube.schema().varying(org).unwrap();
+    let (r, _) = apply_default(&cube, &scenario).unwrap();
+    let v2 = r.schema().varying(org).unwrap();
     let ids = v2.instances_of(lisa);
     assert_eq!(ids.len(), 2);
     // Hypothetical PTE/Lisa holds the MA and CA work.
-    assert_eq!(r.cube.get(&[1, ids[1].0]).unwrap(), CellValue::Num(8.0));
-    assert_eq!(r.cube.get(&[0, ids[1].0]).unwrap(), CellValue::Null);
-    assert_eq!(r.cube.total_sum().unwrap(), cube.total_sum().unwrap());
+    assert_eq!(r.get(&[1, ids[1].0]).unwrap(), CellValue::Num(8.0));
+    assert_eq!(r.get(&[0, ids[1].0]).unwrap(), CellValue::Null);
+    assert_eq!(r.total_sum().unwrap(), cube.total_sum().unwrap());
 }
 
 /// Two varying dimensions in one cube: Org varies over Time AND Product
@@ -250,7 +250,7 @@ fn scenarios_on_both_varying_dims_compose() {
     let chunked = {
         let step = |c: &Cube, dim| {
             let s = Scenario::negative(dim, [0], Semantics::Forward, Mode::Visual);
-            apply_default(c, &s).unwrap().cube
+            apply_default(c, &s).unwrap().0
         };
         step(&step(&cube, org), product)
     };
@@ -292,8 +292,8 @@ fn order_of_composition_is_immaterial_for_independent_dims() {
     let (cube, org, product) = two_varying();
     let spec = |dim| PerspectiveSpec::new(dim, [1], Semantics::Forward, Mode::Visual);
     let forward = |c: &Cube, dim| {
-        let out = apply_default(c, &Scenario::Negative(spec(dim))).unwrap();
-        out.cube
+        let (out, _) = apply_default(c, &Scenario::Negative(spec(dim))).unwrap();
+        out
     };
     let ab = forward(&forward(&cube, org), product);
     let ba = forward(&forward(&cube, product), org);

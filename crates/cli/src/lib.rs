@@ -10,7 +10,7 @@ use olap_model::{DimensionId, MemberId};
 use olap_workload::{retail_example, running_example, Workforce, WorkforceConfig};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use whatif_core::{ExecOpts, Fnv64, FnvSuffix, PerspectiveSpec, Scenario, ScenarioForest};
 
 /// Which bundled dataset a session runs against.
@@ -53,6 +53,15 @@ pub struct SharedData {
     /// Each named set's name, dimension and members.
     named_sets: Vec<(String, DimensionId, Vec<MemberId>)>,
     cache: Option<Arc<whatif_core::ScenarioCache>>,
+    /// `.apply`'s digest memo, shared by every session on this data.
+    digests: DigestMemo,
+}
+
+impl From<olap_cube::Cube> for SharedData {
+    /// Serves a cube built elsewhere, with no named sets and no cache.
+    fn from(cube: olap_cube::Cube) -> Self {
+        SharedData::of(cube, Vec::new())
+    }
 }
 
 impl SharedData {
@@ -80,8 +89,8 @@ impl SharedData {
             ));
         }
         let config = match dataset {
-            Dataset::Running => return Ok(SharedData::of(running_example().cube, Vec::new())),
-            Dataset::Retail => return Ok(SharedData::of(retail_example(42).cube, Vec::new())),
+            Dataset::Running => return Ok(running_example().cube.into()),
+            Dataset::Retail => return Ok(retail_example(42).cube.into()),
             Dataset::Workforce => WorkforceConfig::default(),
             Dataset::Bench => WorkforceConfig::bench(),
         };
@@ -97,6 +106,7 @@ impl SharedData {
             cube,
             named_sets,
             cache: None,
+            digests: DigestMemo::default(),
         }
     }
 
@@ -537,7 +547,7 @@ impl Session {
             ),
         };
         let (out, report) = whatif_core::apply(self.shared.cube(), scenario, None, opts)?;
-        let (count, digest) = cell_digest(&out)?;
+        let (count, digest) = self.shared.digests.digest(&out)?;
         let passes = report.passes;
         Ok(format!(
             "applied {label}: {count} cells, digest {digest:016x}, {passes} pass(es)",
@@ -712,22 +722,104 @@ fn semantics_name(s: whatif_core::Semantics) -> &'static str {
 /// cell.
 pub fn cell_digest(cube: &olap_cube::Cube) -> olap_cube::Result<(u64, u64)> {
     let geom = cube.geometry();
-    let mut classes: HashMap<Vec<u32>, Vec<FnvSuffix>> = HashMap::new();
+    let mut classes = SuffixClasses::new();
     let mut count = 0u64;
     let mut digest = 0u64;
     for id in cube.chunk_ids() {
         let chunk = cube.chunk(id)?;
         count += u64::from(chunk.present_count());
-        let coord = geom.chunk_coord(id);
-        let shape = chunk.shape();
-        let k = shape.iter().rposition(|&s| s > 1).unwrap_or(0);
-        let width = shape.get(k).map_or(1, |&w| w.max(1));
-        let tables = classes
-            .entry(geom.chunk_origin(&coord).split_off(k))
-            .or_insert_with_key(|suffix| suffix_tables(suffix, width));
-        digest = digest.wrapping_add(digest_rows(&chunk, geom.runs_from(&coord, k), k, tables));
+        let partial = chunk_digest(geom, &geom.chunk_coord(id), &chunk, &mut classes);
+        digest = digest.wrapping_add(partial);
     }
     Ok((count, digest))
+}
+
+/// Suffix tables by suffix coordinates, shared across one digest's chunks.
+type SuffixClasses = HashMap<Vec<u32>, Vec<FnvSuffix>>;
+
+/// One chunk's share of [`cell_digest`]: the wrapping sum of its cells'
+/// hashes, by the row kernel.
+fn chunk_digest(
+    geom: &olap_store::ChunkGeometry,
+    coord: &[u32],
+    chunk: &olap_store::Chunk,
+    classes: &mut SuffixClasses,
+) -> u64 {
+    let shape = chunk.shape();
+    let k = shape.iter().rposition(|&s| s > 1).unwrap_or(0);
+    let width = shape.get(k).map_or(1, |&w| w.max(1));
+    let tables = classes
+        .entry(geom.chunk_origin(coord).split_off(k))
+        .or_insert_with_key(|suffix| suffix_tables(suffix, width));
+    digest_rows(chunk, geom.runs_from(coord, k), k, tables)
+}
+
+/// `.apply`'s digest, memoised by chunk identity. [`cell_digest`] is a
+/// wrapping sum of per-chunk partials, and a what-if result holds the
+/// input's own `Arc` for every chunk the scenario did not change (and
+/// the scenario cache's for every served one), so most partials were
+/// computed by an earlier `.apply`. One entry per chunk position, keyed
+/// by the chunk's origin cell, remembers the chunk last digested there
+/// (as a [`Weak`]) with its cell count and partial. A chunk
+/// pointer-equal to the entry's adds the stored pair; any other chunk
+/// is hashed and replaces the entry. The `Weak` keeps the allocation
+/// alive, so its address cannot name another chunk while the entry
+/// stands. Nothing mutates a chunk behind an `Arc` — a base write
+/// installs a new one — so a hit needs no version: a changed chunk is a
+/// different chunk. A hit also implies the same cells, since the origin
+/// and the chunk's own shape fix every coordinate (a positive
+/// scenario's grown axis renumbers chunk ids, never origins).
+#[derive(Default)]
+struct DigestMemo {
+    entries: Mutex<HashMap<Vec<u32>, MemoEntry>>,
+}
+
+/// One chunk position's last digested chunk.
+struct MemoEntry {
+    chunk: Weak<olap_store::Chunk>,
+    cells: u64,
+    partial: u64,
+}
+
+impl DigestMemo {
+    /// [`cell_digest`] of `cube`, hashing only the chunks not found by
+    /// identity. Sessions digest concurrently, so the memo is locked only
+    /// to look up and to install; the hashing runs outside the lock.
+    fn digest(&self, cube: &olap_cube::Cube) -> olap_cube::Result<(u64, u64)> {
+        let geom = cube.geometry();
+        let mut chunks = Vec::new();
+        for id in cube.chunk_ids() {
+            let coord = geom.chunk_coord(id);
+            chunks.push((geom.chunk_origin(&coord), coord, cube.chunk(id)?));
+        }
+        let (mut count, mut digest) = (0u64, 0u64);
+        let mut misses = Vec::new();
+        {
+            let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+            for (origin, coord, chunk) in chunks {
+                match entries.get(&origin) {
+                    Some(e) if std::ptr::eq(e.chunk.as_ptr(), Arc::as_ptr(&chunk)) => {
+                        count += e.cells;
+                        digest = digest.wrapping_add(e.partial);
+                    }
+                    _ => misses.push((origin, coord, chunk)),
+                }
+            }
+        }
+        let mut classes = SuffixClasses::new();
+        let fresh: Vec<(Vec<u32>, MemoEntry)> = (misses.into_iter())
+            .map(|(origin, coord, chunk)| {
+                let cells = u64::from(chunk.present_count());
+                let partial = chunk_digest(geom, &coord, &chunk, &mut classes);
+                count += cells;
+                digest = digest.wrapping_add(partial);
+                let chunk = Arc::downgrade(&chunk);
+                (origin, MemoEntry { chunk, cells, partial })
+            })
+            .collect();
+        (self.entries.lock().unwrap_or_else(PoisonError::into_inner)).extend(fresh);
+        Ok((count, digest))
+    }
 }
 
 /// `.rollup`'s summary of one group-by: its non-⊥ cell count and the
@@ -1267,7 +1359,7 @@ mod tests {
                  scope: slots 1, 5, 6\n\
                  result: 1 × 1 grid, 1 non-⊥ cells\n\
                  executor: 2 pass(es), merge graph 2/1 (nodes/edges), predicted pebbles 2, \
-                 26 chunk reads, 0 cache chunks served\n",
+                 18 chunk reads, 0 cache chunks served\n",
             ),
             (
                 positive,

@@ -252,7 +252,7 @@ fn probe_cache(
             Some(payloads) => {
                 for (&(id, _), payload) in keys.iter().zip(payloads) {
                     if let Cached::Chunk(chunk) = payload {
-                        out.put_chunk(id, (*chunk).clone())?;
+                        out.put_chunk(id, chunk)?;
                     }
                     report.cache_chunks_served += 1;
                 }
@@ -347,10 +347,11 @@ impl Run<'_> {
             let node = match (pass.roles[label as usize], input) {
                 (Role::Merge(node), _) => node,
                 // Copy-through (first pass only; untouched by any pass of
-                // the plan, and one shape in both geometries).
+                // the plan, and one shape in both geometries): the output
+                // holds the input's own chunk.
                 (Role::Copy, Some(id)) => {
                     let out_id = out_id.expect("a copied label is in both geometries");
-                    out.put_chunk(out_id, (*self.cube.chunk(id)?).clone())?;
+                    out.put_chunk(out_id, self.cube.chunk(id)?)?;
                     continue;
                 }
                 // Residue: keep exactly the cells this pass owns. None of
@@ -591,12 +592,22 @@ mod tests {
         assert!(report.peak_out_buffers >= report.predicted_pebbles as u64);
     }
 
+    /// The Fig. 11 mechanism, counted exactly: per-perspective passes
+    /// repeat reads only of what they re-merge. Pass 1 reads every input
+    /// chunk once; a later pass reads only labels of the full merge graph
+    /// (its own graph and its residue), never one pass 1 copied through.
+    /// With no merge at all, a k-pass run reads each chunk exactly once.
     #[test]
-    fn more_passes_read_more_chunks() {
-        // The Fig. 11 mechanism: per-perspective passes repeat reads of
-        // the affected chunks.
+    fn later_passes_read_only_merge_graph_labels() {
         let (cube, prod) = fixture();
-        let mut prev = 0u64;
+        let geom = cube.geometry();
+        let ids = cube.chunk_ids();
+        let chunks_at = |l: usize| {
+            (ids.iter())
+                .filter(|&&id| geom.chunk_coord(id)[prod.index()] as usize == l)
+                .count()
+        };
+        let mut reads = Vec::new();
         for p in [vec![0u32], vec![0, 2], vec![0, 2, 4]] {
             let plan = plan(
                 &cube,
@@ -607,11 +618,82 @@ mod tests {
                 None,
             );
             let (_, report) = run_plan(&cube, &plan);
-            assert!(
-                report.chunks_read >= prev,
-                "reads should not shrink with more perspectives"
-            );
-            prev = report.chunks_read;
+            let mut want = ids.len();
+            for pass in &plan.pass_plans[1..] {
+                for (l, &role) in pass.roles.iter().enumerate() {
+                    if role != Role::Skip {
+                        let in_graph = plan.graph.labels().contains(&(l as u32));
+                        assert!(in_graph, "{p:?}: a later pass reads copied label {l}");
+                        want += chunks_at(l);
+                    }
+                }
+            }
+            assert_eq!(report.chunks_read, want as u64, "{p:?}");
+            reads.push(report.chunks_read);
+        }
+        assert_eq!(reads, [34, 46, 34], "merges 24, 12, 0");
+
+        let map = DestMap::identity(cube.schema().axis_len(prod), 6);
+        let passes = (0..3).map(|i| map.restrict(|_, t| t % 3 == i)).collect();
+        let plan = Plan::from_maps(&cube, prod, map, passes, OrderPolicy::Pebbling, None).unwrap();
+        let (got, report) = run_plan(&cube, &plan);
+        assert!(got.same_cells(&cube).unwrap());
+        assert_eq!((report.passes, report.merges), (3, 0));
+        assert_eq!(report.chunks_read, ids.len() as u64);
+    }
+
+    /// A result shares every chunk it did not compute: a copied label's
+    /// output chunk is the input's own `Arc`, for one pass and for k, and
+    /// a warm run's cache-served chunk is the one the cold run inserted
+    /// (the cache holds the cold output's `Arc`s).
+    #[test]
+    fn copies_and_cache_hits_share_their_chunks() {
+        let (cube, prod) = fixture();
+        let geom = cube.geometry();
+        let label = |id: ChunkId| geom.chunk_coord(id)[prod.index()] as usize;
+        for (sem, p) in [
+            (Semantics::Forward, vec![1u32]),
+            (Semantics::Static, vec![0, 2, 4]),
+            (Semantics::Backward, vec![1, 3]),
+        ] {
+            let plan = plan(&cube, prod, sem, &p, OrderPolicy::Pebbling, None);
+            let (out, _) = run_plan(&cube, &plan);
+            let copied: Vec<ChunkId> = (cube.chunk_ids().into_iter())
+                .filter(|&id| plan.pass_plans[0].roles[label(id)] == Role::Copy)
+                .collect();
+            assert!(!copied.is_empty(), "{sem:?} {p:?}: nothing copied");
+            for id in copied {
+                let (got, input) = (out.chunk(id).unwrap(), cube.chunk(id).unwrap());
+                assert!(Arc::ptr_eq(&got, &input), "{sem:?} {p:?}: {id:?} copied");
+            }
+        }
+
+        let cache = Arc::new(ScenarioCache::with_capacity_mb(16));
+        let opts = ExecOpts {
+            cache: Some(cache),
+            ..ExecOpts::default()
+        };
+        let plan = plan(
+            &cube,
+            prod,
+            Semantics::Forward,
+            &[1],
+            OrderPolicy::Pebbling,
+            None,
+        );
+        let (cold, _) = execute(&cube, &plan, &opts).unwrap();
+        let (warm, report) = execute(&cube, &plan, &opts).unwrap();
+        assert!(report.cache_chunks_served > 0);
+        assert_eq!(report.merges, 0, "every component is served");
+        assert_eq!(warm.chunk_ids(), cold.chunk_ids());
+        for id in warm.chunk_ids() {
+            let got = warm.chunk(id).unwrap();
+            let from = if plan.graph.labels().contains(&(label(id) as u32)) {
+                cold.chunk(id).unwrap()
+            } else {
+                cube.chunk(id).unwrap()
+            };
+            assert!(Arc::ptr_eq(&got, &from), "{id:?} shared");
         }
     }
 

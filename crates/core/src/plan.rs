@@ -100,11 +100,15 @@ pub(crate) enum Role {
     /// Not read.
     Skip,
     /// Kept, with no merge or drop under the full plan and one shape in
-    /// both geometries: copied verbatim (first pass only).
+    /// both geometries: the first pass installs the input's chunk itself
+    /// (the output shares its `Arc`), and every later pass skips it, since
+    /// that chunk already holds every cell a later pass owns there.
     Copy,
-    /// Holds cells this pass owns but neither merges nor copies (say an
-    /// instance owned by pass 2 sharing a chunk with a pass-0 mover): only
-    /// those cells are written, and nothing merges into them.
+    /// Holds cells this pass owns but neither merges nor copies: a label
+    /// of the full merge graph outside this pass's graph (say an instance
+    /// owned by pass 2 sharing a chunk with a pass-0 mover), or a grown
+    /// axis's label whose chunk shapes differ between the geometries.
+    /// Only those cells are written, and nothing merges into them.
     Residue,
     /// Node `n` of the pass's merge graph.
     Merge(usize),
@@ -302,8 +306,10 @@ impl Plan {
     }
 
     /// One pass's plan over `graph` (already induced on `kept`), read in
-    /// `order`; the first pass also copies through every kept label
-    /// outside the full graph, as residue where its chunk shapes differ.
+    /// `order`. Every kept label outside the full graph with one chunk
+    /// shape in both geometries is copied through by the first pass,
+    /// which then holds all its cells, so no later pass reads it; any
+    /// other kept label holding cells this pass owns is residue.
     fn pass_plan(
         &self,
         cube: &Cube,
@@ -315,17 +321,14 @@ impl Plan {
         let n_in = cube.geometry().lens()[self.vd];
         let n_out = self.out_geom.lens()[self.vd];
         let same_shape = |l| n_in == n_out || (l + 1) * self.vd_extent <= n_in.min(n_out);
-        let copy = |(l, k): (usize, &bool)| {
-            if *k && first && same_shape(l as u32) {
-                Role::Copy
-            } else {
-                Role::Skip
-            }
-        };
-        let mut roles: Vec<Role> = self.kept.iter().enumerate().map(copy).collect();
+        let mut copied: Vec<bool> = (self.kept.iter().enumerate())
+            .map(|(l, &k)| k && same_shape(l as u32))
+            .collect();
         for &l in self.graph.labels() {
-            roles[l as usize] = Role::Skip;
+            copied[l as usize] = false;
         }
+        let copy = |&c: &bool| if c && first { Role::Copy } else { Role::Skip };
+        let mut roles: Vec<Role> = copied.iter().map(copy).collect();
         for (n, &l) in graph.labels().iter().enumerate() {
             roles[l as usize] = Role::Merge(n);
         }
@@ -337,6 +340,7 @@ impl Plan {
         for (i, inst) in varying.instances().iter().enumerate() {
             let l = (i / self.vd_extent as usize).min(last);
             if self.kept[l]
+                && !copied[l]
                 && roles[l] == Role::Skip
                 && (inst.validity.iter()).any(|t| dest.fate(i as u32, t) != CellFate::Skip)
             {

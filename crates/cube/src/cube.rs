@@ -204,7 +204,7 @@ impl Cube {
             Chunk::new_dense(self.geometry.chunk_shape(&self.geometry.chunk_coord(id)))
         };
         chunk.set(off, v);
-        pool.put(id, chunk)?;
+        pool.put(id, Arc::new(chunk))?;
         Ok(())
     }
 
@@ -307,9 +307,14 @@ impl Cube {
         Ok(ChunkGeometry::new(lens, extents)?)
     }
 
-    /// Writes a whole chunk (used by the chunked executors).
-    pub fn put_chunk(&self, id: ChunkId, mut chunk: Chunk) -> Result<()> {
-        chunk.compact(self.dense_threshold);
+    /// Writes a whole chunk (used by the chunked executors). An owned
+    /// chunk is compacted, then wrapped; a shared one — another cube's
+    /// `Arc` — is installed as it is, so both cubes hold one allocation.
+    pub fn put_chunk(&self, id: ChunkId, chunk: impl Into<Arc<Chunk>>) -> Result<()> {
+        let mut chunk = chunk.into();
+        if let Some(owned) = Arc::get_mut(&mut chunk) {
+            owned.compact(self.dense_threshold);
+        }
         self.pool.put(id, chunk)?;
         Ok(())
     }

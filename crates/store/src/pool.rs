@@ -447,14 +447,15 @@ impl BufferPool {
 
     /// Replaces a chunk's contents (write-through is deferred until
     /// eviction or [`BufferPool::flush_all`]) and advances
-    /// [`BufferPool::generation`].
-    pub fn put(&self, id: ChunkId, chunk: Chunk) -> Result<()> {
-        let arc = Arc::new(chunk);
+    /// [`BufferPool::generation`]. The frame holds `chunk` itself, so a
+    /// caller may install an `Arc` another pool also holds: nothing
+    /// mutates a chunk behind an `Arc` (a write clones, then puts).
+    pub fn put(&self, id: ChunkId, chunk: Arc<Chunk>) -> Result<()> {
         let si = shard_of(id);
         {
             let mut sh = self.shards[si].shard.lock();
             if let Some(f) = sh.frames.get_mut(&id) {
-                f.chunk = arc;
+                f.chunk = chunk;
                 f.dirty = true;
                 f.last_use = self.next_tick();
                 self.generation.fetch_add(1, Ordering::SeqCst);
@@ -467,12 +468,12 @@ impl BufferPool {
             let now = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
             self.peak_resident.fetch_max(now as u64, Ordering::Relaxed);
             Frame {
-                chunk: Arc::clone(&arc),
+                chunk: Arc::clone(&chunk),
                 last_use: 0,
                 dirty: true,
             }
         });
-        f.chunk = arc;
+        f.chunk = chunk;
         f.dirty = true;
         f.last_use = self.next_tick();
         self.generation.fetch_add(1, Ordering::SeqCst);
@@ -670,7 +671,7 @@ mod tests {
         let p = BufferPool::new(store_with(2), 2);
         let mut c = Chunk::new_dense(vec![2]);
         c.set(1, CellValue::num(42.0));
-        p.put(ChunkId(0), c.clone()).unwrap();
+        p.put(ChunkId(0), Arc::new(c.clone())).unwrap();
         p.flush_all().unwrap();
         assert_eq!(
             p.store().read(ChunkId(0)).unwrap().get(1),
@@ -683,7 +684,7 @@ mod tests {
         let p = BufferPool::new(store_with(3), 1);
         let mut c = Chunk::new_dense(vec![2]);
         c.set(0, CellValue::num(7.0));
-        p.put(ChunkId(0), c).unwrap();
+        p.put(ChunkId(0), Arc::new(c)).unwrap();
         p.get(ChunkId(1)).unwrap(); // evicts dirty 0
         assert_eq!(
             p.store().read(ChunkId(0)).unwrap().get(0),
@@ -757,7 +758,7 @@ mod tests {
         let p = BufferPool::new(Box::new(gate), 1);
         let mut c = Chunk::new_dense(vec![2]);
         c.set(0, CellValue::num(7.0));
-        p.put(ChunkId(0), c).unwrap();
+        p.put(ChunkId(0), Arc::new(c)).unwrap();
         p.get(ChunkId(1)).unwrap(); // evicts dirty 0 in a flush transaction
         let store = p.store();
         let gate = store.as_any().downcast_ref::<TxnGate>().unwrap();
@@ -869,8 +870,8 @@ mod tests {
                 .wal_stats()
                 .syncs
         };
-        p.put(ChunkId(0), Chunk::new_dense(vec![2])).unwrap();
-        p.put(ChunkId(1), Chunk::new_dense(vec![2])).unwrap();
+        p.put(ChunkId(0), Arc::new(Chunk::new_dense(vec![2]))).unwrap();
+        p.put(ChunkId(1), Arc::new(Chunk::new_dense(vec![2]))).unwrap();
         p.flush_all().unwrap();
         assert_eq!(syncs(&p), 2, "one committed flush, two fsyncs");
         p.flush_all().unwrap();

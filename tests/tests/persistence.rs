@@ -305,7 +305,7 @@ fn pool_flush_crash_points_recover_exact_image() {
         cleanup(path);
         let pool = BufferPool::new(Box::new(FileStore::create(path).unwrap()), 16);
         for (id, c) in &pre {
-            pool.put(ChunkId(*id), c.clone()).unwrap();
+            pool.put(ChunkId(*id), c.clone().into()).unwrap();
         }
         pool.flush_all().unwrap();
         let before = {
@@ -322,7 +322,7 @@ fn pool_flush_crash_points_recover_exact_image() {
             fs.set_crash_after_ops(crash_op);
         }
         for id in &dirty {
-            pool.put(ChunkId(*id), post[id].clone()).unwrap();
+            pool.put(ChunkId(*id), post[id].clone().into()).unwrap();
         }
         let ok = pool.flush_all().is_ok();
         let ops = {
@@ -404,7 +404,7 @@ fn dirty_eviction_crash_points_recover_exact_image() {
         let before = s.phys_ops();
         s.set_crash_after_ops(crash_op);
         let pool = BufferPool::new(Box::new(s), 1);
-        pool.put(ChunkId(0), post[&0].clone()).unwrap();
+        pool.put(ChunkId(0), post[&0].clone().into()).unwrap();
         let ok = pool.get(ChunkId(1)).is_ok();
         let ops = {
             let guard = pool.store();
@@ -491,7 +491,7 @@ mod crash_interleavings {
             for (j, batch) in flushes.iter().enumerate() {
                 for &(id, v) in batch {
                     let c = marked_chunk(f64::from(v) + id as f64 / 7.0);
-                    pool.put(ChunkId(id), c.clone()).unwrap();
+                    pool.put(ChunkId(id), c.clone().into()).unwrap();
                     mirror.insert(id, c);
                 }
                 if j + 1 == flushes.len() {

@@ -114,7 +114,7 @@ fn evicting_chunks_never_vanish_from_contains_or_ids() {
                     for k in 0..PER {
                         let mut c = Chunk::new_dense(vec![2]);
                         c.set(0, CellValue::num((w * PER + k) as f64));
-                        pool.put(id(w, k), c).unwrap();
+                        pool.put(id(w, k), c.into()).unwrap();
                         done[w as usize].store(k + 1, Ordering::Release);
                     }
                 })

@@ -54,7 +54,7 @@ fn failed_eviction_write_restores_dirty_frame() {
     let p = faulted_pool(2, plan, 1);
     let mut c = Chunk::new_dense(vec![2]);
     c.set(0, CellValue::num(42.0));
-    p.put(ChunkId(0), c).unwrap();
+    p.put(ChunkId(0), c.into()).unwrap();
     // Admitting chunk 1 must evict dirty 0; the write-through fails
     // terminally and the error surfaces on the get.
     assert!(matches!(p.get(ChunkId(1)), Err(StoreError::Io(_))));
@@ -176,7 +176,7 @@ fn transient_flush_write_fault_is_retried() {
     let p = faulted_pool(0, one_shot(FaultOp::Write, [1], FaultKind::Error), 4);
     let mut c = Chunk::new_dense(vec![2]);
     c.set(0, CellValue::num(5.0));
-    p.put(ChunkId(0), c).unwrap();
+    p.put(ChunkId(0), c.into()).unwrap();
     p.flush_all().unwrap();
     let st = p.stats();
     assert_eq!(st.write_retries, 1);
@@ -203,7 +203,7 @@ fn failed_flush_keeps_frames_dirty_for_retry() {
     for i in 0..3u64 {
         let mut c = Chunk::new_dense(vec![2]);
         c.set(0, CellValue::num(i as f64 + 10.0));
-        p.put(ChunkId(i), c).unwrap();
+        p.put(ChunkId(i), c.into()).unwrap();
     }
     assert!(matches!(p.flush_all(), Err(StoreError::Io(_))));
     let st = p.stats();

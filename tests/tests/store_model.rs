@@ -105,7 +105,7 @@ proptest! {
         for (id, put) in ops {
             if put {
                 let c = chunk_of(&[(3, id as f64 * 2.0)]);
-                pool.put(ChunkId(id), c.clone()).unwrap();
+                pool.put(ChunkId(id), c.clone().into()).unwrap();
                 model.insert(id, c);
             } else {
                 let got = pool.get(ChunkId(id)).unwrap();

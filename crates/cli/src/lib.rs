@@ -754,31 +754,19 @@ fn chunk_digest(
     digest_rows(chunk, geom.runs_from(coord, k), k, tables)
 }
 
-/// `.apply`'s digest, memoised by chunk identity. [`cell_digest`] is a
-/// wrapping sum of per-chunk partials, and a what-if result holds the
-/// input's own `Arc` for every chunk the scenario did not change (and
-/// the scenario cache's for every served one), so most partials were
-/// computed by an earlier `.apply`. One entry per chunk position, keyed
-/// by the chunk's origin cell, remembers the chunk last digested there
-/// (as a [`Weak`]) with its cell count and partial. A chunk
-/// pointer-equal to the entry's adds the stored pair; any other chunk
-/// is hashed and replaces the entry. The `Weak` keeps the allocation
-/// alive, so its address cannot name another chunk while the entry
-/// stands. Nothing mutates a chunk behind an `Arc` — a base write
-/// installs a new one — so a hit needs no version: a changed chunk is a
-/// different chunk. A hit also implies the same cells, since the origin
-/// and the chunk's own shape fix every coordinate (a positive
-/// scenario's grown axis renumbers chunk ids, never origins).
+/// `.apply`'s digest, memoised by chunk identity (DESIGN.md §13). A
+/// what-if result holds the input's own `Arc` for every chunk its
+/// scenario did not change, so most of its [`cell_digest`] partials were
+/// computed before. One entry per chunk position, keyed by origin cell
+/// (a grown axis renumbers chunk ids, never origins), keeps the chunk
+/// last digested there as a [`Weak`], which pins its address, with its
+/// cell count and partial. A pointer-equal chunk adds the stored pair;
+/// any other is hashed and replaces the entry. A base write installs a
+/// new `Arc`, so a hit needs no version key.
 #[derive(Default)]
 struct DigestMemo {
-    entries: Mutex<HashMap<Vec<u32>, MemoEntry>>,
-}
-
-/// One chunk position's last digested chunk.
-struct MemoEntry {
-    chunk: Weak<olap_store::Chunk>,
-    cells: u64,
-    partial: u64,
+    /// Origin cell → (chunk last digested there, its cells, its partial).
+    entries: Mutex<HashMap<Vec<u32>, (Weak<olap_store::Chunk>, u64, u64)>>,
 }
 
 impl DigestMemo {
@@ -798,23 +786,22 @@ impl DigestMemo {
             let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
             for (origin, coord, chunk) in chunks {
                 match entries.get(&origin) {
-                    Some(e) if std::ptr::eq(e.chunk.as_ptr(), Arc::as_ptr(&chunk)) => {
-                        count += e.cells;
-                        digest = digest.wrapping_add(e.partial);
+                    Some((seen, cells, partial)) if seen.as_ptr() == Arc::as_ptr(&chunk) => {
+                        count += cells;
+                        digest = digest.wrapping_add(*partial);
                     }
                     _ => misses.push((origin, coord, chunk)),
                 }
             }
         }
         let mut classes = SuffixClasses::new();
-        let fresh: Vec<(Vec<u32>, MemoEntry)> = (misses.into_iter())
+        let fresh: Vec<_> = (misses.into_iter())
             .map(|(origin, coord, chunk)| {
                 let cells = u64::from(chunk.present_count());
                 let partial = chunk_digest(geom, &coord, &chunk, &mut classes);
                 count += cells;
                 digest = digest.wrapping_add(partial);
-                let chunk = Arc::downgrade(&chunk);
-                (origin, MemoEntry { chunk, cells, partial })
+                (origin, (Arc::downgrade(&chunk), cells, partial))
             })
             .collect();
         (self.entries.lock().unwrap_or_else(PoisonError::into_inner)).extend(fresh);

@@ -57,8 +57,9 @@ pub struct ExecReport {
     pub predicted_pebbles: usize,
     /// Observed peak number of simultaneously live output buffers.
     pub peak_out_buffers: u64,
-    /// Chunk reads against the input (pool hits included — the paper's
-    /// per-perspective re-merging repeats reads).
+    /// Chunk reads against the input (pool hits included). Copied chunks
+    /// are read once; the paper's per-perspective re-merging repeats
+    /// reads only of merge-graph and residue chunks.
     pub chunks_read: u64,
     /// Cells that moved between instances.
     pub cells_relocated: u64,

@@ -870,8 +870,10 @@ mod tests {
                 .wal_stats()
                 .syncs
         };
-        p.put(ChunkId(0), Arc::new(Chunk::new_dense(vec![2]))).unwrap();
-        p.put(ChunkId(1), Arc::new(Chunk::new_dense(vec![2]))).unwrap();
+        p.put(ChunkId(0), Arc::new(Chunk::new_dense(vec![2])))
+            .unwrap();
+        p.put(ChunkId(1), Arc::new(Chunk::new_dense(vec![2])))
+            .unwrap();
         p.flush_all().unwrap();
         assert_eq!(syncs(&p), 2, "one committed flush, two fsyncs");
         p.flush_all().unwrap();

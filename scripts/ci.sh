@@ -116,9 +116,14 @@ step "gates run by name"
 # budgets a run is refused having read nothing or peaks within the
 # budget with the unbudgeted accumulators, and `.rollup` under a session
 # budget is refused below a group-by's closure and splits into passes
-# within it above. The last holds E to Definition 4.6: the product's
+# within it above. The next holds E to Definition 4.6: the product's
 # `CellEvaluator` equals the definitional oracle's E bit for bit at
-# every selector, over all five semantics, visual and non-visual.
+# every selector, over all five semantics, visual and non-visual. The
+# last two hold a result's sharing of what it did not change: copied
+# and cache-served output chunks are the input's and the cache's own
+# `Arc`s, and `.apply`'s digest memo, which finds partials by chunk
+# identity, equals the full digest cold and warm, across positive and
+# negative scenarios and base writes committed by a second session.
 gate() { # gate "<cargo test target args>" <exact test name>
     out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
     case "$out" in
@@ -149,6 +154,8 @@ gate "-p polap-cli --lib" tests::a_derived_cube_keeps_its_chunks_once
 gate "-p whatif-integration-tests --test aggregation" budgeted_aggregation_never_holds_more_than_it_admitted
 gate "-p polap-cli --lib" tests::rollup_respects_the_session_budget
 gate "-p whatif-integration-tests --test oracle" product_e_matches_the_definitional_e
+gate "-p whatif-core --lib" exec::tests::copies_and_cache_hits_share_their_chunks
+gate "-p whatif-integration-tests --test cell_digest" apply_digest_memo_matches_the_full_digest
 
 step "corruption smoke test"
 # One flipped payload byte never becomes garbage cells. Flipped while

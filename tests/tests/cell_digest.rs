@@ -4,13 +4,15 @@
 //! table kernel against that per-cell body on random geometries.
 
 use olap_cube::Cube;
-use olap_model::{DimensionSpec, SchemaBuilder};
+use olap_model::{DimensionSpec, MemberId, SchemaBuilder};
 use olap_store::{CellValue, ChunkGeometry};
-use polap_cli::{cell_digest, Dataset, Outcome, Session};
+use polap_cli::{cell_digest, is_refusal, Dataset, Outcome, Session, SharedData};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 use std::sync::Arc;
+use whatif_core::{Change, ExecOpts, Mode, PerspectiveSpec, Scenario};
+use whatif_integration_tests::random_warehouse;
 
 /// The digest as it was computed before the row kernel, kept verbatim
 /// as the oracle: one FNV-1a hash per present cell over its coordinates
@@ -222,5 +224,174 @@ fn apply_replies_match_the_per_cell_digest() {
                 other => panic!("{dataset:?}: {}: {other:?}", pair[0]),
             }
         }
+    }
+}
+
+/// A varying warehouse (`random_warehouse`) re-chunked over random
+/// extents, so that chunk shapes, clipped edges and a grown axis's
+/// renumbering vary with the seed.
+fn random_varying_cube(seed: u64) -> Cube {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (groups, members) = (rng.random_range(2..=4), rng.random_range(3..=12));
+    let (moments, changers) = (rng.random_range(3..=8), rng.random_range(1..=6));
+    let w = random_warehouse(seed, groups, members, moments, changers);
+    let extents: Vec<u32> = (w.schema.shape().iter())
+        .map(|&len| rng.random_range(1..=len))
+        .collect();
+    let mut b = Cube::builder(Arc::clone(&w.schema), extents).unwrap();
+    w.cube
+        .for_each_present(|cell, v| b.set_num(cell, v).unwrap())
+        .unwrap();
+    b.finish().unwrap()
+}
+
+/// The `(count, digest)` an `.apply` reply states.
+fn reply_digest(reply: &str) -> (u64, u64) {
+    let (_, rest) = reply.rsplit_once(": ").expect(reply);
+    let (count, rest) = rest.split_once(" cells, digest ").expect(reply);
+    let hex = rest.split(',').next().unwrap();
+    (
+        count.parse().unwrap(),
+        u64::from_str_radix(hex, 16).unwrap(),
+    )
+}
+
+/// Runs `line` on `session` and checks its digest against `cell_digest`
+/// and the per-cell digest of `whatif_core::apply`'s result for the
+/// same scenario on the same (possibly since written) base cube.
+fn check_apply(session: &mut Session, line: &str, scenario: &Scenario, what: &str) {
+    let reply = match session.handle(line) {
+        Outcome::Continue(reply) if !is_refusal(&reply) => reply,
+        other => panic!("{what}: {line}: {other:?}"),
+    };
+    let cube = session.shared().cube();
+    let (out, _) = whatif_core::apply(cube, scenario, None, &ExecOpts::default()).unwrap();
+    let want = per_cell_digest(&out).unwrap();
+    assert_eq!(cell_digest(&out).unwrap(), want, "{what}: {line}");
+    assert_eq!(reply_digest(&reply), want, "{what}: {line}: {reply}");
+}
+
+/// Appends one positive change that the product accepts to `session`'s
+/// current fork, and returns the scenario it stands for.
+fn accepted_change(session: &mut Session, rng: &mut StdRng, what: &str) -> Scenario {
+    let schema = Arc::clone(session.shared().cube().schema());
+    let dim = schema
+        .dim_ids()
+        .find(|&d| schema.varying(d).is_some())
+        .unwrap();
+    let (dimension, varying) = (schema.dim(dim), schema.varying(dim).unwrap());
+    let parents: Vec<MemberId> = (dimension.members_at_level(1).into_iter())
+        .filter(|&m| !dimension.is_leaf(m))
+        .collect();
+    for _ in 0..64 {
+        let leaf = dimension.leaves()[rng.random_range(0..dimension.leaves().len())];
+        let parent = parents[rng.random_range(0..parents.len())];
+        let at = rng.random_range(1..varying.moments());
+        let (m, n) = (dimension.member_name(leaf), dimension.member_name(parent));
+        let line = format!(".change {m} {n} {at}");
+        if let Outcome::Continue(reply) = session.handle(&line) {
+            if !is_refusal(&reply) {
+                let change = Change {
+                    member: dimension.find(m).unwrap(),
+                    old_parent: None,
+                    new_parent: dimension.find(n).unwrap(),
+                    at,
+                };
+                return Scenario::positive(dim, vec![change], Mode::Visual);
+            }
+        }
+    }
+    panic!("{what}: no change accepted");
+}
+
+/// `.apply`'s digest, memoised on `SharedData` by chunk identity, equals
+/// `cell_digest` and the per-cell digest of the same `apply` result:
+/// every semantics with 1–4 moments (one count per semantics on the
+/// larger `bench` cube) and a positive `.change`, each run cold (first
+/// sight of its merged chunks) and warm (a replay), negative and
+/// positive alternating, while a second session on the same data writes
+/// base cells and commits them between the runs.
+#[test]
+fn apply_digest_memo_matches_the_full_digest() {
+    let mut cached = SharedData::load(Dataset::Running);
+    cached.set_cache_mb(8);
+    let mut datasets: Vec<(String, SharedData)> = vec![
+        ("running".into(), SharedData::load(Dataset::Running)),
+        ("running, cached".into(), cached),
+        ("bench".into(), SharedData::load(Dataset::Bench)),
+    ];
+    for seed in 0..6 {
+        let cube = random_varying_cube(seed);
+        datasets.push((format!("random {seed}"), SharedData::from(cube)));
+    }
+    for (i, (name, shared)) in datasets.into_iter().enumerate() {
+        let shared = Arc::new(shared);
+        let (mut s, mut writer) = (
+            Session::attach(Arc::clone(&shared)),
+            Session::attach(shared),
+        );
+        let mut rng = StdRng::seed_from_u64(i as u64);
+        let schema = Arc::clone(s.shared().cube().schema());
+        let dim = schema
+            .dim_ids()
+            .find(|&d| schema.varying(d).is_some())
+            .unwrap();
+        let moments = schema.varying(dim).unwrap().moments();
+        let lens = schema.shape();
+        let mut fork = 0;
+        let sems = ["static", "forward", "xforward", "backward", "xbackward"];
+        for (j, sem) in sems.into_iter().enumerate() {
+            let ks = match name.as_str() {
+                "bench" => 1 + j as u32 % 4..=1 + j as u32 % 4,
+                _ => 1..=4.min(moments),
+            };
+            for k in ks {
+                let what = format!("{name}: {sem} k={k}");
+                let mut p: Vec<u32> = (0..moments).collect();
+                while p.len() > k as usize {
+                    p.remove(rng.random_range(0..p.len()));
+                }
+                let list: Vec<String> = p.iter().map(u32::to_string).collect();
+                let line = format!(".apply {sem} {}", list.join(","));
+                let spec = PerspectiveSpec::new(dim, p.clone(), semantics(sem), Mode::Visual);
+                let negative = Scenario::Negative(spec);
+                check_apply(&mut s, &line, &negative, &what);
+                fork += 1;
+                assert!(matches!(
+                    s.handle(&format!(".fork f{fork}")),
+                    Outcome::Continue(_)
+                ));
+                let positive = accepted_change(&mut s, &mut rng, &what);
+                check_apply(&mut s, ".apply", &positive, &what);
+
+                let cell: Vec<u32> = lens.iter().map(|&l| rng.random_range(0..l)).collect();
+                let v = CellValue::num(rng.random_range(1.0..1000.0_f64).round());
+                writer.shared().cube().set(&cell, v).unwrap();
+                assert!(
+                    matches!(writer.handle(".commit"), Outcome::Continue(t) if t.contains("flushed"))
+                );
+
+                assert!(matches!(s.handle(".switch main"), Outcome::Continue(_)));
+                check_apply(&mut s, ".apply", &negative, &what);
+                check_apply(&mut s, ".apply", &negative, &what);
+                assert!(matches!(
+                    s.handle(&format!(".switch f{fork}")),
+                    Outcome::Continue(_)
+                ));
+                check_apply(&mut s, ".apply", &positive, &what);
+                assert!(matches!(s.handle(".switch main"), Outcome::Continue(_)));
+            }
+        }
+    }
+}
+
+fn semantics(name: &str) -> whatif_core::Semantics {
+    use whatif_core::Semantics::*;
+    match name {
+        "static" => Static,
+        "forward" => Forward,
+        "xforward" => ExtendedForward,
+        "backward" => Backward,
+        _ => ExtendedBackward,
     }
 }

@@ -462,12 +462,13 @@ impl Session {
             let _ = writeln!(
                 out,
                 "executor: {} pass(es), merge graph {}/{} (nodes/edges), predicted \
-                 pebbles {}, {} chunk reads, {} cache chunks served",
+                 pebbles {}, {} chunk reads, {} chunks shared, {} cache chunks served",
                 r.passes,
                 r.graph_nodes,
                 r.graph_edges,
                 r.predicted_pebbles,
                 r.chunks_read,
+                r.chunks_shared,
                 r.cache_chunks_served,
             );
         }
@@ -754,57 +755,103 @@ fn chunk_digest(
     digest_rows(chunk, geom.runs_from(coord, k), k, tables)
 }
 
-/// `.apply`'s digest, memoised by chunk identity (DESIGN.md §13). A
-/// what-if result holds the input's own `Arc` for every chunk its
-/// scenario did not change, so most of its [`cell_digest`] partials were
-/// computed before. One entry per chunk position, keyed by origin cell
-/// (a grown axis renumbers chunk ids, never origins), keeps the chunk
-/// last digested there as a [`Weak`], which pins its address, with its
-/// cell count and partial. A pointer-equal chunk adds the stored pair;
-/// any other is hashed and replaces the entry. A base write installs a
-/// new `Arc`, so a hit needs no version key.
+/// `.apply`'s digest, memoised (DESIGN.md §13). A what-if result shares
+/// the input's chunk at every position its plan copies and holds the
+/// scenario cache's own `Arc` at every served one, so most of its
+/// [`cell_digest`] partials were computed before. The memo keeps each
+/// one with its cell count:
+///
+/// - a shared chunk by its [`olap_cube::ChunkVersion`]: one entry per
+///   base chunk, valid while the base pool's generation and flush epoch
+///   stand, which every base write moves. A hit reads nothing and
+///   survives the chunk's eviction from the base pool, and entries of
+///   scenarios toggled between never displace each other.
+/// - an own chunk (merged or cache-served) by identity: one entry per
+///   position, keyed by origin cell (a grown axis renumbers chunk ids,
+///   never origins), holding a [`Weak`] that pins its address, since a
+///   write installs a new `Arc`.
+///
+/// A shared chunk's partial is the base position's: a chunk is shared
+/// only at its own origin. Anything not matched is read, hashed and
+/// replaces its entry.
 #[derive(Default)]
 struct DigestMemo {
-    /// Origin cell → (chunk last digested there, its cells, its partial).
-    entries: Mutex<HashMap<Vec<u32>, (Weak<olap_store::Chunk>, u64, u64)>>,
+    entries: Mutex<Memo>,
+}
+
+#[derive(Default)]
+struct Memo {
+    /// Shared chunk (owning pool, id there) → (version, cells, partial).
+    shared: HashMap<(usize, olap_store::ChunkId), (olap_cube::ChunkVersion, u64, u64)>,
+    /// Origin cell → (own chunk last digested there, cells, partial).
+    own: HashMap<Vec<u32>, (Weak<olap_store::Chunk>, u64, u64)>,
 }
 
 impl DigestMemo {
-    /// [`cell_digest`] of `cube`, hashing only the chunks not found by
-    /// identity. Sessions digest concurrently, so the memo is locked only
-    /// to look up and to install; the hashing runs outside the lock.
+    /// [`cell_digest`] of `cube`, reading and hashing only the positions
+    /// the memo does not match. The shared positions' versions are taken
+    /// before any read, so a partial is never filed under a version
+    /// older than its cells. Sessions digest concurrently, so the memo is
+    /// locked only to look up and to install; reads and hashing run
+    /// outside the lock.
     fn digest(&self, cube: &olap_cube::Cube) -> olap_cube::Result<(u64, u64)> {
         let geom = cube.geometry();
-        let mut chunks = Vec::new();
+        let shared: HashMap<_, _> = cube.shared_versions().into_iter().collect();
+        let mut own = Vec::new();
         for id in cube.chunk_ids() {
-            let coord = geom.chunk_coord(id);
-            chunks.push((geom.chunk_origin(&coord), coord, cube.chunk(id)?));
+            if !shared.contains_key(&id) {
+                own.push((
+                    geom.chunk_origin(&geom.chunk_coord(id)),
+                    id,
+                    cube.chunk(id)?,
+                ));
+            }
         }
         let (mut count, mut digest) = (0u64, 0u64);
-        let mut misses = Vec::new();
+        let (mut shared_misses, mut own_misses) = (Vec::new(), Vec::new());
         {
-            let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-            for (origin, coord, chunk) in chunks {
-                match entries.get(&origin) {
+            let memo = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+            for (id, version) in shared {
+                match memo.shared.get(&version.chunk()) {
+                    Some(&(seen, cells, partial)) if seen == version => {
+                        count += cells;
+                        digest = digest.wrapping_add(partial);
+                    }
+                    _ => shared_misses.push((id, version)),
+                }
+            }
+            for (origin, id, chunk) in own {
+                match memo.own.get(&origin) {
                     Some((seen, cells, partial)) if seen.as_ptr() == Arc::as_ptr(&chunk) => {
                         count += cells;
                         digest = digest.wrapping_add(*partial);
                     }
-                    _ => misses.push((origin, coord, chunk)),
+                    _ => own_misses.push((origin, id, chunk)),
                 }
             }
         }
         let mut classes = SuffixClasses::new();
-        let fresh: Vec<_> = (misses.into_iter())
-            .map(|(origin, coord, chunk)| {
-                let cells = u64::from(chunk.present_count());
-                let partial = chunk_digest(geom, &coord, &chunk, &mut classes);
-                count += cells;
-                digest = digest.wrapping_add(partial);
+        let mut hash = |id, chunk: &olap_store::Chunk| {
+            let cells = u64::from(chunk.present_count());
+            let partial = chunk_digest(geom, &geom.chunk_coord(id), chunk, &mut classes);
+            count += cells;
+            digest = digest.wrapping_add(partial);
+            (cells, partial)
+        };
+        let mut fresh_shared = Vec::with_capacity(shared_misses.len());
+        for (id, version) in shared_misses {
+            let (cells, partial) = hash(id, &*cube.chunk(id)?);
+            fresh_shared.push((version.chunk(), (version, cells, partial)));
+        }
+        let fresh_own: Vec<_> = (own_misses.into_iter())
+            .map(|(origin, id, chunk)| {
+                let (cells, partial) = hash(id, &chunk);
                 (origin, (Arc::downgrade(&chunk), cells, partial))
             })
             .collect();
-        (self.entries.lock().unwrap_or_else(PoisonError::into_inner)).extend(fresh);
+        let mut memo = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        memo.shared.extend(fresh_shared);
+        memo.own.extend(fresh_own);
         Ok((count, digest))
     }
 }
@@ -1346,7 +1393,7 @@ mod tests {
                  scope: slots 1, 5, 6\n\
                  result: 1 × 1 grid, 1 non-⊥ cells\n\
                  executor: 2 pass(es), merge graph 2/1 (nodes/edges), predicted pebbles 2, \
-                 18 chunk reads, 0 cache chunks served\n",
+                 10 chunk reads, 8 chunks shared, 0 cache chunks served\n",
             ),
             (
                 positive,
@@ -1359,7 +1406,7 @@ mod tests {
                  scope: unscoped\n\
                  result: 2 × 1 grid, 1 non-⊥ cells\n\
                  executor: 1 pass(es), merge graph 4/3 (nodes/edges), predicted pebbles 2, \
-                 14 chunk reads, 0 cache chunks served\n",
+                 12 chunk reads, 2 chunks shared, 0 cache chunks served\n",
             ),
         ];
         for (query, expected) in cases {
@@ -1370,12 +1417,13 @@ mod tests {
             let r = report.expect("a scenario ran");
             let executor = format!(
                 "executor: {} pass(es), merge graph {}/{} (nodes/edges), predicted pebbles {}, \
-                 {} chunk reads, {} cache chunks served\n",
+                 {} chunk reads, {} chunks shared, {} cache chunks served\n",
                 r.passes,
                 r.graph_nodes,
                 r.graph_edges,
                 r.predicted_pebbles,
                 r.chunks_read,
+                r.chunks_shared,
                 r.cache_chunks_served,
             );
             assert!(expected.ends_with(&executor), "{executor}");
@@ -1920,27 +1968,78 @@ mod tests {
         assert_eq!((grid.len(), h.finish()), (11070, 0x2cbb_2fdc_fb99_854e));
     }
 
-    /// A derived cube keeps each chunk once: its pool never evicts, so a
-    /// bench apply whose result spans more chunks than a base cube's
-    /// default pool of 1024 frames is digested from resident frames alone.
+    /// A derived cube keeps each chunk once: its pool never evicts, and a
+    /// position it shares with the base costs that pool nothing. A bench
+    /// apply's result spans more chunks than a base cube's default pool
+    /// of 1024 frames; its digest hits the derived pool once per chunk it
+    /// holds, and once every shared position is copied on write, the
+    /// pool holds them all and is still digested from resident frames.
     #[test]
     fn a_derived_cube_keeps_its_chunks_once() {
         let s = Session::new(Dataset::Bench);
         let spec = PerspectiveSpec::new(
             s.varying_dim().unwrap(),
             [2, 5],
-            whatif_core::Semantics::Static,
+            whatif_core::Semantics::Forward,
             whatif_core::Mode::Visual,
         );
         let scenario = Scenario::Negative(spec);
-        let (out, _) =
+        let (out, r) =
             whatif_core::apply(s.shared().cube(), &scenario, None, &ExecOpts::default()).unwrap();
         let chunks = out.chunk_count() as u64;
-        assert!(chunks > 1024, "{chunks} output chunks");
-        cell_digest(&out).unwrap();
+        let own = chunks - r.chunks_shared;
+        assert!(
+            chunks > 1024 && own > 0 && r.chunks_shared > 0,
+            "{chunks} chunks, {r:?}"
+        );
+        let before = out.pool_stats();
+        let digest = cell_digest(&out).unwrap();
         let p = out.pool_stats();
         assert_eq!((p.evictions, p.misses), (0, 0), "{p:?}");
-        assert!(p.hits >= chunks, "{p:?}");
+        assert_eq!(p.delta(&before).hits, own, "{p:?}");
+
+        let shared = out.shared_versions();
+        assert_eq!(shared.len() as u64, r.chunks_shared);
+        let geom = out.geometry().clone();
+        for (id, _) in shared {
+            let cell = geom.chunk_origin(&geom.chunk_coord(id));
+            out.set(&cell, out.get(&cell).unwrap()).unwrap();
+        }
+        assert!(out.shared_versions().is_empty());
+        let before = out.pool_stats();
+        assert_eq!(cell_digest(&out).unwrap(), digest);
+        let p = out.pool_stats();
+        assert_eq!((p.evictions, p.misses), (0, 0), "{p:?}");
+        assert_eq!(p.delta(&before).hits, chunks, "{p:?}");
+    }
+
+    /// A warm A/B toggle reads nothing: once both forks' components are
+    /// cached and their digests memoised, a `.switch`/`.apply` round
+    /// leaves the base pool's hits and misses where they were — shared
+    /// chunks are digested by version, served ones by identity — and
+    /// replies exactly as the round before.
+    #[test]
+    fn a_warm_toggle_reads_nothing() {
+        let mut s = cached(Dataset::Bench);
+        let round = |s: &mut Session| -> Vec<Outcome> {
+            ["main", "alt"]
+                .iter()
+                .flat_map(|fork| [format!(".switch {fork}"), ".apply".to_string()])
+                .map(|line| s.handle(&line))
+                .collect()
+        };
+        s.handle(".apply forward 2,5");
+        s.handle(".fork alt");
+        s.handle(".apply backward 4,9");
+        let warm = round(&mut s);
+        assert!(
+            (warm.iter()).all(|o| matches!(o, Outcome::Continue(t) if !is_refusal(t))),
+            "{warm:?}"
+        );
+        let before = s.shared().cube().pool_stats();
+        assert_eq!(round(&mut s), warm);
+        let after = s.shared().cube().pool_stats();
+        assert_eq!(after.hits + after.misses, before.hits + before.misses);
     }
 
     #[test]

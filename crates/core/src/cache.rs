@@ -34,15 +34,21 @@
 //! entry leaves the cache is the global LRU byte bound (counted in
 //! [`CacheStats::evictions`]) or an explicit [`ScenarioCache::clear`].
 //!
-//! The LRU order is an ordered index on last-use ticks (a `BTreeMap`
-//! from unique tick to key), so eviction pops the oldest entry in
-//! `O(log n)` instead of scanning the whole map per victim.
+//! The LRU order is a queue of `(tick, key)` records in tick order. A
+//! touch gives the entry a fresh, maximal tick and appends its record,
+//! leaving the old one dead (its tick is no longer the entry's); eviction
+//! pops from the front, dropping dead records, so the victim is always
+//! the entry with the oldest tick — the order an ordered index on ticks
+//! gives. The queue is compacted to its live records once dead ones
+//! outnumber them, so a touch costs amortised `O(1)`, not the `O(log n)`
+//! remove and insert of an ordered index, which a warm replay pays for
+//! every key it is served.
 
 use crate::fingerprint::Fnv64;
 use crate::operators::relocate::{CellFate, DestMap};
 use olap_store::{Chunk, ChunkId};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -89,7 +95,7 @@ pub struct CacheStats {
 struct Entry {
     payload: Cached,
     bytes: usize,
-    /// The unique tick of this entry's slot in `Inner::lru`.
+    /// The unique tick of this entry's live record in `Inner::lru`.
     last_use: u64,
 }
 
@@ -100,22 +106,40 @@ type Key = (ChunkId, u64);
 #[derive(Debug, Default)]
 struct Inner {
     entries: HashMap<Key, Entry>,
-    /// Ordered LRU index: unique last-use tick → entry key. Eviction is
-    /// `pop_first()`; a touch moves the entry's tick to the maximum.
-    lru: BTreeMap<u64, Key>,
+    /// Recency queue, ticks ascending: one record per touch. A record is
+    /// live while its entry is resident with that tick as `last_use`.
+    lru: VecDeque<(u64, Key)>,
     bytes: usize,
     tick: u64,
 }
 
 impl Inner {
-    /// Assigns a fresh (maximal, unique) tick to `key`'s LRU slot.
-    fn touch(&mut self, key: Key) {
+    /// Assigns a fresh (maximal, unique) tick to resident `key` and
+    /// returns its payload.
+    fn touch(&mut self, key: Key) -> Cached {
         self.tick += 1;
-        let tick = self.tick;
         let e = self.entries.get_mut(&key).expect("touched key is resident");
-        let old = std::mem::replace(&mut e.last_use, tick);
-        self.lru.remove(&old);
-        self.lru.insert(tick, key);
+        e.last_use = self.tick;
+        let payload = e.payload.clone();
+        self.record(key);
+        payload
+    }
+
+    /// Appends resident `key`'s live record, its `last_use` being the
+    /// current tick. Compacts the queue to its live records once the dead
+    /// ones outnumber them (plus a floor), which keeps a touch amortised
+    /// `O(1)`.
+    fn record(&mut self, key: Key) {
+        self.lru.push_back((self.tick, key));
+        if self.lru.len() > 2 * self.entries.len() + 64 {
+            let entries = &self.entries;
+            (self.lru).retain(|&(tick, key)| Self::live(entries, tick, key));
+        }
+    }
+
+    /// Whether the record `(tick, key)` is `key`'s current one.
+    fn live(entries: &HashMap<Key, Entry>, tick: u64, key: Key) -> bool {
+        entries.get(&key).is_some_and(|e| e.last_use == tick)
     }
 }
 
@@ -190,11 +214,7 @@ impl ScenarioCache {
         if !keys.iter().all(|key| inner.entries.contains_key(key)) {
             return None;
         }
-        let mut out = Vec::with_capacity(keys.len());
-        for &key in keys {
-            inner.touch(key);
-            out.push(inner.entries[&key].payload.clone());
-        }
+        let out: Vec<Cached> = keys.iter().map(|&key| inner.touch(key)).collect();
         self.hits.fetch_add(keys.len() as u64, Ordering::Relaxed);
         Some(out)
     }
@@ -206,30 +226,36 @@ impl ScenarioCache {
         let bytes = payload.bytes();
         let key = (id, digest);
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
         if let Some(old) = inner.entries.remove(&key) {
+            // Its record dies with it: no resident entry carries its tick.
             inner.bytes -= old.bytes;
-            inner.lru.remove(&old.last_use);
         }
         inner.bytes += bytes;
+        inner.tick += 1;
+        let last_use = inner.tick;
         inner.entries.insert(
             key,
             Entry {
                 payload,
                 bytes,
-                last_use: tick,
+                last_use,
             },
         );
-        inner.lru.insert(tick, key);
+        inner.record(key);
         let mut evicted = 0u64;
         // The entry just inserted holds the maximal tick, so popping the
         // front never evicts it while anything else is resident.
         while inner.bytes > self.capacity && inner.entries.len() > 1 {
-            let Some((_, victim)) = inner.lru.pop_first() else {
+            let Some((tick, victim)) = inner.lru.pop_front() else {
                 break;
             };
-            let e = inner.entries.remove(&victim).expect("lru tracks entries");
+            if !Inner::live(&inner.entries, tick, victim) {
+                continue;
+            }
+            let e = inner
+                .entries
+                .remove(&victim)
+                .expect("a live record is resident");
             inner.bytes -= e.bytes;
             evicted += 1;
         }
@@ -452,19 +478,78 @@ mod tests {
 
     #[test]
     fn lru_index_stays_consistent_under_churn() {
-        // The ordered index and the entry map must agree at all times —
-        // this is the invariant the O(log n) eviction rests on.
+        // The recency queue and the entry map must agree at all times —
+        // this is the invariant eviction order rests on. Enough rounds
+        // of lookups that dead records pile up and the queue compacts.
         let cache = ScenarioCache::new(4096);
-        for round in 0..50u64 {
+        for round in 0..600u64 {
             cache.insert(ChunkId(round % 7), round % 3, Cached::Chunk(chunk()));
-            let _ = cache.lookup_component(&[(ChunkId(round % 5), round % 3)]);
-            let inner = cache.inner.lock();
-            assert_eq!(inner.entries.len(), inner.lru.len());
-            for (tick, key) in &inner.lru {
-                assert_eq!(inner.entries[key].last_use, *tick);
+            for k in 0..3 {
+                let _ = cache.lookup_component(&[(ChunkId((round + k) % 5), round % 3)]);
             }
+            let inner = cache.inner.lock();
+            let live: Vec<Key> = (inner.lru.iter())
+                .filter(|&&(tick, key)| Inner::live(&inner.entries, tick, key))
+                .map(|&(_, key)| key)
+                .collect();
+            // Every resident entry has exactly one live record, carrying
+            // its tick, and no live record names a non-resident entry.
+            assert_eq!(live.len(), inner.entries.len());
+            for (key, e) in &inner.entries {
+                let records = (inner.lru.iter()).filter(|&&(_, k)| k == *key);
+                assert_eq!(records.filter(|&&(t, _)| t == e.last_use).count(), 1);
+            }
+            assert!(live.iter().all(|key| inner.entries.contains_key(key)));
+            assert!((inner.lru.iter().zip(inner.lru.iter().skip(1))).all(|(a, b)| a.0 < b.0));
+            assert!(inner.lru.len() <= 2 * inner.entries.len() + 64 + 1);
             let tracked: usize = inner.entries.values().map(|e| e.bytes).sum();
             assert_eq!(tracked, inner.bytes);
+        }
+    }
+
+    #[test]
+    fn eviction_order_matches_a_reference_lru() {
+        // A plain recency list, most recent last: the victim is always
+        // its front. Random inserts (some replacing) and component
+        // lookups must leave exactly the model's keys resident.
+        let per_entry = Cached::Chunk(chunk()).bytes();
+        let cache = ScenarioCache::new(4096);
+        let fits = cache.capacity() / per_entry;
+        let mut model: Vec<Key> = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..2000 {
+            let key = (ChunkId(next(9)), next(4));
+            if next(3) == 0 {
+                cache.insert(key.0, key.1, Cached::Chunk(chunk()));
+                model.retain(|&k| k != key);
+                model.push(key);
+                while model.len() > fits {
+                    model.remove(0);
+                }
+            } else {
+                let other = (ChunkId(next(9)), next(4));
+                let keys = [key, other];
+                let hit = cache.lookup_component(&keys).is_some();
+                assert_eq!(hit, keys.iter().all(|k| model.contains(k)));
+                if hit {
+                    for k in keys {
+                        model.retain(|&m| m != k);
+                        model.push(k);
+                    }
+                }
+            }
+            let inner = cache.inner.lock();
+            let mut resident: Vec<Key> = inner.entries.keys().copied().collect();
+            let mut want = model.clone();
+            resident.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(resident, want);
         }
     }
 }

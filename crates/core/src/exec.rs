@@ -57,10 +57,15 @@ pub struct ExecReport {
     pub predicted_pebbles: usize,
     /// Observed peak number of simultaneously live output buffers.
     pub peak_out_buffers: u64,
-    /// Chunk reads against the input (pool hits included). Copied chunks
-    /// are read once; the paper's per-perspective re-merging repeats
-    /// reads only of merge-graph and residue chunks.
+    /// Chunk reads against the input (pool hits included): the merge-graph
+    /// and residue chunks each pass reads, which the paper's
+    /// per-perspective re-merging repeats. A copied chunk is shared, not
+    /// read (`chunks_shared`).
     pub chunks_read: u64,
+    /// Output positions that share the input's chunk instead of reading
+    /// it: every copied label's chunks, recorded by the first pass. The
+    /// result reads them through the input's pool when it is read.
+    pub chunks_shared: u64,
     /// Cells that moved between instances.
     pub cells_relocated: u64,
     /// Cells dropped (their instance is inactive in the output).
@@ -342,19 +347,21 @@ impl Run<'_> {
                 .then(|| geom.chunk_id(coord))
                 .filter(|&id| self.cube.chunk_exists(id));
             let out_id = (label < out_geom.grid()[vd]).then(|| out_geom.chunk_id(coord));
+            let role = pass.roles[label as usize];
+            // Copy-through (first pass only; untouched by any pass of the
+            // plan, and one shape in both geometries): the output shares
+            // the input's chunk, unread.
+            if let (Role::Copy, Some(id)) = (role, input) {
+                let out_id = out_id.expect("a copied label is in both geometries");
+                out.share_chunk(out_id, self.cube, id);
+                report.chunks_shared += 1;
+                continue;
+            }
             if input.is_some() {
                 report.chunks_read += 1;
             }
-            let node = match (pass.roles[label as usize], input) {
+            let node = match (role, input) {
                 (Role::Merge(node), _) => node,
-                // Copy-through (first pass only; untouched by any pass of
-                // the plan, and one shape in both geometries): the output
-                // holds the input's own chunk.
-                (Role::Copy, Some(id)) => {
-                    let out_id = out_id.expect("a copied label is in both geometries");
-                    out.put_chunk(out_id, self.cube.chunk(id)?)?;
-                    continue;
-                }
                 // Residue: keep exactly the cells this pass owns. None of
                 // them moves, so scattering fills this chunk's own buffer.
                 (Role::Residue, Some(id)) => {
@@ -594,10 +601,12 @@ mod tests {
     }
 
     /// The Fig. 11 mechanism, counted exactly: per-perspective passes
-    /// repeat reads only of what they re-merge. Pass 1 reads every input
-    /// chunk once; a later pass reads only labels of the full merge graph
-    /// (its own graph and its residue), never one pass 1 copied through.
-    /// With no merge at all, a k-pass run reads each chunk exactly once.
+    /// repeat reads only of what they re-merge. Pass 1 visits every input
+    /// chunk once, reading what it merges or keeps as residue and sharing
+    /// what it copies; a later pass reads only labels of the full merge
+    /// graph (its own graph and its residue), never one pass 1 copied
+    /// through. With no merge at all, a k-pass run shares every chunk and
+    /// reads none.
     #[test]
     fn later_passes_read_only_merge_graph_labels() {
         let (cube, prod) = fixture();
@@ -619,7 +628,12 @@ mod tests {
                 None,
             );
             let (_, report) = run_plan(&cube, &plan);
-            let mut want = ids.len();
+            let copied = (0..plan.pass_plans[0].roles.len())
+                .filter(|&l| plan.pass_plans[0].roles[l] == Role::Copy)
+                .map(chunks_at)
+                .sum::<usize>();
+            assert_eq!(report.chunks_shared, copied as u64, "{p:?}");
+            let mut want = ids.len() - copied;
             for pass in &plan.pass_plans[1..] {
                 for (l, &role) in pass.roles.iter().enumerate() {
                     if role != Role::Skip {
@@ -632,7 +646,7 @@ mod tests {
             assert_eq!(report.chunks_read, want as u64, "{p:?}");
             reads.push(report.chunks_read);
         }
-        assert_eq!(reads, [34, 46, 34], "merges 24, 12, 0");
+        assert_eq!(reads, [22, 24, 0], "merges 24, 12, 0");
 
         let map = DestMap::identity(cube.schema().axis_len(prod), 6);
         let passes = (0..3).map(|i| map.restrict(|_, t| t % 3 == i)).collect();
@@ -640,7 +654,10 @@ mod tests {
         let (got, report) = run_plan(&cube, &plan);
         assert!(got.same_cells(&cube).unwrap());
         assert_eq!((report.passes, report.merges), (3, 0));
-        assert_eq!(report.chunks_read, ids.len() as u64);
+        assert_eq!(
+            (report.chunks_read, report.chunks_shared),
+            (0, ids.len() as u64)
+        );
     }
 
     /// A result shares every chunk it did not compute: a copied label's

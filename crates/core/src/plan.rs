@@ -100,9 +100,10 @@ pub(crate) enum Role {
     /// Not read.
     Skip,
     /// Kept, with no merge or drop under the full plan and one shape in
-    /// both geometries: the first pass installs the input's chunk itself
-    /// (the output shares its `Arc`), and every later pass skips it, since
-    /// that chunk already holds every cell a later pass owns there.
+    /// both geometries: the first pass records the position as sharing
+    /// the input's chunk (`Cube::share_chunk`, no read), and every later
+    /// pass skips it, since that chunk already holds every cell a later
+    /// pass owns there.
     Copy,
     /// Holds cells this pass owns but neither merges nor copies: a label
     /// of the full merge graph outside this pass's graph (say an instance

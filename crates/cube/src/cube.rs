@@ -6,6 +6,7 @@ use crate::Result;
 use olap_store::{
     BufferPool, CellValue, Chunk, ChunkGeometry, ChunkId, FileStore, MemStore, PoolStats,
 };
+use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -123,7 +124,8 @@ impl CubeBuilder {
         Ok(Cube {
             schema: self.schema,
             geometry: self.geometry,
-            pool: BufferPool::new(store, self.pool_capacity),
+            pool: Arc::new(BufferPool::new(store, self.pool_capacity)),
+            shared: RwLock::default(),
             rules: self.rules,
             dense_threshold: self.dense_threshold,
         })
@@ -135,13 +137,48 @@ impl CubeBuilder {
 /// Cells not explicitly stored are ⊥. Reads and writes go through an
 /// internal [`BufferPool`], which also decides which chunks exist; the
 /// pool (its store, generation and statistics) is reachable via
-/// [`Cube::with_pool`].
+/// [`Cube::with_pool`]. A derived cube may also *share* positions with
+/// another cube ([`Cube::share_chunk`]): such a position is read through
+/// the pool that owns its chunk, at read time, and a write to it lands
+/// in this cube's own pool only.
 pub struct Cube {
     schema: Arc<Schema>,
     geometry: ChunkGeometry,
-    pool: BufferPool,
+    pool: Arc<BufferPool>,
+    /// Shared positions by chunk id here: what each one reads.
+    shared: RwLock<BTreeMap<ChunkId, SharedChunk>>,
     rules: RuleSet,
     dense_threshold: f64,
+}
+
+/// A position read through another cube's pool: the pool that owns the
+/// chunk, and the chunk's id there.
+#[derive(Clone)]
+struct SharedChunk {
+    pool: Arc<BufferPool>,
+    id: ChunkId,
+}
+
+/// What a shared position reads, named without reading it: the pool
+/// that owns the chunk (by address), the chunk's id there, and that
+/// pool's [`BufferPool::generation`] and store flush epoch when
+/// [`Cube::shared_versions`] was called. Every base write that can
+/// change what the read returns moves one of the two: a `put` the
+/// generation, a commit or a replicated apply the epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ChunkVersion {
+    owner: usize,
+    id: ChunkId,
+    generation: u64,
+    epoch: u64,
+}
+
+impl ChunkVersion {
+    /// The chunk the version is of, whatever its version: the owning
+    /// pool (by address) and the chunk's id there.
+    pub fn chunk(&self) -> (usize, ChunkId) {
+        (self.owner, self.id)
+    }
 }
 
 impl std::fmt::Debug for Cube {
@@ -183,54 +220,120 @@ impl Cube {
     pub fn get(&self, cell: &[u32]) -> Result<CellValue> {
         self.geometry.check_cell(cell)?;
         let (id, off) = self.geometry.split_cell(cell);
-        let pool = &self.pool;
-        if !pool.contains(id) {
-            return Ok(CellValue::Null);
-        }
-        let chunk = pool.get(id)?;
-        Ok(chunk.get(off))
+        Ok(self
+            .read(id)?
+            .map_or(CellValue::Null, |chunk| chunk.get(off)))
     }
 
     /// Writes a leaf cell (read-modify-write of its chunk). Not atomic
     /// against concurrent `set` calls on the same chunk; writers should
-    /// be externally serialized (the parallel executors only read).
+    /// be externally serialized (the parallel executors only read). A
+    /// shared position is copied on write: the cell's new chunk goes to
+    /// this cube's pool, and the owner's chunk is left as it was.
     pub fn set(&self, cell: &[u32], v: CellValue) -> Result<()> {
         self.geometry.check_cell(cell)?;
         let (id, off) = self.geometry.split_cell(cell);
-        let pool = &self.pool;
-        let mut chunk = if pool.contains(id) {
-            (*pool.get(id)?).clone()
-        } else {
-            Chunk::new_dense(self.geometry.chunk_shape(&self.geometry.chunk_coord(id)))
+        let mut chunk = match self.read(id)? {
+            Some(chunk) => (*chunk).clone(),
+            None => Chunk::new_dense(self.geometry.chunk_shape(&self.geometry.chunk_coord(id))),
         };
         chunk.set(off, v);
-        pool.put(id, Arc::new(chunk))?;
-        Ok(())
+        self.install(id, Arc::new(chunk))
     }
 
     /// Fetches a chunk by id; missing chunks come back as all-⊥.
     pub fn chunk(&self, id: ChunkId) -> Result<Arc<Chunk>> {
-        let pool = &self.pool;
-        if !pool.contains(id) {
+        Ok(self.read(id)?.unwrap_or_else(|| {
             let shape = self.geometry.chunk_shape(&self.geometry.chunk_coord(id));
-            return Ok(Arc::new(Chunk::new_dense(shape)));
-        }
-        Ok(pool.get(id)?)
+            Arc::new(Chunk::new_dense(shape))
+        }))
+    }
+
+    /// The chunk at `id`, or `None` if it is not materialized: one pool
+    /// call, to the owner's pool for a shared position and to this
+    /// cube's own otherwise.
+    fn read(&self, id: ChunkId) -> Result<Option<Arc<Chunk>>> {
+        let shared = self.shared.read().get(&id).cloned();
+        Ok(match shared {
+            Some(at) => Some(at.pool.get(at.id)?),
+            None => self.pool.get_present(id)?,
+        })
+    }
+
+    /// Puts `chunk` in this cube's own pool at `id`, which stops sharing
+    /// that position (after the put, so a reader never finds it absent).
+    fn install(&self, id: ChunkId, chunk: Arc<Chunk>) -> Result<()> {
+        self.pool.put(id, chunk)?;
+        self.shared.write().remove(&id);
+        Ok(())
     }
 
     /// Whether a chunk is materialized.
     pub fn chunk_exists(&self, id: ChunkId) -> bool {
-        self.pool.contains(id)
+        self.shared.read().contains_key(&id) || self.pool.contains(id)
     }
 
-    /// Ids of all materialized chunks, flushed or not, ascending.
+    /// Ids of all materialized chunks, flushed or not, shared or own,
+    /// ascending.
     pub fn chunk_ids(&self) -> Vec<ChunkId> {
-        self.pool.ids()
+        let mut ids = self.pool.ids();
+        let shared = self.shared.read();
+        if !shared.is_empty() {
+            ids.extend(shared.keys());
+            ids.sort_unstable();
+            ids.dedup();
+        }
+        ids
     }
 
     /// Number of materialized chunks.
     pub fn chunk_count(&self) -> usize {
-        self.pool.ids().len()
+        self.chunk_ids().len()
+    }
+
+    /// Makes position `id` read as `from`'s chunk at `from_id`, which
+    /// must exist there, without reading it: every later read resolves
+    /// through the pool that owns that chunk (`from`'s own, or the one
+    /// `from` shares it with), so a write to the base between this call
+    /// and a read shows in that read. Nothing is put in this cube's
+    /// pool; a write here copies on write ([`Cube::set`],
+    /// [`Cube::put_chunk`]) and never reaches the owner.
+    pub fn share_chunk(&self, id: ChunkId, from: &Cube, from_id: ChunkId) {
+        let owner = (from.shared.read().get(&from_id).cloned()).unwrap_or_else(|| SharedChunk {
+            pool: Arc::clone(&from.pool),
+            id: from_id,
+        });
+        self.shared.write().insert(id, owner);
+    }
+
+    /// Every shared position with its [`ChunkVersion`], ascending by id
+    /// here. Each owning pool's generation and flush epoch are read once,
+    /// before the call returns, so a caller that reads a chunk afterwards
+    /// reads it at that version or a later one.
+    pub fn shared_versions(&self) -> Vec<(ChunkId, ChunkVersion)> {
+        let shared = self.shared.read();
+        let mut owners: Vec<(usize, u64, u64)> = Vec::new();
+        let mut versions = Vec::with_capacity(shared.len());
+        for (&here, at) in shared.iter() {
+            let owner = Arc::as_ptr(&at.pool) as usize;
+            let (generation, epoch) = match owners.iter().find(|o| o.0 == owner) {
+                Some(&(_, generation, epoch)) => (generation, epoch),
+                None => {
+                    let generation = at.pool.generation();
+                    let epoch = at.pool.store().flush_epoch();
+                    owners.push((owner, generation, epoch));
+                    (generation, epoch)
+                }
+            };
+            let version = ChunkVersion {
+                owner,
+                id: at.id,
+                generation,
+                epoch,
+            };
+            versions.push((here, version));
+        }
+        versions
     }
 
     /// Runs a closure with access to the (thread-safe) buffer pool
@@ -286,7 +389,8 @@ impl Cube {
         Ok(Cube {
             schema,
             geometry,
-            pool: BufferPool::new(Box::new(MemStore::new()), usize::MAX),
+            pool: Arc::new(BufferPool::new(Box::new(MemStore::new()), usize::MAX)),
+            shared: RwLock::default(),
             rules: self.rules.clone(),
             dense_threshold: self.dense_threshold,
         })
@@ -310,13 +414,13 @@ impl Cube {
     /// Writes a whole chunk (used by the chunked executors). An owned
     /// chunk is compacted, then wrapped; a shared one — another cube's
     /// `Arc` — is installed as it is, so both cubes hold one allocation.
+    /// A shared position stops being shared.
     pub fn put_chunk(&self, id: ChunkId, chunk: impl Into<Arc<Chunk>>) -> Result<()> {
         let mut chunk = chunk.into();
         if let Some(owned) = Arc::get_mut(&mut chunk) {
             owned.compact(self.dense_threshold);
         }
-        self.pool.put(id, chunk)?;
-        Ok(())
+        self.install(id, chunk)
     }
 
     /// Flushes dirty pool frames to the backing store.
@@ -446,6 +550,42 @@ mod tests {
         assert_eq!(cube.get(&[2, 1]).unwrap(), CellValue::Num(9.0));
         assert!(cube.with_pool(|p| p.store().stats().bytes_written()) > 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_write_to_a_shared_position_copies_on_write() {
+        let mut b = Cube::builder(small_schema(), vec![2, 2]).unwrap();
+        b.set_num(&[0, 0], 1.0).unwrap();
+        b.set_num(&[3, 2], 2.0).unwrap();
+        let base = b.finish().unwrap();
+        let view = base.empty_for_schema(Arc::clone(base.schema())).unwrap();
+        for id in base.chunk_ids() {
+            view.share_chunk(id, &base, id);
+        }
+        assert!(view.same_cells(&base).unwrap());
+        assert_eq!(view.shared_versions().len(), 2);
+        let generation = base.with_pool(|p| p.generation());
+        view.set(&[0, 1], CellValue::num(5.0)).unwrap();
+        view.set(&[0, 0], CellValue::num(7.0)).unwrap();
+        // The base keeps its cells and its version; the view holds the
+        // written chunk itself and still shares the other.
+        assert_eq!(base.get(&[0, 0]).unwrap(), CellValue::Num(1.0));
+        assert_eq!(base.get(&[0, 1]).unwrap(), CellValue::Null);
+        assert_eq!(base.with_pool(|p| p.generation()), generation);
+        assert_eq!(view.get(&[0, 0]).unwrap(), CellValue::Num(7.0));
+        assert_eq!(view.get(&[0, 1]).unwrap(), CellValue::Num(5.0));
+        assert_eq!(view.get(&[3, 2]).unwrap(), CellValue::Num(2.0));
+        assert_eq!(view.shared_versions().len(), 1);
+        assert_eq!(view.chunk_ids(), base.chunk_ids());
+        // A whole-chunk write stops sharing the last position too.
+        let id = view.shared_versions()[0].0;
+        let shape = view
+            .geometry()
+            .chunk_shape(&view.geometry().chunk_coord(id));
+        view.put_chunk(id, Chunk::new_dense(shape)).unwrap();
+        assert!(view.shared_versions().is_empty());
+        assert_eq!(base.get(&[3, 2]).unwrap(), CellValue::Num(2.0));
+        assert_eq!(base.with_pool(|p| p.generation()), generation);
     }
 
     #[test]

@@ -227,12 +227,20 @@ impl BufferPool {
     /// (`StoreError::Io`) failures; deterministic failures (`Corrupt`,
     /// `MissingChunk`, …) propagate immediately. Counts every retry in
     /// `retries` and the final failure — missing chunks excepted — in
-    /// `read_errors`.
-    fn read_with_retry(&self, id: ChunkId) -> Result<Chunk> {
+    /// `read_errors`. With `absent_ok`, a chunk the store does not hold
+    /// is `Ok(None)`, decided under the read's own store lock.
+    fn read_with_retry(&self, id: ChunkId, absent_ok: bool) -> Result<Option<Chunk>> {
         let mut attempt = 0u32;
         loop {
-            match self.store.read().read(id) {
-                Ok(c) => return Ok(c),
+            let read = {
+                let store = self.store.read();
+                if absent_ok && !store.contains(id) {
+                    return Ok(None);
+                }
+                store.read(id)
+            };
+            match read {
+                Ok(c) => return Ok(Some(c)),
                 Err(StoreError::Io(_)) if attempt < READ_RETRIES => {
                     attempt += 1;
                     self.retries.fetch_add(1, Ordering::Relaxed);
@@ -383,6 +391,20 @@ impl BufferPool {
     /// in-flight and later threads wait on the shard's condvar, turning
     /// their requests into hits once the frame is admitted.
     pub fn get(&self, id: ChunkId) -> Result<Arc<Chunk>> {
+        let chunk = self.fetch(id, false)?;
+        Ok(chunk.expect("a read that may not be absent returns a chunk or errs"))
+    }
+
+    /// [`BufferPool::get`] of a chunk that may not exist: `None` where
+    /// [`BufferPool::contains`] would say `false`, with no hit or miss
+    /// counted. One call replaces `contains` then `get`: a hit takes its
+    /// shard lock once, and a miss asks the store under the read's own
+    /// store lock.
+    pub fn get_present(&self, id: ChunkId) -> Result<Option<Arc<Chunk>>> {
+        self.fetch(id, true)
+    }
+
+    fn fetch(&self, id: ChunkId, absent_ok: bool) -> Result<Option<Arc<Chunk>>> {
         let slot = &self.shards[shard_of(id)];
         {
             let mut sh = slot.shard.lock();
@@ -390,7 +412,7 @@ impl BufferPool {
                 if let Some(f) = sh.frames.get_mut(&id) {
                     f.last_use = self.next_tick();
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(&f.chunk));
+                    return Ok(Some(Arc::clone(&f.chunk)));
                 }
                 if !sh.evicting.contains(&id) && sh.in_flight.insert(id) {
                     break; // this thread performs the read
@@ -406,8 +428,8 @@ impl BufferPool {
         // this thread still owns the in-flight slot; on final failure
         // the slot is cleared and waiters are woken below, so they
         // re-enter the miss path and retry instead of hanging.
-        let read = self.read_with_retry(id);
-        let room = if read.is_ok() {
+        let read = self.read_with_retry(id, absent_ok);
+        let room = if matches!(read, Ok(Some(_))) {
             self.make_room()
         } else {
             Ok(())
@@ -416,7 +438,8 @@ impl BufferPool {
         sh.in_flight.remove(&id);
         slot.read_done.notify_all();
         let chunk = match read {
-            Ok(c) => Arc::new(c),
+            Ok(Some(c)) => Arc::new(c),
+            Ok(None) => return Ok(None),
             Err(e) => return Err(e),
         };
         room?;
@@ -442,7 +465,7 @@ impl BufferPool {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         f.last_use = self.next_tick();
-        Ok(Arc::clone(&f.chunk))
+        Ok(Some(Arc::clone(&f.chunk)))
     }
 
     /// Replaces a chunk's contents (write-through is deferred until

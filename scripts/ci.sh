@@ -119,11 +119,18 @@ step "gates run by name"
 # within it above. The next holds E to Definition 4.6: the product's
 # `CellEvaluator` equals the definitional oracle's E bit for bit at
 # every selector, over all five semantics, visual and non-visual. The
-# last two hold a result's sharing of what it did not change: copied
+# last five hold a result's sharing of what it did not change: copied
 # and cache-served output chunks are the input's and the cache's own
-# `Arc`s, and `.apply`'s digest memo, which finds partials by chunk
-# identity, equals the full digest cold and warm, across positive and
-# negative scenarios and base writes committed by a second session.
+# `Arc`s; `.apply`'s digest memo, which finds shared partials by the
+# base chunk's version and own ones by identity, equals the full digest
+# cold and warm, across positive and negative scenarios and base writes
+# committed by a second session; a result whose copied positions
+# reference the input, unread, equals the definitional oracle over
+# every semantics and k = 1–4 on the bench cube (a pool smaller than
+# the cube) and on random chunkings; a warm A/B toggle reads nothing
+# from the base pool and replies as before; and a follower's `.apply`
+# after a shipped commit, which moves only its store's flush epoch,
+# equals the leader's. Twenty-eight gates in all.
 gate() { # gate "<cargo test target args>" <exact test name>
     out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
     case "$out" in
@@ -156,6 +163,9 @@ gate "-p polap-cli --lib" tests::rollup_respects_the_session_budget
 gate "-p whatif-integration-tests --test oracle" product_e_matches_the_definitional_e
 gate "-p whatif-core --lib" exec::tests::copies_and_cache_hits_share_their_chunks
 gate "-p whatif-integration-tests --test cell_digest" apply_digest_memo_matches_the_full_digest
+gate "-p whatif-integration-tests --test cell_digest" shared_results_equal_the_oracle
+gate "-p polap-cli --lib" tests::a_warm_toggle_reads_nothing
+gate "-p whatif-integration-tests --test replication" a_follower_apply_after_a_shipped_commit_matches_the_leader
 
 step "corruption smoke test"
 # One flipped payload byte never becomes garbage cells. Flipped while

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 use std::sync::Arc;
 use whatif_core::{Change, ExecOpts, Mode, PerspectiveSpec, Scenario};
-use whatif_integration_tests::random_warehouse;
+use whatif_integration_tests::{all_semantics, oracle_result, random_warehouse};
 
 /// The digest as it was computed before the row kernel, kept verbatim
 /// as the oracle: one FNV-1a hash per present cell over its coordinates
@@ -394,4 +394,43 @@ fn semantics(name: &str) -> whatif_core::Semantics {
         "backward" => Backward,
         _ => ExtendedBackward,
     }
+}
+
+/// A result that shares the input's unchanged chunks reads as the
+/// definitional perspective cube: over every semantics and k = 1–4 on
+/// the bench cube (memory backend, a pool smaller than the cube, so
+/// shared chunks are evicted from under the result and read back) and
+/// on random varying cubes with random chunk extents.
+#[test]
+fn shared_results_equal_the_oracle() {
+    let bench = SharedData::load(Dataset::Bench);
+    let mut cubes: Vec<(String, &Cube)> = vec![("bench".into(), bench.cube())];
+    let random: Vec<Cube> = (0..6).map(random_varying_cube).collect();
+    cubes.extend((random.iter().enumerate()).map(|(i, c)| (format!("random {i}"), c)));
+    let mut rng = StdRng::seed_from_u64(51);
+    let mut shared = 0;
+    for (name, cube) in cubes {
+        let schema = cube.schema();
+        let dim = (schema.dim_ids())
+            .find(|&d| schema.varying(d).is_some())
+            .unwrap();
+        let moments = schema.varying(dim).unwrap().moments();
+        for sem in all_semantics() {
+            for k in 1..=4.min(moments) {
+                let mut p: Vec<u32> = (0..moments).collect();
+                while p.len() > k as usize {
+                    p.remove(rng.random_range(0..p.len()));
+                }
+                let spec = PerspectiveSpec::new(dim, p.clone(), sem, Mode::Visual);
+                let scenario = Scenario::Negative(spec);
+                let (got, report) =
+                    whatif_core::apply(cube, &scenario, None, &ExecOpts::default()).unwrap();
+                let (want, _) = oracle_result(cube, &scenario);
+                assert!(got.same_cells(&want).unwrap(), "{name}: {sem:?} {p:?}");
+                assert_eq!(got.shared_versions().len() as u64, report.chunks_shared);
+                shared += report.chunks_shared;
+            }
+        }
+    }
+    assert!(shared > 0, "no result shared a chunk");
 }

@@ -445,3 +445,80 @@ fn leader_and_follower_servers_converge_and_serve_reads() {
     cleanup(&lpath);
     cleanup(&fpath);
 }
+
+/// The `.apply` digest memo names a shared base chunk by the base pool's
+/// generation and flush epoch. A follower installs shipped commits with
+/// `apply_replicated` and `BufferPool::clear`, never `put`, so only the
+/// epoch tells its memo the base moved. After a commit that writes a
+/// chunk the follower's last `.apply` shared, its next `.apply` must
+/// answer what the leader answers, not the memoised digest.
+#[test]
+fn a_follower_apply_after_a_shipped_commit_matches_the_leader() {
+    let lpath = tmp("memo-leader");
+    let fpath = tmp("memo-follower");
+    cleanup(&lpath);
+    cleanup(&fpath);
+    let leader_shared = Arc::new(
+        SharedData::load_with_backend(Dataset::Bench, StoreBackend::File(lpath.clone())).unwrap(),
+    );
+    enable_replication(&leader_shared).expect("file-backed leader");
+    std::fs::copy(&lpath, &fpath).unwrap();
+    let cfg = ServerConfig {
+        drain_grace_ms: 200,
+        ..ServerConfig::default()
+    };
+    let leader_srv = Server::start(leader_shared.clone(), "127.0.0.1:0", cfg.clone()).unwrap();
+    let follower_shared = Arc::new(
+        SharedData::load_with_backend(Dataset::Bench, StoreBackend::Attach(fpath.clone())).unwrap(),
+    );
+    let follower = Follower::start(follower_shared, "127.0.0.1:0", cfg, leader_srv.addr()).unwrap();
+    let mut fc = Client::connect(follower.addr()).unwrap();
+    let line = ".apply forward 1,3";
+    let leader_reply = || match Session::attach(leader_shared.clone()).handle(line) {
+        Outcome::Continue(t) => t,
+        other => panic!("unexpected outcome {other:?}"),
+    };
+    let before = leader_reply();
+    for _ in 0..2 {
+        assert_eq!(fc.request(line).unwrap(), (STATUS_OK, before.clone()));
+    }
+
+    // Write the origin cell of a chunk that reply's result shares with
+    // the base, and commit it.
+    let cube = leader_shared.cube();
+    let schema = cube.schema();
+    let dim = (schema.dim_ids())
+        .find(|&d| schema.varying(d).is_some())
+        .unwrap();
+    let spec = whatif_core::PerspectiveSpec::new(
+        dim,
+        [1, 3],
+        whatif_core::Semantics::Forward,
+        whatif_core::Mode::Visual,
+    );
+    let scenario = whatif_core::Scenario::Negative(spec);
+    let (out, _) =
+        whatif_core::apply(cube, &scenario, None, &whatif_core::ExecOpts::default()).unwrap();
+    let (id, _) = out.shared_versions()[0];
+    let cell = cube
+        .geometry()
+        .chunk_origin(&cube.geometry().chunk_coord(id));
+    cube.set(&cell, olap_store::CellValue::num(4242.0)).unwrap();
+    cube.flush().unwrap();
+    let target = leader_position(&leader_shared);
+    let t0 = Instant::now();
+    while follower.position() < target {
+        assert!(!follower.is_dead(), "{:?}", follower.state().last_error());
+        assert!(t0.elapsed() < Duration::from_secs(20), "follower stuck");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let after = leader_reply();
+    assert_ne!(after, before, "the write moves a shared chunk's cells");
+    assert_eq!(fc.request(line).unwrap(), (STATUS_OK, after));
+    assert_eq!(fc.request(".quit").unwrap().0, STATUS_QUIT);
+    follower.shutdown();
+    leader_srv.shutdown();
+    cleanup(&lpath);
+    cleanup(&fpath);
+}

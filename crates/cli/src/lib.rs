@@ -548,7 +548,8 @@ impl Session {
             ),
         };
         let (out, report) = whatif_core::apply(self.shared.cube(), scenario, None, opts)?;
-        let (count, digest) = self.shared.digests.digest(&out)?;
+        let base = self.shared.cube();
+        let (count, digest) = self.shared.digests.digest(base, &out, &opts.bounds)?;
         let passes = report.passes;
         Ok(format!(
             "applied {label}: {count} cells, digest {digest:016x}, {passes} pass(es)",
@@ -756,16 +757,16 @@ fn chunk_digest(
 }
 
 /// `.apply`'s digest, memoised (DESIGN.md §13). A what-if result shares
-/// the input's chunk at every position its plan copies and holds the
+/// the base's chunk at every position its plan copies and holds the
 /// scenario cache's own `Arc` at every served one, so most of its
 /// [`cell_digest`] partials were computed before. The memo keeps each
 /// one with its cell count:
 ///
-/// - a shared chunk by its [`olap_cube::ChunkVersion`]: one entry per
-///   base chunk, valid while the base pool's generation and flush epoch
-///   stand, which every base write moves. A hit reads nothing and
-///   survives the chunk's eviction from the base pool, and entries of
-///   scenarios toggled between never displace each other.
+/// - a shared chunk by its base chunk id, valid while the base pool's
+///   generation and flush epoch stand, which every base write moves. A
+///   hit reads nothing and survives the chunk's eviction from the base
+///   pool, and entries of scenarios toggled between never displace each
+///   other. The memo lives beside its one base cube in [`SharedData`].
 /// - an own chunk (merged or cache-served) by identity: one entry per
 ///   position, keyed by origin cell (a grown axis renumbers chunk ids,
 ///   never origins), holding a [`Weak`] that pins its address, since a
@@ -781,25 +782,33 @@ struct DigestMemo {
 
 #[derive(Default)]
 struct Memo {
-    /// Shared chunk (owning pool, id there) → (version, cells, partial).
-    shared: HashMap<(usize, olap_store::ChunkId), (olap_cube::ChunkVersion, u64, u64)>,
+    /// Base chunk id → (generation, flush epoch, cells, partial).
+    shared: HashMap<olap_store::ChunkId, (u64, u64, u64, u64)>,
     /// Origin cell → (own chunk last digested there, cells, partial).
     own: HashMap<Vec<u32>, (Weak<olap_store::Chunk>, u64, u64)>,
 }
 
 impl DigestMemo {
-    /// [`cell_digest`] of `cube`, reading and hashing only the positions
-    /// the memo does not match. The shared positions' versions are taken
-    /// before any read, so a partial is never filed under a version
-    /// older than its cells. Sessions digest concurrently, so the memo is
+    /// [`cell_digest`] of `cube`, a result derived from `base`, reading
+    /// and hashing only the positions the memo does not match. The
+    /// shared positions' versions are taken before any read, so a partial
+    /// is never filed under a version older than its cells. A shared
+    /// miss reads the base pool, so the request's deadline is checked
+    /// before each one. Sessions digest concurrently, so the memo is
     /// locked only to look up and to install; reads and hashing run
     /// outside the lock.
-    fn digest(&self, cube: &olap_cube::Cube) -> olap_cube::Result<(u64, u64)> {
+    fn digest(
+        &self,
+        base: &olap_cube::Cube,
+        cube: &olap_cube::Cube,
+        bounds: &olap_cube::Bounds,
+    ) -> olap_cube::Result<(u64, u64)> {
         let geom = cube.geometry();
-        let shared: HashMap<_, _> = cube.shared_versions().into_iter().collect();
+        let shared = cube.shared_versions(base);
         let mut own = Vec::new();
+        let mut at = shared.iter().map(|&(here, ..)| here).peekable();
         for id in cube.chunk_ids() {
-            if !shared.contains_key(&id) {
+            if at.next_if_eq(&id).is_none() {
                 own.push((
                     geom.chunk_origin(&geom.chunk_coord(id)),
                     id,
@@ -811,13 +820,13 @@ impl DigestMemo {
         let (mut shared_misses, mut own_misses) = (Vec::new(), Vec::new());
         {
             let memo = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-            for (id, version) in shared {
-                match memo.shared.get(&version.chunk()) {
-                    Some(&(seen, cells, partial)) if seen == version => {
+            for (here, there, generation, epoch) in shared {
+                match memo.shared.get(&there) {
+                    Some(&(g, e, cells, partial)) if (g, e) == (generation, epoch) => {
                         count += cells;
                         digest = digest.wrapping_add(partial);
                     }
-                    _ => shared_misses.push((id, version)),
+                    _ => shared_misses.push((here, there, generation, epoch)),
                 }
             }
             for (origin, id, chunk) in own {
@@ -839,9 +848,10 @@ impl DigestMemo {
             (cells, partial)
         };
         let mut fresh_shared = Vec::with_capacity(shared_misses.len());
-        for (id, version) in shared_misses {
-            let (cells, partial) = hash(id, &*cube.chunk(id)?);
-            fresh_shared.push((version.chunk(), (version, cells, partial)));
+        for (here, there, generation, epoch) in shared_misses {
+            bounds.check_deadline()?;
+            let (cells, partial) = hash(here, &*cube.chunk(here)?);
+            fresh_shared.push((there, (generation, epoch, cells, partial)));
         }
         let fresh_own: Vec<_> = (own_misses.into_iter())
             .map(|(origin, id, chunk)| {
@@ -1998,19 +2008,58 @@ mod tests {
         assert_eq!((p.evictions, p.misses), (0, 0), "{p:?}");
         assert_eq!(p.delta(&before).hits, own, "{p:?}");
 
-        let shared = out.shared_versions();
+        let base = s.shared().cube();
+        let shared = out.shared_versions(base);
         assert_eq!(shared.len() as u64, r.chunks_shared);
         let geom = out.geometry().clone();
-        for (id, _) in shared {
+        for (id, ..) in shared {
             let cell = geom.chunk_origin(&geom.chunk_coord(id));
             out.set(&cell, out.get(&cell).unwrap()).unwrap();
         }
-        assert!(out.shared_versions().is_empty());
+        assert!(out.shared_versions(base).is_empty());
         let before = out.pool_stats();
         assert_eq!(cell_digest(&out).unwrap(), digest);
         let p = out.pool_stats();
         assert_eq!((p.evictions, p.misses), (0, 0), "{p:?}");
         assert_eq!(p.delta(&before).hits, chunks, "{p:?}");
+    }
+
+    /// A shared chunk the memo has not seen is read from the base pool
+    /// when the result is digested, not when it is computed, so the
+    /// digest checks the request's deadline before each such read: a cold
+    /// digest past its deadline is refused before it reads the base, and
+    /// unbounded it equals the full digest.
+    #[test]
+    fn a_cold_digest_past_its_deadline_is_refused() {
+        let s = Session::new(Dataset::Bench);
+        let base = s.shared().cube();
+        let spec = PerspectiveSpec::new(
+            s.varying_dim().unwrap(),
+            [2, 5],
+            whatif_core::Semantics::Forward,
+            whatif_core::Mode::Visual,
+        );
+        let scenario = Scenario::Negative(spec);
+        let (out, r) = whatif_core::apply(base, &scenario, None, &ExecOpts::default()).unwrap();
+        assert!(r.chunks_shared > 0, "{r:?}");
+        let memo = DigestMemo::default();
+        let expired = olap_cube::Bounds {
+            deadline: Some(std::time::Instant::now()),
+            ..Default::default()
+        };
+        let before = base.pool_stats();
+        let refused = memo.digest(base, &out, &expired);
+        assert!(
+            matches!(refused, Err(olap_cube::CubeError::DeadlineExceeded)),
+            "{refused:?}"
+        );
+        let after = base.pool_stats();
+        assert_eq!(after.hits + after.misses, before.hits + before.misses);
+        let unbounded = olap_cube::Bounds::default();
+        assert_eq!(
+            memo.digest(base, &out, &unbounded).unwrap(),
+            cell_digest(&out).unwrap()
+        );
     }
 
     /// A warm A/B toggle reads nothing: once both forks' components are

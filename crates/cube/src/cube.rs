@@ -9,6 +9,7 @@ use olap_store::{
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use olap_model::Schema;
@@ -126,6 +127,7 @@ impl CubeBuilder {
             geometry: self.geometry,
             pool: Arc::new(BufferPool::new(store, self.pool_capacity)),
             shared: RwLock::default(),
+            sharing: AtomicBool::new(false),
             rules: self.rules,
             dense_threshold: self.dense_threshold,
         })
@@ -147,6 +149,9 @@ pub struct Cube {
     pool: Arc<BufferPool>,
     /// Shared positions by chunk id here: what each one reads.
     shared: RwLock<BTreeMap<ChunkId, SharedChunk>>,
+    /// Whether this cube ever shared a position: one that never did
+    /// (every base cube) reads its own pool without touching `shared`.
+    sharing: AtomicBool,
     rules: RuleSet,
     dense_threshold: f64,
 }
@@ -157,28 +162,6 @@ pub struct Cube {
 struct SharedChunk {
     pool: Arc<BufferPool>,
     id: ChunkId,
-}
-
-/// What a shared position reads, named without reading it: the pool
-/// that owns the chunk (by address), the chunk's id there, and that
-/// pool's [`BufferPool::generation`] and store flush epoch when
-/// [`Cube::shared_versions`] was called. Every base write that can
-/// change what the read returns moves one of the two: a `put` the
-/// generation, a commit or a replicated apply the epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ChunkVersion {
-    owner: usize,
-    id: ChunkId,
-    generation: u64,
-    epoch: u64,
-}
-
-impl ChunkVersion {
-    /// The chunk the version is of, whatever its version: the owning
-    /// pool (by address) and the chunk's id there.
-    pub fn chunk(&self) -> (usize, ChunkId) {
-        (self.owner, self.id)
-    }
 }
 
 impl std::fmt::Debug for Cube {
@@ -253,33 +236,36 @@ impl Cube {
     /// call, to the owner's pool for a shared position and to this
     /// cube's own otherwise.
     fn read(&self, id: ChunkId) -> Result<Option<Arc<Chunk>>> {
-        let shared = self.shared.read().get(&id).cloned();
-        Ok(match shared {
-            Some(at) => Some(at.pool.get(at.id)?),
-            None => self.pool.get_present(id)?,
-        })
+        if self.sharing.load(Ordering::Acquire) {
+            if let Some(at) = self.shared.read().get(&id) {
+                return Ok(Some(at.pool.get(at.id)?));
+            }
+        }
+        Ok(self.pool.get_present(id)?)
     }
 
     /// Puts `chunk` in this cube's own pool at `id`, which stops sharing
     /// that position (after the put, so a reader never finds it absent).
     fn install(&self, id: ChunkId, chunk: Arc<Chunk>) -> Result<()> {
         self.pool.put(id, chunk)?;
-        self.shared.write().remove(&id);
+        if self.sharing.load(Ordering::Acquire) {
+            self.shared.write().remove(&id);
+        }
         Ok(())
     }
 
     /// Whether a chunk is materialized.
     pub fn chunk_exists(&self, id: ChunkId) -> bool {
-        self.shared.read().contains_key(&id) || self.pool.contains(id)
+        (self.sharing.load(Ordering::Acquire) && self.shared.read().contains_key(&id))
+            || self.pool.contains(id)
     }
 
     /// Ids of all materialized chunks, flushed or not, shared or own,
     /// ascending.
     pub fn chunk_ids(&self) -> Vec<ChunkId> {
         let mut ids = self.pool.ids();
-        let shared = self.shared.read();
-        if !shared.is_empty() {
-            ids.extend(shared.keys());
+        if self.sharing.load(Ordering::Acquire) {
+            ids.extend(self.shared.read().keys());
             ids.sort_unstable();
             ids.dedup();
         }
@@ -299,41 +285,42 @@ impl Cube {
     /// pool; a write here copies on write ([`Cube::set`],
     /// [`Cube::put_chunk`]) and never reaches the owner.
     pub fn share_chunk(&self, id: ChunkId, from: &Cube, from_id: ChunkId) {
-        let owner = (from.shared.read().get(&from_id).cloned()).unwrap_or_else(|| SharedChunk {
-            pool: Arc::clone(&from.pool),
-            id: from_id,
-        });
+        let shared = from.sharing.load(Ordering::Acquire);
+        let owner = (shared.then(|| from.shared.read().get(&from_id).cloned()))
+            .flatten()
+            .unwrap_or_else(|| SharedChunk {
+                pool: Arc::clone(&from.pool),
+                id: from_id,
+            });
         self.shared.write().insert(id, owner);
+        self.sharing.store(true, Ordering::Release);
     }
 
-    /// Every shared position with its [`ChunkVersion`], ascending by id
-    /// here. Each owning pool's generation and flush epoch are read once,
-    /// before the call returns, so a caller that reads a chunk afterwards
-    /// reads it at that version or a later one.
-    pub fn shared_versions(&self) -> Vec<(ChunkId, ChunkVersion)> {
+    /// What each shared position reads, named without reading it: (id
+    /// here, id in `owner`), ascending by id here, each with `owner`'s
+    /// pool [`BufferPool::generation`] and store flush epoch. The two are
+    /// read once, before the call returns, so a caller that reads a chunk
+    /// afterwards reads it at that version or a later one. Every write
+    /// that can change what a read of `owner` returns moves one of them:
+    /// a `put` the generation, a commit or a replicated apply the epoch.
+    ///
+    /// # Panics
+    ///
+    /// If a position shares another cube's chunk: a version is only
+    /// meaningful in the pool it was read from.
+    pub fn shared_versions(&self, owner: &Cube) -> Vec<(ChunkId, ChunkId, u64, u64)> {
+        let generation = owner.pool.generation();
+        let epoch = owner.pool.store().flush_epoch();
         let shared = self.shared.read();
-        let mut owners: Vec<(usize, u64, u64)> = Vec::new();
-        let mut versions = Vec::with_capacity(shared.len());
-        for (&here, at) in shared.iter() {
-            let owner = Arc::as_ptr(&at.pool) as usize;
-            let (generation, epoch) = match owners.iter().find(|o| o.0 == owner) {
-                Some(&(_, generation, epoch)) => (generation, epoch),
-                None => {
-                    let generation = at.pool.generation();
-                    let epoch = at.pool.store().flush_epoch();
-                    owners.push((owner, generation, epoch));
-                    (generation, epoch)
-                }
-            };
-            let version = ChunkVersion {
-                owner,
-                id: at.id,
-                generation,
-                epoch,
-            };
-            versions.push((here, version));
-        }
-        versions
+        (shared.iter())
+            .map(|(&here, at)| {
+                assert!(
+                    Arc::ptr_eq(&at.pool, &owner.pool),
+                    "chunk {here:?} is shared with another cube"
+                );
+                (here, at.id, generation, epoch)
+            })
+            .collect()
     }
 
     /// Runs a closure with access to the (thread-safe) buffer pool
@@ -391,6 +378,7 @@ impl Cube {
             geometry,
             pool: Arc::new(BufferPool::new(Box::new(MemStore::new()), usize::MAX)),
             shared: RwLock::default(),
+            sharing: AtomicBool::new(false),
             rules: self.rules.clone(),
             dense_threshold: self.dense_threshold,
         })
@@ -563,7 +551,7 @@ mod tests {
             view.share_chunk(id, &base, id);
         }
         assert!(view.same_cells(&base).unwrap());
-        assert_eq!(view.shared_versions().len(), 2);
+        assert_eq!(view.shared_versions(&base).len(), 2);
         let generation = base.with_pool(|p| p.generation());
         view.set(&[0, 1], CellValue::num(5.0)).unwrap();
         view.set(&[0, 0], CellValue::num(7.0)).unwrap();
@@ -575,15 +563,15 @@ mod tests {
         assert_eq!(view.get(&[0, 0]).unwrap(), CellValue::Num(7.0));
         assert_eq!(view.get(&[0, 1]).unwrap(), CellValue::Num(5.0));
         assert_eq!(view.get(&[3, 2]).unwrap(), CellValue::Num(2.0));
-        assert_eq!(view.shared_versions().len(), 1);
+        assert_eq!(view.shared_versions(&base).len(), 1);
         assert_eq!(view.chunk_ids(), base.chunk_ids());
         // A whole-chunk write stops sharing the last position too.
-        let id = view.shared_versions()[0].0;
+        let id = view.shared_versions(&base)[0].0;
         let shape = view
             .geometry()
             .chunk_shape(&view.geometry().chunk_coord(id));
         view.put_chunk(id, Chunk::new_dense(shape)).unwrap();
-        assert!(view.shared_versions().is_empty());
+        assert!(view.shared_versions(&base).is_empty());
         assert_eq!(base.get(&[3, 2]).unwrap(), CellValue::Num(2.0));
         assert_eq!(base.with_pool(|p| p.generation()), generation);
     }

@@ -31,7 +31,7 @@ pub mod rules;
 
 pub use aggregate::{CubeAggregator, GroupByResult};
 pub use bounds::Bounds;
-pub use cube::{ChunkVersion, Cube, CubeBuilder, StoreBackend};
+pub use cube::{Cube, CubeBuilder, StoreBackend};
 pub use error::CubeError;
 pub use eval::{CellEvaluator, Sel};
 pub use lattice::{GroupByMask, Lattice};

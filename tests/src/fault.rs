@@ -193,6 +193,15 @@ pub fn inject(pool: &BufferPool, fault: impl FnOnce(Box<dyn ChunkStore>) -> Faul
     pool.replace_store(Box::new(fault(store)));
 }
 
+/// Switches off the fault plan of the [`FaultStore`] behind `pool`, so
+/// every later store operation passes through to the wrapped store.
+pub fn disarm(pool: &BufferPool) {
+    let mut store = pool.store_mut();
+    let fault =
+        (store.as_any_mut().downcast_mut::<FaultStore>()).expect("a FaultStore behind the pool");
+    fault.plan.clear();
+}
+
 impl ChunkStore for FaultStore {
     fn read(&self, id: ChunkId) -> Result<Chunk> {
         let n = self.reads_seen.fetch_add(1, Ordering::Relaxed) + 1;

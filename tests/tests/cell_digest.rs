@@ -427,7 +427,7 @@ fn shared_results_equal_the_oracle() {
                     whatif_core::apply(cube, &scenario, None, &ExecOpts::default()).unwrap();
                 let (want, _) = oracle_result(cube, &scenario);
                 assert!(got.same_cells(&want).unwrap(), "{name}: {sem:?} {p:?}");
-                assert_eq!(got.shared_versions().len() as u64, report.chunks_shared);
+                assert_eq!(got.shared_versions(cube).len() as u64, report.chunks_shared);
                 shared += report.chunks_shared;
             }
         }

@@ -222,19 +222,35 @@ proptest! {
         let start = Instant::now();
         let outcomes = concurrently(callers, || apply_serial(&ex.cube, &scenario));
         prop_assert!(start.elapsed() < QUERY_TIME_BUDGET, "query stalled");
+        let mut results = Vec::new();
         for outcome in outcomes {
             let Ok(result) = outcome else {
                 return Err(TestCaseError::Fail(format!("seed {seed}: query panicked")));
             };
-            // A result reads the chunks it shares with the faulted cube
-            // when it is compared, so a fault may surface there: an `Err`
-            // as well, never a wrong cell.
-            if let Ok(same) = result.and_then(|got| Ok(got.same_cells(&baseline)?)) {
-                prop_assert!(
+            results.extend(result.ok());
+        }
+        // A result reads the chunks it shares with the faulted cube when
+        // it is read, so a fault may surface in the comparison: as a
+        // storage error, never a wrong cell.
+        for got in &results {
+            match got.same_cells(&baseline) {
+                Ok(same) => prop_assert!(
                     same,
                     "seed {}: perspective cube silently diverged under faults", seed
-                );
+                ),
+                Err(e) => prop_assert!(
+                    matches!(e, CubeError::Store(_)),
+                    "seed {}: not a storage error: {}", seed, e
+                ),
             }
+        }
+        // With the faults lifted, every `Ok` result reads back whole.
+        ex.cube.with_pool(fault::disarm);
+        for got in &results {
+            prop_assert!(
+                got.same_cells(&baseline).unwrap(),
+                "seed {}: perspective cube diverged once the faults were lifted", seed
+            );
         }
     }
 }

@@ -499,7 +499,7 @@ fn a_follower_apply_after_a_shipped_commit_matches_the_leader() {
     let scenario = whatif_core::Scenario::Negative(spec);
     let (out, _) =
         whatif_core::apply(cube, &scenario, None, &whatif_core::ExecOpts::default()).unwrap();
-    let (id, _) = out.shared_versions()[0];
+    let (id, ..) = out.shared_versions(cube)[0];
     let cell = cube
         .geometry()
         .chunk_origin(&cube.geometry().chunk_coord(id));

@@ -7,15 +7,17 @@
 use olap_mdx::{Grid, QueryContext};
 use olap_workload::Workforce;
 
-/// Simulates a k-perspective **static** query as k single-perspective
-/// queries whose grids are merged (union of rows; per-cell, the first
-/// non-⊥ value wins — static validity sets are disjoint across
-/// perspectives for a changing member's instances, so this is exact).
+/// Simulates a k-perspective **static visual** Fig. 10(a) query as k
+/// single-perspective queries whose grids are merged (union of rows;
+/// per-cell, the first non-⊥ value wins). A member's month is the one
+/// instance valid then, which static keeps whole if it is valid at any
+/// perspective, so the merge is exact. Visual, because a non-visual grid
+/// of these member rows reads no cell of the scenario's output.
 pub fn multiple_mdx(ctx: &QueryContext<'_>, wf: &Workforce, perspectives: &[&str]) -> Grid {
     assert!(!perspectives.is_empty());
     let mut merged: Option<Grid> = None;
     for p in perspectives {
-        let q = wf.fig10a_query(&[p]);
+        let q = wf.fig10a_query_sem(&[p], "STATIC VISUAL");
         let g = olap_mdx::execute(ctx, &q).expect("single-perspective query");
         merged = Some(match merged {
             None => g,

@@ -18,12 +18,13 @@ use bench::min_time;
 use bench::setup::{
     context, default_workforce, fig13_workforce, first_months, quarterly, run, Fig12Rig,
 };
+use olap_mdx::{Grid, QueryContext};
 use olap_store::SeekModel;
 use olap_workload::{replay_scenarios, Workforce, WorkforceConfig};
 use std::sync::Arc;
 use whatif_core::{
-    apply, execute, merge, ExecOpts, Mode, OrderPolicy, PerspectiveSpec, Plan, ScenarioCache,
-    Semantics,
+    apply, execute, merge, ExecOpts, Fnv64, Mode, OrderPolicy, PerspectiveSpec, Plan,
+    ScenarioCache, Semantics,
 };
 
 const ITERS: u32 = 3;
@@ -180,49 +181,91 @@ fn print_table_s() {
     println!("(scale: 1/10th linear — see DESIGN.md §2)\n");
 }
 
+/// Fig. 11 over query forms whose answer depends on k: Fig. 10(a)'s
+/// employee rows under `STATIC VISUAL` (the Static series and the
+/// Multiple-MDX simulation of it), and department rows under `STATIC
+/// VISUAL` and `DYNAMIC FORWARD VISUAL`. Employee rows under `DYNAMIC
+/// FORWARD VISUAL` would not do: from Jan on, a relocation only moves
+/// cells between one employee's instances, so each month's total stays.
 fn fig11() -> Figure {
     eprintln!("[fig11] building workload…");
     let wf = default_workforce();
     let ctx = context(&wf);
     let ks = [1usize, 2, 3, 4, 6, 8, 10, 12];
-    let mut static_s = Vec::new();
-    let mut fwd_s = Vec::new();
-    let mut multi_s = Vec::new();
+    type Form = fn(&Workforce, &[&str], &str) -> String;
+    let forms: [(&str, Form, &str); 3] = [
+        ("Static", Workforce::fig10a_query_sem, "STATIC VISUAL"),
+        (
+            "Static, dept rows",
+            Workforce::department_query_sem,
+            "STATIC VISUAL",
+        ),
+        (
+            "Dynamic Forward, dept rows",
+            Workforce::department_query_sem,
+            "DYNAMIC FORWARD VISUAL",
+        ),
+    ];
+    let mut multi = series("Multiple MDX");
+    let mut direct: Vec<Series> = forms.iter().map(|f| series(f.0)).collect();
     for &k in &ks {
         let months = first_months(k);
-        let q = wf.fig10a_query(&months);
-        let t = min_time(ITERS, || run(&ctx, &q));
-        static_s.push((k as f64, t.as_secs_f64() * 1e3));
-        let q = wf.fig10a_query_sem(&months, "DYNAMIC FORWARD");
-        let t = min_time(ITERS, || run(&ctx, &q));
-        fwd_s.push((k as f64, t.as_secs_f64() * 1e3));
-        let t = min_time(ITERS, || multiple_mdx(&ctx, &wf, &months));
-        multi_s.push((k as f64, t.as_secs_f64() * 1e3));
-        eprintln!("[fig11] k={k} done");
+        for (s, (_, form, clause)) in direct.iter_mut().zip(&forms) {
+            let q = form(&wf, &months, clause);
+            time_point("fig11", s, k as f64, &without_with(&ctx, &q), || {
+                run(&ctx, &q)
+            });
+        }
+        let plain = without_with(&ctx, &wf.fig10a_query_sem(&months, "STATIC VISUAL"));
+        time_point("fig11", &mut multi, k as f64, &plain, || {
+            multiple_mdx(&ctx, &wf, &months)
+        });
     }
     Figure {
         id: "Fig. 11".into(),
         title: "number of perspectives vs. query time".into(),
         x_label: "perspectives".into(),
         y_label: "query time (ms, min of runs)".into(),
-        series: vec![
-            Series {
-                name: "Multiple MDX".into(),
-                points: multi_s,
-            },
-            Series {
-                name: "Static".into(),
-                points: static_s,
-            },
-            Series {
-                name: "Dynamic Forward".into(),
-                points: fwd_s,
-            },
-        ],
+        series: std::iter::once(multi).chain(direct).collect(),
         paper_expectation: "all linear in k; direct multi-perspective beats the Multiple-MDX \
                             simulation; Static ≈ Forward beyond ~6 perspectives"
             .into(),
     }
+}
+
+/// An empty series.
+fn series(name: &str) -> Series {
+    Series {
+        name: name.into(),
+        points: Vec::new(),
+    }
+}
+
+/// The grid of `query` without its `WITH` clause.
+fn without_with(ctx: &QueryContext<'_>, query: &str) -> Grid {
+    run(ctx, &query[query.find("SELECT").expect("a SELECT")..])
+}
+
+/// Times `answer` (min of runs) as the point at `x` and prints a digest
+/// of its grid (FNV-64 of its CSV) and whether it equals `plain`, the
+/// same query's grid without its `WITH` clause: so a reader sees whether
+/// a point shows its scenario and how the answer moves along the x-axis.
+fn time_point(fig: &str, s: &mut Series, x: f64, plain: &Grid, mut answer: impl FnMut() -> Grid) {
+    let t = min_time(ITERS, &mut answer);
+    s.points.push((x, t.as_secs_f64() * 1e3));
+    let digest = |grid: &Grid| {
+        let mut h = Fnv64::new();
+        for b in grid.to_csv().bytes() {
+            h.write_u8(b);
+        }
+        h.finish()
+    };
+    let (grid, plain) = (digest(&answer()), digest(plain));
+    let eq = if grid == plain { "=" } else { "≠" };
+    println!(
+        "[{fig}] {x:>2} {:<26} grid {grid:016x} {eq} grid without WITH",
+        s.name
+    );
 }
 
 fn fig12() -> Figure {
@@ -262,27 +305,26 @@ fn fig12() -> Figure {
     }
 }
 
+/// Fig. 13: Fig. 10(c) under `STATIC VISUAL` over the first n 4-move
+/// employees, so each point's grid shows the perspectives.
 fn fig13() -> Figure {
     eprintln!("[fig13] building 4-move workload…");
     let wf = fig13_workforce(25);
     let ctx = context(&wf);
     let p = quarterly();
-    let mut pts = Vec::new();
+    let mut s = series("Static, 4 perspectives");
     for &n in &[5u32, 10, 15, 20, 25] {
-        let q = wf.fig10c_query(&p, n);
-        let t = min_time(ITERS, || run(&ctx, &q));
-        pts.push((n as f64, t.as_secs_f64() * 1e3));
-        eprintln!("[fig13] n={n} done");
+        let q = wf.fig10c_query_sem(&p, n, "STATIC VISUAL");
+        time_point("fig13", &mut s, n as f64, &without_with(&ctx, &q), || {
+            run(&ctx, &q)
+        });
     }
     Figure {
         id: "Fig. 13".into(),
         title: "varying member instances in scope vs. query time".into(),
         x_label: "employees (paper scale ×10)".into(),
         y_label: "query time (ms, min of runs)".into(),
-        series: vec![Series {
-            name: "Static, 4 perspectives".into(),
-            points: pts,
-        }],
+        series: vec![s],
         paper_expectation: "linear in the number of varying member instances".into(),
     }
 }
@@ -340,14 +382,24 @@ fn run_ablations() {
         );
     }
     // Visual re-derives non-leaf cells over the output cube, non-visual
-    // retains the input's: the Fig. 10(a) query at 4 perspectives.
+    // retains the input's: the Fig. 10(a) query at 4 perspectives. Its
+    // employee rows are derived cells, so non-visual `E` reads none of
+    // them on the output, and no scenario runs.
     let wf = default_workforce();
     let ctx = context(&wf);
     let [nonvisual, visual] = ["NONVISUAL", "VISUAL"].map(|mode| {
         let q = wf.fig10a_query_sem(&first_months(4), &format!("DYNAMIC FORWARD {mode}"));
-        min_time(ITERS, || run(&ctx, &q)).as_secs_f64() * 1e3
+        let parsed = olap_mdx::parse(&q).expect("a Fig. 10(a) query");
+        let run = olap_mdx::evaluate(&ctx, &parsed).expect("it runs");
+        let ran = if run.report.is_some() {
+            "scenario ran"
+        } else {
+            "no scenario"
+        };
+        let ms = min_time(ITERS, || olap_mdx::evaluate(&ctx, &parsed)).as_secs_f64() * 1e3;
+        format!("{ms:>8.2} ms ({ran})")
     });
-    println!("mode            : non-visual {nonvisual:>8.2} ms, visual {visual:>8.2} ms");
+    println!("mode            : non-visual {nonvisual}, visual {visual}");
     println!();
 }
 

@@ -410,13 +410,34 @@ impl Workforce {
     /// Fig. 10(c): dynamic forward over the first `head` changing
     /// employees.
     pub fn fig10c_query(&self, perspectives: &[&str], head: u32) -> String {
+        self.fig10c_query_sem(perspectives, head, "DYNAMIC FORWARD")
+    }
+
+    /// Fig. 10(c)'s shape with any semantics keyword (`"STATIC VISUAL"`,
+    /// …) — the Fig. 13 experiment runs `STATIC VISUAL`.
+    pub fn fig10c_query_sem(&self, perspectives: &[&str], head: u32, semantics: &str) -> String {
         format!(
-            "WITH PERSPECTIVE {{{}}} FOR Department DYNAMIC FORWARD \
+            "WITH PERSPECTIVE {{{}}} FOR Department {semantics} \
              SELECT {{CrossJoin({{[Account].Levels(0).Members}}, \
              {{([Current], [Local], [BU Version_1], [HSP_InputValue])}})}} ON COLUMNS, \
              {{CrossJoin({{Head({{[EmployeesWithAtleastOneMove-Set1].Children}}, {head})}}, \
              {{Descendants([Period], 1, SELF_AND_AFTER)}})}} \
              DIMENSION PROPERTIES [Department] ON ROWS \
+             FROM [App].[Db]",
+            fmt_perspectives(perspectives),
+        )
+    }
+
+    /// Fig. 10(a)'s columns over department rows: every department ×
+    /// every month, so each cell totals a department's employees, and a
+    /// VISUAL grid shows which of them the perspectives place there.
+    pub fn department_query_sem(&self, perspectives: &[&str], semantics: &str) -> String {
+        format!(
+            "WITH PERSPECTIVE {{{}}} FOR Department {semantics} \
+             SELECT {{CrossJoin({{[Account].Levels(0).Members}}, \
+             {{([Current], [Local], [BU Version_1], [HSP_InputValue])}})}} ON COLUMNS, \
+             {{CrossJoin({{[Department].Levels(1).Members}}, \
+             {{Descendants([Period], 1, SELF_AND_AFTER)}})}} ON ROWS \
              FROM [App].[Db]",
             fmt_perspectives(perspectives),
         )

@@ -80,44 +80,54 @@ fn reference_and_chunked_strategies_agree_on_grids() {
     assert_eq!(oracle.grid, naive.grid);
 }
 
+/// The Fig. 11 baseline's correctness: merging k single-perspective
+/// `STATIC VISUAL` grids reproduces the direct k-perspective grid, for
+/// the first k months, k = 1..12. VISUAL, because a NONVISUAL grid of
+/// these employee rows is the grid without the `WITH` clause whatever
+/// the perspectives; the k whose grid differs from that one are pinned.
 #[test]
 fn static_equals_multiple_single_perspective_queries() {
-    // The Fig. 11 baseline's correctness: merging k single-perspective
-    // static grids reproduces the direct k-perspective grid.
+    const MONTHS: [&str; 12] = [
+        "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+    ];
     let wf = tiny();
     let ctx = ctx_of(&wf);
-    let months = ["Jan", "Apr", "Jul"];
-    let direct = execute(&ctx, &wf.fig10a_query(&months)).unwrap();
-    let mut merged: Option<olap_mdx::Grid> = None;
-    for m in months {
-        let g = execute(&ctx, &wf.fig10a_query(&[m])).unwrap();
-        merged = Some(match merged {
-            None => g,
-            Some(acc) => {
-                // First-non-⊥ merge, same as bench::baselines::merge.
-                let mut acc = acc;
-                for (i, row) in g.rows.iter().enumerate() {
-                    let j = acc.rows.iter().position(|r| r == row).unwrap();
-                    for c in 0..acc.columns.len() {
-                        if acc.cells[j][c].is_null() {
-                            acc.cells[j][c] = g.cells[i][c];
+    let query = |months: &[&str]| wf.fig10a_query_sem(months, "STATIC VISUAL");
+    let plain = query(&["Jan"]);
+    let plain = execute(&ctx, &plain[plain.find("SELECT").unwrap()..]).unwrap();
+    let mut differ = Vec::new();
+    for k in 1..=MONTHS.len() {
+        let months = &MONTHS[..k];
+        let direct = execute(&ctx, &query(months)).unwrap();
+        let mut merged: Option<olap_mdx::Grid> = None;
+        for m in months {
+            let g = execute(&ctx, &query(&[m])).unwrap();
+            merged = Some(match merged {
+                None => g,
+                Some(mut acc) => {
+                    // First-non-⊥ merge, same as bench::baselines::merge.
+                    for (i, row) in g.rows.iter().enumerate() {
+                        let j = acc.rows.iter().position(|r| r == row).unwrap();
+                        for c in 0..acc.columns.len() {
+                            if acc.cells[j][c].is_null() {
+                                acc.cells[j][c] = g.cells[i][c];
+                            }
                         }
                     }
+                    acc
                 }
-                acc
-            }
-        });
-    }
-    let merged = merged.unwrap();
-    for (i, row) in direct.rows.iter().enumerate() {
-        for (c, col) in direct.columns.iter().enumerate() {
-            assert_eq!(
-                direct.cells[i][c],
-                merged.cell(row, col).unwrap(),
-                "row {row} col {col}"
-            );
+            });
+        }
+        let merged = merged.unwrap();
+        assert_eq!(direct.rows, merged.rows, "k = {k}");
+        assert_eq!(direct.cells, merged.cells, "k = {k}");
+        if direct != plain {
+            differ.push(k);
         }
     }
+    // At k = 11 and 12 static drops nothing: no instance here is valid
+    // in December alone.
+    assert_eq!(differ, (1..=10).collect::<Vec<_>>());
 }
 
 #[test]

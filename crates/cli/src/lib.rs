@@ -429,8 +429,8 @@ impl Session {
 
     /// Runs the query once and prints what ran — the
     /// Theorem 4.1 expression of its `WITH` clause, the varying-dimension
-    /// slots the MDX layer scoped execution to, and the executor's report
-    /// of that run.
+    /// slots of the cells `E` reads on the output, to which execution was
+    /// scoped, and the executor's report of that run, if one ran.
     fn explain(&mut self, query: &str, opts: &ExecOpts) -> Reply {
         let parsed = parse(need(query)?)?;
         let mut out = format!("parsed: {parsed}\n");
@@ -444,6 +444,9 @@ impl Session {
         }
         let scope = match &run.scope {
             None => "unscoped".to_string(),
+            Some(slots) if slots.is_empty() => {
+                "none — E reads no output cell, no scenario ran".into()
+            }
             Some(slots) => {
                 let slots: Vec<String> = slots.iter().map(u32::to_string).collect();
                 format!("slots {}", slots.join(", "))
@@ -1382,9 +1385,11 @@ mod tests {
     /// positive run streams: on the bench cube (employee extent 1) every
     /// slot after the move shifts into the next chunk, a merge path of
     /// hundreds of nodes, yet no more buffers live at once than a few.
+    /// The same negative query NONVISUAL reads only a derived cell, which
+    /// `E` reads on the input: its scope is empty and nothing runs.
     #[test]
     fn explain_reports_executor_stats() {
-        let negative = "WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD \
+        let negative = "WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD VISUAL \
                         SELECT {Time.[Qtr1]} ON COLUMNS, {Organization.[PTE]} ON ROWS \
                         FROM [W] WHERE (Location.[NY], Measures.[Salary])";
         let positive = "WITH CHANGES {([FTE].[Lisa], [FTE], [PTE], Apr)} VISUAL \
@@ -1394,12 +1399,12 @@ mod tests {
         let cases = [
             (
                 negative,
-                "parsed: WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD\n\
+                "parsed: WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD VISUAL\n\
                  SELECT {Time.Qtr1} ON COLUMNS, {Organization.PTE} ON ROWS FROM [W] \
                  WHERE (Location.NY, Measures.Salary)\n\
                  algebra: Compose([PhiRelocate { spec: PerspectiveSpec { dim: Dim(0), \
-                 perspectives: [1, 3], semantics: Forward, mode: NonVisual } }, \
-                 Eval { visual: false }])\n\
+                 perspectives: [1, 3], semantics: Forward, mode: Visual } }, \
+                 Eval { visual: true }])\n\
                  scope: slots 1, 5, 6\n\
                  result: 1 × 1 grid, 1 non-⊥ cells\n\
                  executor: 2 pass(es), merge graph 2/1 (nodes/edges), predicted pebbles 2, \
@@ -1419,6 +1424,26 @@ mod tests {
                  12 chunk reads, 2 chunks shared, 0 cache chunks served\n",
             ),
         ];
+        let nonvisual = negative.replace(" VISUAL", " NONVISUAL");
+        let mut s = Session::new(Dataset::Running);
+        let run = olap_mdx::evaluate(&s.context(&s.request_opts()), &parse(&nonvisual).unwrap());
+        let run = run.unwrap();
+        assert_eq!((run.scope, run.report), (Some(vec![]), None));
+        assert_eq!(
+            s.handle(&format!(".explain {nonvisual}")),
+            Outcome::Continue(
+                "parsed: WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD \
+                 NONVISUAL\n\
+                 SELECT {Time.Qtr1} ON COLUMNS, {Organization.PTE} ON ROWS FROM [W] \
+                 WHERE (Location.NY, Measures.Salary)\n\
+                 algebra: Compose([PhiRelocate { spec: PerspectiveSpec { dim: Dim(0), \
+                 perspectives: [1, 3], semantics: Forward, mode: NonVisual } }, \
+                 Eval { visual: false }])\n\
+                 scope: none — E reads no output cell, no scenario ran\n\
+                 result: 1 × 1 grid, 1 non-⊥ cells\n"
+                    .to_string()
+            )
+        );
         for (query, expected) in cases {
             let mut s = Session::new(Dataset::Running);
             let (_, report) =
@@ -1714,7 +1739,10 @@ mod tests {
     /// makes every line that would run a scenario or a rollup fail.
     #[test]
     fn every_verb_refuses_malformed_and_failing_lines() {
-        let what_if = "WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD \
+        // VISUAL, so the grid's one cell is read on the scenario's output
+        // and the scenario runs (a NONVISUAL grid of this derived cell
+        // would run none and fit the budget).
+        let what_if = "WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD VISUAL \
                        SELECT {Time.[Qtr1]} ON COLUMNS, {Organization.[PTE]} ON ROWS \
                        FROM [W] WHERE (Location.[NY], Measures.[Salary])";
         let unresolved = "WITH PERSPECTIVE {(Feb)} FOR Organization STATIC \

@@ -20,9 +20,10 @@ use olap_cube::{CellEvaluator, Cube};
 /// scenario runs, whatever its kind: [`Plan::for_scenario`] plans it with
 /// the pebbling order and [`execute`] runs it chunk by chunk (Sections
 /// 5–6) under `opts`, the executor's cache, budget and deadline. `scope`
-/// optionally restricts execution to the output slots the query touches
-/// (Essbase-style retrieval); the MDX layer passes `None` for a positive
-/// scenario, whose axes name instances that exist only in its output.
+/// optionally restricts execution to the output slots a query reads
+/// (Essbase-style retrieval); the MDX layer passes the slots of the cells
+/// `E` reads on the output, and `None` for a positive scenario, whose
+/// axes name instances that exist only in its output.
 /// Other read orders run through [`Plan::build`] and [`execute`].
 ///
 /// Returns the perspective cube (over [`crate::output_schema`]) and the

@@ -38,7 +38,7 @@ use crate::merge::{heuristic_order, naive_order, pebbles_for_order, MergeGraph};
 use crate::operators::check_changes;
 use crate::operators::relocate::{CellFate, DestMap};
 use crate::perspective::{PerspectiveSpec, Semantics};
-use crate::phi::{phi, VsMap};
+use crate::phi::phi;
 use crate::scenario::{Change, Scenario};
 use crate::Result;
 use olap_cube::Cube;
@@ -156,9 +156,14 @@ impl Plan {
         policy: &OrderPolicy,
         scope: Option<&[u32]>,
     ) -> Result<Plan> {
-        let vs = checked_phi(cube, spec)?;
+        let varying = checked(cube.schema(), spec)?;
+        let vs = phi(
+            spec.semantics,
+            varying.instances(),
+            &spec.perspectives,
+            varying.moments(),
+        );
         let map = DestMap::build(cube, spec.dim, &vs)?;
-        let varying = cube.schema().varying(spec.dim).expect("checked_phi");
         let passes = decompose_passes(&map, spec.semantics, &spec.perspectives, varying);
         Plan::from_maps(cube, spec.dim, map, passes, policy.clone(), scope)
     }
@@ -363,10 +368,13 @@ impl Plan {
 
 /// The schema a scenario's output lives on, derived without reading a
 /// cell: the input's own for a negative scenario, S's grown clone for a
-/// positive one — the schema [`Plan::for_scenario`] plans onto.
+/// positive one — the schema [`Plan::for_scenario`] plans onto. Either
+/// kind is validated against `schema` by the checks its plan makes, so a
+/// caller that asks for the schema first is refused as a plan would be
+/// even when it then runs no plan.
 pub fn output_schema(schema: &Arc<Schema>, scenario: &Scenario) -> Result<Arc<Schema>> {
     match scenario {
-        Scenario::Negative(_) => Ok(Arc::clone(schema)),
+        Scenario::Negative(spec) => checked(schema, spec).map(|_| Arc::clone(schema)),
         Scenario::Positive { dim, changes, .. } => grown_schema(schema, *dim, changes),
     }
 }
@@ -405,11 +413,10 @@ fn split_map(schema: &Schema, out: &Schema, dim: DimensionId) -> DestMap {
     DestMap::from_raw(dest, moments)
 }
 
-/// Validates a negative scenario against the cube and applies Φ: the
-/// dimension must vary, the perspective set must be non-empty and in
-/// range, and dynamic semantics need an ordered parameter dimension.
-fn checked_phi(cube: &Cube, spec: &PerspectiveSpec) -> Result<VsMap> {
-    let schema = cube.schema();
+/// Validates a negative scenario against the schema: the dimension must
+/// vary, the perspective set must be non-empty and in range, and dynamic
+/// semantics need an ordered parameter dimension.
+fn checked<'s>(schema: &'s Schema, spec: &PerspectiveSpec) -> Result<&'s VaryingDimension> {
     let varying = schema
         .varying(spec.dim)
         .ok_or_else(|| WhatIfError::NotVarying(schema.dim(spec.dim).name().to_string()))?;
@@ -427,12 +434,7 @@ fn checked_phi(cube: &Cube, spec: &PerspectiveSpec) -> Result<VsMap> {
             parameter: schema.dim(pdim).name().to_string(),
         });
     }
-    Ok(phi(
-        spec.semantics,
-        varying.instances(),
-        &spec.perspectives,
-        moments,
-    ))
+    Ok(varying)
 }
 
 /// Splits a plan into the Section 6 passes. `perspectives` must be

@@ -66,24 +66,15 @@ impl<'a> CellEvaluator<'a> {
         }
     }
 
-    /// The value of the cell addressed by one selector per dimension.
-    ///
-    /// A cell is *base* when every selector covers exactly one slot and
-    /// no formula rule targets its selected measure (whether or not the
-    /// rule's scope holds for it); base cells are read on the output.
+    /// The value of the cell addressed by one selector per dimension:
+    /// read on the output when [`CellEvaluator::reads_output`] says so,
+    /// otherwise (a derived cell in non-visual mode) on the input.
     pub fn value(&self, sels: &[Sel]) -> Result<CellValue> {
         let out = &self.output;
         out.data.check_rank(sels.len())?;
-        let slots = out.slots(sels)?;
-        let formula = (out.measure(sels)).is_some_and(|m| out.data.rules().has_formula(m));
-        if !formula && slots.iter().all(|l| l.len() == 1) {
-            return out.fold(sels, &slots);
-        }
-        let Some((input, grown)) = &self.input else {
-            return match out.rule_for(sels) {
-                Some((rule, mdim)) => out.eval_expr(&rule.expr, sels, mdim, 0),
-                None => out.fold(sels, &slots),
-            };
+        let (input, grown) = match &self.input {
+            Some(nv) if !out.is_base(sels)? => nv,
+            _ => return out.value_at(sels, 0),
         };
         let mut sels = sels.to_vec();
         if let Some(dim) = grown {
@@ -94,6 +85,18 @@ impl<'a> CellEvaluator<'a> {
         }
         input.value_at(&sels, 0)
     }
+
+    /// Whether [`CellEvaluator::value`] reads the cell `sels` addresses on
+    /// the output: every cell in plain and visual reads, base cells only
+    /// in non-visual mode. It looks at the output's schema and rules and
+    /// reads no cell, so a plan can ask it before the output exists.
+    pub fn reads_output(&self, sels: &[Sel]) -> Result<bool> {
+        if self.input.is_none() {
+            return Ok(true);
+        }
+        self.output.data.check_rank(sels.len())?;
+        self.output.is_base(sels)
+    }
 }
 
 /// Reads the cells of one cube under that cube's own rules.
@@ -103,9 +106,52 @@ struct Reader<'a> {
 
 impl Reader<'_> {
     fn value_at(&self, sels: &[Sel], depth: u32) -> Result<CellValue> {
+        let slots = self.slots(sels)?;
         match self.rule_for(sels) {
             Some((rule, mdim)) => self.eval_expr(&rule.expr, sels, mdim, depth),
-            None => self.fold(sels, &self.slots(sels)?),
+            None => self.fold(sels, &slots),
+        }
+    }
+
+    /// Whether the cell is *base*: no formula rule targets its selected
+    /// measure (whether or not the rule's scope holds for it) and every
+    /// selector covers exactly one slot. The one base/derived rule.
+    fn is_base(&self, sels: &[Sel]) -> Result<bool> {
+        for (i, &sel) in sels.iter().enumerate() {
+            self.check_sel(i, sel)?;
+        }
+        let formula = (self.measure(sels)).is_some_and(|m| self.data.rules().has_formula(m));
+        Ok(!formula && (sels.iter().enumerate()).all(|(i, &sel)| self.one_slot(i, sel)))
+    }
+
+    /// Whether a (checked) selector covers exactly one slot, decided
+    /// without listing them: a slot does; the root, when its axis has one
+    /// slot; a varying leaf, when it has one instance; another member of a
+    /// varying dimension, when one instance's path holds it; any other
+    /// member, when a chain of only children ends at a leaf.
+    fn one_slot(&self, dim_index: usize, sel: Sel) -> bool {
+        let Sel::Member(m) = sel else {
+            return true;
+        };
+        let dim = DimensionId(dim_index as u32);
+        let schema = self.data.schema();
+        let d = schema.dim(dim);
+        if m == MemberId::ROOT {
+            return schema.axis_len(dim) == 1;
+        }
+        match schema.varying(dim) {
+            Some(v) if d.is_leaf(m) => v.instances_of(m).len() == 1,
+            Some(v) => {
+                let mut under = v.instances().iter().filter(|i| i.path.contains(&m));
+                under.next().is_some() && under.next().is_none()
+            }
+            None => {
+                let mut x = m;
+                while let [only] = d.children(x) {
+                    x = *only;
+                }
+                d.is_leaf(x)
+            }
         }
     }
 
@@ -232,13 +278,13 @@ impl Reader<'_> {
         })
     }
 
-    /// Resolves one selector to the ascending axis slots it covers.
-    fn slots_for(&self, dim_index: usize, sel: Sel) -> Result<Vec<u32>> {
+    /// Checks that a selector names a slot or member of its dimension.
+    fn check_sel(&self, dim_index: usize, sel: Sel) -> Result<()> {
         let dim = DimensionId(dim_index as u32);
         let schema = self.data.schema();
-        let len = schema.axis_len(dim);
         match sel {
             Sel::Slot(s) => {
+                let len = schema.axis_len(dim);
                 if s >= len {
                     return Err(CubeError::SlotOutOfRange {
                         dim: dim_index,
@@ -246,17 +292,25 @@ impl Reader<'_> {
                         len,
                     });
                 }
-                Ok(vec![s])
             }
             Sel::Member(m) => {
                 schema.dim(dim).try_member(m)?;
-                Ok(schema
-                    .slots_under(dim, m)
-                    .into_iter()
-                    .map(|s| s.0)
-                    .collect())
             }
         }
+        Ok(())
+    }
+
+    /// Resolves one selector to the ascending axis slots it covers.
+    fn slots_for(&self, dim_index: usize, sel: Sel) -> Result<Vec<u32>> {
+        self.check_sel(dim_index, sel)?;
+        Ok(match sel {
+            Sel::Slot(s) => vec![s],
+            Sel::Member(m) => (self.data.schema())
+                .slots_under(DimensionId(dim_index as u32), m)
+                .into_iter()
+                .map(|s| s.0)
+                .collect(),
+        })
     }
 
     /// Chunk-aware accumulation over a region (the cross product of the

@@ -8,7 +8,7 @@ use crate::resolve::{Atom, NamedSets, Resolver, Tuple};
 use crate::Result;
 use olap_cube::{CellEvaluator, Cube, Sel};
 use olap_model::{AxisSlot, DimensionId, MemberId, Schema};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use whatif_core::{Change, ExecReport, Mode, Scenario};
 
 /// Everything a query needs besides its text: the cube, named sets, and
@@ -23,7 +23,8 @@ pub struct QueryContext<'a> {
     /// [`whatif_core::ExecOpts`] for each field), and its bounds also
     /// bound the grid ([`evaluate_with`]). A scenario cache composes with
     /// query scoping: a scoped run serves and fills it with the merge
-    /// components its scope keeps whole.
+    /// components its scope keeps whole. A grid that reads no output cell
+    /// runs no scenario, so it neither serves nor fills the cache.
     pub opts: whatif_core::ExecOpts,
 }
 
@@ -54,8 +55,10 @@ pub struct Evaluation {
     pub grid: Grid,
     /// The scenario the `WITH` clause compiled to, if there is one.
     pub scenario: Option<Scenario>,
-    /// The varying-dimension slots a negative scenario's execution was
-    /// scoped to; `None` when it ran unscoped or there was none.
+    /// The varying-dimension slots of the cells `E` read on a negative
+    /// scenario's output, which its execution was scoped to: `None` when
+    /// they cover every slot (it ran unscoped) or there was no negative
+    /// scenario, empty when `E` read no output cell and none ran.
     pub scope: Option<Vec<u32>>,
     /// The scenario executor's report, when a scenario ran.
     pub report: Option<whatif_core::ExecReport>,
@@ -85,9 +88,16 @@ pub fn evaluate(ctx: &QueryContext<'_>, query: &Query) -> Result<Evaluation> {
 /// [`evaluate`], with the `WITH` clause's perspective cube computed by
 /// `apply(scenario, scope)` in place of [`whatif_core::apply`]: the grid
 /// is then the evaluation `E` of whatever cube another implementation of
-/// the algebra produced (`scope` lists the varying-dimension slots the
-/// grid reads, or is `None`). A positive scenario's axes resolve on
+/// the algebra produced. A positive scenario's axes resolve on
 /// [`whatif_core::output_schema`], so its cube must be over that schema.
+///
+/// `E` decides what a negative scenario must produce: `scope` lists the
+/// varying-dimension slots of the grid cells `E` reads on the output
+/// ([`CellEvaluator::reads_output`]: every cell in visual mode, base
+/// cells in non-visual), or is `None` when those cover every slot. When
+/// `E` reads no output cell, `apply` is not called and the grid is `E`
+/// over the input alone. The scenario is still validated first
+/// ([`whatif_core::output_schema`]), so it is refused as a plan would be.
 ///
 /// The grid answers to the bounds of `ctx.opts` like the executor, in
 /// its order: resolve and plan without reading a cell, admit the larger
@@ -140,8 +150,10 @@ pub fn evaluate_with(
     // 3. Read. A positive scenario applies unscoped, and its Filters
     //    read its output; otherwise Filters read the input (Theorem 4.1:
     //    the what-if operators apply to the *result* of the core MDX
-    //    query, which includes its filters) and a negative scenario then
-    //    applies, scoped to the slots the grid touches.
+    //    query, which includes its filters). A negative scenario then
+    //    runs scoped to the slots of the cells `E` reads on its output,
+    //    and not at all when it reads none: `E` then answers from the
+    //    input alone.
     let mut whatif: Option<(Cube, ExecReport)> = None;
     if let Some(s @ Scenario::Positive { .. }) = &scenario {
         whatif = Some(apply(s, None)?);
@@ -159,23 +171,25 @@ pub fn evaluate_with(
     }
     let mut scope = None;
     if let Some(s @ Scenario::Negative(_)) = &scenario {
-        scope = compute_scope(schema, s.dim(), &columns, &rows, &base);
-        whatif = Some(apply(s, scope.as_deref())?);
+        // The output has the input's schema and rules, which is all `E`
+        // decides by, so `E` over the input names the cells it will read.
+        let planned = whatif_core::evaluator(ctx.cube, s, ctx.cube);
+        scope = output_scope(&planned, schema, s.dim(), &base, &rows, &columns)?;
+        if scope.as_ref().is_none_or(|slots| !slots.is_empty()) {
+            whatif = Some(apply(s, scope.as_deref())?);
+        }
     }
-    let ev = match (&scenario, &whatif) {
-        (Some(s), Some((out, _))) => whatif_core::evaluator(ctx.cube, s, out),
-        _ => CellEvaluator::new(ctx.cube),
+    let out = whatif.as_ref().map_or(ctx.cube, |(out, _)| out);
+    let ev = match &scenario {
+        Some(s) => whatif_core::evaluator(ctx.cube, s, out),
+        None => CellEvaluator::new(ctx.cube),
     };
     let mut cells = Vec::with_capacity(rows.len());
     for row in &rows {
         bounds.check_deadline()?;
         let mut line = Vec::with_capacity(columns.len());
         for col in &columns {
-            let mut sels = base.clone();
-            for a in row.iter().chain(col.iter()) {
-                sels[a.dim.index()] = a.sel;
-            }
-            line.push(ev.value(&sels)?);
+            line.push(ev.value(&cell_sels(&base, row, col))?);
         }
         cells.push(line);
     }
@@ -258,47 +272,46 @@ fn satisfies(cond: &FilterCond, v: olap_store::CellValue) -> Result<bool> {
     })
 }
 
-/// The varying-dimension slots a query can touch, when determinable:
-/// every cell must pin the dimension through its row, column, or the
-/// slicer; otherwise (cells fall back to the ROOT rollup) returns `None`
-/// and execution stays unscoped.
-fn compute_scope(
+/// The selectors of the grid cell at `row` × `col` over the slicer's.
+fn cell_sels(base: &[Sel], row: &Tuple, col: &Tuple) -> Vec<Sel> {
+    let mut sels = base.to_vec();
+    for a in row.iter().chain(col) {
+        sels[a.dim.index()] = a.sel;
+    }
+    sels
+}
+
+/// The scope a negative scenario on `dim` runs under: the slots its
+/// selectors cover on `dim` over the grid cells `ev` reads on the output.
+/// `None` (unscoped) when they cover every slot, empty when `ev` reads no
+/// output cell.
+fn output_scope(
+    ev: &CellEvaluator<'_>,
     schema: &Schema,
     dim: DimensionId,
-    columns: &[Tuple],
-    rows: &[Tuple],
     base: &[Sel],
-) -> Option<Vec<u32>> {
-    let covered = |tuples: &[Tuple]| -> bool {
-        !tuples.is_empty() && tuples.iter().all(|t| t.iter().any(|a| a.dim == dim))
-    };
-    let base_sel = base.get(dim.index()).copied();
-    let slicer_pinned = !matches!(base_sel, Some(Sel::Member(MemberId::ROOT)) | None);
-    if !covered(rows) && !covered(columns) && !slicer_pinned {
-        return None;
-    }
-    let mut slots: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    let mut add_sel = |sel: Sel| match sel {
-        Sel::Slot(s) => {
-            slots.insert(s);
-        }
-        Sel::Member(m) => {
-            for s in schema.slots_under(dim, m) {
-                slots.insert(s.0);
+    rows: &[Tuple],
+    columns: &[Tuple],
+) -> Result<Option<Vec<u32>>> {
+    let mut read = HashSet::new();
+    for row in rows {
+        for col in columns {
+            let sels = cell_sels(base, row, col);
+            if ev.reads_output(&sels)? {
+                read.insert(sels[dim.index()]);
             }
         }
-    };
-    for t in rows.iter().chain(columns.iter()) {
-        for a in t.iter().filter(|a| a.dim == dim) {
-            add_sel(a.sel);
+    }
+    let mut slots = BTreeSet::new();
+    for sel in read {
+        match sel {
+            Sel::Slot(s) => {
+                slots.insert(s);
+            }
+            Sel::Member(m) => slots.extend(schema.slots_under(dim, m).into_iter().map(|s| s.0)),
         }
     }
-    if slicer_pinned {
-        if let Some(sel) = base_sel {
-            add_sel(sel);
-        }
-    }
-    Some(slots.into_iter().collect())
+    Ok((slots.len() < schema.axis_len(dim) as usize).then(|| slots.into_iter().collect()))
 }
 
 fn label_of(tuple: &Tuple) -> String {

@@ -130,7 +130,12 @@ step "gates run by name"
 # the cube) and on random chunkings; a warm A/B toggle reads nothing
 # from the base pool and replies as before; and a follower's `.apply`
 # after a shipped commit, which moves only its store's flush epoch,
-# equals the leader's. Twenty-eight gates in all.
+# equals the leader's. The last two hold what a grid runs to what `E`
+# reads: every Fig. 10 grid, all five semantics × visual / non-visual,
+# equals the definitional `E`'s and runs its scenario exactly when `E`
+# reads a cell of the output; and a scenario no cell reads is still
+# refused as its plan would be (dynamic semantics over an unordered
+# parameter). Thirty gates in all.
 gate() { # gate "<cargo test target args>" <exact test name>
     out=$(cargo test -q $1 -- --exact "$2" 2>&1) || { echo "$out"; exit 1; }
     case "$out" in
@@ -166,6 +171,8 @@ gate "-p whatif-integration-tests --test cell_digest" apply_digest_memo_matches_
 gate "-p whatif-integration-tests --test cell_digest" shared_results_equal_the_oracle
 gate "-p polap-cli --lib" tests::a_warm_toggle_reads_nothing
 gate "-p whatif-integration-tests --test replication" a_follower_apply_after_a_shipped_commit_matches_the_leader
+gate "-p whatif-integration-tests --test end_to_end" fig10_grids_match_the_oracle_and_run_only_what_e_reads
+gate "-p whatif-integration-tests --test unordered_and_multi" unread_dynamic_scenario_on_unordered_parameter_is_still_refused
 
 step "corruption smoke test"
 # One flipped payload byte never becomes garbage cells. Flipped while

@@ -30,8 +30,8 @@ mod operators {
     mod select;
 }
 
-use olap_cube::Cube;
-use olap_model::{DimensionId, Schema};
+use olap_cube::{Cube, Sel};
+use olap_model::{DimensionId, InstanceId, MemberId, Schema};
 use olap_server::{Client, RetryPolicy, STATUS_OK, STATUS_QUIT};
 use olap_store::{Chunk, ChunkId, ChunkStore, FileStore};
 use polap_cli::{Dataset, Outcome, Session, SharedData};
@@ -182,6 +182,54 @@ pub fn oracle_result(input: &Cube, scenario: &Scenario) -> (Cube, ExecReport) {
     };
     let leaves = oracle::perspective_cube(input, spec.dim, spec.semantics, &spec.perspectives);
     (leaves, ExecReport::default())
+}
+
+/// The selectors of every cell of a grid whose query has no slicer, read
+/// back from its row and column labels: each ` / `-separated part names
+/// a member of exactly one dimension (an instance by its path, a
+/// varying-dimension slot); every other dimension is at its root. The
+/// grid is indexed `[row][column]`.
+pub fn grid_sels(schema: &Schema, grid: &olap_mdx::Grid) -> Vec<Vec<Vec<Sel>>> {
+    let atom = |part: &str| -> (DimensionId, Sel) {
+        let mut found = schema.dim_ids().filter_map(|d| {
+            let dim = schema.dim(d);
+            match schema.varying(d) {
+                Some(v) if part.contains('/') => (0..v.instance_count())
+                    .find(|&i| v.instance_name(dim, InstanceId(i)) == part)
+                    .map(|i| (d, Sel::Slot(i))),
+                _ => dim.find(part).map(|m| (d, Sel::Member(m))),
+            }
+        });
+        let first = found
+            .next()
+            .unwrap_or_else(|| panic!("{part:?} names no member"));
+        assert!(
+            found.next().is_none(),
+            "{part:?} names members of two dimensions"
+        );
+        first
+    };
+    let tuple = |label: &str| -> Vec<(DimensionId, Sel)> {
+        if label == "*" {
+            return Vec::new();
+        }
+        label.split(" / ").map(atom).collect()
+    };
+    let columns: Vec<_> = grid.columns.iter().map(|c| tuple(c)).collect();
+    (grid.rows.iter())
+        .map(|r| {
+            let row = tuple(r);
+            (columns.iter())
+                .map(|col| {
+                    let mut sels = vec![Sel::Member(MemberId::ROOT); schema.dim_count()];
+                    for &(d, sel) in row.iter().chain(col) {
+                        sels[d.index()] = sel;
+                    }
+                    sels
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// All five semantics, for exhaustive sweeps.

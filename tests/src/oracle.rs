@@ -488,16 +488,27 @@ fn cross(covers: &[Vec<u32>], d: usize, cell: &mut Vec<u32>, each: &mut impl FnM
 /// output; non-visual reads base cells there and derived cells on the
 /// input.
 pub fn e(input: &Leaves, output: &Leaves, visual: bool, sels: &[Sel]) -> Option<f64> {
-    let (schema, rules) = (output.cube.schema(), output.cube.rules());
-    assert!(Arc::ptr_eq(schema, input.cube.schema()), "one schema");
-    assert_eq!(sels.len(), schema.dim_count(), "one selector per dimension");
-    let formula = (rules.measure_dim())
-        .is_some_and(|d| rules.has_formula(chain(schema, d, sels[d.index()])[0]));
-    let single = (schema.dim_ids().zip(sels)).all(|(d, &sel)| covered(schema, d, sel).len() == 1);
-    let base = single && !formula;
-    if visual || base {
+    assert!(
+        Arc::ptr_eq(output.cube.schema(), input.cube.schema()),
+        "one schema"
+    );
+    if reads_output(output.cube, visual, sels) {
         output.value(sels, 0)
     } else {
         input.value(sels, 0)
     }
+}
+
+/// Whether [`e`] reads the cell `sels` addresses on the output, judged
+/// by `cube`'s schema and rules (the output's, which are the input's):
+/// every cell in visual mode; in non-visual mode a base cell, which
+/// covers one slot on every dimension and whose measure no formula rule
+/// targets.
+pub fn reads_output(cube: &Cube, visual: bool, sels: &[Sel]) -> bool {
+    let (schema, rules) = (cube.schema(), cube.rules());
+    assert_eq!(sels.len(), schema.dim_count(), "one selector per dimension");
+    let formula = (rules.measure_dim())
+        .is_some_and(|d| rules.has_formula(chain(schema, d, sels[d.index()])[0]));
+    let single = (schema.dim_ids().zip(sels)).all(|(d, &sel)| covered(schema, d, sel).len() == 1);
+    visual || (single && !formula)
 }

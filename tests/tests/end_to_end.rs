@@ -5,8 +5,18 @@
 use olap_mdx::{evaluate, evaluate_with, execute, parse, QueryContext};
 use olap_store::CellValue;
 use olap_workload::{Workforce, WorkforceConfig};
+use std::collections::BTreeMap;
 use whatif_core::{execute as run_plan, OrderPolicy, Plan, Scenario};
-use whatif_integration_tests::oracle_result;
+use whatif_integration_tests::{all_semantics, grid_sels, oracle, oracle_result};
+
+/// The semantics keywords, in `all_semantics` order.
+const SEMANTICS: [&str; 5] = [
+    "STATIC",
+    "DYNAMIC FORWARD",
+    "EXTENDED FORWARD",
+    "DYNAMIC BACKWARD",
+    "EXTENDED BACKWARD",
+];
 
 fn tiny() -> Workforce {
     Workforce::build(WorkforceConfig::tiny())
@@ -78,6 +88,103 @@ fn reference_and_chunked_strategies_agree_on_grids() {
     assert!(pebbling.scope.is_some(), "the query is scoped");
     assert_eq!(oracle.grid, pebbling.grid);
     assert_eq!(oracle.grid, naive.grid);
+}
+
+/// The Fig. 10 grids as the paper's definitions give them. Fig. 10(a),
+/// (b) and (c) on the tiny workforce, under all five semantics × VISUAL /
+/// NONVISUAL × four perspective sets:
+///
+/// * every cell equals the definitional `E` (`oracle::e`) over the
+///   oracle's perspective cube;
+/// * a scenario runs if and only if `E` reads some cell on the output,
+///   and a grid that runs none equals the grid of its query without the
+///   `WITH` clause;
+/// * which grids differ from that no-`WITH` grid is pinned, one line per
+///   shape and clause with a digit per perspective set. Member rows span
+///   every instance of an employee, so `E` derives every cell, and only
+///   VISUAL grids read the scenario at all. Of those, a grid differs
+///   only where Φ leaves some of an employee's cells with no valid
+///   instance, so ρ drops them (STATIC: instances valid at no
+///   perspective; the DYNAMIC semantics: instances no perspective sees,
+///   with their months outside the perspectives' ranges). The EXTENDED
+///   semantics drop nothing here, and moving cells between one member's
+///   instances leaves each member's month unchanged.
+#[test]
+fn fig10_grids_match_the_oracle_and_run_only_what_e_reads() {
+    const MONTHS: [&str; 12] = [
+        "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+    ];
+    let wf = tiny();
+    let ctx = ctx_of(&wf);
+    let schema = wf.cube.schema();
+    let input = oracle::Leaves::of(&wf.cube);
+    let sets: [&[&str]; 4] = [
+        &["Jan"],
+        &["Mar", "Sep"],
+        &["Apr", "Oct"],
+        &["Jan", "Apr", "Jul", "Oct"],
+    ];
+    let mut differ: BTreeMap<String, String> = BTreeMap::new();
+    for (semantics, keyword) in all_semantics().into_iter().zip(SEMANTICS) {
+        for months in sets {
+            let moments: Vec<u32> = (months.iter())
+                .map(|m| MONTHS.iter().position(|n| n == m).unwrap() as u32)
+                .collect();
+            let leaves = oracle::perspective_cube(&wf.cube, wf.department, semantics, &moments);
+            let output = oracle::Leaves::of(&leaves);
+            for mode in ["VISUAL", "NONVISUAL"] {
+                let clause = format!("{keyword} {mode}");
+                let shapes = [
+                    ("10(a)", wf.fig10a_query_sem(months, "DYNAMIC FORWARD")),
+                    ("10(b)", wf.fig10b_query(months)),
+                    ("10(c)", wf.fig10c_query(months, 2)),
+                ];
+                for (shape, query) in shapes {
+                    let query = query.replacen("DYNAMIC FORWARD", &clause, 1);
+                    let row = format!("{shape} {clause} {months:?}");
+                    let run = evaluate(&ctx, &parse(&query).unwrap()).unwrap();
+                    let visual = mode == "VISUAL";
+                    let mut reads = false;
+                    for (r, line) in grid_sels(schema, &run.grid).iter().enumerate() {
+                        for (c, sels) in line.iter().enumerate() {
+                            let want = oracle::e(&input, &output, visual, sels);
+                            assert_eq!(run.grid.cells[r][c].as_f64(), want, "{row} at {sels:?}");
+                            reads |= oracle::reads_output(&wf.cube, visual, sels);
+                        }
+                    }
+                    assert_eq!(run.report.is_some(), reads, "{row}: a scenario ran");
+                    let plain = execute(&ctx, &query[query.find("SELECT").unwrap()..]).unwrap();
+                    assert!(
+                        reads || run.grid == plain,
+                        "{row}: no run, yet not the plain grid"
+                    );
+                    let digit = if run.grid == plain { '0' } else { '1' };
+                    differ
+                        .entry(format!("{shape} {clause}"))
+                        .or_default()
+                        .push(digit);
+                }
+            }
+        }
+    }
+    differ.retain(|_, sets| sets.contains('1'));
+    let differ: Vec<String> = (differ.into_iter())
+        .map(|(k, v)| format!("{k} {v}"))
+        .collect();
+    assert_eq!(
+        differ,
+        [
+            "10(a) DYNAMIC BACKWARD VISUAL 1111",
+            "10(a) DYNAMIC FORWARD VISUAL 0110",
+            "10(a) STATIC VISUAL 1111",
+            "10(b) DYNAMIC BACKWARD VISUAL 1111",
+            "10(b) STATIC VISUAL 1111",
+            "10(c) DYNAMIC BACKWARD VISUAL 1110",
+            "10(c) DYNAMIC FORWARD VISUAL 0110",
+            "10(c) STATIC VISUAL 1111",
+        ],
+        "the grids that differ from their no-WITH grid, per perspective set {sets:?}"
+    );
 }
 
 /// The Fig. 11 baseline's correctness: merging k single-perspective

@@ -379,6 +379,44 @@ fn chunked_matches_reference_extended_and_backward() {
     check_equivalence(Semantics::ExtendedBackward, &[2]);
 }
 
+/// Parents that cover one slot: `Interns` holds one instance, `Q2` one
+/// month and the measure root one measure, beside Joe's move from FTE to
+/// PTE in Feb. Hours are distinct per instance and month.
+fn one_slot_parents() -> (Cube, DimensionId) {
+    let schema = Arc::new(
+        SchemaBuilder::new()
+            .dimension(DimensionSpec::new("Organization").tree(&[
+                ("FTE", &["Joe", "Lisa"][..]),
+                ("PTE", &["Tom"]),
+                ("Interns", &["Ann"]),
+            ]))
+            .dimension(
+                DimensionSpec::new("Time")
+                    .ordered()
+                    .tree(&[("Q1", &["Jan", "Feb", "Mar"][..]), ("Q2", &["Apr"])]),
+            )
+            .dimension(DimensionSpec::new("Measures").measures().leaves(&["Hours"]))
+            .varying("Organization", "Time")
+            .reclassify("Organization", "Joe", "PTE", "Feb")
+            .build()
+            .unwrap(),
+    );
+    let org = schema.resolve_dimension("Organization").unwrap();
+    let mut rules = olap_cube::RuleSet::new();
+    rules.set_measure_dim(schema.resolve_dimension("Measures").unwrap());
+    let mut b = Cube::builder(Arc::clone(&schema), vec![2, 2, 1])
+        .unwrap()
+        .rules(rules);
+    let varying = schema.varying(org).unwrap();
+    for (i, inst) in varying.instances().iter().enumerate() {
+        for t in inst.validity.iter() {
+            b.set_num(&[i as u32, t, 0], (10 * i as u32 + t + 1) as f64)
+                .unwrap();
+        }
+    }
+    (b.finish().unwrap(), org)
+}
+
 /// Every selector of one dimension: each of its members (the root,
 /// non-leaf and leaf members) and, on a varying dimension, each instance.
 fn selectors(cube: &Cube, dim: DimensionId) -> Vec<Sel> {
@@ -407,7 +445,11 @@ fn for_each_cell(per_dim: &[Vec<Sel>], cell: &mut Vec<Sel>, each: &mut impl FnMu
 /// over the oracle's leaves: all five semantics × visual / non-visual, on
 /// the running example, the retail catalog (its formula rules, the scoped
 /// `Market = East` one included) and random warehouses, at every cell
-/// one selector per dimension addresses.
+/// one selector per dimension addresses. So does its plan-time answer to
+/// whether a cell is read on the output (`reads_output`), which decides
+/// what a grid's scenario runs: a non-leaf member with one slot below it
+/// is base there like a leaf, and a varying leaf with several instances
+/// is derived.
 #[test]
 fn product_e_matches_the_definitional_e() {
     let ex = running_example();
@@ -425,6 +467,8 @@ fn product_e_matches_the_definitional_e() {
         let w = random_warehouse(seed, 3, 8, 8, 4);
         inputs.push((format!("random seed {seed}"), w.cube, w.dim, vec![1, 5]));
     }
+    let (cube, org) = one_slot_parents();
+    inputs.push(("one-slot parents".to_string(), cube, org, vec![1, 3]));
     for (name, cube, dim, p) in &inputs {
         let per_dim: Vec<Vec<Sel>> = (cube.schema().dim_ids())
             .map(|d| selectors(cube, d))
@@ -450,6 +494,9 @@ fn product_e_matches_the_definitional_e() {
                     want.map(|v| v.map(f64::to_bits)),
                     "{name} {sem:?} at {sels:?}: [visual, non-visual]"
                 );
+                let reads = [&visual, &non_visual].map(|ev| ev.reads_output(sels).unwrap());
+                let want = [true, false].map(|v| oracle::reads_output(&leaves, v, sels));
+                assert_eq!(reads, want, "{name} {sem:?} at {sels:?}: reads the output");
                 modes_differ |= want[0] != want[1];
             });
         }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use whatif_core::{
     apply, execute, ExecOpts, Mode, OrderPolicy, Plan, Scenario, ScenarioCache, Semantics,
 };
-use whatif_integration_tests::{oracle_result, whole_component_chunks};
+use whatif_integration_tests::{grid_sels, oracle, oracle_result, whole_component_chunks};
 
 fn small_workforce() -> Workforce {
     Workforce::build(WorkforceConfig {
@@ -180,9 +180,10 @@ fn default_opts_leave_the_cache_off_and_match_apply() {
 /// sets × all five semantics × VISUAL / NONVISUAL, render the grid `E`
 /// gives over the definitional oracle's leaves (visual totals summed over
 /// the oracle cube, non-visual derived cells the input's) with the cache
-/// off, cold and warm; a warm run serves exactly
-/// the chunks of the merge components its scope keeps whole, and nothing
-/// else.
+/// off, cold and warm. A query runs its scenario exactly when the
+/// definitional `E` reads some grid cell on the output (`oracle::
+/// reads_output`), and a warm run serves exactly the chunks of the merge
+/// components its scope keeps whole, and nothing else.
 #[test]
 fn scoped_queries_with_the_cache_render_the_reference_grid() {
     const MONTHS: [&str; 12] = [
@@ -227,6 +228,9 @@ fn scoped_queries_with_the_cache_render_the_reference_grid() {
         let reference = evaluate_with(&ctx, &parsed, |s, _| Ok(oracle_result(&wf.cube, s)))
             .unwrap()
             .grid;
+        let visual = mode == "VISUAL";
+        let reads = (grid_sels(wf.cube.schema(), &reference).iter().flatten())
+            .any(|sels| oracle::reads_output(&wf.cube, visual, sels));
         let cache = Arc::new(ScenarioCache::with_capacity_mb(8));
         let phases = [
             ("off", None),
@@ -241,7 +245,15 @@ fn scoped_queries_with_the_cache_render_the_reference_grid() {
             };
             let run = evaluate(&ctx, &parsed).unwrap();
             assert_eq!(run.grid, reference, "{row}");
-            let served = run.report.expect("a scenario ran").cache_chunks_served;
+            assert_eq!(
+                run.report.is_some(),
+                reads,
+                "{row}: runs iff E reads the output"
+            );
+            let Some(report) = run.report else {
+                continue;
+            };
+            let served = report.cache_chunks_served;
             if phase != "warm" {
                 assert_eq!(served, 0, "{row}");
                 continue;

@@ -129,6 +129,33 @@ fn dynamic_semantics_rejected_on_unordered_parameter() {
     }
 }
 
+/// The same refusal through MDX, where the grid decides what runs: a
+/// NONVISUAL grid of a derived cell (PTE's total) reads nothing on the
+/// scenario's output, so no scenario runs, yet the query is refused as
+/// the plan would refuse it — and a grid with no scenario is not.
+#[test]
+fn unread_dynamic_scenario_on_unordered_parameter_is_still_refused() {
+    let (cube, _, _) = location_varying();
+    let ctx = olap_mdx::QueryContext::new(&cube);
+    let grid = "SELECT {Location.[NY]} ON COLUMNS, {Organization.[PTE]} ON ROWS FROM [W]";
+    assert!(olap_mdx::execute(&ctx, grid).is_ok());
+    let query = format!("WITH PERSPECTIVE {{(NY)}} FOR Organization STATIC NONVISUAL {grid}");
+    let run = olap_mdx::evaluate(&ctx, &olap_mdx::parse(&query).unwrap()).unwrap();
+    assert_eq!(
+        (run.scope, run.report),
+        (Some(vec![]), None),
+        "no scenario runs"
+    );
+    let query = query.replace("STATIC", "DYNAMIC FORWARD");
+    let err = olap_mdx::execute(&ctx, &query).unwrap_err().to_string();
+    assert!(
+        err.contains(
+            "dynamic semantics on \"Organization\" require ordered parameter dimension \"Location\""
+        ),
+        "{err}"
+    );
+}
+
 #[test]
 fn s2_as_positive_change_over_location() {
     // The hypothetical version of S2, before any real change exists: take
